@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // goldenRun pins one scenario's observable outcome: the fabric-wide
 // digest, the exact simulated finish time, and the executed-injection
@@ -95,5 +98,98 @@ func TestGoldenRepeatable(t *testing.T) {
 	if a.Digest != b.Digest || a.SimTime != b.SimTime || a.Injections != b.Injections {
 		t.Fatalf("back-to-back runs diverged: %#x/%d/%d vs %#x/%d/%d",
 			a.Digest, a.SimTime, a.Injections, b.Digest, b.SimTime, b.Injections)
+	}
+}
+
+// tenantGolden pins one tenant's slice of a multi-tenant golden run.
+type tenantGolden struct {
+	name      string
+	serviced  int
+	dropped   int
+	deferred  int
+	p99       int64
+	phaseEnds []int64
+}
+
+// twoPhaseTenantScenario is the second tenant golden: two tenants whose
+// lanes each run a closed-loop phase and a Poisson phase, one of them
+// behind a deferring token bucket — phase barriers, admission retries
+// and the fair queue all on one simulated clock.
+func twoPhaseTenantScenario() Scenario {
+	sc := DefaultScenario(AllToAll, 6)
+	sc.Rounds = 2
+	sc.Burst = 4
+	sc.Seed = 0x7c2c2026
+	iput := []ElementMix{{Elem: "jam_iput", Weight: 1}}
+	sssum := []ElementMix{{Elem: "jam_sssum", Weight: 1}}
+	sc.Tenants = []TenantSpec{
+		{Name: "gold", Weight: 3, Phases: []Phase{
+			{Name: "warm", Rounds: 1, Mix: iput},
+			{Name: "open", Arrival: &Arrival{Kind: Poisson, RatePerSec: 200_000}, Mix: sssum},
+		}},
+		{Name: "bronze", Weight: 1,
+			Admit: &AdmitSpec{RatePerSec: 400_000, Burst: 8, Defer: true},
+			Phases: []Phase{
+				{Name: "open", Arrival: &Arrival{Kind: Poisson, RatePerSec: 300_000}, Mix: iput},
+				{Name: "drain", Rounds: 1, Mix: sssum},
+			}},
+	}
+	return sc
+}
+
+// TestTenantGoldenRuns pins the multi-tenant driver the way
+// TestGoldenDigests pins the single-tenant one: digest, simulated time,
+// overlap window, and every tenant's service/admission counts, p99
+// latency and phase end stamps, captured before the run loops were
+// unified. The same re-capture rule applies.
+func TestTenantGoldenRuns(t *testing.T) {
+	for _, g := range []struct {
+		name    string
+		sc      Scenario
+		digest  uint64
+		simTime int64
+		overlap int64
+		tenants []tenantGolden
+	}{
+		{"overload", OverloadScenario(8, 4), 0x6ac5c80cce9a3a00, 498400384, 338096016, []tenantGolden{
+			{"gold", 2688, 0, 0, 5361045, []int64{498400384}},
+			{"bronze", 2688, 0, 0, 210577205, []int64{498400384}},
+		}},
+		{"two-phase", twoPhaseTenantScenario(), 0x3a28b02d26d635b0, 142113853, 86757343, []tenantGolden{
+			{"gold", 360, 0, 0, 2533000, []int64{24938560, 142113853}},
+			{"bronze", 360, 0, 169, 2702845, []int64{96766332, 142113853}},
+		}},
+	} {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			g.sc.Workers = 1
+			res, err := Run(g.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Digest != g.digest {
+				t.Errorf("digest = %#x, want %#x", res.Digest, g.digest)
+			}
+			if int64(res.SimTime) != g.simTime {
+				t.Errorf("simulated time = %d, want %d", int64(res.SimTime), g.simTime)
+			}
+			if int64(res.OverlapWindow) != g.overlap {
+				t.Errorf("overlap window = %d, want %d", int64(res.OverlapWindow), g.overlap)
+			}
+			if len(res.Tenants) != len(g.tenants) {
+				t.Fatalf("tenants reported: %d, want %d", len(res.Tenants), len(g.tenants))
+			}
+			for i, want := range g.tenants {
+				tr := res.Tenants[i]
+				var ends []int64
+				for _, ph := range tr.Phases {
+					ends = append(ends, int64(ph.End))
+				}
+				got := tenantGolden{tr.Name, tr.Serviced, tr.Dropped, tr.Deferred, int64(tr.P99Latency), ends}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("tenant %d = %+v, want %+v", i, got, want)
+				}
+			}
+		})
 	}
 }
