@@ -3,6 +3,13 @@
 # passes (mesh workloads plus the handle-vs-string invocation pair, with
 # -benchmem so allocation regressions surface in CI logs).
 #
+# The host-clock performance ruler is not in this file: it is
+# `go run ./benchmark` (BENCHMARK.json's four workloads, host
+# injections/sec with per-layer probes) and `go run ./benchmark -compare
+# old.json new.json` for parent-vs-change verdicts; see
+# benchmark/README.md. Nothing below measures host speed against a
+# threshold except the BenchmarkFuncCall ns/op check.
+#
 # `make lint` runs cmd/tclint — the static checkers for the ROADMAP's
 # ownership-domain and determinism contracts (scratchescape,
 # poolownership, detsource, sharddomain) — and fails on any diagnostic.
@@ -22,8 +29,11 @@
 # vs workers=1 twins of the same bit-identical simulation), the
 # speculative-window variant, the multi-tenant overload benchmark with
 # its per-tenant goodput metrics, and the chaos-perturbed fail/rejoin
-# mesh with its loss ledger. bench-smoke gates sim_inj_per_sec against
-# the newest recorded trajectory file ($(SMOKE_BASELINE)) and
+# mesh with its loss ledger. bench-smoke compares sim_inj_per_sec
+# against the newest recorded trajectory file ($(SMOKE_BASELINE)): that
+# metric is simulated injections per simulated second, a pure function
+# of the scenario, so the comparison is a determinism check (did the
+# model's arithmetic move?), not a performance gate. It also checks
 # BenchmarkFuncCall/BenchmarkStringInject ns/op against the JIT
 # recording ($(FUNC_BASELINE), lower is better); chaos-smoke race-runs
 # the fail/rejoin drain and the lookahead-fuzz violation diagnostic.

@@ -56,12 +56,10 @@ var goroutineAllow = map[string]map[string]bool{
 //
 // Deliberately absent, per the same tables: sim.Group and
 // sim.SharedBufPool (cross-shard by design), core.Mesh (locked
-// chans/nsMemo), fabric's backend registry, the package-level Message
-// sync.Pool behind mailbox.GetMessage (kept for caller-constructed
-// frames; the per-call path mints from the Sender's shard-local
-// freelist, and completion/thin-op records likewise live on Sender and
-// Endpoint freelists now), simnet's COW registration tables, and the
-// workload runner's post-run merge counters.
+// chans/nsMemo), fabric's backend registry, simnet's COW registration
+// tables, and the workload runner's lane counters. (Message frames and
+// completion/thin-op records need no entry: they live on the shard-local
+// Sender and Endpoint freelists.)
 //
 // The vm entry covers the bind-time JIT: a Region's compiled program,
 // and the per-call jitMachine embedded in the VM, are translation-cache

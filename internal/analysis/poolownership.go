@@ -7,14 +7,14 @@ import (
 
 // PoolOwnership enforces the hand-off side of the ROADMAP pooling
 // rules: a *mailbox.Message's ownership transfers to the Sender at
-// Send/SendBatch (the sender releases the frame to the pool after
+// Send/SendBatch (the sender releases the frame to its freelist after
 // packing, so a later touch is a use-after-reuse on whatever send the
-// pool served next), and Release hands a tc.Future back to its
+// freelist served next), and Release hands a tc.Future back to its
 // per-shard pool (touching it afterwards races the next Call that
 // recycles it). The check is a straight-line reaching-uses pass over
 // each block: any use of the handed-off variable in the statements
 // after the hand-off is flagged until the variable is reassigned
-// (msg = mailbox.GetMessage() starts a new ownership epoch). Uses of
+// (msg = s.GetMessage() starts a new ownership epoch). Uses of
 // the message captured by the send's own completion callback are
 // flagged too — the callback runs after the frame is released.
 var PoolOwnership = &Analyzer{

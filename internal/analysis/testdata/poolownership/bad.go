@@ -9,7 +9,7 @@ import (
 )
 
 func useAfterSend(s *mailbox.Sender) {
-	msg := mailbox.GetMessage()
+	msg := s.GetMessage()
 	msg.Args[0] = 7
 	s.Send(msg, nil)
 	msg.Args[1] = 9 // want `use of \*mailbox\.Message msg after Send`
@@ -21,7 +21,7 @@ func useAfterSendBatch(s *mailbox.Sender, msgs []*mailbox.Message) {
 }
 
 func capturedByCompletion(s *mailbox.Sender) {
-	msg := mailbox.GetMessage()
+	msg := s.GetMessage()
 	s.Send(msg, func(info mailbox.SendInfo) {
 		_ = msg.Kind // want `msg captured by the completion callback of its own Send`
 	})

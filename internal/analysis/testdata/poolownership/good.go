@@ -8,16 +8,16 @@ import (
 )
 
 func useBeforeSend(s *mailbox.Sender) {
-	msg := mailbox.GetMessage()
+	msg := s.GetMessage()
 	msg.Args[0] = 7
 	msg.Kind = mailbox.KindData
 	s.Send(msg, nil)
 }
 
 func reassignStartsNewEpoch(s *mailbox.Sender) {
-	msg := mailbox.GetMessage()
+	msg := s.GetMessage()
 	s.Send(msg, nil)
-	msg = mailbox.GetMessage() // fresh frame: new ownership epoch
+	msg = s.GetMessage() // fresh frame: new ownership epoch
 	msg.Args[0] = 1
 	s.Send(msg, nil)
 }

@@ -16,6 +16,7 @@ type fairRig struct {
 	eng   *sim.Engine
 	arb   *FairArbiter
 	sends [2]*Sender
+	recvs [2]*Receiver
 	order []int // class of each completion, in completion order
 }
 
@@ -42,6 +43,7 @@ func newFairRig(t *testing.T, weights [2]int, svc sim.Duration) *fairRig {
 		}
 		recv.OnProcessed = func(*Delivery, sim.Time) { fr.order = append(fr.order, class) }
 		recv.Start()
+		fr.recvs[class] = recv
 		snd, err := NewSender(src, src.Connect(dst), SenderConfig{Geometry: g},
 			recv.BaseVA, recv.Mem.Key, cpusim.NewCounter(nil))
 		if err != nil {
@@ -127,5 +129,37 @@ func TestFairArbiterDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("completion %d: class %d vs %d", i, a[i], b[i])
 		}
+	}
+}
+
+// TestFairArbiterStopReleasesGrant pins the teardown path: a receiver
+// stopped while it holds the arbiter's grant (its service in progress)
+// must hand the node back, or every other receiver on the arbiter —
+// including ones enrolled after the node rejoins — is never served.
+func TestFairArbiterStopReleasesGrant(t *testing.T) {
+	fr := newFairRig(t, [2]int{1, 1}, 5*sim.Microsecond)
+	const per = 6
+	for i := 0; i < per; i++ {
+		for class := 0; class < 2; class++ {
+			fr.sends[class].Send(PackLocal(1, 1, [2]uint64{uint64(i), 0}, nil), nil)
+		}
+	}
+	// Run until class 0 has completed one service and holds its next
+	// grant, then stop it mid-service.
+	for len(fr.order) == 0 || fr.order[len(fr.order)-1] != 1 {
+		if !fr.eng.Step() {
+			t.Fatal("quiescent before the first class-1 completion")
+		}
+	}
+	fr.recvs[0].Stop()
+	fr.eng.Run()
+	n1 := 0
+	for _, c := range fr.order {
+		if c == 1 {
+			n1++
+		}
+	}
+	if n1 != per {
+		t.Fatalf("class 1 completed %d of %d after class 0 stopped holding the grant (order %v)", n1, per, fr.order)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"twochains/internal/mem"
 )
@@ -54,25 +53,22 @@ type GotPatch struct {
 
 // Message is one active message to be packed into a frame.
 //
-// Hot senders take messages from the shared pool with GetMessage and hand
-// them to Send/SendBatch, which return them to the pool once the frame
-// bytes have been packed into the staging region (or the send failed).
-// After that hand-off the caller must not touch the message again — it
-// may already be serving another send. Messages constructed directly
-// (&Message{...}, PackLocal, PackData) are never pooled and stay owned by
-// the caller.
+// Hot senders take messages from their Sender's freelist with
+// Sender.GetMessage and hand them to Send/SendBatch, which return them
+// to the freelist once the frame bytes have been packed into the staging
+// region (or the send failed). After that hand-off the caller must not
+// touch the message again — it may already be serving another send.
+// Messages constructed directly (&Message{...}, PackLocal, PackData) are
+// never recycled and stay owned by the caller.
 type Message struct {
 	Kind   uint8
 	PkgID  uint8
 	ElemID uint8
-	// pooled marks messages minted by GetMessage; release returns only
-	// those to the pool, so caller-constructed messages keep value
-	// semantics.
-	pooled bool
 	// owner, when set, is the Sender whose private freelist minted this
-	// message (Sender.GetMessage): release recycles it there instead of
-	// the shared pool. Sound because both mint and release happen on the
-	// sender's shard — the send path is shard-owned end to end.
+	// message (Sender.GetMessage): release recycles it there, so
+	// caller-constructed messages keep value semantics. Sound because both
+	// mint and release happen on the sender's shard — the send path is
+	// shard-owned end to end.
 	owner *Sender
 	// JamImage is the prebuilt [GOT table][gp slot][body] image for
 	// injected messages; nil otherwise. Extern GOT entries already carry
@@ -87,31 +83,15 @@ type Message struct {
 	Usr         []byte
 }
 
-// msgPool recycles Message frames across sends. sync.Pool keeps it safe
-// for independent simulations running in parallel tests.
-var msgPool = sync.Pool{New: func() any { return &Message{pooled: true} }}
-
-// GetMessage returns a zeroed Message from the frame pool. Ownership
-// transfers to the Sender on Send/SendBatch, which releases it back to
-// the pool after packing; the caller must not retain it past that call.
-func GetMessage() *Message {
-	return msgPool.Get().(*Message)
-}
-
-// release returns a pooled message to the pool, dropping every payload
-// reference (JamImage, Patches, and Usr are caller-owned and merely
-// unreferenced, never recycled here). Non-pooled messages are left alone.
+// release returns a freelist message to its sender, dropping every
+// payload reference (JamImage, Patches, and Usr are caller-owned and
+// merely unreferenced, never recycled here). Caller-constructed messages
+// are left alone.
 func (m *Message) release() {
 	if o := m.owner; o != nil {
 		*m = Message{owner: o}
 		o.msgFree = append(o.msgFree, m)
-		return
 	}
-	if !m.pooled {
-		return
-	}
-	*m = Message{pooled: true}
-	msgPool.Put(m)
 }
 
 // overhead returns the non-payload bytes of the message's frame.

@@ -271,6 +271,15 @@ func (r *Receiver) granted() {
 	r.eng.After(r.arbWake, r.serviceFn)
 }
 
+// yieldGrant hands the node back to the arbiter when a granted service
+// is quashed by Stop: the grant would otherwise stay outstanding forever,
+// and receivers enrolled after a rejoin would never be served.
+func (r *Receiver) yieldGrant() {
+	if r.Cfg.Arbiter != nil {
+		r.Cfg.Arbiter.done()
+	}
+}
+
 // service parses, optionally patches, and executes the frame at va, then
 // advances to the next slot.
 func (r *Receiver) service(va uint64) {
@@ -279,6 +288,7 @@ func (r *Receiver) service(va uint64) {
 		// frame stays in the region unserviced, so fail-time loss
 		// accounting (issued minus executed) sees it as lost, exactly.
 		r.busy = false
+		r.yieldGrant()
 		return
 	}
 	now := r.eng.Now()
@@ -352,6 +362,7 @@ func (r *Receiver) complete(d *Delivery, t sim.Time) {
 		// Stopped mid-service: the execution already happened (the handler
 		// ran inside service), but no credit goes back to a sender from a
 		// torn-down node and the loop does not advance.
+		r.yieldGrant()
 		return
 	}
 	r.stats.Processed++

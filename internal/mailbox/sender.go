@@ -189,9 +189,10 @@ func NewSender(w *ucx.Worker, ep *ucx.Endpoint, cfg SenderConfig, remoteBase uin
 
 // GetMessage returns a zeroed Message from the sender's private
 // freelist, falling back to a fresh allocation. Ownership transfers
-// back at Send/SendBatch exactly as with the package-level GetMessage;
-// the freelist is sound because the send path — mint, pack, release —
-// runs entirely on this sender's shard.
+// back at Send/SendBatch, which releases the message after packing; the
+// caller must not retain it past that call. The freelist is sound
+// because the send path — mint, pack, release — runs entirely on this
+// sender's shard.
 func (s *Sender) GetMessage() *Message {
 	if n := len(s.msgFree); n > 0 {
 		m := s.msgFree[n-1]

@@ -231,8 +231,10 @@ func TestArrivalValidation(t *testing.T) {
 		}, "Chaos.LookaheadScale"},
 		{"bare chaos backend", func(sc *Scenario) { sc.Backend = "chaos" }, "Backend"},
 		{"tenant fail", func(sc *Scenario) {
+			// One lane may carry the failure plan; two tenants inheriting
+			// scenario-level phases that declare it are two.
 			sc.Phases = []Phase{{Fail: []Fail{{Node: 1}}}}
-			sc.Tenants = []TenantSpec{{Name: "gold", Weight: 1}}
+			sc.Tenants = []TenantSpec{{Name: "gold", Weight: 1}, {Name: "bronze", Weight: 1}}
 		}, "Fail"},
 	}
 	for _, c := range cases {

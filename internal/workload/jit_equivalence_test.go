@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"twochains/internal/core"
@@ -42,7 +43,30 @@ func runPair(t *testing.T, sc Scenario) *Result {
 			t.Errorf("node %d: compiled %+v, interpreter %+v", i, j, r)
 		}
 	}
+	if !reflect.DeepEqual(jit.Tenants, ref.Tenants) {
+		t.Errorf("per-tenant results:\ncompiled    %+v\ninterpreter %+v", jit.Tenants, ref.Tenants)
+	}
 	return jit
+}
+
+// TestInterpreterOptionWithTenants pins that Scenario.Interpreter reaches
+// the node configuration whatever the lane layout: the one option
+// builder applied to a mesh configuration sets the interpreter flag for
+// a scenario with Tenants exactly as for one without.
+func TestInterpreterOptionWithTenants(t *testing.T) {
+	for _, sc := range []Scenario{DefaultScenario(AllToAll, 4), tenantScenario(4)} {
+		for _, interp := range []bool{false, true} {
+			sc.Interpreter = interp
+			cfg := core.DefaultMeshConfig(sc.Nodes)
+			for _, opt := range sc.systemOpts(256) {
+				opt(&cfg)
+			}
+			if cfg.Node.Interpreter != interp {
+				t.Errorf("%d tenants, Interpreter=%v: node interpreter flag = %v",
+					len(sc.Tenants), interp, cfg.Node.Interpreter)
+			}
+		}
+	}
 }
 
 // jamMixFor builds a mix naming every injectable (jam) element of a
@@ -102,6 +126,24 @@ func TestJITEquivalenceSweep(t *testing.T) {
 				}
 			})
 		}
+	}
+	// The multi-tenant leg: two tenants with their own phase lists —
+	// closed-loop and Poisson, three packages, one lane behind a deferring
+	// token bucket. Per-tenant results (service and deferral counts, p99
+	// latency, phase ends) must agree along with the digest.
+	for _, workers := range []int{1, 4} {
+		workers := workers
+		t.Run(fmt.Sprintf("tenants/workers=%d", workers), func(t *testing.T) {
+			sc := twoPhaseTenantScenario()
+			sc.Shards = 2
+			sc.Workers = workers
+			sc.Tenants[0].Phases[1].Mix = KVStoreMix()
+			sc.Tenants[1].Phases[1].Mix = jamMixFor(t, "histo")
+			res := runPair(t, sc)
+			if res.Injections == 0 || res.Tenants[1].Deferred == 0 {
+				t.Fatalf("tenant leg exercised nothing: %d injections, %+v", res.Injections, res.Tenants)
+			}
+		})
 	}
 }
 

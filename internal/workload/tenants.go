@@ -4,13 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
-	"twochains/internal/core"
-	"twochains/internal/fabric"
-	"twochains/internal/mailbox"
 	"twochains/internal/sim"
-	"twochains/internal/tc"
 	"twochains/internal/tenant"
 )
 
@@ -46,7 +41,9 @@ type TenantSpec struct {
 	Untrusted bool
 	// Phases is the tenant's own phase list; empty reuses the
 	// scenario-level phases. RIED swaps are not supported inside tenant
-	// phases.
+	// phases, and Fail/Rejoin entries may appear in the phases of at most
+	// one tenant (the failure plan is fabric-wide: every tenant loses its
+	// traffic through the dead node, whichever lane scheduled it).
 	Phases []Phase
 }
 
@@ -57,12 +54,14 @@ type TenantResult struct {
 	// Planned counts the tenant's planned messages; Serviced those that
 	// completed receiver-side service (handler faults included); Dropped
 	// and Deferred the admission outcomes (Deferred counts deferral
-	// events — one burst can defer more than once); Errors the
-	// receiver-side failures.
+	// events — one burst can defer more than once); Lost the messages a
+	// node failure made unserviceable (Serviced + Dropped + Lost ==
+	// Planned); Errors the receiver-side failures.
 	Planned  int
 	Serviced int
 	Dropped  int
 	Deferred int
+	Lost     int
 	Errors   int
 	// GoodputPerSec is the tenant's serviced messages per simulated
 	// second inside the run's overlap window (the fair-share comparison
@@ -78,11 +77,26 @@ type TenantResult struct {
 	Phases []PhaseResult
 }
 
-// laneSpec is one tenant with its resolved phase specs.
+// laneSpec is one lane's resolved phase program. cfg is the tenant the
+// lane registers; the base lane of a scenario without Tenants has none
+// (empty name — tenant names are validated non-empty).
 type laneSpec struct {
 	cfg   tenant.Config
-	load  float64
 	specs []phaseSpec
+}
+
+// resolveLanes applies defaulting and validates the phase and tenant
+// surface: one base lane running the scenario-level phases, or one lane
+// per tenant.
+func (sc *Scenario) resolveLanes() ([]laneSpec, error) {
+	specs, err := sc.resolvePhases()
+	if err != nil {
+		return nil, err
+	}
+	if len(sc.Tenants) == 0 {
+		return []laneSpec{{specs: specs}}, nil
+	}
+	return sc.resolveTenants(specs)
 }
 
 // resolveTenants validates the tenant surface and resolves each
@@ -91,6 +105,7 @@ type laneSpec struct {
 func (sc *Scenario) resolveTenants(base []phaseSpec) ([]laneSpec, error) {
 	lanes := make([]laneSpec, len(sc.Tenants))
 	seen := map[string]bool{}
+	failLane := -1 // the one lane whose phases carry the failure plan
 	for i, ts := range sc.Tenants {
 		at := func(f string) string { return fmt.Sprintf("Tenants[%d].%s", i, f) }
 		if ts.Name == "" {
@@ -115,7 +130,6 @@ func (sc *Scenario) resolveTenants(base []phaseSpec) ([]laneSpec, error) {
 		if len(ts.Phases) > 0 {
 			tsc := *sc
 			tsc.Phases = ts.Phases
-			tsc.Tenants = nil
 			var err error
 			specs, err = tsc.resolvePhases()
 			if err != nil {
@@ -139,8 +153,16 @@ func (sc *Scenario) resolveTenants(base []phaseSpec) ([]laneSpec, error) {
 					Reason: "RIED swaps are not supported in tenant phases"}
 			}
 			if len(specs[j].fail) > 0 || len(specs[j].rejoin) > 0 {
-				return nil, &ScenarioError{Field: specs[j].at("Fail"),
-					Reason: "node fail/rejoin is not supported in multi-tenant mode"}
+				if failLane >= 0 && failLane != i {
+					field := "Fail"
+					if len(specs[j].fail) == 0 {
+						field = "Rejoin"
+					}
+					return nil, &ScenarioError{Field: specs[j].at(field),
+						Reason: fmt.Sprintf("tenant %q already declares node fail/rejoin; the failure plan belongs to one tenant's phases",
+							sc.Tenants[failLane].Name)}
+				}
+				failLane = i
 			}
 			switch specs[j].arrival.Kind {
 			case Poisson:
@@ -150,7 +172,7 @@ func (sc *Scenario) resolveTenants(base []phaseSpec) ([]laneSpec, error) {
 				specs[j].arrival.BurstRatePerSec *= load
 			}
 		}
-		lanes[i] = laneSpec{load: load, specs: specs, cfg: tenant.Config{
+		lanes[i] = laneSpec{specs: specs, cfg: tenant.Config{
 			Name: ts.Name, Weight: ts.Weight, Untrusted: ts.Untrusted,
 		}}
 		if ts.Admit != nil {
@@ -173,495 +195,54 @@ func (sc *Scenario) resolveTenants(base []phaseSpec) ([]laneSpec, error) {
 	return lanes, nil
 }
 
-// lane is one tenant's runtime state: its plans, phase cursor, progress
-// counters, and per-shard sample stores (service stamps on the
-// receiving shard, latency samples on the issuing shard — each slice is
-// only ever appended to from its owning shard's worker).
-type lane struct {
-	idx  int
-	name string
-	ten  *tenant.Tenant
-	spec laneSpec
-
-	plans []*phasePlan
-	cum   []int
-	total int
-	phase int
-
-	// progress counts serviced + dropped messages; the run (and each
-	// phase barrier) completes when it reaches the planned total.
-	progress  atomic.Int64
-	dropped   atomic.Int64
-	deferred  atomic.Int64
-	phaseExec []atomic.Int64
-	phases    []PhaseResult
-
-	fns  []map[[2]string]*tc.Func
-	svc  [][]sim.Time     // service-completion stamps, per dst shard
-	lat  [][]sim.Duration // issue-to-delivery samples, per src shard
-	errs []int64          // receiver-side failures, per dst shard
-}
-
-// laneChanKey identifies a tenant channel the open phases still need.
-type laneChanKey struct {
-	src, dst int
-	view     string
-}
-
-// laneFn resolves (and caches) the lane's tenant-scoped handle for one
-// element.
-func (r *runner) laneFn(l *lane, src int, pkg, elem string) (*tc.Func, error) {
-	m := l.fns[src]
-	if m == nil {
-		m = map[[2]string]*tc.Func{}
-		l.fns[src] = m
-	}
-	key := [2]string{pkg, elem}
-	if f, ok := m[key]; ok {
-		return f, nil
-	}
-	f, err := r.sys.FuncFor(l.name, src, pkg, elem)
-	if err != nil {
-		return nil, err
-	}
-	m[key] = f
-	return f, nil
-}
-
-// laneProgress folds n completed (serviced or dropped) messages into the
-// lane and advances its phase cursor. Phase advancement only ever runs
-// while the engine is serial (the multi-phase hold pins it); once every
-// lane is on its final phase this is pure atomics.
-func (r *runner) laneProgress(l *lane, n int) {
-	l.phaseExec[l.phase].Add(int64(n))
-	l.progress.Add(int64(n))
-	for l.phase < len(l.plans)-1 && int(l.progress.Load()) >= l.cum[l.phase] {
-		l.phases[l.phase].End = sim.Duration(r.sys.Now())
-		l.phase++
-		r.openLanePhase(l)
-		if l.phase == len(l.plans)-1 && r.phasesHold {
-			r.pendingLanes--
-			if r.pendingLanes == 0 {
-				r.phasesHold = false
-				r.sys.ReleaseSerial()
-			}
-		}
-	}
-}
-
-// laneDropped accounts an admission-dropped burst: the messages will
-// never reach a receiver, so they count as progress here.
-func (r *runner) laneDropped(l *lane, n int) {
-	l.dropped.Add(int64(n))
-	r.laneProgress(l, n)
-}
-
-// hookLaneChannel instruments a freshly created tenant channel: service
-// stamps and failure counts accrue to the receiving shard's sample
-// store.
-func (r *runner) hookLaneChannel(l *lane, dst int, ch *core.Channel) {
-	shard := r.sys.ShardOf(dst)
-	ch.Recv.OnProcessed = func(_ *mailbox.Delivery, t sim.Time) {
-		l.svc[shard] = append(l.svc[shard], t)
-		r.laneProgress(l, 1)
-	}
-	ch.Recv.OnError = func(d *mailbox.Delivery, _ error) {
-		l.errs[shard]++
-		if d == nil {
-			// The frame never parsed, so OnProcessed will not fire for it;
-			// count it here or the accounting hangs.
-			r.laneProgress(l, 1)
-		}
-	}
-}
-
-// openLanePhase pins the engine serial while the phase has tenant
-// channels to create, then starts the phase's senders.
-func (r *runner) openLanePhase(l *lane) {
-	pp := l.plans[l.phase]
-	if r.sharded {
-		for src := range pp.bursts {
-			for i := range pp.bursts[src] {
-				k := laneChanKey{src, pp.bursts[src][i].dst, l.name}
-				if !r.missingV[k] && !r.sys.Mesh().HasChannelView(src, k.dst, l.name) {
-					r.missingV[k] = true
-				}
-			}
-		}
-		if len(r.missingV) > 0 && !r.pairsHold {
-			r.pairsHold = true
-			r.sys.HoldSerial()
-		}
-	}
-	for src := range pp.bursts {
-		if len(pp.bursts[src]) == 0 {
-			continue
-		}
-		if pp.spec.arrival.openLoop() {
-			r.armOpenLane(l, src, pp.bursts[src])
-		} else {
-			r.armClosedLane(l, src, pp.bursts[src])
-		}
-	}
-}
-
-// armClosedLane is the tenant-scoped self-clocked sender: like
-// armClosedSender, plus admission handling — a deferred burst re-fires
-// at the bucket's retry hint (engine-local, so it is safe inside
-// concurrent windows), a dropped burst counts as progress and the chain
-// moves on.
-func (r *runner) armClosedLane(l *lane, src int, queue []burst) {
-	next := 0
-	eng := r.sys.EngineFor(src)
-	shard := r.sys.ShardOf(src)
-	var issueAt sim.Time
-	var fire func()
-	onDone := func(res tc.Result) {
-		if res.Err == nil && res.Delivered > 0 {
-			l.lat[shard] = append(l.lat[shard], res.Delivered.Sub(issueAt))
-		}
-		fire()
-	}
-	payloadOpt := tc.Payload(r.payload)
-	localOpt := tc.Local()
-	optScratch := make([]tc.CallOpt, 0, 3)
-	fire = func() {
-		for next < len(queue) && !r.failed.Load() {
-			b := &queue[next]
-			fn, err := r.laneFn(l, src, b.mix.Pkg, b.mix.Elem)
-			if err != nil {
-				r.fail(err)
-				return
-			}
-			callOpts := append(optScratch[:0], tc.Burst(b.args), payloadOpt)
-			if b.local {
-				callOpts = append(callOpts, localOpt)
-			}
-			issueAt = eng.Now()
-			fu := fn.Call(b.dst, b.args[0], callOpts...)
-			if err := fu.IssueErr(); err != nil {
-				// A failed-at-issue future never armed, so recycling is on
-				// us — drops are the steady state under admission control.
-				fu.Release()
-				var ae *tenant.AdmissionError
-				if !errors.As(err, &ae) {
-					r.fail(err)
-					return
-				}
-				if ae.Deferred {
-					l.deferred.Add(1)
-					eng.After(ae.RetryAfter, fire)
-					return
-				}
-				next++
-				r.laneDropped(l, len(b.args))
-				continue
-			}
-			next++
-			fu.Done(onDone)
-			fu.Release()
-			return
-		}
-	}
-	r.sys.After(src, 0, fire)
-}
-
-// armOpenLane is the tenant-scoped open-loop sender: bursts issue at
-// their pre-drawn offsets; a deferred burst re-issues at the retry hint
-// while later bursts keep their own schedule (offered load stays open).
-func (r *runner) armOpenLane(l *lane, src int, queue []burst) {
-	eng := r.sys.EngineFor(src)
-	shard := r.sys.ShardOf(src)
-	payloadOpt := tc.Payload(r.payload)
-	localOpt := tc.Local()
-	optScratch := make([]tc.CallOpt, 0, 3)
-	for i := range queue {
-		b := &queue[i]
-		var issueAt sim.Time
-		var send func()
-		onDone := func(res tc.Result) {
-			if res.Err == nil && res.Delivered > 0 {
-				l.lat[shard] = append(l.lat[shard], res.Delivered.Sub(issueAt))
-			}
-		}
-		send = func() {
-			if r.failed.Load() {
-				return
-			}
-			fn, err := r.laneFn(l, src, b.mix.Pkg, b.mix.Elem)
-			if err != nil {
-				r.fail(err)
-				return
-			}
-			callOpts := append(optScratch[:0], tc.Burst(b.args), payloadOpt)
-			if b.local {
-				callOpts = append(callOpts, localOpt)
-			}
-			issueAt = eng.Now()
-			fu := fn.Call(b.dst, b.args[0], callOpts...)
-			if err := fu.IssueErr(); err != nil {
-				fu.Release()
-				var ae *tenant.AdmissionError
-				if !errors.As(err, &ae) {
-					r.fail(err)
-					return
-				}
-				if ae.Deferred {
-					l.deferred.Add(1)
-					eng.After(ae.RetryAfter, send)
-					return
-				}
-				r.laneDropped(l, len(b.args))
-				return
-			}
-			fu.Done(onDone)
-			fu.Release()
-		}
-		r.sys.After(src, b.at, send)
-	}
-}
-
-// runTenants executes a multi-tenant scenario: one traffic lane per
-// tenant over per-tenant package namespaces, weighted-fair servicing at
-// every receiver, admission on the issue path, and per-tenant
-// goodput/latency reporting. base is the scenario-level resolved phase
-// list (the default lane program).
-func runTenants(sc *Scenario, base []phaseSpec) (*Result, error) {
-	laneSpecs, err := sc.resolveTenants(base)
-	if err != nil {
-		return nil, err
-	}
-	// Frame geometry and package builds cover every lane's specs.
-	var all []phaseSpec
-	for i := range laneSpecs {
-		all = append(all, laneSpecs[i].specs...)
-	}
-	pkgs, err := packagesFor(all)
-	if err != nil {
-		return nil, err
-	}
-	frame, err := frameSizeFor(pkgs, all, sc.PayloadBytes)
-	if err != nil {
-		return nil, err
-	}
-
-	opts := []tc.SystemOpt{
-		tc.WithSeed(sc.Seed),
-		tc.WithTiming(sc.Timing),
-		tc.WithBackend(sc.Backend),
-		tc.WithWorkers(sc.Workers),
-		tc.WithSpeculation(sc.Speculation),
-		tc.WithConfig(func(c *core.MeshConfig) { c.Geometry.FrameSize = frame }),
-	}
-	if sc.Shards > 0 {
-		opts = append(opts, tc.WithShards(sc.Shards))
-	}
-	if sc.Chaos != nil {
-		opts = append(opts, tc.WithChaos(fabric.ChaosConfig{
-			MinDelay:       sc.Chaos.MinDelay,
-			MaxDelay:       sc.Chaos.MaxDelay,
-			LookaheadScale: sc.Chaos.LookaheadScale,
-			LookaheadBoost: sc.Chaos.LookaheadBoost,
-		}))
-	}
-	sys, err := tc.NewSystem(sc.Nodes, opts...)
-	if err != nil {
-		return nil, err
-	}
-
-	topo := Topology{Nodes: sc.Nodes, Shards: sys.Mesh().Cfg.Shards, ShardOf: sys.ShardOf}
-	res := &Result{
-		Scenario: *sc,
-		Shards:   topo.Shards,
-		Workers:  sys.Workers(),
-		PerNode:  make([]NodeResult, sc.Nodes),
-		HotNode:  -1,
-	}
-	r := &runner{
-		sc:         sc,
-		sys:        sys,
-		res:        res,
-		fns:        make([]map[[2]string]*tc.Func, sc.Nodes),
-		payload:    make([]byte, sc.PayloadBytes),
-		sharded:    sys.Sharded(),
-		missing:    map[[2]int]bool{},
-		missingV:   map[laneChanKey]bool{},
-		laneByView: map[string]*lane{},
-	}
-	for i := range r.payload {
-		r.payload[i] = byte(i*31 + 7)
-	}
-
-	// Tenants register in declared order (dense IDs = arbiter classes);
-	// each installs its packages in name order, so package IDs are a pure
-	// function of the scenario.
-	nShards := topo.Shards
-	for i := range laneSpecs {
-		ls := &laneSpecs[i]
-		tn, err := sys.AddTenant(ls.cfg)
-		if err != nil {
-			return nil, err
-		}
-		l := &lane{
-			idx: i, name: tn.Name, ten: tn, spec: *ls,
-			plans:     make([]*phasePlan, len(ls.specs)),
-			cum:       make([]int, len(ls.specs)),
-			phaseExec: make([]atomic.Int64, len(ls.specs)),
-			phases:    make([]PhaseResult, len(ls.specs)),
-			fns:       make([]map[[2]string]*tc.Func, sc.Nodes),
-			svc:       make([][]sim.Time, nShards),
-			lat:       make([][]sim.Duration, nShards),
-			errs:      make([]int64, nShards),
-		}
-		r.lanes = append(r.lanes, l)
-		r.laneByView[l.name] = l
-		lanePkgs := map[string]*core.Package{}
-		for j := range ls.specs {
-			for _, m := range ls.specs[j].mix {
-				lanePkgs[m.Pkg] = pkgs[m.Pkg]
-			}
-		}
-		for _, name := range sortedKeys(lanePkgs) {
-			if err := sys.InstallPackageFor(l.name, lanePkgs[name]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	sys.Mesh().OnChannelCreated = r.onChannel
-
-	// Plans: lanes in declared order, phases in order, one seeded RNG —
-	// the whole schedule is a pure function of the scenario.
-	grandTotal := 0
-	for _, l := range r.lanes {
-		total := 0
-		for j := range l.spec.specs {
-			pp, err := buildPlan(sc, topo, &l.spec.specs[j], sys.RNG())
-			if err != nil {
-				return nil, err
-			}
-			l.plans[j] = pp
-			total += pp.total
-			l.cum[j] = total
-			l.phases[j].Name = l.spec.specs[j].name
-			l.phases[j].Planned = pp.total
-			for dst, n := range pp.sent {
-				res.PerNode[dst].Sent += n
-			}
-		}
-		l.total = total
-		grandTotal += total
-	}
-
-	for i := 0; i < sc.Nodes; i++ {
-		node := i
-		sys.Node(i).OnExecuted = func(ret uint64, _ sim.Duration, err error) {
-			// Digest and per-node tallies only: lane progress and phase
-			// barriers ride the per-channel receiver hooks, which can
-			// attribute each service to its tenant.
-			nr := &res.PerNode[node]
-			if err != nil {
-				nr.Errors++
-			} else {
-				nr.Executed++
-				nr.Digest = nr.Digest*1099511628211 + ret + 1
-			}
-			if sc.OnExecuted != nil {
-				sc.OnExecuted(node, ret, err)
-			}
-		}
-	}
-
-	if r.sharded {
-		r.pendingLanes = 0
-		for _, l := range r.lanes {
-			if len(l.plans) > 1 {
-				r.pendingLanes++
-			}
-		}
-		if r.pendingLanes > 0 {
-			r.phasesHold = true
-			sys.HoldSerial()
-		}
-	}
-	for _, l := range r.lanes {
-		r.openLanePhase(l)
-	}
-	sys.Run()
-	sys.Mesh().OnChannelCreated = nil
-	if r.issueErr != nil {
-		return nil, r.issueErr
-	}
-
-	res.SimTime = sim.Duration(sys.Now())
-	res.Windows = sys.Windows()
-	res.Mesh = sys.Stats()
-	for _, nr := range res.PerNode {
-		res.Injections += nr.Executed
-		res.Digest += nr.Digest
-	}
-	if secs := res.SimTime.Seconds(); secs > 0 {
-		res.RatePerSec = float64(res.Injections) / secs
-	}
-
+// tenantResults assembles the per-tenant reports of a multi-tenant run
+// and the overlap window their goodput is measured in.
+func tenantResults(lanes []*lane, simTime sim.Duration) ([]TenantResult, sim.Duration) {
 	// The overlap window: every tenant's servicing overlaps in [0, W], so
 	// goodput inside it compares fair shares instead of drain tails.
+	lasts := make([]sim.Time, len(lanes))
 	window := sim.Time(0)
-	for i, l := range r.lanes {
-		last := sim.Time(0)
+	for i, l := range lanes {
 		for _, stamps := range l.svc {
 			for _, t := range stamps {
-				if t > last {
-					last = t
+				if t > lasts[i] {
+					lasts[i] = t
 				}
 			}
 		}
-		if i == 0 || last < window {
-			window = last
+		if i == 0 || lasts[i] < window {
+			window = lasts[i]
 		}
 	}
-	res.OverlapWindow = sim.Duration(window)
 
-	done := 0
-	for _, l := range r.lanes {
+	out := make([]TenantResult, len(lanes))
+	for i, l := range lanes {
 		tr := TenantResult{
-			Name: l.name, Weight: l.ten.Weight,
-			Planned:  l.total,
-			Dropped:  int(l.dropped.Load()),
-			Deferred: int(l.deferred.Load()),
-			Phases:   l.phases,
-		}
-		for j := range l.phases {
-			l.phases[j].Executed = int(l.phaseExec[j].Load())
-		}
-		if len(l.phases) > 0 && l.phases[len(l.phases)-1].End == 0 {
-			l.phases[len(l.phases)-1].End = res.SimTime
+			Name: l.view, Weight: l.ten.Weight,
+			Planned:     l.cum[len(l.cum)-1],
+			Dropped:     int(l.dropped.Load()),
+			Deferred:    int(l.deferred.Load()),
+			Lost:        int(l.lost.Load()),
+			LastService: sim.Duration(lasts[i]),
+			Phases:      l.phases,
 		}
 		inWindow := 0
-		var last sim.Time
-		for _, stamps := range l.svc {
+		var lats []sim.Duration
+		for shard, stamps := range l.svc {
+			tr.Serviced += len(stamps)
 			for _, t := range stamps {
-				tr.Serviced++
 				if t <= window {
 					inWindow++
 				}
-				if t > last {
-					last = t
-				}
 			}
+			tr.Errors += int(l.errs[shard])
+			lats = append(lats, l.lat[shard]...)
 		}
-		for _, e := range l.errs {
-			tr.Errors += int(e)
-		}
-		tr.LastService = sim.Duration(last)
 		if secs := sim.Duration(window).Seconds(); secs > 0 {
 			tr.GoodputPerSec = float64(inWindow) / secs
 		}
-		if secs := res.SimTime.Seconds(); secs > 0 {
+		if secs := simTime.Seconds(); secs > 0 {
 			tr.RatePerSec = float64(tr.Serviced) / secs
-		}
-		var lats []sim.Duration
-		for _, ls := range l.lat {
-			lats = append(lats, ls...)
 		}
 		if len(lats) > 0 {
 			sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
@@ -671,11 +252,7 @@ func runTenants(sc *Scenario, base []phaseSpec) (*Result, error) {
 			}
 			tr.P99Latency = lats[idx-1]
 		}
-		done += int(l.progress.Load())
-		res.Tenants = append(res.Tenants, tr)
+		out[i] = tr
 	}
-	if done != grandTotal {
-		return res, fmt.Errorf("workload: tenants completed %d of %d planned messages", done, grandTotal)
-	}
-	return res, nil
+	return out, sim.Duration(window)
 }

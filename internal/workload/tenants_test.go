@@ -202,7 +202,7 @@ func TestTenantAdmissionPolicies(t *testing.T) {
 // count, with and without speculative windows.
 func TestTenantWorkersSweepDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, seed := range []uint64{0x7c2c2021, 0x51edba5e} {
+	twoPhase := func(seed uint64) Scenario {
 		sc := tenantScenario(9)
 		sc.Shards = 4
 		sc.Seed = seed
@@ -216,34 +216,127 @@ func TestTenantWorkersSweepDeterminism(t *testing.T) {
 			}},
 			{Name: "bronze", Weight: 1},
 		}
-		base, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
+		return sc
+	}
+	failing := func(seed uint64) Scenario {
+		sc := tenantFailScenario(6)
+		sc.Shards = 4
+		sc.Seed = seed
+		return sc
+	}
+	for _, seed := range []uint64{0x7c2c2021, 0x51edba5e} {
+		for _, sc := range []Scenario{twoPhase(seed), failing(seed)} {
+			sweepTenantWorkers(t, sc)
 		}
-		for _, w := range workerSweep()[1:] {
-			for _, spec := range []sim.Duration{0, specBudget} {
-				if spec > 0 && w != 4 {
-					continue // one speculative leg keeps -race in budget
-				}
-				runtime.GOMAXPROCS(w)
-				scw := sc
-				scw.Workers = w
-				scw.Speculation = spec
-				res, err := Run(scw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Digest != base.Digest || res.SimTime != base.SimTime || res.Injections != base.Injections {
-					t.Errorf("seed %#x workers %d spec %d: %#x/%d/%d, want %#x/%d/%d",
-						seed, w, spec, res.Digest, int64(res.SimTime), res.Injections,
-						base.Digest, int64(base.SimTime), base.Injections)
-				}
-				if !reflect.DeepEqual(res.Tenants, base.Tenants) {
-					t.Errorf("seed %#x workers %d spec %d: per-tenant results diverged:\n%+v\nwant\n%+v",
-						seed, w, spec, res.Tenants, base.Tenants)
-				}
+	}
+}
+
+// sweepTenantWorkers runs sc sequentially and at every parallel worker
+// count and fails on any divergence from the sequential result.
+func sweepTenantWorkers(t *testing.T, sc Scenario) {
+	t.Helper()
+	seed := sc.Seed
+	base, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workerSweep()[1:] {
+		for _, spec := range []sim.Duration{0, specBudget} {
+			if spec > 0 && w != 4 {
+				continue // one speculative leg keeps -race in budget
+			}
+			runtime.GOMAXPROCS(w)
+			scw := sc
+			scw.Workers = w
+			scw.Speculation = spec
+			res, err := Run(scw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Digest != base.Digest || res.SimTime != base.SimTime ||
+				res.Injections != base.Injections || res.Lost != base.Lost {
+				t.Errorf("seed %#x workers %d spec %d: %#x/%d/%d/%d lost, want %#x/%d/%d/%d lost",
+					seed, w, spec, res.Digest, int64(res.SimTime), res.Injections, res.Lost,
+					base.Digest, int64(base.SimTime), base.Injections, base.Lost)
+			}
+			if !reflect.DeepEqual(res.Tenants, base.Tenants) {
+				t.Errorf("seed %#x workers %d spec %d: per-tenant results diverged:\n%+v\nwant\n%+v",
+					seed, w, spec, res.Tenants, base.Tenants)
 			}
 		}
+	}
+}
+
+// tenantFailScenario composes node failure with tenants: gold's phases
+// carry the failure plan (a closed-loop warmup, an open-loop phase that
+// fails node 1 mid-flight, a closed-loop drain that rejoins it) while
+// bronze offers open-loop traffic behind a deferring token bucket the
+// whole time. Both lanes overload the receivers, so when the node dies
+// each has sends credit-stalled on its channels out of it, a backlog
+// into it, and a service in progress on its fair arbiter.
+func tenantFailScenario(nodes int) Scenario {
+	sc := tenantScenario(nodes)
+	sc.Rounds = 12
+	sc.Burst = 8
+	closed := &Arrival{Kind: ClosedLoop}
+	sc.Tenants = []TenantSpec{
+		{Name: "gold", Weight: 3, Phases: []Phase{
+			{Name: "steady", Rounds: 1, Arrival: closed},
+			{Name: "failing", Arrival: &Arrival{Kind: Poisson, RatePerSec: 2e7},
+				Fail: []Fail{{Node: 1, At: 10 * sim.Microsecond}}},
+			{Name: "drain", Rounds: 1, Arrival: closed, Rejoin: []Rejoin{{Node: 1}}},
+		}},
+		{Name: "bronze", Weight: 1, Load: 100,
+			Admit: &AdmitSpec{RatePerSec: 4e7, Burst: 8, Defer: true}},
+	}
+	return sc
+}
+
+// TestTenantFailRejoinLedger pins the per-lane loss ledger: a node fails
+// under two tenants' traffic and rejoins later; every tenant accounts
+// each planned message exactly once (Serviced + Dropped + Lost ==
+// Planned), both lanes lose traffic through the dead node although only
+// gold's phases declare the failure, the drain reaches the rejoined
+// node, and a repeat run reproduces the ledger bit for bit.
+func TestTenantFailRejoinLedger(t *testing.T) {
+	sc := tenantFailScenario(4)
+	a, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := 0
+	for _, tr := range a.Tenants {
+		if tr.Serviced+tr.Dropped+tr.Lost != tr.Planned {
+			t.Errorf("tenant %s: serviced %d + dropped %d + lost %d != planned %d",
+				tr.Name, tr.Serviced, tr.Dropped, tr.Lost, tr.Planned)
+		}
+		if tr.Lost == 0 {
+			t.Errorf("tenant %s lost nothing: the failure did not bite its lane", tr.Name)
+		}
+		lost += tr.Lost
+	}
+	if a.Lost != lost {
+		t.Errorf("Result.Lost = %d, tenants lost %d", a.Lost, lost)
+	}
+	if a.Tenants[1].Deferred == 0 {
+		t.Errorf("bronze never deferred: %+v", a.Tenants[1])
+	}
+	if a.Mesh.CreditStalls == 0 {
+		t.Error("no credit stalls: the failure found no queued sends to fail")
+	}
+	gold := a.Tenants[0]
+	if got := gold.Phases[2].Executed; got != gold.Phases[2].Planned {
+		t.Errorf("drain after rejoin executed %d of %d", got, gold.Phases[2].Planned)
+	}
+	if gold.Phases[2].End <= gold.Phases[1].End {
+		t.Error("drain phase did not advance simulated time")
+	}
+	b, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Digest != b.Digest || a.SimTime != b.SimTime || !reflect.DeepEqual(a.Tenants, b.Tenants) {
+		t.Fatalf("repeat run diverged:\n%+v\nvs\n%+v", a.Tenants, b.Tenants)
 	}
 }
 

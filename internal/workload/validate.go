@@ -44,16 +44,8 @@ func (sc *Scenario) Validate() error {
 	if err := sc.validateScalars(); err != nil {
 		return err
 	}
-	specs, err := sc.resolvePhases()
-	if err != nil {
-		return err
-	}
-	if len(sc.Tenants) > 0 {
-		if _, err := sc.resolveTenants(specs); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := sc.resolveLanes()
+	return err
 }
 
 // validateScalars checks the phase-independent scenario fields.

@@ -53,9 +53,11 @@ import (
 
 	"twochains/internal/core"
 	"twochains/internal/fabric"
+	"twochains/internal/mailbox"
 	"twochains/internal/sim"
 	"twochains/internal/tc"
 	"twochains/internal/tcapp"
+	"twochains/internal/tenant"
 )
 
 // Pattern names a registered traffic shape.
@@ -173,7 +175,7 @@ type Phase struct {
 	Swap    *Swap
 	// Fail schedules node failures at offsets from phase open; Rejoin
 	// brings nodes failed in earlier phases back when this phase opens.
-	// Both are rejected in multi-tenant mode.
+	// With Tenants, at most one tenant's phases may carry them.
 	Fail   []Fail
 	Rejoin []Rejoin
 	// Arg1Random additionally draws the second argument word per message
@@ -231,9 +233,10 @@ type Scenario struct {
 	// rates; functional tests turn it off for speed).
 	Timing bool
 	// Interpreter forces every node's VM through the reference interpret
-	// loop instead of the compiled jam translations. Results and digests
-	// must be bit-identical either way — the JIT equivalence sweep runs
-	// each scenario under both settings and compares.
+	// loop instead of the compiled jam translations, with or without
+	// Tenants. Results and digests must be bit-identical either way — the
+	// JIT equivalence sweep runs each scenario under both settings and
+	// compares.
 	Interpreter bool
 	// HotSkew is the probability a hotspot burst targets the hot node
 	// (0 = default 0.8). Ignored by other patterns.
@@ -253,13 +256,13 @@ type Scenario struct {
 	// Phases composes the run; empty means one closed-loop phase of
 	// Pattern.
 	Phases []Phase
-	// Tenants switches the run into multi-tenant mode: each entry drives
-	// its own traffic lanes (its Phases, or the scenario-level phases when
-	// unset) through a per-tenant package namespace, weighted-fair
-	// servicing at every receiver, and optional token-bucket admission.
-	// Result.Tenants reports per-tenant goodput, drop/defer counts, and
-	// p99 simulated latency. Empty keeps the single-tenant surface
-	// bit-identical to previous releases.
+	// Tenants makes the run multi-tenant: each entry drives its own lane
+	// (its Phases, or the scenario-level phases when unset) through a
+	// per-tenant package namespace, weighted-fair servicing at every
+	// receiver, and optional token-bucket admission. Result.Tenants
+	// reports per-tenant goodput, drop/defer/loss counts, and p99
+	// simulated latency. Empty runs the scenario-level phases as one lane
+	// on the base namespace.
 	Tenants []TenantSpec
 
 	// OnExecuted observes every handler execution (node index, return
@@ -327,7 +330,8 @@ type Result struct {
 	// issued-but-not-executed backlog into the dead node, queued sends
 	// out of it, its own unissued plan, and bursts refused at issue while
 	// it was down. Executed + handler errors + Lost always equals the
-	// planned total — every planned message is accounted for exactly once.
+	// planned total — every planned message is accounted for exactly once
+	// (per tenant, Serviced + Dropped + Lost equals Planned).
 	Lost       int
 	SimTime    sim.Duration // simulated wall time of the whole run
 	RatePerSec float64      // simulated injections per simulated second
@@ -414,23 +418,70 @@ func buildPlan(sc *Scenario, topo Topology, spec *phaseSpec, rng *sim.RNG) (*pha
 	return pp, nil
 }
 
-// runner drives one scenario run: it owns the per-phase plans, the
-// phase barrier, the per-sender handle caches, the swap machinery, and —
-// under the parallel engine — the serial holds that bracket every
-// zero-lookahead global action.
-type runner struct {
-	sc    *Scenario
-	sys   *tc.System
-	res   *Result
+// lane is the unit the driver runs: one phase program issued through one
+// namespace view. A scenario without Tenants is one lane on the base
+// namespace (view "", no tenant registered, no arbiter); a multi-tenant
+// scenario is one lane per tenant. Plans, phase barriers, senders, issue
+// classification and the loss ledger are the same code for every lane.
+// What differs is where packages install and handles resolve (install,
+// fn) and the instant a message counts as progress (the two tick sites:
+// Run's node hook and hookChannel).
+type lane struct {
+	r     *runner
+	view  string         // namespace view ("" = base)
+	ten   *tenant.Tenant // nil on the base lane
+	specs []phaseSpec
 	plans []*phasePlan
 	cum   []int // cumulative planned messages through each phase
+	phase int   // index of the open phase
 
-	phase       int          // index of the open phase
-	executedAll atomic.Int64 // executions + errors so far, fabric-wide
-	phaseExec   []atomic.Int64
+	// settled counts resolved plan: messages ticked at a receiver, dropped
+	// by admission, or lost to a node failure. A phase barrier trips, and
+	// the run completes, when it reaches the cumulative planned count.
+	settled   atomic.Int64
+	dropped   atomic.Int64
+	deferred  atomic.Int64
+	lost      atomic.Int64
+	phaseExec []atomic.Int64
+	phases    []PhaseResult
+
+	fns []map[[2]string]*tc.Func // per sender: (pkg, elem) -> handle
+
+	// The loss ledger. chains exposes each source's closed-loop sender so
+	// a node failure can abandon (and account) the dead node's unissued
+	// remainder; issued counts successfully issued messages per
+	// destination (atomics: senders on any shard write them); ticked the
+	// messages that finished there (plain: only the destination's shard
+	// writes its entry). doFail reads all three under serial execution.
+	chains []*sender
+	issued []atomic.Int64
+	ticked []int
+
+	// Per-shard sample stores of a lane that reports a TenantResult (nil
+	// on the base lane): service stamps and failure counts on the
+	// receiving shard, latency samples on the issuing shard — each slice
+	// is only ever appended to from its owning shard's worker.
+	svc  [][]sim.Time
+	lat  [][]sim.Duration
+	errs []int64
+}
+
+// chanKey identifies a channel an open phase still needs.
+type chanKey struct {
+	src, dst int
+	view     string
+}
+
+// runner drives one scenario run: it owns the lanes, the swap machinery,
+// the failure plan, and — under the parallel engine — the serial holds
+// that bracket every zero-lookahead global action.
+type runner struct {
+	sys    *tc.System
+	res    *Result
+	lanes  []*lane
+	byView map[string]*lane
 
 	payload []byte
-	fns     []map[[2]string]*tc.Func // per sender: (pkg, elem) -> handle
 
 	// failed is the senders' fast stop check; errMu guards the errors
 	// behind it (issue failures can surface on any shard worker).
@@ -439,42 +490,25 @@ type runner struct {
 	issueErr error
 	swapErr  error
 
-	// Parallel-engine serial holds. Phase barriers, the open phase's
+	// Parallel-engine serial holds. Phase barriers, the open phases'
 	// not-yet-created channels, and an armed mid-phase swap each pin the
 	// engine serial; the holds release at deterministic simulation events
-	// (last phase opened, last channel created, swap fired), so the
-	// window schedule — and with it the whole run — is a pure function of
-	// the scenario. Channel creation order matters down to node memory
+	// (every lane on its last phase, last channel created, swap fired), so
+	// the window schedule — and with it the whole run — is a pure function
+	// of the scenario. Channel creation order matters down to node memory
 	// layout (a region's address feeds the cache model), which is why
 	// creations must happen in exact global event order.
-	sharded    bool
-	phasesHold bool
-	pairsHold  bool
-	swapHold   bool
-	missing    map[[2]int]bool // open phase's channels still to create
+	sharded      bool
+	pendingLanes int // lanes still short of their final phase (sharded runs)
+	pairsHold    bool
+	swapHold     bool
+	missing      map[chanKey]bool // open phases' channels still to create
 
-	// Failure injection. chains exposes each sender's closed-loop issue
-	// state so a node failure can abandon (and account) the dead node's
-	// unissued remainder; issued counts successfully issued messages per
-	// destination (atomics: senders on any shard write them); lost tallies
-	// messages a failure made unexecutable; down marks nodes currently
-	// failed (written and read only under serial execution: doFail and
-	// openPhase). An armed Fail pins the engine serial until it fires —
-	// teardown is a zero-lookahead global action.
-	chains []*chainState
-	issued []atomic.Int64
-	lost   atomic.Int64
-	down   []bool
-
-	// Multi-tenant mode (see tenants.go). Lanes are the per-tenant
-	// traffic programs; laneByView routes channel-creation events to the
-	// owning lane; missingV tracks the tenant channels the open phases
-	// still need; pendingLanes counts lanes still short of their final
-	// phase while the multi-phase hold is up.
-	lanes        []*lane
-	laneByView   map[string]*lane
-	missingV     map[laneChanKey]bool
-	pendingLanes int
+	// down marks nodes currently failed (written and read only under
+	// serial execution: doFail and lane.open). An armed Fail pins the
+	// engine serial until it fires — teardown is a zero-lookahead global
+	// action.
+	down []bool
 }
 
 // fail records the first issue error and stops every sender.
@@ -487,66 +521,164 @@ func (r *runner) fail(err error) {
 	r.failed.Store(true)
 }
 
-// onChannel observes every lazy channel creation: tenant-view channels
-// get their lane's receiver instrumentation attached, and the serial
-// hold releases once the open phases' channel set — base and tenant —
-// is complete.
+// onChannel observes every lazy channel creation: a tenant lane's
+// channel gets its tick site attached, and the serial hold releases once
+// the open phases' channel set is complete.
 func (r *runner) onChannel(src, dst int, view string, ch *core.Channel) {
-	if view != "" {
-		if l := r.laneByView[view]; l != nil {
-			r.hookLaneChannel(l, dst, ch)
-		}
-		if r.pairsHold {
-			k := laneChanKey{src, dst, view}
-			if r.missingV[k] {
-				delete(r.missingV, k)
-				r.maybeReleasePairs()
-			}
-		}
-		return
+	if l := r.byView[view]; l != nil && l.ten != nil {
+		l.hookChannel(dst, ch)
 	}
-	if !r.pairsHold {
-		return
-	}
-	k := [2]int{src, dst}
-	if r.missing[k] {
+	if k := (chanKey{src, dst, view}); r.pairsHold && r.missing[k] {
 		delete(r.missing, k)
 		r.maybeReleasePairs()
 	}
 }
 
-// maybeReleasePairs drops the channel-creation hold once no channel —
-// base or tenant-view — is still missing.
+// maybeReleasePairs drops the channel-creation hold once no channel is
+// still missing.
 func (r *runner) maybeReleasePairs() {
-	if len(r.missing) == 0 && len(r.missingV) == 0 {
+	if len(r.missing) == 0 {
 		r.pairsHold = false
 		r.sys.ReleaseSerial()
 	}
 }
 
-// fnFor resolves (and caches) the sender's handle for one element — the
-// bind-once/call-many idiom.
-func (r *runner) fnFor(src int, pkg, elem string) (*tc.Func, error) {
-	if r.fns[src] == nil {
-		r.fns[src] = map[[2]string]*tc.Func{}
+// install puts every package the lane's phases reference into the lane's
+// namespace on every node, in name order, so package IDs are a pure
+// function of the scenario.
+func (l *lane) install(pkgs map[string]*core.Package) error {
+	mine := map[string]*core.Package{}
+	for i := range l.specs {
+		for _, m := range l.specs[i].mix {
+			mine[m.Pkg] = pkgs[m.Pkg]
+		}
+		if sw := l.specs[i].swap; sw != nil {
+			mine[sw.App] = pkgs[sw.App]
+		}
+	}
+	for _, name := range sortedKeys(mine) {
+		var err error
+		if l.ten == nil {
+			err = l.r.sys.InstallPackage(mine[name])
+		} else {
+			err = l.r.sys.InstallPackageFor(l.view, mine[name])
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fn resolves (and caches) the sender's handle for one element in the
+// lane's namespace — the bind-once/call-many idiom.
+func (l *lane) fn(src int, pkg, elem string) (*tc.Func, error) {
+	if l.fns[src] == nil {
+		l.fns[src] = map[[2]string]*tc.Func{}
 	}
 	key := [2]string{pkg, elem}
-	if f, ok := r.fns[src][key]; ok {
+	if f, ok := l.fns[src][key]; ok {
 		return f, nil
 	}
-	f, err := r.sys.Func(src, pkg, elem)
+	var f *tc.Func
+	var err error
+	if l.ten == nil {
+		f, err = l.r.sys.Func(src, pkg, elem)
+	} else {
+		f, err = l.r.sys.FuncFor(l.view, src, pkg, elem)
+	}
 	if err != nil {
 		return nil, err
 	}
-	r.fns[src][key] = f
+	l.fns[src][key] = f
 	return f, nil
+}
+
+// hookChannel is a tenant lane's tick site: a message counts as progress
+// when its service completes on the lane's own channel, because that is
+// where it can be attributed to the tenant. (The base lane ticks at
+// execution instead — Run's node hook — which is what its digests,
+// simulated times and SwapAtHalf trigger were pinned against; the
+// instant decides when the next phase opens on the simulated clock, so
+// the two sites are not interchangeable.) Service stamps and failure
+// counts accrue to the receiving shard's sample store.
+func (l *lane) hookChannel(dst int, ch *core.Channel) {
+	shard := l.r.sys.ShardOf(dst)
+	ch.Recv.OnProcessed = func(_ *mailbox.Delivery, t sim.Time) {
+		l.svc[shard] = append(l.svc[shard], t)
+		l.tick(dst, 1)
+	}
+	ch.Recv.OnError = func(d *mailbox.Delivery, _ error) {
+		l.errs[shard]++
+		if d == nil {
+			// The frame never parsed, so OnProcessed will not fire for it;
+			// count it here or the accounting hangs.
+			l.tick(dst, 1)
+		}
+	}
+}
+
+// tick folds n messages that finished at dst into the lane.
+func (l *lane) tick(dst, n int) {
+	l.ticked[dst] += n
+	l.settle(n, true)
+}
+
+// drop accounts an admission-dropped burst: the messages will never
+// reach a receiver, so they settle here.
+func (l *lane) drop(n int) {
+	l.dropped.Add(int64(n))
+	l.settle(n, true)
+}
+
+// lose accounts n planned messages a failure made unexecutable. Lost
+// messages advance the phase barrier exactly like executions — they are
+// resolved plan, just resolved by loss — so phases keep opening and the
+// final accounting stays exact; they are not attributed to a phase's
+// Executed count.
+func (l *lane) lose(n int) {
+	if n > 0 {
+		l.lost.Add(int64(n))
+		l.settle(n, false)
+	}
+}
+
+// settle resolves n planned messages; executed attributes them to the
+// open phase's Executed count.
+func (l *lane) settle(n int, executed bool) {
+	if executed {
+		l.phaseExec[l.phase].Add(int64(n))
+	}
+	l.settled.Add(int64(n))
+	l.advance()
+}
+
+// advance opens phases until the open one still has unsettled plan (or
+// the lane is out of phases). It only ever advances while the engine is
+// serial: while any lane is short of its final phase the engine is held
+// (the phase barrier is a zero-lookahead global action — the moment the
+// count trips, senders on every shard arm at the same instant); once
+// every lane is on its final phase this is a no-op.
+func (l *lane) advance() {
+	r := l.r
+	for l.phase < len(l.plans)-1 && int(l.settled.Load()) >= l.cum[l.phase] {
+		l.phases[l.phase].End = sim.Duration(r.sys.Now())
+		l.phase++
+		l.open()
+		if l.phase == len(l.plans)-1 && r.pendingLanes > 0 {
+			r.pendingLanes--
+			if r.pendingLanes == 0 {
+				r.sys.ReleaseSerial()
+			}
+		}
+	}
 }
 
 // performSwap re-installs the app's RIED elements on the node
 // (replacing name bindings) and re-runs the namespace exchange on every
 // channel into it — the remote-linking dynamic update, performed while
 // traffic may still be in flight.
-func (r *runner) performSwap(node int, app string) {
+func (r *runner) performSwap(l *lane, node int, app string) {
 	if app == "" {
 		app = DefaultPkg
 	}
@@ -570,15 +702,15 @@ func (r *runner) performSwap(node int, app string) {
 		r.swapErr = err
 	}
 	r.res.Swapped = true
-	r.res.Phases[r.phase].Swapped = true
+	l.phases[l.phase].Swapped = true
 }
 
-// openPhase performs the phase's planned swap, arms its SwapAtHalf
-// trigger against the swap node's current executed count, pins the
-// engine serial while the phase has channels to create or a swap armed,
-// and starts its senders.
-func (r *runner) openPhase() {
-	pp := r.plans[r.phase]
+// open performs the open phase's rejoins and planned swap, arms its
+// SwapAtHalf trigger against the swap node's current executed count,
+// pins the engine serial while the phase has channels to create, a swap
+// armed or a failure pending, and starts its senders.
+func (l *lane) open() {
+	r, pp := l.r, l.plans[l.phase]
 	// Rejoins happen at phase open, before the missing-channel scan:
 	// channels into the rejoined node rebuild lazily under the same
 	// serial hold as initial lazy creation.
@@ -590,30 +722,27 @@ func (r *runner) openPhase() {
 		r.down[rj.Node] = false
 	}
 	if pp.spec.swap != nil {
-		r.performSwap(pp.spec.swap.Node, pp.spec.swap.App)
+		r.performSwap(l, pp.spec.swap.Node, pp.spec.swap.App)
 	}
 	if pp.swapNode >= 0 {
 		pp.swapTrigger = r.res.PerNode[pp.swapNode].Executed + pp.sent[pp.swapNode]/2
 	}
 	if r.sharded {
-		if pp.swapNode >= 0 && !pp.swapFired && !r.swapHold {
+		if pp.swapNode >= 0 && !r.swapHold {
 			r.swapHold = true
 			r.sys.HoldSerial()
 		}
-		for k := range r.missing {
-			delete(r.missing, k)
-		}
 		for src := range pp.bursts {
 			for i := range pp.bursts[src] {
-				k := [2]int{src, pp.bursts[src][i].dst}
+				k := chanKey{src, pp.bursts[src][i].dst, l.view}
 				// Pairs touching a down node are skipped: no channel will be
 				// created while it is down, so waiting on one would pin the
 				// engine serial forever. Their bursts fail at issue and are
 				// accounted lost.
-				if r.down[src] || r.down[k[1]] {
+				if r.down[src] || r.down[k.dst] {
 					continue
 				}
-				if !r.missing[k] && !r.sys.Mesh().HasChannel(src, k[1]) {
+				if !r.missing[k] && !r.sys.Mesh().HasChannelView(src, k.dst, l.view) {
 					r.missing[k] = true
 				}
 			}
@@ -638,224 +767,204 @@ func (r *runner) openPhase() {
 		if len(pp.bursts[src]) == 0 {
 			continue
 		}
+		s := &sender{l: l, src: src, eng: r.sys.EngineFor(src), shard: r.sys.ShardOf(src),
+			queue: pp.bursts[src]}
 		if pp.spec.arrival.openLoop() {
-			r.armOpenSender(src, pp.bursts[src])
+			s.armOpen()
 		} else {
-			r.armClosedSender(src, pp.bursts[src])
+			s.armClosed()
 		}
 	}
-}
-
-// advance opens phases until the open one still has unexecuted plan (or
-// the run is out of phases). Called at start and from the execution
-// hook each time a phase's plan completes. While a non-final phase is
-// open the engine is held serial (the phase barrier is a zero-lookahead
-// global action: the moment the count trips, senders on every shard arm
-// at the same instant).
-func (r *runner) advance() {
-	for r.phase < len(r.plans)-1 && int(r.executedAll.Load()) >= r.cum[r.phase] {
-		r.res.Phases[r.phase].End = sim.Duration(r.sys.Now())
-		r.phase++
-		r.openPhase()
-		if r.phase == len(r.plans)-1 && r.phasesHold {
-			r.phasesHold = false
-			r.sys.ReleaseSerial()
-		}
-	}
-}
-
-// chainState is one closed-loop sender's issue position, hoisted out of
-// the sender closure so a node failure can abandon the chain and count
-// its unissued remainder.
-type chainState struct {
-	queue []burst
-	next  int
-	dead  bool
-}
-
-// addLost accounts n planned messages a failure made unexecutable.
-// Lost messages advance the phase barrier exactly like executions —
-// they are resolved plan, just resolved by loss — so phases keep
-// opening and the final accounting stays exact. The same serial-
-// discipline argument as the execution hook applies: while a non-final
-// phase is open the engine is serial, and in the final phase advance is
-// a no-op.
-func (r *runner) addLost(n int) {
-	if n <= 0 {
-		return
-	}
-	r.lost.Add(int64(n))
-	r.executedAll.Add(int64(n))
-	r.advance()
-}
-
-// accountDown absorbs an issue refusal caused by a failed node: the
-// burst's messages are lost, the sender goes on. Any other issue error
-// still stops the run.
-func (r *runner) accountDown(err error, n int) bool {
-	var nd *core.NodeDownError
-	if !errors.As(err, &nd) {
-		return false
-	}
-	r.addLost(n)
-	return true
 }
 
 // doFail tears node down mid-run. It executes serially (the armed Fail
-// holds the engine) so the loss ledger is exact: every planned message
-// lands in exactly one of executed, handler-errored, or lost.
+// holds the engine) so every lane's loss ledger is exact: each planned
+// message lands in exactly one of ticked, dropped, or lost.
 func (r *runner) doFail(node int) {
-	// Abandon the dead node's own unissued plan first, so the FailPending
+	// Abandon the dead node's own unissued plans first, so the FailPending
 	// callbacks below (which re-fire issue chains synchronously) see the
-	// chain already dead.
-	var abandoned int
-	if cs := r.chains[node]; cs != nil && !cs.dead {
-		cs.dead = true
-		for _, b := range cs.queue[cs.next:] {
-			abandoned += len(b.args)
+	// chains already dead.
+	lost := map[*lane]int{}
+	for _, l := range r.lanes {
+		if s := l.chains[node]; s != nil && !s.dead {
+			s.dead = true
+			for _, b := range s.queue[s.next:] {
+				lost[l] += len(b.args)
+			}
 		}
 	}
 	r.down[node] = true
 	// Channels touching the dead node will not be created while it is
-	// down: drop them from the open phase's missing set, or the channel-
-	// creation hold would pin the engine serial forever.
+	// down: drop them from the missing set, or the channel-creation hold
+	// would pin the engine serial forever.
 	if r.pairsHold {
 		for k := range r.missing {
-			if k[0] == node || k[1] == node {
+			if k.src == node || k.dst == node {
 				delete(r.missing, k)
 			}
 		}
 		r.maybeReleasePairs()
 	}
-	outbound, err := r.sys.FailNode(node)
-	if err != nil {
+	// Outbound: sends queued on the dead node's own channels were issued
+	// but will never arrive anywhere. FailNode reports only their total,
+	// so each lane fails its own channels' queues first (FailNode then
+	// finds them empty) and takes the count.
+	r.sys.Mesh().EachChannelView(func(src, _ int, view string, ch *core.Channel) {
+		if l := r.byView[view]; l != nil && src == node {
+			lost[l] += ch.Sender.FailPending(
+				&core.NodeDownError{Src: ch.Src.Name, Dst: ch.Dst.Name, Node: ch.Src.Name})
+		}
+	})
+	if _, err := r.sys.FailNode(node); err != nil {
 		r.fail(err)
 		return
 	}
-	// Inbound backlog: issued to the node but never completed — queued
-	// sends FailNode just failed, frames delivered but not yet serviced,
-	// and traffic still on the wire (its delivery writes memory but the
-	// stopped receiver never services it).
-	nr := &r.res.PerNode[node]
-	backlog := int(r.issued[node].Load()) - nr.Executed - nr.Errors
-	r.addLost(abandoned + outbound + backlog)
+	// Inbound backlog: issued to the node but never finished there —
+	// queued sends FailNode just failed, frames delivered but not yet
+	// serviced, and traffic still on the wire (its delivery writes memory
+	// but the stopped receiver never services it).
+	for _, l := range r.lanes {
+		l.lose(lost[l] + int(l.issued[node].Load()) - l.ticked[node])
+	}
 }
 
-// armClosedSender installs the self-clocked issue chain: each sender
-// fires its next burst when the last message of the previous one
-// completes delivery. One completion callback per sender, not per
-// burst: fire is the self-clock, onDone re-arms it.
-func (r *runner) armClosedSender(src int, queue []burst) {
-	s := src
-	cs := &chainState{queue: queue}
-	r.chains[s] = cs
+// sender issues one phase's bursts for one lane from one source node,
+// under either arrival discipline.
+type sender struct {
+	l   *lane
+	src int
+	// eng is src's shard engine: admission retries and latency stamps are
+	// shard-local, so they are safe inside concurrent windows.
+	eng   *sim.Engine
+	shard int
+	queue []burst
+	// next and dead are the closed-loop issue position, reachable through
+	// lane.chains so a node failure can abandon the chain and count its
+	// unissued remainder; issueAt stamps its one burst in flight.
+	next    int
+	dead    bool
+	issueAt sim.Time
+	// opts is the call-option scratch: Func.Call consumes its options
+	// synchronously, so one per sender serves every burst and the issue
+	// path allocates no option slice.
+	opts [3]tc.CallOpt
+}
+
+// issue sends one burst and classifies a refusal. A future comes back
+// only for a burst in flight (the caller observes and releases it); done
+// reports that the burst is finished with either way. A burst refused
+// because a node is down is lost; an admission drop is dropped; an
+// admission deferral re-runs again at the bucket's retry hint and leaves
+// the burst pending; anything else stops the run.
+func (s *sender) issue(b *burst, again func()) (fu *tc.Future, done bool) {
+	l := s.l
+	fn, err := l.fn(s.src, b.mix.Pkg, b.mix.Elem)
+	if err != nil {
+		l.r.fail(err)
+		return nil, false
+	}
+	opts := append(s.opts[:0], tc.Burst(b.args), tc.Payload(l.r.payload))
+	if b.local {
+		opts = append(opts, tc.Local())
+	}
+	fu = fn.Call(b.dst, b.args[0], opts...)
+	err = fu.IssueErr()
+	if err == nil {
+		l.issued[b.dst].Add(int64(len(b.args)))
+		return fu, true
+	}
+	// A failed-at-issue future never armed, so recycling is on us —
+	// refusals are the steady state under admission control.
+	fu.Release()
+	var nd *core.NodeDownError
+	var ae *tenant.AdmissionError
+	switch {
+	case errors.As(err, &nd):
+		l.lose(len(b.args))
+	case errors.As(err, &ae) && ae.Deferred:
+		l.deferred.Add(1)
+		s.eng.After(ae.RetryAfter, again)
+		return nil, false
+	case ae != nil:
+		l.drop(len(b.args))
+	default:
+		l.r.fail(err)
+		return nil, false
+	}
+	return nil, true
+}
+
+// sample records one burst's issue-to-delivery latency on a reporting
+// lane.
+func (s *sender) sample(issueAt sim.Time, res tc.Result) {
+	if s.l.lat != nil && res.Err == nil && res.Delivered > 0 {
+		s.l.lat[s.shard] = append(s.l.lat[s.shard], res.Delivered.Sub(issueAt))
+	}
+}
+
+// armClosed installs the self-clocked issue chain: the sender fires its
+// next burst when the last message of the previous one completes
+// delivery. One completion callback per sender, not per burst: fire is
+// the self-clock, onDone re-arms it. A refused burst settles at once and
+// the chain self-clocks straight into the next.
+func (s *sender) armClosed() {
+	s.l.chains[s.src] = s
 	var fire func()
-	onDone := func(tc.Result) { fire() }
-	payloadOpt := tc.Payload(r.payload)
-	localOpt := tc.Local()
-	optScratch := make([]tc.CallOpt, 0, 3)
+	onDone := func(res tc.Result) {
+		s.sample(s.issueAt, res)
+		fire()
+	}
 	fire = func() {
-		for {
-			if cs.next >= len(cs.queue) || cs.dead || r.failed.Load() {
+		for s.next < len(s.queue) && !s.dead && !s.l.r.failed.Load() {
+			s.issueAt = s.eng.Now()
+			fu, done := s.issue(&s.queue[s.next], fire)
+			if !done {
 				return
 			}
-			b := &cs.queue[cs.next]
-			cs.next++
-			fn, err := r.fnFor(s, b.mix.Pkg, b.mix.Elem)
-			if err != nil {
-				r.fail(err)
+			s.next++
+			if fu != nil {
+				// The future is not touched after its Done callback: hand it
+				// back to the pool so self-clocked senders recycle one future
+				// per in-flight burst instead of allocating per burst.
+				fu.Done(onDone).Release()
 				return
 			}
-			callOpts := append(optScratch[:0], tc.Burst(b.args), payloadOpt)
-			if b.local {
-				callOpts = append(callOpts, localOpt)
-			}
-			fu := fn.Call(b.dst, b.args[0], callOpts...)
-			if err := fu.IssueErr(); err != nil {
-				// A burst refused because a node is down is lost, and the
-				// chain self-clocks straight into its next burst; any other
-				// synchronous issue failure (bad element) stops the run.
-				if r.accountDown(err, len(b.args)) {
-					continue
-				}
-				r.fail(err)
-				return
-			}
-			r.issued[b.dst].Add(int64(len(b.args)))
-			fu.Done(onDone)
-			// The future is not touched after its Done callback: hand it
-			// back to the pool so self-clocked senders recycle one future
-			// per in-flight burst instead of allocating per burst.
-			fu.Release()
-			return
 		}
 	}
-	r.sys.After(src, 0, fire)
+	s.l.r.sys.After(s.src, 0, fire)
 }
 
-// armOpenSender schedules every burst at its pre-drawn arrival offset
-// from now — open-loop offered load, independent of completions.
-func (r *runner) armOpenSender(src int, queue []burst) {
-	payloadOpt := tc.Payload(r.payload)
-	localOpt := tc.Local()
-	// Func.Call consumes its options synchronously, so one per-sender
-	// scratch serves every scheduled burst — the issue path allocates no
-	// option slice, matching the closed-loop sender.
-	optScratch := make([]tc.CallOpt, 0, 3)
-	for i := range queue {
-		b := &queue[i]
-		r.sys.After(src, b.at, func() {
-			if r.failed.Load() {
+// armOpen schedules every burst at its pre-drawn arrival offset from now
+// — open-loop offered load, independent of completions. A deferred burst
+// re-issues at the retry hint while later bursts keep their own
+// schedule.
+func (s *sender) armOpen() {
+	for i := range s.queue {
+		b := &s.queue[i]
+		var issueAt sim.Time
+		// Only a reporting lane observes completions; otherwise the burst
+		// is fire and forget and the future recycles itself.
+		var onDone func(tc.Result)
+		if s.l.lat != nil {
+			onDone = func(res tc.Result) { s.sample(issueAt, res) }
+		}
+		var send func()
+		send = func() {
+			if s.l.r.failed.Load() {
 				return
 			}
-			fn, err := r.fnFor(src, b.mix.Pkg, b.mix.Elem)
-			if err != nil {
-				r.fail(err)
-				return
+			issueAt = s.eng.Now()
+			if fu, _ := s.issue(b, send); fu != nil {
+				fu.Done(onDone).Release()
 			}
-			callOpts := append(optScratch[:0], tc.Burst(b.args), payloadOpt)
-			if b.local {
-				callOpts = append(callOpts, localOpt)
-			}
-			fu := fn.Call(b.dst, b.args[0], callOpts...)
-			if err := fu.IssueErr(); err != nil {
-				if r.accountDown(err, len(b.args)) {
-					return
-				}
-				r.fail(err)
-				return
-			}
-			r.issued[b.dst].Add(int64(len(b.args)))
-			// Fire and forget: the unobserved future recycles itself.
-		})
+		}
+		s.l.r.sys.After(s.src, b.at, send)
 	}
 }
 
-// Run executes the scenario and reports the result. The run is fully
-// deterministic: equal scenarios produce equal results. Validation and
-// plan-building failures are *ScenarioError.
-func Run(sc Scenario) (*Result, error) {
-	if err := sc.validateScalars(); err != nil {
-		return nil, err
-	}
-	// resolvePhases both defaults and validates the phase surface — one
-	// pass covers what Validate would check.
-	specs, err := sc.resolvePhases()
-	if err != nil {
-		return nil, err
-	}
-	if len(sc.Tenants) > 0 {
-		return runTenants(&sc, specs)
-	}
-	pkgs, err := packagesFor(specs)
-	if err != nil {
-		return nil, err
-	}
-	frame, err := frameSizeFor(pkgs, specs, sc.PayloadBytes)
-	if err != nil {
-		return nil, err
-	}
-
+// systemOpts is the one place a scenario becomes system options, so
+// every scenario field applies to every lane layout.
+func (sc *Scenario) systemOpts(frame int) []tc.SystemOpt {
 	opts := []tc.SystemOpt{
 		tc.WithSeed(sc.Seed),
 		tc.WithTiming(sc.Timing),
@@ -878,16 +987,38 @@ func Run(sc Scenario) (*Result, error) {
 			LookaheadBoost: sc.Chaos.LookaheadBoost,
 		}))
 	}
-	sys, err := tc.NewSystem(sc.Nodes, opts...)
+	return opts
+}
+
+// Run executes the scenario and reports the result. The run is fully
+// deterministic: equal scenarios produce equal results. Validation and
+// plan-building failures are *ScenarioError.
+func Run(sc Scenario) (*Result, error) {
+	if err := sc.validateScalars(); err != nil {
+		return nil, err
+	}
+	// resolveLanes both defaults and validates the phase and tenant
+	// surface — one pass covers what Validate would check.
+	laneSpecs, err := sc.resolveLanes()
 	if err != nil {
 		return nil, err
 	}
-	// Install every referenced package in name order, so package IDs are
-	// a pure function of the scenario.
-	for _, name := range sortedKeys(pkgs) {
-		if err := sys.InstallPackage(pkgs[name]); err != nil {
-			return nil, err
-		}
+	// Frame geometry and package builds cover every lane's specs.
+	var all []phaseSpec
+	for i := range laneSpecs {
+		all = append(all, laneSpecs[i].specs...)
+	}
+	pkgs, err := packagesFor(all)
+	if err != nil {
+		return nil, err
+	}
+	frame, err := frameSizeFor(pkgs, all, sc.PayloadBytes)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := tc.NewSystem(sc.Nodes, sc.systemOpts(frame)...)
+	if err != nil {
+		return nil, err
 	}
 
 	topo := Topology{
@@ -900,56 +1031,95 @@ func Run(sc Scenario) (*Result, error) {
 		Shards:   topo.Shards,
 		Workers:  sys.Workers(),
 		PerNode:  make([]NodeResult, sc.Nodes),
-		Phases:   make([]PhaseResult, len(specs)),
 		HotNode:  -1,
 	}
 	r := &runner{
-		sc:        &sc,
-		sys:       sys,
-		res:       res,
-		plans:     make([]*phasePlan, len(specs)),
-		cum:       make([]int, len(specs)),
-		phaseExec: make([]atomic.Int64, len(specs)),
-		fns:       make([]map[[2]string]*tc.Func, sc.Nodes),
-		payload:   make([]byte, sc.PayloadBytes),
-		sharded:   sys.Sharded(),
-		missing:   map[[2]int]bool{},
-		chains:    make([]*chainState, sc.Nodes),
-		issued:    make([]atomic.Int64, sc.Nodes),
-		down:      make([]bool, sc.Nodes),
+		sys:     sys,
+		res:     res,
+		byView:  map[string]*lane{},
+		payload: make([]byte, sc.PayloadBytes),
+		sharded: sys.Sharded(),
+		missing: map[chanKey]bool{},
+		down:    make([]bool, sc.Nodes),
 	}
-	sys.Mesh().OnChannelCreated = r.onChannel
 	for i := range r.payload {
 		r.payload[i] = byte(i*31 + 7)
 	}
-	// Plans are generated phase by phase from the one seeded RNG before
-	// the simulation starts.
-	total := 0
-	for i := range specs {
-		pp, err := buildPlan(&sc, topo, &specs[i], sys.RNG())
-		if err != nil {
+
+	// Lanes in declared order: a tenant lane registers its tenant (dense
+	// IDs = arbiter classes) and allocates the sample stores its
+	// TenantResult is built from; every lane installs its packages.
+	for i := range laneSpecs {
+		ls := &laneSpecs[i]
+		n := len(ls.specs)
+		l := &lane{
+			r: r, view: ls.cfg.Name, specs: ls.specs,
+			plans:     make([]*phasePlan, n),
+			cum:       make([]int, n),
+			phaseExec: make([]atomic.Int64, n),
+			phases:    make([]PhaseResult, n),
+			fns:       make([]map[[2]string]*tc.Func, sc.Nodes),
+			chains:    make([]*sender, sc.Nodes),
+			issued:    make([]atomic.Int64, sc.Nodes),
+			ticked:    make([]int, sc.Nodes),
+		}
+		if l.view != "" {
+			if l.ten, err = sys.AddTenant(ls.cfg); err != nil {
+				return nil, err
+			}
+			l.svc = make([][]sim.Time, topo.Shards)
+			l.lat = make([][]sim.Duration, topo.Shards)
+			l.errs = make([]int64, topo.Shards)
+		}
+		if r.sharded && n > 1 {
+			r.pendingLanes++
+		}
+		r.lanes = append(r.lanes, l)
+		r.byView[l.view] = l
+		if err := l.install(pkgs); err != nil {
 			return nil, err
 		}
-		r.plans[i] = pp
-		total += pp.total
-		r.cum[i] = total
-		res.Phases[i].Name = specs[i].name
-		res.Phases[i].Planned = pp.total
-		if pp.hotNode >= 0 {
-			res.HotNode = pp.hotNode
+	}
+	sys.Mesh().OnChannelCreated = r.onChannel
+
+	// Plans are generated lane by lane, phase by phase, from the one
+	// seeded RNG before the simulation starts — the whole schedule is a
+	// pure function of the scenario.
+	total := 0
+	for _, l := range r.lanes {
+		planned := 0
+		for j := range l.specs {
+			pp, err := buildPlan(&sc, topo, &l.specs[j], sys.RNG())
+			if err != nil {
+				return nil, err
+			}
+			if l.ten != nil {
+				// RIED swaps inside a namespace view are not modelled, so a
+				// shape's built-in mid-phase swap stays unplanned there.
+				pp.swapNode = -1
+			}
+			l.plans[j] = pp
+			planned += pp.total
+			l.cum[j] = planned
+			l.phases[j] = PhaseResult{Name: l.specs[j].name, Planned: pp.total}
+			if pp.hotNode >= 0 {
+				res.HotNode = pp.hotNode
+			}
+			for dst, n := range pp.sent {
+				res.PerNode[dst].Sent += n
+			}
 		}
-		for dst, n := range pp.sent {
-			res.PerNode[dst].Sent += n
-		}
+		total += planned
 	}
 
+	base := r.byView[""]
 	for i := 0; i < sc.Nodes; i++ {
 		node := i
 		sys.Node(i).OnExecuted = func(ret uint64, _ sim.Duration, err error) {
 			// Per-node state belongs to the executing node's shard; the
-			// fabric-wide tallies are atomic; everything phase-advancing
-			// or swap-triggering only ever runs while the engine is
-			// serial (the corresponding holds pin it).
+			// lane tallies are atomic; everything phase-advancing or swap-
+			// triggering only ever runs while the engine is serial (the
+			// corresponding holds pin it).
 			nr := &res.PerNode[node]
 			if err != nil {
 				nr.Errors++
@@ -960,64 +1130,69 @@ func Run(sc Scenario) (*Result, error) {
 			if sc.OnExecuted != nil {
 				sc.OnExecuted(node, ret, err)
 			}
-			pp := r.plans[r.phase]
+			if base == nil {
+				return // tenant lanes tick per channel: see hookChannel
+			}
+			pp := base.plans[base.phase]
 			if node == pp.swapNode && !pp.swapFired && nr.Executed >= pp.swapTrigger {
 				pp.swapFired = true
-				r.performSwap(pp.swapNode, pp.swapApp)
+				r.performSwap(base, pp.swapNode, pp.swapApp)
 				if r.swapHold {
 					r.swapHold = false
 					r.sys.ReleaseSerial()
 				}
 			}
-			r.executedAll.Add(1)
-			r.phaseExec[r.phase].Add(1)
-			r.advance()
+			base.tick(node, 1)
 		}
 	}
 
-	r.phase = 0
-	if r.sharded && len(specs) > 1 {
+	if r.pendingLanes > 0 {
 		// The phase barrier is a zero-lookahead global action: hold the
-		// engine serial until the final phase opens.
-		r.phasesHold = true
+		// engine serial until every lane has opened its final phase.
 		sys.HoldSerial()
 	}
-	r.openPhase()
-	// Chain straight through leading zero-traffic phases (e.g. a
-	// swap-only opener): nothing will execute to advance past them.
-	r.advance()
+	for _, l := range r.lanes {
+		l.open()
+		// Chain straight through leading zero-traffic phases (e.g. a
+		// swap-only opener): nothing will execute to advance past them.
+		l.advance()
+	}
 	sys.Run()
 	sys.Mesh().OnChannelCreated = nil
-	for i := range specs {
-		res.Phases[i].Executed = int(r.phaseExec[i].Load())
-	}
 	if r.issueErr != nil {
 		return nil, r.issueErr
 	}
 	if r.swapErr != nil {
 		return nil, r.swapErr
 	}
-	res.Phases[r.phase].End = sim.Duration(sys.Now())
 
+	res.SimTime = sim.Duration(sys.Now())
+	res.Windows = sys.Windows()
+	res.Mesh = sys.Stats()
 	for _, nr := range res.PerNode {
 		res.Injections += nr.Executed
 		res.Digest += nr.Digest // order-insensitive across nodes
 	}
-	res.Lost = int(r.lost.Load())
-	res.SimTime = sim.Duration(sys.Now())
-	res.Windows = sys.Windows()
 	if secs := res.SimTime.Seconds(); secs > 0 {
 		res.RatePerSec = float64(res.Injections) / secs
 	}
-	res.Mesh = sys.Stats()
-
-	var errSum int
-	for _, nr := range res.PerNode {
-		errSum += nr.Errors
+	settled := 0
+	for _, l := range r.lanes {
+		for j := range l.phases {
+			l.phases[j].Executed = int(l.phaseExec[j].Load())
+		}
+		l.phases[l.phase].End = res.SimTime
+		res.Lost += int(l.lost.Load())
+		settled += int(l.settled.Load())
 	}
-	if res.Injections+errSum+res.Lost != total {
-		return res, fmt.Errorf("workload: %s executed %d+%d (+%d lost) of %d planned messages",
-			sc.Pattern, res.Injections, errSum, res.Lost, total)
+	if base != nil {
+		res.Phases = base.phases
+	} else {
+		res.Tenants, res.OverlapWindow = tenantResults(r.lanes, res.SimTime)
+	}
+	if settled != total {
+		return res, fmt.Errorf("workload: %s settled %d of %d planned messages (%d lost)",
+			sc.Pattern, settled, total, res.Lost)
 	}
 	return res, nil
 }
