@@ -20,6 +20,9 @@
 //	go test -run xxx -bench BenchmarkMesh -benchtime 1x . | \
 //	    go run ./cmd/benchjson -smoke -baseline BENCH_PR5.json -tol 0.25
 //
+// The built-in ns/op and allocs/op metrics are lower-is-better there: they
+// must not rise above the recorded value by more than the band.
+//
 // Smoke mode prints the baseline file it compared against, and a missing
 // baseline file fails with instructions instead of a raw read error.
 package main
@@ -144,8 +147,8 @@ func loadBaseline(path string) (map[string]*Entry, error) {
 // runs against the recorded baseline with a relative tolerance band; it
 // reports which baseline file the comparisons are against and whether
 // any regressed below the band. Custom metrics are rates
-// (higher-is-better); the built-in "ns/op" metric gates latency, so its
-// ratio is inverted (lower-is-better).
+// (higher-is-better); the built-in "ns/op" and "allocs/op" metrics gate
+// costs, so their ratio is inverted (lower-is-better).
 func smokeCheck(cur, base map[string]*Entry, basePath, metric string, tol float64) bool {
 	ok := true
 	compared := 0
@@ -155,24 +158,17 @@ func smokeCheck(cur, base map[string]*Entry, basePath, metric string, tol float6
 		if !present {
 			continue
 		}
-		var cv, bv, ratio float64
-		if metric == "ns/op" {
-			cv, bv = c.NsPerOp, b.NsPerOp
-			if cv <= 0 || bv <= 0 {
+		cv, cok := metricOf(c, metric)
+		bv, bok := metricOf(b, metric)
+		if !cok || !bok || bv <= 0 {
+			continue
+		}
+		ratio := cv / bv
+		if metric == "ns/op" || metric == "allocs/op" {
+			if cv <= 0 {
 				continue
 			}
 			ratio = bv / cv
-		} else {
-			if c.Metrics == nil || b.Metrics == nil {
-				continue
-			}
-			var cok, bok bool
-			cv, cok = c.Metrics[metric]
-			bv, bok = b.Metrics[metric]
-			if !cok || !bok || bv <= 0 {
-				continue
-			}
-			ratio = cv / bv
 		}
 		compared++
 		status := "ok"
@@ -190,12 +186,25 @@ func smokeCheck(cur, base map[string]*Entry, basePath, metric string, tol float6
 	return ok
 }
 
+// metricOf reads one metric of a benchmark entry: a built-in by its
+// `go test` unit, anything else from the custom metrics.
+func metricOf(e *Entry, metric string) (float64, bool) {
+	switch metric {
+	case "ns/op":
+		return e.NsPerOp, true
+	case "allocs/op":
+		return e.AllocsPerOp, true
+	}
+	v, ok := e.Metrics[metric]
+	return v, ok
+}
+
 func main() {
 	baselinePath := flag.String("baseline", "", "recorded baseline JSON (File or bare name->Entry map)")
 	outPath := flag.String("o", "", "output path (default stdout)")
 	note := flag.String("note", "regenerate with `make bench-json`", "provenance note")
 	smoke := flag.Bool("smoke", false, "regression-gate mode: compare -metric against -baseline and exit non-zero on regression")
-	metric := flag.String("metric", "sim_inj_per_sec", "custom metric compared in -smoke mode")
+	metric := flag.String("metric", "sim_inj_per_sec", "metric compared in -smoke mode: a custom one (higher is better), ns/op or allocs/op (lower is better)")
 	tol := flag.Float64("tol", 0.25, "relative tolerance band in -smoke mode (0.25 = fail below 75% of baseline)")
 	flag.Parse()
 

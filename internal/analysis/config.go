@@ -61,15 +61,17 @@ var goroutineAllow = map[string]map[string]bool{
 // completion/thin-op records need no entry: they live on the shard-local
 // Sender and Endpoint freelists.)
 //
-// The vm entry covers the bind-time JIT: a Region's compiled program,
-// and the per-call jitMachine embedded in the VM, are translation-cache
-// state owned by the node's shard worker exactly like the decode cache.
+// The vm entry covers the JIT and the two-tier jam path: a Region's
+// compiled program, the per-call jitMachine embedded in the VM, the jam
+// slot and body tables (jamSlot, jamBody) and the tier counters
+// (TierStats) are translation-cache state owned by the node's shard
+// worker; the counters are summed into core.MeshStats only after the run.
 var shardLocalTypes = map[string][]string{
 	"twochains/internal/sim":     {"Engine", "BufPool", "Arena", "RNG"},
 	"twochains/internal/mem":     {"AddressSpace"},
 	"twochains/internal/memsim":  {"Hierarchy"},
 	"twochains/internal/cpusim":  {"Counter"},
-	"twochains/internal/vm":      {"VM", "Region", "program", "jitMachine"},
+	"twochains/internal/vm":      {"VM", "Region", "program", "jitMachine", "jamSlot", "jamBody", "TierStats"},
 	"twochains/internal/ucx":     {"Worker", "Endpoint"},
 	"twochains/internal/mailbox": {"Sender", "Receiver", "Delivery", "Message", "FairArbiter"},
 	"twochains/internal/simnet":  {"NIC"},

@@ -102,14 +102,15 @@ func (n *Node) runInjected(d *mailbox.Delivery) (sim.Duration, error) {
 	if err != nil {
 		return extra, err
 	}
-	// The VM keeps the decoded body cached per frame slot: repeated
-	// deliveries of the same element re-execute the cached region after a
-	// byte compare instead of re-decoding.
-	if _, err := n.VM.EnsureJam(codeVA, code); err != nil {
+	// The VM keeps the body mapped per frame slot: repeated deliveries of
+	// the same element re-execute the cached region after a byte compare,
+	// interpreted until the slot proves hot and compiled from then on.
+	region, err := n.VM.EnsureJam(codeVA, code)
+	if err != nil {
 		return extra, fmt.Errorf("core: node %s: bad injected code: %w", n.Name, err)
 	}
 
-	ret, cost, err := n.VM.Call(entryVA, d.ArgsVA, d.UsrVA, uint64(d.UsrLen))
+	ret, cost, err := n.VM.CallRegion(region, entryVA, d.ArgsVA, d.UsrVA, uint64(d.UsrLen))
 	if n.OnExecuted != nil {
 		n.OnExecuted(ret, extra+cost, err)
 	}

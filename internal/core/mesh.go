@@ -9,6 +9,7 @@ import (
 	"twochains/internal/linker"
 	"twochains/internal/mailbox"
 	"twochains/internal/sim"
+	"twochains/internal/vm"
 )
 
 // MeshConfig sizes a many-node injection fabric.
@@ -475,9 +476,16 @@ type MeshStats struct {
 	Errors        uint64
 	JamBinds      uint64
 	JamHits       uint64
+	// JITCompiles, JITDeopts and Tier sum the receive-side VM counters:
+	// translations built, mid-call deopts, and the jam path's tier
+	// decisions. They count simulated events, so a fixed scenario
+	// reproduces them exactly.
+	JITCompiles uint64
+	JITDeopts   uint64
+	Tier        vm.TierStats
 }
 
-// Stats sums sender, receiver, and jam-cache counters over the mesh.
+// Stats sums sender, receiver, jam-cache, and VM counters over the mesh.
 func (m *Mesh) Stats() MeshStats {
 	st := MeshStats{Channels: m.Channels()}
 	m.EachChannel(func(_, _ int, ch *Channel) {
@@ -496,6 +504,9 @@ func (m *Mesh) Stats() MeshStats {
 		js := n.JamCacheStats()
 		st.JamBinds += js.Binds
 		st.JamHits += js.Hits
+		st.JITCompiles += n.VM.JITCompiles
+		st.JITDeopts += n.VM.JITDeopts
+		st.Tier.Add(n.VM.Tier)
 	}
 	return st
 }

@@ -26,13 +26,15 @@ func meshIters(o Options) int {
 
 // meshExp runs every workload pattern over growing sharded meshes and
 // reports simulated injections/sec plus the efficiency of the batched
-// injection path and the shared prepared-jam cache.
+// injection path and the shared prepared-jam cache, and what the
+// receive-side VMs' two-tier jam path did.
 func meshExp(o Options) (*Table, error) {
 	t := &Table{
 		Name:  "mesh",
 		Title: "Sharded many-node mesh: mixed workload (injected + local, sssum + iput)",
 		Cols: []string{"pattern", "nodes", "shards", "msgs", "inj/s",
-			"batched(%)", "cache_hit(%)", "stalls", "sim_ms"},
+			"batched(%)", "cache_hit(%)", "stalls", "sim_ms",
+			"slot hit/miss", "decodes", "promoted", "calls interp/jit"},
 	}
 	rounds := meshIters(o)
 	for _, nodes := range []int{8, 16} {
@@ -55,10 +57,14 @@ func meshExp(o Options) (*Table, error) {
 				fmt.Sprint(res.Injections), FmtRate(res.RatePerSec),
 				fmt.Sprintf("%.0f", batched), fmt.Sprintf("%.0f", hit),
 				fmt.Sprint(res.Mesh.CreditStalls),
-				fmt.Sprintf("%.3f", res.SimTime.Seconds()*1e3))
+				fmt.Sprintf("%.3f", res.SimTime.Seconds()*1e3),
+				fmt.Sprintf("%d/%d", res.Mesh.Tier.Hits, res.Mesh.Tier.Misses),
+				fmt.Sprint(res.Mesh.Tier.Decodes), fmt.Sprint(res.Mesh.Tier.Promotions),
+				fmt.Sprintf("%d/%d", res.Mesh.Tier.InterpCalls, res.Mesh.Tier.CompiledCalls))
 		}
 	}
 	t.Note("hotspot swaps the hot node's server ried mid-run; rates are simulated injections/sec")
+	t.Note("slot hit/miss: deliveries finding their mailbox slot's bytes unchanged / remapped; decodes: misses on a body the node had not seen; promoted: slots compiled after going hot")
 	if note, err := meshSpeedupNote(o, rounds); err != nil {
 		return nil, err
 	} else if note != "" {

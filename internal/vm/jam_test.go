@@ -1,0 +1,173 @@
+package vm
+
+import (
+	"testing"
+
+	"twochains/internal/isa"
+)
+
+// retBody encodes a jam that returns v after pad no-ops, so bodies of any
+// length and content are one call away.
+func retBody(v int32, pad int) []byte {
+	ins := make([]isa.Instr, 0, pad+2)
+	for i := 0; i < pad; i++ {
+		ins = append(ins, isa.Instr{Op: isa.NOP})
+	}
+	ins = append(ins, isa.Instr{Op: isa.MOVI, Rd: 0, Imm: v}, isa.Instr{Op: isa.RET})
+	return isa.EncodeAll(ins)
+}
+
+// TestJamTiering pins the two-tier jam path: EnsureJam never compiles a
+// cold slot, promotes on exactly the jamHotHits-th same-bytes hit, drops
+// back to tier 0 when the slot's content changes, shares decodes by
+// content, keeps the slot table disjoint under shifted bodies, and bounds
+// the body table.
+func TestJamTiering(t *testing.T) {
+	h := newHarness(t, false)
+	v := h.vm
+	ensure := func(va uint64, code []byte) *Region {
+		t.Helper()
+		r, err := v.EnsureJam(va, code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	call := func(r *Region, want uint64) {
+		t.Helper()
+		ret, _, err := v.CallRegion(r, r.Start)
+		if err != nil || ret != want {
+			t.Fatalf("call at 0x%x = %d, %v; want %d", r.Start, ret, err, want)
+		}
+	}
+	const va = 0x4000_0040
+	a, b := retBody(7, 0), retBody(9, 1)
+
+	// First delivery: a miss that decodes, maps in tier 0, compiles nothing.
+	r := ensure(va, a)
+	call(r, 7)
+	if want := (TierStats{Misses: 1, Decodes: 1, InterpCalls: 1}); v.Tier != want || v.JITCompiles != 0 {
+		t.Fatalf("after first delivery: %+v, %d compiles; want %+v, 0", v.Tier, v.JITCompiles, want)
+	}
+
+	// Hits keep the region; the jamHotHits-th one promotes it, once.
+	for i := 1; i <= jamHotHits+2; i++ {
+		if got := ensure(va, a); got != r {
+			t.Fatalf("hit %d remapped the slot", i)
+		}
+		if compiled := r.prog != nil; compiled != (i >= jamHotHits) {
+			t.Fatalf("hit %d: compiled = %v", i, compiled)
+		}
+		call(r, 7)
+	}
+	if want := (TierStats{Hits: jamHotHits + 2, Misses: 1, Decodes: 1, Promotions: 1,
+		InterpCalls: jamHotHits, CompiledCalls: 3}); v.Tier != want || v.JITCompiles != 1 {
+		t.Fatalf("after promotion: %+v, %d compiles; want %+v, 1", v.Tier, v.JITCompiles, want)
+	}
+
+	// A content change at the same VA is a fresh tier-0 region; the stale
+	// translation is unreachable.
+	rb := ensure(va, b)
+	if rb == r || rb.prog != nil || v.findRegion(va) != rb {
+		t.Fatalf("content change: same region %v, compiled %v, mapped %v",
+			rb == r, rb.prog != nil, v.findRegion(va) == rb)
+	}
+	call(rb, 9)
+	if v.Tier.Decodes != 2 || v.Tier.InterpCalls != jamHotHits+1 || v.JITCompiles != 1 {
+		t.Fatalf("after content change: %+v, %d compiles", v.Tier, v.JITCompiles)
+	}
+
+	// The same body at a new VA shares the decoded instructions.
+	rc := ensure(va+0x1000, a)
+	if v.Tier.Decodes != 2 || &rc.instrs[0] != &r.instrs[0] {
+		t.Fatalf("body seen before was decoded again (decodes = %d)", v.Tier.Decodes)
+	}
+	call(rc, 7)
+
+	// Shifted bodies inside one frame slot: a shorter element 8 bytes up
+	// evicts b at va, and a longer one 8 bytes down evicts that in turn.
+	rs := ensure(va+8, a)
+	if v.findRegion(va) != nil || v.findRegion(va+8) != rs || len(v.jams) != 2 {
+		t.Fatalf("shifted shorter body: va mapped %v, %d slots", v.findRegion(va) != nil, len(v.jams))
+	}
+	rl := ensure(va-8, retBody(11, 4))
+	if v.findRegion(va+8) != rl || len(v.jams) != 2 {
+		t.Fatalf("shifted longer body left a stale overlap (%d slots)", len(v.jams))
+	}
+	call(rl, 11)
+	// One long body swallows several neighbours at once.
+	ensure(va+0x2000, a)
+	ensure(va+0x2000+uint64(len(a)), a)
+	ensure(va+0x2000+2*uint64(len(a)), a)
+	ensure(va+0x2000+8, retBody(13, 8))
+	if len(v.jams) != 3 {
+		t.Fatalf("spanning body: %d slots, want 3", len(v.jams))
+	}
+	for i := 1; i < len(v.jams); i++ {
+		if v.jams[i-1].region.End > v.jams[i].region.Start {
+			t.Fatalf("slots %d and %d overlap", i-1, i)
+		}
+	}
+
+	// RemoveRegion unmaps a jam like any region.
+	v.RemoveRegion(rc)
+	if v.findRegion(rc.Start) != nil || len(v.jams) != 2 {
+		t.Fatal("RemoveRegion left the jam mapped")
+	}
+
+	// A flood of distinct bodies through one slot leaves the body table at
+	// its bound and the slot table where it was.
+	for i := 0; i < 3*jamBodyCap; i++ {
+		ensure(va+0x3000, retBody(int32(100+i), i%5))
+	}
+	if len(v.bodies) != jamBodyCap || len(v.jams) != 3 {
+		t.Fatalf("after flood: %d bodies (bound %d), %d slots", len(v.bodies), jamBodyCap, len(v.jams))
+	}
+	// The oldest bodies are the ones gone: a decodes again, the newest hits.
+	d := v.Tier.Decodes
+	ensure(va+0x4000, retBody(int32(100+3*jamBodyCap-1), (3*jamBodyCap-1)%5))
+	ensure(va+0x5000, a)
+	if v.Tier.Decodes != d+1 {
+		t.Fatalf("body table is not oldest-first: %d decodes, want %d", v.Tier.Decodes, d+1)
+	}
+}
+
+// TestInterpreterSkipsCompile pins that a VM pinned to the interpreter
+// builds no translation — not for library text at AddRegion, not for a
+// hot jam slot — and that clearing the flag later still runs compiled.
+func TestInterpreterSkipsCompile(t *testing.T) {
+	h := newHarness(t, false)
+	h.vm.UseInterpreter = true
+	ld := h.loadLib(t, "seven", `
+.text
+.global seven
+seven:
+    movi r0, 7
+    ret
+`)
+	a := retBody(5, 0)
+	var r *Region
+	for i := 0; i < 2*jamHotHits; i++ {
+		var err error
+		if r, err = h.vm.EnsureJam(0x4000_0040, a); err != nil {
+			t.Fatal(err)
+		}
+		if ret, _, err := h.vm.CallRegion(r, r.Start); err != nil || ret != 5 {
+			t.Fatalf("jam = %d, %v", ret, err)
+		}
+	}
+	entry := ld.Exports["seven"]
+	if ret, _, err := h.vm.Call(entry); err != nil || ret != 7 {
+		t.Fatalf("seven = %d, %v", ret, err)
+	}
+	if h.vm.JITCompiles != 0 || h.vm.Tier.Promotions != 0 || h.vm.Tier.CompiledCalls != 0 {
+		t.Fatalf("interpreter-pinned VM compiled: %d compiles, %+v", h.vm.JITCompiles, h.vm.Tier)
+	}
+	h.vm.UseInterpreter = false
+	if ret, _, err := h.vm.Call(entry); err != nil || ret != 7 {
+		t.Fatalf("seven after flag flip = %d, %v", ret, err)
+	}
+	if h.vm.JITCompiles != 1 {
+		t.Fatalf("flag flip: %d compiles, want the on-demand one", h.vm.JITCompiles)
+	}
+}

@@ -1,21 +1,29 @@
-// Template JIT: each mapped code region is compiled once — at AddRegion
-// time, which EnsureJam reaches on first delivery, i.e. at bind time —
-// into a table of native Go step closures specialized over the region's
-// decoded instructions and its RIED namespace constants (GOT slot VAs,
-// branch targets, register operands). The steady-state dispatch path
-// (vm.Call) threads through the compiled table; the interpret loop in
-// vm.go remains the reference implementation and the oracle the compiled
-// path must match bit-for-bit: results, Fault values, simulated costs,
-// and instruction counts are all constructed by the same formulas in the
-// same order.
+// Template JIT: a mapped code region is compiled into a table of native
+// Go step closures specialized over the region's decoded instructions and
+// its RIED namespace constants (GOT slot VAs, branch targets, register
+// operands). Library text is compiled when AddRegion maps it — install
+// time, once per node. Injected jams are not: EnsureJam maps them in
+// tier 0, where the interpret loop in vm.go runs them, and compiles a
+// slot's region only after the same bytes have hit that slot VA
+// jamHotHits times. A cold translation costs about ten interpreted calls
+// and a slot that keeps changing hands would never earn it back, which is
+// the DBI-survey discipline: key the cache by what the code is (the body
+// table shares decodes by content) and do not translate cold code.
+// Programs stay bound to their region's VA.
 //
-// Translation-cache discipline (the DBI-survey shape): the program rides
-// the *Region cached in jamEntry, so it is invalidated exactly like the
-// decode cache — a RIED hot-swap or a different element landing in the
-// slot fails EnsureJam's byte compare, the region is replaced, and the
-// stale translation goes with it. GOT-indirect call sites keep their
-// loads (a hot-swap patches GOT slots in place, and the cost model
-// charges those reads); only the slot addresses are pre-resolved.
+// The interpreter remains the reference implementation and the oracle
+// the compiled path must match bit-for-bit: results, Fault values,
+// simulated costs, and instruction counts are all constructed by the same
+// formulas in the same order. That contract is what makes the tier a
+// region runs in unobservable to the simulation.
+//
+// Translation-cache discipline: the program rides the *Region of its jam
+// slot, so it is invalidated exactly like the mapping — a RIED hot-swap
+// or a different element landing in the slot fails EnsureJam's byte
+// compare, the region is replaced by a fresh tier-0 one, and the stale
+// translation goes with it. GOT-indirect call sites keep their loads (a
+// hot-swap patches GOT slots in place, and the cost model charges those
+// reads); only the slot addresses are pre-resolved.
 //
 // Equivalence edge cases deopt: a dynamic transfer to a misaligned
 // in-region pc hands the whole machine state to the interpreter, whose
@@ -1274,8 +1282,12 @@ func (vm *VM) compileStep(r *Region, p *program, i int, lineAware bool) stepFn {
 
 // callCompiled is the steady-state Call path: the same outer loop as the
 // interpreter (retMagic, native window, region resolution), with region
-// bodies executed through their compiled programs.
-func (vm *VM) callCompiled(entry uint64, args []uint64) (uint64, sim.Duration, error) {
+// bodies executed through their compiled programs. region, when non-nil,
+// is the one holding entry. A region met without a translation for the
+// VM's current flags — mapped under UseInterpreter, a cold jam entered
+// through plain Call, timing or exec checking switched since — is
+// compiled here.
+func (vm *VM) callCompiled(region *Region, entry uint64) (uint64, sim.Duration, error) {
 	m := &vm.mach
 	m.vm = vm
 	m.cost = 0
@@ -1291,7 +1303,6 @@ func (vm *VM) callCompiled(entry uint64, args []uint64) (uint64, sim.Duration, e
 
 	lineAware := vm.Hier != nil || vm.CheckExec
 	pc := entry
-	var region *Region
 	for {
 		if pc == retMagic {
 			break
@@ -1366,33 +1377,4 @@ func (vm *VM) failCompiled(m *jitMachine, region *Region, pc uint64, err error) 
 		f.Instr = region.instrs[(pc-region.Start)/isa.InstrSize].String()
 	}
 	return 0, total, f
-}
-
-// RegionInfo describes one mapped region's translation, for the
-// tcdisasm/tcperf debug surfaces.
-type RegionInfo struct {
-	Start, End uint64
-	Jam        bool
-	Compiled   bool
-	Blocks     int
-	Steps      int
-	FusedRuns  int
-	FusedOps   int
-}
-
-// CompiledRegions reports every mapped region and its translation state,
-// in mapping order.
-func (vm *VM) CompiledRegions() []RegionInfo {
-	out := make([]RegionInfo, 0, len(vm.regions))
-	for _, r := range vm.regions {
-		ri := RegionInfo{Start: r.Start, End: r.End, Jam: r.jam, Steps: len(r.instrs)}
-		if r.prog != nil {
-			ri.Compiled = true
-			ri.Blocks = r.prog.blocks
-			ri.FusedRuns = r.prog.fusedRuns
-			ri.FusedOps = r.prog.fusedOps
-		}
-		out = append(out, ri)
-	}
-	return out
 }

@@ -8,23 +8,27 @@
 // message-GOT form (CALLP/LDP, injected jams), and calls can cross between
 // injected code, library code, and native "C library" functions.
 //
-// Execution has two engines. The interpret loop below (CallInterp) is the
-// reference implementation — the oracle. The template JIT in jit.go
-// compiles each mapped region once, at bind time, into native Go step
-// closures and dispatches them on the steady-state Call path. The
-// contract is bit-exact equivalence: for every program and machine state
-// the compiled path must produce the same results, register file, memory
-// effects, Fault values, instruction counts, and simulated costs as the
-// interpreter, which stays authoritative for any behaviour question.
-// Edge cases the compiler does not model (misaligned dynamic jump
-// targets) deopt mid-call into the interpreter rather than approximate.
+// Execution has two engines, used as two tiers. The interpret loop below
+// (CallInterp) is the reference implementation — the oracle — and tier 0:
+// an injected jam runs through it until its mailbox slot proves hot. The
+// template JIT in jit.go compiles library text when it is mapped and a
+// jam slot's region once the same bytes have hit that slot jamHotHits
+// times, into native Go step closures. The contract is bit-exact
+// equivalence: for every program and machine state the compiled path must
+// produce the same results, register file, memory effects, Fault values,
+// instruction counts, and simulated costs as the interpreter, which stays
+// authoritative for any behaviour question — so which tier ran a call is
+// invisible to the simulation. Edge cases the compiler does not model
+// (misaligned dynamic jump targets) deopt mid-call into the interpreter
+// rather than approximate.
 package vm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
-	"sort"
 
 	"twochains/internal/isa"
 	"twochains/internal/mem"
@@ -51,12 +55,10 @@ type Region struct {
 	// by convention Start-8, "just before the code" (paper Fig. 2).
 	GpSlotVA uint64
 	instrs   []isa.Instr
-	// prog is the compiled translation (see jit.go). It lives and dies
-	// with the region, so EnsureJam's byte-compare eviction invalidates
-	// it exactly like the decode cache.
+	// prog is the compiled translation (see jit.go); nil while the region
+	// is in tier 0. It lives and dies with the region, so EnsureJam's
+	// byte-compare eviction discards it with the slot's mapping.
 	prog *program
-	// jam marks regions that arrived through EnsureJam.
-	jam bool
 }
 
 // NativeFunc is a host-implemented library function ("existing C library"
@@ -101,17 +103,23 @@ type VM struct {
 	// equivalence sweep and tc.WithInterpreter() flip.
 	UseInterpreter bool
 
+	// regions holds the AddRegion mappings — library text, a handful per
+	// node — in mapping order; injected code lives in jams.
 	regions    []*Region
 	natives    []NativeFunc
 	nativeName []string
 	nativeBase uint64
 	nativeEnd  uint64
 
-	// jams caches decoded injected-code regions by body VA: a mailbox
-	// slot that keeps receiving the same element (the steady state of
-	// every injection stream) decodes its body once and re-executes the
+	// jams holds the mapped injected-code regions, sorted by Start and
+	// pairwise disjoint: a mailbox slot that keeps receiving the same
+	// element (the steady state of every injection stream) re-executes its
 	// cached region, verified by a byte compare against the live frame.
-	jams map[uint64]*jamEntry
+	jams []*jamSlot
+	// bodies is the bounded content-keyed table of decoded jam bodies,
+	// oldest replaced first: slots holding the same text share one decode.
+	bodies   []*jamBody
+	bodyNext int
 
 	regs      [16]uint64
 	stackVA   uint64
@@ -135,12 +143,68 @@ type VM struct {
 	// mid-call handoffs to the interpreter.
 	JITCompiles uint64
 	JITDeopts   uint64
+	// Tier counts the jam path's tier decisions.
+	Tier TierStats
 }
 
-// jamEntry pairs a cached decode with the exact bytes it was made from.
-type jamEntry struct {
+// TierStats counts what the two-tier jam path did. Every field is a
+// function of the delivered frames alone, so a fixed scenario reproduces
+// them exactly whatever the engine's worker count.
+type TierStats struct {
+	Hits       uint64 // EnsureJam: same bytes at the same VA
+	Misses     uint64 // EnsureJam: a region was (re)mapped
+	Decodes    uint64 // misses whose body was not in the body table
+	Promotions uint64 // jam regions compiled after jamHotHits hits
+	// InterpCalls and CompiledCalls split the jam calls (CallRegion) by
+	// the tier that ran them.
+	InterpCalls   uint64
+	CompiledCalls uint64
+}
+
+// Add accumulates o into t.
+func (t *TierStats) Add(o TierStats) {
+	t.Hits += o.Hits
+	t.Misses += o.Misses
+	t.Decodes += o.Decodes
+	t.Promotions += o.Promotions
+	t.InterpCalls += o.InterpCalls
+	t.CompiledCalls += o.CompiledCalls
+}
+
+const (
+	// jamHotHits is the number of same-bytes hits at one slot VA after
+	// which that slot's region is compiled; until then its calls run
+	// through the interpreter.
+	jamHotHits = 4
+	// jamBodyCap bounds the body table. A node sees one body per element
+	// it is sent, so real traffic stays far below it; the bound is for
+	// hostile or generated streams of distinct bodies.
+	jamBodyCap = 64
+)
+
+// ErrBadCode is wrapped by every AddRegion/EnsureJam rejection of the
+// code bytes or their VA range.
+var ErrBadCode = errors.New("invalid code")
+
+// bodySeed keys the body table's hash. It differs from process to
+// process, which no result can see: the hash only narrows the search and
+// bytes.Equal decides, so any seed finds exactly the same bodies.
+var bodySeed = maphash.MakeSeed()
+
+// jamBody is one distinct jam text and its decode. Both slices are
+// immutable once built: every slot mapping the same bytes shares them.
+type jamBody struct {
+	hash   uint64
 	code   []byte
-	region *Region
+	instrs []isa.Instr
+}
+
+// jamSlot is one mapped injected-code region: the body it was made from
+// and how often the same bytes have been delivered to it since.
+type jamSlot struct {
+	region Region
+	body   *jamBody
+	hits   int
 }
 
 // New creates a VM bound to an address space. hier may be nil to disable
@@ -151,7 +215,6 @@ func New(as *mem.AddressSpace, hier *memsim.Hierarchy, stdout io.Writer) (*VM, e
 		Hier:        hier,
 		Stdout:      stdout,
 		InstrBudget: DefaultInstrBudget,
-		jams:        map[uint64]*jamEntry{},
 	}
 	vm.env = Env{VM: vm, AS: as, Hier: hier, Stdout: stdout, cost: &vm.callCost}
 	base, err := as.AllocPages("vm:natives", mem.PageSize, mem.PermR)
@@ -180,17 +243,34 @@ func (vm *VM) BindNative(name string, fn NativeFunc) (uint64, error) {
 	return va, nil
 }
 
-// AddRegion maps code at [start, start+len(code)) for execution. gotVA is
-// the module GOT (zero for jams). The code is validated and pre-decoded.
-func (vm *VM) AddRegion(start uint64, code []byte, gotVA uint64) (*Region, error) {
+// decodeText validates and decodes code bound for [start, start+len(code)).
+func decodeText(start uint64, code []byte) ([]isa.Instr, error) {
+	if start+uint64(len(code)) < start {
+		return nil, fmt.Errorf("vm: code at 0x%x: %w: %d bytes wrap the address space", start, ErrBadCode, len(code))
+	}
 	instrs, err := isa.DecodeAll(code)
 	if err != nil {
-		return nil, fmt.Errorf("vm: AddRegion at 0x%x: %w", start, err)
+		return nil, fmt.Errorf("vm: code at 0x%x: %w: %v", start, ErrBadCode, err)
 	}
 	for i, in := range instrs {
 		if err := in.Validate(); err != nil {
-			return nil, fmt.Errorf("vm: AddRegion at 0x%x: instr %d: %w", start, i, err)
+			return nil, fmt.Errorf("vm: code at 0x%x: %w: instr %d: %v", start, ErrBadCode, i, err)
 		}
+	}
+	return instrs, nil
+}
+
+// AddRegion maps library text at [start, start+len(code)) for execution.
+// gotVA is the module GOT. The code is validated, pre-decoded and — this
+// being install-time work, once per node — compiled eagerly, so calls into
+// a library never wait for a translation. With UseInterpreter set nothing
+// would run the translation, so none is built; the dispatcher compiles on
+// demand should the flag be cleared later. Injected code arrives through
+// EnsureJam instead.
+func (vm *VM) AddRegion(start uint64, code []byte, gotVA uint64) (*Region, error) {
+	instrs, err := decodeText(start, code)
+	if err != nil {
+		return nil, err
 	}
 	r := &Region{
 		Start:    start,
@@ -199,70 +279,131 @@ func (vm *VM) AddRegion(start uint64, code []byte, gotVA uint64) (*Region, error
 		GpSlotVA: start - 8,
 		instrs:   instrs,
 	}
-	// Bind-time compilation: every mapped region gets its translation
-	// here, so the steady-state dispatch never compiles. The dispatcher
-	// recompiles only if the VM's timing/exec flags change afterwards.
-	r.prog = vm.compileRegion(r)
+	if !vm.UseInterpreter {
+		r.prog = vm.compileRegion(r)
+	}
 	vm.regions = append(vm.regions, r)
 	return r, nil
 }
 
-// EnsureJam returns a mapped, decoded region for injected code at
-// [start, start+len(code)), reusing the cached decode when the bytes are
-// unchanged since the last delivery into this VA — the steady state of a
-// mailbox slot receiving the same element. A slot whose content changed
-// (different element, RIED hot-swap rebinding, truncation) fails the
-// compare and is re-validated and re-decoded exactly like a fresh
-// AddRegion. Cached regions stay mapped between calls; they are replaced,
-// never leaked, because the cache is keyed by VA and a mailbox region has
-// finitely many slots.
+// EnsureJam returns the mapped region for injected code at
+// [start, start+len(code)). It never compiles.
+//
+// Hit: the bytes are unchanged since the last delivery into this VA — the
+// steady state of a mailbox slot receiving the same element — and the
+// cached region is returned. Its calls run through the interpreter
+// (tier 0) until the jamHotHits-th hit, which compiles the region; a slot
+// that keeps changing hands never pays for a translation.
+//
+// Miss: the slot's content changed (different element, RIED hot-swap
+// rebinding, truncation). Every cached region overlapping the new range
+// is unmapped, stale translations with it, and a fresh tier-0 region is
+// mapped over the body's decode, taken from the content-keyed body table
+// when this VM has seen the same text before, at any VA, and validated
+// and decoded otherwise. The byte compare, not the hash, decides both.
+//
+// Mappings are replaced, never leaked: jams are keyed by VA, disjoint,
+// and a mailbox region has finitely many slots; the body table is bounded
+// by jamBodyCap.
 func (vm *VM) EnsureJam(start uint64, code []byte) (*Region, error) {
-	e := vm.jams[start]
-	if e != nil && bytes.Equal(e.code, code) {
-		return e.region, nil
-	}
-	// The slot's content changed. A different element has a different GOT
-	// table length, so its body lands at a shifted VA within the same
-	// frame slot: evict every cached jam overlapping the new range, or a
-	// stale overlapping decode could shadow this one in findRegion.
-	// Collect the overlapping slots first, then evict in ascending VA
-	// order: eviction mutates the region list, and its order must not
-	// ride Go's randomized map iteration (tclint detsource).
-	end := start + uint64(len(code))
-	var evict []uint64
-	for va, old := range vm.jams {
-		if va != start && old.region.Start < end && old.region.End > start {
-			evict = append(evict, va)
+	i := vm.jamAfter(start)
+	if i > 0 {
+		s := vm.jams[i-1]
+		if s.region.Start == start && bytes.Equal(s.body.code, code) {
+			vm.Tier.Hits++
+			if s.region.prog == nil && !vm.UseInterpreter {
+				s.hits++
+				if s.hits == jamHotHits {
+					s.region.prog = vm.compileRegion(&s.region)
+					vm.Tier.Promotions++
+				}
+			}
+			return &s.region, nil
 		}
 	}
-	sort.Slice(evict, func(i, j int) bool { return evict[i] < evict[j] })
-	for _, va := range evict {
-		vm.RemoveRegion(vm.jams[va].region)
-		delete(vm.jams, va)
-	}
-	r, err := vm.AddRegion(start, code, 0)
+	body, err := vm.bodyFor(start, code)
 	if err != nil {
 		return nil, err
 	}
-	r.jam = true
-	if e == nil {
-		e = &jamEntry{}
-		vm.jams[start] = e
-	} else {
-		vm.RemoveRegion(e.region)
+	vm.Tier.Misses++
+	// A different element has a different GOT table length, so its body
+	// lands at a shifted VA within the same frame slot: the new region
+	// replaces every cached one it overlaps (or shares a start with — an
+	// empty body overlaps nothing), or a stale decode could shadow it in
+	// findRegion. jams is sorted and disjoint, so those are the run
+	// jams[lo:hi] around the insertion point.
+	end := start + uint64(len(code))
+	lo := i
+	if i > 0 && (vm.jams[i-1].region.End > start || vm.jams[i-1].region.Start == start) {
+		lo = i - 1
 	}
-	e.code = append(e.code[:0], code...)
-	e.region = r
-	return r, nil
+	hi := i
+	for hi < len(vm.jams) && vm.jams[hi].region.Start < end {
+		hi++
+	}
+	s := &jamSlot{
+		region: Region{Start: start, End: end, GpSlotVA: start - 8, instrs: body.instrs},
+		body:   body,
+	}
+	if lo == hi {
+		vm.jams = append(vm.jams, nil)
+		copy(vm.jams[lo+1:], vm.jams[lo:])
+	} else {
+		vm.jams = append(vm.jams[:lo+1], vm.jams[hi:]...)
+	}
+	vm.jams[lo] = s
+	return &s.region, nil
 }
 
-// RemoveRegion unmaps a previously added region (e.g. a consumed jam).
+// jamAfter returns the index of the first jam slot that starts above va;
+// the slot before it is the only one that can contain va.
+func (vm *VM) jamAfter(va uint64) int {
+	lo, hi := 0, len(vm.jams)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if vm.jams[mid].region.Start <= va {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// bodyFor returns the decoded body for code, from the body table when
+// this VM has decoded the same bytes before.
+func (vm *VM) bodyFor(start uint64, code []byte) (*jamBody, error) {
+	h := maphash.Bytes(bodySeed, code)
+	for _, b := range vm.bodies {
+		if b.hash == h && bytes.Equal(b.code, code) {
+			return b, nil
+		}
+	}
+	instrs, err := decodeText(start, code)
+	if err != nil {
+		return nil, err
+	}
+	vm.Tier.Decodes++
+	b := &jamBody{hash: h, code: append([]byte(nil), code...), instrs: instrs}
+	if len(vm.bodies) < jamBodyCap {
+		vm.bodies = append(vm.bodies, b)
+	} else {
+		vm.bodies[vm.bodyNext] = b
+		vm.bodyNext = (vm.bodyNext + 1) % jamBodyCap
+	}
+	return b, nil
+}
+
+// RemoveRegion unmaps a region AddRegion or EnsureJam returned.
 func (vm *VM) RemoveRegion(r *Region) {
 	for i, x := range vm.regions {
 		if x == r {
 			vm.regions = append(vm.regions[:i], vm.regions[i+1:]...)
 			return
 		}
+	}
+	if i := vm.jamAfter(r.Start); i > 0 && &vm.jams[i-1].region == r {
+		vm.jams = append(vm.jams[:i-1], vm.jams[i:]...)
 	}
 }
 
@@ -271,6 +412,9 @@ func (vm *VM) findRegion(pc uint64) *Region {
 		if pc >= r.Start && pc < r.End {
 			return r
 		}
+	}
+	if i := vm.jamAfter(pc); i > 0 && pc < vm.jams[i-1].region.End {
+		return &vm.jams[i-1].region
 	}
 	return nil
 }
@@ -295,24 +439,38 @@ func (f *Fault) Unwrap() error { return f.Err }
 // r0 and the simulated cost of the invocation. It dispatches the compiled
 // fast path unless UseInterpreter pins the reference interpreter.
 func (vm *VM) Call(entry uint64, args ...uint64) (uint64, sim.Duration, error) {
-	if err := vm.setupCall(args); err != nil {
-		return 0, 0, err
+	return vm.call(nil, entry, vm.UseInterpreter, args)
+}
+
+// CallRegion is Call for an entry point inside r, the region EnsureJam
+// just returned: the dispatcher starts in r without looking the entry up,
+// and r's tier picks the engine — the interpreter while r has no
+// translation.
+func (vm *VM) CallRegion(r *Region, entry uint64, args ...uint64) (uint64, sim.Duration, error) {
+	interp := vm.UseInterpreter || r.prog == nil
+	if interp {
+		vm.Tier.InterpCalls++
+	} else {
+		vm.Tier.CompiledCalls++
 	}
-	if vm.UseInterpreter {
-		st := intState{pc: entry, lastFetchLine: 1}
-		return vm.interpret(&st)
-	}
-	return vm.callCompiled(entry, args)
+	return vm.call(r, entry, interp, args)
 }
 
 // CallInterp executes through the reference interpreter regardless of
 // the VM's dispatch setting — the oracle side of equivalence tests.
 func (vm *VM) CallInterp(entry uint64, args ...uint64) (uint64, sim.Duration, error) {
+	return vm.call(nil, entry, true, args)
+}
+
+func (vm *VM) call(r *Region, entry uint64, interp bool, args []uint64) (uint64, sim.Duration, error) {
 	if err := vm.setupCall(args); err != nil {
 		return 0, 0, err
 	}
-	st := intState{pc: entry, lastFetchLine: 1}
-	return vm.interpret(&st)
+	if interp {
+		st := intState{pc: entry, region: r, lastFetchLine: 1}
+		return vm.interpret(&st)
+	}
+	return vm.callCompiled(r, entry)
 }
 
 // setupCall resets the register file for a fresh invocation.

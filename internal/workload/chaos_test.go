@@ -60,6 +60,9 @@ func TestChaosDeterminismSweep(t *testing.T) {
 						seed, w, spec, res.Digest, int64(res.SimTime), res.Injections, res.Lost,
 						base.Digest, int64(base.SimTime), base.Injections, base.Lost)
 				}
+				if got, want := vmCounters(res), vmCounters(base); got != want {
+					t.Errorf("seed %#x workers %d spec %d: VM counters %+v, want %+v", seed, w, spec, got, want)
+				}
 			}
 		}
 	}

@@ -46,6 +46,11 @@ func runPair(t *testing.T, sc Scenario) *Result {
 	if !reflect.DeepEqual(jit.Tenants, ref.Tenants) {
 		t.Errorf("per-tenant results:\ncompiled    %+v\ninterpreter %+v", jit.Tenants, ref.Tenants)
 	}
+	// A pinned interpreter has no use for a translation: no node builds
+	// one, at install or on delivery.
+	if ref.Mesh.JITCompiles != 0 || ref.Mesh.Tier.Promotions != 0 || ref.Mesh.Tier.CompiledCalls != 0 {
+		t.Errorf("interpreter leg compiled: %d translations, %+v", ref.Mesh.JITCompiles, ref.Mesh.Tier)
+	}
 	return jit
 }
 
@@ -94,6 +99,14 @@ func jamMixFor(t *testing.T, app string) []ElementMix {
 // compiled-vs-interpreted across seeds, worker counts, and fabric
 // backends. Timing stays on so the comparison covers simulated costs,
 // not just return values.
+//
+// A jam runs interpreted until its mailbox slot has seen the same bytes
+// several times over, so a short mixed run would compare the interpreter
+// with itself. Each element therefore gets a run of its own, long enough
+// to take every slot of the default mailbox geometry through tier 0 and
+// into the compiled tier (192 deliveries per channel, six passes over the
+// 32 slots), and the run fails unless the tier counters show calls in
+// both.
 func TestJITEquivalenceSweep(t *testing.T) {
 	dims := []struct {
 		seed    uint64
@@ -113,16 +126,19 @@ func TestJITEquivalenceSweep(t *testing.T) {
 			name := fmt.Sprintf("%s/seed=%x/workers=%d/backend=%s",
 				app, d.seed, d.workers, orDefault(d.backend))
 			t.Run(name, func(t *testing.T) {
-				sc := DefaultScenario(AllToAll, 4)
-				sc.Burst = 3
-				sc.Rounds = 2
-				sc.Seed = d.seed
-				sc.Workers = d.workers
-				sc.Backend = d.backend
-				sc.Mix = mix
-				res := runPair(t, sc)
-				if res.Injections == 0 {
-					t.Fatal("sweep ran nothing")
+				for _, elem := range mix {
+					sc := DefaultScenario(Fanout, 4)
+					sc.Burst = 8
+					sc.Rounds = 24
+					sc.Seed = d.seed
+					sc.Workers = d.workers
+					sc.Backend = d.backend
+					sc.Mix = []ElementMix{elem}
+					res := runPair(t, sc)
+					if tier := res.Mesh.Tier; tier.InterpCalls == 0 || tier.CompiledCalls == 0 {
+						t.Errorf("%s: %d tier-0 calls, %d compiled calls; want both",
+							elem.Elem, tier.InterpCalls, tier.CompiledCalls)
+					}
 				}
 			})
 		}

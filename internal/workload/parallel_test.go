@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"twochains/internal/sim"
+	"twochains/internal/vm"
 )
 
 // specBudget is the speculation budget the speculative legs of the
@@ -22,6 +23,18 @@ func workerSweep() []int {
 		sweep = append(sweep, n)
 	}
 	return sweep
+}
+
+// vmCounts are the receive-side VM counts of a run. They count
+// simulated events (deliveries, slot hits, promotions), so they belong to
+// the determinism property like the digest does.
+type vmCounts struct {
+	compiles, deopts uint64
+	tier             vm.TierStats
+}
+
+func vmCounters(r *Result) vmCounts {
+	return vmCounts{r.Mesh.JITCompiles, r.Mesh.JITDeopts, r.Mesh.Tier}
 }
 
 // parallelScenario builds the scenario the sweep runs for an arbitrary
@@ -42,7 +55,8 @@ func parallelScenario(traffic string, seed uint64, workers int) Scenario {
 // property: for every registered traffic shape (third-party ones
 // included — registering is opting in) and two seeds, every worker count
 // — with and without speculative windows — produces the bit-identical
-// digest, simulated time, and injection count of the sequential engine.
+// digest, simulated time, injection count, and receive-side VM counters
+// (translations built, tier decisions) of the sequential engine.
 // GOMAXPROCS is swept alongside so the windowed regime actually runs
 // preemptively scheduled where the host allows it.
 func TestWorkersSweepDeterminism(t *testing.T) {
@@ -83,6 +97,10 @@ func TestWorkersSweepDeterminism(t *testing.T) {
 						if res.Injections != base.Injections {
 							t.Errorf("seed %#x workers %d spec %d: injections %d, want %d",
 								seed, w, spec, res.Injections, base.Injections)
+						}
+						if got, want := vmCounters(res), vmCounters(base); got != want {
+							t.Errorf("seed %#x workers %d spec %d: VM counters %+v, want %+v",
+								seed, w, spec, got, want)
 						}
 					}
 				}

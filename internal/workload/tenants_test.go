@@ -263,6 +263,9 @@ func sweepTenantWorkers(t *testing.T, sc Scenario) {
 				t.Errorf("seed %#x workers %d spec %d: per-tenant results diverged:\n%+v\nwant\n%+v",
 					seed, w, spec, res.Tenants, base.Tenants)
 			}
+			if got, want := vmCounters(res), vmCounters(base); got != want {
+				t.Errorf("seed %#x workers %d spec %d: VM counters %+v, want %+v", seed, w, spec, got, want)
+			}
 		}
 	}
 }
