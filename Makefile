@@ -34,22 +34,22 @@
 # vs the recorded pre-PR-3 baseline in bench/BASELINE_PR3.json), now
 # including the 64/128-node parallel-engine mesh pairs (workers=NumCPU
 # vs workers=1 twins of the same bit-identical simulation), the
-# speculative-window variant, the multi-tenant overload benchmark with
-# its per-tenant goodput metrics, and the chaos-perturbed fail/rejoin
-# mesh with its loss ledger. bench-smoke compares sim_inj_per_sec
+# multi-tenant overload benchmark with its per-tenant goodput metrics,
+# and the chaos-perturbed fail/rejoin mesh with its loss ledger. bench-smoke compares sim_inj_per_sec
 # against the newest recorded trajectory file ($(SMOKE_BASELINE)): that
 # metric is simulated injections per simulated second, a pure function
 # of the scenario, so the comparison is a determinism check (did the
 # model's arithmetic move?), not a performance gate. It also checks
 # BenchmarkFuncCall/BenchmarkStringInject ns/op against the JIT
-# recording ($(FUNC_BASELINE), lower is better), and allocs/op of
+# recording ($(FUNC_BASELINE), lower is better; benchjson refuses a
+# recording from another GOMAXPROCS/NumCPU shape), and allocs/op of
 # BenchmarkMeshAllToAll, BenchmarkKVStoreOpenLoop and
 # BenchmarkMultiTenantOverload against $(SMOKE_BASELINE) (lower is
 # better; allocations per run are a property of the code path, not of the
 # host, so a compile or decode creeping back onto the delivery path —
 # PR 10 took the mesh from 7,550 to 299,184 — fails here); chaos-smoke
-# race-runs
-# the fail/rejoin drain and the lookahead-fuzz violation diagnostic.
+# race-runs the fail/rejoin drain and the lookahead-fuzz violation
+# diagnostic of the conservative-window barrier merge.
 # `make profile` captures CPU+heap profiles of BenchmarkMeshAllToAll for
 # diagnosing regressions (mesh_cpu.prof / mesh_mem.prof, inspect with
 # `go tool pprof`).

@@ -244,20 +244,12 @@ func BenchmarkMeshHotspot(b *testing.B) { runMesh(b, workload.Hotspot, 8) }
 // it), so the sim_* metrics are comparable across the W1/WN pairs and
 // the wall-clock ns/op difference is the engine speedup.
 func runMeshScale(b *testing.B, p workload.Pattern, nodes, rounds, shards, workers int) {
-	runMeshScaleSpec(b, p, nodes, rounds, shards, workers, 0)
-}
-
-// runMeshScaleSpec is runMeshScale with a speculative-window budget; the
-// sim_* metrics stay bit-identical to the conservative (and sequential)
-// twins — speculation only changes wall-clock.
-func runMeshScaleSpec(b *testing.B, p workload.Pattern, nodes, rounds, shards, workers int, spec sim.Duration) {
 	b.Helper()
 	b.ReportAllocs()
 	sc := workload.DefaultScenario(p, nodes)
 	sc.Rounds = rounds
 	sc.Shards = shards
 	sc.Workers = workers
-	sc.Speculation = spec
 	var res *workload.Result
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -284,24 +276,10 @@ func BenchmarkMeshAllToAll64W1(b *testing.B) {
 	runMeshScale(b, workload.AllToAll, 64, 2, 8, 1)
 }
 
-// BenchmarkMeshAllToAll64Spec: MeshAllToAll64 with speculative windows
-// (a two-lookahead budget); the sim_* metrics must match the
-// conservative twin exactly.
-func BenchmarkMeshAllToAll64Spec(b *testing.B) {
-	runMeshScaleSpec(b, workload.AllToAll, 64, 2, 8, runtime.NumCPU(), 2*sim.Microsecond)
-}
-
 // BenchmarkMeshFanout64: 64-node broadcast (single sender; receiver-side
 // parallelism only).
 func BenchmarkMeshFanout64(b *testing.B) {
 	runMeshScale(b, workload.Fanout, 64, 2, 8, runtime.NumCPU())
-}
-
-// BenchmarkMeshFanout64Spec: the speculative twin of MeshFanout64 — the
-// asymmetric (lookahead-poor) shape where the reachability bound lets
-// the leading shard run past the horizon.
-func BenchmarkMeshFanout64Spec(b *testing.B) {
-	runMeshScaleSpec(b, workload.Fanout, 64, 2, 8, runtime.NumCPU(), 2*sim.Microsecond)
 }
 
 // BenchmarkMeshHotspot64: 64-node skewed traffic with the mid-run RIED

@@ -21,7 +21,11 @@
 //	    go run ./cmd/benchjson -smoke -baseline BENCH_PR5.json -tol 0.25
 //
 // The built-in ns/op and allocs/op metrics are lower-is-better there: they
-// must not rise above the recorded value by more than the band.
+// must not rise above the recorded value by more than the band. ns/op is
+// a host-clock number, so a baseline recorded on another host shape
+// (GOMAXPROCS/NumCPU, stamped into every recording) is refused outright
+// rather than compared; allocs/op and the simulated metrics do not depend
+// on the host and compare against any recording.
 //
 // Smoke mode prints the baseline file it compared against, and a missing
 // baseline file fails with instructions instead of a raw read error.
@@ -121,26 +125,39 @@ func parse(r *bufio.Scanner) (map[string]*Entry, error) {
 }
 
 // loadBaseline reads a baseline file, accepting either a full File
-// (using its Current section) or a bare name->Entry map.
-func loadBaseline(path string) (map[string]*Entry, error) {
+// (using its Current section, and returning the host shape it was
+// recorded on when it carries one) or a bare name->Entry map.
+func loadBaseline(path string) (map[string]*Entry, *Host, error) {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, fmt.Errorf(
+		return nil, nil, fmt.Errorf(
 			"benchjson: baseline file %s does not exist — record it first (`make bench-json BENCH_OUT=%s`) or point -baseline at the newest recorded trajectory file",
 			path, path)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("benchjson: baseline %s: %v", path, err)
+		return nil, nil, fmt.Errorf("benchjson: baseline %s: %v", path, err)
 	}
 	var asFile File
 	if err := json.Unmarshal(raw, &asFile); err == nil && len(asFile.Current) > 0 {
-		return asFile.Current, nil
+		return asFile.Current, asFile.Host, nil
 	}
 	var m map[string]*Entry
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("benchjson: baseline %s: %v", path, err)
+		return nil, nil, fmt.Errorf("benchjson: baseline %s: %v", path, err)
 	}
-	return m, nil
+	return m, nil, nil
+}
+
+// hostShapeErr refuses a host-clock comparison (ns/op) against a baseline
+// recorded on another host shape; every other metric is host-independent,
+// and a baseline without a host stamp cannot be checked.
+func hostShapeErr(metric string, base *Host, cur Host, basePath string) error {
+	if metric != "ns/op" || base == nil || *base == cur {
+		return nil
+	}
+	return fmt.Errorf(
+		"benchjson smoke: %s was recorded with GOMAXPROCS=%d NumCPU=%d, this process runs with GOMAXPROCS=%d NumCPU=%d — ns/op does not compare across host shapes; re-record with `make bench-json`",
+		basePath, base.GoMaxProcs, base.NumCPU, cur.GoMaxProcs, cur.NumCPU)
 }
 
 // smokeCheck compares one metric of every benchmark present in both
@@ -217,12 +234,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
+	host := Host{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
 	if *smoke {
 		if *baselinePath == "" {
 			fmt.Fprintln(os.Stderr, "benchjson: -smoke needs -baseline")
 			os.Exit(2)
 		}
-		base, err := loadBaseline(*baselinePath)
+		base, baseHost, err := loadBaseline(*baselinePath)
+		if err == nil {
+			err = hostShapeErr(*metric, baseHost, host, *baselinePath)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -234,11 +255,11 @@ func main() {
 	}
 	f := &File{
 		Note:    *note,
-		Host:    &Host{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()},
+		Host:    &host,
 		Current: cur,
 	}
 	if *baselinePath != "" {
-		base, err := loadBaseline(*baselinePath)
+		base, _, err := loadBaseline(*baselinePath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -31,3 +31,31 @@ func TestSmokeAllocsGate(t *testing.T) {
 		t.Error("an allocs/op drop failed the gate")
 	}
 }
+
+// TestSmokeHostShapeGate pins that only the host-clock metric refuses a
+// baseline from another host shape (BENCH_PR10.json, recorded
+// single-core, gated ns/op on a 2-core host and failed at every commit).
+func TestSmokeHostShapeGate(t *testing.T) {
+	twoCore := Host{GoMaxProcs: 2, NumCPU: 2}
+	for _, tc := range []struct {
+		name   string
+		metric string
+		base   *Host
+		refuse bool
+	}{
+		{"ns/op same shape", "ns/op", &Host{GoMaxProcs: 2, NumCPU: 2}, false},
+		{"ns/op other NumCPU", "ns/op", &Host{GoMaxProcs: 1, NumCPU: 1}, true},
+		{"ns/op other GOMAXPROCS", "ns/op", &Host{GoMaxProcs: 1, NumCPU: 2}, true},
+		{"ns/op unstamped baseline", "ns/op", nil, false},
+		{"allocs/op other shape", "allocs/op", &Host{GoMaxProcs: 1, NumCPU: 1}, false},
+		{"sim_inj_per_sec other shape", "sim_inj_per_sec", &Host{GoMaxProcs: 1, NumCPU: 1}, false},
+	} {
+		err := hostShapeErr(tc.metric, tc.base, twoCore, "BENCH_X.json")
+		if (err != nil) != tc.refuse {
+			t.Errorf("%s: err = %v, want refusal %v", tc.name, err, tc.refuse)
+		}
+		if err != nil && !strings.Contains(err.Error(), "re-record with `make bench-json`") {
+			t.Errorf("%s: %v does not say how to re-record", tc.name, err)
+		}
+	}
+}

@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"twochains/internal/core"
 	"twochains/internal/mailbox"
@@ -49,8 +48,8 @@ func main() {
 		injected = flag.Bool("injected", true, "use Injected Function (false: Local Function)")
 		backend  = flag.String("backend", "", "fabric backend (default simnet)")
 		tenName  = flag.String("tenant", "", "install and call through this tenant's package namespace")
-		workers  = flag.Int("workers", runtime.NumCPU(),
-			"engine workers; > 1 places the two nodes in separate fabric shards (spine-linked topology) on the multi-core conservative engine")
+		workers  = flag.Int("workers", 1,
+			"engine workers; 1 (the default) is the sequential engine on one leaf switch; > 1 places the two nodes in separate fabric shards (spine-linked topology, so latencies change) on the multi-core conservative engine")
 	)
 	flag.Parse()
 	if (*pkgFile == "") == (*appName == "") || *jam == "" {

@@ -39,12 +39,6 @@ type ClusterConfig struct {
 	// partitions by. Node placement stays the caller's job (AddNodeShard /
 	// Fabric.AssignDomain must agree with it).
 	Shards int
-	// Speculation is the parallel engine's speculative-window budget: how
-	// far past the conservative horizon a shard may run when the
-	// reachability bound allows it (sim.Group.SetSpeculation). Zero — the
-	// default — keeps windows strictly conservative; results are
-	// bit-identical either way.
-	Speculation sim.Duration
 	// Chaos configures the "chaos" failure-injection backend (and is
 	// ignored by every other backend); see fabric.ChaosConfig.
 	Chaos *fabric.ChaosConfig
@@ -85,16 +79,13 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Workers > cfg.Shards {
 		// More workers than shards is pure waste: a worker can only ever
 		// own whole shards, so the excess goroutines would idle at every
-		// barrier. tcperf/tcrun default Workers to NumCPU regardless of
-		// the shard count, so clamp here rather than in every driver.
+		// barrier. Drivers pass -workers through regardless of the shard
+		// count, so clamp here rather than in every one of them.
 		cfg.Workers = cfg.Shards
 	}
 	if cfg.Workers > 1 && cfg.Shards > 1 {
 		if st, ok := fab.(fabric.ShardedTransport); ok {
 			g := sim.NewGroup(cfg.Shards, cfg.Workers, st.Lookahead())
-			if cfg.Speculation > 0 {
-				g.SetSpeculation(cfg.Speculation)
-			}
 			st.BindGroup(g)
 			c.Group = g
 			c.Eng = g.Engine(0)

@@ -27,9 +27,6 @@ type MeshConfig struct {
 	// (the default "simnet" does); others fall back to one engine.
 	// Clamped to the (resolved) shard count — a worker owns whole shards.
 	Workers int
-	// Speculation is the parallel engine's speculative-window budget
-	// (see ClusterConfig.Speculation). Ignored unless Workers > 1.
-	Speculation sim.Duration
 
 	Cluster ClusterConfig
 	Node    NodeConfig
@@ -169,7 +166,6 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	if cfg.Workers > 1 {
 		cfg.Cluster.Workers = cfg.Workers
 		cfg.Cluster.Shards = cfg.Shards
-		cfg.Cluster.Speculation = cfg.Speculation
 	}
 	cl := NewCluster(cfg.Cluster)
 	m := &Mesh{

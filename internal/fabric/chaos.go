@@ -27,7 +27,7 @@ var MaxChaosDelay = model.PutBaseLat
 // RNG (equal seeds draw equal perturbations, so chaos runs replay
 // bit-identically), and can misadvertise the wrapped backend's
 // lookahead to adversarially exercise the parallel engine's
-// conservative windows and its speculation-rollback diagnostic.
+// conservative windows and its lookahead-contract diagnostic.
 type ChaosConfig struct {
 	// Inner names the wrapped backend ("" selects the default). Wrapping
 	// "chaos" in itself is rejected.
@@ -45,9 +45,9 @@ type ChaosConfig struct {
 	LookaheadScale float64
 	// LookaheadBoost, when positive, inflates the advertised lookahead
 	// beyond what the inner backend guarantees. This is a deliberate
-	// contract violation: under speculation the engine group must detect
-	// the too-early cross-shard arrival and fail loudly with its
-	// rollback diagnostic rather than corrupt state. Test-only.
+	// contract violation: the engine group must detect the too-early
+	// cross-shard arrival at the window barrier and fail loudly with its
+	// diagnostic rather than corrupt state. Test-only.
 	LookaheadBoost sim.Duration
 }
 

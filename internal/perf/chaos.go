@@ -31,9 +31,6 @@ func chaosExp(o Options) (*Table, error) {
 		sc.Rounds = rounds
 		sc.Shards = 4
 		sc.Workers = workers
-		if o.SpecUS > 0 {
-			sc.Speculation = sim.Duration(o.SpecUS * float64(sim.Microsecond))
-		}
 		return sc
 	}
 	chaos := &workload.ChaosSpec{MinDelay: 20 * sim.Nanosecond, MaxDelay: 120 * sim.Nanosecond}

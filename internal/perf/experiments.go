@@ -15,10 +15,6 @@ type Options struct {
 	// the multi-core conservative engine (the mesh experiment's speedup
 	// line); <= 1 keeps everything sequential.
 	Workers int
-	// SpecUS is the speculative-window budget in microseconds of
-	// simulated time for parallel experiments (0 keeps windows strictly
-	// conservative); results are bit-identical either way.
-	SpecUS float64
 }
 
 func (o Options) iters(base int) int {

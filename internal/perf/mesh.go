@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"twochains/internal/sim"
 	"twochains/internal/workload"
 )
 
@@ -91,7 +90,6 @@ func meshSpeedupNote(o Options, rounds int) (string, error) {
 	}
 	seqWall := time.Since(start)
 	sc.Workers = o.Workers
-	sc.Speculation = sim.FromMicros(o.SpecUS)
 	start = time.Now()
 	par, err := workload.Run(sc)
 	if err != nil {
@@ -102,12 +100,8 @@ func meshSpeedupNote(o Options, rounds int) (string, error) {
 		return "", fmt.Errorf("mesh speedup: workers=%d diverged from workers=1 (digest %#x vs %#x)",
 			o.Workers, par.Digest, seq.Digest)
 	}
-	mode := "conservative windows"
-	if sc.Speculation > 0 {
-		mode = fmt.Sprintf("speculative windows, budget %v", sc.Speculation)
-	}
 	return fmt.Sprintf(
-		"parallel engine, 64-node alltoall: workers=1 %.2fs vs workers=%d %.2fs (%.2fx wall-clock, %d windows, %s, digests bit-identical)",
+		"parallel engine, 64-node alltoall: workers=1 %.2fs vs workers=%d %.2fs (%.2fx wall-clock, %d windows, digests bit-identical)",
 		seqWall.Seconds(), par.Workers, parWall.Seconds(), seqWall.Seconds()/parWall.Seconds(),
-		par.Windows, mode), nil
+		par.Windows), nil
 }

@@ -102,18 +102,6 @@ type Engine struct {
 	// the private counter from the shared one, so per-shard sequence
 	// numbers stay monotone across the transition.
 	seqShared *uint64
-
-	// Speculation snapshot (BeginSpeculation). While specActive, every
-	// popped event is appended to specLog so RollbackSpeculation can
-	// restore the schedule: the queue is purged of events scheduled after
-	// the snapshot (seq > specSeq) and the logged pre-snapshot events are
-	// re-pushed with their original stamps.
-	specActive  bool
-	specNow     Time
-	specSchedAt Time
-	specSeq     uint64
-	specSteps   uint64
-	specLog     []event
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -238,9 +226,6 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	ev := e.pop()
-	if e.specActive {
-		e.specLog = append(e.specLog, ev)
-	}
 	e.now = ev.at
 	e.curSchedAt = ev.schedAt
 	e.nSteps++
@@ -331,121 +316,6 @@ func (e *Engine) detachSeq() {
 		e.seq = *e.seqShared
 		e.serialMax = e.seq
 		e.seqShared = nil
-	}
-}
-
-// BeginSpeculation snapshots the engine's schedule state (clock, lineage
-// stamp, counters) and starts logging popped events, so a speculative
-// stretch of execution past the conservative window horizon can be undone
-// by RollbackSpeculation. Only the engine's own state is covered: model
-// state mutated by speculated events is NOT snapshotted, so a rollback is
-// a diagnostic recovery (restore a coherent schedule, then report), not a
-// transparent one. Speculation requires a detached (private) sequence
-// counter and cannot nest.
-func (e *Engine) BeginSpeculation() {
-	if e.specActive {
-		panic("sim: BeginSpeculation: speculation already active")
-	}
-	if e.seqShared != nil {
-		panic("sim: BeginSpeculation: engine still on a shared sequence counter")
-	}
-	e.specActive = true
-	e.specNow = e.now
-	e.specSchedAt = e.curSchedAt
-	e.specSeq = e.seq
-	e.specSteps = e.nSteps
-	e.specLog = e.specLog[:0]
-}
-
-// Speculating reports whether a speculation snapshot is active.
-func (e *Engine) Speculating() bool { return e.specActive }
-
-// CommitSpeculation discards the snapshot, making the speculated events
-// permanent. The redo log is cleared (closures dropped) but keeps its
-// capacity for the next window.
-func (e *Engine) CommitSpeculation() {
-	if !e.specActive {
-		return
-	}
-	e.specActive = false
-	for i := range e.specLog {
-		e.specLog[i] = event{}
-	}
-	e.specLog = e.specLog[:0]
-}
-
-// RollbackSpeculation restores the schedule to the BeginSpeculation
-// snapshot: events scheduled during the speculated stretch (seq beyond
-// the snapshot) are purged from the queue, the logged pre-snapshot events
-// are re-pushed with their original stamps, and the clock and counters
-// rewind. Model side effects of the speculated events are not undone —
-// callers roll back to produce a coherent schedule for diagnostics before
-// failing, not to silently retry.
-func (e *Engine) RollbackSpeculation() {
-	if !e.specActive {
-		panic("sim: RollbackSpeculation without BeginSpeculation")
-	}
-	e.specActive = false
-	kept := e.queue[:0]
-	for i := range e.queue {
-		if e.queue[i].seq <= e.specSeq {
-			kept = append(kept, e.queue[i])
-		}
-	}
-	for i := len(kept); i < len(e.queue); i++ {
-		e.queue[i] = event{}
-	}
-	e.queue = kept
-	for i := range e.specLog {
-		// Events both scheduled and executed inside the speculated stretch
-		// vanish entirely on rollback.
-		if e.specLog[i].seq <= e.specSeq {
-			e.pushRaw(e.specLog[i])
-		}
-		e.specLog[i] = event{}
-	}
-	e.specLog = e.specLog[:0]
-	e.heapify()
-	e.now = e.specNow
-	e.curSchedAt = e.specSchedAt
-	e.seq = e.specSeq
-	e.nSteps = e.specSteps
-}
-
-// pushRaw appends a fully-stamped event (rollback re-insertion: seq and
-// lineage are preserved, not re-assigned). The heap property is restored
-// by the caller's heapify.
-func (e *Engine) pushRaw(ev event) { e.queue = append(e.queue, ev) }
-
-// heapify restores the 4-ary heap property over the whole queue.
-func (e *Engine) heapify() {
-	q := e.queue
-	n := len(q)
-	for i := (n - 2) >> 2; i >= 0; i-- {
-		v := q[i]
-		j := i
-		for {
-			c := j<<2 + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for k := c + 1; k < end; k++ {
-				if e.less(&q[k], &q[m]) {
-					m = k
-				}
-			}
-			if !e.less(&q[m], &v) {
-				break
-			}
-			q[j] = q[m]
-			j = m
-		}
-		q[j] = v
 	}
 }
 

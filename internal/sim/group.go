@@ -46,23 +46,10 @@ import (
 // spinning core per shard. Spawned workers lock their OS thread for the
 // duration of a run, pinning each shard block to one kernel thread.
 //
-// Speculative windows (SetSpeculation): each shard s may run past H up to
-// bound F_s = min(min_{i≠s} t_i + L, H + budget), where
-// t_i = min(next_i, min_{j≠i} next_j + L) lower-bounds shard i's earliest
-// future execution instant. Every execution on shard i happens at or
-// after t_i (local events are at or after next_i; any arrival into i was
-// issued by an execution elsewhere, which is at or after the global
-// minimum, and arrives a lookahead later — at or after t_i). Hence every
-// future arrival into s lands at or after min_{i≠s} t_i + L = F_s, and
-// executing s strictly before F_s is as safe as the conservative horizon:
-// under a correct backend nothing ever lands inside a speculated range.
-// F_s ≥ H always, and is strictly greater exactly for asymmetric
-// (lookahead-poor) schedules where one shard leads the pack — the leader
-// gets up to one extra lookahead of headroom per window. Each engine
-// snapshots its schedule before the speculative stretch; a merged arrival
-// landing inside it means the backend broke its Lookahead contract, and
-// the group rolls the schedule back for a coherent diagnostic before
-// failing loudly.
+// A backend that advertises more lookahead than it has is caught at the
+// barrier: a merged arrival earlier than its destination shard's clock
+// means the window already ran past it, and the group fails loudly with
+// the "lookahead contract violated" diagnostic instead of scheduling it.
 //
 // Holds only ever release (the sensitive prefix of a run is serial, the
 // steady state parallel); the serial->windowed transition detaches the
@@ -71,7 +58,6 @@ type Group struct {
 	engines   []*Engine
 	lookahead Duration
 	workers   int
-	spec      Duration // speculation budget past the horizon (0 = off)
 
 	seq      uint64 // shared scheduling counter while attached
 	attached bool
@@ -81,12 +67,9 @@ type Group struct {
 	// windowed is true only between a window wake and its barrier. It is
 	// written by the coordinator before the round release and read by
 	// workers after observing the round counter, so the atomics below
-	// order every access (as they do horizon and bounds).
+	// order every access (as they do horizon).
 	windowed bool
-	horizon  Time   // current window's conservative horizon H
-	bounds   []Time // per-shard window bound (== horizon unless speculating)
-	next     []Time // coordinator scratch: per-shard head times
-	tmin     []Time // coordinator scratch: per-shard earliest-execution bounds
+	horizon  Time // current window's conservative horizon H
 
 	// queues[src][dst] is the cross-shard hand-off lane: appended to only
 	// by src's executor during a window, drained only by the coordinator
@@ -148,9 +131,6 @@ func NewGroup(n, workers int, lookahead Duration) *Group {
 		workers:   workers,
 		attached:  true,
 		queues:    make([][][]handoff, n),
-		bounds:    make([]Time, n),
-		next:      make([]Time, n),
-		tmin:      make([]Time, n),
 	}
 	g.wakeCond = sync.NewCond(&g.pmu)
 	g.idleCond = sync.NewCond(&g.pmu)
@@ -177,23 +157,6 @@ func (g *Group) Workers() int { return g.workers }
 
 // Lookahead returns the conservative cross-shard window.
 func (g *Group) Lookahead() Duration { return g.lookahead }
-
-// SetSpeculation sets the speculation budget: how far past the
-// conservative horizon a shard may run when the reachability bound allows
-// it (see the type comment). Zero — the default — disables speculation;
-// the budget must be set before Run and must not be negative.
-func (g *Group) SetSpeculation(d Duration) {
-	if d < 0 {
-		panic("sim: negative speculation budget")
-	}
-	if g.running {
-		panic("sim: SetSpeculation while windows are running")
-	}
-	g.spec = d
-}
-
-// Speculation returns the speculation budget (0 when disabled).
-func (g *Group) Speculation() Duration { return g.spec }
 
 // Windows reports how many parallel windows have executed — the
 // engagement metric distinguishing the windowed regime from a run that
@@ -371,7 +334,7 @@ func (g *Group) run(deadline Time) {
 			// Cap at the deadline but keep RunUntil's inclusive bound.
 			h = deadline + 1
 		}
-		g.window(h, deadline)
+		g.window(h)
 	}
 }
 
@@ -397,99 +360,18 @@ func (g *Group) minNext() (Time, bool) {
 	return bAt, best
 }
 
-// addSat is saturating Time + Duration (d must be non-negative); shard
-// bound arithmetic treats maxTime as infinity.
-func addSat(t Time, d Duration) Time {
-	if t > maxTime-Time(d) {
-		return maxTime
-	}
-	return t + Time(d)
-}
-
-// twoMins returns the two smallest values of v and the index of the
-// first minimum. With fewer than two entries the missing slots read as
-// maxTime (infinity).
-func twoMins(v []Time) (m1, m2 Time, arg1 int) {
-	m1, m2, arg1 = maxTime, maxTime, -1
-	for i, t := range v {
-		if t < m1 {
-			m1, m2, arg1 = t, m1, i
-		} else if t < m2 {
-			m2 = t
-		}
-	}
-	return
-}
-
-// planBounds computes each shard's window bound. Without speculation
-// every bound is the conservative horizon h. With a budget, shard s may
-// run to F_s = min(min_{i≠s} t_i + L, h + budget) where
-// t_i = min(next_i, min_{j≠i} next_j + L) lower-bounds shard i's earliest
-// future execution instant (see the type comment for the argument); every
-// future arrival into s lands at or after F_s, so the extended window is
-// exactly as safe as the conservative one.
-func (g *Group) planBounds(h, deadline Time) {
-	n := len(g.engines)
-	if g.spec <= 0 || n == 1 {
-		for i := range g.bounds {
-			g.bounds[i] = h
-		}
-		return
-	}
-	for i, e := range g.engines {
-		if at, _, ok := e.Peek(); ok {
-			g.next[i] = at
-		} else {
-			g.next[i] = maxTime
-		}
-	}
-	L := g.lookahead
-	n1, n2, na := twoMins(g.next)
-	for i := 0; i < n; i++ {
-		other := n1
-		if i == na {
-			other = n2
-		}
-		t := addSat(other, L)
-		if g.next[i] < t {
-			t = g.next[i]
-		}
-		g.tmin[i] = t
-	}
-	budgetCap := addSat(h, g.spec)
-	t1, t2, ta := twoMins(g.tmin)
-	for s := 0; s < n; s++ {
-		other := t1
-		if s == ta {
-			other = t2
-		}
-		b := addSat(other, L)
-		if b > budgetCap {
-			b = budgetCap
-		}
-		if b < h {
-			b = h
-		}
-		if deadline != maxTime && b > deadline {
-			b = deadline + 1
-		}
-		g.bounds[s] = b
-	}
-}
-
-// window runs one parallel round to horizon h (shards with speculative
-// headroom run to their bound) and merges the hand-offs. The coordinator
-// executes its own shard block inline; spawned workers handle the rest.
-func (g *Group) window(h, deadline Time) {
+// window runs one parallel round to horizon h and merges the hand-offs.
+// The coordinator executes its own shard block inline; spawned workers
+// handle the rest.
+func (g *Group) window(h Time) {
 	g.windows++
-	g.planBounds(h, deadline)
 	g.horizon = h
 	g.windowed = true
 	spawned := g.workers - 1
 	if spawned > 0 {
 		g.startWorkers()
 		g.done.Store(0)
-		g.round.Add(1) // release: workers observe windowed, horizon, bounds
+		g.round.Add(1) // release: workers observe windowed, horizon
 		g.pmu.Lock()
 		g.wakeCond.Broadcast()
 		g.pmu.Unlock()
@@ -504,35 +386,19 @@ func (g *Group) window(h, deadline Time) {
 		panic(p.v)
 	}
 	g.mergeHandoffs()
-	g.commitSpeculation()
 }
 
-// runShards executes one executor's shard block for the current window:
-// the conservative stretch to the horizon, then — when the planned bound
-// exceeds it — a snapshotted speculative stretch to the bound. A model
-// panic is captured for the coordinator to rethrow after the barrier.
+// runShards executes one executor's shard block up to the current
+// window's horizon. A model panic is captured for the coordinator to
+// rethrow after the barrier.
 func (g *Group) runShards(shards []int) {
 	defer func() {
 		if r := recover(); r != nil {
 			g.failure.CompareAndSwap(nil, &panicValue{v: fmt.Errorf("sim: worker shard panic: %v", r)})
 		}
 	}()
-	h := g.horizon
 	for _, s := range shards {
-		e := g.engines[s]
-		e.RunBefore(h)
-		if b := g.bounds[s]; b > h {
-			e.BeginSpeculation()
-			e.RunBefore(b)
-		}
-	}
-}
-
-// commitSpeculation makes every shard's speculated stretch permanent —
-// called after the barrier merge validated that nothing landed inside one.
-func (g *Group) commitSpeculation() {
-	for _, e := range g.engines {
-		e.CommitSpeculation()
+		g.engines[s].RunBefore(g.horizon)
 	}
 }
 
@@ -563,17 +429,13 @@ func (g *Group) mergeHandoffs() {
 		insertionSortHandoffs(batch)
 		e := g.engines[dst]
 		for i := range batch {
-			if batch[i].at < e.now && e.Speculating() {
-				// The backend broke its Lookahead contract: an arrival
-				// landed inside the speculated range. Model side effects
-				// cannot be unwound, so restore a coherent schedule for the
-				// diagnostic and fail loudly.
-				spec, reached := e.specNow, e.now
-				e.RollbackSpeculation()
+			if batch[i].at < e.now {
+				// The backend broke its Lookahead contract: the window
+				// already ran the destination past this arrival.
 				g.failed = true
 				panic(fmt.Sprintf(
-					"sim: lookahead contract violated: shard %d -> %d arrival at %d lands inside the speculated range (%d, %d]; engine rolled back to %d",
-					batch[i].src, dst, int64(batch[i].at), int64(spec), int64(reached), int64(e.now)))
+					"sim: lookahead contract violated: shard %d -> %d arrival at %d lands before the destination clock %d",
+					batch[i].src, dst, int64(batch[i].at), int64(e.now)))
 			}
 			// Stamp the arrival with its issue time: the heap's
 			// (at, schedAt, seq) order then slots it among the
@@ -710,7 +572,7 @@ func (g *Group) signalIdle() {
 }
 
 // worker is one spawned window executor: it waits (spin, then park) for
-// the next round, runs its shard block to the planned bounds, and reports
+// the next round, runs its shard block to the horizon, and reports
 // back. The OS thread is locked for the run, pinning the shard block's
 // cache footprint to one kernel thread.
 func (g *Group) worker(shards []int, last uint64) {

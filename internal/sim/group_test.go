@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestGroupToyDeterminism drives a toy multi-shard model — chains of
 // events that hop between shards with at least the lookahead — and
@@ -91,4 +94,51 @@ func TestGroupRunUntil(t *testing.T) {
 	if len(ran) != 2 {
 		t.Fatalf("ran %v after full run", ran)
 	}
+}
+
+// TestGroupWindowsEngage pins the engagement metric: a hold-free run on a
+// multi-worker group must execute parallel windows, and the serial-hold
+// regime must not count any.
+func TestGroupWindowsEngage(t *testing.T) {
+	g := NewGroup(2, 2, 50)
+	g.Engine(0).At(10, func() { g.Handoff(0, 1, 60, func() {}) })
+	g.Engine(1).At(20, func() {})
+	g.Run()
+	if g.Windows() == 0 {
+		t.Fatal("hold-free run executed zero parallel windows")
+	}
+	g = NewGroup(2, 2, 50)
+	g.HoldSerial()
+	g.Engine(0).At(10, func() {})
+	g.Engine(1).At(20, func() {})
+	g.Run()
+	if g.Windows() != 0 {
+		t.Fatalf("serial-hold run counted %d windows, want 0", g.Windows())
+	}
+}
+
+// TestGroupLookaheadViolation pins the contract guard: a hand-off that
+// undercuts the lookahead lands behind the destination shard's clock
+// inside one window, and the barrier merge must panic with the
+// diagnostic instead of scheduling it.
+func TestGroupLookaheadViolation(t *testing.T) {
+	g := NewGroup(2, 2, 100)
+	e0 := g.Engine(0)
+	// Shard 0 runs to 90 inside the first window (horizon 0 + 100).
+	for at := Time(0); at <= 90; at += 10 {
+		e0.At(at, func() {})
+	}
+	// Shard 1 wakes at 50 and hands off an arrival at 60 — far below the
+	// 100-tick lookahead it promised.
+	g.Engine(1).At(50, func() { g.Handoff(1, 0, 60, func() { t.Error("past arrival executed") }) })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "lookahead contract violated: shard 1 -> 0 arrival at 60 lands before the destination clock 90") {
+			t.Fatalf("panic %q, want the lookahead-contract diagnostic", msg)
+		}
+		if e0.Pending() != 0 {
+			t.Fatalf("%d events scheduled on the destination after the violation", e0.Pending())
+		}
+	}()
+	g.Run()
 }

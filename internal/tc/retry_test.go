@@ -25,11 +25,11 @@ func TestRetryPolicyDelay(t *testing.T) {
 }
 
 // TestCallFailedNodeSweep is the teardown fail-fast property at every
-// worker count and speculation budget: after FailNode, both a base
-// Func.Call and a tenant FuncFor call resolve synchronously with a
-// typed *core.NodeDownError — no hang, no untyped string error — and
-// calls to healthy nodes keep working. After RejoinNode the same
-// handles recover through lazy channel rebuild.
+// worker count: after FailNode, both a base Func.Call and a tenant
+// FuncFor call resolve synchronously with a typed *core.NodeDownError —
+// no hang, no untyped string error — and calls to healthy nodes keep
+// working. After RejoinNode the same handles recover through lazy
+// channel rebuild.
 func TestCallFailedNodeSweep(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	sweep := []int{1, 2, 4}
@@ -37,67 +37,65 @@ func TestCallFailedNodeSweep(t *testing.T) {
 		sweep = append(sweep, n)
 	}
 	for _, w := range sweep {
-		for _, spec := range []sim.Duration{0, 2 * sim.Microsecond} {
-			runtime.GOMAXPROCS(w)
-			sys := quickSystem(t, 6, WithShards(4), WithWorkers(w), WithSpeculation(spec))
-			if _, err := sys.AddTenant(tenant.Config{Name: "gold", Weight: 1}); err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.InstallPackageFor("gold", buildCalc(t, "2")); err != nil {
-				t.Fatal(err)
-			}
-			fn, err := sys.Func(0, "tcbench", "jam_iput")
-			if err != nil {
-				t.Fatal(err)
-			}
-			tfn, err := sys.FuncFor("gold", 0, "calc", "jam_calc")
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Warm both handles so the sweep also proves cached bounds on
-			// severed channels re-resolve instead of issuing into the dead
-			// node.
-			if _, err := fn.Call(1, [2]uint64{1, 0}).Await(); err != nil {
-				t.Fatalf("workers %d spec %d: warmup call: %v", w, spec, err)
-			}
-			if _, err := tfn.Call(1, [2]uint64{1, 0}).Await(); err != nil {
-				t.Fatalf("workers %d spec %d: tenant warmup call: %v", w, spec, err)
-			}
-			if _, err := sys.FailNode(1); err != nil {
-				t.Fatal(err)
-			}
-			var nd *core.NodeDownError
-			fu := fn.Call(1, [2]uint64{2, 0})
-			if err := fu.IssueErr(); !errors.As(err, &nd) {
-				t.Fatalf("workers %d spec %d: Call to failed node: err = %v, want *core.NodeDownError", w, spec, err)
-			} else if nd.Node != "n01" {
-				t.Fatalf("workers %d spec %d: error blames %q, want n01", w, spec, nd.Node)
-			}
-			if err := tfn.Call(1, [2]uint64{2, 0}).IssueErr(); !errors.As(err, &nd) {
-				t.Fatalf("workers %d spec %d: FuncFor call to failed node: err = %v, want *core.NodeDownError", w, spec, err)
-			}
-			// Calls FROM the failed node are refused too: a dead process
-			// issues nothing.
-			rev, err := sys.Func(1, "tcbench", "jam_iput")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rev.Call(2, [2]uint64{3, 0}).IssueErr(); !errors.As(err, &nd) {
-				t.Fatalf("workers %d spec %d: call from failed node: err = %v, want *core.NodeDownError", w, spec, err)
-			}
-			// Healthy destinations are unaffected.
-			if _, err := fn.Call(2, [2]uint64{4, 0}).Await(); err != nil {
-				t.Fatalf("workers %d spec %d: call to healthy node: %v", w, spec, err)
-			}
-			if err := sys.RejoinNode(1); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fn.Call(1, [2]uint64{5, 0}).Await(); err != nil {
-				t.Fatalf("workers %d spec %d: call after rejoin: %v", w, spec, err)
-			}
-			if _, err := tfn.Call(1, [2]uint64{5, 0}).Await(); err != nil {
-				t.Fatalf("workers %d spec %d: tenant call after rejoin: %v", w, spec, err)
-			}
+		runtime.GOMAXPROCS(w)
+		sys := quickSystem(t, 6, WithShards(4), WithWorkers(w))
+		if _, err := sys.AddTenant(tenant.Config{Name: "gold", Weight: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.InstallPackageFor("gold", buildCalc(t, "2")); err != nil {
+			t.Fatal(err)
+		}
+		fn, err := sys.Func(0, "tcbench", "jam_iput")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tfn, err := sys.FuncFor("gold", 0, "calc", "jam_calc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm both handles so the sweep also proves cached bounds on
+		// severed channels re-resolve instead of issuing into the dead
+		// node.
+		if _, err := fn.Call(1, [2]uint64{1, 0}).Await(); err != nil {
+			t.Fatalf("workers %d: warmup call: %v", w, err)
+		}
+		if _, err := tfn.Call(1, [2]uint64{1, 0}).Await(); err != nil {
+			t.Fatalf("workers %d: tenant warmup call: %v", w, err)
+		}
+		if _, err := sys.FailNode(1); err != nil {
+			t.Fatal(err)
+		}
+		var nd *core.NodeDownError
+		fu := fn.Call(1, [2]uint64{2, 0})
+		if err := fu.IssueErr(); !errors.As(err, &nd) {
+			t.Fatalf("workers %d: Call to failed node: err = %v, want *core.NodeDownError", w, err)
+		} else if nd.Node != "n01" {
+			t.Fatalf("workers %d: error blames %q, want n01", w, nd.Node)
+		}
+		if err := tfn.Call(1, [2]uint64{2, 0}).IssueErr(); !errors.As(err, &nd) {
+			t.Fatalf("workers %d: FuncFor call to failed node: err = %v, want *core.NodeDownError", w, err)
+		}
+		// Calls FROM the failed node are refused too: a dead process
+		// issues nothing.
+		rev, err := sys.Func(1, "tcbench", "jam_iput")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rev.Call(2, [2]uint64{3, 0}).IssueErr(); !errors.As(err, &nd) {
+			t.Fatalf("workers %d: call from failed node: err = %v, want *core.NodeDownError", w, err)
+		}
+		// Healthy destinations are unaffected.
+		if _, err := fn.Call(2, [2]uint64{4, 0}).Await(); err != nil {
+			t.Fatalf("workers %d: call to healthy node: %v", w, err)
+		}
+		if err := sys.RejoinNode(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fn.Call(1, [2]uint64{5, 0}).Await(); err != nil {
+			t.Fatalf("workers %d: call after rejoin: %v", w, err)
+		}
+		if _, err := tfn.Call(1, [2]uint64{5, 0}).Await(); err != nil {
+			t.Fatalf("workers %d: tenant call after rejoin: %v", w, err)
 		}
 	}
 }

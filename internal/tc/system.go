@@ -42,15 +42,6 @@ func WithWorkers(n int) SystemOpt {
 	return func(c *core.MeshConfig) { c.Workers = n }
 }
 
-// WithSpeculation sets the parallel engine's speculative-window budget:
-// how far past the conservative horizon a shard may run when the
-// reachability bound allows it. Zero (the default) keeps windows strictly
-// conservative; either way results stay bit-identical to the sequential
-// engine. It has no effect without WithWorkers.
-func WithSpeculation(d sim.Duration) SystemOpt {
-	return func(c *core.MeshConfig) { c.Speculation = d }
-}
-
 // WithShards partitions the nodes across fabric shards (contiguous
 // blocks; cross-shard traffic serializes through shared spine uplinks on
 // backends that model topology).

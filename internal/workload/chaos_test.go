@@ -34,7 +34,7 @@ func chaosScenario(seed uint64, workers int) Scenario {
 // suite: with fabric perturbation, MMPP arrivals, and a mid-run node
 // failure plus rejoin, equal seeds produce bit-identical digests,
 // simulated times, injection counts, and loss ledgers at every worker
-// count, with and without speculative windows.
+// count.
 func TestChaosDeterminismSweep(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, seed := range []uint64{0x7c2c2021, 0x51edba5e} {
@@ -46,23 +46,19 @@ func TestChaosDeterminismSweep(t *testing.T) {
 			t.Fatalf("seed %#x: failure injected but nothing was lost", seed)
 		}
 		for _, w := range workerSweep()[1:] {
-			for _, spec := range []sim.Duration{0, specBudget} {
-				runtime.GOMAXPROCS(w)
-				sc := chaosScenario(seed, w)
-				sc.Speculation = spec
-				res, err := Run(sc)
-				if err != nil {
-					t.Fatalf("seed %#x workers %d spec %d: %v", seed, w, spec, err)
-				}
-				if res.Digest != base.Digest || res.SimTime != base.SimTime ||
-					res.Injections != base.Injections || res.Lost != base.Lost {
-					t.Errorf("seed %#x workers %d spec %d: %#x/%d/%d/%d lost, want %#x/%d/%d/%d lost",
-						seed, w, spec, res.Digest, int64(res.SimTime), res.Injections, res.Lost,
-						base.Digest, int64(base.SimTime), base.Injections, base.Lost)
-				}
-				if got, want := vmCounters(res), vmCounters(base); got != want {
-					t.Errorf("seed %#x workers %d spec %d: VM counters %+v, want %+v", seed, w, spec, got, want)
-				}
+			runtime.GOMAXPROCS(w)
+			res, err := Run(chaosScenario(seed, w))
+			if err != nil {
+				t.Fatalf("seed %#x workers %d: %v", seed, w, err)
+			}
+			if res.Digest != base.Digest || res.SimTime != base.SimTime ||
+				res.Injections != base.Injections || res.Lost != base.Lost {
+				t.Errorf("seed %#x workers %d: %#x/%d/%d/%d lost, want %#x/%d/%d/%d lost",
+					seed, w, res.Digest, int64(res.SimTime), res.Injections, res.Lost,
+					base.Digest, int64(base.SimTime), base.Injections, base.Lost)
+			}
+			if got, want := vmCounters(res), vmCounters(base); got != want {
+				t.Errorf("seed %#x workers %d: VM counters %+v, want %+v", seed, w, got, want)
 			}
 		}
 	}
@@ -123,9 +119,8 @@ func TestFailRejoinDrain(t *testing.T) {
 
 // TestChaosLookaheadFuzzViolation is the adversarial leg: a chaos
 // config that misadvertises the backend's lookahead (boosting it past
-// the truth) must be caught by the parallel engine as a loud, specific
-// diagnostic — speculation rollback plus panic — never absorbed as
-// silent digest corruption.
+// the truth) must be caught by the parallel engine's barrier merge as a
+// loud, specific diagnostic, never absorbed as silent digest corruption.
 func TestChaosLookaheadFuzzViolation(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(4)
@@ -144,12 +139,10 @@ func TestChaosLookaheadFuzzViolation(t *testing.T) {
 	sc.Rounds = 4
 	sc.Shards = 4
 	sc.Workers = 4
-	sc.Speculation = specBudget
 	sc.Seed = 0x7c2c2021
 	// No delay perturbation — pure contract fuzz: the advertised
 	// lookahead is a microsecond larger than the backend's true bound, so
-	// real arrivals land inside ranges the engine believed safe to
-	// speculate through.
+	// real arrivals land behind clocks the windows already advanced.
 	sc.Chaos = &ChaosSpec{LookaheadBoost: sim.Microsecond}
 	res, err := Run(sc)
 	t.Fatalf("misadvertised lookahead was silently absorbed: res=%+v err=%v", res, err)

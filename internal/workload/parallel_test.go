@@ -4,15 +4,8 @@ import (
 	"runtime"
 	"testing"
 
-	"twochains/internal/sim"
 	"twochains/internal/vm"
 )
-
-// specBudget is the speculation budget the speculative legs of the
-// parallel property tests run with: about two cross-shard lookaheads, so
-// the reachability bound (not the budget cap) is what limits most
-// windows.
-const specBudget = 2 * sim.Microsecond
 
 // workerSweep is the worker-count axis of the parallel determinism
 // property: the sequential engine, two fixed parallel widths, and
@@ -54,9 +47,9 @@ func parallelScenario(traffic string, seed uint64, workers int) Scenario {
 // TestWorkersSweepDeterminism is the registry-driven parallel-engine
 // property: for every registered traffic shape (third-party ones
 // included — registering is opting in) and two seeds, every worker count
-// — with and without speculative windows — produces the bit-identical
-// digest, simulated time, injection count, and receive-side VM counters
-// (translations built, tier decisions) of the sequential engine.
+// produces the bit-identical digest, simulated time, injection count,
+// and receive-side VM counters (translations built, tier decisions) of
+// the sequential engine.
 // GOMAXPROCS is swept alongside so the windowed regime actually runs
 // preemptively scheduled where the host allows it.
 func TestWorkersSweepDeterminism(t *testing.T) {
@@ -67,82 +60,112 @@ func TestWorkersSweepDeterminism(t *testing.T) {
 			for _, seed := range []uint64{0x7c2c2021, 0x51edba5e} {
 				base, baseErr := Run(parallelScenario(name, seed, 1))
 				for _, w := range workerSweep()[1:] {
-					for _, spec := range []sim.Duration{0, specBudget} {
-						// One speculative leg per shape/seed keeps the
-						// -race sweep inside the CI budget.
-						if spec > 0 && w != 4 {
-							continue
+					runtime.GOMAXPROCS(w)
+					res, err := Run(parallelScenario(name, seed, w))
+					// A shape that rejects the scenario must reject it
+					// identically at every worker count.
+					if baseErr != nil || err != nil {
+						if err == nil || baseErr == nil || err.Error() != baseErr.Error() {
+							t.Fatalf("seed %#x workers %d: error divergence: %v vs %v",
+								seed, w, err, baseErr)
 						}
-						runtime.GOMAXPROCS(w)
-						sc := parallelScenario(name, seed, w)
-						sc.Speculation = spec
-						res, err := Run(sc)
-						// A shape that rejects the scenario must reject it
-						// identically at every worker count.
-						if baseErr != nil || err != nil {
-							if err == nil || baseErr == nil || err.Error() != baseErr.Error() {
-								t.Fatalf("seed %#x workers %d spec %d: error divergence: %v vs %v",
-									seed, w, spec, err, baseErr)
-							}
-							continue
-						}
-						if res.Digest != base.Digest {
-							t.Errorf("seed %#x workers %d spec %d: digest %#x, want %#x",
-								seed, w, spec, res.Digest, base.Digest)
-						}
-						if res.SimTime != base.SimTime {
-							t.Errorf("seed %#x workers %d spec %d: simulated time %d, want %d",
-								seed, w, spec, int64(res.SimTime), int64(base.SimTime))
-						}
-						if res.Injections != base.Injections {
-							t.Errorf("seed %#x workers %d spec %d: injections %d, want %d",
-								seed, w, spec, res.Injections, base.Injections)
-						}
-						if got, want := vmCounters(res), vmCounters(base); got != want {
-							t.Errorf("seed %#x workers %d spec %d: VM counters %+v, want %+v",
-								seed, w, spec, got, want)
-						}
+						continue
+					}
+					if res.Digest != base.Digest {
+						t.Errorf("seed %#x workers %d: digest %#x, want %#x",
+							seed, w, res.Digest, base.Digest)
+					}
+					if res.SimTime != base.SimTime {
+						t.Errorf("seed %#x workers %d: simulated time %d, want %d",
+							seed, w, int64(res.SimTime), int64(base.SimTime))
+					}
+					if res.Injections != base.Injections {
+						t.Errorf("seed %#x workers %d: injections %d, want %d",
+							seed, w, res.Injections, base.Injections)
+					}
+					if got, want := vmCounters(res), vmCounters(base); got != want {
+						t.Errorf("seed %#x workers %d: VM counters %+v, want %+v",
+							seed, w, got, want)
 					}
 				}
 			}
 		})
 	}
+	t.Run("seed4003", testDeepLineageTie)
+}
+
+// testDeepLineageTie runs the one scenario known to break the property
+// above (benchmark mesh_scale at seed 4003, found by PR 11): known defect
+// "deep-lineage-tie", ROADMAP open item 3. Two cross-shard arrivals into
+// node 3 tie on every key the windowed merge order carries (at, issueAt,
+// pSchedAt) and their lineages stay tied five generations deeper, so the
+// merge falls back to source-shard order where the sequential engine's
+// seq follows the older, ninth-generation difference: node 3 folds two
+// returns in the other order. Everything else — simulated time, counts,
+// VM counters — must match the sequential run, and every windowed worker
+// count must give one digest.
+func testDeepLineageTie(t *testing.T) {
+	run := func(w int) *Result {
+		sc := DefaultScenario(AllToAll, 16)
+		sc.Shards = 4
+		sc.Rounds = 16
+		sc.Burst = 8
+		sc.Seed = 4003
+		sc.Workers = w
+		runtime.GOMAXPROCS(w)
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatalf("workers %d: %v", w, err)
+		}
+		return res
+	}
+	seq := run(1)
+	var par *Result
+	for _, w := range workerSweep()[1:] {
+		res := run(w)
+		if res.SimTime != seq.SimTime || res.Injections != seq.Injections || vmCounters(res) != vmCounters(seq) {
+			t.Errorf("workers %d: %d/%d/%+v, want %d/%d/%+v", w,
+				int64(res.SimTime), res.Injections, vmCounters(res),
+				int64(seq.SimTime), seq.Injections, vmCounters(seq))
+		}
+		if par == nil {
+			par = res
+		} else if res.Digest != par.Digest {
+			t.Errorf("workers %d: digest %#x, other windowed runs gave %#x", w, res.Digest, par.Digest)
+		}
+	}
+	if par.Digest != seq.Digest {
+		t.Logf("known defect deep-lineage-tie: windowed digest %#x, sequential %#x", par.Digest, seq.Digest)
+	}
 }
 
 // TestParallelGoldenScenarios re-runs the golden table on the parallel
-// engine, conservative and speculative: the pinned digests and simulated
-// times — captured on the pre-PR-3 sequential implementation — must come
-// out of the multi-core engine unchanged, hot-swap phases included.
+// engine: the pinned digests and simulated times — captured on the
+// pre-PR-3 sequential implementation — must come out of the multi-core
+// engine unchanged, hot-swap phases included.
 func TestParallelGoldenScenarios(t *testing.T) {
-	for _, spec := range []sim.Duration{0, specBudget} {
-		name := "conservative"
-		if spec > 0 {
-			name = "speculative"
-		}
-		for _, g := range goldenRuns {
-			g := g
-			t.Run(name+"/"+string(g.pattern), func(t *testing.T) {
-				sc := DefaultScenario(g.pattern, g.nodes)
-				sc.Rounds = 2
-				sc.Burst = g.burst
-				sc.Seed = g.seed
-				sc.Workers = 4
-				sc.Speculation = spec
-				res, err := Run(sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Digest != g.digest {
-					t.Errorf("digest = %#x, want %#x", res.Digest, g.digest)
-				}
-				if int64(res.SimTime) != g.simTime {
-					t.Errorf("simulated time = %d, want %d", int64(res.SimTime), g.simTime)
-				}
-				if res.Injections != g.inj {
-					t.Errorf("injections = %d, want %d", res.Injections, g.inj)
-				}
-			})
-		}
+	for _, g := range goldenRuns {
+		g := g
+		t.Run("conservative/"+string(g.pattern), func(t *testing.T) {
+			sc := DefaultScenario(g.pattern, g.nodes)
+			sc.Rounds = 2
+			sc.Burst = g.burst
+			sc.Seed = g.seed
+			sc.Workers = 4
+			res, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Digest != g.digest {
+				t.Errorf("digest = %#x, want %#x", res.Digest, g.digest)
+			}
+			if int64(res.SimTime) != g.simTime {
+				t.Errorf("simulated time = %d, want %d", int64(res.SimTime), g.simTime)
+			}
+			if res.Injections != g.inj {
+				t.Errorf("injections = %d, want %d", res.Injections, g.inj)
+			}
+		})
 	}
 }
 
@@ -206,24 +229,20 @@ func TestParallelRepeatable(t *testing.T) {
 
 // TestParallelWindowedEngagement pins that a hold-free steady state
 // actually runs in the windowed regime: the window counter must be
-// non-zero, conservative and speculative alike. A regression that
-// silently degrades every run to serial stepping is invisible on a
-// single-core container — wall-clock looks the same there — so the
-// engagement is asserted on the simulation structure, not on timing.
+// non-zero. A regression that silently degrades every run to serial
+// stepping is invisible on a single-core container — wall-clock looks
+// the same there — so the engagement is asserted on the simulation
+// structure, not on timing.
 func TestParallelWindowedEngagement(t *testing.T) {
-	for _, spec := range []sim.Duration{0, specBudget} {
-		sc := parallelScenario(string(AllToAll), 0x7c2c2021, 4)
-		sc.Speculation = spec
-		res, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Workers < 2 {
-			t.Fatalf("spec %d: parallel engine did not engage: workers = %d", spec, res.Workers)
-		}
-		if res.Windows == 0 {
-			t.Fatalf("spec %d: hold-free steady state executed zero parallel windows", spec)
-		}
+	res, err := Run(parallelScenario(string(AllToAll), 0x7c2c2021, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Workers < 2 {
+		t.Fatalf("parallel engine did not engage: workers = %d", res.Workers)
+	}
+	if res.Windows == 0 {
+		t.Fatal("hold-free steady state executed zero parallel windows")
 	}
 	// The sequential engine reports no windows.
 	seq, err := Run(parallelScenario(string(AllToAll), 0x7c2c2021, 1))
@@ -237,10 +256,9 @@ func TestParallelWindowedEngagement(t *testing.T) {
 
 // TestParallelSpeedupPairDigest is the test-scale version of the
 // benchmark speedup pair (BenchmarkMeshAllToAll* vs their W1 twins) with
-// GOMAXPROCS forced above 1: the multi-worker run — speculative included
-// — must reproduce the sequential digest, simulated time, and injection
-// count bit for bit while the workers genuinely run preemptively
-// scheduled.
+// GOMAXPROCS forced above 1: the multi-worker run must reproduce the
+// sequential digest, simulated time, and injection count bit for bit
+// while the workers genuinely run preemptively scheduled.
 func TestParallelSpeedupPairDigest(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(4)
@@ -251,20 +269,17 @@ func TestParallelSpeedupPairDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []sim.Duration{0, specBudget} {
-		sc.Workers = 4
-		sc.Speculation = spec
-		par, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Workers != 4 {
-			t.Fatalf("spec %d: engaged %d workers, want 4", spec, par.Workers)
-		}
-		if par.Digest != seq.Digest || par.SimTime != seq.SimTime || par.Injections != seq.Injections {
-			t.Fatalf("spec %d: speedup pair diverged: %#x/%d/%d vs %#x/%d/%d", spec,
-				par.Digest, int64(par.SimTime), par.Injections,
-				seq.Digest, int64(seq.SimTime), seq.Injections)
-		}
+	sc.Workers = 4
+	par, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.Workers != 4 {
+		t.Fatalf("engaged %d workers, want 4", par.Workers)
+	}
+	if par.Digest != seq.Digest || par.SimTime != seq.SimTime || par.Injections != seq.Injections {
+		t.Fatalf("speedup pair diverged: %#x/%d/%d vs %#x/%d/%d",
+			par.Digest, int64(par.SimTime), par.Injections,
+			seq.Digest, int64(seq.SimTime), seq.Injections)
 	}
 }

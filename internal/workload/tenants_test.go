@@ -199,7 +199,7 @@ func TestTenantAdmissionPolicies(t *testing.T) {
 // TestTenantWorkersSweepDeterminism extends the parallel determinism
 // property to tenant-sharded scenarios: equal seeds produce bit-identical
 // digests, simulated times, and per-tenant results for every worker
-// count, with and without speculative windows.
+// count.
 func TestTenantWorkersSweepDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	twoPhase := func(seed uint64) Scenario {
@@ -241,31 +241,25 @@ func sweepTenantWorkers(t *testing.T, sc Scenario) {
 		t.Fatal(err)
 	}
 	for _, w := range workerSweep()[1:] {
-		for _, spec := range []sim.Duration{0, specBudget} {
-			if spec > 0 && w != 4 {
-				continue // one speculative leg keeps -race in budget
-			}
-			runtime.GOMAXPROCS(w)
-			scw := sc
-			scw.Workers = w
-			scw.Speculation = spec
-			res, err := Run(scw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Digest != base.Digest || res.SimTime != base.SimTime ||
-				res.Injections != base.Injections || res.Lost != base.Lost {
-				t.Errorf("seed %#x workers %d spec %d: %#x/%d/%d/%d lost, want %#x/%d/%d/%d lost",
-					seed, w, spec, res.Digest, int64(res.SimTime), res.Injections, res.Lost,
-					base.Digest, int64(base.SimTime), base.Injections, base.Lost)
-			}
-			if !reflect.DeepEqual(res.Tenants, base.Tenants) {
-				t.Errorf("seed %#x workers %d spec %d: per-tenant results diverged:\n%+v\nwant\n%+v",
-					seed, w, spec, res.Tenants, base.Tenants)
-			}
-			if got, want := vmCounters(res), vmCounters(base); got != want {
-				t.Errorf("seed %#x workers %d spec %d: VM counters %+v, want %+v", seed, w, spec, got, want)
-			}
+		runtime.GOMAXPROCS(w)
+		scw := sc
+		scw.Workers = w
+		res, err := Run(scw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Digest != base.Digest || res.SimTime != base.SimTime ||
+			res.Injections != base.Injections || res.Lost != base.Lost {
+			t.Errorf("seed %#x workers %d: %#x/%d/%d/%d lost, want %#x/%d/%d/%d lost",
+				seed, w, res.Digest, int64(res.SimTime), res.Injections, res.Lost,
+				base.Digest, int64(base.SimTime), base.Injections, base.Lost)
+		}
+		if !reflect.DeepEqual(res.Tenants, base.Tenants) {
+			t.Errorf("seed %#x workers %d: per-tenant results diverged:\n%+v\nwant\n%+v",
+				seed, w, res.Tenants, base.Tenants)
+		}
+		if got, want := vmCounters(res), vmCounters(base); got != want {
+			t.Errorf("seed %#x workers %d: VM counters %+v, want %+v", seed, w, got, want)
 		}
 	}
 }

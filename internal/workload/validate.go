@@ -59,9 +59,6 @@ func (sc *Scenario) validateScalars() error {
 	if sc.Workers < 0 {
 		return &ScenarioError{Field: "Workers", Reason: fmt.Sprintf("negative worker count %d", sc.Workers)}
 	}
-	if sc.Speculation < 0 {
-		return &ScenarioError{Field: "Speculation", Reason: fmt.Sprintf("negative speculation budget %d", int64(sc.Speculation))}
-	}
 	if sc.PayloadBytes < 0 {
 		return &ScenarioError{Field: "PayloadBytes", Reason: fmt.Sprintf("negative payload %d", sc.PayloadBytes)}
 	}

@@ -191,8 +191,8 @@ type Phase struct {
 // lookahead. LookaheadScale in (0, 1) shrinks the advertised bound — a
 // legal stressor that forces smaller conservative windows;
 // LookaheadBoost > 0 inflates it past the truth, an adversarial
-// contract violation the parallel engine must catch loudly (speculation
-// rollback + diagnostic panic), never absorb silently.
+// contract violation the parallel engine must catch loudly (the barrier
+// merge's diagnostic panic), never absorb silently.
 type ChaosSpec struct {
 	MinDelay       sim.Duration
 	MaxDelay       sim.Duration
@@ -216,12 +216,6 @@ type Scenario struct {
 	// With Workers > 1 a scenario-level OnExecuted hook may be invoked
 	// from concurrent shard workers and must be safe for that.
 	Workers int
-	// Speculation is the parallel engine's speculative-window budget: how
-	// far past the conservative horizon a shard may run when the
-	// reachability bound allows it. Zero keeps windows strictly
-	// conservative; results are bit-identical either way. Ignored unless
-	// Workers > 1.
-	Speculation sim.Duration
 	// Burst is the messages per batched injection; Rounds the traffic
 	// generator's repetition knob.
 	Burst, Rounds int
@@ -970,7 +964,6 @@ func (sc *Scenario) systemOpts(frame int) []tc.SystemOpt {
 		tc.WithTiming(sc.Timing),
 		tc.WithBackend(sc.Backend),
 		tc.WithWorkers(sc.Workers),
-		tc.WithSpeculation(sc.Speculation),
 		tc.WithConfig(func(c *core.MeshConfig) { c.Geometry.FrameSize = frame }),
 	}
 	if sc.Shards > 0 {
