@@ -2,8 +2,8 @@
 # runs: formatting, vet, lint, build, race tests, a few seconds of
 # parser fuzzing, and benchmark smoke passes (mesh workloads plus the
 # handle-vs-string invocation pair, with -benchmem so allocation
-# regressions surface in CI logs, and an allocs/op gate on three of
-# them).
+# regressions surface in CI logs, and allocs/op and B/op gates on three
+# of them).
 #
 # The host-clock performance ruler is not in this file: it is
 # `go run ./benchmark` (BENCHMARK.json's four workloads, host
@@ -25,10 +25,13 @@
 #
 # `make fuzz-smoke` runs FuzzEnsureJam (internal/vm) for a few seconds:
 # arbitrary bytes at arbitrary (VA, length) sequences must map or be
-# refused, never panic. A failing input lands in
-# internal/vm/testdata/fuzz/ — commit it with the fix.
+# refused, never panic; then FuzzAddressSpaceRecycle (internal/mem):
+# arbitrary accessor sequences on a space grown into poisoned recycled
+# backings must match a never-recycled space value for value, fault for
+# fault, byte for byte. A failing input lands in the package's
+# testdata/fuzz/ — commit it with the fix.
 #
-# `make bench-json` regenerates $(BENCH_OUT) (BENCH_PR13.json by
+# `make bench-json` regenerates $(BENCH_OUT) (BENCH_PR15.json by
 # default; override with BENCH_OUT=...) — the machine-readable perf
 # trajectory point (ns/op, allocs/op, simulated injections/sec, speedup
 # vs the recorded pre-PR-3 baseline in bench/BASELINE_PR3.json), now
@@ -42,12 +45,14 @@
 # model's arithmetic move?), not a performance gate. It also checks
 # BenchmarkFuncCall/BenchmarkStringInject ns/op against the JIT
 # recording ($(FUNC_BASELINE), lower is better; benchjson refuses a
-# recording from another GOMAXPROCS/NumCPU shape), and allocs/op of
-# BenchmarkMeshAllToAll, BenchmarkKVStoreOpenLoop and
+# recording from another GOMAXPROCS/NumCPU shape), and allocs/op and B/op
+# of BenchmarkMeshAllToAll, BenchmarkKVStoreOpenLoop and
 # BenchmarkMultiTenantOverload against $(SMOKE_BASELINE) (lower is
 # better; allocations per run are a property of the code path, not of the
 # host, so a compile or decode creeping back onto the delivery path —
-# PR 10 took the mesh from 7,550 to 299,184 — fails here); chaos-smoke
+# PR 10 took the mesh from 7,550 to 299,184 allocs — or every node's
+# 8 MB address-space backing being allocated and zeroed per run again
+# instead of recycled — 86 MB/op before PR 15 — fails here); chaos-smoke
 # race-runs the fail/rejoin drain and the lookahead-fuzz violation
 # diagnostic of the conservative-window barrier merge.
 # `make profile` captures CPU+heap profiles of BenchmarkMeshAllToAll for
@@ -56,15 +61,15 @@
 
 GO ?= go
 GOFMT ?= gofmt
-BENCH_OUT ?= BENCH_PR13.json
-SMOKE_BASELINE ?= BENCH_PR13.json
+BENCH_OUT ?= BENCH_PR15.json
+SMOKE_BASELINE ?= BENCH_PR15.json
 # FUNC_BASELINE gates BenchmarkFuncCall ns/op (lower is better) so the
 # compiled-jam fast path can't silently regress (falling back to the
 # interpreter with timing off is 2.5x). ns/op is a host-clock number, so
 # it points at the newest recording from the host shape CI and this
 # container share (2 cores): against BENCH_PR10.json, recorded on a
 # faster single-core machine, the gate failed at every commit here.
-FUNC_BASELINE ?= BENCH_PR13.json
+FUNC_BASELINE ?= BENCH_PR15.json
 
 .PHONY: check fmt-check vet lint build test fuzz-smoke bench-smoke chaos-smoke bench-json profile perf examples
 
@@ -111,11 +116,13 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkMeshAllToAll$$|BenchmarkKVStoreOpenLoop$$|BenchmarkMultiTenantOverload$$' -benchmem -benchtime 10x . \
 		> bench_alloc.out || { cat bench_alloc.out; rm -f bench_alloc.out; exit 1; }
 	@cat bench_alloc.out
-	@$(GO) run ./cmd/benchjson -smoke -baseline $(SMOKE_BASELINE) -metric allocs/op -tol 0.25 < bench_alloc.out; \
+	@$(GO) run ./cmd/benchjson -smoke -baseline $(SMOKE_BASELINE) -metric allocs/op -tol 0.25 < bench_alloc.out && \
+		$(GO) run ./cmd/benchjson -smoke -baseline $(SMOKE_BASELINE) -metric B/op -tol 0.25 < bench_alloc.out; \
 		st=$$?; rm -f bench_alloc.out; exit $$st
 
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzEnsureJam -fuzztime 5s ./internal/vm
+	$(GO) test -run xxx -fuzz FuzzAddressSpaceRecycle -fuzztime 5s ./internal/mem
 
 chaos-smoke:
 	$(GO) test -race -run 'TestFailRejoinDrain|TestChaosLookaheadFuzzViolation' ./internal/workload

@@ -20,12 +20,12 @@
 //	go test -run xxx -bench BenchmarkMesh -benchtime 1x . | \
 //	    go run ./cmd/benchjson -smoke -baseline BENCH_PR5.json -tol 0.25
 //
-// The built-in ns/op and allocs/op metrics are lower-is-better there: they
-// must not rise above the recorded value by more than the band. ns/op is
-// a host-clock number, so a baseline recorded on another host shape
-// (GOMAXPROCS/NumCPU, stamped into every recording) is refused outright
-// rather than compared; allocs/op and the simulated metrics do not depend
-// on the host and compare against any recording.
+// The built-in ns/op, B/op and allocs/op metrics are lower-is-better
+// there: they must not rise above the recorded value by more than the
+// band. ns/op is a host-clock number, so a baseline recorded on another
+// host shape (GOMAXPROCS/NumCPU, stamped into every recording) is refused
+// outright rather than compared; B/op, allocs/op and the simulated metrics
+// do not depend on the host and compare against any recording.
 //
 // Smoke mode prints the baseline file it compared against, and a missing
 // baseline file fails with instructions instead of a raw read error.
@@ -164,8 +164,8 @@ func hostShapeErr(metric string, base *Host, cur Host, basePath string) error {
 // runs against the recorded baseline with a relative tolerance band; it
 // reports which baseline file the comparisons are against and whether
 // any regressed below the band. Custom metrics are rates
-// (higher-is-better); the built-in "ns/op" and "allocs/op" metrics gate
-// costs, so their ratio is inverted (lower-is-better).
+// (higher-is-better); the built-in "ns/op", "B/op" and "allocs/op"
+// metrics gate costs, so their ratio is inverted (lower-is-better).
 func smokeCheck(cur, base map[string]*Entry, basePath, metric string, tol float64) bool {
 	ok := true
 	compared := 0
@@ -181,7 +181,7 @@ func smokeCheck(cur, base map[string]*Entry, basePath, metric string, tol float6
 			continue
 		}
 		ratio := cv / bv
-		if metric == "ns/op" || metric == "allocs/op" {
+		if metric == "ns/op" || metric == "B/op" || metric == "allocs/op" {
 			if cv <= 0 {
 				continue
 			}
@@ -209,6 +209,8 @@ func metricOf(e *Entry, metric string) (float64, bool) {
 	switch metric {
 	case "ns/op":
 		return e.NsPerOp, true
+	case "B/op":
+		return e.BytesPerOp, true
 	case "allocs/op":
 		return e.AllocsPerOp, true
 	}
@@ -221,7 +223,7 @@ func main() {
 	outPath := flag.String("o", "", "output path (default stdout)")
 	note := flag.String("note", "regenerate with `make bench-json`", "provenance note")
 	smoke := flag.Bool("smoke", false, "regression-gate mode: compare -metric against -baseline and exit non-zero on regression")
-	metric := flag.String("metric", "sim_inj_per_sec", "metric compared in -smoke mode: a custom one (higher is better), ns/op or allocs/op (lower is better)")
+	metric := flag.String("metric", "sim_inj_per_sec", "metric compared in -smoke mode: a custom one (higher is better), ns/op, B/op or allocs/op (lower is better)")
 	tol := flag.Float64("tol", 0.25, "relative tolerance band in -smoke mode (0.25 = fail below 75% of baseline)")
 	flag.Parse()
 

@@ -114,6 +114,7 @@ long jam_bump(long* args, byte* usr, long len) {
 	}
 	sys.Run()
 	fmt.Printf("\ninline-authored counter app: three bumps on node 2 -> ctr = %d\n\n", last)
+	sys.Close() // done with this system: the scenario runs below reuse its memory
 
 	// 3. The composed scenarios, as data.
 	for _, mk := range []struct {

@@ -57,6 +57,7 @@ func main() {
 		st.Channels, st.Sent, st.BatchedFrames, st.Batches)
 	fmt.Printf("jam cache: %d binds served %d channels (%d hits)\n\n",
 		st.JamBinds, st.Channels, st.JamHits)
+	sys.Close() // done with this system: the scenario runs below reuse its memory
 
 	// 2. Scenario driver: the three traffic patterns, seeded and
 	//    deterministic, reporting simulated injections/sec.

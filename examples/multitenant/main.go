@@ -113,6 +113,7 @@ func main() {
 	sys.Run()
 	fmt.Printf("  burst of 6 calls against a 3-token bucket: %d admitted, %d dropped\n",
 		admitted, dropped)
+	sys.Close() // done with this system: the scenario run below reuses its memory
 
 	fmt.Println("== weighted-fair servicing at 4x overload ==")
 	res, err := workload.Run(workload.OverloadScenario(4, 4))

@@ -61,6 +61,13 @@ var goroutineAllow = map[string]map[string]bool{
 // completion/thin-op records need no entry: they live on the shard-local
 // Sender and Endpoint freelists.)
 //
+// mem.AddressSpace stays in the table although its backing arrays are
+// recycled through a sync.Pool since PR 15: the pool and its counters are
+// package-level shared state, like sim.SharedBufPool, touched only when a
+// space grows or is released. A space itself — data, page table, stale
+// marks — is still owned by its node's shard worker and carries no sync
+// or atomic field.
+//
 // The vm entry covers the JIT and the two-tier jam path: a Region's
 // compiled program, the per-call jitMachine embedded in the VM, the jam
 // slot and body tables (jamSlot, jamBody) and the tier counters

@@ -11,7 +11,10 @@ import (
 // packing, so a later touch is a use-after-reuse on whatever send the
 // freelist served next), and Release hands a tc.Future back to its
 // per-shard pool (touching it afterwards races the next Call that
-// recycles it). The check is a straight-line reaching-uses pass over
+// recycles it). The same goes for address-space backings: Close on a
+// tc.System, or Release on a mem.AddressSpace, hands node memory to the
+// process-wide backing pool, and the next system built may already own
+// it. The check is a straight-line reaching-uses pass over
 // each block: any use of the handed-off variable in the statements
 // after the hand-off is flagged until the variable is reassigned
 // (msg = s.GetMessage() starts a new ownership epoch). Uses of
@@ -19,7 +22,7 @@ import (
 // flagged too — the callback runs after the frame is released.
 var PoolOwnership = &Analyzer{
 	Name: "poolownership",
-	Doc:  "no use of a mailbox.Message after Send/SendBatch, or of a tc.Future after Release",
+	Doc:  "no use of a mailbox.Message after Send/SendBatch, a tc.Future or mem.AddressSpace after Release, or a tc.System after Close",
 	Run:  runPoolOwnership,
 }
 
@@ -39,8 +42,8 @@ func runPoolOwnership(pass *Pass) error {
 
 // handoff records one released object and the verb that released it.
 type handoff struct {
-	verb string // "Send", "SendBatch", or "Release"
-	what string // "*mailbox.Message", "message batch", "tc.Future"
+	verb string // "Send", "SendBatch", "Release", or "Close"
+	what string // "*mailbox.Message", "message batch", "tc.Future", ...
 }
 
 func checkBlockHandoffs(pass *Pass, block *ast.BlockStmt) {
@@ -130,6 +133,10 @@ func handoffIn(pass *Pass, stmt ast.Stmt) (types.Object, handoff, bool) {
 		return obj, h, true
 	case sel.Sel.Name == "Release" && isPtrToNamed(recv, tcPath, "Future"):
 		return useOf(pass.Info, sel.X), handoff{verb: "Release", what: "tc.Future"}, true
+	case sel.Sel.Name == "Release" && isPtrToNamed(recv, memPath, "AddressSpace"):
+		return useOf(pass.Info, sel.X), handoff{verb: "Release", what: "mem.AddressSpace"}, true
+	case sel.Sel.Name == "Close" && isPtrToNamed(recv, tcPath, "System"):
+		return useOf(pass.Info, sel.X), handoff{verb: "Close", what: "tc.System"}, true
 	}
 	return nil, handoff{}, false
 }

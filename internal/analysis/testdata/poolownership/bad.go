@@ -1,10 +1,11 @@
 // Fixture: uses after the pooling hand-off points — Message after
-// Send/SendBatch, Future after Release — each reported at the exact
-// reaching use.
+// Send/SendBatch, Future after Release, System after Close, AddressSpace
+// after Release — each reported at the exact reaching use.
 package fixture
 
 import (
 	"twochains/internal/mailbox"
+	"twochains/internal/mem"
 	"twochains/internal/tc"
 )
 
@@ -30,4 +31,15 @@ func capturedByCompletion(s *mailbox.Sender) {
 func futureAfterRelease(fu *tc.Future) {
 	fu.Release()
 	_, _ = fu.Result() // want `use of tc\.Future fu after Release`
+}
+
+func systemAfterClose(sys *tc.System) {
+	sys.Run()
+	sys.Close()
+	_ = sys.Stats() // want `use of tc\.System sys after Close`
+}
+
+func spaceAfterRelease(as *mem.AddressSpace, va uint64) {
+	as.Release()
+	_, _ = as.ReadU64(va) // want `use of mem\.AddressSpace as after Release`
 }

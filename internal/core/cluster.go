@@ -121,6 +121,16 @@ func (c *Cluster) RunFor(d sim.Duration) {
 	c.Eng.RunFor(d)
 }
 
+// Close releases every node's address-space backing for reuse by the
+// next system (mem.AddressSpace.Release). Call it once the cluster will
+// not run again: afterwards every memory access on its nodes faults.
+// Closing twice is harmless.
+func (c *Cluster) Close() {
+	for _, n := range c.Nodes {
+		n.AS.Release()
+	}
+}
+
 // Now returns the cluster-wide simulated time: the latest executed event
 // across every shard.
 func (c *Cluster) Now() sim.Time {

@@ -461,6 +461,9 @@ func (m *Mesh) InstallRied(i int, img *linker.Image, replace bool) (*linker.Load
 // Run processes events until the mesh is quiescent.
 func (m *Mesh) Run() { m.Cluster.Run() }
 
+// Close releases the mesh's address spaces; see Cluster.Close.
+func (m *Mesh) Close() { m.Cluster.Close() }
+
 // MeshStats aggregates fabric-wide activity.
 type MeshStats struct {
 	Channels      int

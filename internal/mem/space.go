@@ -11,7 +11,10 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // PageSize is the permission granularity.
@@ -32,6 +35,29 @@ const (
 	PermRX  = PermR | PermX
 	PermRWX = PermR | PermW | PermX
 )
+
+// A page of a recycled backing that has not been zeroed yet is stored in
+// the page table as permStale with its declared permissions shifted up
+// out of the way: the R/W/X bits every fast-path guard tests are then 0,
+// so the first access of any kind falls to the checked slow path, which
+// zeroes the page and publishes the declared permissions (scrubPage).
+const (
+	permStale     Perm = 0x80
+	permDeclShift      = 3
+)
+
+// stale returns the page-table entry of a not-yet-zeroed page whose
+// declared permissions are p.
+func (p Perm) stale() Perm { return permStale | p<<permDeclShift }
+
+// declared returns the permissions Alloc/Protect gave the page whose
+// page-table entry is p, stale or not.
+func (p Perm) declared() Perm {
+	if p&permStale != 0 {
+		return p >> permDeclShift & PermRWX
+	}
+	return p
+}
 
 func (p Perm) String() string {
 	s := [3]byte{'-', '-', '-'}
@@ -100,12 +126,64 @@ type Region struct {
 // A node that allocates a few megabytes out of a 64 MB space never pays
 // for zeroing the other 60 — which used to dominate the wall-clock cost
 // of constructing many-node systems.
+//
+// Backings are recycled across spaces: Release hands the array to a
+// process-wide pool and the next space to grow draws it from there
+// instead of allocating (and zeroing) a new one. A recycled array holds
+// its previous occupant's bytes, so its pages start stale and are zeroed
+// one at a time on first touch; no accessor can observe a byte that was
+// not zeroed or written through this space. The owner of a space calls
+// Release exactly when nothing will access it again (tc.System.Close);
+// Views must not outlive it.
 type AddressSpace struct {
 	data     []byte // mapped prefix of the space, grows on demand
 	capacity int    // virtual size in bytes
-	perms    []Perm // one per page of the full virtual size
+	perms    []Perm // one per page of the full virtual size; see permStale
+	stale    int    // pages of data still marked permStale
 	brk      uint64 // next free address (bump allocator)
 	regions  []Region
+}
+
+// backings recycles released backing arrays, one pool per power-of-two
+// size (index log2). It is shared by every space in the process, like
+// sim.SharedBufPool: spaces themselves stay single-owner.
+var backings [bits.UintSize]sync.Pool
+
+// released and recycled count the pool's traffic; see BackingPoolStats.
+var released, recycled atomic.Uint64
+
+// PoolStats is the backing pool's traffic since the process started.
+type PoolStats struct {
+	Released uint64 // backings Release handed to the pool
+	Recycled uint64 // growths served from the pool instead of the allocator
+}
+
+// BackingPoolStats reports the pool counters — for tests that must know
+// a system was released, or that the reuse path actually ran.
+func BackingPoolStats() PoolStats {
+	return PoolStats{Released: released.Load(), Recycled: recycled.Load()}
+}
+
+// getBacking draws a c-byte array from the pool; nil means it has none
+// of that size. The bytes are whatever the previous occupant left.
+func getBacking(c int) []byte {
+	b := backings[bits.Len(uint(c-1))].Get()
+	if b == nil {
+		return nil
+	}
+	recycled.Add(1)
+	return b.([]byte)[:c]
+}
+
+// putBacking hands an array to the pool. Only exact power-of-two arrays
+// are kept (a size class holds one size); the one odd case, a capacity
+// that is not a power of two mapped in full from the allocator, is left
+// to the collector.
+func putBacking(b []byte) {
+	if c := cap(b); c != 0 && c&(c-1) == 0 {
+		released.Add(1)
+		backings[bits.Len(uint(c-1))].Put(b[:c])
+	}
 }
 
 // NewAddressSpace creates a space with the given capacity in bytes
@@ -117,6 +195,14 @@ func NewAddressSpace(capacity int) *AddressSpace {
 		perms:    make([]Perm, pages),
 		brk:      Base,
 	}
+}
+
+// Release returns the backing to the pool and unmaps the space: every
+// later access is an out-of-bounds *Fault and every Alloc fails. Calling
+// it again is harmless. The caller must hold no View of the space.
+func (as *AddressSpace) Release() {
+	putBacking(as.data)
+	as.data, as.perms, as.capacity, as.stale = nil, nil, 0, 0
 }
 
 // Size returns the mapped capacity in bytes.
@@ -136,14 +222,16 @@ func (as *AddressSpace) index(va uint64) (int, bool) {
 	return int(i), true
 }
 
-// ensure grows the mapped prefix to cover at least n bytes. Fresh bytes
-// are zero, exactly as the eagerly mapped space was. Growth doubles, so
-// the copy work amortizes to O(high-water mark).
-func (as *AddressSpace) ensure(n int) {
-	if n <= len(as.data) {
-		return
-	}
-	c := cap(as.data)
+// grow extends the mapped prefix to cover at least n bytes (n must exceed
+// it), from a recycled backing when the pool has one of the size. Growth
+// doubles, so the copy work amortizes to O(high-water mark). Fresh bytes
+// read as zero either way: a new array is zero, and the new pages of a
+// recycled one are marked stale. The outgrown array is left to the
+// collector, not pooled — a View handed out before the growth may still
+// alias it.
+func (as *AddressSpace) grow(n int) {
+	old := len(as.data)
+	c := old
 	if c < 1<<16 {
 		c = 1 << 16
 	}
@@ -153,9 +241,47 @@ func (as *AddressSpace) ensure(n int) {
 	if c > as.capacity {
 		c = as.capacity
 	}
-	nd := make([]byte, c)
+	nd := getBacking(c)
+	if nd != nil {
+		for p := old / PageSize; p < c/PageSize; p++ {
+			as.perms[p] = as.perms[p].stale()
+		}
+		as.stale += (c - old) / PageSize
+	} else {
+		nd = make([]byte, c)
+	}
 	copy(nd, as.data)
 	as.data = nd
+}
+
+// commit makes [i, i+size) hold the space's logical contents: mapped,
+// and every stale page in it zeroed. Every accessor that is about to
+// index data outside the fast paths goes through it; on a space with
+// nothing to map and nothing stale it is two compares, inlined.
+func (as *AddressSpace) commit(i, size int) {
+	if i+size > len(as.data) || as.stale != 0 {
+		as.commitSlow(i, size)
+	}
+}
+
+func (as *AddressSpace) commitSlow(i, size int) {
+	if i+size > len(as.data) {
+		as.grow(i + size)
+	}
+	if as.stale != 0 && size > 0 {
+		for p := i / PageSize; p <= (i+size-1)/PageSize; p++ {
+			if as.perms[p]&permStale != 0 {
+				as.scrubPage(p)
+			}
+		}
+	}
+}
+
+// scrubPage zeroes stale page p and publishes its declared permissions.
+func (as *AddressSpace) scrubPage(p int) {
+	clear(as.data[p*PageSize : (p+1)*PageSize])
+	as.perms[p] = as.perms[p].declared()
+	as.stale--
 }
 
 // Alloc reserves size bytes aligned to align with the given permissions and
@@ -175,7 +301,9 @@ func (as *AddressSpace) Alloc(name string, size, align int, perm Perm) (uint64, 
 	as.brk = va + uint64(size)
 	// Map the region eagerly so accessors (and Views handed out before the
 	// next Alloc) hit stable backing.
-	as.ensure(int(as.brk - Base))
+	if n := int(as.brk - Base); n > len(as.data) {
+		as.grow(n)
+	}
 	as.setPerm(va, size, perm)
 	as.regions = append(as.regions, Region{Name: name, Addr: va, Size: size, Perm: perm})
 	return va, nil
@@ -190,10 +318,15 @@ func (as *AddressSpace) AllocPages(name string, size int, perm Perm) (uint64, er
 }
 
 func (as *AddressSpace) setPerm(va uint64, size int, perm Perm) {
+	perm &= PermRWX
 	first := (va - Base) / PageSize
 	last := (va - Base + uint64(size) - 1) / PageSize
 	for p := first; p <= last; p++ {
-		as.perms[p] = perm
+		if as.perms[p]&permStale != 0 {
+			as.perms[p] = perm.stale()
+		} else {
+			as.perms[p] = perm
+		}
 	}
 }
 
@@ -215,7 +348,7 @@ func (as *AddressSpace) PermAt(va uint64) (Perm, bool) {
 	if !ok {
 		return 0, false
 	}
-	return as.perms[i/PageSize], true
+	return as.perms[i/PageSize].declared(), true
 }
 
 // Regions returns the named allocations.
@@ -236,7 +369,8 @@ func (as *AddressSpace) RegionFor(va uint64) (Region, bool) {
 	return Region{}, false
 }
 
-// check verifies an access, returning a Fault on violation.
+// check verifies an access against the declared permissions, returning a
+// Fault on violation. It leaves stale pages stale: commit scrubs them.
 func (as *AddressSpace) check(va uint64, size int, kind AccessKind) error {
 	i, ok := as.index(va)
 	if !ok {
@@ -260,20 +394,31 @@ func (as *AddressSpace) check(va uint64, size int, kind AccessKind) error {
 	first := i / PageSize
 	last := (i + size - 1) / PageSize
 	for p := first; p <= last; p++ {
-		if as.perms[p]&want == 0 {
-			return &Fault{Addr: va, Size: size, Kind: kind, Perm: as.perms[p]}
+		perm := as.perms[p].declared()
+		if perm&want == 0 {
+			return &Fault{Addr: va, Size: size, Kind: kind, Perm: perm}
 		}
 	}
 	return nil
 }
 
+// slowIdx is the checked path every accessor shares: it verifies the
+// access, commits its range and returns the data index.
+func (as *AddressSpace) slowIdx(va uint64, size int, kind AccessKind) (int, error) {
+	if err := as.check(va, size, kind); err != nil {
+		return 0, err
+	}
+	i := int(va - Base)
+	as.commit(i, size)
+	return i, nil
+}
+
 // ReadBytes copies size bytes at va into a fresh slice.
 func (as *AddressSpace) ReadBytes(va uint64, size int) ([]byte, error) {
-	if err := as.check(va, size, AccessRead); err != nil {
+	i, err := as.slowIdx(va, size, AccessRead)
+	if err != nil {
 		return nil, err
 	}
-	i, _ := as.index(va)
-	as.ensure(i + size)
 	out := make([]byte, size)
 	copy(out, as.data[i:i+size])
 	return out, nil
@@ -284,22 +429,20 @@ func (as *AddressSpace) ReadBytes(va uint64, size int) ([]byte, error) {
 // backing; it is used by the NIC DMA path and the VM fetch path to avoid
 // copying.
 func (as *AddressSpace) View(va uint64, size int) ([]byte, error) {
-	if err := as.check(va, size, AccessRead); err != nil {
+	i, err := as.slowIdx(va, size, AccessRead)
+	if err != nil {
 		return nil, err
 	}
-	i, _ := as.index(va)
-	as.ensure(i + size)
 	return as.data[i : i+size : i+size], nil
 }
 
 // ViewMut returns a writable slice aliasing [va, va+size), checking the
 // page write permission. Ephemeral like View: not valid across an Alloc.
 func (as *AddressSpace) ViewMut(va uint64, size int) ([]byte, error) {
-	if err := as.check(va, size, AccessWrite); err != nil {
+	i, err := as.slowIdx(va, size, AccessWrite)
+	if err != nil {
 		return nil, err
 	}
-	i, _ := as.index(va)
-	as.ensure(i + size)
 	return as.data[i : i+size : i+size], nil
 }
 
@@ -313,17 +456,16 @@ func (as *AddressSpace) ViewDMA(va uint64, size int) ([]byte, error) {
 	if !ok || size < 0 || i+size > as.capacity {
 		return nil, &Fault{Addr: va, Size: size, Kind: AccessRead, OOB: true}
 	}
-	as.ensure(i + size)
+	as.commit(i, size)
 	return as.data[i : i+size : i+size], nil
 }
 
 // WriteBytes stores b at va, honouring page permissions.
 func (as *AddressSpace) WriteBytes(va uint64, b []byte) error {
-	if err := as.check(va, len(b), AccessWrite); err != nil {
+	i, err := as.slowIdx(va, len(b), AccessWrite)
+	if err != nil {
 		return err
 	}
-	i, _ := as.index(va)
-	as.ensure(i + len(b))
 	copy(as.data[i:], b)
 	return nil
 }
@@ -336,7 +478,7 @@ func (as *AddressSpace) WriteBytesDMA(va uint64, b []byte) error {
 	if !ok || i+len(b) > as.capacity {
 		return &Fault{Addr: va, Size: len(b), Kind: AccessWrite, OOB: true}
 	}
-	as.ensure(i + len(b))
+	as.commit(i, len(b))
 	copy(as.data[i:], b)
 	return nil
 }
@@ -347,7 +489,7 @@ func (as *AddressSpace) ReadBytesDMA(va uint64, size int) ([]byte, error) {
 	if !ok || size < 0 || i+size > as.capacity {
 		return nil, &Fault{Addr: va, Size: size, Kind: AccessRead, OOB: true}
 	}
-	as.ensure(i + size)
+	as.commit(i, size)
 	out := make([]byte, size)
 	copy(out, as.data[i:i+size])
 	return out, nil
@@ -357,9 +499,10 @@ func (as *AddressSpace) ReadBytesDMA(va uint64, size int) ([]byte, error) {
 //
 // Each has a fast path for the overwhelmingly common access: inside the
 // mapped prefix, not straddling a page, page permission granted. The
-// conditions imply exactly what check()+ensure() would established, so
+// conditions imply exactly what check()+commit() would establish, so
 // results are bit-identical; anything else (unmapped tail growth, page
-// straddles, faults) takes the original path.
+// straddles, a stale page of a recycled backing, faults) takes the checked
+// path.
 
 // fastIdx returns the data index for a size-byte access at va when the
 // whole access stays within one page of the already-mapped prefix and
@@ -424,12 +567,9 @@ func (as *AddressSpace) ReadU8(va uint64) (uint64, error) {
 }
 
 func (as *AddressSpace) readU8Slow(va uint64) (uint64, error) {
-	if err := as.check(va, 1, AccessRead); err != nil {
+	i, err := as.slowIdx(va, 1, AccessRead)
+	if err != nil {
 		return 0, err
-	}
-	i, _ := as.index(va)
-	if i+1 > len(as.data) {
-		as.ensure(i + 1)
 	}
 	return uint64(as.data[i]), nil
 }
@@ -442,12 +582,9 @@ func (as *AddressSpace) ReadU16(va uint64) (uint64, error) {
 }
 
 func (as *AddressSpace) readU16Slow(va uint64) (uint64, error) {
-	if err := as.check(va, 2, AccessRead); err != nil {
+	i, err := as.slowIdx(va, 2, AccessRead)
+	if err != nil {
 		return 0, err
-	}
-	i, _ := as.index(va)
-	if i+2 > len(as.data) {
-		as.ensure(i + 2)
 	}
 	return uint64(binary.LittleEndian.Uint16(as.data[i:])), nil
 }
@@ -460,12 +597,9 @@ func (as *AddressSpace) ReadU32(va uint64) (uint64, error) {
 }
 
 func (as *AddressSpace) readU32Slow(va uint64) (uint64, error) {
-	if err := as.check(va, 4, AccessRead); err != nil {
+	i, err := as.slowIdx(va, 4, AccessRead)
+	if err != nil {
 		return 0, err
-	}
-	i, _ := as.index(va)
-	if i+4 > len(as.data) {
-		as.ensure(i + 4)
 	}
 	return uint64(binary.LittleEndian.Uint32(as.data[i:])), nil
 }
@@ -478,12 +612,9 @@ func (as *AddressSpace) ReadU64(va uint64) (uint64, error) {
 }
 
 func (as *AddressSpace) readU64Slow(va uint64) (uint64, error) {
-	if err := as.check(va, 8, AccessRead); err != nil {
+	i, err := as.slowIdx(va, 8, AccessRead)
+	if err != nil {
 		return 0, err
-	}
-	i, _ := as.index(va)
-	if i+8 > len(as.data) {
-		as.ensure(i + 8)
 	}
 	return binary.LittleEndian.Uint64(as.data[i:]), nil
 }
@@ -497,12 +628,9 @@ func (as *AddressSpace) WriteU8(va uint64, v uint64) error {
 }
 
 func (as *AddressSpace) writeU8Slow(va uint64, v uint64) error {
-	if err := as.check(va, 1, AccessWrite); err != nil {
+	i, err := as.slowIdx(va, 1, AccessWrite)
+	if err != nil {
 		return err
-	}
-	i, _ := as.index(va)
-	if i+1 > len(as.data) {
-		as.ensure(i + 1)
 	}
 	as.data[i] = byte(v)
 	return nil
@@ -517,12 +645,9 @@ func (as *AddressSpace) WriteU16(va uint64, v uint64) error {
 }
 
 func (as *AddressSpace) writeU16Slow(va uint64, v uint64) error {
-	if err := as.check(va, 2, AccessWrite); err != nil {
+	i, err := as.slowIdx(va, 2, AccessWrite)
+	if err != nil {
 		return err
-	}
-	i, _ := as.index(va)
-	if i+2 > len(as.data) {
-		as.ensure(i + 2)
 	}
 	binary.LittleEndian.PutUint16(as.data[i:], uint16(v))
 	return nil
@@ -537,12 +662,9 @@ func (as *AddressSpace) WriteU32(va uint64, v uint64) error {
 }
 
 func (as *AddressSpace) writeU32Slow(va uint64, v uint64) error {
-	if err := as.check(va, 4, AccessWrite); err != nil {
+	i, err := as.slowIdx(va, 4, AccessWrite)
+	if err != nil {
 		return err
-	}
-	i, _ := as.index(va)
-	if i+4 > len(as.data) {
-		as.ensure(i + 4)
 	}
 	binary.LittleEndian.PutUint32(as.data[i:], uint32(v))
 	return nil
@@ -557,12 +679,9 @@ func (as *AddressSpace) WriteU64(va uint64, v uint64) error {
 }
 
 func (as *AddressSpace) writeU64Slow(va uint64, v uint64) error {
-	if err := as.check(va, 8, AccessWrite); err != nil {
+	i, err := as.slowIdx(va, 8, AccessWrite)
+	if err != nil {
 		return err
-	}
-	i, _ := as.index(va)
-	if i+8 > len(as.data) {
-		as.ensure(i + 8)
 	}
 	binary.LittleEndian.PutUint64(as.data[i:], v)
 	return nil

@@ -205,6 +205,7 @@ func PingPong(cfg RunConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.sys.Close()
 	res := &RunResult{FrameSize: r.frame}
 
 	total := cfg.Warmup + cfg.Iters
@@ -259,6 +260,7 @@ func InjectionRate(cfg RunConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.sys.Close()
 	res := &RunResult{FrameSize: r.frame}
 
 	total := cfg.Warmup + cfg.Iters
@@ -351,6 +353,7 @@ func UcxPutLatency(cfg RunConfig, size int) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.sys.Close()
 	res := &RunResult{FrameSize: size}
 	total := cfg.Warmup + cfg.Iters
 	iter := 0
@@ -403,6 +406,7 @@ func UcxPutBandwidth(cfg RunConfig, size int) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.sys.Close()
 	res := &RunResult{FrameSize: size}
 	total := cfg.Warmup + cfg.Iters
 	var tStart, tEnd sim.Time

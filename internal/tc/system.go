@@ -158,6 +158,16 @@ func NewSystem(n int, opts ...SystemOpt) (*System, error) {
 	return &System{mesh: m, futures: make([][]*Future, m.Cfg.Shards)}, nil
 }
 
+// Close ends the system's life: every node's address-space backing goes
+// back to the process-wide pool for the next system to reuse (see
+// mem.AddressSpace). Call it when the last Run has returned and nothing
+// will read node memory again — a mem.View, a pending Future or a Call
+// after Close faults instead of touching memory another system may now
+// own. Closing twice is harmless. A process that builds systems in
+// sequence should Close each one; a system that is never closed is
+// simply collected, its backing not reused.
+func (s *System) Close() { s.mesh.Close() }
+
 // Nodes returns the node count.
 func (s *System) Nodes() int { return s.mesh.Nodes() }
 

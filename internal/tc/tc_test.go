@@ -1,11 +1,13 @@
 package tc
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"twochains/internal/core"
 	"twochains/internal/mailbox"
+	"twochains/internal/mem"
 	"twochains/internal/sim"
 )
 
@@ -255,5 +257,42 @@ func TestUnknownBackend(t *testing.T) {
 func TestSystemNeedsTwoNodes(t *testing.T) {
 	if _, err := NewSystem(1); err == nil {
 		t.Fatal("1-node system did not fail")
+	}
+}
+
+// TestSystemClose: Close hands every node's backing to the pool exactly
+// once however often it is called, and afterwards node memory is
+// unmapped — a read is a typed out-of-bounds fault and a Call fails at
+// issue, neither panics nor touches bytes the pool now owns.
+func TestSystemClose(t *testing.T) {
+	sys := quickSystem(t, 3)
+	fn, err := sys.Func(0, "tcbench", "jam_iput")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fn.Call(1, [2]uint64{7, 0}, Payload([]byte("payload"))).Await(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	va := sys.Node(1).AS.Regions()[0].Addr
+
+	before := mem.BackingPoolStats().Released
+	sys.Close()
+	sys.Close()
+	if n := mem.BackingPoolStats().Released - before; n != 3 {
+		t.Errorf("closing a 3-node system twice released %d backings, want 3", n)
+	}
+	for i := 0; i < sys.Nodes(); i++ {
+		_, err := sys.Node(i).AS.ReadU64(va)
+		var f *mem.Fault
+		if !errors.As(err, &f) || !f.OOB {
+			t.Errorf("node %d read after Close: %v, want an out-of-bounds fault", i, err)
+		}
+	}
+	if _, err := fn.Call(1, [2]uint64{8, 0}, Payload([]byte("payload"))).Await(); err == nil {
+		t.Error("a Call on a closed system succeeded")
+	}
+	if _, err := fn.Call(2, [2]uint64{8, 0}).Await(); err == nil {
+		t.Error("a Call that needs a fresh channel on a closed system succeeded")
 	}
 }

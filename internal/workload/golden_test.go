@@ -3,6 +3,8 @@ package workload
 import (
 	"reflect"
 	"testing"
+
+	"twochains/internal/mem"
 )
 
 // goldenRun pins one scenario's observable outcome: the fabric-wide
@@ -44,6 +46,16 @@ var goldenRuns = []goldenRun{
 // TestGoldenDigests pins bit-identical digests and simulated times for
 // fixed seeds across all three workload patterns.
 func TestGoldenDigests(t *testing.T) {
+	recycled := mem.BackingPoolStats().Recycled
+	defer func() {
+		// Every Run releases its nodes' memory for the next one, so from
+		// the second scenario on the digests above were computed on
+		// recycled, lazily zeroed backings. If none was, the goldens no
+		// longer cover that path.
+		if !t.Failed() && mem.BackingPoolStats().Recycled == recycled {
+			t.Error("no golden scenario ran on a recycled address-space backing")
+		}
+	}()
 	for _, g := range goldenRuns {
 		g := g
 		t.Run(string(g.pattern), func(t *testing.T) {

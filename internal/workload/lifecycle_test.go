@@ -1,0 +1,122 @@
+package workload
+
+import (
+	"strings"
+	"sync"
+	"testing"
+
+	"twochains/internal/mem"
+)
+
+// Run owns the system it builds: whichever way it returns, every node's
+// address-space backing must have gone back to the pool (tc.System.Close).
+// The observable is mem's pool counter: one release per node per Run.
+
+var lifecycleOnce sync.Once
+
+// registerLifecycleShapes adds the two fixtures that make Run fail after
+// the simulation started. They join the registry-driven sweeps like any
+// shape; both fail the same way for every seed and worker count.
+func registerLifecycleShapes() {
+	lifecycleOnce.Do(func() {
+		// A self-loop passes planning (both ends are in range) and is
+		// refused at issue: the runner's issueErr return.
+		RegisterTraffic("test-selfloop", func() Traffic {
+			return TrafficFunc(func(p *Planner) error {
+				p.Emit(0, 0)
+				return nil
+			})
+		})
+		// A built-in mid-phase swap naming an app nobody registered fails
+		// when it fires: the runner's swapErr return.
+		RegisterTraffic("test-badswap", func() Traffic {
+			return TrafficFunc(func(p *Planner) error {
+				for r := 0; r < p.Rounds(); r++ {
+					p.Emit(0, 1)
+				}
+				p.SwapAtHalf(1, "test-no-such-app")
+				return nil
+			})
+		})
+	})
+}
+
+func TestRunReleasesOnEveryReturn(t *testing.T) {
+	registerLifecycleShapes()
+	registerOOB()
+	for _, tc := range []struct {
+		name    string
+		traffic Pattern
+		wantErr string // "" = the run succeeds
+	}{
+		{"success", AllToAll, ""},
+		{"plan rejected after NewSystem", "test-oob", "emit to node"},
+		{"issueErr", "test-selfloop", "self-loop"},
+		{"swapErr", "test-badswap", "test-no-such-app"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := DefaultScenario(tc.traffic, 3)
+			before := mem.BackingPoolStats().Released
+			_, err := Run(sc)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatal(err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("Run error = %v, want one mentioning %q", err, tc.wantErr)
+			}
+			if n := mem.BackingPoolStats().Released - before; n != uint64(sc.Nodes) {
+				t.Errorf("Run released %d address-space backings, want %d (one per node)", n, sc.Nodes)
+			}
+		})
+	}
+}
+
+// TestRunConcurrentAndSharded exercises the backing pool from several
+// goroutines at once (meaningful under -race): two Runs side by side
+// draw from and release into the pool concurrently, then a Workers=2
+// scenario runs on what they released, its shard workers scrubbing
+// recycled pages on first touch inside parallel windows. Reuse must not
+// couple runs: each gives the digest it gives alone.
+func TestRunConcurrentAndSharded(t *testing.T) {
+	sc := DefaultScenario(AllToAll, 4)
+	sc.Rounds = 2
+	alone, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := Run(sc)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if res.Digest != alone.Digest || res.SimTime != alone.SimTime {
+				t.Errorf("concurrent run: digest %#x time %d, alone %#x time %d",
+					res.Digest, int64(res.SimTime), alone.Digest, int64(alone.SimTime))
+			}
+		}()
+	}
+	wg.Wait()
+
+	sharded := parallelScenario(string(AllToAll), 0x7c2c2021, 1)
+	want, err := Run(sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded.Workers = 2
+	got, err := Run(sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Windows == 0 {
+		t.Error("the Workers=2 run never left the serial regime")
+	}
+	if got.Digest != want.Digest || got.SimTime != want.SimTime {
+		t.Errorf("Workers=2 on recycled backings: digest %#x time %d, Workers=1 %#x time %d",
+			got.Digest, int64(got.SimTime), want.Digest, int64(want.SimTime))
+	}
+}

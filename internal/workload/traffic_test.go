@@ -116,9 +116,9 @@ func TestRingPattern(t *testing.T) {
 	}
 }
 
-// TestEmitOutOfRange: a generator emitting outside the topology is a
-// typed scenario error, not a panic or a silent drop.
-func TestEmitOutOfRange(t *testing.T) {
+// registerOOB adds the shape whose plan is rejected: by then Run has
+// already built the system (plans need its topology).
+func registerOOB() {
 	oobOnce.Do(func() {
 		RegisterTraffic("test-oob", func() Traffic {
 			return TrafficFunc(func(p *Planner) error {
@@ -127,6 +127,12 @@ func TestEmitOutOfRange(t *testing.T) {
 			})
 		})
 	})
+}
+
+// TestEmitOutOfRange: a generator emitting outside the topology is a
+// typed scenario error, not a panic or a silent drop.
+func TestEmitOutOfRange(t *testing.T) {
+	registerOOB()
 	sc := DefaultScenario("test-oob", 3)
 	_, err := Run(sc)
 	var serr *ScenarioError

@@ -1013,6 +1013,10 @@ func Run(sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The system lives exactly as long as this call: whichever way it
+	// returns, the nodes' memory goes back for the next run to reuse.
+	// Result carries values only, never a view of node memory.
+	defer sys.Close()
 
 	topo := Topology{
 		Nodes:   sc.Nodes,
