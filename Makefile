@@ -28,7 +28,10 @@
 # refused, never panic; then FuzzAddressSpaceRecycle (internal/mem):
 # arbitrary accessor sequences on a space grown into poisoned recycled
 # backings must match a never-recycled space value for value, fault for
-# fault, byte for byte. A failing input lands in the package's
+# fault, byte for byte; then FuzzHierarchy (internal/memsim): arbitrary
+# access / NIC-write / warm / stress / reset sequences on a Hierarchy must
+# match the reference stamp-LRU model cost for cost, counter for counter,
+# line for line. A failing input lands in the package's
 # testdata/fuzz/ — commit it with the fix.
 #
 # `make bench-json` regenerates $(BENCH_OUT) (BENCH_PR15.json by
@@ -123,6 +126,7 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzEnsureJam -fuzztime 5s ./internal/vm
 	$(GO) test -run xxx -fuzz FuzzAddressSpaceRecycle -fuzztime 5s ./internal/mem
+	$(GO) test -run xxx -fuzz FuzzHierarchy -fuzztime 5s ./internal/memsim
 
 chaos-smoke:
 	$(GO) test -race -run 'TestFailRejoinDrain|TestChaosLookaheadFuzzViolation' ./internal/workload
