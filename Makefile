@@ -34,14 +34,15 @@
 # line for line. A failing input lands in the package's
 # testdata/fuzz/ — commit it with the fix.
 #
-# `make bench-json` regenerates $(BENCH_OUT) (BENCH_PR15.json by
+# `make bench-json` regenerates $(BENCH_OUT) (BENCH_PR16.json by
 # default; override with BENCH_OUT=...) — the machine-readable perf
 # trajectory point (ns/op, allocs/op, simulated injections/sec, speedup
 # vs the recorded pre-PR-3 baseline in bench/BASELINE_PR3.json), now
 # including the 64/128-node parallel-engine mesh pairs (workers=NumCPU
 # vs workers=1 twins of the same bit-identical simulation), the
 # multi-tenant overload benchmark with its per-tenant goodput metrics,
-# and the chaos-perturbed fail/rejoin mesh with its loss ledger. bench-smoke compares sim_inj_per_sec
+# the chaos-perturbed fail/rejoin mesh with its loss ledger, and the
+# layer benchmarks of internal/sim and internal/memsim. bench-smoke compares sim_inj_per_sec
 # against the newest recorded trajectory file ($(SMOKE_BASELINE)): that
 # metric is simulated injections per simulated second, a pure function
 # of the scenario, so the comparison is a determinism check (did the
@@ -55,7 +56,12 @@
 # host, so a compile or decode creeping back onto the delivery path —
 # PR 10 took the mesh from 7,550 to 299,184 allocs — or every node's
 # 8 MB address-space backing being allocated and zeroed per run again
-# instead of recycled — 86 MB/op before PR 15 — fails here); chaos-smoke
+# instead of recycled — 86 MB/op before PR 15 — or every hierarchy
+# growing a second per-way array beside its tags again — 20.7 vs 15.5
+# MB/op on the mesh before PR 16 — fails here; B/op reads ±0.8 MB/op per
+# pooled backing a GC happened to drop in the ten iterations, 13.8–16.3
+# MB/op over six runs of the mesh and 19.0–23.2 of the kvstore, which
+# is why the band is not tighter than 0.25); chaos-smoke
 # race-runs the fail/rejoin drain and the lookahead-fuzz violation
 # diagnostic of the conservative-window barrier merge.
 # `make profile` captures CPU+heap profiles of BenchmarkMeshAllToAll for
@@ -64,14 +70,20 @@
 
 GO ?= go
 GOFMT ?= gofmt
-BENCH_OUT ?= BENCH_PR15.json
-SMOKE_BASELINE ?= BENCH_PR15.json
+BENCH_OUT ?= BENCH_PR16.json
+SMOKE_BASELINE ?= BENCH_PR16.json
 # FUNC_BASELINE gates BenchmarkFuncCall ns/op (lower is better) so the
 # compiled-jam fast path can't silently regress (falling back to the
 # interpreter with timing off is 2.5x). ns/op is a host-clock number, so
-# it points at the newest recording from the host shape CI and this
-# container share (2 cores): against BENCH_PR10.json, recorded on a
-# faster single-core machine, the gate failed at every commit here.
+# it points at a recording from the host shape CI and this container
+# share (2 cores): against BENCH_PR10.json, recorded on a faster
+# single-core machine, the gate failed at every commit here. It stays on
+# BENCH_PR15.json (1515/1443 ns, a slow spell of this host) rather than
+# following SMOKE_BASELINE: both BENCH_PR16 recordings were taken in
+# quieter spells (1003/941, 1052/1139) and the gate then tripped twice
+# inside `make check` at 1299/1351 and 1525/1100 on a path PR 16 does not
+# touch, the parent binary reading 1102-1386 beside it. A 2.5x fallback
+# still fails against the slow-spell numbers.
 FUNC_BASELINE ?= BENCH_PR15.json
 
 .PHONY: check fmt-check vet lint build test fuzz-smoke bench-smoke chaos-smoke bench-json profile perf examples
@@ -135,7 +147,9 @@ bench-json:
 	@{ $(GO) test -run xxx -bench 'BenchmarkMeshFanout$$|BenchmarkMeshAllToAll$$|BenchmarkMeshHotspot$$|BenchmarkKVStore|BenchmarkMultiPhase|BenchmarkMultiTenantOverload' -benchmem -benchtime 10x . && \
 	   $(GO) test -run xxx -bench 'BenchmarkMesh(AllToAll|Fanout|Hotspot)(64|128)|BenchmarkMeshChaos64' -benchmem -benchtime 1x . && \
 	   $(GO) test -run xxx -bench 'BenchmarkFuncCall$$|BenchmarkStringInject|BenchmarkFramePack' -benchmem -benchtime 200000x . && \
-	   $(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem -benchtime 200000x ./internal/sim; } \
+	   $(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem -benchtime 200000x ./internal/sim && \
+	   $(GO) test -run xxx -bench 'BenchmarkAccessSameLine|BenchmarkStashedRead1K|BenchmarkConflictSet' -benchmem -benchtime 200000x ./internal/memsim && \
+	   $(GO) test -run xxx -bench 'BenchmarkNew$$' -benchmem -benchtime 1000x ./internal/memsim; } \
 	| $(GO) run ./cmd/benchjson -baseline bench/BASELINE_PR3.json -o $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
 

@@ -1,0 +1,82 @@
+package memsim
+
+import (
+	"testing"
+
+	"twochains/internal/sim"
+)
+
+// The memory-timing layer's own benchmarks (ROADMAP aim 1: each stage of an
+// injection has one). `make bench-json` records them.
+
+var (
+	sinkCost sim.Duration
+	sinkHier *Hierarchy
+)
+
+// steadyState runs op until b.N, after checking that it does not allocate:
+// the hierarchy sits under every timed load, store and fetch.
+func steadyState(b *testing.B, op func()) {
+	if n := testing.AllocsPerRun(100, op); n != 0 {
+		b.Fatalf("%v allocs per op, want 0", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// BenchmarkAccessSameLine is the commonest access there is: the next word
+// of the line touched last (a word loop, a push/pop prologue, the next
+// instruction of a fetched line).
+func BenchmarkAccessSameLine(b *testing.B) {
+	h := New(DefaultConfig())
+	var off uint64
+	steadyState(b, func() {
+		sinkCost += h.Access(0x10000+off, 8, Read)
+		off = (off + 8) % 64
+	})
+}
+
+// BenchmarkStashedRead1K is the jam_sssum shape: the NIC writes a 1 KB
+// frame into one of eight mailbox slots and the handler reads its 128
+// words.
+func BenchmarkStashedRead1K(b *testing.B) {
+	h := New(DefaultConfig())
+	var slot uint64
+	steadyState(b, func() {
+		frame := 0x20000 + slot*1024
+		slot = (slot + 1) % 8
+		h.NetworkWrite(frame, 1024)
+		for off := uint64(0); off < 1024; off += 8 {
+			sinkCost += h.Access(frame+off, 8, Read)
+		}
+	})
+}
+
+// BenchmarkConflictSet is the worst case for recency-ordered sets: ways+1
+// lines take turns in one set at every level, so each access misses
+// everywhere and shifts three full sets.
+func BenchmarkConflictSet(b *testing.B) {
+	cfg := DefaultConfig()
+	h := New(cfg)
+	stride := uint64(cfg.LLCSize / cfg.LLCWays) // bytes between lines of one LLC set, and so of one L2 and L3 set
+	var i uint64
+	steadyState(b, func() {
+		sinkCost += h.Access(i*stride, 8, Read)
+		i = (i + 1) % uint64(cfg.LLCWays+1)
+	})
+	if st := h.Stats(); st.LinesL2+st.LinesL3+st.LinesLLC != 0 {
+		b.Fatalf("conflict set hit a cache: %+v", st)
+	}
+}
+
+// BenchmarkNew is a node's share of system construction: allocating and
+// zeroing the three tag arrays.
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkHier = New(DefaultConfig())
+	}
+}

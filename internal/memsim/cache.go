@@ -10,110 +10,99 @@
 //     tail-latency experiments (Fig. 11/12).
 //
 // The model is functional about *placement* (real set-associative tag
-// arrays with LRU replacement decide where each line lives) and analytic
-// about *time* (per-line costs from internal/model).
+// arrays, each set kept in recency order, decide where each line lives and
+// which line an insert displaces) and analytic about *time* (per-line costs
+// from internal/model).
 package memsim
 
 // A cache is a set-associative tag array with per-set LRU replacement.
 // Only tags are modelled; data always lives in the node's address space.
+//
+// Each set holds its ways most recently used first, valid tags packed in
+// front of free ones, so the LRU victim is whatever sits in the last way.
+// This is observably the same as stamping every touch from a counter and
+// evicting the smallest stamp: stamps of the valid ways of a set are
+// distinct, so they define exactly this order; only membership and that
+// order are ever read; and which physical way holds a line is invisible.
 type cache struct {
-	sets  int
-	ways  int
-	tags  []uint64 // sets*ways entries; line address + 1 (0 = invalid)
-	lru   []uint32 // per-entry last-use stamps
-	stamp uint32
+	ways    int
+	setMask uint64   // sets-1; the set count is a power of two
+	tags    []uint64 // sets*ways entries; line address + 1 (0 = free)
 }
 
+// newCache is total for the line sizes New passes (powers of two): fewer
+// than one way means one, and the set count is rounded down to a power of
+// two, at least one.
 func newCache(sizeBytes, ways, lineSize int) *cache {
-	lines := sizeBytes / lineSize
-	sets := lines / ways
-	if sets < 1 {
-		sets = 1
+	if ways < 1 {
+		ways = 1
 	}
-	return &cache{
-		sets: sets,
-		ways: ways,
-		tags: make([]uint64, sets*ways),
-		lru:  make([]uint32, sets*ways),
+	sets := 1
+	for sets*2 <= sizeBytes/lineSize/ways {
+		sets *= 2
 	}
+	return &cache{ways: ways, setMask: uint64(sets - 1), tags: make([]uint64, sets*ways)}
 }
 
-func (c *cache) setFor(line uint64) int { return int(line % uint64(c.sets)) }
+// set returns the ways line maps to.
+func (c *cache) set(line uint64) []uint64 {
+	base := int(line&c.setMask) * c.ways
+	return c.tags[base : base+c.ways]
+}
 
-// lookup reports whether line is present, updating recency on hit.
+// find returns the way of set s that holds line, or -1.
+func find(s []uint64, line uint64) int {
+	for w, t := range s {
+		if t == line+1 {
+			return w
+		}
+		if t == 0 {
+			break
+		}
+	}
+	return -1
+}
+
+// holds reports whether line is present, without touching recency.
+func (c *cache) holds(line uint64) bool { return find(c.set(line), line) >= 0 }
+
+// lookup reports whether line is present, making it the MRU way on a hit.
 func (c *cache) lookup(line uint64) bool {
-	base := c.setFor(line) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == line+1 {
-			c.stamp++
-			c.lru[base+w] = c.stamp
-			return true
-		}
+	s := c.set(line)
+	w := find(s, line)
+	if w > 0 {
+		copy(s[1:w+1], s[:w])
+		s[0] = line + 1
 	}
-	return false
+	return w >= 0
 }
 
-// insert places line in the cache, evicting the LRU way if needed.
-// It returns the evicted line address and whether an eviction happened.
-func (c *cache) insert(line uint64) (evicted uint64, wasEvicted bool) {
-	base := c.setFor(line) * c.ways
-	c.stamp++
-	// Already present: refresh.
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == line+1 {
-			c.lru[base+w] = c.stamp
-			return 0, false
-		}
+// insertAbsent places a line the caller has just looked up and missed; the
+// LRU way of a full set falls off the end.
+func (c *cache) insertAbsent(line uint64) {
+	s := c.set(line)
+	copy(s[1:], s)
+	s[0] = line + 1
+}
+
+// insert places line in the cache, or refreshes it if already present.
+func (c *cache) insert(line uint64) {
+	if !c.lookup(line) {
+		c.insertAbsent(line)
 	}
-	// Free way.
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == 0 {
-			c.tags[base+w] = line + 1
-			c.lru[base+w] = c.stamp
-			return 0, false
-		}
-	}
-	// Evict LRU.
-	victim := 0
-	for w := 1; w < c.ways; w++ {
-		if c.lru[base+w] < c.lru[base+victim] {
-			victim = w
-		}
-	}
-	evicted = c.tags[base+victim] - 1
-	c.tags[base+victim] = line + 1
-	c.lru[base+victim] = c.stamp
-	return evicted, true
 }
 
 // invalidate removes line if present, reporting whether it was there.
 func (c *cache) invalidate(line uint64) bool {
-	base := c.setFor(line) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == line+1 {
-			c.tags[base+w] = 0
-			return true
-		}
+	s := c.set(line)
+	w := find(s, line)
+	if w < 0 {
+		return false
 	}
-	return false
+	copy(s[w:], s[w+1:])
+	s[len(s)-1] = 0
+	return true
 }
 
 // reset clears all tags.
-func (c *cache) reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.lru[i] = 0
-	}
-	c.stamp = 0
-}
-
-// occupancy returns the number of valid lines (for tests).
-func (c *cache) occupancy() int {
-	n := 0
-	for _, t := range c.tags {
-		if t != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (c *cache) reset() { clear(c.tags) }

@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"math"
+	"math/bits"
 
 	"twochains/internal/model"
 	"twochains/internal/sim"
@@ -66,9 +67,14 @@ type stream struct {
 // stress models. It is not safe for concurrent use; the simulation is
 // single-threaded.
 type Hierarchy struct {
-	cfg     Config
-	l2, l3  *cache
-	llc     *cache
+	cfg       Config
+	lineShift uint // log2(cfg.LineSize)
+	l2, l3    *cache
+	llc       *cache
+	// memo is the line (+1; 0 = none) the last L2 hit or fill touched. It
+	// is the MRU way of its L2 set, so looking it up again would reorder
+	// nothing: AccessSeq answers for it without reading tag memory.
+	memo    uint64
 	streams [model.PrefetchStreams]stream
 	useCtr  uint64
 	rng     *sim.RNG
@@ -76,17 +82,22 @@ type Hierarchy struct {
 	stats   Stats
 }
 
-// New builds a hierarchy from cfg.
+// New builds a hierarchy from cfg. A LineSize that is not a positive power
+// of two selects the default geometry; Stash, Prefetch and Seed stay the
+// caller's.
 func New(cfg Config) *Hierarchy {
-	if cfg.LineSize == 0 {
-		cfg = DefaultConfig()
+	if cfg.LineSize <= 0 || cfg.LineSize&(cfg.LineSize-1) != 0 {
+		d := DefaultConfig()
+		d.Stash, d.Prefetch, d.Seed = cfg.Stash, cfg.Prefetch, cfg.Seed
+		cfg = d
 	}
 	return &Hierarchy{
-		cfg: cfg,
-		l2:  newCache(cfg.L2Size, cfg.L2Ways, cfg.LineSize),
-		l3:  newCache(cfg.L3Size, cfg.L3Ways, cfg.LineSize),
-		llc: newCache(cfg.LLCSize, cfg.LLCWays, cfg.LineSize),
-		rng: sim.NewRNG(cfg.Seed ^ 0x6d656d73696d), // "memsim"
+		cfg:       cfg,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		l2:        newCache(cfg.L2Size, cfg.L2Ways, cfg.LineSize),
+		l3:        newCache(cfg.L3Size, cfg.L3Ways, cfg.LineSize),
+		llc:       newCache(cfg.LLCSize, cfg.LLCWays, cfg.LineSize),
+		rng:       sim.NewRNG(cfg.Seed ^ 0x6d656d73696d), // "memsim"
 	}
 }
 
@@ -106,7 +117,7 @@ func (h *Hierarchy) Stats() Stats { return h.stats }
 // ResetStats zeroes the counters without touching cache contents.
 func (h *Hierarchy) ResetStats() { h.stats = Stats{} }
 
-func (h *Hierarchy) line(addr uint64) uint64 { return addr / uint64(h.cfg.LineSize) }
+func (h *Hierarchy) line(addr uint64) uint64 { return addr >> h.lineShift }
 
 // trainPrefetch records a DRAM-level miss for line and reports whether the
 // line was covered by an already-hot stream (i.e. effectively prefetched).
@@ -136,13 +147,6 @@ func (h *Hierarchy) trainPrefetch(line uint64) bool {
 	return false
 }
 
-// fill installs a line in all levels (the hierarchy is modelled inclusive).
-func (h *Hierarchy) fill(line uint64) {
-	h.l2.insert(line)
-	h.l3.insert(line)
-	h.llc.insert(line)
-}
-
 // Access models a CPU access (load, store, or instruction fetch) of size
 // bytes at addr and returns its cost. Multi-line accesses are pipelined:
 // the first line pays the full load-to-use latency of the level where it
@@ -164,6 +168,10 @@ func (h *Hierarchy) AccessSeq(addr uint64, size int, k Kind, seq bool) sim.Durat
 	h.stats.Accesses++
 	first := h.line(addr)
 	last := h.line(addr + uint64(size) - 1)
+	if first == last && first+1 == h.memo {
+		h.stats.LinesL2++
+		return l2Cost(!seq, k)
+	}
 	var cost sim.Duration
 	for line := first; ; line++ {
 		cost += h.accessLine(line, line == first && !seq, k)
@@ -171,7 +179,16 @@ func (h *Hierarchy) AccessSeq(addr uint64, size int, k Kind, seq bool) sim.Durat
 			break
 		}
 	}
+	h.memo = last + 1 // every path through accessLine leaves its line in L2
 	return cost
+}
+
+// l2Cost is the cost of one line that hits in L2.
+func l2Cost(lead bool, k Kind) sim.Duration {
+	if lead {
+		return model.L2HitLat
+	}
+	return streamCost(k, false, false, false, false)
 }
 
 // streamCost is the overlapped per-line cost for non-lead lines. Data
@@ -206,18 +223,17 @@ func streamCost(k Kind, l3, llc, dram, pref bool) sim.Duration {
 	return model.Cycles(1)
 }
 
-// accessLine costs a single line and updates cache state.
+// accessLine costs a single line and updates cache state: the line ends up
+// in every level (the hierarchy is modelled inclusive), filled into exactly
+// the levels that just missed.
 func (h *Hierarchy) accessLine(line uint64, lead bool, k Kind) sim.Duration {
 	switch {
 	case h.l2.lookup(line):
 		h.stats.LinesL2++
-		if lead {
-			return model.L2HitLat
-		}
-		return streamCost(k, false, false, false, false)
+		return l2Cost(lead, k)
 	case h.l3.lookup(line):
 		h.stats.LinesL3++
-		h.l2.insert(line)
+		h.l2.insertAbsent(line)
 		if lead {
 			return model.L3HitLat
 		}
@@ -234,7 +250,8 @@ func (h *Hierarchy) accessLine(line uint64, lead bool, k Kind) sim.Duration {
 			return h.dramLine(line, false, k)
 		}
 		h.stats.LinesLLC++
-		h.fill(line)
+		h.l2.insertAbsent(line)
+		h.l3.insertAbsent(line)
 		var extra sim.Duration
 		if h.stress {
 			extra = sim.FromNanos(model.StressLLCExtraNs)
@@ -248,8 +265,8 @@ func (h *Hierarchy) accessLine(line uint64, lead bool, k Kind) sim.Duration {
 	}
 }
 
-// dramLine costs a DRAM access for one line, consulting the prefetcher and
-// the stress model, and fills the line into the hierarchy. The stride
+// dramLine costs a DRAM access for one line that no level holds, consulting
+// the prefetcher and the stress model, and fills it into all three. The stride
 // prefetcher is a data-side engine: demand instruction fetches do not train
 // it (the modest I-side next-line prefetch is already folded into the
 // Fetch streaming cost), which is why code arriving in messages stays
@@ -257,7 +274,9 @@ func (h *Hierarchy) accessLine(line uint64, lead bool, k Kind) sim.Duration {
 // the interaction Fig. 9 measures.
 func (h *Hierarchy) dramLine(line uint64, lead bool, k Kind) sim.Duration {
 	prefetched := k != Fetch && h.trainPrefetch(line)
-	h.fill(line)
+	h.l2.insertAbsent(line)
+	h.l3.insertAbsent(line)
+	h.llc.insertAbsent(line)
 	var cost sim.Duration
 	switch {
 	case prefetched:
@@ -309,6 +328,7 @@ func (h *Hierarchy) NetworkWrite(addr uint64, size int) {
 	if size <= 0 {
 		return
 	}
+	h.memo = 0
 	firstLine := h.line(addr)
 	lastLine := h.line(addr + uint64(size) - 1)
 	for line := firstLine; ; line++ {
@@ -338,38 +358,29 @@ func (h *Hierarchy) WarmLines(addr uint64, size int) {
 	firstLine := h.line(addr)
 	lastLine := h.line(addr + uint64(size) - 1)
 	for line := firstLine; ; line++ {
-		h.fill(line)
+		h.l2.insert(line)
+		h.l3.insert(line)
+		h.llc.insert(line)
 		if line == lastLine {
 			break
 		}
 	}
+	h.memo = lastLine + 1
 }
 
 // Contains reports which level holds the line at addr: "L2", "L3", "LLC" or
 // "DRAM". For tests and diagnostics; does not update recency or stats.
 func (h *Hierarchy) Contains(addr uint64) string {
 	line := h.line(addr)
-	// Peek without recency updates by scanning tags directly.
-	if peek(h.l2, line) {
+	switch {
+	case h.l2.holds(line):
 		return "L2"
-	}
-	if peek(h.l3, line) {
+	case h.l3.holds(line):
 		return "L3"
-	}
-	if peek(h.llc, line) {
+	case h.llc.holds(line):
 		return "LLC"
 	}
 	return "DRAM"
-}
-
-func peek(c *cache, line uint64) bool {
-	base := c.setFor(line) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == line+1 {
-			return true
-		}
-	}
-	return false
 }
 
 // Reset clears all cache contents, prefetch streams and statistics.
@@ -377,6 +388,7 @@ func (h *Hierarchy) Reset() {
 	h.l2.reset()
 	h.l3.reset()
 	h.llc.reset()
+	h.memo = 0
 	h.streams = [model.PrefetchStreams]stream{}
 	h.useCtr = 0
 	h.stats = Stats{}

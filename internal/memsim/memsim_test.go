@@ -15,6 +15,17 @@ func testConfig(stash, prefetch bool) Config {
 	return c
 }
 
+// occupancy returns the number of valid lines.
+func (c *cache) occupancy() int {
+	n := 0
+	for _, t := range c.tags {
+		if t != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestCacheLookupInsert(t *testing.T) {
 	c := newCache(64*1024, 4, 64) // 1024 lines, 256 sets
 	if c.lookup(100) {
@@ -39,12 +50,12 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	// Touch 0 so 1 becomes LRU.
 	c.lookup(0)
-	evicted, was := c.insert(99)
-	if !was || evicted != 1 {
-		t.Fatalf("evicted %d (%v), want 1", evicted, was)
+	c.insert(99)
+	if c.lookup(1) {
+		t.Fatal("LRU line 1 survived the eviction")
 	}
-	if !c.lookup(0) || !c.lookup(99) || c.lookup(1) {
-		t.Fatal("LRU state wrong after eviction")
+	if !c.lookup(0) || !c.lookup(2) || !c.lookup(3) || !c.lookup(99) {
+		t.Fatal("eviction took more than the LRU line")
 	}
 }
 
@@ -53,9 +64,7 @@ func TestCacheReinsertIsRefresh(t *testing.T) {
 	for line := uint64(0); line < 4; line++ {
 		c.insert(line)
 	}
-	if _, was := c.insert(2); was {
-		t.Fatal("reinsert evicted")
-	}
+	c.insert(2)
 	if c.occupancy() != 4 {
 		t.Fatalf("occupancy = %d", c.occupancy())
 	}
@@ -309,5 +318,68 @@ func TestMultiLineLeadCostDominates(t *testing.T) {
 	}
 	if eight >= 8*one {
 		t.Fatalf("no overlap: 8 lines cost %v vs 8x one-line %v", eight, 8*one)
+	}
+}
+
+func TestGeometryIsTotal(t *testing.T) {
+	sets := func(c *cache) int { return len(c.tags) / c.ways }
+	small := Config{L2Size: 256, L2Ways: 2, L3Size: 512, L3Ways: 2, LLCSize: 1024, LLCWays: 4, LineSize: 64, Seed: 9}
+	with := func(edit func(*Config)) Config {
+		c := small
+		edit(&c)
+		return c
+	}
+	// l2Sets 0 means the default geometry is expected. Stash, Prefetch and
+	// Seed must come out as they went in, in every row.
+	for _, tc := range []struct {
+		name           string
+		cfg            Config
+		l2Sets, l2Ways int
+	}{
+		{"as given", small, 2, 2},
+		{"zero ways", with(func(c *Config) { c.L2Ways = 0 }), 4, 1},
+		{"negative ways", with(func(c *Config) { c.L2Ways = -3 }), 4, 1},
+		{"three sets round down to two", with(func(c *Config) { c.L2Size = 3 * 2 * 64 }), 2, 2},
+		{"smaller than one set", with(func(c *Config) { c.L2Size = 0 }), 1, 2},
+		{"more ways than lines", with(func(c *Config) { c.L2Ways = 64 }), 1, 64},
+		{"negative size", with(func(c *Config) { c.L2Size = -4096 }), 1, 2},
+		{"line size zero, stash off", Config{Prefetch: true, Seed: 5}, 0, 0},
+		{"line size zero, stash on", Config{Stash: true}, 0, 0},
+		{"line size not a power of two", with(func(c *Config) { c.LineSize = 48; c.Stash = true }), 0, 0},
+		{"negative line size", with(func(c *Config) { c.LineSize = -64 }), 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			line := tc.cfg.LineSize
+			if tc.l2Sets == 0 {
+				tc.l2Sets, tc.l2Ways, line = model.L2Size/model.LineSize/model.L2Ways, model.L2Ways, model.LineSize
+			}
+			h := New(tc.cfg)
+			if got := h.Config(); got.Stash != tc.cfg.Stash || got.Prefetch != tc.cfg.Prefetch || got.Seed != tc.cfg.Seed || got.LineSize != line {
+				t.Fatalf("config %+v from %+v, want line size %d and the caller's stash, prefetch and seed", got, tc.cfg, line)
+			}
+			if sets(h.l2) != tc.l2Sets || h.l2.ways != tc.l2Ways {
+				t.Fatalf("L2 is %d sets x %d ways, want %d x %d", sets(h.l2), h.l2.ways, tc.l2Sets, tc.l2Ways)
+			}
+			// Whatever the geometry came out as, it works: more lines than
+			// the L2 holds go through it and the last one read stays.
+			n := 4 * tc.l2Sets * tc.l2Ways
+			for i := 0; i < n; i++ {
+				h.Access(uint64(i*line), 8, Read)
+			}
+			h.NetworkWrite(0, 3*line)
+			want := "DRAM"
+			if tc.cfg.Stash {
+				want = "LLC"
+			}
+			if lvl := h.Contains(0); lvl != want {
+				t.Fatalf("line 0 in %s after a NIC write, want %s", lvl, want)
+			}
+			if lvl := h.Contains(uint64((n - 1) * line)); lvl != "L2" {
+				t.Fatalf("last line read is in %s, want L2", lvl)
+			}
+			if h.l2.occupancy() > tc.l2Sets*tc.l2Ways {
+				t.Fatalf("L2 holds %d lines, capacity %d", h.l2.occupancy(), tc.l2Sets*tc.l2Ways)
+			}
+		})
 	}
 }
