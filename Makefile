@@ -29,10 +29,10 @@
 # arbitrary accessor sequences on a space grown into poisoned recycled
 # backings must match a never-recycled space value for value, fault for
 # fault, byte for byte; then FuzzHierarchy (internal/memsim): arbitrary
-# access / NIC-write / warm / stress / reset sequences on a Hierarchy must
-# match the reference stamp-LRU model cost for cost, counter for counter,
-# line for line. A failing input lands in the package's
-# testdata/fuzz/ — commit it with the fix.
+# access / NIC-write / warm / stress / reset / recycle sequences on a
+# Hierarchy must match the reference stamp-LRU model cost for cost,
+# counter for counter, line for line. A failing input lands in the
+# package's testdata/fuzz/ — commit it with the fix.
 #
 # `make bench-json` regenerates $(BENCH_OUT) (BENCH_PR16.json by
 # default; override with BENCH_OUT=...) — the machine-readable perf

@@ -333,6 +333,15 @@ var diffGeometries = []Config{
 
 const diffBase = 0x40000
 
+// diffHighBits are OR-ed onto working-set addresses: bits no address space
+// here can produce, set so that lines differing only up there meet in one
+// set at every level.
+var diffHighBits = [4]uint64{1 << 46, 1 << 52, 1 << 63, 1<<63 | 1<<46}
+
+// recycle replaces h by a fresh hierarchy of the same configuration, as the
+// next system built in the process gets one.
+func recycle(h *Hierarchy, cfg Config) *Hierarchy { return New(cfg) }
+
 // hierarchyDiff drives one op sequence against a Hierarchy and against the
 // reference model and fails on the first difference in any returned cost,
 // any Stats field, or the level holding any line the program touched.
@@ -364,8 +373,11 @@ func hierarchyDiff(t *testing.T, program []byte) {
 		case sel < 224: // a forward stream, which trains the prefetcher
 			cursor++
 			prev = 0x4000000 + cursor*ls
-		default:
+		case sel < 240:
 			prev = diffBase + uint64(p.u16())*8
+		default: // a working-set line again, under address bits 46 and up
+			hi := p.u8()
+			prev = diffHighBits[hi>>6] | (diffBase + uint64(hi%48)*ls + uint64(p.u8())%ls)
 		}
 		return prev
 	}
@@ -441,11 +453,18 @@ func hierarchyDiff(t *testing.T, program []byte) {
 			got.SetStress(on)
 			want.stress = on
 		case 13:
-			if p.u8() < 64 {
+			switch sel := p.u8(); {
+			case sel < 64:
 				checkLines(op)
 				got.Reset()
 				want.Reset()
-			} else {
+			case sel < 96:
+				// The system is closed and the next one built: every line
+				// touched so far must read as DRAM in both (checked by the
+				// Contains sweeps that follow), stress off, counters zero.
+				checkLines(op)
+				got, want = recycle(got, cfg), newRefHierarchy(cfg)
+			default:
 				got.ResetStats()
 				want.stats = Stats{}
 			}
