@@ -34,7 +34,7 @@
 # counter for counter, line for line. A failing input lands in the
 # package's testdata/fuzz/ — commit it with the fix.
 #
-# `make bench-json` regenerates $(BENCH_OUT) (BENCH_PR16.json by
+# `make bench-json` regenerates $(BENCH_OUT) (BENCH_PR19.json by
 # default; override with BENCH_OUT=...) — the machine-readable perf
 # trajectory point (ns/op, allocs/op, simulated injections/sec, speedup
 # vs the recorded pre-PR-3 baseline in bench/BASELINE_PR3.json), now
@@ -58,10 +58,14 @@
 # 8 MB address-space backing being allocated and zeroed per run again
 # instead of recycled — 86 MB/op before PR 15 — or every hierarchy
 # growing a second per-way array beside its tags again — 20.7 vs 15.5
-# MB/op on the mesh before PR 16 — fails here; B/op reads ±0.8 MB/op per
-# pooled backing a GC happened to drop in the ten iterations, 13.8–16.3
-# MB/op over six runs of the mesh and 19.0–23.2 of the kvstore, which
-# is why the band is not tighter than 0.25); chaos-smoke
+# MB/op on the mesh before PR 16 — or every node's 1.28 MB of tags being
+# allocated per run again instead of recycled — 15.5 vs 3.3 MB/op on the
+# mesh, 19.0 vs 7.9 on the kvstore before PR 19 — fails here. That step
+# runs at -cpu 1: with two Ps a sync.Pool entry parked in the other P's
+# private slot is out of reach after a GC and dropped at the next, so the
+# mesh read 3.30, 4.14, 4.26 or 5.10 MB/op — one 8 MB backing is 0.84
+# MB/op, one LLC tag array 0.12 — where one P reads 3.30 every time);
+# chaos-smoke
 # race-runs the fail/rejoin drain and the lookahead-fuzz violation
 # diagnostic of the conservative-window barrier merge.
 # `make profile` captures CPU+heap profiles of BenchmarkMeshAllToAll for
@@ -70,8 +74,8 @@
 
 GO ?= go
 GOFMT ?= gofmt
-BENCH_OUT ?= BENCH_PR16.json
-SMOKE_BASELINE ?= BENCH_PR16.json
+BENCH_OUT ?= BENCH_PR19.json
+SMOKE_BASELINE ?= BENCH_PR19.json
 # FUNC_BASELINE gates BenchmarkFuncCall ns/op (lower is better) so the
 # compiled-jam fast path can't silently regress (falling back to the
 # interpreter with timing off is 2.5x). ns/op is a host-clock number, so
@@ -128,7 +132,7 @@ bench-smoke:
 	@cat bench_func.out
 	@$(GO) run ./cmd/benchjson -smoke -baseline $(FUNC_BASELINE) -metric ns/op -tol 0.25 < bench_func.out; \
 		st=$$?; rm -f bench_func.out; exit $$st
-	$(GO) test -run xxx -bench 'BenchmarkMeshAllToAll$$|BenchmarkKVStoreOpenLoop$$|BenchmarkMultiTenantOverload$$' -benchmem -benchtime 10x . \
+	$(GO) test -run xxx -bench 'BenchmarkMeshAllToAll$$|BenchmarkKVStoreOpenLoop$$|BenchmarkMultiTenantOverload$$' -benchmem -benchtime 10x -cpu 1 . \
 		> bench_alloc.out || { cat bench_alloc.out; rm -f bench_alloc.out; exit 1; }
 	@cat bench_alloc.out
 	@$(GO) run ./cmd/benchjson -smoke -baseline $(SMOKE_BASELINE) -metric allocs/op -tol 0.25 < bench_alloc.out && \
@@ -148,7 +152,7 @@ bench-json:
 	   $(GO) test -run xxx -bench 'BenchmarkMesh(AllToAll|Fanout|Hotspot)(64|128)|BenchmarkMeshChaos64' -benchmem -benchtime 1x . && \
 	   $(GO) test -run xxx -bench 'BenchmarkFuncCall$$|BenchmarkStringInject|BenchmarkFramePack' -benchmem -benchtime 200000x . && \
 	   $(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem -benchtime 200000x ./internal/sim && \
-	   $(GO) test -run xxx -bench 'BenchmarkAccessSameLine|BenchmarkStashedRead1K|BenchmarkConflictSet' -benchmem -benchtime 200000x ./internal/memsim && \
+	   $(GO) test -run xxx -bench 'BenchmarkAccessSameLine|BenchmarkStashedRead1K|BenchmarkConflictSet|BenchmarkReset' -benchmem -benchtime 200000x ./internal/memsim && \
 	   $(GO) test -run xxx -bench 'BenchmarkNew$$' -benchmem -benchtime 1000x ./internal/memsim; } \
 	| $(GO) run ./cmd/benchjson -baseline bench/BASELINE_PR3.json -o $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"

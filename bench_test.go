@@ -462,6 +462,7 @@ func benchInvokePath(b *testing.B, handle bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer sys.Close()
 	pkg, err := core.BuildBenchPackage()
 	if err != nil {
 		b.Fatal(err)

@@ -110,6 +110,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	defer sys.Close()
 	if *tenName != "" {
 		if _, err := sys.AddTenant(tenant.Config{Name: *tenName, Weight: 1}); err != nil {
 			fatal(err)

@@ -56,6 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 	pkg, err := core.BuildBenchPackage()
 	if err != nil {
 		log.Fatal(err)

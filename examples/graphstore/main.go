@@ -145,6 +145,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 	if err := sys.InstallPackage(pkg); err != nil {
 		log.Fatal(err)
 	}

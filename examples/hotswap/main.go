@@ -92,6 +92,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 	if err := sys.InstallPackage(pkgV1); err != nil {
 		log.Fatal(err)
 	}

@@ -95,6 +95,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 	// The client only needs the jam; install the cpu flavour locally.
 	for i, ried := range map[int]string{client: riedCPU, cpuNode: riedCPU, accNode: riedAccel} {
 		if _, err := sys.Node(i).InstallPackage(buildFor(ried)); err != nil {

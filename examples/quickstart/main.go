@@ -36,6 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 
 	// 3. Install the package everywhere (the server's ried sets up the
 	//    hash table and heap; the local-function library provides the

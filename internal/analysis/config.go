@@ -101,5 +101,6 @@ func isShardLocal(pkgPath, typeName string) bool {
 const (
 	mailboxPath = "twochains/internal/mailbox"
 	memPath     = "twochains/internal/mem"
+	memsimPath  = "twochains/internal/memsim"
 	tcPath      = "twochains/internal/tc"
 )

@@ -11,18 +11,19 @@ import (
 // packing, so a later touch is a use-after-reuse on whatever send the
 // freelist served next), and Release hands a tc.Future back to its
 // per-shard pool (touching it afterwards races the next Call that
-// recycles it). The same goes for address-space backings: Close on a
-// tc.System, or Release on a mem.AddressSpace, hands node memory to the
-// process-wide backing pool, and the next system built may already own
-// it. The check is a straight-line reaching-uses pass over
-// each block: any use of the handed-off variable in the statements
-// after the hand-off is flagged until the variable is reassigned
+// recycles it). The same goes for address-space backings and cache-model
+// tag arrays: Close on a tc.System, or Release on a mem.AddressSpace or a
+// memsim.Hierarchy, hands node memory or tags to a process-wide pool, and
+// the next system built may already own them. The check is a
+// straight-line reaching-uses pass over each block: any use of the
+// handed-off variable in the statements after the hand-off is flagged
+// until the variable is reassigned
 // (msg = s.GetMessage() starts a new ownership epoch). Uses of
 // the message captured by the send's own completion callback are
 // flagged too — the callback runs after the frame is released.
 var PoolOwnership = &Analyzer{
 	Name: "poolownership",
-	Doc:  "no use of a mailbox.Message after Send/SendBatch, a tc.Future or mem.AddressSpace after Release, or a tc.System after Close",
+	Doc:  "no use of a mailbox.Message after Send/SendBatch, a tc.Future, mem.AddressSpace or memsim.Hierarchy after Release, or a tc.System after Close",
 	Run:  runPoolOwnership,
 }
 
@@ -135,6 +136,8 @@ func handoffIn(pass *Pass, stmt ast.Stmt) (types.Object, handoff, bool) {
 		return useOf(pass.Info, sel.X), handoff{verb: "Release", what: "tc.Future"}, true
 	case sel.Sel.Name == "Release" && isPtrToNamed(recv, memPath, "AddressSpace"):
 		return useOf(pass.Info, sel.X), handoff{verb: "Release", what: "mem.AddressSpace"}, true
+	case sel.Sel.Name == "Release" && isPtrToNamed(recv, memsimPath, "Hierarchy"):
+		return useOf(pass.Info, sel.X), handoff{verb: "Release", what: "memsim.Hierarchy"}, true
 	case sel.Sel.Name == "Close" && isPtrToNamed(recv, tcPath, "System"):
 		return useOf(pass.Info, sel.X), handoff{verb: "Close", what: "tc.System"}, true
 	}

@@ -121,13 +121,17 @@ func (c *Cluster) RunFor(d sim.Duration) {
 	c.Eng.RunFor(d)
 }
 
-// Close releases every node's address-space backing for reuse by the
-// next system (mem.AddressSpace.Release). Call it once the cluster will
-// not run again: afterwards every memory access on its nodes faults.
-// Closing twice is harmless.
+// Close releases every node's address-space backing and cache-model tag
+// arrays for reuse by the next system (mem.AddressSpace.Release,
+// memsim.Hierarchy.Release). Call it once the cluster will not run again:
+// afterwards every memory access on its nodes faults. Closing twice is
+// harmless.
 func (c *Cluster) Close() {
 	for _, n := range c.Nodes {
 		n.AS.Release()
+		if n.Hier != nil {
+			n.Hier.Release()
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"runtime"
 	"testing"
 
 	"twochains/internal/sim"
@@ -72,11 +73,42 @@ func BenchmarkConflictSet(b *testing.B) {
 	}
 }
 
-// BenchmarkNew is a node's share of system construction: allocating and
-// zeroing the three tag arrays.
+// BenchmarkNew is a node's share of building a system and closing it: New
+// draws from the pool the three tag arrays Release handed back, so in
+// steady state the pair allocates the Hierarchy, its RNG and the one-line
+// stand-ins Release leaves behind, and nothing as large as an array.
 func BenchmarkNew(b *testing.B) {
+	cfg := DefaultConfig()
+	op := func() {
+		sinkHier = New(cfg)
+		sinkHier.Release()
+	}
+	op()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per >= 1024 {
+		b.Fatalf("New+Release allocates %d B per pair, want < 1 KB: the tag arrays are not coming back from the pool", per)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkHier = New(DefaultConfig())
+		op()
+	}
+}
+
+// BenchmarkReset empties a hierarchy that holds a line: a generation bump
+// per level, whatever the arrays' size.
+func BenchmarkReset(b *testing.B) {
+	h := New(DefaultConfig())
+	steadyState(b, func() {
+		sinkCost += h.Access(0x10000, 8, Read)
+		h.Reset()
+	})
+	if lvl := h.Contains(0x10000); lvl != "DRAM" {
+		b.Fatalf("a line survived Reset in %s", lvl)
 	}
 }

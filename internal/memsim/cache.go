@@ -15,6 +15,11 @@
 // from internal/model).
 package memsim
 
+import (
+	"math/bits"
+	"sync"
+)
+
 // A cache is a set-associative tag array with per-set LRU replacement.
 // Only tags are modelled; data always lives in the node's address space.
 //
@@ -24,15 +29,33 @@ package memsim
 // evicting the smallest stamp: stamps of the valid ways of a set are
 // distinct, so they define exactly this order; only membership and that
 // order are ever read; and which physical way holds a line is invisible.
+//
+// A valid way holds floor + 1 + line, floor being the cache's generation
+// shifted above the 40 line bits, and a word is free iff it is <= floor:
+// reset, and reuse of the array by another hierarchy, start the next
+// generation and clear nothing. What an earlier one wrote is unobservable:
+// only t == floor+1+line and t <= floor are ever evaluated; a stale word is
+// <= floor, as generations only grow (the largest tag of one is the floor
+// of the next); and the shifts move stale words only among the free ways.
 type cache struct {
 	ways    int
 	setMask uint64   // sets-1; the set count is a power of two
-	tags    []uint64 // sets*ways entries; line address + 1 (0 = free)
+	floor   uint64   // generation * genStep, at most maxFloor
+	tags    []uint64 // sets*ways entries
 }
+
+const (
+	lineMask = 1<<40 - 1 // Hierarchy.line masks line numbers to 40 bits
+	genStep  = lineMask + 1
+	maxFloor = (1<<24 - 2) * genStep // its largest tag, maxFloor+genStep, still fits a word
+)
+
+// tagPool recycles released caches, a pool per size class like mem's backings.
+var tagPool [bits.UintSize]sync.Pool
 
 // newCache is total for the line sizes New passes (powers of two): fewer
 // than one way means one, and the set count is rounded down to a power of
-// two, at least one.
+// two, at least one. The tags are a pooled array of that length, uncleared.
 func newCache(sizeBytes, ways, lineSize int) *cache {
 	if ways < 1 {
 		ways = 1
@@ -41,7 +64,25 @@ func newCache(sizeBytes, ways, lineSize int) *cache {
 	for sets*2 <= sizeBytes/lineSize/ways {
 		sets *= 2
 	}
-	return &cache{ways: ways, setMask: uint64(sets - 1), tags: make([]uint64, sets*ways)}
+	n := sets * ways
+	c, _ := tagPool[bits.Len(uint(n))].Get().(*cache)
+	if c == nil || len(c.tags) != n {
+		c = &cache{tags: make([]uint64, n)}
+	}
+	c.ways, c.setMask = ways, uint64(sets-1)
+	c.reset()
+	return c
+}
+
+// release hands c to tagPool; the caller must not touch it again.
+func (c *cache) release() { tagPool[bits.Len(uint(len(c.tags)))].Put(c) }
+
+// reset starts the next generation; past the last, it clears and restarts.
+func (c *cache) reset() {
+	if c.floor += genStep; c.floor > maxFloor {
+		clear(c.tags)
+		c.floor = genStep
+	}
 }
 
 // set returns the ways line maps to.
@@ -50,13 +91,13 @@ func (c *cache) set(line uint64) []uint64 {
 	return c.tags[base : base+c.ways]
 }
 
-// find returns the way of set s that holds line, or -1.
-func find(s []uint64, line uint64) int {
+// find returns the way of set s that holds the tag want, or -1.
+func find(s []uint64, want, floor uint64) int {
 	for w, t := range s {
-		if t == line+1 {
+		if t == want {
 			return w
 		}
-		if t == 0 {
+		if t <= floor {
 			break
 		}
 	}
@@ -64,15 +105,15 @@ func find(s []uint64, line uint64) int {
 }
 
 // holds reports whether line is present, without touching recency.
-func (c *cache) holds(line uint64) bool { return find(c.set(line), line) >= 0 }
+func (c *cache) holds(line uint64) bool { return find(c.set(line), c.floor+1+line, c.floor) >= 0 }
 
 // lookup reports whether line is present, making it the MRU way on a hit.
 func (c *cache) lookup(line uint64) bool {
-	s := c.set(line)
-	w := find(s, line)
+	s, want := c.set(line), c.floor+1+line
+	w := find(s, want, c.floor)
 	if w > 0 {
 		copy(s[1:w+1], s[:w])
-		s[0] = line + 1
+		s[0] = want
 	}
 	return w >= 0
 }
@@ -80,9 +121,9 @@ func (c *cache) lookup(line uint64) bool {
 // insertAbsent places a line the caller has just looked up and missed; the
 // LRU way of a full set falls off the end.
 func (c *cache) insertAbsent(line uint64) {
-	s := c.set(line)
+	s, want := c.set(line), c.floor+1+line
 	copy(s[1:], s)
-	s[0] = line + 1
+	s[0] = want
 }
 
 // insert places line in the cache, or refreshes it if already present.
@@ -94,8 +135,8 @@ func (c *cache) insert(line uint64) {
 
 // invalidate removes line if present, reporting whether it was there.
 func (c *cache) invalidate(line uint64) bool {
-	s := c.set(line)
-	w := find(s, line)
+	s, want := c.set(line), c.floor+1+line
+	w := find(s, want, c.floor)
 	if w < 0 {
 		return false
 	}
@@ -103,6 +144,3 @@ func (c *cache) invalidate(line uint64) bool {
 	s[len(s)-1] = 0
 	return true
 }
-
-// reset clears all tags.
-func (c *cache) reset() { clear(c.tags) }

@@ -3,6 +3,7 @@ package memsim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"twochains/internal/model"
@@ -116,7 +117,9 @@ func newRefHierarchy(cfg Config) *refHierarchy {
 	}
 }
 
-func (h *refHierarchy) line(addr uint64) uint64 { return addr / uint64(h.cfg.LineSize) }
+// line masks like Hierarchy.line: the model's physical address width is
+// the one thing the reference takes from the package.
+func (h *refHierarchy) line(addr uint64) uint64 { return addr / uint64(h.cfg.LineSize) & lineMask }
 
 func (h *refHierarchy) trainPrefetch(line uint64) bool {
 	if !h.cfg.Prefetch {
@@ -338,19 +341,31 @@ const diffBase = 0x40000
 // set at every level.
 var diffHighBits = [4]uint64{1 << 46, 1 << 52, 1 << 63, 1<<63 | 1<<46}
 
-// recycle replaces h by a fresh hierarchy of the same configuration, as the
-// next system built in the process gets one.
-func recycle(h *Hierarchy, cfg Config) *Hierarchy { return New(cfg) }
+// tagArrays identifies the three tag arrays h holds.
+func tagArrays(h *Hierarchy) [3]*uint64 {
+	return [3]*uint64{&h.l2.tags[0], &h.l3.tags[0], &h.llc.tags[0]}
+}
+
+// recycledArrays counts the tag arrays a recycle op got back from the pool:
+// the hierarchy built after a Release holding an array the released one held.
+var recycledArrays int
 
 // hierarchyDiff drives one op sequence against a Hierarchy and against the
 // reference model and fails on the first difference in any returned cost,
 // any Stats field, or the level holding any line the program touched.
-func hierarchyDiff(t *testing.T, program []byte) {
+func hierarchyDiff(t *testing.T, program []byte) { diffOn(t, program, New) }
+
+// diffOn is hierarchyDiff with the constructor of the hierarchy under test
+// supplied (recycle_test.go watches what New draws from a poisoned pool).
+// It returns the geometry the program chose and the lines it touched.
+func diffOn(t *testing.T, program []byte, build func(Config) *Hierarchy) (Config, map[uint64]bool) {
 	p := &prog{b: program}
 	cfg := diffGeometries[p.u8()%len(diffGeometries)]
 	flags := p.u8()
 	cfg.Stash, cfg.Prefetch, cfg.Seed = flags&1 != 0, flags&2 != 0, uint64(p.u8())
-	got, want := New(cfg), newRefHierarchy(cfg)
+	got, want := build(cfg), newRefHierarchy(cfg)
+	// Every program leaves its arrays, as it dirtied them, to the next.
+	defer func() { got.Release() }()
 	if flags&4 != 0 {
 		got.SetStress(true)
 		want.stress = true
@@ -463,7 +478,14 @@ func hierarchyDiff(t *testing.T, program []byte) {
 				// touched so far must read as DRAM in both (checked by the
 				// Contains sweeps that follow), stress off, counters zero.
 				checkLines(op)
-				got, want = recycle(got, cfg), newRefHierarchy(cfg)
+				old := tagArrays(got)
+				got.Release()
+				got, want = build(cfg), newRefHierarchy(cfg)
+				for _, a := range tagArrays(got) {
+					if slices.Contains(old[:], a) {
+						recycledArrays++
+					}
+				}
 			default:
 				got.ResetStats()
 				want.stats = Stats{}
@@ -481,6 +503,7 @@ func hierarchyDiff(t *testing.T, program []byte) {
 		}
 	}
 	checkLines(-1)
+	return cfg, touched
 }
 
 func randomProgram(rng *rand.Rand) []byte {
@@ -491,8 +514,12 @@ func randomProgram(rng *rand.Rand) []byte {
 
 func TestHierarchyDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
+	before := recycledArrays
 	for i := 0; i < 300; i++ {
 		hierarchyDiff(t, randomProgram(rng))
+	}
+	if recycledArrays == before {
+		t.Fatal("no recycle op got an array back from the pool: the differential never ran on a reused one")
 	}
 }
 

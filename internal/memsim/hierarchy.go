@@ -67,10 +67,9 @@ type stream struct {
 // stress models. It is not safe for concurrent use; the simulation is
 // single-threaded.
 type Hierarchy struct {
-	cfg       Config
-	lineShift uint // log2(cfg.LineSize)
-	l2, l3    *cache
-	llc       *cache
+	cfg         Config
+	lineShift   uint // log2(cfg.LineSize)
+	l2, l3, llc *cache
 	// memo is the line (+1; 0 = none) the last L2 hit or fill touched. It
 	// is the MRU way of its L2 set, so looking it up again would reorder
 	// nothing: AccessSeq answers for it without reading tag memory.
@@ -117,7 +116,9 @@ func (h *Hierarchy) Stats() Stats { return h.stats }
 // ResetStats zeroes the counters without touching cache contents.
 func (h *Hierarchy) ResetStats() { h.stats = Stats{} }
 
-func (h *Hierarchy) line(addr uint64) uint64 { return addr >> h.lineShift }
+// line masks to 40 bits: 46-bit physical addresses with 64-byte lines, more
+// than any mem.AddressSpace spans. An access off the top wraps to line 0.
+func (h *Hierarchy) line(addr uint64) uint64 { return addr >> h.lineShift & lineMask }
 
 // trainPrefetch records a DRAM-level miss for line and reports whether the
 // line was covered by an already-hot stream (i.e. effectively prefetched).
@@ -173,7 +174,7 @@ func (h *Hierarchy) AccessSeq(addr uint64, size int, k Kind, seq bool) sim.Durat
 		return l2Cost(!seq, k)
 	}
 	var cost sim.Duration
-	for line := first; ; line++ {
+	for line := first; ; line = (line + 1) & lineMask {
 		cost += h.accessLine(line, line == first && !seq, k)
 		if line == last {
 			break
@@ -331,7 +332,7 @@ func (h *Hierarchy) NetworkWrite(addr uint64, size int) {
 	h.memo = 0
 	firstLine := h.line(addr)
 	lastLine := h.line(addr + uint64(size) - 1)
-	for line := firstLine; ; line++ {
+	for line := firstLine; ; line = (line + 1) & lineMask {
 		// Inbound DMA always invalidates stale copies in the inner levels.
 		h.l2.invalidate(line)
 		h.l3.invalidate(line)
@@ -357,7 +358,7 @@ func (h *Hierarchy) WarmLines(addr uint64, size int) {
 	}
 	firstLine := h.line(addr)
 	lastLine := h.line(addr + uint64(size) - 1)
-	for line := firstLine; ; line++ {
+	for line := firstLine; ; line = (line + 1) & lineMask {
 		h.l2.insert(line)
 		h.l3.insert(line)
 		h.llc.insert(line)
@@ -383,7 +384,18 @@ func (h *Hierarchy) Contains(addr uint64) string {
 	return "DRAM"
 }
 
-// Reset clears all cache contents, prefetch streams and statistics.
+// Release gives the tag arrays to the pool New draws from; the owner calls
+// it after the last access (core.Cluster.Close). One-line caches of its own
+// stay behind, so a late access or a second Release reaches nothing given up.
+func (h *Hierarchy) Release() {
+	h.l2.release()
+	h.l3.release()
+	h.llc.release()
+	h.l2, h.l3, h.llc = newCache(0, 1, 1), newCache(0, 1, 1), newCache(0, 1, 1)
+	h.memo = 0
+}
+
+// Reset empties all cache contents, prefetch streams and statistics.
 func (h *Hierarchy) Reset() {
 	h.l2.reset()
 	h.l3.reset()

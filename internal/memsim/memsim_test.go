@@ -19,7 +19,7 @@ func testConfig(stash, prefetch bool) Config {
 func (c *cache) occupancy() int {
 	n := 0
 	for _, t := range c.tags {
-		if t != 0 {
+		if t > c.floor {
 			n++
 		}
 	}
