@@ -6,40 +6,131 @@ import (
 	"testing"
 )
 
-// TestEngineHeapMatchesSortedOrder drives the 4-ary heap with a large
-// random schedule — duplicate timestamps included — and checks events pop
-// in exact (at, seq) order, the total order the old binary heap produced.
+// TestEngineHeapMatchesSortedOrder drives the 4-ary heap with large
+// random schedules — duplicate timestamps included — and checks events pop
+// in exact (at, seq) order, the total order the old binary heap produced:
+// by time, and at equal times in the order they were scheduled, whoever
+// scheduled them and from wherever. The cases cover every scheduling
+// context there is: a flat schedule built before the run, events
+// scheduling events (at their own timestamp too), scheduling from outside
+// any event while the run is paused between RunUntil and Step calls, and
+// scheduling after Advance moved the clock with nothing executing.
 func TestEngineHeapMatchesSortedOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	e := NewEngine()
 	type key struct {
 		at  Time
 		seq int
 	}
-	var want []key
-	var got []key
-	for i := 0; i < 5000; i++ {
-		at := Time(rng.Intn(500)) // dense times force many ties
-		k := key{at, i}
-		want = append(want, k)
-		e.At(at, func() { got = append(got, k) })
-	}
-	sort.Slice(want, func(i, j int) bool {
-		if want[i].at != want[j].at {
-			return want[i].at < want[j].at
+	// check runs drive against a fresh engine. Everything is scheduled
+	// through sched, which numbers the calls; then, when set, runs inside
+	// the event.
+	check := func(t *testing.T, drive func(e *Engine, sched func(at Time, then func()))) {
+		t.Helper()
+		e := NewEngine()
+		var want, got []key
+		sched := func(at Time, then func()) {
+			k := key{at, len(want)}
+			want = append(want, k)
+			e.At(at, func() {
+				got = append(got, k)
+				if then != nil {
+					then()
+				}
+			})
 		}
-		return want[i].seq < want[j].seq
+		drive(e, sched)
+		e.Run()
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(got) != len(want) {
+			t.Fatalf("executed %d of %d events", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("event %d: got (at=%d seq=%d), want (at=%d seq=%d)",
+					i, got[i].at, got[i].seq, want[i].at, want[i].seq)
+			}
+		}
+	}
+
+	t.Run("flat", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		check(t, func(e *Engine, sched func(Time, func())) {
+			for i := 0; i < 5000; i++ {
+				sched(Time(rng.Intn(500)), nil) // dense times force many ties
+			}
+		})
 	})
-	e.Run()
-	if len(got) != len(want) {
-		t.Fatalf("executed %d of %d events", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: got (at=%d seq=%d), want (at=%d seq=%d)",
-				i, got[i].at, got[i].seq, want[i].at, want[i].seq)
-		}
-	}
+
+	// Events schedule events, three generations deep, at offsets 0..3 from
+	// their own timestamp: children of different parents tie with each
+	// other, with their parents' siblings and with the flat schedule.
+	t.Run("nested", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(43))
+		check(t, func(e *Engine, sched func(Time, func())) {
+			var spawn func(depth int) func()
+			spawn = func(depth int) func() {
+				if depth == 0 {
+					return nil
+				}
+				return func() {
+					for n := rng.Intn(3); n > 0; n-- {
+						sched(e.Now()+Time(rng.Intn(4)), spawn(depth-1))
+					}
+				}
+			}
+			for i := 0; i < 1500; i++ {
+				sched(Time(rng.Intn(200)), spawn(3))
+			}
+		})
+	})
+
+	// The run pauses — RunUntil between timestamps and on one, Step in
+	// the middle of a timestamp — and each pause schedules from outside
+	// any event, onto the paused timestamp and onto later ones that
+	// already hold events scheduled before the pause and will receive
+	// nested ones after it.
+	t.Run("paused", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(44))
+		check(t, func(e *Engine, sched func(Time, func())) {
+			nest := func() { sched(e.Now()+Time(rng.Intn(3)), nil) }
+			outside := func() {
+				for i := 0; i < 40; i++ {
+					sched(e.Now()+Time(rng.Intn(30)), nest)
+				}
+			}
+			for i := 0; i < 2000; i++ {
+				sched(Time(rng.Intn(300)), nest)
+			}
+			for _, stop := range []Time{0, 17, 17, 90, 150} {
+				e.RunUntil(stop)
+				outside()
+				for i := rng.Intn(5); i > 0; i-- {
+					e.Step()
+				}
+				outside()
+			}
+		})
+	})
+
+	// Advance moves the clock with no event executing; what is scheduled
+	// next ties with events scheduled before the clock moved.
+	t.Run("advance", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(45))
+		check(t, func(e *Engine, sched func(Time, func())) {
+			nest := func() { sched(e.Now()+Time(rng.Intn(3)), nil) }
+			for i := 0; i < 500; i++ {
+				sched(100+Time(rng.Intn(50)), nest)
+			}
+			e.Advance(60)
+			for i := 0; i < 500; i++ {
+				sched(100+Time(rng.Intn(50)), nest)
+			}
+			e.RunUntil(120)
+			e.Advance(0)
+			for i := 0; i < 200; i++ {
+				sched(120+Time(rng.Intn(30)), nest)
+			}
+		})
+	})
 }
 
 // TestEngineSameTimestampSeqOrder pins the FIFO tie-break when events

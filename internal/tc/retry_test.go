@@ -97,6 +97,11 @@ func TestCallFailedNodeSweep(t *testing.T) {
 		if _, err := tfn.Call(1, [2]uint64{5, 0}).Await(); err != nil {
 			t.Fatalf("workers %d: tenant call after rejoin: %v", w, err)
 		}
+		// Every step above ran on the simulated clock, so the sequence ends
+		// at one pinned instant (captured on the sequential engine).
+		if now := int64(sys.Now()); now != 6230998 {
+			t.Errorf("workers %d: sequence ended at %d, want 6230998", w, now)
+		}
 	}
 }
 

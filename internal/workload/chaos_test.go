@@ -13,13 +13,12 @@ import (
 // chaosScenario is the failure-injection composition the determinism
 // sweep runs: perturbed fabric, an MMPP bursty phase, then a node
 // failure mid-phase and its rejoin in a drain phase.
-func chaosScenario(seed uint64, workers int) Scenario {
+func chaosScenario(seed uint64) Scenario {
 	sc := DefaultScenario(AllToAll, 9)
 	sc.Burst = 4
 	sc.Rounds = 2
 	sc.Shards = 4
 	sc.Seed = seed
-	sc.Workers = workers
 	sc.Chaos = &ChaosSpec{MinDelay: 20 * sim.Nanosecond, MaxDelay: 120 * sim.Nanosecond}
 	sc.Phases = []Phase{
 		{Name: "bursty", Arrival: &Arrival{Kind: MMPP, RatePerSec: 2e6,
@@ -38,7 +37,8 @@ func chaosScenario(seed uint64, workers int) Scenario {
 func TestChaosDeterminismSweep(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, seed := range []uint64{0x7c2c2021, 0x51edba5e} {
-		base, err := Run(chaosScenario(seed, 1))
+		base, err := Run(chaosScenario(seed))
+		findPin(t, chaosPins, "chaos", seed).verify(t, base, err)
 		if err != nil {
 			t.Fatalf("seed %#x sequential: %v", seed, err)
 		}
@@ -47,7 +47,9 @@ func TestChaosDeterminismSweep(t *testing.T) {
 		}
 		for _, w := range workerSweep()[1:] {
 			runtime.GOMAXPROCS(w)
-			res, err := Run(chaosScenario(seed, w))
+			sc := chaosScenario(seed)
+			sc.Workers = w
+			res, err := Run(sc)
 			if err != nil {
 				t.Fatalf("seed %#x workers %d: %v", seed, w, err)
 			}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"twochains/internal/vm"
@@ -30,16 +31,9 @@ func vmCounters(r *Result) vmCounts {
 	return vmCounts{r.Mesh.JITCompiles, r.Mesh.JITDeopts, r.Mesh.Tier}
 }
 
-// parallelScenario builds the scenario the sweep runs for an arbitrary
-// registered traffic shape: big enough for four fabric shards and real
-// cross-shard traffic, small enough for the -race CI gate.
+// parallelScenario is shardedScenario at a worker count.
 func parallelScenario(traffic string, seed uint64, workers int) Scenario {
-	sc := DefaultScenario(Pattern(traffic), 9)
-	sc.Timing = true
-	sc.Burst = 4
-	sc.Rounds = 2
-	sc.Shards = 4
-	sc.Seed = seed
+	sc := shardedScenario(traffic, seed)
 	sc.Workers = workers
 	return sc
 }
@@ -54,11 +48,19 @@ func parallelScenario(traffic string, seed uint64, workers int) Scenario {
 // preemptively scheduled where the host allows it.
 func TestWorkersSweepDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	// The fixture shapes have pins too; register them here so the sweep
+	// does not depend on which tests ran before it.
+	registerLifecycleShapes()
+	registerOOB()
 	for _, name := range TrafficNames() {
 		name := name
+		if strings.HasPrefix(name, "test-") && !hasPin(shardedPins, name) {
+			continue // another test's fixture, registered before this one ran
+		}
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []uint64{0x7c2c2021, 0x51edba5e} {
 				base, baseErr := Run(parallelScenario(name, seed, 1))
+				findPin(t, shardedPins, name, seed).verify(t, base, baseErr)
 				for _, w := range workerSweep()[1:] {
 					runtime.GOMAXPROCS(w)
 					res, err := Run(parallelScenario(name, seed, w))
@@ -106,11 +108,7 @@ func TestWorkersSweepDeterminism(t *testing.T) {
 // count must give one digest.
 func testDeepLineageTie(t *testing.T) {
 	run := func(w int) *Result {
-		sc := DefaultScenario(AllToAll, 16)
-		sc.Shards = 4
-		sc.Rounds = 16
-		sc.Burst = 8
-		sc.Seed = 4003
+		sc := meshScaleSeed4003()
 		sc.Workers = w
 		runtime.GOMAXPROCS(w)
 		res, err := Run(sc)
@@ -120,6 +118,7 @@ func testDeepLineageTie(t *testing.T) {
 		return res
 	}
 	seq := run(1)
+	findPin(t, shardedPins, "seed4003", 4003).verify(t, seq, nil)
 	var par *Result
 	for _, w := range workerSweep()[1:] {
 		res := run(w)
@@ -173,20 +172,14 @@ func TestParallelGoldenScenarios(t *testing.T) {
 // multi-phase and open-loop compositions run bit-identically on the
 // parallel engine (phases hold it serial; the final phase opens up).
 func TestParallelComposedScenarios(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func(int) Scenario
-	}{
-		{"kvstore", KVStoreScenario},
-		{"multiphase", MultiPhaseScenario},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			sc := tc.mk(8)
-			sc.Shards = 4
+	for _, p := range composedPins {
+		p := p
+		t.Run(p.name, func(t *testing.T) {
+			sc := p.sc
 			base, err := Run(sc)
+			p.verify(t, base, err)
 			if err != nil {
-				t.Fatal(err)
+				t.FailNow()
 			}
 			sc.Workers = 4
 			res, err := Run(sc)

@@ -202,44 +202,21 @@ func TestTenantAdmissionPolicies(t *testing.T) {
 // count.
 func TestTenantWorkersSweepDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	twoPhase := func(seed uint64) Scenario {
-		sc := tenantScenario(9)
-		sc.Shards = 4
-		sc.Seed = seed
-		// A second phase per tenant exercises the per-lane phase barrier
-		// under the parallel engine.
-		sc.Tenants = []TenantSpec{
-			{Name: "gold", Weight: 3, Phases: []Phase{
-				{Name: "warm", Rounds: 1, Mix: []ElementMix{{Elem: "jam_iput", Weight: 1}}},
-				{Name: "burst", Arrival: &Arrival{Kind: Poisson, RatePerSec: 150_000},
-					Mix: []ElementMix{{Elem: "jam_sssum", Weight: 1}}},
-			}},
-			{Name: "bronze", Weight: 1},
+	for _, g := range shardedTenantPins {
+		base, err := Run(g.sc)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
 		}
-		return sc
-	}
-	failing := func(seed uint64) Scenario {
-		sc := tenantFailScenario(6)
-		sc.Shards = 4
-		sc.Seed = seed
-		return sc
-	}
-	for _, seed := range []uint64{0x7c2c2021, 0x51edba5e} {
-		for _, sc := range []Scenario{twoPhase(seed), failing(seed)} {
-			sweepTenantWorkers(t, sc)
-		}
+		g.verify(t, base)
+		sweepTenantWorkers(t, g.sc, base)
 	}
 }
 
-// sweepTenantWorkers runs sc sequentially and at every parallel worker
-// count and fails on any divergence from the sequential result.
-func sweepTenantWorkers(t *testing.T, sc Scenario) {
+// sweepTenantWorkers runs sc at every parallel worker count and fails on
+// any divergence from the sequential result.
+func sweepTenantWorkers(t *testing.T, sc Scenario, base *Result) {
 	t.Helper()
 	seed := sc.Seed
-	base, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, w := range workerSweep()[1:] {
 		runtime.GOMAXPROCS(w)
 		scw := sc
