@@ -10,7 +10,6 @@
 package twochains_test
 
 import (
-	"runtime"
 	"testing"
 
 	"twochains/internal/asm"
@@ -237,19 +236,14 @@ func BenchmarkMeshAllToAll(b *testing.B) { runMesh(b, workload.AllToAll, 8) }
 // the hot node.
 func BenchmarkMeshHotspot(b *testing.B) { runMesh(b, workload.Hotspot, 8) }
 
-// runMeshScale executes one large-mesh scenario per b.N batch on the
-// multi-core conservative engine and reports the simulated injection
-// rate plus the worker count actually engaged. The digests are
-// bit-identical at every worker count (the parallel property tests pin
-// it), so the sim_* metrics are comparable across the W1/WN pairs and
-// the wall-clock ns/op difference is the engine speedup.
-func runMeshScale(b *testing.B, p workload.Pattern, nodes, rounds, shards, workers int) {
+// runMeshScale executes one large-mesh scenario per b.N batch and
+// reports the simulated injection rate.
+func runMeshScale(b *testing.B, p workload.Pattern, nodes, rounds, shards int) {
 	b.Helper()
 	b.ReportAllocs()
 	sc := workload.DefaultScenario(p, nodes)
 	sc.Rounds = rounds
 	sc.Shards = shards
-	sc.Workers = workers
 	var res *workload.Result
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -261,45 +255,34 @@ func runMeshScale(b *testing.B, p workload.Pattern, nodes, rounds, shards, worke
 	b.ReportMetric(res.RatePerSec, "sim_inj_per_sec")
 	b.ReportMetric(float64(res.Injections), "msgs")
 	b.ReportMetric(res.SimTime.Microseconds(), "sim_us")
-	b.ReportMetric(float64(res.Workers), "workers")
 }
 
-// BenchmarkMeshAllToAll64: dense exchange over a 64-node, 8-shard mesh
-// on the parallel engine (workers = NumCPU); the W1 twin below is the
-// same simulation on one core — the pair records the engine speedup.
+// BenchmarkMeshAllToAll64: dense exchange over a 64-node, 8-shard mesh.
 func BenchmarkMeshAllToAll64(b *testing.B) {
-	runMeshScale(b, workload.AllToAll, 64, 2, 8, runtime.NumCPU())
+	runMeshScale(b, workload.AllToAll, 64, 2, 8)
 }
 
-// BenchmarkMeshAllToAll64W1: the sequential twin of MeshAllToAll64.
-func BenchmarkMeshAllToAll64W1(b *testing.B) {
-	runMeshScale(b, workload.AllToAll, 64, 2, 8, 1)
-}
-
-// BenchmarkMeshFanout64: 64-node broadcast (single sender; receiver-side
-// parallelism only).
+// BenchmarkMeshFanout64: 64-node broadcast (single sender).
 func BenchmarkMeshFanout64(b *testing.B) {
-	runMeshScale(b, workload.Fanout, 64, 2, 8, runtime.NumCPU())
+	runMeshScale(b, workload.Fanout, 64, 2, 8)
 }
 
 // BenchmarkMeshHotspot64: 64-node skewed traffic with the mid-run RIED
-// hot-swap (the swap holds the engine serial until it fires).
+// hot-swap.
 func BenchmarkMeshHotspot64(b *testing.B) {
-	runMeshScale(b, workload.Hotspot, 64, 2, 8, runtime.NumCPU())
+	runMeshScale(b, workload.Hotspot, 64, 2, 8)
 }
 
 // BenchmarkMeshChaos64: the 64-node exchange under chaos fabric
 // perturbation (every put delayed 20-120ns from the deterministic
 // per-port RNG, order preserved) plus a mid-run node failure and
-// rejoin. Records what the robustness machinery costs on the parallel
-// engine; sim_lost rides the history so the loss ledger is visible in
-// the trajectory.
+// rejoin. Records what the robustness machinery costs; sim_lost rides
+// the history so the loss ledger is visible in the trajectory.
 func BenchmarkMeshChaos64(b *testing.B) {
 	b.ReportAllocs()
 	sc := workload.DefaultScenario(workload.AllToAll, 64)
 	sc.Rounds = 2
 	sc.Shards = 8
-	sc.Workers = runtime.NumCPU()
 	sc.Chaos = &workload.ChaosSpec{MinDelay: 20 * sim.Nanosecond, MaxDelay: 120 * sim.Nanosecond}
 	sc.Phases = []workload.Phase{
 		{Name: "steady"},
@@ -318,7 +301,6 @@ func BenchmarkMeshChaos64(b *testing.B) {
 	b.ReportMetric(float64(res.Injections), "msgs")
 	b.ReportMetric(float64(res.Lost), "sim_lost")
 	b.ReportMetric(res.SimTime.Microseconds(), "sim_us")
-	b.ReportMetric(float64(res.Workers), "workers")
 }
 
 // BenchmarkMeshAllToAll128: the 128-node, 16-shard exchange — the
@@ -328,15 +310,7 @@ func BenchmarkMeshAllToAll128(b *testing.B) {
 	if testing.Short() {
 		b.Skip("128-node mesh skipped in short mode")
 	}
-	runMeshScale(b, workload.AllToAll, 128, 2, 16, runtime.NumCPU())
-}
-
-// BenchmarkMeshAllToAll128W1: the sequential twin of MeshAllToAll128.
-func BenchmarkMeshAllToAll128W1(b *testing.B) {
-	if testing.Short() {
-		b.Skip("128-node mesh skipped in short mode")
-	}
-	runMeshScale(b, workload.AllToAll, 128, 2, 16, 1)
+	runMeshScale(b, workload.AllToAll, 128, 2, 16)
 }
 
 // runScenario executes one composed scenario per b.N batch (same

@@ -1,7 +1,7 @@
-// Command tclint is the multichecker for the repo's ownership-domain
-// and determinism contracts: it runs the internal/analysis suite
-// (scratchescape, poolownership, detsource, sharddomain) over the named
-// packages and exits nonzero on any diagnostic.
+// Command tclint is the multichecker for the repo's ownership and
+// determinism contracts: it runs the internal/analysis suite
+// (scratchescape, poolownership, detsource) over the named packages and
+// exits nonzero on any diagnostic.
 //
 // Usage:
 //

@@ -24,9 +24,6 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "iteration-count multiplier")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		list    = flag.Bool("list", false, "list available experiments")
-		workers = flag.Int("workers", 1,
-			"engine workers for parallel-capable experiments (mesh, chaos); 1 (the default) = the sequential engine, "+
-				"which has been the faster one on every host measured")
 	)
 	flag.Parse()
 
@@ -41,7 +38,7 @@ func main() {
 		return
 	}
 
-	opts := perf.Options{Scale: *scale, Workers: *workers}
+	opts := perf.Options{Scale: *scale}
 	run := func(e perf.Experiment) error {
 		start := time.Now()
 		tab, err := e.Run(opts)

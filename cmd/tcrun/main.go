@@ -48,8 +48,6 @@ func main() {
 		injected = flag.Bool("injected", true, "use Injected Function (false: Local Function)")
 		backend  = flag.String("backend", "", "fabric backend (default simnet)")
 		tenName  = flag.String("tenant", "", "install and call through this tenant's package namespace")
-		workers  = flag.Int("workers", 1,
-			"engine workers; 1 (the default) is the sequential engine on one leaf switch; > 1 places the two nodes in separate fabric shards (spine-linked topology, so latencies change) on the multi-core conservative engine")
 	)
 	flag.Parse()
 	if (*pkgFile == "") == (*appName == "") || *jam == "" {
@@ -95,18 +93,10 @@ func main() {
 		}
 	}
 
-	sysOpts := []tc.SystemOpt{
+	sys, err := tc.NewSystem(2,
 		tc.WithGeometry(mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: frame}),
 		tc.WithCredits(false),
-		tc.WithBackend(*backend),
-	}
-	if *workers > 1 {
-		// The parallel engine needs one shard per worker-parallel domain;
-		// a 2-node run splits into two spine-linked shards (this changes
-		// the modeled topology: cross-node puts pay the uplink hop).
-		sysOpts = append(sysOpts, tc.WithWorkers(*workers), tc.WithShards(2))
-	}
-	sys, err := tc.NewSystem(2, sysOpts...)
+		tc.WithBackend(*backend))
 	if err != nil {
 		fatal(err)
 	}

@@ -5,7 +5,7 @@
 // accounted in the loss ledger; and the issuer-side retry option rides
 // a call across the failure window on simulated-time backoff. All of
 // it is deterministic: equal seeds reproduce the digests, the loss
-// ledger, and the retry timeline bit for bit at every worker count.
+// ledger, and the retry timeline bit for bit.
 package main
 
 import (
@@ -79,7 +79,7 @@ func main() {
 	if err := fn.Call(1, [2]uint64{2, 0}).IssueErr(); errors.As(err, &nd) {
 		fmt.Printf("bare call while down: %v\n", err)
 	}
-	sys.After(0, 5*sim.Microsecond, func() {
+	sys.Engine().After(5*sim.Microsecond, func() {
 		if err := sys.RejoinNode(1); err != nil {
 			log.Fatal(err)
 		}

@@ -1,21 +1,18 @@
 // Package analysis is tclint's static-analysis suite: a small,
 // self-contained go/analysis-style framework (stdlib go/ast + go/types
 // only — the container has no module cache, so golang.org/x/tools is
-// deliberately not a dependency) plus the four analyzer families that
-// machine-check the repo's documented ownership-domain and determinism
+// deliberately not a dependency) plus the three analyzer families that
+// machine-check the repo's documented ownership and determinism
 // contracts:
 //
 //   - scratchescape — a *mailbox.Delivery callback argument or a
 //     mem.View* slice must not outlive its callback/event (ROADMAP
-//     "Pooling ownership rules" and "Per-shard ownership domains").
+//     "Pooling ownership rules").
 //   - poolownership — no use of a *mailbox.Message after Send/SendBatch
 //     hands it to the Sender; no touching a tc.Future after Release.
 //   - detsource — the simulation packages draw no nondeterminism:
 //     no wall clock, no global math/rand, no effectful map iteration,
-//     no goroutines outside sim.Group's worker machinery.
-//   - sharddomain — types documented shard-local must not grow
-//     sync.Mutex/sync.Map/atomic fields (synchronization in a
-//     single-writer domain hides an ownership violation).
+//     no goroutines.
 //
 // Violations that are legitimate for an owner (for example the mailbox
 // receiver storing its own scratch record) are suppressed with a
@@ -80,7 +77,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{ScratchEscape, PoolOwnership, DetSource, ShardDomain}
+	return []*Analyzer{ScratchEscape, PoolOwnership, DetSource}
 }
 
 // Run applies the analyzers to each package, filters diagnostics

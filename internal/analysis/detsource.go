@@ -7,9 +7,9 @@ import (
 
 // DetSource polices the determinism contract inside the simulation
 // packages (config.go's simPackages): equal seeds must give
-// bit-identical digests and simulated times at every worker count, so
-// between plan generation and digest emission nothing may consult a
-// nondeterministic source. Forbidden:
+// bit-identical digests and simulated times, so between plan generation
+// and digest emission nothing may consult a nondeterministic source.
+// Forbidden:
 //
 //   - time.Now / time.Since — simulated time comes from the engine;
 //   - the global math/rand source (rand.Int, rand.Shuffle, ...) —
@@ -19,12 +19,11 @@ import (
 //     a loop that emits events/digests/plan entries directly from a map
 //     must snapshot and sort its keys first (pure collection loops,
 //     e.g. gathering keys to sort, are fine);
-//   - `go` statements outside sim.Group's worker machinery — shard
-//     workers are the only goroutines the deterministic merge accounts
-//     for.
+//   - `go` statements — a simulation runs on one engine, on the
+//     goroutine that called it; host parallelism belongs across runs.
 var DetSource = &Analyzer{
 	Name: "detsource",
-	Doc:  "simulation packages must not read wall clocks, global rand, unsorted maps, or spawn stray goroutines",
+	Doc:  "simulation packages must not read wall clocks, global rand, unsorted maps, or spawn goroutines",
 	Run:  runDetSource,
 }
 
@@ -37,45 +36,19 @@ func runDetSource(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			var fname string
-			if ok {
-				fname = funcDisplayName(fd)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch st := n.(type) {
+			case *ast.SelectorExpr:
+				checkForbiddenSelector(pass, st)
+			case *ast.GoStmt:
+				pass.Reportf(st.Pos(), "go statement in a simulation package; a simulation runs on one engine, on its caller's goroutine")
+			case *ast.RangeStmt:
+				checkMapRange(pass, st)
 			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				switch st := n.(type) {
-				case *ast.SelectorExpr:
-					checkForbiddenSelector(pass, st)
-				case *ast.GoStmt:
-					if !goroutineAllow[pass.Pkg.Path()][fname] {
-						pass.Reportf(st.Pos(), "go statement outside sim.Group's worker machinery; shard workers are the only goroutines the deterministic merge accounts for")
-					}
-				case *ast.RangeStmt:
-					checkMapRange(pass, st)
-				}
-				return true
-			})
-		}
+			return true
+		})
 	}
 	return nil
-}
-
-// funcDisplayName renders a FuncDecl as name or (*Recv).name /
-// (Recv).name, matching the goroutineAllow keys.
-func funcDisplayName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	switch rt := fd.Recv.List[0].Type.(type) {
-	case *ast.StarExpr:
-		if id, ok := rt.X.(*ast.Ident); ok {
-			return "(*" + id.Name + ")." + fd.Name.Name
-		}
-	case *ast.Ident:
-		return "(" + rt.Name + ")." + fd.Name.Name
-	}
-	return fd.Name.Name
 }
 
 func checkForbiddenSelector(pass *Pass, sel *ast.SelectorExpr) {

@@ -10,7 +10,7 @@ import (
 // Send/SendBatch (the sender releases the frame to its freelist after
 // packing, so a later touch is a use-after-reuse on whatever send the
 // freelist served next), and Release hands a tc.Future back to its
-// per-shard pool (touching it afterwards races the next Call that
+// system's pool (touching it afterwards aliases the next Call that
 // recycles it). The same goes for address-space backings and cache-model
 // tag arrays: Close on a tc.System, or Release on a mem.AddressSpace or a
 // memsim.Hierarchy, hands node memory or tags to a process-wide pool, and

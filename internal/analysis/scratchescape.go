@@ -8,9 +8,8 @@ import (
 // ScratchEscape enforces the scratch-lifetime rules from the ROADMAP
 // pooling tables: the *mailbox.Delivery handed to Handler/OnProcessed/
 // OnError is the receiver's per-region scratch record (overwritten by
-// the next frame — under the parallel engine possibly while another
-// shard still holds a leaked pointer), and a mem.View*/ViewMut/ViewDMA
-// slice aliases address-space backing that the next Alloc may remap.
+// the next frame), and a mem.View*/ViewMut/ViewDMA slice aliases
+// address-space backing that the next Alloc may remap.
 // Neither may outlive the function that received it: storing one to a
 // struct field, global, map/slice element, or channel, appending it,
 // returning it, or capturing it in a go/defer closure is an escape.

@@ -13,9 +13,7 @@ import (
 var loader = analysis.NewLoader()
 
 // Fixture packages claim synthetic import paths on purpose: detsource
-// and the allow fixture opt into the simulation-package scope, and the
-// sharddomain fixture claims the mailbox path so the real ownership
-// table (Sender is shard-local) drives the positive cases.
+// and the allow fixture opt into the simulation-package scope.
 func TestScratchEscapeFixtures(t *testing.T) {
 	analysistest.Run(t, loader, "testdata/scratchescape", "fixture/scratchescape", analysis.ScratchEscape)
 }
@@ -26,10 +24,6 @@ func TestPoolOwnershipFixtures(t *testing.T) {
 
 func TestDetSourceFixtures(t *testing.T) {
 	analysistest.Run(t, loader, "testdata/detsource", "twochains/internal/sim", analysis.DetSource)
-}
-
-func TestShardDomainFixtures(t *testing.T) {
-	analysistest.Run(t, loader, "testdata/sharddomain", "twochains/internal/mailbox", analysis.ShardDomain)
 }
 
 // The allow fixture runs under the full suite: staleness is defined

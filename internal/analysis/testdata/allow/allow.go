@@ -41,6 +41,6 @@ func reasonless() int {
 // wrongAnalyzer: a directive for another analyzer does not suppress —
 // the detsource diagnostic still fires, and the directive is stale.
 func wrongAnalyzer() int64 {
-	//tclint:allow sharddomain wrong analyzer named here // want `stale //tclint:allow: no sharddomain diagnostic here to suppress`
+	//tclint:allow poolownership wrong analyzer named here // want `stale //tclint:allow: no poolownership diagnostic here to suppress`
 	return time.Now().UnixNano() // want `wall-clock time\.Now in a simulation package`
 }

@@ -34,5 +34,5 @@ func sendUnsorted(m map[int]int, ch chan int) {
 }
 
 func straySpawn(work func()) {
-	go work() // want `go statement outside sim\.Group's worker machinery`
+	go work() // want `go statement in a simulation package`
 }

@@ -1,5 +1,5 @@
-// Fixture (negative twins): the sanctioned forms — seeded rand, sorted
-// map snapshots, and sim.Group's own worker machinery.
+// Fixture (negative twins): the sanctioned forms — seeded rand and sorted
+// map snapshots.
 package fixture
 
 import (
@@ -27,15 +27,5 @@ func collectThenSort(m map[int]int, emit func(int)) {
 	sort.Ints(keys)
 	for _, k := range keys {
 		emit(k)
-	}
-}
-
-// Group mirrors sim.Group's worker machinery: the goroutineAllow table
-// permits `go` inside (*Group).startWorkers and nowhere else.
-type Group struct{ workers int }
-
-func (g *Group) startWorkers(run func(int)) {
-	for w := 1; w < g.workers; w++ {
-		go run(w)
 	}
 }

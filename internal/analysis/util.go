@@ -57,33 +57,3 @@ func methodRecv(info *types.Info, sel *ast.SelectorExpr) types.Type {
 	}
 	return s.Recv()
 }
-
-// containsSyncType reports whether t (unwrapping pointers, arrays,
-// slices, and one level of struct embedding) is a type from sync or
-// sync/atomic, returning the offending type's string.
-func containsSyncType(t types.Type) (string, bool) {
-	seen := map[types.Type]bool{}
-	var walk func(t types.Type, depth int) (string, bool)
-	walk = func(t types.Type, depth int) (string, bool) {
-		if seen[t] || depth > 4 {
-			return "", false
-		}
-		seen[t] = true
-		switch tt := t.(type) {
-		case *types.Named:
-			p := pathString(tt.Obj().Pkg())
-			if p == "sync" || p == "sync/atomic" {
-				return p + "." + tt.Obj().Name(), true
-			}
-			return "", false
-		case *types.Pointer:
-			return walk(tt.Elem(), depth+1)
-		case *types.Array:
-			return walk(tt.Elem(), depth+1)
-		case *types.Slice:
-			return walk(tt.Elem(), depth+1)
-		}
-		return "", false
-	}
-	return walk(t, 0)
-}

@@ -74,9 +74,7 @@ func (ch *Channel) Handle(pkgName, elemName string) *Bound {
 func (b *Bound) Channel() *Channel { return b.ch }
 
 // CreditStalls reports the channel sender's cumulative credit-stall
-// count — the flow-control telemetry tenant admission feeds on. Reading
-// it is shard-safe from the source node's shard (the sender lives
-// there).
+// count — the flow-control telemetry tenant admission feeds on.
 func (b *Bound) CreditStalls() uint64 { return b.ch.Sender.Stats().CreditStalls }
 
 // ensureInject makes the prepared image current for the channel's

@@ -28,17 +28,6 @@ type ClusterConfig struct {
 	// Backend names the fabric transport ("" selects the default,
 	// "simnet"); see fabric.Backends for the registered set.
 	Backend string
-	// Workers > 1 requests the multi-core conservative engine: one sim
-	// engine per fabric shard (Shards of them), advanced by up to Workers
-	// goroutines, with results bit-identical to single-engine execution.
-	// It engages only when Shards > 1 and the backend implements
-	// fabric.ShardedTransport; otherwise the cluster runs on one engine
-	// exactly as before.
-	Workers int
-	// Shards is the fabric-shard (leaf-domain) count the parallel engine
-	// partitions by. Node placement stays the caller's job (AddNodeShard /
-	// Fabric.AssignDomain must agree with it).
-	Shards int
 	// Chaos configures the "chaos" failure-injection backend (and is
 	// ignored by every other backend); see fabric.ChaosConfig.
 	Chaos *fabric.ChaosConfig
@@ -49,15 +38,10 @@ func DefaultClusterConfig() ClusterConfig {
 	return ClusterConfig{Ordered: true, Seed: 0x7c2c2021}
 }
 
-// Cluster is a set of simulated processes on one fabric backend sharing a
-// discrete-event clock (or, under the parallel engine, a group of
-// per-shard clocks advanced conservatively in lockstep).
+// Cluster is a set of simulated processes on one fabric backend sharing
+// one discrete-event clock.
 type Cluster struct {
-	// Eng is the default engine: the only engine of a sequential cluster,
-	// shard 0's under a Group. Setup-time scheduling may use it; runtime
-	// scheduling must target the owning node's shard (EngineFor).
 	Eng    *sim.Engine
-	Group  *sim.Group // nil unless the parallel engine engaged
 	Fabric fabric.Transport
 	Ctx    *ucx.Context
 	Nodes  []*Node
@@ -66,60 +50,20 @@ type Cluster struct {
 // NewCluster creates an empty cluster. It panics on an unregistered
 // backend name; callers that take the name from configuration should
 // validate it with fabric.Lookup first (tc.NewSystem and NewMesh do).
-// With cfg.Workers > 1 and cfg.Shards > 1 it builds the multi-core
-// conservative engine, provided the backend supports per-shard placement;
-// unsupported backends fall back to single-engine execution.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	eng := sim.NewEngine()
 	fab, err := fabric.New(cfg.Backend, eng, fabric.Config{Ordered: cfg.Ordered, Seed: cfg.Seed, Chaos: cfg.Chaos})
 	if err != nil {
 		panic("core: " + err.Error())
 	}
-	c := &Cluster{Eng: eng, Fabric: fab, Ctx: ucx.NewContext(fab)}
-	if cfg.Workers > cfg.Shards {
-		// More workers than shards is pure waste: a worker can only ever
-		// own whole shards, so the excess goroutines would idle at every
-		// barrier. Drivers pass -workers through regardless of the shard
-		// count, so clamp here rather than in every one of them.
-		cfg.Workers = cfg.Shards
-	}
-	if cfg.Workers > 1 && cfg.Shards > 1 {
-		if st, ok := fab.(fabric.ShardedTransport); ok {
-			g := sim.NewGroup(cfg.Shards, cfg.Workers, st.Lookahead())
-			st.BindGroup(g)
-			c.Group = g
-			c.Eng = g.Engine(0)
-		}
-	}
-	return c
-}
-
-// EngineFor returns the engine of one fabric shard (the single engine
-// when the parallel group is not engaged).
-func (c *Cluster) EngineFor(shard int) *sim.Engine {
-	if c.Group == nil {
-		return c.Eng
-	}
-	return c.Group.Engine(shard)
+	return &Cluster{Eng: eng, Fabric: fab, Ctx: ucx.NewContext(fab)}
 }
 
 // Run processes events until the cluster is quiescent.
-func (c *Cluster) Run() {
-	if c.Group != nil {
-		c.Group.Run()
-		return
-	}
-	c.Eng.Run()
-}
+func (c *Cluster) Run() { c.Eng.Run() }
 
 // RunFor processes events for d of simulated time.
-func (c *Cluster) RunFor(d sim.Duration) {
-	if c.Group != nil {
-		c.Group.RunFor(d)
-		return
-	}
-	c.Eng.RunFor(d)
-}
+func (c *Cluster) RunFor(d sim.Duration) { c.Eng.RunFor(d) }
 
 // Close releases every node's address-space backing and cache-model tag
 // arrays for reuse by the next system (mem.AddressSpace.Release,
@@ -135,14 +79,8 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Now returns the cluster-wide simulated time: the latest executed event
-// across every shard.
-func (c *Cluster) Now() sim.Time {
-	if c.Group != nil {
-		return c.Group.Now()
-	}
-	return c.Eng.Now()
-}
+// Now returns the simulated time.
+func (c *Cluster) Now() sim.Time { return c.Eng.Now() }
 
 // NodeConfig selects one node's hardware and runtime features.
 type NodeConfig struct {
@@ -190,11 +128,8 @@ type Node struct {
 	Name    string
 	Cfg     NodeConfig
 	Cluster *Cluster
-	// Shard is the fabric shard (leaf domain) the node lives in; Eng is
-	// that shard's engine — the only engine this node's events may be
-	// scheduled on under the parallel group.
+	// Shard is the fabric shard (leaf domain) the node lives in.
 	Shard int
-	Eng   *sim.Engine
 
 	AS      *mem.AddressSpace
 	Hier    *memsim.Hierarchy
@@ -242,8 +177,7 @@ func (c *Cluster) AddNode(name string, cfg NodeConfig) (*Node, error) {
 }
 
 // AddNodeShard creates a node placed in the given fabric shard: its NIC
-// joins that leaf domain and every host-side event it generates runs on
-// that shard's engine.
+// joins that leaf domain.
 func (c *Cluster) AddNodeShard(name string, cfg NodeConfig, shard int) (*Node, error) {
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 64 << 20
@@ -253,7 +187,6 @@ func (c *Cluster) AddNodeShard(name string, cfg NodeConfig, shard int) (*Node, e
 		Cfg:     cfg,
 		Cluster: c,
 		Shard:   shard,
-		Eng:     c.EngineFor(shard),
 		AS:      mem.NewAddressSpace(cfg.MemBytes),
 		NS:      linker.NewNamespace(),
 		pkgs:    map[string]*InstalledPackage{},
@@ -276,7 +209,7 @@ func (c *Cluster) AddNodeShard(name string, cfg NodeConfig, shard int) (*Node, e
 	if err := vm.BindLibc(n.VM, n.NS); err != nil {
 		return nil, fmt.Errorf("core: node %s: %w", name, err)
 	}
-	n.Worker = c.Ctx.NewWorkerOn(n.AS, n.Hier, n.Eng)
+	n.Worker = c.Ctx.NewWorker(n.AS, n.Hier)
 	c.Fabric.AssignDomain(n.Worker.NIC, shard)
 	n.Counter = cpusim.NewCounter(sim.NewRNG(cfg.Seed ^ 0xc0ffee ^ uint64(len(c.Nodes))))
 	if cfg.SecureExec {

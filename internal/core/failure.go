@@ -45,9 +45,7 @@ func (e *NodeDownError) Error() string {
 //
 // The bookkeeping walks channels in deterministic (src, dst, view)
 // order, so runs that fail nodes at fixed simulated times stay a pure
-// function of the scenario. Under the parallel engine FailNode is a
-// zero-lookahead global action and must only run while the group
-// executes serially (the workload driver brackets it in a serial hold).
+// function of the scenario.
 //
 // It returns the number of queued outbound messages (src == i) that
 // were failed: those were issued by the node but will never arrive
@@ -63,7 +61,6 @@ func (m *Mesh) FailNode(i int) (int, error) {
 	}
 	n.Teardown()
 
-	m.mu.Lock()
 	var keys []chanKey
 	for k := range m.chans {
 		if k.src == i || k.dst == i {
@@ -91,7 +88,6 @@ func (m *Mesh) FailNode(i int) (int, error) {
 			delete(m.nsMemo, k)
 		}
 	}
-	m.mu.Unlock()
 
 	outboundFailed := 0
 	for _, ch := range severed {
@@ -114,8 +110,7 @@ func (m *Mesh) FailNode(i int) (int, error) {
 // process, not a dead machine), but nothing severed is resurrected:
 // old channels stay dead and their stopped mailbox regions stay
 // stopped. Peers re-create channels lazily through ChannelView — fresh
-// regions, a fresh namespace exchange, fresh handle binds — under the
-// same serial-hold discipline as any other lazy channel creation.
+// regions, a fresh namespace exchange, fresh handle binds.
 func (m *Mesh) RejoinNode(i int) error {
 	if i < 0 || i >= len(m.nodes) {
 		return fmt.Errorf("core: mesh node %d out of range (%d nodes)", i, len(m.nodes))

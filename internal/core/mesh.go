@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"twochains/internal/cpusim"
 	"twochains/internal/fabric"
@@ -20,13 +19,6 @@ type MeshConfig struct {
 	// two-tier topology). Nodes are assigned in contiguous blocks;
 	// cross-shard traffic serializes through the shared spine uplinks.
 	Shards int
-	// Workers > 1 requests the multi-core conservative engine: each
-	// fabric shard's event loop runs on its own worker goroutine, with
-	// digests and simulated times bit-identical to single-engine
-	// execution. Needs a backend implementing fabric.ShardedTransport
-	// (the default "simnet" does); others fall back to one engine.
-	// Clamped to the (resolved) shard count — a worker owns whole shards.
-	Workers int
 
 	Cluster ClusterConfig
 	Node    NodeConfig
@@ -95,18 +87,10 @@ type Mesh struct {
 	// deterministic iteration order for EachChannel and Stats.
 	views []string
 	rng   *sim.RNG
-	// mu guards chans and nsMemo. Channel creation is a zero-lookahead
-	// global action: under the parallel engine it only ever happens while
-	// the group executes serially (the workload driver holds the engine
-	// serial until every planned channel exists), but handle binds on
-	// other elements of an existing channel read chans concurrently from
-	// shard workers, so lookups take the read lock.
-	mu sync.RWMutex
 	// OnChannelCreated, when set, observes every successful lazy channel
-	// creation — the hook the scenario driver uses to release its
-	// serial-execution hold once a phase's full channel set exists, and to
-	// instrument per-tenant receivers (view names the namespace view, ""
-	// for the base namespace).
+	// creation — the hook the scenario driver uses to instrument
+	// per-tenant receivers (view names the namespace view, "" for the
+	// base namespace).
 	OnChannelCreated func(src, dst int, view string, ch *Channel)
 }
 
@@ -157,16 +141,6 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	if cfg.Geometry.FrameSize == 0 {
 		cfg.Geometry.FrameSize = def.FrameSize
 	}
-	if cfg.Workers > cfg.Shards {
-		// A worker owns whole shards; surplus workers would only idle at
-		// every window barrier (NewCluster clamps too — this keeps the
-		// recorded Cfg.Workers honest for Result reporting).
-		cfg.Workers = cfg.Shards
-	}
-	if cfg.Workers > 1 {
-		cfg.Cluster.Workers = cfg.Workers
-		cfg.Cluster.Shards = cfg.Shards
-	}
 	cl := NewCluster(cfg.Cluster)
 	m := &Mesh{
 		Cfg:     cfg,
@@ -189,21 +163,6 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		m.shardOf = append(m.shardOf, shard)
 	}
 	return m, nil
-}
-
-// Sharded reports whether the mesh runs on the parallel engine group.
-func (m *Mesh) Sharded() bool { return m.Cluster.Group != nil }
-
-// HasChannel reports whether the src->dst base channel already exists.
-func (m *Mesh) HasChannel(src, dst int) bool { return m.HasChannelView(src, dst, "") }
-
-// HasChannelView reports whether the src->dst channel bound to the named
-// namespace view already exists.
-func (m *Mesh) HasChannelView(src, dst int, view string) bool {
-	m.mu.RLock()
-	_, ok := m.chans[chanKey{src, dst, view}]
-	m.mu.RUnlock()
-	return ok
 }
 
 // Nodes returns the node count.
@@ -230,9 +189,7 @@ func (m *Mesh) InstallPackage(pkg *Package) error {
 			return err
 		}
 	}
-	m.mu.Lock()
 	m.nsMemo = map[nsKey]nsSnap{}
-	m.mu.Unlock()
 	return nil
 }
 
@@ -253,14 +210,12 @@ func (m *Mesh) InstallPackageView(view, alias string, pkg *Package) error {
 			return err
 		}
 	}
-	m.mu.Lock()
 	for k := range m.nsMemo {
 		if k.view == view {
 			delete(m.nsMemo, k)
 		}
 	}
-	m.registerViewLocked(view)
-	m.mu.Unlock()
+	m.registerView(view)
 	return nil
 }
 
@@ -298,10 +253,7 @@ func (m *Mesh) ChannelView(src, dst int, view string, tweak func(mailbox.Receive
 		return nil, fmt.Errorf("core: mesh channel %d->%d is a self-loop", src, dst)
 	}
 	key := chanKey{src, dst, view}
-	m.mu.RLock()
-	ch, ok := m.chans[key]
-	m.mu.RUnlock()
-	if ok {
+	if ch, ok := m.chans[key]; ok {
 		return ch, nil
 	}
 	if m.nodes[dst].down {
@@ -325,9 +277,7 @@ func (m *Mesh) ChannelView(src, dst int, view string, tweak func(mailbox.Receive
 	opts.Sender.Geometry = m.Cfg.Geometry
 	opts.Sender.WaitMode = m.Cfg.WaitMode
 	nk := nsKey{dst, view}
-	m.mu.RLock()
 	snap, memoized := m.nsMemo[nk]
-	m.mu.RUnlock()
 	if !memoized {
 		ns := m.nodes[dst].NS
 		if view != "" {
@@ -335,11 +285,9 @@ func (m *Mesh) ChannelView(src, dst int, view string, tweak func(mailbox.Receive
 		}
 		snap.names = ns.Snapshot()
 		snap.fp = nsFingerprint(snap.names)
-		m.mu.Lock()
 		m.nsMemo[nk] = snap
-		m.mu.Unlock()
 	}
-	ch, err = connectTo(m.nodes[src], m.nodes[dst], recv, opts, snap.names, snap.fp)
+	ch, err := connectTo(m.nodes[src], m.nodes[dst], recv, opts, snap.names, snap.fp)
 	if err != nil {
 		// Un-arm the region so a retry doesn't accumulate orphan
 		// receivers (the address space itself is bump-allocated and not
@@ -350,21 +298,18 @@ func (m *Mesh) ChannelView(src, dst int, view string, tweak func(mailbox.Receive
 		}
 		return nil, err
 	}
-	m.mu.Lock()
 	m.chans[key] = ch
 	if view != "" {
-		m.registerViewLocked(view)
+		m.registerView(view)
 	}
-	m.mu.Unlock()
 	if m.OnChannelCreated != nil {
 		m.OnChannelCreated(src, dst, view, ch)
 	}
 	return ch, nil
 }
 
-// registerViewLocked records a view name in the sorted iteration order.
-// Caller holds mu.
-func (m *Mesh) registerViewLocked(view string) {
+// registerView records a view name in the sorted iteration order.
+func (m *Mesh) registerView(view string) {
 	i := 0
 	for i < len(m.views) && m.views[i] < view {
 		i++
@@ -393,11 +338,7 @@ func (m *Mesh) ConnectFull() error {
 }
 
 // Channels returns the currently connected channel count.
-func (m *Mesh) Channels() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.chans)
-}
+func (m *Mesh) Channels() int { return len(m.chans) }
 
 // EachChannel visits every connected channel (base and view) in
 // deterministic order: ascending (src, dst), base view first, then view
@@ -408,16 +349,11 @@ func (m *Mesh) EachChannel(fn func(src, dst int, ch *Channel)) {
 
 // EachChannelView is EachChannel with the namespace view exposed.
 func (m *Mesh) EachChannelView(fn func(src, dst int, view string, ch *Channel)) {
-	m.mu.RLock()
 	views := append([]string{""}, m.views...)
-	m.mu.RUnlock()
 	for s := 0; s < len(m.nodes); s++ {
 		for d := 0; d < len(m.nodes); d++ {
 			for _, v := range views {
-				m.mu.RLock()
-				ch, ok := m.chans[chanKey{s, d, v}]
-				m.mu.RUnlock()
-				if ok {
+				if ch, ok := m.chans[chanKey{s, d, v}]; ok {
 					fn(s, d, v, ch)
 				}
 			}
@@ -435,9 +371,7 @@ func (m *Mesh) RefreshNames(dst int) {
 	}
 	snap := nsSnap{names: m.nodes[dst].NS.Snapshot()}
 	snap.fp = nsFingerprint(snap.names)
-	m.mu.Lock()
 	m.nsMemo[nsKey{dst, ""}] = snap
-	m.mu.Unlock()
 	// Only base channels re-exchange: a view channel's bindings move via
 	// InstallPackageView, never via base-namespace updates.
 	m.EachChannelView(func(_, d int, view string, ch *Channel) {

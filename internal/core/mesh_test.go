@@ -34,41 +34,6 @@ func TestMeshShardAssignment(t *testing.T) {
 	}
 }
 
-// TestMeshWorkerClamp pins the worker-count clamp: requesting more
-// workers than shards (tcperf/tcrun default Workers to NumCPU) must
-// engage the parallel engine with exactly one executor per shard, and a
-// single-shard mesh must stay sequential no matter the request.
-func TestMeshWorkerClamp(t *testing.T) {
-	cfg := quickMeshCfg(8, 2)
-	cfg.Workers = 64
-	m, err := NewMesh(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Cfg.Workers != 2 {
-		t.Errorf("recorded workers = %d, want 2", m.Cfg.Workers)
-	}
-	if m.Cluster.Group == nil {
-		t.Fatal("parallel engine did not engage")
-	}
-	if got := m.Cluster.Group.Workers(); got != 2 {
-		t.Errorf("group workers = %d, want 2", got)
-	}
-
-	cfg = quickMeshCfg(4, 1)
-	cfg.Workers = 8
-	m, err = NewMesh(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Cluster.Group != nil {
-		t.Error("single-shard mesh engaged the parallel engine")
-	}
-	if m.Cfg.Workers != 1 {
-		t.Errorf("recorded workers = %d, want 1", m.Cfg.Workers)
-	}
-}
-
 // TestMeshJamCacheSharedAcrossChannels: two receivers with identical
 // namespaces cost the sender exactly one bind; the second channel's
 // prepare is a cache hit.

@@ -25,9 +25,7 @@ var MaxChaosDelay = model.PutBaseLat
 // wrapper around any other registered backend. It perturbs put issue
 // latency within declared bounds using the deployment's deterministic
 // RNG (equal seeds draw equal perturbations, so chaos runs replay
-// bit-identically), and can misadvertise the wrapped backend's
-// lookahead to adversarially exercise the parallel engine's
-// conservative windows and its lookahead-contract diagnostic.
+// bit-identically).
 type ChaosConfig struct {
 	// Inner names the wrapped backend ("" selects the default). Wrapping
 	// "chaos" in itself is rejected.
@@ -38,17 +36,6 @@ type ChaosConfig struct {
 	// in-order delivery guarantee of an ordered inner backend survives
 	// perturbation. 0 <= MinDelay <= MaxDelay <= MaxChaosDelay.
 	MinDelay, MaxDelay sim.Duration
-	// LookaheadScale, when in (0, 1), shrinks the advertised lookahead
-	// toward its proven lower bound — a legal stressor: smaller
-	// conservative windows, more barriers, same results. 0 means 1.0
-	// (advertise the inner bound unchanged).
-	LookaheadScale float64
-	// LookaheadBoost, when positive, inflates the advertised lookahead
-	// beyond what the inner backend guarantees. This is a deliberate
-	// contract violation: the engine group must detect the too-early
-	// cross-shard arrival at the window barrier and fail loudly with its
-	// diagnostic rather than corrupt state. Test-only.
-	LookaheadBoost sim.Duration
 }
 
 // validate panics on a malformed config — the fabric Constructor
@@ -67,12 +54,6 @@ func (c *ChaosConfig) validate() {
 	if c.MaxDelay > MaxChaosDelay {
 		panic(fmt.Sprintf("fabric: chaos: MaxDelay %v exceeds the staging-safe cap %v", c.MaxDelay, MaxChaosDelay))
 	}
-	if c.LookaheadScale < 0 || c.LookaheadScale > 1 {
-		panic(fmt.Sprintf("fabric: chaos: LookaheadScale %v outside [0, 1]", c.LookaheadScale))
-	}
-	if c.LookaheadBoost < 0 {
-		panic(fmt.Sprintf("fabric: chaos: negative LookaheadBoost %v", c.LookaheadBoost))
-	}
 }
 
 // Chaos is the failure-injection wrapper transport. All memory
@@ -84,12 +65,9 @@ type Chaos struct {
 	inner Transport
 	eng   *sim.Engine
 	rng   *sim.RNG
-	group *sim.Group
 }
 
-// NewChaos constructs the wrapper; it is registered as "chaos". When
-// the inner backend implements ShardedTransport the returned transport
-// does too, so chaos deployments keep the multi-core engine.
+// NewChaos constructs the wrapper; it is registered as "chaos".
 func NewChaos(eng *sim.Engine, cfg Config) Transport {
 	cfg.Chaos.validate()
 	c := *cfg.Chaos
@@ -99,11 +77,7 @@ func NewChaos(eng *sim.Engine, cfg Config) Transport {
 	if err != nil {
 		panic(fmt.Sprintf("fabric: chaos: %v", err))
 	}
-	ch := &Chaos{cfg: c, inner: it, eng: eng, rng: sim.NewRNG(cfg.Seed ^ 0x6368616f73)} // "chaos"
-	if _, ok := it.(ShardedTransport); ok {
-		return &chaosSharded{Chaos: ch}
-	}
-	return ch
+	return &Chaos{cfg: c, inner: it, eng: eng, rng: sim.NewRNG(cfg.Seed ^ 0x6368616f73)} // "chaos"
 }
 
 // Inner exposes the wrapped transport (diagnostics and tests).
@@ -113,33 +87,21 @@ func (c *Chaos) Inner() Transport { return c.inner }
 func (c *Chaos) Engine() *sim.Engine { return c.inner.Engine() }
 
 // Attach wraps the inner port with the perturbation state: a per-port
-// RNG split (draws are issuer-shard-owned, so parallel runs replay) and
+// RNG split (a port's draws depend only on its own issue sequence) and
 // the per-destination release watermarks that keep delivery order.
 func (c *Chaos) Attach(as *mem.AddressSpace, hier *memsim.Hierarchy) Port {
-	p := &chaosPort{
+	return &chaosPort{
 		fab:     c,
 		inner:   c.inner.Attach(as, hier),
-		eng:     c.eng,
 		rng:     c.rng.Split(),
 		release: map[Port]sim.Time{},
 	}
-	if c.group != nil {
-		p.eng = c.group.Engine(0)
-	}
-	return p
 }
 
-// AssignDomain places the inner port and rebinds the wrapper's deferral
-// clock to the domain's shard engine, so a deferred issue is an event
-// on the shard that owns the issuing port.
+// AssignDomain places the inner port.
 func (c *Chaos) AssignDomain(p Port, domain int) {
-	cp, ok := p.(*chaosPort)
-	if !ok {
-		return
-	}
-	c.inner.AssignDomain(cp.inner, domain)
-	if c.group != nil {
-		cp.eng = c.group.Engine(domain)
+	if cp, ok := p.(*chaosPort); ok {
+		c.inner.AssignDomain(cp.inner, domain)
 	}
 }
 
@@ -151,37 +113,6 @@ func (c *Chaos) DomainOf(p Port) int {
 	return 0
 }
 
-// chaosSharded is the wrapper when the inner backend is sharded; the
-// extra methods implement fabric.ShardedTransport.
-type chaosSharded struct {
-	*Chaos
-}
-
-// Lookahead returns the advertised conservative window: the inner bound
-// scaled (legal stressor) and boosted (deliberate contract violation;
-// see ChaosConfig). The perturbation delay itself never lowers the true
-// bound — a deferred put re-anchors the inner backend's latency math at
-// its release time, so arrivals only move later.
-func (c *chaosSharded) Lookahead() sim.Duration {
-	l := c.inner.(ShardedTransport).Lookahead()
-	if s := c.cfg.LookaheadScale; s > 0 && s < 1 {
-		l = sim.Duration(float64(l) * s)
-	}
-	l += c.cfg.LookaheadBoost
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
-// BindGroup hands the engine group to the inner backend and keeps it
-// for per-domain deferral clocks.
-func (c *chaosSharded) BindGroup(g *sim.Group) {
-	c.group = g
-	c.eng = g.Engine(0)
-	c.inner.(ShardedTransport).BindGroup(g)
-}
-
 // chaosPort wraps one inner port. Registration, hooks, and address
 // space pass straight through; Put draws a delay and defers the inner
 // issue; Fence defers at the current watermark so it stays ordered
@@ -189,7 +120,6 @@ func (c *chaosSharded) BindGroup(g *sim.Group) {
 type chaosPort struct {
 	fab   *Chaos
 	inner Port
-	eng   *sim.Engine
 	rng   *sim.RNG
 	// release clamps per-destination issue times monotone: a later put
 	// that draws a smaller delay still issues no earlier than its
@@ -222,13 +152,13 @@ func (p *chaosPort) delay() sim.Duration {
 
 // Put perturbs then delegates: the inner put — including its payload
 // snapshot and latency math — runs as a deferred event at the release
-// time, on the issuing port's shard engine. The completion callback
-// fires whenever the inner backend fires it, so callers observe one
-// fabric that is simply slower and jitterier within declared bounds.
+// time. The completion callback fires whenever the inner backend fires
+// it, so callers observe one fabric that is simply slower and jitterier
+// within declared bounds.
 func (p *chaosPort) Put(dst Port, srcVA, dstVA uint64, size int, key RKey, onComplete func(PutResult)) {
 	d, ok := dst.(*chaosPort)
 	if !ok {
-		p.eng.After(0, func() {
+		p.fab.eng.After(0, func() {
 			if onComplete != nil {
 				onComplete(PutResult{Err: fmt.Errorf("fabric: chaos: destination %s is not a chaos port", dst.Label())})
 			}
@@ -236,7 +166,7 @@ func (p *chaosPort) Put(dst Port, srcVA, dstVA uint64, size int, key RKey, onCom
 		return
 	}
 	delta := p.delay()
-	release := p.eng.Now().Add(delta)
+	release := p.fab.eng.Now().Add(delta)
 	if last := p.release[dst]; release < last {
 		release = last
 	}
@@ -245,11 +175,11 @@ func (p *chaosPort) Put(dst Port, srcVA, dstVA uint64, size int, key RKey, onCom
 		p.Delayed++
 		p.DelayTotal += delta
 	}
-	if release == p.eng.Now() {
+	if release == p.fab.eng.Now() {
 		p.inner.Put(d.inner, srcVA, dstVA, size, key, onComplete)
 		return
 	}
-	p.eng.At(release, func() {
+	p.fab.eng.At(release, func() {
 		p.inner.Put(d.inner, srcVA, dstVA, size, key, onComplete)
 	})
 }
@@ -263,9 +193,9 @@ func (p *chaosPort) Fence(dst Port) {
 		return
 	}
 	wm := p.release[dst]
-	if wm <= p.eng.Now() {
+	if wm <= p.fab.eng.Now() {
 		p.inner.Fence(d.inner)
 		return
 	}
-	p.eng.At(wm, func() { p.inner.Fence(d.inner) })
+	p.fab.eng.At(wm, func() { p.inner.Fence(d.inner) })
 }

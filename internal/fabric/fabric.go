@@ -107,35 +107,6 @@ type Config struct {
 	Chaos *ChaosConfig
 }
 
-// ShardedTransport is the optional backend capability behind the
-// multi-core conservative engine: a backend that implements it can place
-// each fabric shard's traffic on its own sim.Group engine, with
-// cross-shard operations routed through the group's hand-off lanes.
-//
-// The contract a binding backend must honor:
-//
-//   - every event it schedules for a port runs on that port's shard
-//     engine (Group.Engine(domain));
-//   - any effect one shard's execution has on another shard's state is
-//     scheduled through Group.Handoff and arrives no earlier than
-//     Lookahead() after the issuing shard's clock;
-//   - initiator-side completion callbacks run on the initiating shard.
-//
-// Backends without the capability simply keep scheduling on the single
-// engine they were constructed with; deployments requesting workers fall
-// back to single-engine execution on such backends.
-type ShardedTransport interface {
-	Transport
-	// Lookahead returns the minimum simulated latency of any cross-shard
-	// interaction — the conservative synchronization window the group may
-	// run ahead within.
-	Lookahead() sim.Duration
-	// BindGroup hands the backend the engine group. Domains assigned via
-	// AssignDomain must be valid group indices ([0, Group.Shards())).
-	// It must be called before any port is attached.
-	BindGroup(g *sim.Group)
-}
-
 // Constructor builds one backend instance on the given engine.
 type Constructor func(eng *sim.Engine, cfg Config) Transport
 

@@ -10,11 +10,8 @@ package mailbox
 // is skipped (the arbiter is work-conserving), so a burst from one class
 // cannot starve another's drain, and spare capacity is never wasted.
 //
-// All arbiter state belongs to the receiving node's shard: every method
-// is invoked from receiver events (frame delivery, service completion),
-// which the engine runs on that shard. There is no locking and no
-// cross-shard state, so results are bit-identical for every worker
-// count.
+// Every method is invoked from receiver events (frame delivery, service
+// completion) of the receiving node.
 type FairArbiter struct {
 	classes []arbClass
 	cursor  int

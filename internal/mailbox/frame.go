@@ -66,9 +66,7 @@ type Message struct {
 	ElemID uint8
 	// owner, when set, is the Sender whose private freelist minted this
 	// message (Sender.GetMessage): release recycles it there, so
-	// caller-constructed messages keep value semantics. Sound because both
-	// mint and release happen on the sender's shard — the send path is
-	// shard-owned end to end.
+	// caller-constructed messages keep value semantics.
 	owner *Sender
 	// JamImage is the prebuilt [GOT table][gp slot][body] image for
 	// injected messages; nil otherwise. Extern GOT entries already carry

@@ -68,10 +68,8 @@ type Sender struct {
 	// the same bound jam then skip the image copy and the tail clear.
 	slotJam     [][]byte
 	slotWritten []int
-	// Private freelists for the steady-state send path. Mint and recycle
-	// both happen on this sender's shard (message release at pack time,
-	// completion fire at the issuer-local delivery event), so plain
-	// slices replace sync.Pool pin/unpin on the per-call path.
+	// Private freelists for the steady-state send path: a message is
+	// released at pack time, a completion when it fires.
 	msgFree  []*Message
 	compFree []*completion
 	stalled  []queuedSend
@@ -102,8 +100,7 @@ type completion struct {
 
 // getCompletion returns nil when done is nil — the fabric accepts a nil
 // callback, and a no-observer put needs no completion record at all.
-// Records live on the sender's freelist: fire runs at the issuer-local
-// completion event, on the same shard that minted the record.
+// Records live on the sender's freelist.
 func (s *Sender) getCompletion(seq0 uint32, n int, done func(SendInfo)) *completion {
 	if done == nil {
 		return nil
@@ -190,9 +187,7 @@ func NewSender(w *ucx.Worker, ep *ucx.Endpoint, cfg SenderConfig, remoteBase uin
 // GetMessage returns a zeroed Message from the sender's private
 // freelist, falling back to a fresh allocation. Ownership transfers
 // back at Send/SendBatch, which releases the message after packing; the
-// caller must not retain it past that call. The freelist is sound
-// because the send path — mint, pack, release — runs entirely on this
-// sender's shard.
+// caller must not retain it past that call.
 func (s *Sender) GetMessage() *Message {
 	if n := len(s.msgFree); n > 0 {
 		m := s.msgFree[n-1]

@@ -145,8 +145,9 @@ type AddressSpace struct {
 }
 
 // backings recycles released backing arrays, one pool per power-of-two
-// size (index log2). It is shared by every space in the process, like
-// sim.SharedBufPool: spaces themselves stay single-owner.
+// size (index log2). It is shared by every space in the process — by
+// simulations running side by side too: spaces themselves stay
+// single-owner.
 var backings [bits.UintSize]sync.Pool
 
 // released and recycled count the pool's traffic; see BackingPoolStats.

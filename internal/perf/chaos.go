@@ -15,9 +15,8 @@ func init() {
 // scenario clean, under chaos perturbation, and with a mid-run node
 // failure plus rejoin — goodput, the loss ledger, and the drain
 // profile (per-phase completion stamps) side by side. Everything stays
-// deterministic: the perturbation RNG is issuer-shard-local, the
-// teardown bookkeeping runs serial-hold-bracketed, so every row
-// reproduces bit for bit.
+// deterministic: the perturbation RNG is split per port and teardown is
+// an event on the simulated clock, so every row reproduces bit for bit.
 func chaosExp(o Options) (*Table, error) {
 	t := &Table{
 		Name:  "chaos",
@@ -25,12 +24,10 @@ func chaosExp(o Options) (*Table, error) {
 		Cols:  []string{"variant", "pattern", "nodes", "msgs", "lost", "inj/s", "sim_ms"},
 	}
 	rounds := meshIters(o)
-	workers := o.Workers
 	base := func(p workload.Pattern, nodes int) workload.Scenario {
 		sc := workload.DefaultScenario(p, nodes)
 		sc.Rounds = rounds
 		sc.Shards = 4
-		sc.Workers = workers
 		return sc
 	}
 	chaos := &workload.ChaosSpec{MinDelay: 20 * sim.Nanosecond, MaxDelay: 120 * sim.Nanosecond}

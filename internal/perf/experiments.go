@@ -11,10 +11,6 @@ type Options struct {
 	// Scale multiplies iteration counts; 1.0 is the tcperf default,
 	// tests use smaller values.
 	Scale float64
-	// Workers is the engine worker count for experiments that exercise
-	// the multi-core conservative engine (the mesh experiment's speedup
-	// line); <= 1 keeps everything sequential.
-	Workers int
 }
 
 func (o Options) iters(base int) int {

@@ -2,7 +2,6 @@ package perf
 
 import (
 	"fmt"
-	"time"
 
 	"twochains/internal/workload"
 )
@@ -64,44 +63,5 @@ func meshExp(o Options) (*Table, error) {
 	}
 	t.Note("hotspot swaps the hot node's server ried mid-run; rates are simulated injections/sec")
 	t.Note("slot hit/miss: deliveries finding their mailbox slot's bytes unchanged / remapped; decodes: misses on a body the node had not seen; promoted: slots compiled after going hot")
-	if note, err := meshSpeedupNote(o, rounds); err != nil {
-		return nil, err
-	} else if note != "" {
-		t.Note(note)
-	}
 	return t, nil
-}
-
-// meshSpeedupNote measures the multi-core conservative engine on a
-// 64-node all-to-all exchange: wall-clock with workers=1 against
-// workers=N, asserting the digests and simulated times stay
-// bit-identical (they are the same simulation by contract).
-func meshSpeedupNote(o Options, rounds int) (string, error) {
-	if o.Workers <= 1 {
-		return "", nil
-	}
-	sc := workload.DefaultScenario(workload.AllToAll, 64)
-	sc.Rounds = rounds
-	sc.Shards = 8
-	start := time.Now()
-	seq, err := workload.Run(sc)
-	if err != nil {
-		return "", fmt.Errorf("mesh speedup (workers=1): %w", err)
-	}
-	seqWall := time.Since(start)
-	sc.Workers = o.Workers
-	start = time.Now()
-	par, err := workload.Run(sc)
-	if err != nil {
-		return "", fmt.Errorf("mesh speedup (workers=%d): %w", o.Workers, err)
-	}
-	parWall := time.Since(start)
-	if par.Digest != seq.Digest || par.SimTime != seq.SimTime {
-		return "", fmt.Errorf("mesh speedup: workers=%d diverged from workers=1 (digest %#x vs %#x)",
-			o.Workers, par.Digest, seq.Digest)
-	}
-	return fmt.Sprintf(
-		"parallel engine, 64-node alltoall: workers=1 %.2fs vs workers=%d %.2fs (%.2fx wall-clock, %d windows, digests bit-identical)",
-		seqWall.Seconds(), par.Workers, parWall.Seconds(), seqWall.Seconds()/parWall.Seconds(),
-		par.Windows), nil
 }

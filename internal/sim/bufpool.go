@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // bufClasses bounds the pooled size classes: 1<<23 = 8 MB. Larger buffers
 // are so rare in a frame-granular fabric that pooling them would only pin
@@ -20,14 +17,7 @@ const bufClasses = 24
 // at slice-append cost with no interface boxing.
 type BufPool struct {
 	classes [bufClasses][][]byte
-	// arena, when attached, backs class misses with shard-local chunked
-	// allocation instead of individual heap objects (see Arena).
-	arena *Arena
 }
-
-// AttachArena backs the pool's fresh allocations with a (attach nil to
-// detach). The arena must share the pool's owner: both are single-owner.
-func (p *BufPool) AttachArena(a *Arena) { p.arena = a }
 
 // Get returns a buffer of length n. Contents are unspecified.
 func (p *BufPool) Get(n int) []byte {
@@ -44,11 +34,8 @@ func (p *BufPool) Get(n int) []byte {
 		p.classes[k] = l[:len(l)-1]
 		return b[:n]
 	}
-	if p.arena != nil {
-		// Power-of-two capacity keeps arena-carved buffers recyclable
-		// through Put's size classing.
-		return p.arena.Alloc(n, 1<<k)
-	}
+	// Power-of-two capacity keeps the buffer recyclable through Put's
+	// size classing.
 	return make([]byte, n, 1<<k)
 }
 
@@ -64,42 +51,4 @@ func (p *BufPool) Put(b []byte) {
 		return
 	}
 	p.classes[k] = append(p.classes[k], b[:0])
-}
-
-// SharedBufPool is the concurrent counterpart of BufPool: the same
-// power-of-two size-classing over sync.Pool shards, safe to Get on one
-// goroutine and Put on another. Cross-shard put payloads in the parallel
-// engine use it — the buffer is snapshot on the issuing shard's worker
-// and released on the destination shard's worker after delivery.
-type SharedBufPool struct {
-	classes [bufClasses]sync.Pool
-}
-
-// Get returns a buffer of length n. Contents are unspecified.
-func (p *SharedBufPool) Get(n int) []byte {
-	if n <= 0 {
-		return nil
-	}
-	k := bits.Len(uint(n - 1))
-	if k >= bufClasses {
-		return make([]byte, n)
-	}
-	if v := p.classes[k].Get(); v != nil {
-		return (*(v.(*[]byte)))[:n]
-	}
-	return make([]byte, n, 1<<k)
-}
-
-// Put recycles a buffer previously returned by Get.
-func (p *SharedBufPool) Put(b []byte) {
-	c := cap(b)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	k := bits.Len(uint(c)) - 1
-	if k >= bufClasses {
-		return
-	}
-	b = b[:0]
-	p.classes[k].Put(&b)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // TestEngineHeapMatchesSortedOrder drives the 4-ary heap with large
@@ -220,6 +221,15 @@ func TestEngineQueueReleasesClosures(t *testing.T) {
 		if ev.fn != nil {
 			t.Fatalf("queue slot %d still holds a closure after Run", i)
 		}
+	}
+}
+
+// TestEventIsThreeWords pins the queue element's size: sift-up and
+// sift-down move whole events, so every word added to one is paid on
+// every heap level of every push and pop.
+func TestEventIsThreeWords(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Fatalf("sizeof(event) = %d, want 24 (at, seq, fn)", got)
 	}
 }
 

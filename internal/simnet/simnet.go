@@ -15,29 +15,10 @@
 //
 // Time is discrete-event simulated; data movement is real (bytes are
 // copied between the nodes' address spaces through the DMA paths).
-//
-// # Parallel execution
-//
-// simnet implements fabric.ShardedTransport: when bound to a sim.Group,
-// each leaf domain's traffic runs on its own shard engine. State is
-// partitioned by owner — a NIC's tx queue, outbound wires, barriers, and
-// stats belong to its shard; a domain's spine uplinks and staging pools
-// belong to that domain's shard — so shard-local puts never synchronize.
-// A cross-shard put computes its full arrival time on the issuing shard
-// (tx, wire, and uplink are all issuer-owned resources), then splits: the
-// delivery (memory write, stash, hooks) is handed off to the destination
-// shard through the group's lanes, while the initiator's completion
-// callback is scheduled locally at the same arrival time. The two halves
-// touch disjoint state, so the split is equivalent to the sequential
-// combined event. Every cross-shard arrival is at least Lookahead() =
-// UplinkHopLat + PutBaseLat after issue, which is the conservative
-// window the group runs ahead within.
 package simnet
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"twochains/internal/fabric"
 	"twochains/internal/mem"
@@ -87,48 +68,36 @@ func DefaultConfig() Config {
 }
 
 // Fabric connects NICs with per-direction wires. It implements
-// fabric.Transport (and fabric.ShardedTransport) and registers itself as
-// the "simnet" backend.
+// fabric.Transport and registers itself as the "simnet" backend.
 type Fabric struct {
-	eng   *sim.Engine
-	cfg   Config
-	nics  []*NIC
-	rng   *sim.RNG
-	group *sim.Group
+	eng  *sim.Engine
+	cfg  Config
+	nics []*NIC
+	rng  *sim.RNG
 
-	// shards holds the per-domain ownership state (uplinks, staging
-	// pools) of the leaf-domain partition. Traffic inside one domain
-	// rides the dedicated back-to-back wires; traffic between domains
-	// additionally serializes through a shared directional uplink per
-	// domain pair — the oversubscribed spine of a two-tier topology.
-	// NICs never assigned a domain stay in domain 0, so a fabric that
-	// never calls AssignDomain behaves exactly as before. Domain labels
-	// are arbitrary, so the map is keyed, not indexed.
+	// shards holds the per-domain state of the leaf-domain partition.
+	// Traffic inside one domain rides the dedicated back-to-back wires;
+	// traffic between domains additionally serializes through a shared
+	// directional uplink per domain pair — the oversubscribed spine of a
+	// two-tier topology. NICs never assigned a domain stay in domain 0,
+	// so a fabric that never calls AssignDomain behaves exactly as
+	// before. Domain labels are arbitrary, so the map is keyed, not
+	// indexed.
 	shards map[int]*fabShard
-
-	// crossBufs recycles staging copies of cross-shard put payloads: the
-	// buffer is filled on the issuing shard's worker and released on the
-	// destination shard's worker after delivery, so unlike the per-shard
-	// pools it must be concurrency-safe.
-	crossBufs sim.SharedBufPool
 }
 
-// fabShard is the state owned by one leaf domain's shard: its spine
-// uplinks (claimed at issue time, and every issuer into a given remote
-// domain lives in this shard), its staging-buffer pool and delivery-job
-// free list for shard-local puts, and the free list of initiator-side
-// completion records for cross-shard puts.
+// fabShard is one leaf domain: its spine uplinks (every issuer into a
+// given remote domain contends on one), and the staging-buffer pool and
+// delivery-job free list of the puts its NICs issue.
 type fabShard struct {
 	uplinks map[int]*sim.Resource // keyed by destination domain
 	bufs    sim.BufPool
 	jobs    []*putJob
-	dones   []*crossDone
 }
 
-// putJob is the pooled in-flight state of one shard-local put between
-// issue and delivery. Its prebound run method is the event the engine
-// fires at arrival, so the steady-state delivery path schedules no fresh
-// closures.
+// putJob is the pooled in-flight state of one put between issue and
+// delivery. Its prebound run method is the event the engine fires at
+// arrival, so the steady-state delivery path schedules no fresh closures.
 type putJob struct {
 	sh         *fabShard
 	dst        *NIC
@@ -163,72 +132,8 @@ func (j *putJob) deliver() {
 	dst.land(dstVA, data)
 	sh.bufs.Put(data)
 	if onComplete != nil {
-		onComplete(PutResult{Delivered: dst.eng.Now()})
+		onComplete(PutResult{Delivered: dst.fabric.eng.Now()})
 	}
-}
-
-// crossJob is the destination-shard half of a cross-shard put: just the
-// delivery, no initiator callback (that is a separate, issuer-local
-// event). Records cross worker goroutines, so they pool globally.
-type crossJob struct {
-	fab   *Fabric
-	dst   *NIC
-	dstVA uint64
-	data  []byte
-	run   func() // prebound
-}
-
-var crossJobPool sync.Pool
-
-func init() {
-	crossJobPool.New = func() any {
-		j := &crossJob{}
-		j.run = j.deliver
-		return j
-	}
-}
-
-func (j *crossJob) deliver() {
-	fab, dst, dstVA, data := j.fab, j.dst, j.dstVA, j.data
-	j.fab, j.dst, j.data = nil, nil, nil
-	crossJobPool.Put(j)
-
-	dst.land(dstVA, data)
-	fab.crossBufs.Put(data)
-}
-
-// crossDone is the issuer-side half of a cross-shard put: it reports
-// the (pre-computed) delivery time to the initiator at that simulated
-// time, while the payload lands on the destination shard concurrently.
-// Rejected puts never split (the error callback is scheduled directly
-// at issue), so a crossDone always reports success. Owned — allocated,
-// fired, and recycled — by the issuing shard.
-type crossDone struct {
-	sh         *fabShard
-	at         sim.Time
-	onComplete func(PutResult)
-	run        func() // prebound
-}
-
-func (sh *fabShard) getDone(at sim.Time, onComplete func(PutResult)) *crossDone {
-	var d *crossDone
-	if n := len(sh.dones); n > 0 {
-		d = sh.dones[n-1]
-		sh.dones[n-1] = nil
-		sh.dones = sh.dones[:n-1]
-	} else {
-		d = &crossDone{sh: sh}
-		d.run = d.fire
-	}
-	d.at, d.onComplete = at, onComplete
-	return d
-}
-
-func (d *crossDone) fire() {
-	at, onComplete := d.at, d.onComplete
-	d.onComplete = nil
-	d.sh.dones = append(d.sh.dones, d)
-	onComplete(PutResult{Delivered: at})
 }
 
 // land performs the destination-side effects of a delivered put.
@@ -260,51 +165,28 @@ func NewFabric(engine *sim.Engine, cfg Config) *Fabric {
 	}
 }
 
-// Engine returns the default event clock (shard 0's under a group).
+// Engine returns the event clock.
 func (f *Fabric) Engine() *sim.Engine { return f.eng }
-
-// Lookahead implements fabric.ShardedTransport: every cross-shard
-// interaction pays at least the spine hop plus the base one-way latency
-// (arrival = tx + wires + uplink + UplinkHopLat + (PutBaseLat-NicPerMsg)
-// >= issue + NicPerMsg + UplinkHopLat + PutBaseLat - NicPerMsg).
-func (f *Fabric) Lookahead() sim.Duration {
-	return model.UplinkHopLat + model.PutBaseLat
-}
-
-// BindGroup implements fabric.ShardedTransport. It must run before any
-// port attaches; domain labels assigned afterwards must be group shard
-// indices.
-func (f *Fabric) BindGroup(g *sim.Group) {
-	if len(f.nics) > 0 {
-		panic("simnet: BindGroup after ports were attached")
-	}
-	f.group = g
-	f.eng = g.Engine(0)
-}
 
 // Attach adds a host to the fabric (fabric.Transport).
 func (f *Fabric) Attach(as *mem.AddressSpace, hier *memsim.Hierarchy) fabric.Port {
 	return f.AttachNIC(as, hier)
 }
 
-// shard returns (creating lazily) the ownership state of one domain.
+// shard returns (creating lazily) the state of one domain.
 func (f *Fabric) shard(domain int) *fabShard {
 	sh, ok := f.shards[domain]
 	if !ok {
 		sh = &fabShard{uplinks: map[int]*sim.Resource{}}
-		// The shard's buffer pool draws class misses from a shard-local
-		// arena, so parallel windows allocate from per-shard chunks
-		// instead of contending on the shared heap.
-		sh.bufs.AttachArena(sim.NewArena(0))
 		f.shards[domain] = sh
 	}
 	return sh
 }
 
 // AssignDomain places a port into a fabric shard. Domain numbers are
-// arbitrary labels (group shard indices when a group is bound); equal
-// labels share leaf-local wiring. Ports of other backends are ignored.
-// It must be called before the port carries traffic.
+// arbitrary labels; equal labels share leaf-local wiring. Ports of other
+// backends are ignored. It must be called before the port carries
+// traffic.
 func (f *Fabric) AssignDomain(p fabric.Port, domain int) {
 	n, ok := p.(*NIC)
 	if !ok {
@@ -312,12 +194,6 @@ func (f *Fabric) AssignDomain(p fabric.Port, domain int) {
 	}
 	n.domain = domain
 	n.shard = f.shard(domain)
-	if f.group != nil {
-		if domain < 0 || domain >= f.group.Shards() {
-			panic(fmt.Sprintf("simnet: domain %d outside engine group (%d shards)", domain, f.group.Shards()))
-		}
-		n.eng = f.group.Engine(domain)
-	}
 }
 
 // DomainOf reports a port's fabric shard (0 when never assigned).
@@ -328,9 +204,8 @@ func (f *Fabric) DomainOf(p fabric.Port) int {
 	return 0
 }
 
-// wire returns the directional wire resource from this NIC to dst. Wires
-// are owned by the sending NIC's shard (only its shard claims them), and
-// labels are lazy: an N-node mesh mints N² wires, and nothing formats a
+// wire returns the directional wire resource from this NIC to dst.
+// Labels are lazy: an N-node mesh mints N² wires, and nothing formats a
 // name unless a trace actually prints it.
 func (n *NIC) wire(dst int) *sim.Resource {
 	w, ok := n.wires[dst]
@@ -343,8 +218,7 @@ func (n *NIC) wire(dst int) *sim.Resource {
 }
 
 // uplink returns the shared directional spine resource between two fabric
-// shards. All NIC pairs crossing the same domain pair contend on it; all
-// of those issuers live in srcDom, whose shard owns the resource.
+// shards. All NIC pairs crossing the same domain pair contend on it.
 func (f *Fabric) uplink(srcDom, dstDom int) *sim.Resource {
 	sh := f.shard(srcDom)
 	u, ok := sh.uplinks[dstDom]
@@ -367,11 +241,7 @@ type Stats struct {
 
 // NIC is one host adapter. It owns the host's registrations and its
 // transmit queue, and delivers inbound traffic into the host's address
-// space and cache hierarchy. Under a bound engine group a NIC belongs to
-// its domain's shard: its tx queue, wires, barriers, jitter stream, and
-// outbound stats are touched only by that shard's worker; its inbound
-// stats and delivery hooks only by deliveries executing on that same
-// shard.
+// space and cache hierarchy.
 type NIC struct {
 	ID     int
 	fabric *Fabric
@@ -383,17 +253,10 @@ type NIC struct {
 	// deterministically at attach) so draws depend only on this NIC's own
 	// issue sequence, never on the global interleaving of issuers.
 	jitterRng *sim.RNG
-	eng       *sim.Engine
 	domain    int
 	shard     *fabShard
 	wires     map[int]*sim.Resource
-
-	// regs is the registration table, copy-on-write: lookups (which
-	// cross-shard issuers perform at issue time) take an atomic snapshot;
-	// Register/Deregister swap in a fresh map. Registration churn is
-	// setup-path (channel creation, RIED swaps), never hot.
-	//tclint:allow sharddomain COW registration table: cross-shard issuers take read snapshots; swaps happen on the owner (ROADMAP PR 5)
-	regs atomic.Pointer[map[RKey]*Registration]
+	regs      map[RKey]*Registration
 
 	// barrier is the fence point per destination: puts issued after a
 	// Fence are not delivered before it (used when Ordered is false).
@@ -424,13 +287,11 @@ func (f *Fabric) AttachNIC(as *mem.AddressSpace, hier *memsim.Hierarchy) *NIC {
 		tx:        sim.NewResourceLazy(func() string { return fmt.Sprintf("nic%d-tx", id) }),
 		keyRng:    f.rng.Split(),
 		jitterRng: f.rng.Split(),
-		eng:       f.eng,
 		shard:     f.shard(0),
 		wires:     map[int]*sim.Resource{},
+		regs:      map[RKey]*Registration{},
 		barrier:   map[int]sim.Time{},
 	}
-	empty := map[RKey]*Registration{}
-	n.regs.Store(&empty)
 	f.nics = append(f.nics, n)
 	return n
 }
@@ -472,47 +333,27 @@ func (n *NIC) RegisterMemory(base uint64, size int, access Access) (RKey, error)
 	if _, err := n.as.ReadBytesDMA(base+uint64(size)-1, 1); err != nil {
 		return 0, fmt.Errorf("simnet: register: end unmapped: %w", err)
 	}
-	cur := *n.regs.Load()
 	var key RKey
 	for {
 		key = RKey(n.keyRng.Uint64())
 		if key == 0 {
 			continue
 		}
-		if _, dup := cur[key]; !dup {
+		if _, dup := n.regs[key]; !dup {
 			break
 		}
 	}
-	next := make(map[RKey]*Registration, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[key] = &Registration{Key: key, Base: base, Size: size, Access: access}
-	n.regs.Store(&next)
+	n.regs[key] = &Registration{Key: key, Base: base, Size: size, Access: access}
 	return key, nil
 }
 
 // Deregister removes a registration.
-func (n *NIC) Deregister(key RKey) {
-	cur := *n.regs.Load()
-	if _, ok := cur[key]; !ok {
-		return
-	}
-	next := make(map[RKey]*Registration, len(cur))
-	for k, v := range cur {
-		if k != key {
-			next[k] = v
-		}
-	}
-	n.regs.Store(&next)
-}
+func (n *NIC) Deregister(key RKey) { delete(n.regs, key) }
 
 // checkAccess validates an inbound operation against the target's
-// registrations. A failure models the hardware NAK. It reads an atomic
-// snapshot of the table, so cross-shard issuers may call it from their
-// own shard's worker.
+// registrations. A failure models the hardware NAK.
 func (n *NIC) checkAccess(key RKey, va uint64, size int, want Access) error {
-	reg, ok := (*n.regs.Load())[key]
+	reg, ok := n.regs[key]
 	if !ok {
 		return fmt.Errorf("simnet: invalid rkey %#x", key)
 	}
@@ -538,12 +379,9 @@ type PutResult = fabric.PutResult
 //     in memory (stashed into LLC when enabled) and the delivery hook runs.
 //
 // The entire arrival time — tx occupancy, wire serialization, spine
-// uplink contention — is computed at issue from issuer-owned resources;
-// under an engine group a cross-shard delivery is handed to the target's
-// shard while the completion stays an issuer-local event at the same
-// time.
+// uplink contention — is computed at issue.
 func (n *NIC) Put(dstPort fabric.Port, srcVA, dstVA uint64, size int, key RKey, onComplete func(PutResult)) {
-	eng := n.eng
+	eng := n.fabric.eng
 	dst, ok := dstPort.(*NIC)
 	if !ok {
 		n.stats.Rejected++
@@ -557,12 +395,9 @@ func (n *NIC) Put(dstPort fabric.Port, srcVA, dstVA uint64, size int, key RKey, 
 	n.stats.PutsSent++
 	n.stats.BytesSent += uint64(size)
 
-	cross := n.fabric.group != nil && n.domain != dst.domain
-
 	// Snapshot the payload at issue time into a pooled staging buffer (the
 	// sender may legitimately repack the slot before delivery); the buffer
-	// returns to the pool the moment delivery lands. Cross-shard puts use
-	// the concurrency-safe pool — the release happens on another worker.
+	// returns to the pool the moment delivery lands.
 	src, err := n.as.ViewDMA(srcVA, size)
 	if err != nil {
 		n.stats.Rejected++
@@ -573,12 +408,7 @@ func (n *NIC) Put(dstPort fabric.Port, srcVA, dstVA uint64, size int, key RKey, 
 		})
 		return
 	}
-	var data []byte
-	if cross {
-		data = n.fabric.crossBufs.Get(size)
-	} else {
-		data = n.shard.bufs.Get(size)
-	}
+	data := n.shard.bufs.Get(size)
 	copy(data, src)
 
 	// NIC processing, then wire serialization.
@@ -604,11 +434,7 @@ func (n *NIC) Put(dstPort fabric.Port, srcVA, dstVA uint64, size int, key RKey, 
 
 	if err := dst.checkAccess(key, dstVA, size, RemoteWrite); err != nil {
 		n.stats.Rejected++
-		if cross {
-			n.fabric.crossBufs.Put(data)
-		} else {
-			n.shard.bufs.Put(data)
-		}
+		n.shard.bufs.Put(data)
 		eng.At(arrival, func() {
 			if onComplete != nil {
 				onComplete(PutResult{Err: err})
@@ -617,33 +443,13 @@ func (n *NIC) Put(dstPort fabric.Port, srcVA, dstVA uint64, size int, key RKey, 
 		return
 	}
 
-	if !cross {
-		eng.At(arrival, n.shard.getJob(dst, dstVA, data, onComplete).run)
-		return
-	}
-	cj := crossJobPool.Get().(*crossJob)
-	cj.fab, cj.dst, cj.dstVA, cj.data = n.fabric, dst, dstVA, data
-	n.fabric.group.Handoff(n.domain, dst.domain, arrival, cj.run)
-	if onComplete != nil {
-		eng.At(arrival, n.shard.getDone(arrival, onComplete).run)
-	}
-}
-
-// crossShardGuard panics on operations the parallel engine does not
-// model across shards (reads and atomics would touch remote state from
-// the issuing shard's worker with no conservative window).
-func (n *NIC) crossShardGuard(dst *NIC, op string) {
-	if n.fabric.group != nil && n.domain != dst.domain {
-		panic(fmt.Sprintf("simnet: cross-shard %s %s->%s is not supported under the parallel engine group", op, n.Label(), dst.Label()))
-	}
+	eng.At(arrival, n.shard.getJob(dst, dstVA, data, onComplete).run)
 }
 
 // Get issues a one-sided RDMA read of size bytes from srcVA on the target
-// into dstVA locally. Under an engine group it is shard-local only (the
-// Two-Chains runtime issues no cross-shard reads).
+// into dstVA locally.
 func (n *NIC) Get(dst *NIC, remoteVA, localVA uint64, size int, key RKey, onComplete func(PutResult)) {
-	n.crossShardGuard(dst, "get")
-	eng := n.eng
+	eng := n.fabric.eng
 	n.stats.GetsSent++
 
 	txDone := n.tx.Claim(eng.Now(), model.NicPerMsg)
@@ -691,11 +497,9 @@ func (n *NIC) Get(dst *NIC, remoteVA, localVA uint64, size int, key RKey, onComp
 }
 
 // AtomicFetchAdd performs a remote 64-bit fetch-and-add at dstVA,
-// delivering the previous value to the callback. Shard-local only under
-// an engine group.
+// delivering the previous value to the callback.
 func (n *NIC) AtomicFetchAdd(dst *NIC, dstVA uint64, add uint64, key RKey, onComplete func(old uint64, res PutResult)) {
-	n.crossShardGuard(dst, "atomic")
-	eng := n.eng
+	eng := n.fabric.eng
 	n.stats.AtomicsSent++
 	txDone := n.tx.Claim(eng.Now(), model.NicPerMsg)
 	arrival := txDone.Add(model.PutBaseLat)

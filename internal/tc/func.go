@@ -17,7 +17,6 @@ import (
 type Func struct {
 	sys       *System
 	src       int
-	shard     int // src's fabric shard: the future-pool lane Calls use
 	pkg, elem string
 	bounds    []*core.Bound // indexed by destination node
 	// ten is the owning tenant of a FuncFor handle (nil for base
@@ -47,7 +46,7 @@ func (s *System) Func(src int, pkg, elem string) (*Func, error) {
 	if e.Kind != core.ElemJam {
 		return nil, fmt.Errorf("tc: func: element %q in package %q is a %s, not a jam", elem, pkg, e.Kind)
 	}
-	return &Func{sys: s, src: src, shard: s.mesh.ShardOf(src), pkg: pkg, elem: elem,
+	return &Func{sys: s, src: src, pkg: pkg, elem: elem,
 		bounds: make([]*core.Bound, s.mesh.Nodes())}, nil
 }
 
@@ -142,16 +141,10 @@ func WithTenant(t *tenant.Tenant) CallOpt {
 // failure — the destination torn down or severed by a node failure
 // (*core.NodeDownError), or a deferred tenant admission
 // (*tenant.AdmissionError with Deferred) — is re-attempted under the
-// policy, with deterministic sim-time backoff on the issuing node's
-// shard engine. A deferred admission's RetryAfter floors the backoff,
-// so the two retry sources compose. When the policy is exhausted the
-// future resolves with a *RetryError (wrapping the last attempt's
-// error), readable via Future.IssueErr.
-//
-// A retry that must rebuild a channel to a rejoined node performs lazy
-// channel creation, which under the parallel engine is legal only while
-// the group executes serially — the same discipline as any first Call
-// to a new destination.
+// policy, with deterministic sim-time backoff. A deferred admission's
+// RetryAfter floors the backoff, so the two retry sources compose. When
+// the policy is exhausted the future resolves with a *RetryError
+// (wrapping the last attempt's error), readable via Future.IssueErr.
 func WithRetry(p RetryPolicy) CallOpt {
 	return CallOpt{kind: optRetry, retry: p}
 }
@@ -190,7 +183,7 @@ func (f *Func) Call(dst int, args [2]uint64, opts ...CallOpt) *Future {
 	if cfg.burst {
 		n = len(cfg.batch)
 	}
-	fu := f.sys.newFuture(f.shard, n)
+	fu := f.sys.newFuture(n)
 	if n == 0 {
 		fu.resolve()
 		return fu
@@ -227,11 +220,8 @@ func (f *Func) issueOnce(fu *Future, dst int, args [2]uint64, cfg *callCfg) erro
 		return err
 	}
 	if ten := cfg.ten; ten != nil && ten.Admission != nil {
-		// Admission runs on the issuing node's shard against issuer-owned
-		// bucket state, clocked by the shard-local engine — deterministic
-		// for every worker count. The channel's credit-stall count is the
-		// congestion feedback.
-		if dec := ten.Admit(f.src, fu.eng.Now(), fu.expect, b.CreditStalls()); !dec.OK {
+		// The channel's credit-stall count is the congestion feedback.
+		if dec := ten.Admit(f.src, f.sys.Now(), fu.expect, b.CreditStalls()); !dec.OK {
 			return ten.Reject(dec)
 		}
 	}
@@ -250,10 +240,10 @@ func (f *Func) issueOnce(fu *Future, dst int, args [2]uint64, cfg *callCfg) erro
 
 // issueRetry drives the WithRetry attempt loop: each retryable failure
 // schedules the next attempt after the policy's backoff (floored by a
-// deferred admission's RetryAfter) on the issuing shard's engine, so
-// retried calls replay deterministically at every worker count.
-// Exhaustion — attempts spent, or the timeout overrun — resolves the
-// future with a *RetryError surfaced via Future.IssueErr.
+// deferred admission's RetryAfter) on the simulated clock, so retried
+// calls replay deterministically. Exhaustion — attempts spent, or the
+// timeout overrun — resolves the future with a *RetryError surfaced via
+// Future.IssueErr.
 func (f *Func) issueRetry(fu *Future, dst int, args [2]uint64, cfg callCfg, attempt int, elapsed sim.Duration) {
 	err := f.issueOnce(fu, dst, args, &cfg)
 	if err == nil {
@@ -283,7 +273,7 @@ func (f *Func) issueRetry(fu *Future, dst int, args [2]uint64, cfg callCfg, atte
 	// Resolution now happens inside the engine: mark the future armed so
 	// an unobserved fire-and-forget call still recycles when it resolves.
 	fu.armed = true
-	fu.eng.After(delay, func() {
+	f.sys.Engine().After(delay, func() {
 		f.issueRetry(fu, dst, args, cfg, attempt+1, elapsed+delay)
 	})
 }
@@ -340,8 +330,6 @@ type Result struct {
 //     Release the future must not be touched.
 type Future struct {
 	sys      *System
-	eng      *sim.Engine
-	shard    int // pool lane (the source node's fabric shard)
 	expect   int
 	resolved bool
 	observed bool // Done/Await/Retain seen: caller keeps the handle
@@ -358,20 +346,16 @@ type Future struct {
 	completeCb func(core.Result)
 }
 
-// newFuture takes a future from the source shard's pool lane (or mints
-// one with its prebound adapters) and resets it for a call expecting n
-// completions. A future lives entirely on its source shard — issue,
-// resolution, and recycling — so the lanes need no locking even under
-// the parallel engine.
-func (s *System) newFuture(shard, expect int) *Future {
+// newFuture takes a future from the pool (or mints one with its prebound
+// adapters) and resets it for a call expecting n completions.
+func (s *System) newFuture(expect int) *Future {
 	var fu *Future
-	lane := s.futures[shard]
-	if n := len(lane); n > 0 {
-		fu = lane[n-1]
-		lane[n-1] = nil
-		s.futures[shard] = lane[:n-1]
+	if n := len(s.futures); n > 0 {
+		fu = s.futures[n-1]
+		s.futures[n-1] = nil
+		s.futures = s.futures[:n-1]
 	} else {
-		fu = &Future{sys: s, shard: shard, eng: s.mesh.Cluster.EngineFor(shard)}
+		fu = &Future{sys: s}
 		fu.infoCb = fu.completeInfo
 		fu.completeCb = fu.complete
 	}
@@ -389,7 +373,7 @@ func (fu *Future) recycle() {
 		return
 	}
 	fu.free = true
-	fu.sys.futures[fu.shard] = append(fu.sys.futures[fu.shard], fu)
+	fu.sys.futures = append(fu.sys.futures, fu)
 }
 
 // completeInfo folds one mailbox-level completion into the aggregate.
@@ -522,7 +506,7 @@ func (fu *Future) Done(cb func(Result)) *Future {
 func (fu *Future) Await() (Result, error) {
 	fu.observed = true
 	for !fu.resolved {
-		if !fu.sys.step() {
+		if !fu.sys.Engine().Step() {
 			return fu.res, fmt.Errorf("tc: await: simulation quiescent with future unresolved (%d/%d messages)",
 				fu.res.N, fu.expect)
 		}

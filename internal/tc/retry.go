@@ -11,8 +11,8 @@ import (
 
 // RetryPolicy is the issuer-side resilience knob for WithRetry: how many
 // issue attempts a Call gets and how they back off. All delays are
-// simulated time on the issuing node's shard engine, so retrying runs
-// replay bit-identically for equal seeds at every worker count.
+// simulated time, so retrying runs replay bit-identically for equal
+// seeds.
 type RetryPolicy struct {
 	// Attempts is the total issue-attempt budget (including the first);
 	// values below 1 behave as 1.

@@ -2,7 +2,6 @@ package tc
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 
 	"twochains/internal/core"
@@ -24,84 +23,76 @@ func TestRetryPolicyDelay(t *testing.T) {
 	}
 }
 
-// TestCallFailedNodeSweep is the teardown fail-fast property at every
-// worker count: after FailNode, both a base Func.Call and a tenant
+// TestCallFailedNodeSweep is the teardown fail-fast property on a
+// four-shard fabric: after FailNode, both a base Func.Call and a tenant
 // FuncFor call resolve synchronously with a typed *core.NodeDownError —
 // no hang, no untyped string error — and calls to healthy nodes keep
 // working. After RejoinNode the same handles recover through lazy
 // channel rebuild.
 func TestCallFailedNodeSweep(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	sweep := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
-		sweep = append(sweep, n)
+	sys := quickSystem(t, 6, WithShards(4))
+	if _, err := sys.AddTenant(tenant.Config{Name: "gold", Weight: 1}); err != nil {
+		t.Fatal(err)
 	}
-	for _, w := range sweep {
-		runtime.GOMAXPROCS(w)
-		sys := quickSystem(t, 6, WithShards(4), WithWorkers(w))
-		if _, err := sys.AddTenant(tenant.Config{Name: "gold", Weight: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.InstallPackageFor("gold", buildCalc(t, "2")); err != nil {
-			t.Fatal(err)
-		}
-		fn, err := sys.Func(0, "tcbench", "jam_iput")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tfn, err := sys.FuncFor("gold", 0, "calc", "jam_calc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Warm both handles so the sweep also proves cached bounds on
-		// severed channels re-resolve instead of issuing into the dead
-		// node.
-		if _, err := fn.Call(1, [2]uint64{1, 0}).Await(); err != nil {
-			t.Fatalf("workers %d: warmup call: %v", w, err)
-		}
-		if _, err := tfn.Call(1, [2]uint64{1, 0}).Await(); err != nil {
-			t.Fatalf("workers %d: tenant warmup call: %v", w, err)
-		}
-		if _, err := sys.FailNode(1); err != nil {
-			t.Fatal(err)
-		}
-		var nd *core.NodeDownError
-		fu := fn.Call(1, [2]uint64{2, 0})
-		if err := fu.IssueErr(); !errors.As(err, &nd) {
-			t.Fatalf("workers %d: Call to failed node: err = %v, want *core.NodeDownError", w, err)
-		} else if nd.Node != "n01" {
-			t.Fatalf("workers %d: error blames %q, want n01", w, nd.Node)
-		}
-		if err := tfn.Call(1, [2]uint64{2, 0}).IssueErr(); !errors.As(err, &nd) {
-			t.Fatalf("workers %d: FuncFor call to failed node: err = %v, want *core.NodeDownError", w, err)
-		}
-		// Calls FROM the failed node are refused too: a dead process
-		// issues nothing.
-		rev, err := sys.Func(1, "tcbench", "jam_iput")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rev.Call(2, [2]uint64{3, 0}).IssueErr(); !errors.As(err, &nd) {
-			t.Fatalf("workers %d: call from failed node: err = %v, want *core.NodeDownError", w, err)
-		}
-		// Healthy destinations are unaffected.
-		if _, err := fn.Call(2, [2]uint64{4, 0}).Await(); err != nil {
-			t.Fatalf("workers %d: call to healthy node: %v", w, err)
-		}
-		if err := sys.RejoinNode(1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fn.Call(1, [2]uint64{5, 0}).Await(); err != nil {
-			t.Fatalf("workers %d: call after rejoin: %v", w, err)
-		}
-		if _, err := tfn.Call(1, [2]uint64{5, 0}).Await(); err != nil {
-			t.Fatalf("workers %d: tenant call after rejoin: %v", w, err)
-		}
-		// Every step above ran on the simulated clock, so the sequence ends
-		// at one pinned instant (captured on the sequential engine).
-		if now := int64(sys.Now()); now != 6230998 {
-			t.Errorf("workers %d: sequence ended at %d, want 6230998", w, now)
-		}
+	if err := sys.InstallPackageFor("gold", buildCalc(t, "2")); err != nil {
+		t.Fatal(err)
+	}
+	fn, err := sys.Func(0, "tcbench", "jam_iput")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tfn, err := sys.FuncFor("gold", 0, "calc", "jam_calc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm both handles so the sweep also proves cached bounds on
+	// severed channels re-resolve instead of issuing into the dead
+	// node.
+	if _, err := fn.Call(1, [2]uint64{1, 0}).Await(); err != nil {
+		t.Fatalf("warmup call: %v", err)
+	}
+	if _, err := tfn.Call(1, [2]uint64{1, 0}).Await(); err != nil {
+		t.Fatalf("tenant warmup call: %v", err)
+	}
+	if _, err := sys.FailNode(1); err != nil {
+		t.Fatal(err)
+	}
+	var nd *core.NodeDownError
+	fu := fn.Call(1, [2]uint64{2, 0})
+	if err := fu.IssueErr(); !errors.As(err, &nd) {
+		t.Fatalf("Call to failed node: err = %v, want *core.NodeDownError", err)
+	} else if nd.Node != "n01" {
+		t.Fatalf("error blames %q, want n01", nd.Node)
+	}
+	if err := tfn.Call(1, [2]uint64{2, 0}).IssueErr(); !errors.As(err, &nd) {
+		t.Fatalf("FuncFor call to failed node: err = %v, want *core.NodeDownError", err)
+	}
+	// Calls FROM the failed node are refused too: a dead process
+	// issues nothing.
+	rev, err := sys.Func(1, "tcbench", "jam_iput")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rev.Call(2, [2]uint64{3, 0}).IssueErr(); !errors.As(err, &nd) {
+		t.Fatalf("call from failed node: err = %v, want *core.NodeDownError", err)
+	}
+	// Healthy destinations are unaffected.
+	if _, err := fn.Call(2, [2]uint64{4, 0}).Await(); err != nil {
+		t.Fatalf("call to healthy node: %v", err)
+	}
+	if err := sys.RejoinNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fn.Call(1, [2]uint64{5, 0}).Await(); err != nil {
+		t.Fatalf("call after rejoin: %v", err)
+	}
+	if _, err := tfn.Call(1, [2]uint64{5, 0}).Await(); err != nil {
+		t.Fatalf("tenant call after rejoin: %v", err)
+	}
+	// Every step above ran on the simulated clock, so the sequence ends
+	// at one pinned instant.
+	if now := int64(sys.Now()); now != 6230998 {
+		t.Errorf("sequence ended at %d, want 6230998", now)
 	}
 }
 
@@ -122,7 +113,7 @@ func TestRetryRidesOutFailure(t *testing.T) {
 	}
 	// Rejoin lands at 5µs; backoff retries at 1, 3, 7µs — the third
 	// attempt finds the node back.
-	sys.After(0, 5*sim.Microsecond, func() {
+	sys.Engine().After(5*sim.Microsecond, func() {
 		if err := sys.RejoinNode(1); err != nil {
 			t.Errorf("rejoin: %v", err)
 		}

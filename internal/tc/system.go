@@ -16,15 +16,11 @@ import (
 // subsumes the former Cluster/Mesh split: a cluster is a 2-node System.
 type System struct {
 	mesh *core.Mesh
-	// futures is the system's future pool, one free list per fabric shard
-	// (see Future's ownership rules): a future is taken, resolved, and
-	// recycled on its source node's shard, so under the parallel engine
-	// each list stays single-owner.
-	futures [][]*Future
+	// futures is the system's future pool (see Future's ownership rules).
+	futures []*Future
 	// tenants and arbs are the multi-tenant serving state, created by the
-	// first AddTenant: the tenant registry (issuer-owned admission
-	// buckets) and one fair-service arbiter per receiving node
-	// (receiver-shard-owned fair-queue state).
+	// first AddTenant: the tenant registry (admission buckets) and one
+	// fair-service arbiter per receiving node.
 	tenants *tenant.Registry
 	arbs    []*mailbox.FairArbiter
 }
@@ -32,15 +28,10 @@ type System struct {
 // SystemOpt adjusts the deployment template before the system is built.
 type SystemOpt func(*core.MeshConfig)
 
-// WithWorkers requests the multi-core conservative engine: each fabric
-// shard's event loop runs on its own worker goroutine (up to n of them),
-// synchronized so digests and simulated times stay bit-identical to
-// single-engine execution. n <= 1 — the default — is exactly the
-// sequential engine; backends without fabric.ShardedTransport support
-// fall back to it too.
-func WithWorkers(n int) SystemOpt {
-	return func(c *core.MeshConfig) { c.Workers = n }
-}
+// WithWorkers does nothing: a simulation runs on one engine.
+//
+// Deprecated: ignored. Kept until benchmark/ stops naming it.
+func WithWorkers(int) SystemOpt { return func(*core.MeshConfig) {} }
 
 // WithShards partitions the nodes across fabric shards (contiguous
 // blocks; cross-shard traffic serializes through shared spine uplinks on
@@ -122,8 +113,7 @@ func WithChannelOptions(co core.ChannelOptions) SystemOpt {
 
 // WithChaos wraps the deployment's fabric backend in the "chaos"
 // failure-injection transport: per-put latency perturbation within the
-// declared bounds, drawn from the deployment's deterministic RNG, plus
-// the optional lookahead misadvertisement stressors (see
+// declared bounds, drawn from the deployment's deterministic RNG (see
 // fabric.ChaosConfig). The wrapped backend is whatever WithBackend
 // selected (resolved when the system is built, so option order does not
 // matter), unless cc.Inner names one explicitly.
@@ -155,7 +145,7 @@ func NewSystem(n int, opts ...SystemOpt) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{mesh: m, futures: make([][]*Future, m.Cfg.Shards)}, nil
+	return &System{mesh: m}, nil
 }
 
 // Close ends the system's life: every node's address-space backing goes
@@ -178,72 +168,11 @@ func (s *System) Node(i int) *core.Node { return s.mesh.Node(i) }
 // ShardOf reports the fabric shard node i lives in.
 func (s *System) ShardOf(i int) int { return s.mesh.ShardOf(i) }
 
-// Engine is the default discrete-event clock (shard 0's under the
-// parallel engine). Runtime scheduling for a specific node should use
-// After/EngineFor so events land on the owning shard.
+// Engine is the system's discrete-event clock. Drivers arm work from
+// outside the simulation with Engine().At / After.
 func (s *System) Engine() *sim.Engine { return s.mesh.Cluster.Eng }
 
-// EngineFor returns the engine owning node i's events.
-func (s *System) EngineFor(node int) *sim.Engine {
-	return s.mesh.Cluster.EngineFor(s.mesh.ShardOf(node))
-}
-
-// After schedules fn d from now on node's shard engine — the safe way to
-// drive a node from outside the simulation (scenario drivers arming
-// senders). "Now" is the global clock: an idle shard's local clock lags
-// behind the latest executed event, and scheduling relative to it would
-// re-order against the sequential engine (or land in another shard's
-// past). It must be called from setup code or from events already
-// executing serially, never from another shard's concurrent window.
-func (s *System) After(node int, d sim.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	now := s.Now()
-	s.EngineFor(node).AtScheduled(now.Add(d), now, fn)
-}
-
-// Workers reports the worker count of the parallel engine (1 when it is
-// not engaged).
-func (s *System) Workers() int {
-	if g := s.mesh.Cluster.Group; g != nil {
-		return g.Workers()
-	}
-	return 1
-}
-
-// Sharded reports whether the parallel engine group is engaged.
-func (s *System) Sharded() bool { return s.mesh.Cluster.Group != nil }
-
-// Windows reports how many parallel windows the engine has executed — the
-// engagement metric of the windowed regime (0 on a sequential system or a
-// run that stayed serial throughout).
-func (s *System) Windows() uint64 {
-	if g := s.mesh.Cluster.Group; g != nil {
-		return g.Windows()
-	}
-	return 0
-}
-
-// HoldSerial forces the parallel engine to execute one globally-ordered
-// event at a time until the matching ReleaseSerial — the hook scenario
-// drivers use around zero-lookahead global actions (lazy channel setup,
-// RIED hot-swaps, phase barriers). It is a no-op on a sequential system.
-// Legal only before Run or from an event already executing serially.
-func (s *System) HoldSerial() {
-	if g := s.mesh.Cluster.Group; g != nil {
-		g.HoldSerial()
-	}
-}
-
-// ReleaseSerial releases one HoldSerial.
-func (s *System) ReleaseSerial() {
-	if g := s.mesh.Cluster.Group; g != nil {
-		g.ReleaseSerial()
-	}
-}
-
-// Now returns the current simulated time (across every shard).
+// Now returns the current simulated time.
 func (s *System) Now() sim.Time { return s.mesh.Cluster.Now() }
 
 // RNG is the system's deterministic random stream; all workload
@@ -287,15 +216,11 @@ func (s *System) Teardown(i int) error {
 // FailNode injects a hard node failure: Teardown plus channel severing,
 // fast-fail of every queued send with a typed *core.NodeDownError, and
 // peer-side cache invalidation (see core.Mesh.FailNode). It returns the
-// number of queued outbound sends the failure destroyed. Under the
-// parallel engine it is a zero-lookahead global action: call it only
-// while the group executes serially (workload drivers bracket it in a
-// serial hold).
+// number of queued outbound sends the failure destroyed.
 func (s *System) FailNode(i int) (int, error) { return s.mesh.FailNode(i) }
 
 // RejoinNode brings a failed node back. Severed channels stay dead;
-// peers rebuild them lazily on their next Call under the usual lazy
-// channel-creation discipline.
+// peers rebuild them lazily on their next Call.
 func (s *System) RejoinNode(i int) error { return s.mesh.RejoinNode(i) }
 
 // Channel returns the src->dst channel, creating it (and its mailbox
@@ -308,7 +233,7 @@ func (s *System) Channel(src, dst int) (*core.Channel, error) {
 // SendData sends a delivery-only frame (the without-execution mode of the
 // overhead experiments) and returns its future.
 func (s *System) SendData(src, dst int, usr []byte) *Future {
-	fu := s.newFuture(s.mesh.ShardOf(src), 1)
+	fu := s.newFuture(1)
 	ch, err := s.mesh.Channel(src, dst)
 	if err != nil {
 		fu.fail(err)
@@ -326,16 +251,6 @@ func (s *System) SendData(src, dst int, usr []byte) *Future {
 
 // Stats sums sender, receiver, and jam-cache counters over the system.
 func (s *System) Stats() core.MeshStats { return s.mesh.Stats() }
-
-// step executes the single next event — the globally earliest one under
-// the parallel engine (deterministic: serial stepping is totally
-// ordered) — and reports whether anything ran. Future.Await drives it.
-func (s *System) step() bool {
-	if g := s.mesh.Cluster.Group; g != nil {
-		return g.Step()
-	}
-	return s.mesh.Cluster.Eng.Step()
-}
 
 // Mesh exposes the underlying core deployment for callers that need the
 // full internal surface (the perf harness does).

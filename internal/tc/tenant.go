@@ -13,8 +13,7 @@ import (
 // on every node, a weighted fair-queue class on every node's service
 // arbiter, and (when cfg.Admission is set) token-bucket admission
 // control on the issue path. Tenants must be added before their first
-// InstallPackageFor or Call — in setup code or while the engine executes
-// serially.
+// InstallPackageFor or Call.
 func (s *System) AddTenant(cfg tenant.Config) (*tenant.Tenant, error) {
 	if s.tenants == nil {
 		s.tenants = tenant.NewRegistry(s.mesh.Nodes())
@@ -95,7 +94,7 @@ func (s *System) FuncFor(tenantName string, src int, pkg, elem string) (*Func, e
 	if e.Kind != core.ElemJam {
 		return nil, fmt.Errorf("tc: func: element %q in package %q is a %s, not a jam", elem, pkg, e.Kind)
 	}
-	return &Func{sys: s, src: src, shard: s.mesh.ShardOf(src), pkg: q, elem: elem, ten: t,
+	return &Func{sys: s, src: src, pkg: q, elem: elem, ten: t,
 		bounds: make([]*core.Bound, s.mesh.Nodes())}, nil
 }
 

@@ -7,20 +7,17 @@
 // over sim time — so it can sit under both the tc call path and the
 // workload driver without dragging either's dependencies along.
 //
-// # Ownership domains
+// # Where the state lives
 //
-// All tenant state is partitioned to respect the parallel engine's
-// per-shard ownership rules (see ROADMAP "Multi-tenant serving"):
+// See ROADMAP "Multi-tenant serving":
 //
-//   - Admission buckets are indexed by the *issuing* node. A bucket is
-//     only ever read or written from Admit calls made on that node's
-//     shard (tc.Func.Call runs on the source shard), so equal seeds give
-//     bit-identical admission decisions for every worker count.
+//   - Admission buckets are indexed by the *issuing* node: a node's
+//     admission decisions depend only on its own issue sequence.
 //   - Fair-queue state lives in mailbox.FairArbiter on the *receiving*
-//     node's shard, not here; the tenant only contributes its dense ID
-//     (the arbiter class) and weight.
-//   - The per-node admit/drop/defer counters are likewise issuer-owned;
-//     Stats sums them only after the simulation has quiesced.
+//     node, not here; the tenant only contributes its dense ID (the
+//     arbiter class) and weight.
+//   - The admit/drop/defer counters are per issuing node too; Stats sums
+//     them.
 package tenant
 
 import (
@@ -147,9 +144,8 @@ type Tenant struct {
 
 // Admit charges n messages issued from node src at simulated time now
 // against the tenant's bucket, with stalls the issuing channel's
-// cumulative credit-stall count (the telemetry feedback). It must be
-// called from src's shard only. A tenant without admission control
-// admits everything.
+// cumulative credit-stall count (the telemetry feedback). A tenant
+// without admission control admits everything.
 func (t *Tenant) Admit(src int, now sim.Time, n int, stalls uint64) Decision {
 	if t.Admission == nil {
 		return Decision{OK: true}
@@ -195,8 +191,7 @@ func (t *Tenant) Reject(d Decision) *AdmissionError {
 	return &AdmissionError{Tenant: t.Name, Deferred: d.RetryAfter > 0, RetryAfter: d.RetryAfter}
 }
 
-// Stats sums the per-node admission counters. Call it only while the
-// simulation is not running (the counters are shard-owned).
+// Stats sums the per-node admission counters.
 func (t *Tenant) Stats() AdmitStats {
 	var s AdmitStats
 	for i := range t.admitted {

@@ -50,29 +50,20 @@ type Worker struct {
 	Hier *memsim.Hierarchy
 	// CPU serializes the library's software overheads on this node.
 	CPU *sim.Resource
-	// Eng is the engine this worker's software costs schedule on — its
-	// fabric shard's engine under the parallel group engine, the single
-	// fabric engine otherwise.
+	// Eng is the fabric's engine: this worker's software costs schedule
+	// on it.
 	Eng *sim.Engine
 }
 
-// NewWorker attaches a node to the fabric on the fabric's default engine.
+// NewWorker attaches a node to the fabric.
 func (c *Context) NewWorker(as *mem.AddressSpace, hier *memsim.Hierarchy) *Worker {
-	return c.NewWorkerOn(as, hier, c.Fabric.Engine())
-}
-
-// NewWorkerOn attaches a node to the fabric with its host-side events
-// pinned to eng — the engine of the fabric shard the node will live in.
-// The caller must keep the port's fabric-shard assignment consistent
-// with eng (core.Cluster does).
-func (c *Context) NewWorkerOn(as *mem.AddressSpace, hier *memsim.Hierarchy, eng *sim.Engine) *Worker {
 	return &Worker{
 		Ctx:  c,
 		NIC:  c.Fabric.Attach(as, hier),
 		AS:   as,
 		Hier: hier,
 		CPU:  sim.NewResource("ucx-cpu"),
-		Eng:  eng,
+		Eng:  c.Fabric.Engine(),
 	}
 }
 
@@ -101,7 +92,7 @@ type Endpoint struct {
 	inflight  int
 	backlog   []func()
 	completed uint64
-	// thinFree recycles thinOp records; shard-local (see thinOp).
+	// thinFree recycles thinOp records (see thinOp).
 	thinFree []*thinOp
 }
 
@@ -171,9 +162,7 @@ func (ep *Endpoint) release() {
 // thinOp is the recycled issue record of one thin put between post and
 // NIC hand-off. Its prebound fire/complete methods replace the two
 // closures the path used to allocate per message. Records live on the
-// owning endpoint's freelist: Put completions fire on the issuing
-// shard (shard-local jobs and cross-shard done events alike), so mint
-// and recycle never cross a shard boundary.
+// owning endpoint's freelist.
 type thinOp struct {
 	owner       *Endpoint
 	ep          *Endpoint

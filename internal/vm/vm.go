@@ -149,7 +149,7 @@ type VM struct {
 
 // TierStats counts what the two-tier jam path did. Every field is a
 // function of the delivered frames alone, so a fixed scenario reproduces
-// them exactly whatever the engine's worker count.
+// them exactly.
 type TierStats struct {
 	Hits       uint64 // EnsureJam: same bytes at the same VA
 	Misses     uint64 // EnsureJam: a region was (re)mapped

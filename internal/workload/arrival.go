@@ -106,7 +106,7 @@ func init() {
 			// exponentially distributed sojourn. Gaps that straddle a state
 			// change are re-drawn at the new rate (memorylessness makes the
 			// re-draw exact), consuming RNG draws in a fixed order so equal
-			// seeds replay the same burst structure at every worker count.
+			// seeds replay the same burst structure.
 			rate := [2]float64{a.RatePerSec, a.BurstRatePerSec}
 			soj := [2]float64{float64(a.MeanBase), float64(a.MeanBurst)}
 			out := make([]sim.Duration, n)

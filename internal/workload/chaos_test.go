@@ -2,17 +2,15 @@ package workload
 
 import (
 	"errors"
-	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
 	"twochains/internal/sim"
 )
 
-// chaosScenario is the failure-injection composition the determinism
-// sweep runs: perturbed fabric, an MMPP bursty phase, then a node
-// failure mid-phase and its rejoin in a drain phase.
+// chaosScenario is the failure-injection composition chaosPins pins:
+// perturbed fabric, an MMPP bursty phase, then a node failure mid-phase
+// and its rejoin in a drain phase.
 func chaosScenario(seed uint64) Scenario {
 	sc := DefaultScenario(AllToAll, 9)
 	sc.Burst = 4
@@ -31,37 +29,12 @@ func chaosScenario(seed uint64) Scenario {
 
 // TestChaosDeterminismSweep is the acceptance property of the chaos
 // suite: with fabric perturbation, MMPP arrivals, and a mid-run node
-// failure plus rejoin, equal seeds produce bit-identical digests,
-// simulated times, injection counts, and loss ledgers at every worker
-// count.
+// failure plus rejoin, equal seeds produce the pinned digests, simulated
+// times, injection counts, and loss ledgers.
 func TestChaosDeterminismSweep(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, seed := range []uint64{0x7c2c2021, 0x51edba5e} {
-		base, err := Run(chaosScenario(seed))
-		findPin(t, chaosPins, "chaos", seed).verify(t, base, err)
-		if err != nil {
-			t.Fatalf("seed %#x sequential: %v", seed, err)
-		}
-		if base.Lost == 0 {
-			t.Fatalf("seed %#x: failure injected but nothing was lost", seed)
-		}
-		for _, w := range workerSweep()[1:] {
-			runtime.GOMAXPROCS(w)
-			sc := chaosScenario(seed)
-			sc.Workers = w
-			res, err := Run(sc)
-			if err != nil {
-				t.Fatalf("seed %#x workers %d: %v", seed, w, err)
-			}
-			if res.Digest != base.Digest || res.SimTime != base.SimTime ||
-				res.Injections != base.Injections || res.Lost != base.Lost {
-				t.Errorf("seed %#x workers %d: %#x/%d/%d/%d lost, want %#x/%d/%d/%d lost",
-					seed, w, res.Digest, int64(res.SimTime), res.Injections, res.Lost,
-					base.Digest, int64(base.SimTime), base.Injections, base.Lost)
-			}
-			if got, want := vmCounters(res), vmCounters(base); got != want {
-				t.Errorf("seed %#x workers %d: VM counters %+v, want %+v", seed, w, got, want)
-			}
+	for _, p := range chaosPins {
+		if res := p.run(t); res != nil && res.Lost == 0 {
+			t.Errorf("seed %#x: failure injected but nothing was lost", p.sc.Seed)
 		}
 	}
 }
@@ -117,37 +90,6 @@ func TestFailRejoinDrain(t *testing.T) {
 		t.Fatalf("repeat run diverged: %#x/%d/%d vs %#x/%d/%d",
 			a.Digest, int64(a.SimTime), a.Lost, b.Digest, int64(b.SimTime), b.Lost)
 	}
-}
-
-// TestChaosLookaheadFuzzViolation is the adversarial leg: a chaos
-// config that misadvertises the backend's lookahead (boosting it past
-// the truth) must be caught by the parallel engine's barrier merge as a
-// loud, specific diagnostic, never absorbed as silent digest corruption.
-func TestChaosLookaheadFuzzViolation(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	runtime.GOMAXPROCS(4)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("lookahead-fuzz run did not trip the violation diagnostic")
-		}
-		msg := fmt.Sprint(r)
-		if !strings.Contains(msg, "lookahead contract violated") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	sc := DefaultScenario(Hotspot, 9)
-	sc.Burst = 4
-	sc.Rounds = 4
-	sc.Shards = 4
-	sc.Workers = 4
-	sc.Seed = 0x7c2c2021
-	// No delay perturbation — pure contract fuzz: the advertised
-	// lookahead is a microsecond larger than the backend's true bound, so
-	// real arrivals land behind clocks the windows already advanced.
-	sc.Chaos = &ChaosSpec{LookaheadBoost: sim.Microsecond}
-	res, err := Run(sc)
-	t.Fatalf("misadvertised lookahead was silently absorbed: res=%+v err=%v", res, err)
 }
 
 // TestArrivalTraceReplay pins the recorded-trace generator: replayed
@@ -224,9 +166,6 @@ func TestArrivalValidation(t *testing.T) {
 		{"chaos bounds", func(sc *Scenario) {
 			sc.Chaos = &ChaosSpec{MinDelay: 10, MaxDelay: 5}
 		}, "Chaos.MinDelay"},
-		{"chaos scale", func(sc *Scenario) {
-			sc.Chaos = &ChaosSpec{LookaheadScale: 1.5}
-		}, "Chaos.LookaheadScale"},
 		{"bare chaos backend", func(sc *Scenario) { sc.Backend = "chaos" }, "Backend"},
 		{"tenant fail", func(sc *Scenario) {
 			// One lane may carry the failure plan; two tenants inheriting

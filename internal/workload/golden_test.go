@@ -58,38 +58,41 @@ func TestGoldenDigests(t *testing.T) {
 	}()
 	for _, g := range goldenRuns {
 		g := g
-		t.Run(string(g.pattern), func(t *testing.T) {
-			sc := DefaultScenario(g.pattern, g.nodes)
-			sc.Rounds = 2
-			sc.Burst = g.burst
-			sc.Seed = g.seed
-			res, err := Run(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Digest != g.digest {
-				t.Errorf("digest = %#x, want %#x", res.Digest, g.digest)
-			}
-			if int64(res.SimTime) != g.simTime {
-				t.Errorf("simulated time = %d, want %d", int64(res.SimTime), g.simTime)
-			}
-			if res.Injections != g.inj {
-				t.Errorf("injections = %d, want %d", res.Injections, g.inj)
-			}
-			if res.Swapped != g.swapped {
-				t.Errorf("swapped = %v, want %v", res.Swapped, g.swapped)
-			}
-			if g.hotNode != -2 && res.HotNode != g.hotNode {
-				t.Errorf("hot node = %d, want %d", res.HotNode, g.hotNode)
-			}
-			var errs int
-			for _, nr := range res.PerNode {
-				errs += nr.Errors
-			}
-			if errs != 0 {
-				t.Errorf("%d handler errors in a golden run", errs)
-			}
-		})
+		t.Run(string(g.pattern), func(t *testing.T) { g.check(t) })
+	}
+}
+
+// check runs the golden scenario and compares every pinned observable.
+func (g goldenRun) check(t *testing.T) {
+	sc := DefaultScenario(g.pattern, g.nodes)
+	sc.Rounds = 2
+	sc.Burst = g.burst
+	sc.Seed = g.seed
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Digest != g.digest {
+		t.Errorf("digest = %#x, want %#x", res.Digest, g.digest)
+	}
+	if int64(res.SimTime) != g.simTime {
+		t.Errorf("simulated time = %d, want %d", int64(res.SimTime), g.simTime)
+	}
+	if res.Injections != g.inj {
+		t.Errorf("injections = %d, want %d", res.Injections, g.inj)
+	}
+	if res.Swapped != g.swapped {
+		t.Errorf("swapped = %v, want %v", res.Swapped, g.swapped)
+	}
+	if g.hotNode != -2 && res.HotNode != g.hotNode {
+		t.Errorf("hot node = %d, want %d", res.HotNode, g.hotNode)
+	}
+	var errs int
+	for _, nr := range res.PerNode {
+		errs += nr.Errors
+	}
+	if errs != 0 {
+		t.Errorf("%d handler errors in a golden run", errs)
 	}
 }
 
@@ -126,15 +129,17 @@ type pin struct {
 	err     string
 }
 
-// verify checks one finished run against the pin.
-func (p pin) verify(t *testing.T, res *Result, err error) {
+// run runs the pinned scenario, checks the outcome and returns the result
+// (nil when Run failed).
+func (p pin) run(t *testing.T) *Result {
 	t.Helper()
 	seed := p.sc.Seed
+	res, err := Run(p.sc)
 	if p.err != "" || err != nil {
 		if err == nil || err.Error() != p.err {
 			t.Errorf("seed %#x: error = %v, want %q", seed, err, p.err)
 		}
-		return
+		return res
 	}
 	if res.Digest != p.digest {
 		t.Errorf("seed %#x: digest = %#x, want %#x", seed, res.Digest, p.digest)
@@ -148,28 +153,25 @@ func (p pin) verify(t *testing.T, res *Result, err error) {
 	if res.Lost != p.lost {
 		t.Errorf("seed %#x: lost = %d, want %d", seed, res.Lost, p.lost)
 	}
+	return res
 }
 
-// hasPin reports whether any pin carries the name.
-func hasPin(pins []pin, name string) bool {
-	for _, p := range pins {
-		if p.name == name {
-			return true
+// runPins runs each pin in a subtest named after it; consecutive pins of
+// one name share the subtest.
+func runPins(t *testing.T, pins []pin) {
+	for len(pins) > 0 {
+		n := 1
+		for n < len(pins) && pins[n].name == pins[0].name {
+			n++
 		}
+		group := pins[:n]
+		pins = pins[n:]
+		t.Run(group[0].name, func(t *testing.T) {
+			for _, p := range group {
+				p.run(t)
+			}
+		})
 	}
-	return false
-}
-
-// findPin returns the pin of the given name and seed.
-func findPin(t *testing.T, pins []pin, name string, seed uint64) pin {
-	t.Helper()
-	for _, p := range pins {
-		if p.name == name && p.sc.Seed == seed {
-			return p
-		}
-	}
-	t.Fatalf("no pin for %s seed %#x", name, seed)
-	return pin{}
 }
 
 // shardedScenario is the four-shard scenario the pins below run for a
@@ -186,8 +188,8 @@ func shardedScenario(traffic string, seed uint64) Scenario {
 }
 
 // meshScaleSeed4003 is the benchmark's mesh_scale shape at the seed whose
-// digest once depended on the engine (0x95ca7487fec6acb0 on the windowed
-// one).
+// digest once depended on the engine (0x95ca7487fec6acb0 on a windowed
+// multi-engine one that is gone).
 func meshScaleSeed4003() Scenario {
 	sc := DefaultScenario(AllToAll, 16)
 	sc.Shards = 4
@@ -202,9 +204,8 @@ func onShards(sc Scenario, shards int) Scenario {
 	return sc
 }
 
-// The pins below were captured on the sequential engine at commit
-// 2d40b5f, where each scenario was also run at two and four engine
-// workers and compared. The same re-capture rule as goldenRuns applies.
+// The pins below were captured at commit 2d40b5f. The same re-capture
+// rule as goldenRuns applies.
 
 // shardedPins: every registered traffic shape (the three test fixtures
 // fail, each in its own way) on four fabric shards, two seeds.
@@ -347,10 +348,9 @@ func shardedFailingTenants(seed uint64) Scenario {
 	return sc
 }
 
-// tenantGoldenRuns were captured before the run loops were unified;
-// shardedTenantPins on the sequential engine at commit 2d40b5f, where
-// each was also run at two and four engine workers and compared. The
-// same re-capture rule applies to both.
+// tenantGoldenRuns were captured before the run loops were unified,
+// shardedTenantPins at commit 2d40b5f. The same re-capture rule applies
+// to both.
 var tenantGoldenRuns = []tenantGoldenRun{
 	{"overload", OverloadScenario(8, 4), 0x6ac5c80cce9a3a00, 498400384, 338096016, []tenantGolden{
 		{"gold", 2688, 0, 0, 0, 5361045, []int64{498400384}},
@@ -381,18 +381,21 @@ var shardedTenantPins = []tenantGoldenRun{
 	}},
 }
 
+// run runs the scenario in a subtest and checks it against the pins.
+func (g tenantGoldenRun) run(t *testing.T) {
+	t.Run(g.name, func(t *testing.T) {
+		res, err := Run(g.sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.verify(t, res)
+	})
+}
+
 // TestTenantGoldenRuns pins the multi-tenant driver the way
 // TestGoldenDigests pins the single-tenant one.
 func TestTenantGoldenRuns(t *testing.T) {
 	for _, g := range tenantGoldenRuns {
-		g := g
-		t.Run(g.name, func(t *testing.T) {
-			g.sc.Workers = 1
-			res, err := Run(g.sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g.verify(t, res)
-		})
+		g.run(t)
 	}
 }

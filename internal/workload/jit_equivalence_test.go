@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -96,9 +95,12 @@ func jamMixFor(t *testing.T, app string) []ElementMix {
 }
 
 // TestJITEquivalenceSweep replays every tcapp-registered element
-// compiled-vs-interpreted across seeds, worker counts, and fabric
-// backends. Timing stays on so the comparison covers simulated costs,
-// not just return values.
+// compiled-vs-interpreted across seeds and fabric backends. Timing stays
+// on so the comparison covers simulated costs, not just return values.
+//
+// Subtest names are kept as the test floor lists them: "workers=N" dates
+// from an engine-worker axis that no longer exists, so rows that differ
+// only there run the same scenario twice.
 //
 // A jam runs interpreted until its mailbox slot has seen the same bytes
 // several times over, so a short mixed run would compare the interpreter
@@ -109,29 +111,26 @@ func jamMixFor(t *testing.T, app string) []ElementMix {
 // both.
 func TestJITEquivalenceSweep(t *testing.T) {
 	dims := []struct {
+		name    string
 		seed    uint64
-		workers int
 		backend string
 	}{
-		{0x7c2c2021, 1, ""},
-		{0x7c2c2021, 4, ""},
-		{0x7c2c2021, 1, "ideal"},
-		{0x51edba5e, 1, ""},
-		{0x51edba5e, 4, "ideal"},
+		{"seed=7c2c2021/workers=1/backend=simnet", 0x7c2c2021, ""},
+		{"seed=7c2c2021/workers=4/backend=simnet", 0x7c2c2021, ""},
+		{"seed=7c2c2021/workers=1/backend=ideal", 0x7c2c2021, "ideal"},
+		{"seed=51edba5e/workers=1/backend=simnet", 0x51edba5e, ""},
+		{"seed=51edba5e/workers=4/backend=ideal", 0x51edba5e, "ideal"},
 	}
 	for _, app := range tcapp.Names() {
 		mix := jamMixFor(t, app)
 		for _, d := range dims {
 			d := d
-			name := fmt.Sprintf("%s/seed=%x/workers=%d/backend=%s",
-				app, d.seed, d.workers, orDefault(d.backend))
-			t.Run(name, func(t *testing.T) {
+			t.Run(app+"/"+d.name, func(t *testing.T) {
 				for _, elem := range mix {
 					sc := DefaultScenario(Fanout, 4)
 					sc.Burst = 8
 					sc.Rounds = 24
 					sc.Seed = d.seed
-					sc.Workers = d.workers
 					sc.Backend = d.backend
 					sc.Mix = []ElementMix{elem}
 					res := runPair(t, sc)
@@ -147,12 +146,10 @@ func TestJITEquivalenceSweep(t *testing.T) {
 	// closed-loop and Poisson, three packages, one lane behind a deferring
 	// token bucket. Per-tenant results (service and deferral counts, p99
 	// latency, phase ends) must agree along with the digest.
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("tenants/workers=%d", workers), func(t *testing.T) {
+	for _, name := range []string{"tenants/workers=1", "tenants/workers=4"} {
+		t.Run(name, func(t *testing.T) {
 			sc := twoPhaseTenantScenario()
 			sc.Shards = 2
-			sc.Workers = workers
 			sc.Tenants[0].Phases[1].Mix = KVStoreMix()
 			sc.Tenants[1].Phases[1].Mix = jamMixFor(t, "histo")
 			res := runPair(t, sc)
@@ -163,26 +160,17 @@ func TestJITEquivalenceSweep(t *testing.T) {
 	}
 }
 
-func orDefault(backend string) string {
-	if backend == "" {
-		return "simnet"
-	}
-	return backend
-}
-
 // TestJITHotSwapUnderLoad pins translation invalidation: the hotspot
 // pattern's built-in mid-phase RIED hot-swap replaces code while
 // traffic is in flight, so stale compiled translations would either
 // execute dead code or fault. Digests must stay bit-identical with the
-// JIT on and off, sequential and parallel.
+// JIT on and off. (Subtest names: see TestJITEquivalenceSweep.)
 func TestJITHotSwapUnderLoad(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, name := range []string{"workers=1", "workers=4"} {
+		t.Run(name, func(t *testing.T) {
 			sc := DefaultScenario(Hotspot, 6)
 			sc.Burst = 6
 			sc.Rounds = 3
-			sc.Workers = workers
 			res := runPair(t, sc)
 			if !res.Swapped {
 				t.Fatal("hotspot swap did not fire — the test exercised nothing")

@@ -15,8 +15,8 @@ import (
 var lifecycleOnce sync.Once
 
 // registerLifecycleShapes adds the two fixtures that make Run fail after
-// the simulation started. They join the registry-driven sweeps like any
-// shape; both fail the same way for every seed and worker count.
+// the simulation started. They have rows in shardedPins like any shape;
+// both fail the same way for every seed.
 func registerLifecycleShapes() {
 	lifecycleOnce.Do(func() {
 		// A self-loop passes planning (both ends are in range) and is
@@ -71,12 +71,12 @@ func TestRunReleasesOnEveryReturn(t *testing.T) {
 	}
 }
 
-// TestRunConcurrentAndSharded exercises the backing pool from several
-// goroutines at once (meaningful under -race): two Runs side by side
-// draw from and release into the pool concurrently, then a Workers=2
-// scenario runs on what they released, its shard workers scrubbing
-// recycled pages on first touch inside parallel windows. Reuse must not
-// couple runs: each gives the digest it gives alone.
+// TestRunConcurrentAndSharded exercises the cross-run pools (mem's
+// address-space backings, memsim's tag arrays) from several goroutines at
+// once — meaningful under -race: two Runs side by side draw from and
+// release into them concurrently. Reuse must not couple runs: each gives
+// the digest it gives alone. Simulations share nothing else, which is
+// what makes running them side by side safe.
 func TestRunConcurrentAndSharded(t *testing.T) {
 	sc := DefaultScenario(AllToAll, 4)
 	sc.Rounds = 2
@@ -101,22 +101,4 @@ func TestRunConcurrentAndSharded(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-
-	sharded := parallelScenario(string(AllToAll), 0x7c2c2021, 1)
-	want, err := Run(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded.Workers = 2
-	got, err := Run(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Windows == 0 {
-		t.Error("the Workers=2 run never left the serial regime")
-	}
-	if got.Digest != want.Digest || got.SimTime != want.SimTime {
-		t.Errorf("Workers=2 on recycled backings: digest %#x time %d, Workers=1 %#x time %d",
-			got.Digest, int64(got.SimTime), want.Digest, int64(want.SimTime))
-	}
 }

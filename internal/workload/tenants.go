@@ -203,11 +203,9 @@ func tenantResults(lanes []*lane, simTime sim.Duration) ([]TenantResult, sim.Dur
 	lasts := make([]sim.Time, len(lanes))
 	window := sim.Time(0)
 	for i, l := range lanes {
-		for _, stamps := range l.svc {
-			for _, t := range stamps {
-				if t > lasts[i] {
-					lasts[i] = t
-				}
+		for _, t := range l.svc {
+			if t > lasts[i] {
+				lasts[i] = t
 			}
 		}
 		if i == 0 || lasts[i] < window {
@@ -220,23 +218,19 @@ func tenantResults(lanes []*lane, simTime sim.Duration) ([]TenantResult, sim.Dur
 		tr := TenantResult{
 			Name: l.view, Weight: l.ten.Weight,
 			Planned:     l.cum[len(l.cum)-1],
-			Dropped:     int(l.dropped.Load()),
-			Deferred:    int(l.deferred.Load()),
-			Lost:        int(l.lost.Load()),
+			Serviced:    len(l.svc),
+			Dropped:     l.dropped,
+			Deferred:    l.deferred,
+			Lost:        l.lost,
+			Errors:      l.errs,
 			LastService: sim.Duration(lasts[i]),
 			Phases:      l.phases,
 		}
 		inWindow := 0
-		var lats []sim.Duration
-		for shard, stamps := range l.svc {
-			tr.Serviced += len(stamps)
-			for _, t := range stamps {
-				if t <= window {
-					inWindow++
-				}
+		for _, t := range l.svc {
+			if t <= window {
+				inWindow++
 			}
-			tr.Errors += int(l.errs[shard])
-			lats = append(lats, l.lat[shard]...)
 		}
 		if secs := sim.Duration(window).Seconds(); secs > 0 {
 			tr.GoodputPerSec = float64(inWindow) / secs
@@ -244,7 +238,7 @@ func tenantResults(lanes []*lane, simTime sim.Duration) ([]TenantResult, sim.Dur
 		if secs := simTime.Seconds(); secs > 0 {
 			tr.RatePerSec = float64(tr.Serviced) / secs
 		}
-		if len(lats) > 0 {
+		if lats := l.lat; len(lats) > 0 {
 			sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
 			idx := (99*len(lats) + 99) / 100
 			if idx > len(lats) {

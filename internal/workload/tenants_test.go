@@ -3,7 +3,6 @@ package workload
 import (
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"twochains/internal/sim"
@@ -196,48 +195,12 @@ func TestTenantAdmissionPolicies(t *testing.T) {
 	}
 }
 
-// TestTenantWorkersSweepDeterminism extends the parallel determinism
-// property to tenant-sharded scenarios: equal seeds produce bit-identical
-// digests, simulated times, and per-tenant results for every worker
-// count.
+// TestTenantWorkersSweepDeterminism pins tenant scenarios on a four-shard
+// fabric — a per-lane phase barrier, and a node failure under two
+// tenants — per seed: digests, simulated times, and per-tenant results.
 func TestTenantWorkersSweepDeterminism(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, g := range shardedTenantPins {
-		base, err := Run(g.sc)
-		if err != nil {
-			t.Fatalf("%s: %v", g.name, err)
-		}
-		g.verify(t, base)
-		sweepTenantWorkers(t, g.sc, base)
-	}
-}
-
-// sweepTenantWorkers runs sc at every parallel worker count and fails on
-// any divergence from the sequential result.
-func sweepTenantWorkers(t *testing.T, sc Scenario, base *Result) {
-	t.Helper()
-	seed := sc.Seed
-	for _, w := range workerSweep()[1:] {
-		runtime.GOMAXPROCS(w)
-		scw := sc
-		scw.Workers = w
-		res, err := Run(scw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Digest != base.Digest || res.SimTime != base.SimTime ||
-			res.Injections != base.Injections || res.Lost != base.Lost {
-			t.Errorf("seed %#x workers %d: %#x/%d/%d/%d lost, want %#x/%d/%d/%d lost",
-				seed, w, res.Digest, int64(res.SimTime), res.Injections, res.Lost,
-				base.Digest, int64(base.SimTime), base.Injections, base.Lost)
-		}
-		if !reflect.DeepEqual(res.Tenants, base.Tenants) {
-			t.Errorf("seed %#x workers %d: per-tenant results diverged:\n%+v\nwant\n%+v",
-				seed, w, res.Tenants, base.Tenants)
-		}
-		if got, want := vmCounters(res), vmCounters(base); got != want {
-			t.Errorf("seed %#x workers %d: VM counters %+v, want %+v", seed, w, got, want)
-		}
+		g.run(t)
 	}
 }
 

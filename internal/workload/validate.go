@@ -56,9 +56,6 @@ func (sc *Scenario) validateScalars() error {
 	if sc.Shards < 0 {
 		return &ScenarioError{Field: "Shards", Reason: fmt.Sprintf("negative shard count %d", sc.Shards)}
 	}
-	if sc.Workers < 0 {
-		return &ScenarioError{Field: "Workers", Reason: fmt.Sprintf("negative worker count %d", sc.Workers)}
-	}
 	if sc.PayloadBytes < 0 {
 		return &ScenarioError{Field: "PayloadBytes", Reason: fmt.Sprintf("negative payload %d", sc.PayloadBytes)}
 	}
@@ -81,14 +78,6 @@ func (sc *Scenario) validateScalars() error {
 		if c.MaxDelay > fabric.MaxChaosDelay {
 			return &ScenarioError{Field: "Chaos.MaxDelay",
 				Reason: fmt.Sprintf("%v exceeds the %v perturbation bound (delays past one base put latency would reorder staged payloads)", c.MaxDelay, fabric.MaxChaosDelay)}
-		}
-		if c.LookaheadScale < 0 || c.LookaheadScale > 1 {
-			return &ScenarioError{Field: "Chaos.LookaheadScale",
-				Reason: fmt.Sprintf("scale %v outside [0, 1]", c.LookaheadScale)}
-		}
-		if c.LookaheadBoost < 0 {
-			return &ScenarioError{Field: "Chaos.LookaheadBoost",
-				Reason: fmt.Sprintf("negative boost %v", c.LookaheadBoost)}
 		}
 	}
 	return nil

@@ -48,8 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"twochains/internal/core"
 	"twochains/internal/fabric"
@@ -155,8 +153,7 @@ type Fail struct {
 // Rejoin brings a previously failed node back when the owning phase
 // opens. The node returns with empty channel state: channels into and
 // out of it rebuild lazily on the next call, re-running the namespace
-// exchange, under the same serial-hold discipline as initial lazy
-// channel creation.
+// exchange.
 type Rejoin struct {
 	Node int
 }
@@ -187,17 +184,10 @@ type Phase struct {
 // ChaosSpec perturbs the fabric: the scenario's backend is wrapped in
 // the "chaos" transport, which delays every put by a deterministic
 // pseudo-random duration in [MinDelay, MaxDelay] (preserving per-
-// destination order) and optionally misadvertises the backend's
-// lookahead. LookaheadScale in (0, 1) shrinks the advertised bound — a
-// legal stressor that forces smaller conservative windows;
-// LookaheadBoost > 0 inflates it past the truth, an adversarial
-// contract violation the parallel engine must catch loudly (the barrier
-// merge's diagnostic panic), never absorb silently.
+// destination order).
 type ChaosSpec struct {
-	MinDelay       sim.Duration
-	MaxDelay       sim.Duration
-	LookaheadScale float64
-	LookaheadBoost sim.Duration
+	MinDelay sim.Duration
+	MaxDelay sim.Duration
 }
 
 // Scenario parameterizes one workload run.
@@ -207,14 +197,10 @@ type Scenario struct {
 	Pattern Pattern
 	// Nodes is the mesh size; Shards the fabric-shard count (0 = default).
 	Nodes, Shards int
-	// Workers > 1 runs the simulation on the multi-core conservative
-	// engine: each fabric shard's event loop on its own worker goroutine,
-	// with digests and simulated times bit-identical to Workers <= 1.
-	// The driver holds the engine serial across every zero-lookahead
-	// global action (lazy channel creation, phase barriers, RIED
-	// hot-swaps) and lets the steady state run in parallel windows.
-	// With Workers > 1 a scenario-level OnExecuted hook may be invoked
-	// from concurrent shard workers and must be safe for that.
+	// Workers is neither read nor validated: a simulation runs on one
+	// engine.
+	//
+	// Deprecated: ignored. Kept until benchmark/ stops naming it.
 	Workers int
 	// Burst is the messages per batched injection; Rounds the traffic
 	// generator's repetition knob.
@@ -242,8 +228,8 @@ type Scenario struct {
 	Backend string
 	// Chaos, when set, wraps Backend in the chaos failure-injection
 	// transport with these perturbation bounds. Equal seeds still give
-	// bit-identical results at every worker count: the perturbation RNG
-	// is split per port and consumed in issue order on the issuing shard.
+	// bit-identical results: the perturbation RNG is split per port and
+	// consumed in issue order.
 	Chaos *ChaosSpec
 	// Arrival is the default arrival process (closed loop unless set).
 	Arrival Arrival
@@ -315,11 +301,13 @@ type PhaseResult struct {
 
 // Result reports one scenario run.
 type Result struct {
-	Scenario   Scenario
-	Shards     int    // fabric shards actually used
-	Workers    int    // engine workers actually used (1 = sequential)
-	Windows    uint64 // parallel windows executed (0 = stayed serial)
-	Injections int    // handlers executed fabric-wide
+	Scenario Scenario
+	Shards   int // fabric shards actually used
+	// Windows is always 0.
+	//
+	// Deprecated: ignored. Kept until benchmark/ stops naming it.
+	Windows    uint64
+	Injections int // handlers executed fabric-wide
 	// Lost counts planned messages a node failure made unexecutable:
 	// issued-but-not-executed backlog into the dead node, queued sends
 	// out of it, its own unissued plan, and bursts refused at issue while
@@ -432,43 +420,32 @@ type lane struct {
 	// settled counts resolved plan: messages ticked at a receiver, dropped
 	// by admission, or lost to a node failure. A phase barrier trips, and
 	// the run completes, when it reaches the cumulative planned count.
-	settled   atomic.Int64
-	dropped   atomic.Int64
-	deferred  atomic.Int64
-	lost      atomic.Int64
-	phaseExec []atomic.Int64
-	phases    []PhaseResult
+	settled  int
+	dropped  int
+	deferred int
+	lost     int
+	phases   []PhaseResult
 
 	fns []map[[2]string]*tc.Func // per sender: (pkg, elem) -> handle
 
 	// The loss ledger. chains exposes each source's closed-loop sender so
 	// a node failure can abandon (and account) the dead node's unissued
 	// remainder; issued counts successfully issued messages per
-	// destination (atomics: senders on any shard write them); ticked the
-	// messages that finished there (plain: only the destination's shard
-	// writes its entry). doFail reads all three under serial execution.
+	// destination; ticked the messages that finished there.
 	chains []*sender
-	issued []atomic.Int64
+	issued []int
 	ticked []int
 
-	// Per-shard sample stores of a lane that reports a TenantResult (nil
-	// on the base lane): service stamps and failure counts on the
-	// receiving shard, latency samples on the issuing shard — each slice
-	// is only ever appended to from its owning shard's worker.
-	svc  [][]sim.Time
-	lat  [][]sim.Duration
-	errs []int64
+	// Samples of a tenant lane, which reports a TenantResult (the base
+	// lane collects none): service stamps, issue-to-delivery latencies
+	// and failure count.
+	svc  []sim.Time
+	lat  []sim.Duration
+	errs int
 }
 
-// chanKey identifies a channel an open phase still needs.
-type chanKey struct {
-	src, dst int
-	view     string
-}
-
-// runner drives one scenario run: it owns the lanes, the swap machinery,
-// the failure plan, and — under the parallel engine — the serial holds
-// that bracket every zero-lookahead global action.
+// runner drives one scenario run: it owns the lanes, the swap machinery
+// and the failure plan.
 type runner struct {
 	sys    *tc.System
 	res    *Result
@@ -477,63 +454,23 @@ type runner struct {
 
 	payload []byte
 
-	// failed is the senders' fast stop check; errMu guards the errors
-	// behind it (issue failures can surface on any shard worker).
-	failed   atomic.Bool
-	errMu    sync.Mutex
+	// issueErr is the first issue error; once set every sender stops.
 	issueErr error
 	swapErr  error
-
-	// Parallel-engine serial holds. Phase barriers, the open phases'
-	// not-yet-created channels, and an armed mid-phase swap each pin the
-	// engine serial; the holds release at deterministic simulation events
-	// (every lane on its last phase, last channel created, swap fired), so
-	// the window schedule — and with it the whole run — is a pure function
-	// of the scenario. Channel creation order matters down to node memory
-	// layout (a region's address feeds the cache model), which is why
-	// creations must happen in exact global event order.
-	sharded      bool
-	pendingLanes int // lanes still short of their final phase (sharded runs)
-	pairsHold    bool
-	swapHold     bool
-	missing      map[chanKey]bool // open phases' channels still to create
-
-	// down marks nodes currently failed (written and read only under
-	// serial execution: doFail and lane.open). An armed Fail pins the
-	// engine serial until it fires — teardown is a zero-lookahead global
-	// action.
-	down []bool
 }
 
 // fail records the first issue error and stops every sender.
 func (r *runner) fail(err error) {
-	r.errMu.Lock()
 	if r.issueErr == nil {
 		r.issueErr = err
 	}
-	r.errMu.Unlock()
-	r.failed.Store(true)
 }
 
 // onChannel observes every lazy channel creation: a tenant lane's
-// channel gets its tick site attached, and the serial hold releases once
-// the open phases' channel set is complete.
-func (r *runner) onChannel(src, dst int, view string, ch *core.Channel) {
+// channel gets its tick site attached.
+func (r *runner) onChannel(_, dst int, view string, ch *core.Channel) {
 	if l := r.byView[view]; l != nil && l.ten != nil {
 		l.hookChannel(dst, ch)
-	}
-	if k := (chanKey{src, dst, view}); r.pairsHold && r.missing[k] {
-		delete(r.missing, k)
-		r.maybeReleasePairs()
-	}
-}
-
-// maybeReleasePairs drops the channel-creation hold once no channel is
-// still missing.
-func (r *runner) maybeReleasePairs() {
-	if len(r.missing) == 0 {
-		r.pairsHold = false
-		r.sys.ReleaseSerial()
 	}
 }
 
@@ -594,16 +531,14 @@ func (l *lane) fn(src int, pkg, elem string) (*tc.Func, error) {
 // execution instead — Run's node hook — which is what its digests,
 // simulated times and SwapAtHalf trigger were pinned against; the
 // instant decides when the next phase opens on the simulated clock, so
-// the two sites are not interchangeable.) Service stamps and failure
-// counts accrue to the receiving shard's sample store.
+// the two sites are not interchangeable.)
 func (l *lane) hookChannel(dst int, ch *core.Channel) {
-	shard := l.r.sys.ShardOf(dst)
 	ch.Recv.OnProcessed = func(_ *mailbox.Delivery, t sim.Time) {
-		l.svc[shard] = append(l.svc[shard], t)
+		l.svc = append(l.svc, t)
 		l.tick(dst, 1)
 	}
 	ch.Recv.OnError = func(d *mailbox.Delivery, _ error) {
-		l.errs[shard]++
+		l.errs++
 		if d == nil {
 			// The frame never parsed, so OnProcessed will not fire for it;
 			// count it here or the accounting hangs.
@@ -621,7 +556,7 @@ func (l *lane) tick(dst, n int) {
 // drop accounts an admission-dropped burst: the messages will never
 // reach a receiver, so they settle here.
 func (l *lane) drop(n int) {
-	l.dropped.Add(int64(n))
+	l.dropped += n
 	l.settle(n, true)
 }
 
@@ -632,7 +567,7 @@ func (l *lane) drop(n int) {
 // Executed count.
 func (l *lane) lose(n int) {
 	if n > 0 {
-		l.lost.Add(int64(n))
+		l.lost += n
 		l.settle(n, false)
 	}
 }
@@ -641,30 +576,20 @@ func (l *lane) lose(n int) {
 // open phase's Executed count.
 func (l *lane) settle(n int, executed bool) {
 	if executed {
-		l.phaseExec[l.phase].Add(int64(n))
+		l.phases[l.phase].Executed += n
 	}
-	l.settled.Add(int64(n))
+	l.settled += n
 	l.advance()
 }
 
 // advance opens phases until the open one still has unsettled plan (or
-// the lane is out of phases). It only ever advances while the engine is
-// serial: while any lane is short of its final phase the engine is held
-// (the phase barrier is a zero-lookahead global action — the moment the
-// count trips, senders on every shard arm at the same instant); once
-// every lane is on its final phase this is a no-op.
+// the lane is out of phases). The moment the count trips, the next
+// phase's senders all arm at the same instant.
 func (l *lane) advance() {
-	r := l.r
-	for l.phase < len(l.plans)-1 && int(l.settled.Load()) >= l.cum[l.phase] {
-		l.phases[l.phase].End = sim.Duration(r.sys.Now())
+	for l.phase < len(l.plans)-1 && l.settled >= l.cum[l.phase] {
+		l.phases[l.phase].End = sim.Duration(l.r.sys.Now())
 		l.phase++
 		l.open()
-		if l.phase == len(l.plans)-1 && r.pendingLanes > 0 {
-			r.pendingLanes--
-			if r.pendingLanes == 0 {
-				r.sys.ReleaseSerial()
-			}
-		}
 	}
 }
 
@@ -701,19 +626,17 @@ func (r *runner) performSwap(l *lane, node int, app string) {
 
 // open performs the open phase's rejoins and planned swap, arms its
 // SwapAtHalf trigger against the swap node's current executed count,
-// pins the engine serial while the phase has channels to create, a swap
-// armed or a failure pending, and starts its senders.
+// schedules its failures, and starts its senders.
 func (l *lane) open() {
 	r, pp := l.r, l.plans[l.phase]
-	// Rejoins happen at phase open, before the missing-channel scan:
-	// channels into the rejoined node rebuild lazily under the same
-	// serial hold as initial lazy creation.
+	eng := r.sys.Engine()
+	// Rejoins happen at phase open: channels into the rejoined node
+	// rebuild lazily, like any first use.
 	for _, rj := range pp.spec.rejoin {
 		if err := r.sys.RejoinNode(rj.Node); err != nil {
 			r.fail(err)
 			return
 		}
-		r.down[rj.Node] = false
 	}
 	if pp.spec.swap != nil {
 		r.performSwap(l, pp.spec.swap.Node, pp.spec.swap.App)
@@ -721,48 +644,15 @@ func (l *lane) open() {
 	if pp.swapNode >= 0 {
 		pp.swapTrigger = r.res.PerNode[pp.swapNode].Executed + pp.sent[pp.swapNode]/2
 	}
-	if r.sharded {
-		if pp.swapNode >= 0 && !r.swapHold {
-			r.swapHold = true
-			r.sys.HoldSerial()
-		}
-		for src := range pp.bursts {
-			for i := range pp.bursts[src] {
-				k := chanKey{src, pp.bursts[src][i].dst, l.view}
-				// Pairs touching a down node are skipped: no channel will be
-				// created while it is down, so waiting on one would pin the
-				// engine serial forever. Their bursts fail at issue and are
-				// accounted lost.
-				if r.down[src] || r.down[k.dst] {
-					continue
-				}
-				if !r.missing[k] && !r.sys.Mesh().HasChannelView(src, k.dst, l.view) {
-					r.missing[k] = true
-				}
-			}
-		}
-		if len(r.missing) > 0 && !r.pairsHold {
-			r.pairsHold = true
-			r.sys.HoldSerial()
-		}
-	}
-	// An armed failure pins the engine serial until it fires: teardown
-	// severs channels and fails queued sends fabric-wide, a zero-
-	// lookahead global action.
 	for _, fl := range pp.spec.fail {
-		f := fl
-		r.sys.HoldSerial()
-		r.sys.After(f.Node, f.At, func() {
-			r.doFail(f.Node)
-			r.sys.ReleaseSerial()
-		})
+		node := fl.Node
+		eng.After(fl.At, func() { r.doFail(node) })
 	}
 	for src := range pp.bursts {
 		if len(pp.bursts[src]) == 0 {
 			continue
 		}
-		s := &sender{l: l, src: src, eng: r.sys.EngineFor(src), shard: r.sys.ShardOf(src),
-			queue: pp.bursts[src]}
+		s := &sender{l: l, src: src, eng: eng, queue: pp.bursts[src]}
 		if pp.spec.arrival.openLoop() {
 			s.armOpen()
 		} else {
@@ -771,9 +661,8 @@ func (l *lane) open() {
 	}
 }
 
-// doFail tears node down mid-run. It executes serially (the armed Fail
-// holds the engine) so every lane's loss ledger is exact: each planned
-// message lands in exactly one of ticked, dropped, or lost.
+// doFail tears node down mid-run. Every lane's loss ledger stays exact:
+// each planned message lands in exactly one of ticked, dropped, or lost.
 func (r *runner) doFail(node int) {
 	// Abandon the dead node's own unissued plans first, so the FailPending
 	// callbacks below (which re-fire issue chains synchronously) see the
@@ -786,18 +675,6 @@ func (r *runner) doFail(node int) {
 				lost[l] += len(b.args)
 			}
 		}
-	}
-	r.down[node] = true
-	// Channels touching the dead node will not be created while it is
-	// down: drop them from the missing set, or the channel-creation hold
-	// would pin the engine serial forever.
-	if r.pairsHold {
-		for k := range r.missing {
-			if k.src == node || k.dst == node {
-				delete(r.missing, k)
-			}
-		}
-		r.maybeReleasePairs()
 	}
 	// Outbound: sends queued on the dead node's own channels were issued
 	// but will never arrive anywhere. FailNode reports only their total,
@@ -818,19 +695,16 @@ func (r *runner) doFail(node int) {
 	// serviced, and traffic still on the wire (its delivery writes memory
 	// but the stopped receiver never services it).
 	for _, l := range r.lanes {
-		l.lose(lost[l] + int(l.issued[node].Load()) - l.ticked[node])
+		l.lose(lost[l] + l.issued[node] - l.ticked[node])
 	}
 }
 
 // sender issues one phase's bursts for one lane from one source node,
 // under either arrival discipline.
 type sender struct {
-	l   *lane
-	src int
-	// eng is src's shard engine: admission retries and latency stamps are
-	// shard-local, so they are safe inside concurrent windows.
+	l     *lane
+	src   int
 	eng   *sim.Engine
-	shard int
 	queue []burst
 	// next and dead are the closed-loop issue position, reachable through
 	// lane.chains so a node failure can abandon the chain and count its
@@ -864,7 +738,7 @@ func (s *sender) issue(b *burst, again func()) (fu *tc.Future, done bool) {
 	fu = fn.Call(b.dst, b.args[0], opts...)
 	err = fu.IssueErr()
 	if err == nil {
-		l.issued[b.dst].Add(int64(len(b.args)))
+		l.issued[b.dst] += len(b.args)
 		return fu, true
 	}
 	// A failed-at-issue future never armed, so recycling is on us —
@@ -876,7 +750,7 @@ func (s *sender) issue(b *burst, again func()) (fu *tc.Future, done bool) {
 	case errors.As(err, &nd):
 		l.lose(len(b.args))
 	case errors.As(err, &ae) && ae.Deferred:
-		l.deferred.Add(1)
+		l.deferred++
 		s.eng.After(ae.RetryAfter, again)
 		return nil, false
 	case ae != nil:
@@ -891,8 +765,8 @@ func (s *sender) issue(b *burst, again func()) (fu *tc.Future, done bool) {
 // sample records one burst's issue-to-delivery latency on a reporting
 // lane.
 func (s *sender) sample(issueAt sim.Time, res tc.Result) {
-	if s.l.lat != nil && res.Err == nil && res.Delivered > 0 {
-		s.l.lat[s.shard] = append(s.l.lat[s.shard], res.Delivered.Sub(issueAt))
+	if s.l.ten != nil && res.Err == nil && res.Delivered > 0 {
+		s.l.lat = append(s.l.lat, res.Delivered.Sub(issueAt))
 	}
 }
 
@@ -909,7 +783,7 @@ func (s *sender) armClosed() {
 		fire()
 	}
 	fire = func() {
-		for s.next < len(s.queue) && !s.dead && !s.l.r.failed.Load() {
+		for s.next < len(s.queue) && !s.dead && s.l.r.issueErr == nil {
 			s.issueAt = s.eng.Now()
 			fu, done := s.issue(&s.queue[s.next], fire)
 			if !done {
@@ -925,7 +799,7 @@ func (s *sender) armClosed() {
 			}
 		}
 	}
-	s.l.r.sys.After(s.src, 0, fire)
+	s.eng.After(0, fire)
 }
 
 // armOpen schedules every burst at its pre-drawn arrival offset from now
@@ -939,12 +813,12 @@ func (s *sender) armOpen() {
 		// Only a reporting lane observes completions; otherwise the burst
 		// is fire and forget and the future recycles itself.
 		var onDone func(tc.Result)
-		if s.l.lat != nil {
+		if s.l.ten != nil {
 			onDone = func(res tc.Result) { s.sample(issueAt, res) }
 		}
 		var send func()
 		send = func() {
-			if s.l.r.failed.Load() {
+			if s.l.r.issueErr != nil {
 				return
 			}
 			issueAt = s.eng.Now()
@@ -952,7 +826,7 @@ func (s *sender) armOpen() {
 				fu.Done(onDone).Release()
 			}
 		}
-		s.l.r.sys.After(s.src, b.at, send)
+		s.eng.After(b.at, send)
 	}
 }
 
@@ -963,7 +837,6 @@ func (sc *Scenario) systemOpts(frame int) []tc.SystemOpt {
 		tc.WithSeed(sc.Seed),
 		tc.WithTiming(sc.Timing),
 		tc.WithBackend(sc.Backend),
-		tc.WithWorkers(sc.Workers),
 		tc.WithConfig(func(c *core.MeshConfig) { c.Geometry.FrameSize = frame }),
 	}
 	if sc.Shards > 0 {
@@ -974,10 +847,8 @@ func (sc *Scenario) systemOpts(frame int) []tc.SystemOpt {
 	}
 	if sc.Chaos != nil {
 		opts = append(opts, tc.WithChaos(fabric.ChaosConfig{
-			MinDelay:       sc.Chaos.MinDelay,
-			MaxDelay:       sc.Chaos.MaxDelay,
-			LookaheadScale: sc.Chaos.LookaheadScale,
-			LookaheadBoost: sc.Chaos.LookaheadBoost,
+			MinDelay: sc.Chaos.MinDelay,
+			MaxDelay: sc.Chaos.MaxDelay,
 		}))
 	}
 	return opts
@@ -1026,7 +897,6 @@ func Run(sc Scenario) (*Result, error) {
 	res := &Result{
 		Scenario: sc,
 		Shards:   topo.Shards,
-		Workers:  sys.Workers(),
 		PerNode:  make([]NodeResult, sc.Nodes),
 		HotNode:  -1,
 	}
@@ -1035,41 +905,30 @@ func Run(sc Scenario) (*Result, error) {
 		res:     res,
 		byView:  map[string]*lane{},
 		payload: make([]byte, sc.PayloadBytes),
-		sharded: sys.Sharded(),
-		missing: map[chanKey]bool{},
-		down:    make([]bool, sc.Nodes),
 	}
 	for i := range r.payload {
 		r.payload[i] = byte(i*31 + 7)
 	}
 
 	// Lanes in declared order: a tenant lane registers its tenant (dense
-	// IDs = arbiter classes) and allocates the sample stores its
-	// TenantResult is built from; every lane installs its packages.
+	// IDs = arbiter classes); every lane installs its packages.
 	for i := range laneSpecs {
 		ls := &laneSpecs[i]
 		n := len(ls.specs)
 		l := &lane{
 			r: r, view: ls.cfg.Name, specs: ls.specs,
-			plans:     make([]*phasePlan, n),
-			cum:       make([]int, n),
-			phaseExec: make([]atomic.Int64, n),
-			phases:    make([]PhaseResult, n),
-			fns:       make([]map[[2]string]*tc.Func, sc.Nodes),
-			chains:    make([]*sender, sc.Nodes),
-			issued:    make([]atomic.Int64, sc.Nodes),
-			ticked:    make([]int, sc.Nodes),
+			plans:  make([]*phasePlan, n),
+			cum:    make([]int, n),
+			phases: make([]PhaseResult, n),
+			fns:    make([]map[[2]string]*tc.Func, sc.Nodes),
+			chains: make([]*sender, sc.Nodes),
+			issued: make([]int, sc.Nodes),
+			ticked: make([]int, sc.Nodes),
 		}
 		if l.view != "" {
 			if l.ten, err = sys.AddTenant(ls.cfg); err != nil {
 				return nil, err
 			}
-			l.svc = make([][]sim.Time, topo.Shards)
-			l.lat = make([][]sim.Duration, topo.Shards)
-			l.errs = make([]int64, topo.Shards)
-		}
-		if r.sharded && n > 1 {
-			r.pendingLanes++
 		}
 		r.lanes = append(r.lanes, l)
 		r.byView[l.view] = l
@@ -1113,10 +972,6 @@ func Run(sc Scenario) (*Result, error) {
 	for i := 0; i < sc.Nodes; i++ {
 		node := i
 		sys.Node(i).OnExecuted = func(ret uint64, _ sim.Duration, err error) {
-			// Per-node state belongs to the executing node's shard; the
-			// lane tallies are atomic; everything phase-advancing or swap-
-			// triggering only ever runs while the engine is serial (the
-			// corresponding holds pin it).
 			nr := &res.PerNode[node]
 			if err != nil {
 				nr.Errors++
@@ -1134,20 +989,11 @@ func Run(sc Scenario) (*Result, error) {
 			if node == pp.swapNode && !pp.swapFired && nr.Executed >= pp.swapTrigger {
 				pp.swapFired = true
 				r.performSwap(base, pp.swapNode, pp.swapApp)
-				if r.swapHold {
-					r.swapHold = false
-					r.sys.ReleaseSerial()
-				}
 			}
 			base.tick(node, 1)
 		}
 	}
 
-	if r.pendingLanes > 0 {
-		// The phase barrier is a zero-lookahead global action: hold the
-		// engine serial until every lane has opened its final phase.
-		sys.HoldSerial()
-	}
 	for _, l := range r.lanes {
 		l.open()
 		// Chain straight through leading zero-traffic phases (e.g. a
@@ -1164,7 +1010,6 @@ func Run(sc Scenario) (*Result, error) {
 	}
 
 	res.SimTime = sim.Duration(sys.Now())
-	res.Windows = sys.Windows()
 	res.Mesh = sys.Stats()
 	for _, nr := range res.PerNode {
 		res.Injections += nr.Executed
@@ -1175,12 +1020,9 @@ func Run(sc Scenario) (*Result, error) {
 	}
 	settled := 0
 	for _, l := range r.lanes {
-		for j := range l.phases {
-			l.phases[j].Executed = int(l.phaseExec[j].Load())
-		}
 		l.phases[l.phase].End = res.SimTime
-		res.Lost += int(l.lost.Load())
-		settled += int(l.settled.Load())
+		res.Lost += l.lost
+		settled += l.settled
 	}
 	if base != nil {
 		res.Phases = base.phases
