@@ -606,3 +606,134 @@ func TestLittleEndianAgreement(t *testing.T) {
 		t.Fatalf("not little endian: % x", raw)
 	}
 }
+
+// TestFaultAndBudgetPins pins, for the fault and budget programs above
+// and two that return, everything a call reports: result, the Fault's
+// whole text (PC, instruction, cause), simulated cost and instruction
+// count, with the cost model on and off and CheckExec on throughout. The
+// rows were captured from the reference interpreter while a second engine
+// still existed to agree with it; they are the interpreter's contract now.
+func TestFaultAndBudgetPins(t *testing.T) {
+	lib := func(name, src string, args ...uint64) func(*testing.T, *harness) (uint64, []uint64) {
+		return func(t *testing.T, h *harness) (uint64, []uint64) {
+			return h.loadLib(t, name, src).Exports["f"], args
+		}
+	}
+	type outcome struct {
+		ret    uint64
+		fault  string
+		cost   int64
+		instrs uint64
+	}
+	cases := []struct {
+		name   string
+		budget uint64
+		prep   func(*testing.T, *harness) (entry uint64, args []uint64)
+		// untimed, timed: the outcome without and with a memsim hierarchy.
+		untimed, timed outcome
+	}{
+		{"div-by-zero", 0, lib("dz", ".text\n.global f\nf:\n    movi r1, 0\n    div r0, r0, r1\n    ret\n", 10),
+			outcome{0, "vm: fault at pc=0x21008 [div r0, r0, r1]: division by zero", 1038, 2},
+			outcome{0, "vm: fault at pc=0x21008 [div r0, r0, r1]: division by zero", 91038, 2}},
+		{"unmapped-jump", 0, lib("jmp", ".text\n.global f\nf:\n    movi r1, 0x6000\n    callr r1\n    ret\n"),
+			outcome{0, "vm: fault at pc=0x6000: jump to unmapped code", 1038, 2},
+			outcome{0, "vm: fault at pc=0x6000: jump to unmapped code", 91038, 2}},
+		{"store-to-read-only", 0, func(t *testing.T, h *harness) (uint64, []uint64) {
+			ro, err := h.as.AllocPages("ro", mem.PageSize, mem.PermR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h.loadLib(t, "st", ".text\n.global f\nf:\n    st r1, [r0+0]\n    ret\n").Exports["f"], []uint64{ro}
+		}, outcome{0, "vm: fault at pc=0x22000 [st r1, [r0+0]]: mem: write fault at 0x21000 (8 bytes): page is r--", 519, 1},
+			outcome{0, "vm: fault at pc=0x22000 [st r1, [r0+0]]: mem: write fault at 0x21000 (8 bytes): page is r--", 90519, 1}},
+		{"budget", 10000, lib("spin", ".text\n.global f\nf:\nspin:\n    jmp spin\n"),
+			outcome{0, "vm: fault at pc=0x21000 [jmp 0]: instruction budget exceeded (10000)", 5192827, 10001},
+			outcome{0, "vm: fault at pc=0x21000 [jmp 0]: instruction budget exceeded (10000)", 5282827, 10001}},
+		{"fetch-from-non-exec-page", 0, func(t *testing.T, h *harness) (uint64, []uint64) {
+			code := isa.EncodeAll([]isa.Instr{{Op: isa.MOVI, Rd: 0, Imm: 1}, {Op: isa.RET}})
+			va, err := h.as.AllocPages("nx", mem.PageSize, mem.PermRW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.as.WriteBytes(va, code); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.vm.AddRegion(va, code, 0); err != nil {
+				t.Fatal(err)
+			}
+			return va, nil
+		}, outcome{0, "vm: fault at pc=0x21000 [movi r0, 1]: mem: exec fault at 0x21000 (8 bytes): page is rw-", 0, 0},
+			outcome{0, "vm: fault at pc=0x21000 [movi r0, 1]: mem: exec fault at 0x21000 (8 bytes): page is rw-", 0, 0}},
+		{"load-past-capacity", 0, lib("ld", ".text\n.global f\nf:\n    addi r2, r2, 1\n    ld r0, [r0+8]\n    ret\n", 1<<40),
+			outcome{0, "vm: fault at pc=0x21008 [ld r0, [r0+8]]: mem: read fault at 0x10000000008 (8 bytes): unmapped", 1038, 2},
+			outcome{0, "vm: fault at pc=0x21008 [ld r0, [r0+8]]: mem: read fault at 0x10000000008 (8 bytes): unmapped", 91038, 2}},
+		{"loop-returns", 0, lib("timing", `
+.text
+.global f
+f:
+    movi r1, 0
+    movi r2, 0
+tl:
+    bge  r2, r0, td
+    add  r1, r1, r2
+    addi r2, r2, 1
+    jmp  tl
+td:
+    mov r0, r1
+    ret
+`, 1000), outcome{499500, "", 2079519, 4005},
+			outcome{499500, "", 2169519, 4005}},
+		{"jam-through-message-got", 0, func(t *testing.T, h *harness) (uint64, []uint64) {
+			va, err := h.vm.BindNative("tc_sink", func(env *Env, args [6]uint64) (uint64, error) {
+				return args[0], nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.ns.Define("tc_sink", va); err != nil {
+				t.Fatal(err)
+			}
+			payload, err := h.as.Alloc("payload", 8*10, 8, mem.PermRW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				if err := h.as.WriteU64(payload+uint64(i*8), uint64(i*i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			entry, _ := h.placeJam(t, buildSumJam(t, h))
+			return entry, []uint64{payload, 10}
+		}, outcome{285, "", 49230, 80},
+			outcome{285, "", 532230, 80}},
+	}
+	for _, c := range cases {
+		for _, timed := range []bool{false, true} {
+			want, leg := c.untimed, "untimed"
+			if timed {
+				want, leg = c.timed, "timed"
+			}
+			h := newHarness(t, timed)
+			h.vm.UseInterpreter = true
+			h.vm.CheckExec = true
+			if c.budget != 0 {
+				h.vm.InstrBudget = c.budget
+			}
+			entry, args := c.prep(t, h)
+			ret, cost, err := h.vm.Call(entry, args...)
+			got := outcome{ret: ret, cost: int64(cost), instrs: h.vm.TotalInstrs}
+			if err != nil {
+				if _, ok := err.(*Fault); !ok {
+					t.Errorf("%s/%s: error is a %T, not a *Fault: %v", c.name, leg, err, err)
+				}
+				got.fault = err.Error()
+			}
+			if got != want {
+				t.Errorf("%s/%s:\n got %#v\nwant %#v", c.name, leg, got, want)
+			}
+			if h.vm.TotalCost != cost {
+				t.Errorf("%s/%s: TotalCost = %d after one call that cost %d", c.name, leg, h.vm.TotalCost, cost)
+			}
+		}
+	}
+}

@@ -281,18 +281,24 @@ func (g tenantGoldenRun) verify(t *testing.T, res *Result) {
 	if int64(res.OverlapWindow) != g.overlap {
 		t.Errorf("overlap window = %d, want %d", int64(res.OverlapWindow), g.overlap)
 	}
-	if len(res.Tenants) != len(g.tenants) {
-		t.Fatalf("tenants reported: %d, want %d", len(res.Tenants), len(g.tenants))
+	verifyTenants(t, res, g.tenants)
+}
+
+// verifyTenants checks every tenant's slice of a finished run.
+func verifyTenants(t *testing.T, res *Result, want []tenantGolden) {
+	t.Helper()
+	if len(res.Tenants) != len(want) {
+		t.Fatalf("tenants reported: %d, want %d", len(res.Tenants), len(want))
 	}
-	for i, want := range g.tenants {
+	for i, w := range want {
 		tr := res.Tenants[i]
 		var ends []int64
 		for _, ph := range tr.Phases {
 			ends = append(ends, int64(ph.End))
 		}
 		got := tenantGolden{tr.Name, tr.Serviced, tr.Dropped, tr.Deferred, tr.Lost, int64(tr.P99Latency), ends}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("tenant %d = %+v, want %+v", i, got, want)
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("tenant %d = %+v, want %+v", i, got, w)
 		}
 	}
 }
@@ -398,4 +404,139 @@ func TestTenantGoldenRuns(t *testing.T) {
 	for _, g := range tenantGoldenRuns {
 		g.run(t)
 	}
+}
+
+// enginePin pins a scenario on everything two VM engines were once
+// compared on, run against run: digest, simulated time, executed count,
+// every node's row and every tenant's. The scenarios are built by the
+// tests in jit_equivalence_test.go, which look their row up by name. The
+// rows are the reference interpreter's, captured at commit 9dbd9d9 while
+// the compiled engine still ran beside it and agreed on every one. The
+// same re-capture rule as goldenRuns applies.
+type enginePin struct {
+	name    string
+	digest  uint64
+	simTime int64
+	inj     int
+	nodes   []NodeResult
+	tenants []tenantGolden
+}
+
+// verify checks one finished run against the pin.
+func (p enginePin) verify(t *testing.T, res *Result) {
+	t.Helper()
+	if res.Digest != p.digest {
+		t.Errorf("%s: digest = %#x, want %#x", p.name, res.Digest, p.digest)
+	}
+	if int64(res.SimTime) != p.simTime {
+		t.Errorf("%s: simulated time = %d, want %d", p.name, int64(res.SimTime), p.simTime)
+	}
+	if res.Injections != p.inj {
+		t.Errorf("%s: injections = %d, want %d", p.name, res.Injections, p.inj)
+	}
+	if !reflect.DeepEqual(res.PerNode, p.nodes) {
+		t.Errorf("%s: per-node rows\n got %+v\nwant %+v", p.name, res.PerNode, p.nodes)
+	}
+	verifyTenants(t, res, p.tenants)
+}
+
+// enginePinFor returns the row named name.
+func enginePinFor(t *testing.T, name string) enginePin {
+	t.Helper()
+	for _, p := range enginePins {
+		if p.name == name {
+			return p
+		}
+	}
+	t.Fatalf("no enginePins row named %q", name)
+	return enginePin{}
+}
+
+// enginePins: every jam element of every registered app alone on a
+// 4-node fanout (192 deliveries a channel, six passes over the 32 mailbox
+// slots), named app/element/seed/backend; the two-tenant three-package
+// composition; the hotspot with its mid-run RIED swap; and the two small
+// shapes TestInterpreterOptionWithTenants runs. NodeResult rows read
+// {Sent, Executed, Errors, Digest}.
+var enginePins = []enginePin{
+	{"histo/jam_hist_add/7c2c2021/simnet", 0xe3f37ec2ba5c6080, 1232105115, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xa1512a40e8c97580}, {192, 192, 0, 0xa1512a40e8c97580}, {192, 192, 0, 0xa1512a40e8c97580}}, nil},
+	{"histo/jam_hist_sum/7c2c2021/simnet", 0xffdda451f0e3880, 132034402, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"histo/jam_hist_add/7c2c2021/ideal", 0xe3f37ec2ba5c6080, 1230895116, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xa1512a40e8c97580}, {192, 192, 0, 0xa1512a40e8c97580}, {192, 192, 0, 0xa1512a40e8c97580}}, nil},
+	{"histo/jam_hist_sum/7c2c2021/ideal", 0xffdda451f0e3880, 109005085, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"histo/jam_hist_add/51edba5e/simnet", 0xe3f37ec2ba5c6080, 1232105115, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xa1512a40e8c97580}, {192, 192, 0, 0xa1512a40e8c97580}, {192, 192, 0, 0xa1512a40e8c97580}}, nil},
+	{"histo/jam_hist_sum/51edba5e/simnet", 0xffdda451f0e3880, 132034402, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"histo/jam_hist_add/51edba5e/ideal", 0xe3f37ec2ba5c6080, 1230895116, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xa1512a40e8c97580}, {192, 192, 0, 0xa1512a40e8c97580}, {192, 192, 0, 0xa1512a40e8c97580}}, nil},
+	{"histo/jam_hist_sum/51edba5e/ideal", 0xffdda451f0e3880, 109005085, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"kvstore/jam_kv_get/7c2c2021/simnet", 0xffdda451f0e3880, 137679482, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"kvstore/jam_kv_put/7c2c2021/simnet", 0xb2e0dd4cb7968146, 281304250, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0x1399863f2b05848c}, {192, 192, 0, 0x2fe094702e4504bf}, {192, 192, 0, 0x6f66c29d5e4bf7fb}}, nil},
+	{"kvstore/jam_kv_scan/7c2c2021/simnet", 0xffdda451f0e3880, 137599330, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"kvstore/jam_kv_get/7c2c2021/ideal", 0xffdda451f0e3880, 113626133, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"kvstore/jam_kv_put/7c2c2021/ideal", 0xb2e0dd4cb7968146, 252130933, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0x1399863f2b05848c}, {192, 192, 0, 0x2fe094702e4504bf}, {192, 192, 0, 0x6f66c29d5e4bf7fb}}, nil},
+	{"kvstore/jam_kv_scan/7c2c2021/ideal", 0xffdda451f0e3880, 113545981, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"kvstore/jam_kv_get/51edba5e/simnet", 0xffdda451f0e3880, 137764482, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"kvstore/jam_kv_put/51edba5e/simnet", 0x48b85ea49c61a5cf, 281474250, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0x49dc3c5d23be3ea0}, {192, 192, 0, 0x4b947e0f77b65328}, {192, 192, 0, 0xb347a43800ed1407}}, nil},
+	{"kvstore/jam_kv_scan/51edba5e/simnet", 0xffdda451f0e3880, 137854330, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"kvstore/jam_kv_get/51edba5e/ideal", 0xffdda451f0e3880, 113711133, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"kvstore/jam_kv_put/51edba5e/ideal", 0x48b85ea49c61a5cf, 252300933, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0x49dc3c5d23be3ea0}, {192, 192, 0, 0x4b947e0f77b65328}, {192, 192, 0, 0xb347a43800ed1407}}, nil},
+	{"kvstore/jam_kv_scan/51edba5e/ideal", 0xffdda451f0e3880, 113800981, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"tcbench/jam_hello/7c2c2021/simnet", 0xffdda451f0e3880, 123851629, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"tcbench/jam_iput/7c2c2021/simnet", 0xc6489fe0fec33880, 301856306, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0x2b23f304ddfebd80}, {192, 192, 0, 0x77e087a25ef1bd80}, {192, 192, 0, 0x23442539c1d2bd80}}, nil},
+	{"tcbench/jam_sssum/7c2c2021/simnet", 0x6a311cf9a06ca480, 128624402, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0x78bb09a88acee180}, {192, 192, 0, 0x78bb09a88acee180}, {192, 192, 0, 0x78bb09a88acee180}}, nil},
+	{"tcbench/jam_hello/7c2c2021/ideal", 0xffdda451f0e3880, 103894312, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"tcbench/jam_iput/7c2c2021/ideal", 0xc6489fe0fec33880, 264490973, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0x2b23f304ddfebd80}, {192, 192, 0, 0x77e087a25ef1bd80}, {192, 192, 0, 0x23442539c1d2bd80}}, nil},
+	{"tcbench/jam_sssum/7c2c2021/ideal", 0x6a311cf9a06ca480, 107643053, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0x78bb09a88acee180}, {192, 192, 0, 0x78bb09a88acee180}, {192, 192, 0, 0x78bb09a88acee180}}, nil},
+	{"tcbench/jam_hello/51edba5e/simnet", 0xffdda451f0e3880, 123850860, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"tcbench/jam_iput/51edba5e/simnet", 0x3347b1c06b0c3880, 301819768, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xbf5e41aa0bcebd80}, {192, 192, 0, 0x301bcdacca5abd80}, {192, 192, 0, 0x43cda26994e2bd80}}, nil},
+	{"tcbench/jam_sssum/51edba5e/simnet", 0x6a311cf9a06ca480, 128624402, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0x78bb09a88acee180}, {192, 192, 0, 0x78bb09a88acee180}, {192, 192, 0, 0x78bb09a88acee180}}, nil},
+	{"tcbench/jam_hello/51edba5e/ideal", 0xffdda451f0e3880, 103893543, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}, {192, 192, 0, 0xafff48c1b504bd80}}, nil},
+	{"tcbench/jam_iput/51edba5e/ideal", 0x3347b1c06b0c3880, 264454435, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0xbf5e41aa0bcebd80}, {192, 192, 0, 0x301bcdacca5abd80}, {192, 192, 0, 0x43cda26994e2bd80}}, nil},
+	{"tcbench/jam_sssum/51edba5e/ideal", 0x6a311cf9a06ca480, 107643053, 576,
+		[]NodeResult{{0, 0, 0, 0x0}, {192, 192, 0, 0x78bb09a88acee180}, {192, 192, 0, 0x78bb09a88acee180}, {192, 192, 0, 0x78bb09a88acee180}}, nil},
+	{"tenants", 0x6e3f372a9f01f2e, 238010240, 720,
+		[]NodeResult{{120, 120, 0, 0xef25b6a73de51cfb}, {120, 120, 0, 0xc59fde65b5f764b4}, {120, 120, 0, 0xa92035b39d012ec6}, {120, 120, 0, 0x31c64d7c8245e6be}, {120, 120, 0, 0xd0a060cd989e3e80}, {120, 120, 0, 0xa6977a67fe2e497b}},
+		[]tenantGolden{
+			{"gold", 360, 0, 0, 0, 2533000, []int64{24938560, 238010240}},
+			{"bronze", 360, 0, 169, 0, 2702845, []int64{96766332, 238010240}},
+		}},
+	{"hotswap", 0xfc9a20306c800da4, 60651130, 450,
+		[]NodeResult{{30, 30, 0, 0x76ff756305700e2c}, {42, 42, 0, 0x39d4cf55e8ecd484}, {342, 342, 0, 0xd85b231f9f9cdd4c}, {6, 6, 0, 0x73579d3593570a7c}, {12, 12, 0, 0x9f3edfd21b8f8ab8}, {18, 18, 0, 0x60d43b502f9fb874}}, nil},
+	{"alltoall4", 0x1acf2f18754dd310, 44236690, 288,
+		[]NodeResult{{72, 72, 0, 0xfd03d2c1266f94d0}, {72, 72, 0, 0xa171c7c9e2db55a0}, {72, 72, 0, 0x94a2c21209f5680}, {72, 72, 0, 0x730f686c4b639220}}, nil},
+	{"tenants4", 0x8f9865e927d8d80, 76486394, 192,
+		[]NodeResult{{48, 48, 0, 0x4a69dcda32a2e360}, {48, 48, 0, 0xe0cd661f091ae360}, {48, 48, 0, 0xb174c3ca59b5e360}, {48, 48, 0, 0x2c4d7f9afd09e360}},
+		[]tenantGolden{
+			{"gold", 96, 0, 0, 0, 2430937, []int64{76486394}},
+			{"bronze", 96, 0, 0, 0, 2088252, []int64{76486394}},
+		}},
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -13,8 +14,10 @@ import (
 // bit-identical: fabric digest, simulated finish time, injection count,
 // and the per-node digest/error breakdown. The interpret loop is the
 // reference implementation, so any divergence is a JIT bug by
-// definition.
-func runPair(t *testing.T, sc Scenario) *Result {
+// definition. The interpreter leg must also match the enginePins row
+// named pin (golden_test.go), so the outcome is pinned by value and not
+// only by the two engines agreeing.
+func runPair(t *testing.T, pin string, sc Scenario) *Result {
 	t.Helper()
 	sc.Interpreter = false
 	jit, err := Run(sc)
@@ -26,6 +29,7 @@ func runPair(t *testing.T, sc Scenario) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	enginePinFor(t, pin).verify(t, ref)
 	if jit.Digest != ref.Digest {
 		t.Errorf("digest: compiled %#x, interpreter %#x", jit.Digest, ref.Digest)
 	}
@@ -56,11 +60,21 @@ func runPair(t *testing.T, sc Scenario) *Result {
 // TestInterpreterOptionWithTenants pins that Scenario.Interpreter reaches
 // the node configuration whatever the lane layout: the one option
 // builder applied to a mesh configuration sets the interpreter flag for
-// a scenario with Tenants exactly as for one without.
+// a scenario with Tenants exactly as for one without — and that the run
+// reads its pinned row with the option set or clear.
 func TestInterpreterOptionWithTenants(t *testing.T) {
-	for _, sc := range []Scenario{DefaultScenario(AllToAll, 4), tenantScenario(4)} {
+	for _, c := range []struct {
+		pin string
+		sc  Scenario
+	}{{"alltoall4", DefaultScenario(AllToAll, 4)}, {"tenants4", tenantScenario(4)}} {
+		sc := c.sc
 		for _, interp := range []bool{false, true} {
 			sc.Interpreter = interp
+			res, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enginePinFor(t, c.pin).verify(t, res)
 			cfg := core.DefaultMeshConfig(sc.Nodes)
 			for _, opt := range sc.systemOpts(256) {
 				opt(&cfg)
@@ -133,7 +147,11 @@ func TestJITEquivalenceSweep(t *testing.T) {
 					sc.Seed = d.seed
 					sc.Backend = d.backend
 					sc.Mix = []ElementMix{elem}
-					res := runPair(t, sc)
+					backend := d.backend
+					if backend == "" {
+						backend = "simnet"
+					}
+					res := runPair(t, fmt.Sprintf("%s/%s/%x/%s", app, elem.Elem, d.seed, backend), sc)
 					if tier := res.Mesh.Tier; tier.InterpCalls == 0 || tier.CompiledCalls == 0 {
 						t.Errorf("%s: %d tier-0 calls, %d compiled calls; want both",
 							elem.Elem, tier.InterpCalls, tier.CompiledCalls)
@@ -152,7 +170,7 @@ func TestJITEquivalenceSweep(t *testing.T) {
 			sc.Shards = 2
 			sc.Tenants[0].Phases[1].Mix = KVStoreMix()
 			sc.Tenants[1].Phases[1].Mix = jamMixFor(t, "histo")
-			res := runPair(t, sc)
+			res := runPair(t, "tenants", sc)
 			if res.Injections == 0 || res.Tenants[1].Deferred == 0 {
 				t.Fatalf("tenant leg exercised nothing: %d injections, %+v", res.Injections, res.Tenants)
 			}
@@ -171,7 +189,7 @@ func TestJITHotSwapUnderLoad(t *testing.T) {
 			sc := DefaultScenario(Hotspot, 6)
 			sc.Burst = 6
 			sc.Rounds = 3
-			res := runPair(t, sc)
+			res := runPair(t, "hotswap", sc)
 			if !res.Swapped {
 				t.Fatal("hotspot swap did not fire — the test exercised nothing")
 			}
