@@ -3,17 +3,10 @@
 // CALLP/LDP GOT-indirect instructions that let code execute at any address
 // on a receiver.
 //
-// With -jit it prints the template compiler's static plan instead of
-// (or alongside) the disassembly: basic-block count, the fusable
-// straight-line runs, and how much of the body a single fused dispatch
-// covers — the per-jam compile decisions of internal/vm's bind-time JIT,
-// for both the timing (line-aware) and functional compile modes.
-//
 // Usage:
 //
 //	tcdisasm object.tco
 //	tcdisasm -pkg mypkg.tcpkg -jam jam_iput
-//	tcdisasm -jit -pkg mypkg.tcpkg -jam jam_iput
 package main
 
 import (
@@ -24,17 +17,15 @@ import (
 	"twochains/internal/core"
 	"twochains/internal/elfobj"
 	"twochains/internal/isa"
-	"twochains/internal/vm"
 )
 
 func main() {
 	pkgFile := flag.String("pkg", "", "package file to read a jam from")
 	jamName := flag.String("jam", "", "jam element name inside -pkg")
-	jit := flag.Bool("jit", false, "print the template compiler's static plan (blocks, fused runs, coverage)")
 	flag.Parse()
 
 	if *pkgFile != "" {
-		disasmJam(*pkgFile, *jamName, *jit)
+		disasmJam(*pkgFile, *jamName)
 		return
 	}
 	if flag.NArg() != 1 {
@@ -48,15 +39,6 @@ func main() {
 	obj, err := elfobj.Decode(data)
 	if err != nil {
 		fatal(err)
-	}
-	if *jit {
-		instrs, err := isa.DecodeAll(obj.Text)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("object %s\n", obj.Name)
-		printPlan(instrs)
-		return
 	}
 	fmt.Printf("object %s\n.text (%d bytes):\n", obj.Name, len(obj.Text))
 	text, err := isa.Disassemble(obj.Text)
@@ -72,30 +54,7 @@ func main() {
 	}
 }
 
-// printPlan dumps the bind-time compile plan of decoded code in both
-// compile modes. Every region compiles — the interpreter is only
-// entered per call site (budget bail, dynamic transfer out of the
-// region), so the decisions worth printing are how coarse the compiled
-// dispatch gets: block leaders and fused multi-instruction runs.
-func printPlan(instrs []isa.Instr) {
-	for _, mode := range []struct {
-		name      string
-		lineAware bool
-	}{
-		{"timing (line-aware)", true},
-		{"functional", false},
-	} {
-		p := vm.AnalyzeRegion(instrs, 0, mode.lineAware)
-		fmt.Printf("jit plan [%s]: %d instrs, %d blocks, %d fused runs covering %d instrs (%.0f%%)\n",
-			mode.name, p.Instrs, p.Blocks, len(p.Runs), p.FusedOps,
-			100*float64(p.FusedOps)/float64(max(p.Instrs, 1)))
-		for _, r := range p.Runs {
-			fmt.Printf("  run +%-4d len %d\n", r.Start, r.Len)
-		}
-	}
-}
-
-func disasmJam(pkgFile, jamName string, jit bool) {
+func disasmJam(pkgFile, jamName string) {
 	data, err := os.ReadFile(pkgFile)
 	if err != nil {
 		fatal(err)
@@ -111,14 +70,6 @@ func disasmJam(pkgFile, jamName string, jit bool) {
 	j := elem.Jam
 	fmt.Printf("jam %s: shipped %dB (GOT %dB + ptr 8B + body %dB), entry +%d\n",
 		j.Name, j.ShippedSize(), j.GotTableLen(), len(j.Body), j.Entry)
-	if jit {
-		instrs, err := isa.DecodeAll(j.Body[:j.TextLen])
-		if err != nil {
-			fatal(err)
-		}
-		printPlan(instrs)
-		return
-	}
 	for i, g := range j.Got {
 		kind := "extern"
 		if g.Local {

@@ -151,10 +151,9 @@ func main() {
 	fmt.Printf("%s%s: %s(%d, %d) with %dB payload, frame %dB, end-to-end %v\n",
 		mode, via, *jam, *arg0, *arg1, *payload, frame, sim.Duration(sys.Now()))
 	st := sys.Stats()
-	fmt.Printf("stats: %d sent, %d processed, %d errors; vm: %d compiles, slot hit/miss %d/%d, %d decodes, %d promoted, calls interp/jit %d/%d\n",
-		st.Sent, st.Processed, st.Errors, st.JITCompiles,
-		st.Tier.Hits, st.Tier.Misses, st.Tier.Decodes, st.Tier.Promotions,
-		st.Tier.InterpCalls, st.Tier.CompiledCalls)
+	fmt.Printf("stats: %d sent, %d processed, %d errors; vm: slot hit/miss %d/%d, %d decodes\n",
+		st.Sent, st.Processed, st.Errors,
+		st.Tier.Hits, st.Tier.Misses, st.Tier.Decodes)
 	if out := server.Stdout.String(); out != "" {
 		fmt.Printf("server stdout:\n%s", out)
 	}

@@ -95,10 +95,6 @@ type NodeConfig struct {
 	Timing bool
 	// Seed for this node's stochastic models.
 	Seed uint64
-	// Interpreter forces every VM call through the reference interpret
-	// loop instead of the compiled translations (A/B oracle switch; see
-	// vm.VM.UseInterpreter).
-	Interpreter bool
 
 	// Security options (paper §V).
 	// CheckExec makes the VM enforce execute permissions on fetch.
@@ -205,7 +201,6 @@ func (c *Cluster) AddNodeShard(name string, cfg NodeConfig, shard int) (*Node, e
 	}
 	n.VM = machine
 	n.VM.CheckExec = cfg.CheckExec
-	n.VM.UseInterpreter = cfg.Interpreter
 	if err := vm.BindLibc(n.VM, n.NS); err != nil {
 		return nil, fmt.Errorf("core: node %s: %w", name, err)
 	}

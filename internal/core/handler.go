@@ -103,8 +103,7 @@ func (n *Node) runInjected(d *mailbox.Delivery) (sim.Duration, error) {
 		return extra, err
 	}
 	// The VM keeps the body mapped per frame slot: repeated deliveries of
-	// the same element re-execute the cached region after a byte compare,
-	// interpreted until the slot proves hot and compiled from then on.
+	// the same element re-execute the cached region after a byte compare.
 	region, err := n.VM.EnsureJam(codeVA, code)
 	if err != nil {
 		return extra, fmt.Errorf("core: node %s: bad injected code: %w", n.Name, err)

@@ -409,13 +409,9 @@ type MeshStats struct {
 	Errors        uint64
 	JamBinds      uint64
 	JamHits       uint64
-	// JITCompiles, JITDeopts and Tier sum the receive-side VM counters:
-	// translations built, mid-call deopts, and the jam path's tier
-	// decisions. They count simulated events, so a fixed scenario
-	// reproduces them exactly.
-	JITCompiles uint64
-	JITDeopts   uint64
-	Tier        vm.TierStats
+	// Tier sums the receive-side VMs' EnsureJam counters. They count
+	// simulated events, so a fixed scenario reproduces them exactly.
+	Tier vm.TierStats
 }
 
 // Stats sums sender, receiver, jam-cache, and VM counters over the mesh.
@@ -437,8 +433,6 @@ func (m *Mesh) Stats() MeshStats {
 		js := n.JamCacheStats()
 		st.JamBinds += js.Binds
 		st.JamHits += js.Hits
-		st.JITCompiles += n.VM.JITCompiles
-		st.JITDeopts += n.VM.JITDeopts
 		st.Tier.Add(n.VM.Tier)
 	}
 	return st

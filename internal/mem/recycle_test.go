@@ -52,6 +52,20 @@ func seedPool(capacity int) {
 	}
 }
 
+// seedTopOnly leaves the pool with poisoned backings of the one class
+// that holds a whole space of the given capacity and nothing in the
+// classes below it, so a space's first growth — a page, say — draws an
+// array many times the request.
+func seedTopOnly(capacity int) {
+	for k := 16; 1<<k < capacity; k++ {
+		for backings[k].Get() != nil {
+		}
+	}
+	for n := 0; n < 3; n++ {
+		putBacking(poisonedBacking(capacity))
+	}
+}
+
 // releasePoisoned is the test hook on the way into the pool: it poisons
 // the whole backing, mapped prefix and spare capacity alike, then releases.
 func releasePoisoned(as *AddressSpace) {
@@ -130,11 +144,16 @@ func (s *stream) perm() Perm { return Perm(s.u8()) % (PermRWX + 1) }
 // the first difference in any value, error, permission or final byte.
 func recycleDiff(t *testing.T, prog []byte) {
 	s := &stream{b: prog}
+	mode := s.u8()
 	capacity := 1 << 18
-	if s.u8()&1 != 0 {
+	if mode&1 != 0 {
 		capacity = 48 * PageSize // the last growth step is clamped, not a power of two
 	}
-	seedPool(capacity)
+	if mode&2 != 0 {
+		seedTopOnly(capacity) // the first growth draws a whole-space array
+	} else {
+		seedPool(capacity)
+	}
 	got := NewAddressSpace(capacity)
 	defer releasePoisoned(got)
 	// The reference is mapped in full from the allocator up front: it
@@ -331,6 +350,81 @@ func FuzzAddressSpaceRecycle(f *testing.F) {
 		f.Add(randomProg(rng))
 	}
 	f.Fuzz(recycleDiff)
+}
+
+// TestFirstGrowthTakesLargerBacking: with nothing recycled in the class a
+// space's first growth asks for, it takes the larger array the pool does
+// have, all of it stale, and never grows again: views taken either side
+// of where the doubling chain used to copy (64 KB, 128 KB) stay aliased to
+// the one backing through every later Alloc, and read zero, not poison.
+func TestFirstGrowthTakesLargerBacking(t *testing.T) {
+	const capacity = 1 << 18
+	for try := 0; ; try++ {
+		seedTopOnly(capacity)
+		as := NewAddressSpace(capacity)
+		va, err := as.AllocPages("first", PageSize, PermRW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(as.data) != capacity {
+			if try > 100 {
+				t.Fatalf("first growth mapped %d bytes: the pool never handed the %d-byte backing back", len(as.data), capacity)
+			}
+			continue // the pool dropped every Put (it may, and does under -race)
+		}
+		if as.stale != capacity/PageSize {
+			t.Fatalf("%d stale pages after the first growth, want all %d", as.stale, capacity/PageSize)
+		}
+		if _, ok := as.FastRead64(va); ok {
+			t.Fatal("the fast path served a page nobody has zeroed")
+		}
+		backing := &as.data[0]
+		type held struct {
+			off int
+			b   []byte
+		}
+		var views []held
+		for _, edge := range []int{1 << 16, 1 << 17} {
+			for as.brk < Base+uint64(edge+PageSize) {
+				if _, err := as.AllocPages("more", 5*PageSize, PermRW); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, off := range []int{edge - PageSize, edge - 16, edge} {
+				v, err := as.ViewMut(Base+uint64(off), 32)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(v, make([]byte, 32)) {
+					t.Fatalf("view at offset 0x%x reads % x: a previous occupant's bytes", off, v)
+				}
+				views = append(views, held{off, v})
+			}
+		}
+		if _, err := as.AllocPages("rest", capacity-int(as.brk-Base), PermRW); err != nil {
+			t.Fatal(err)
+		}
+		if &as.data[0] != backing || len(as.data) != capacity {
+			t.Fatal("the space grew again after drawing a whole-space backing")
+		}
+		for i, v := range views {
+			v.b[0] = byte(i + 1)
+			if got, err := as.ReadU8(Base + uint64(v.off)); err != nil || got != uint64(i+1) {
+				t.Fatalf("the view taken at offset 0x%x no longer aliases the space: it stored %d, the space reads %d, %v",
+					v.off, i+1, got, err)
+			}
+		}
+		for off := 0; off < capacity; off += PageSize {
+			if v, err := as.ReadU64(Base + uint64(off) + 64); err != nil || v != 0 {
+				t.Fatalf("offset 0x%x reads 0x%x, %v: a previous occupant's bytes", off+64, v, err)
+			}
+		}
+		if as.stale != 0 {
+			t.Fatalf("%d pages still stale after every page was read", as.stale)
+		}
+		releasePoisoned(as)
+		return
+	}
 }
 
 // TestRecycledPagesReadZero is the invariant in its plainest form: write a

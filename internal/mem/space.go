@@ -230,6 +230,11 @@ func (as *AddressSpace) index(va uint64) (int, bool) {
 // recycled one are marked stale. The outgrown array is left to the
 // collector, not pooled — a View handed out before the growth may still
 // alias it.
+//
+// A space's first mapping takes the smallest recycled array that fits, of
+// any size up to capacity, before it allocates one: a node asks for a page
+// first and for megabytes a moment later, and the chain of fresh arrays
+// and copies in between is work nothing reads.
 func (as *AddressSpace) grow(n int) {
 	old := len(as.data)
 	c := old
@@ -243,6 +248,14 @@ func (as *AddressSpace) grow(n int) {
 		c = as.capacity
 	}
 	nd := getBacking(c)
+	if old == 0 {
+		for big := c; nd == nil && big < as.capacity; {
+			big = min(big<<1, as.capacity)
+			if nd = getBacking(big); nd != nil {
+				c = big
+			}
+		}
+	}
 	if nd != nil {
 		for p := old / PageSize; p < c/PageSize; p++ {
 			as.perms[p] = as.perms[p].stale()
@@ -523,7 +536,7 @@ func (as *AddressSpace) fastIdx(va uint64, size int, want Perm) (int, bool) {
 }
 
 // FastRead64 is the single-shot inlinable variant of ReadU64's fast
-// path for hot interpreter/JIT loops: ok=false means the caller must
+// path for hot interpreter loops: ok=false means the caller must
 // take ReadU64 (checked) to get the value or the exact fault. The
 // guards mirror fastIdx(va, 8, PermR) verbatim.
 func (as *AddressSpace) FastRead64(va uint64) (uint64, bool) {

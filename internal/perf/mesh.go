@@ -25,14 +25,14 @@ func meshIters(o Options) int {
 // meshExp runs every workload pattern over growing sharded meshes and
 // reports simulated injections/sec plus the efficiency of the batched
 // injection path and the shared prepared-jam cache, and what the
-// receive-side VMs' two-tier jam path did.
+// receive-side VMs' jam tables did.
 func meshExp(o Options) (*Table, error) {
 	t := &Table{
 		Name:  "mesh",
 		Title: "Sharded many-node mesh: mixed workload (injected + local, sssum + iput)",
 		Cols: []string{"pattern", "nodes", "shards", "msgs", "inj/s",
 			"batched(%)", "cache_hit(%)", "stalls", "sim_ms",
-			"slot hit/miss", "decodes", "promoted", "calls interp/jit"},
+			"slot hit/miss", "decodes"},
 	}
 	rounds := meshIters(o)
 	for _, nodes := range []int{8, 16} {
@@ -57,11 +57,10 @@ func meshExp(o Options) (*Table, error) {
 				fmt.Sprint(res.Mesh.CreditStalls),
 				fmt.Sprintf("%.3f", res.SimTime.Seconds()*1e3),
 				fmt.Sprintf("%d/%d", res.Mesh.Tier.Hits, res.Mesh.Tier.Misses),
-				fmt.Sprint(res.Mesh.Tier.Decodes), fmt.Sprint(res.Mesh.Tier.Promotions),
-				fmt.Sprintf("%d/%d", res.Mesh.Tier.InterpCalls, res.Mesh.Tier.CompiledCalls))
+				fmt.Sprint(res.Mesh.Tier.Decodes))
 		}
 	}
 	t.Note("hotspot swaps the hot node's server ried mid-run; rates are simulated injections/sec")
-	t.Note("slot hit/miss: deliveries finding their mailbox slot's bytes unchanged / remapped; decodes: misses on a body the node had not seen; promoted: slots compiled after going hot")
+	t.Note("slot hit/miss: deliveries finding their mailbox slot's bytes unchanged / remapped; decodes: misses on a body the node had not seen")
 	return t, nil
 }

@@ -33,6 +33,12 @@ type SystemOpt func(*core.MeshConfig)
 // Deprecated: ignored. Kept until benchmark/ stops naming it.
 func WithWorkers(int) SystemOpt { return func(*core.MeshConfig) {} }
 
+// WithInterpreter does nothing: the VM's interpret loop is the only
+// engine.
+//
+// Deprecated: inert since PR 21. Kept until benchmark/ stops naming it.
+func WithInterpreter() SystemOpt { return func(*core.MeshConfig) {} }
+
 // WithShards partitions the nodes across fabric shards (contiguous
 // blocks; cross-shard traffic serializes through shared spine uplinks on
 // backends that model topology).
@@ -58,14 +64,6 @@ func WithSeed(seed uint64) SystemOpt {
 // off for speed).
 func WithTiming(on bool) SystemOpt {
 	return func(c *core.MeshConfig) { c.Node.Timing = on }
-}
-
-// WithInterpreter forces every node's VM through the reference
-// interpret loop instead of the compiled translations — the A/B switch
-// of the JIT equivalence sweep. Results, costs, and digests must be
-// bit-identical either way; only wall-clock speed differs.
-func WithInterpreter() SystemOpt {
-	return func(c *core.MeshConfig) { c.Node.Interpreter = true }
 }
 
 // WithOrdered selects the fabric write-order guarantee.

@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"twochains/internal/core"
 )
@@ -250,8 +251,8 @@ func (b *Builder) Build() (*core.Package, error) {
 type App struct {
 	Name string
 	Doc  string
-	// Build compiles a fresh package (packages are stateless; per-run
-	// rebuilds keep runs independent).
+	// Build compiles a fresh package. The package-level Build calls it
+	// once per process and shares the result.
 	Build func() (*core.Package, error)
 	// BuildRieds, when set, compiles only the app's RIED elements — all
 	// a dynamic update (hot-swap) installs, skipping the jam compiles of
@@ -271,7 +272,15 @@ type Oracle interface {
 	Apply(elem string, args [2]uint64, usr []byte) (uint64, error)
 }
 
-var registry = map[string]App{}
+// entry is a registered app and its two builds, each made on first use
+// and shared after. A name registers once, so it has exactly one build:
+// nothing invalidates.
+type entry struct {
+	App
+	full, rieds func() (*core.Package, error)
+}
+
+var registry = map[string]*entry{}
 
 // Register adds an app to the registry. It panics on duplicates or
 // missing fields — registration happens at init time, where a panic is
@@ -283,13 +292,21 @@ func Register(app App) {
 	if _, dup := registry[app.Name]; dup {
 		panic("tcapp: Register: duplicate app " + app.Name)
 	}
-	registry[app.Name] = app
+	e := &entry{App: app, full: sync.OnceValues(app.Build)}
+	e.rieds = e.full
+	if app.BuildRieds != nil {
+		e.rieds = sync.OnceValues(app.BuildRieds)
+	}
+	registry[app.Name] = e
 }
 
 // Lookup returns the registered app.
 func Lookup(name string) (App, bool) {
-	app, ok := registry[name]
-	return app, ok
+	e, ok := registry[name]
+	if !ok {
+		return App{}, false
+	}
+	return e.App, true
 }
 
 // Names lists the registered apps in sorted order.
@@ -302,27 +319,27 @@ func Names() []string {
 	return out
 }
 
-// Build compiles the named app's package.
+// Build returns the named app's package, compiled on the first call in
+// the process. Every caller shares the one value: a built package is
+// immutable (installing it only reads it), so treat it as read-only.
 func Build(name string) (*core.Package, error) {
-	app, ok := registry[name]
+	e, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("tcapp: no registered app %q (have %v)", name, Names())
 	}
-	return app.Build()
+	return e.full()
 }
 
-// BuildRieds compiles only the named app's RIED elements — what a RIED
-// hot-swap installs. Apps without the lighter path fall back to a full
-// build (the swap installer filters to ElemRied either way).
+// BuildRieds returns a package of only the named app's RIED elements —
+// what a RIED hot-swap installs — shared like Build's. Apps without the
+// lighter path fall back to the full build (the swap installer filters to
+// ElemRied either way).
 func BuildRieds(name string) (*core.Package, error) {
-	app, ok := registry[name]
+	e, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("tcapp: no registered app %q (have %v)", name, Names())
 	}
-	if app.BuildRieds != nil {
-		return app.BuildRieds()
-	}
-	return app.Build()
+	return e.rieds()
 }
 
 func init() {

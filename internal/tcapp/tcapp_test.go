@@ -1,6 +1,7 @@
 package tcapp_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -287,4 +288,103 @@ func TestKVProbeCollision(t *testing.T) {
 func kvHashMirror(key uint64) uint64 {
 	h := key * 2654435761
 	return (h ^ (h >> 15)) & 16383
+}
+
+// TestBuildSharedAcrossSystems: Build and BuildRieds hand every caller in
+// the process the same package, and nothing that uses it writes to it —
+// installed into two systems that both run traffic, one of which then
+// hot-swaps its server rieds, the shared values still equal builds nobody
+// else has seen, and the swap reaches only the system it was made on.
+func TestBuildSharedAcrossSystems(t *testing.T) {
+	app, _ := tcapp.Lookup("histo")
+	freshPkg, err := app.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshRieds, err := app.BuildRieds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := tcapp.Build("histo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rieds, err := tcapp.BuildRieds("histo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := tcapp.Build("histo"); again != pkg {
+		t.Error("Build compiled histo a second time")
+	}
+	if again, _ := tcapp.BuildRieds("histo"); again != rieds {
+		t.Error("BuildRieds compiled histo a second time")
+	}
+
+	var gotA, gotB []uint64
+	collect := func(got *[]uint64) func(uint64, error) {
+		return func(ret uint64, err error) {
+			if err != nil {
+				t.Errorf("exec: %v", err)
+			}
+			*got = append(*got, ret)
+		}
+	}
+	a, b := newAppRig(t, "histo", collect(&gotA)), newAppRig(t, "histo", collect(&gotB))
+	defer a.sys.Close()
+	defer b.sys.Close()
+	script := histScript()
+	run := func(r *appRig) {
+		for _, s := range script {
+			r.call(t, s.elem, s.args, s.usr, false)
+		}
+	}
+	run(a)
+	run(b)
+	for _, e := range rieds.Elements {
+		if e.Kind != core.ElemRied {
+			continue
+		}
+		if _, err := a.sys.InstallRied(1, e.Ried, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.sys.RefreshNames(1)
+	run(a)
+	run(b)
+
+	// a's server state was replaced by the swap, so its second pass reads
+	// like a first; b's carries on from its own first pass.
+	oracleA, oracleB := app.NewOracle(), app.NewOracle()
+	var wantA, wantB []uint64
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			oracleA = app.NewOracle()
+		}
+		for _, s := range script {
+			ra, err := oracleA.Apply(s.elem, s.args, s.usr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := oracleB.Apply(s.elem, s.args, s.usr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantA, wantB = append(wantA, ra), append(wantB, rb)
+		}
+	}
+	if !reflect.DeepEqual(gotA, wantA) {
+		t.Errorf("swapped system returned %v, oracle %v", gotA, wantA)
+	}
+	if !reflect.DeepEqual(gotB, wantB) {
+		t.Errorf("unswapped system returned %v, oracle %v", gotB, wantB)
+	}
+	if reflect.DeepEqual(wantA, wantB) {
+		t.Error("the script cannot tell a swapped server from an unswapped one")
+	}
+	if !reflect.DeepEqual(pkg, freshPkg) {
+		t.Error("the shared package differs from a fresh build after use")
+	}
+	if !reflect.DeepEqual(rieds, freshRieds) {
+		t.Error("the shared ried package differs from a fresh build after use")
+	}
 }

@@ -17,12 +17,11 @@ func retBody(v int32, pad int) []byte {
 	return isa.EncodeAll(ins)
 }
 
-// TestJamTiering pins the two-tier jam path: EnsureJam never compiles a
-// cold slot, promotes on exactly the jamHotHits-th same-bytes hit, drops
-// back to tier 0 when the slot's content changes, shares decodes by
-// content, keeps the slot table disjoint under shifted bodies, and bounds
-// the body table.
-func TestJamTiering(t *testing.T) {
+// TestJamTable pins the jam tables: EnsureJam returns the cached region
+// while a slot's bytes are unchanged, maps a fresh one when they change,
+// shares decodes by content, keeps the slot table disjoint under shifted
+// bodies, and bounds the body table, oldest replaced first.
+func TestJamTable(t *testing.T) {
 	h := newHarness(t, false)
 	v := h.vm
 	ensure := func(va uint64, code []byte) *Region {
@@ -43,38 +42,33 @@ func TestJamTiering(t *testing.T) {
 	const va = 0x4000_0040
 	a, b := retBody(7, 0), retBody(9, 1)
 
-	// First delivery: a miss that decodes, maps in tier 0, compiles nothing.
+	// First delivery: a miss that decodes and maps.
 	r := ensure(va, a)
 	call(r, 7)
-	if want := (TierStats{Misses: 1, Decodes: 1, InterpCalls: 1}); v.Tier != want || v.JITCompiles != 0 {
-		t.Fatalf("after first delivery: %+v, %d compiles; want %+v, 0", v.Tier, v.JITCompiles, want)
+	if want := (TierStats{Misses: 1, Decodes: 1}); v.Tier != want {
+		t.Fatalf("after first delivery: %+v, want %+v", v.Tier, want)
 	}
 
-	// Hits keep the region; the jamHotHits-th one promotes it, once.
-	for i := 1; i <= jamHotHits+2; i++ {
+	// Hits keep the region.
+	for i := 1; i <= 6; i++ {
 		if got := ensure(va, a); got != r {
 			t.Fatalf("hit %d remapped the slot", i)
 		}
-		if compiled := r.prog != nil; compiled != (i >= jamHotHits) {
-			t.Fatalf("hit %d: compiled = %v", i, compiled)
-		}
 		call(r, 7)
 	}
-	if want := (TierStats{Hits: jamHotHits + 2, Misses: 1, Decodes: 1, Promotions: 1,
-		InterpCalls: jamHotHits, CompiledCalls: 3}); v.Tier != want || v.JITCompiles != 1 {
-		t.Fatalf("after promotion: %+v, %d compiles; want %+v, 1", v.Tier, v.JITCompiles, want)
+	if want := (TierStats{Hits: 6, Misses: 1, Decodes: 1}); v.Tier != want {
+		t.Fatalf("after six hits: %+v, want %+v", v.Tier, want)
 	}
 
-	// A content change at the same VA is a fresh tier-0 region; the stale
-	// translation is unreachable.
+	// A content change at the same VA is a fresh region; the old one is
+	// unreachable.
 	rb := ensure(va, b)
-	if rb == r || rb.prog != nil || v.findRegion(va) != rb {
-		t.Fatalf("content change: same region %v, compiled %v, mapped %v",
-			rb == r, rb.prog != nil, v.findRegion(va) == rb)
+	if rb == r || v.findRegion(va) != rb {
+		t.Fatalf("content change: same region %v, mapped %v", rb == r, v.findRegion(va) == rb)
 	}
 	call(rb, 9)
-	if v.Tier.Decodes != 2 || v.Tier.InterpCalls != jamHotHits+1 || v.JITCompiles != 1 {
-		t.Fatalf("after content change: %+v, %d compiles", v.Tier, v.JITCompiles)
+	if want := (TierStats{Hits: 6, Misses: 2, Decodes: 2}); v.Tier != want {
+		t.Fatalf("after content change: %+v, want %+v", v.Tier, want)
 	}
 
 	// The same body at a new VA shares the decoded instructions.
@@ -129,45 +123,5 @@ func TestJamTiering(t *testing.T) {
 	ensure(va+0x5000, a)
 	if v.Tier.Decodes != d+1 {
 		t.Fatalf("body table is not oldest-first: %d decodes, want %d", v.Tier.Decodes, d+1)
-	}
-}
-
-// TestInterpreterSkipsCompile pins that a VM pinned to the interpreter
-// builds no translation — not for library text at AddRegion, not for a
-// hot jam slot — and that clearing the flag later still runs compiled.
-func TestInterpreterSkipsCompile(t *testing.T) {
-	h := newHarness(t, false)
-	h.vm.UseInterpreter = true
-	ld := h.loadLib(t, "seven", `
-.text
-.global seven
-seven:
-    movi r0, 7
-    ret
-`)
-	a := retBody(5, 0)
-	var r *Region
-	for i := 0; i < 2*jamHotHits; i++ {
-		var err error
-		if r, err = h.vm.EnsureJam(0x4000_0040, a); err != nil {
-			t.Fatal(err)
-		}
-		if ret, _, err := h.vm.CallRegion(r, r.Start); err != nil || ret != 5 {
-			t.Fatalf("jam = %d, %v", ret, err)
-		}
-	}
-	entry := ld.Exports["seven"]
-	if ret, _, err := h.vm.Call(entry); err != nil || ret != 7 {
-		t.Fatalf("seven = %d, %v", ret, err)
-	}
-	if h.vm.JITCompiles != 0 || h.vm.Tier.Promotions != 0 || h.vm.Tier.CompiledCalls != 0 {
-		t.Fatalf("interpreter-pinned VM compiled: %d compiles, %+v", h.vm.JITCompiles, h.vm.Tier)
-	}
-	h.vm.UseInterpreter = false
-	if ret, _, err := h.vm.Call(entry); err != nil || ret != 7 {
-		t.Fatalf("seven after flag flip = %d, %v", ret, err)
-	}
-	if h.vm.JITCompiles != 1 {
-		t.Fatalf("flag flip: %d compiles, want the on-demand one", h.vm.JITCompiles)
 	}
 }

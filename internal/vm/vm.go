@@ -8,19 +8,13 @@
 // message-GOT form (CALLP/LDP, injected jams), and calls can cross between
 // injected code, library code, and native "C library" functions.
 //
-// Execution has two engines, used as two tiers. The interpret loop below
-// (CallInterp) is the reference implementation — the oracle — and tier 0:
-// an injected jam runs through it until its mailbox slot proves hot. The
-// template JIT in jit.go compiles library text when it is mapped and a
-// jam slot's region once the same bytes have hit that slot jamHotHits
-// times, into native Go step closures. The contract is bit-exact
-// equivalence: for every program and machine state the compiled path must
-// produce the same results, register file, memory effects, Fault values,
-// instruction counts, and simulated costs as the interpreter, which stays
-// authoritative for any behaviour question — so which tier ran a call is
-// invisible to the simulation. Edge cases the compiler does not model
-// (misaligned dynamic jump targets) deopt mid-call into the interpreter
-// rather than approximate.
+// Execution has one engine: the interpret loop below. Results, register
+// file, memory effects, Fault values, instruction counts and simulated
+// costs are whatever it produces, and TestFaultAndBudgetPins and the
+// workload golden rows pin them by value. Code is validated and decoded
+// once when it is mapped (AddRegion for library text, EnsureJam for
+// injected jams, which shares a decode between every slot holding the
+// same bytes); a call walks the decoded instructions.
 package vm
 
 import (
@@ -55,10 +49,6 @@ type Region struct {
 	// by convention Start-8, "just before the code" (paper Fig. 2).
 	GpSlotVA uint64
 	instrs   []isa.Instr
-	// prog is the compiled translation (see jit.go); nil while the region
-	// is in tier 0. It lives and dies with the region, so EnsureJam's
-	// byte-compare eviction discards it with the slot's mapping.
-	prog *program
 }
 
 // NativeFunc is a host-implemented library function ("existing C library"
@@ -98,11 +88,6 @@ type VM struct {
 	CheckExec bool
 	// InstrBudget bounds instructions per Call.
 	InstrBudget uint64
-	// UseInterpreter forces every Call through the reference interpreter
-	// instead of the compiled translations — the A/B switch the
-	// equivalence sweep and tc.WithInterpreter() flip.
-	UseInterpreter bool
-
 	// regions holds the AddRegion mappings — library text, a handful per
 	// node — in mapping order; injected code lives in jams.
 	regions    []*Region
@@ -132,33 +117,25 @@ type VM struct {
 	env      Env
 	callCost sim.Duration
 
-	// mach is the reusable compiled-path machine state (one Call at a
-	// time, like env).
-	mach jitMachine
-
 	// Cumulative counters across calls.
 	TotalInstrs uint64
 	TotalCost   sim.Duration
-	// JITCompiles counts region translations built; JITDeopts counts
-	// mid-call handoffs to the interpreter.
+	// JITCompiles and JITDeopts are always 0: nothing is translated.
+	//
+	// Deprecated: inert since PR 21. Kept until benchmark/ stops naming
+	// them.
 	JITCompiles uint64
 	JITDeopts   uint64
-	// Tier counts the jam path's tier decisions.
+	// Tier counts what EnsureJam did.
 	Tier TierStats
 }
 
-// TierStats counts what the two-tier jam path did. Every field is a
-// function of the delivered frames alone, so a fixed scenario reproduces
-// them exactly.
+// TierStats counts EnsureJam's outcomes. Every field is a function of the
+// delivered frames alone, so a fixed scenario reproduces them exactly.
 type TierStats struct {
-	Hits       uint64 // EnsureJam: same bytes at the same VA
-	Misses     uint64 // EnsureJam: a region was (re)mapped
-	Decodes    uint64 // misses whose body was not in the body table
-	Promotions uint64 // jam regions compiled after jamHotHits hits
-	// InterpCalls and CompiledCalls split the jam calls (CallRegion) by
-	// the tier that ran them.
-	InterpCalls   uint64
-	CompiledCalls uint64
+	Hits    uint64 // same bytes at the same VA
+	Misses  uint64 // a region was (re)mapped
+	Decodes uint64 // misses whose body was not in the body table
 }
 
 // Add accumulates o into t.
@@ -166,21 +143,12 @@ func (t *TierStats) Add(o TierStats) {
 	t.Hits += o.Hits
 	t.Misses += o.Misses
 	t.Decodes += o.Decodes
-	t.Promotions += o.Promotions
-	t.InterpCalls += o.InterpCalls
-	t.CompiledCalls += o.CompiledCalls
 }
 
-const (
-	// jamHotHits is the number of same-bytes hits at one slot VA after
-	// which that slot's region is compiled; until then its calls run
-	// through the interpreter.
-	jamHotHits = 4
-	// jamBodyCap bounds the body table. A node sees one body per element
-	// it is sent, so real traffic stays far below it; the bound is for
-	// hostile or generated streams of distinct bodies.
-	jamBodyCap = 64
-)
+// jamBodyCap bounds the body table. A node sees one body per element it is
+// sent, so real traffic stays far below it; the bound is for hostile or
+// generated streams of distinct bodies.
+const jamBodyCap = 64
 
 // ErrBadCode is wrapped by every AddRegion/EnsureJam rejection of the
 // code bytes or their VA range.
@@ -199,12 +167,11 @@ type jamBody struct {
 	instrs []isa.Instr
 }
 
-// jamSlot is one mapped injected-code region: the body it was made from
-// and how often the same bytes have been delivered to it since.
+// jamSlot is one mapped injected-code region and the body it was made
+// from.
 type jamSlot struct {
 	region Region
 	body   *jamBody
-	hits   int
 }
 
 // New creates a VM bound to an address space. hier may be nil to disable
@@ -261,12 +228,8 @@ func decodeText(start uint64, code []byte) ([]isa.Instr, error) {
 }
 
 // AddRegion maps library text at [start, start+len(code)) for execution.
-// gotVA is the module GOT. The code is validated, pre-decoded and — this
-// being install-time work, once per node — compiled eagerly, so calls into
-// a library never wait for a translation. With UseInterpreter set nothing
-// would run the translation, so none is built; the dispatcher compiles on
-// demand should the flag be cleared later. Injected code arrives through
-// EnsureJam instead.
+// gotVA is the module GOT. The code is validated and decoded here, once.
+// Injected code arrives through EnsureJam instead.
 func (vm *VM) AddRegion(start uint64, code []byte, gotVA uint64) (*Region, error) {
 	instrs, err := decodeText(start, code)
 	if err != nil {
@@ -279,28 +242,23 @@ func (vm *VM) AddRegion(start uint64, code []byte, gotVA uint64) (*Region, error
 		GpSlotVA: start - 8,
 		instrs:   instrs,
 	}
-	if !vm.UseInterpreter {
-		r.prog = vm.compileRegion(r)
-	}
 	vm.regions = append(vm.regions, r)
 	return r, nil
 }
 
 // EnsureJam returns the mapped region for injected code at
-// [start, start+len(code)). It never compiles.
+// [start, start+len(code)).
 //
 // Hit: the bytes are unchanged since the last delivery into this VA — the
 // steady state of a mailbox slot receiving the same element — and the
-// cached region is returned. Its calls run through the interpreter
-// (tier 0) until the jamHotHits-th hit, which compiles the region; a slot
-// that keeps changing hands never pays for a translation.
+// cached region is returned.
 //
 // Miss: the slot's content changed (different element, RIED hot-swap
 // rebinding, truncation). Every cached region overlapping the new range
-// is unmapped, stale translations with it, and a fresh tier-0 region is
-// mapped over the body's decode, taken from the content-keyed body table
-// when this VM has seen the same text before, at any VA, and validated
-// and decoded otherwise. The byte compare, not the hash, decides both.
+// is unmapped and a fresh region is mapped over the body's decode, taken
+// from the content-keyed body table when this VM has seen the same text
+// before, at any VA, and validated and decoded otherwise. The byte
+// compare, not the hash, decides both.
 //
 // Mappings are replaced, never leaked: jams are keyed by VA, disjoint,
 // and a mailbox region has finitely many slots; the body table is bounded
@@ -311,13 +269,6 @@ func (vm *VM) EnsureJam(start uint64, code []byte) (*Region, error) {
 		s := vm.jams[i-1]
 		if s.region.Start == start && bytes.Equal(s.body.code, code) {
 			vm.Tier.Hits++
-			if s.region.prog == nil && !vm.UseInterpreter {
-				s.hits++
-				if s.hits == jamHotHits {
-					s.region.prog = vm.compileRegion(&s.region)
-					vm.Tier.Promotions++
-				}
-			}
 			return &s.region, nil
 		}
 	}
@@ -436,41 +387,18 @@ func (f *Fault) Error() string {
 func (f *Fault) Unwrap() error { return f.Err }
 
 // Call executes the function at entry with up to six arguments, returning
-// r0 and the simulated cost of the invocation. It dispatches the compiled
-// fast path unless UseInterpreter pins the reference interpreter.
+// r0 and the simulated cost of the invocation.
 func (vm *VM) Call(entry uint64, args ...uint64) (uint64, sim.Duration, error) {
-	return vm.call(nil, entry, vm.UseInterpreter, args)
+	return vm.CallRegion(nil, entry, args...)
 }
 
 // CallRegion is Call for an entry point inside r, the region EnsureJam
-// just returned: the dispatcher starts in r without looking the entry up,
-// and r's tier picks the engine — the interpreter while r has no
-// translation.
+// just returned: execution starts in r without looking the entry up.
 func (vm *VM) CallRegion(r *Region, entry uint64, args ...uint64) (uint64, sim.Duration, error) {
-	interp := vm.UseInterpreter || r.prog == nil
-	if interp {
-		vm.Tier.InterpCalls++
-	} else {
-		vm.Tier.CompiledCalls++
-	}
-	return vm.call(r, entry, interp, args)
-}
-
-// CallInterp executes through the reference interpreter regardless of
-// the VM's dispatch setting — the oracle side of equivalence tests.
-func (vm *VM) CallInterp(entry uint64, args ...uint64) (uint64, sim.Duration, error) {
-	return vm.call(nil, entry, true, args)
-}
-
-func (vm *VM) call(r *Region, entry uint64, interp bool, args []uint64) (uint64, sim.Duration, error) {
 	if err := vm.setupCall(args); err != nil {
 		return 0, 0, err
 	}
-	if interp {
-		st := intState{pc: entry, region: r, lastFetchLine: 1}
-		return vm.interpret(&st)
-	}
-	return vm.callCompiled(r, entry)
+	return vm.interpret(r, entry)
 }
 
 // setupCall resets the register file for a fresh invocation.
@@ -487,37 +415,23 @@ func (vm *VM) setupCall(args []uint64) error {
 	return nil
 }
 
-// intState is the interpreter's resumable machine state. A fresh Call
-// starts from {pc: entry, lastFetchLine: 1}; the compiled path hands over
-// a mid-call snapshot when it deopts.
-type intState struct {
-	pc            uint64
-	cost          sim.Duration
-	instrs        uint64
-	region        *Region
-	lastFetchLine uint64
-	hotLines      [8]uint64
-	hotIdx        int
-}
-
-// interpret runs the reference interpret loop from st until return or
-// fault. Registers live in vm.regs (already set up or mid-call).
-func (vm *VM) interpret(st *intState) (uint64, sim.Duration, error) {
-	cost := st.cost
-	instrs := st.instrs
+// interpret runs the interpret loop from pc until return or fault. region
+// is the region pc lies in when the caller knows it, nil otherwise.
+// Registers live in vm.regs, already set up.
+func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error) {
+	var cost sim.Duration
+	var instrs uint64
 	// The per-VM Env escapes into natives; cost stays in a register-friendly
 	// local and syncs with the Env's cost slot around each native call.
 	env := &vm.env
 	env.Stdout = vm.Stdout
 
-	pc := st.pc
-	region := st.region
-	lastFetchLine := st.lastFetchLine // 1 is an impossible line value forcing first fetch
+	lastFetchLine := uint64(1) // an impossible line value forcing first fetch
 	// hotLines is a tiny L1I/loop-buffer model: lines fetched recently are
 	// re-entered for free, so a loop body straddling a line boundary does
 	// not pay the cache load-to-use latency on every iteration.
-	hotLines := st.hotLines
-	hotIdx := st.hotIdx
+	var hotLines [8]uint64
+	hotIdx := 0
 
 	fail := func(err error) (uint64, sim.Duration, error) {
 		instrCost := model.Cycles(float64(instrs) * model.VMCyclesPerInstr)

@@ -611,8 +611,9 @@ func TestLittleEndianAgreement(t *testing.T) {
 // and two that return, everything a call reports: result, the Fault's
 // whole text (PC, instruction, cause), simulated cost and instruction
 // count, with the cost model on and off and CheckExec on throughout. The
-// rows were captured from the reference interpreter while a second engine
-// still existed to agree with it; they are the interpreter's contract now.
+// rows were captured at commit 9dbd9d9 from the interpret loop while a
+// compiled engine still ran beside it and agreed on every one; they are
+// the loop's contract now.
 func TestFaultAndBudgetPins(t *testing.T) {
 	lib := func(name, src string, args ...uint64) func(*testing.T, *harness) (uint64, []uint64) {
 		return func(t *testing.T, h *harness) (uint64, []uint64) {
@@ -714,7 +715,6 @@ td:
 				want, leg = c.timed, "timed"
 			}
 			h := newHarness(t, timed)
-			h.vm.UseInterpreter = true
 			h.vm.CheckExec = true
 			if c.budget != 0 {
 				h.vm.InstrBudget = c.budget

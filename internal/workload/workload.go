@@ -212,11 +212,9 @@ type Scenario struct {
 	// Timing enables the cache/CPU cost model (required for meaningful
 	// rates; functional tests turn it off for speed).
 	Timing bool
-	// Interpreter forces every node's VM through the reference interpret
-	// loop instead of the compiled jam translations, with or without
-	// Tenants. Results and digests must be bit-identical either way — the
-	// JIT equivalence sweep runs each scenario under both settings and
-	// compares.
+	// Interpreter is never read: the interpret loop is the only engine.
+	//
+	// Deprecated: inert since PR 21. Kept until benchmark/ stops naming it.
 	Interpreter bool
 	// HotSkew is the probability a hotspot burst targets the hot node
 	// (0 = default 0.8). Ignored by other patterns.
@@ -841,9 +839,6 @@ func (sc *Scenario) systemOpts(frame int) []tc.SystemOpt {
 	}
 	if sc.Shards > 0 {
 		opts = append(opts, tc.WithShards(sc.Shards))
-	}
-	if sc.Interpreter {
-		opts = append(opts, tc.WithInterpreter())
 	}
 	if sc.Chaos != nil {
 		opts = append(opts, tc.WithChaos(fabric.ChaosConfig{
