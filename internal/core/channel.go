@@ -63,31 +63,12 @@ type preparedJam struct {
 	elemID  uint8
 }
 
-// Connect opens a channel from src to dst over dst's primary mailbox. dst
-// must have its mailbox enabled. The connection performs the namespace
-// exchange and wires the credit return path when credits are on.
-func Connect(src, dst *Node, opts ChannelOptions) (*Channel, error) {
-	if dst.Receiver == nil {
-		return nil, fmt.Errorf("core: connect %s->%s: destination has no mailbox", src.Name, dst.Name)
-	}
-	return ConnectTo(src, dst, dst.Receiver, opts)
-}
-
-// ConnectTo opens a channel from src into a specific mailbox region on
-// dst. A region admits one remote writer, so mesh deployments arm one
-// region per inbound channel (Node.AddMailbox) and connect each sender to
-// its own.
-func ConnectTo(src, dst *Node, recv *mailbox.Receiver, opts ChannelOptions) (*Channel, error) {
-	return connectTo(src, dst, recv, opts, nil, 0)
-}
-
-// connectTo is ConnectTo with an optional pre-computed namespace exchange
-// (names, fp): callers wiring many channels into one receiver node (the
-// mesh) snapshot and fingerprint once and share it read-only.
+// connectTo opens a channel from src into one mailbox region on dst. A
+// region admits one remote writer, so every channel gets its own
+// (Node.AddMailbox). The namespace exchange (names, fp) is computed by the
+// caller, once per receiver namespace, and shared read-only; the
+// connection wires the credit return path when credits are on.
 func connectTo(src, dst *Node, recv *mailbox.Receiver, opts ChannelOptions, names map[string]uint64, fp uint64) (*Channel, error) {
-	if recv == nil {
-		return nil, fmt.Errorf("core: connect %s->%s: nil mailbox receiver", src.Name, dst.Name)
-	}
 	if opts.Sender.Geometry.FrameSize == 0 {
 		opts.Sender.Geometry = recv.Cfg.Geometry
 	}
@@ -102,32 +83,19 @@ func connectTo(src, dst *Node, recv *mailbox.Receiver, opts ChannelOptions, name
 	if err != nil {
 		return nil, err
 	}
-	ch := &Channel{
-		Src:    src,
-		Dst:    dst,
-		Recv:   recv,
-		Sender: snd,
-		Opts:   opts,
-		bounds: map[[2]string]*Bound{},
-	}
 	if opts.Sender.Credits {
 		recv.SetCreditReturn(dst.Worker.Connect(src.Worker), snd.CreditVA, snd.CreditMem.Key)
 	}
-	if names != nil {
-		ch.remoteNames, ch.remoteFP = names, fp
-	} else {
-		ch.RefreshNames()
-	}
-	return ch, nil
-}
-
-// RefreshNames re-runs the namespace exchange, picking up symbols from
-// rieds loaded on the receiver since the last exchange. Prepared images
-// bound against the old namespace stay in the sender's cache but are no
-// longer referenced: the new fingerprint keys fresh bindings.
-func (ch *Channel) RefreshNames() {
-	ch.remoteNames = ch.Dst.NS.Snapshot()
-	ch.remoteFP = nsFingerprint(ch.remoteNames)
+	return &Channel{
+		Src:         src,
+		Dst:         dst,
+		Recv:        recv,
+		Sender:      snd,
+		Opts:        opts,
+		remoteNames: names,
+		remoteFP:    fp,
+		bounds:      map[[2]string]*Bound{},
+	}, nil
 }
 
 // prepareJam returns the element's image bound against the remote

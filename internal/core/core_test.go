@@ -8,13 +8,31 @@ import (
 	"twochains/internal/sim"
 )
 
-// bench is a two-node cluster with the tcbench package installed on both
-// sides and a channel from A to B.
+// newPair builds a single-shard mesh of nodes on the production channel
+// path: every channel gets its own mailbox region of geometry g on the
+// destination. Install packages before the first Channel call, which runs
+// the namespace exchange.
+func newPair(t *testing.T, nodes int, g mailbox.Geometry, credits bool, nodeCfg NodeConfig, chOpts ChannelOptions) *Mesh {
+	t.Helper()
+	cfg := DefaultMeshConfig(nodes)
+	cfg.Shards = 1
+	cfg.Node = nodeCfg
+	cfg.Geometry = g
+	cfg.Credits = credits
+	cfg.Channel = chOpts
+	m, err := NewMesh(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// bench is a two-node mesh with the tcbench package installed on both
+// sides and a channel from node 0 to node 1 (b).
 type bench struct {
-	c    *Cluster
-	a, b *Node
-	ab   *Channel
-	pkg  *Package
+	m  *Mesh
+	b  *Node
+	ab *Channel
 }
 
 func newBench(t *testing.T, frameSize int, nodeCfg NodeConfig, chOpts ChannelOptions) *bench {
@@ -23,31 +41,15 @@ func newBench(t *testing.T, frameSize int, nodeCfg NodeConfig, chOpts ChannelOpt
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCluster(DefaultClusterConfig())
-	a, err := c.AddNode("A", nodeCfg)
+	m := newPair(t, 2, mailbox.Geometry{Banks: 2, Slots: 4, FrameSize: frameSize}, true, nodeCfg, chOpts)
+	if err := m.InstallPackage(pkg); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := m.Channel(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.AddNode("B", nodeCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []*Node{a, b} {
-		if _, err := n.InstallPackage(pkg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := mailbox.Geometry{Banks: 2, Slots: 4, FrameSize: frameSize}
-	rcfg := mailbox.DefaultReceiverConfig(g)
-	rcfg.Credits = true
-	if err := b.EnableMailbox(rcfg); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := Connect(a, b, chOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &bench{c: c, a: a, b: b, ab: ch, pkg: pkg}
+	return &bench{m: m, b: m.Node(1), ab: ch}
 }
 
 func quickCfg() NodeConfig {
@@ -140,7 +142,7 @@ func TestInjectedSSSum(t *testing.T) {
 	if err := bn.ab.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil); err != nil {
 		t.Fatal(err)
 	}
-	bn.c.Run()
+	bn.m.Run()
 	want := expectedSum(payload)
 	if ret != want {
 		t.Fatalf("sum = %d, want %d", ret, want)
@@ -184,7 +186,7 @@ func TestLocalMatchesInjected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bn.c.Run()
+			bn.m.Run()
 			return ret
 		}
 		li, inj := run(true), run(false)
@@ -210,7 +212,7 @@ func TestIndirectPut(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bn.c.Run()
+	bn.m.Run()
 	if len(offsets) != 3 {
 		t.Fatalf("executed %d times", len(offsets))
 	}
@@ -242,7 +244,7 @@ func TestJamHelloPrintfWithTravellingRodata(t *testing.T) {
 	if err := bn.ab.Handle("tcbench", "jam_hello").Inject([2]uint64{7, 0}, []byte("xyz"), nil); err != nil {
 		t.Fatal(err)
 	}
-	bn.c.Run()
+	bn.m.Run()
 	out := bn.b.Stdout.String()
 	if !strings.Contains(out, "hello from node 7 (payload 3 bytes)") {
 		t.Fatalf("stdout = %q", out)
@@ -255,18 +257,12 @@ func TestInjectMissingSymbolFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCluster(DefaultClusterConfig())
-	a, _ := c.AddNode("A", quickCfg())
-	b, _ := c.AddNode("B", quickCfg())
-	if _, err := a.InstallPackage(pkg); err != nil {
+	m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 2048}, false, quickCfg(), ChannelOptions{})
+	if _, err := m.Node(0).InstallPackage(pkg); err != nil {
 		t.Fatal(err)
 	}
-	// B gets no package at all.
-	g := mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 2048}
-	if err := b.EnableMailbox(mailbox.DefaultReceiverConfig(g)); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := Connect(a, b, ChannelOptions{})
+	// Node 1 gets no package at all.
+	ch, err := m.Channel(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +282,7 @@ func TestAutoSwitchToLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bn.c.Run()
+	bn.m.Run()
 	if len(kinds) != 5 {
 		t.Fatalf("delivered %d", len(kinds))
 	}
@@ -296,7 +292,7 @@ func TestAutoSwitchToLocal(t *testing.T) {
 			t.Fatalf("auto-switch pattern %v, want %v", kinds, want)
 		}
 	}
-	if bn.b.Receiver.Stats().Processed != 5 {
+	if bn.ab.Recv.Stats().Processed != 5 {
 		t.Fatal("not all processed")
 	}
 }
@@ -316,7 +312,7 @@ func TestSecureExecMode(t *testing.T) {
 	if err := bn.ab.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil); err != nil {
 		t.Fatal(err)
 	}
-	bn.c.Run()
+	bn.m.Run()
 	if execErr != nil {
 		t.Fatal(execErr)
 	}
@@ -365,31 +361,18 @@ jam_scaled:
 		t.Fatal(err)
 	}
 
-	c := NewCluster(DefaultClusterConfig())
-	a, _ := c.AddNode("A", quickCfg())
-	b, _ := c.AddNode("B", quickCfg())
-	d, _ := c.AddNode("C", quickCfg())
-	if _, err := a.InstallPackage(pkgA); err != nil {
-		t.Fatal(err)
+	m := newPair(t, 3, mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 512}, false, quickCfg(), ChannelOptions{})
+	b, d := m.Node(1), m.Node(2)
+	for i, pkg := range []*Package{pkgA, pkgB, pkgC} {
+		if _, err := m.Node(i).InstallPackage(pkg); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := b.InstallPackage(pkgB); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.InstallPackage(pkgC); err != nil {
-		t.Fatal(err)
-	}
-	g := mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 512}
-	if err := b.EnableMailbox(mailbox.DefaultReceiverConfig(g)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.EnableMailbox(mailbox.DefaultReceiverConfig(g)); err != nil {
-		t.Fatal(err)
-	}
-	chB, err := Connect(a, b, ChannelOptions{})
+	chB, err := m.Channel(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chC, err := Connect(a, d, ChannelOptions{})
+	chC, err := m.Channel(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +397,7 @@ jam_scaled:
 	if err := chC.Handle("scaled", "jam_scaled").Inject([2]uint64{5, 0}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	c.Run()
+	m.Run()
 	if retB != 50 || retC != 500 {
 		t.Fatalf("overloading: B=%d (want 50) C=%d (want 500)", retB, retC)
 	}
@@ -453,23 +436,15 @@ tc_op:
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCluster(DefaultClusterConfig())
-	a, _ := c.AddNode("A", quickCfg())
-	b, _ := c.AddNode("B", quickCfg())
-	if _, err := a.InstallPackage(pkg); err != nil {
+	m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 512}, false, quickCfg(), ChannelOptions{})
+	if err := m.InstallPackage(pkg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.InstallPackage(pkg); err != nil {
-		t.Fatal(err)
-	}
-	g := mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 512}
-	if err := b.EnableMailbox(mailbox.DefaultReceiverConfig(g)); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := Connect(a, b, ChannelOptions{})
+	ch, err := m.Channel(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := m.Node(1)
 	var results []uint64
 	b.OnExecuted = func(r uint64, _ sim.Duration, err error) {
 		if err != nil {
@@ -480,7 +455,7 @@ tc_op:
 	if err := ch.Handle("ops", "jam_op").Inject([2]uint64{10, 0}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	c.Run()
+	m.Run()
 
 	// Hot-swap: build and install v2 of the ried, replacing the binding.
 	pkg2, err := BuildPackage("ops2", map[string]string{"ried_op.rds": v2})
@@ -491,12 +466,12 @@ tc_op:
 	if _, err := b.InstallRied(riedV2.Ried, true); err != nil {
 		t.Fatal(err)
 	}
-	ch.RefreshNames()
+	m.RefreshNames(1)
 
 	if err := ch.Handle("ops", "jam_op").Inject([2]uint64{10, 0}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	c.Run()
+	m.Run()
 	if len(results) != 2 || results[0] != 11 || results[1] != 20 {
 		t.Fatalf("hot swap results %v, want [11 20]", results)
 	}
@@ -516,7 +491,7 @@ func TestTimingPathProducesCosts(t *testing.T) {
 	if err := bn.ab.Handle("tcbench", "jam_iput").Inject([2]uint64{7, 0}, make([]byte, 256), nil); err != nil {
 		t.Fatal(err)
 	}
-	bn.c.Run()
+	bn.m.Run()
 	if cost <= 0 {
 		t.Fatal("no execution cost recorded")
 	}

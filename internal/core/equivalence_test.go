@@ -52,24 +52,15 @@ func TestCJamMatchesAsmSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCluster(DefaultClusterConfig())
-	a, _ := c.AddNode("A", quickCfg())
-	b, _ := c.AddNode("B", quickCfg())
-	for _, n := range []*Node{a, b} {
-		if _, err := n.InstallPackage(pkg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := mailbox.Geometry{Banks: 2, Slots: 4, FrameSize: 2048}
-	rcfg := mailbox.DefaultReceiverConfig(g)
-	rcfg.Credits = true
-	if err := b.EnableMailbox(rcfg); err != nil {
+	m := newPair(t, 2, mailbox.Geometry{Banks: 2, Slots: 4, FrameSize: 2048}, true, quickCfg(), ChannelOptions{})
+	if err := m.InstallPackage(pkg); err != nil {
 		t.Fatal(err)
 	}
-	ch, err := Connect(a, b, ChannelOptions{})
+	ch, err := m.Channel(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := m.Node(1)
 
 	var offsets []uint64
 	b.OnExecuted = func(r uint64, _ sim.Duration, err error) {
@@ -84,7 +75,7 @@ func TestCJamMatchesAsmSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Run()
+	m.Run()
 	if len(offsets) != 4 {
 		t.Fatalf("executed %d times", len(offsets))
 	}
@@ -121,25 +112,17 @@ func TestLocalInjectedEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(payload []byte, local bool) (uint64, bool) {
-		c := NewCluster(DefaultClusterConfig())
-		a, _ := c.AddNode("A", quickCfg())
-		b, _ := c.AddNode("B", quickCfg())
-		for _, n := range []*Node{a, b} {
-			if _, err := n.InstallPackage(pkg); err != nil {
-				return 0, false
-			}
-		}
-		g := mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 2048}
-		if err := b.EnableMailbox(mailbox.DefaultReceiverConfig(g)); err != nil {
+		m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 2048}, false, quickCfg(), ChannelOptions{})
+		if err := m.InstallPackage(pkg); err != nil {
 			return 0, false
 		}
-		ch, err := Connect(a, b, ChannelOptions{})
+		ch, err := m.Channel(0, 1)
 		if err != nil {
 			return 0, false
 		}
 		var ret uint64
 		ok := true
-		b.OnExecuted = func(r uint64, _ sim.Duration, err error) {
+		m.Node(1).OnExecuted = func(r uint64, _ sim.Duration, err error) {
 			if err != nil {
 				ok = false
 			}
@@ -153,7 +136,7 @@ func TestLocalInjectedEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return 0, false
 		}
-		c.Run()
+		m.Run()
 		return ret, ok
 	}
 	f := func(raw []byte) bool {
@@ -191,26 +174,17 @@ jam_fine:
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCluster(DefaultClusterConfig())
-	a, _ := c.AddNode("A", quickCfg())
-	b, _ := c.AddNode("B", quickCfg())
-	if _, err := a.InstallPackage(pkg); err != nil {
+	m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 256}, false, quickCfg(), ChannelOptions{})
+	if err := m.InstallPackage(pkg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.InstallPackage(pkg); err != nil {
-		t.Fatal(err)
-	}
-	g := mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 256}
-	if err := b.EnableMailbox(mailbox.DefaultReceiverConfig(g)); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := Connect(a, b, ChannelOptions{})
+	ch, err := m.Channel(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rets []uint64
 	var errs int
-	b.OnExecuted = func(r uint64, _ sim.Duration, err error) {
+	m.Node(1).OnExecuted = func(r uint64, _ sim.Duration, err error) {
 		if err != nil {
 			errs++
 			return
@@ -223,18 +197,18 @@ jam_fine:
 	if err := ch.Handle("crashy", "jam_fine").Inject([2]uint64{}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	c.Run()
+	m.Run()
 	if errs != 1 {
 		t.Fatalf("fault count %d", errs)
 	}
 	if len(rets) != 1 || rets[0] != 77 {
 		t.Fatalf("survivor results %v", rets)
 	}
-	if b.Receiver.Stats().Processed != 2 {
-		t.Fatalf("processed %d", b.Receiver.Stats().Processed)
+	if ch.Recv.Stats().Processed != 2 {
+		t.Fatalf("processed %d", ch.Recv.Stats().Processed)
 	}
-	if b.Receiver.Stats().Errors != 1 {
-		t.Fatalf("receiver errors %d", b.Receiver.Stats().Errors)
+	if ch.Recv.Stats().Errors != 1 {
+		t.Fatalf("receiver errors %d", ch.Recv.Stats().Errors)
 	}
 }
 
@@ -247,21 +221,13 @@ func TestRunawayJamIsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCluster(DefaultClusterConfig())
-	a, _ := c.AddNode("A", quickCfg())
-	b, _ := c.AddNode("B", quickCfg())
-	if _, err := a.InstallPackage(pkg); err != nil {
+	m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 256}, false, quickCfg(), ChannelOptions{})
+	if err := m.InstallPackage(pkg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.InstallPackage(pkg); err != nil {
-		t.Fatal(err)
-	}
+	b := m.Node(1)
 	b.VM.InstrBudget = 100000
-	g := mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 256}
-	if err := b.EnableMailbox(mailbox.DefaultReceiverConfig(g)); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := Connect(a, b, ChannelOptions{})
+	ch, err := m.Channel(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +236,7 @@ func TestRunawayJamIsBounded(t *testing.T) {
 	if err := ch.Handle("spin", "jam_spin").Inject([2]uint64{}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	c.Run()
+	m.Run()
 	if execErr == nil {
 		t.Fatal("runaway jam completed without tripping the budget")
 	}
@@ -492,22 +458,12 @@ func TestDeterministicRuns(t *testing.T) {
 		}
 		cfg := DefaultNodeConfig()
 		cfg.MemBytes = 32 << 20
-		c := NewCluster(DefaultClusterConfig())
-		a, _ := c.AddNode("A", cfg)
-		b, _ := c.AddNode("B", cfg)
-		for _, n := range []*Node{a, b} {
-			if _, err := n.InstallPackage(pkg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		b.SetStress(true)
-		g := mailbox.Geometry{Banks: 2, Slots: 2, FrameSize: 2048}
-		rcfg := mailbox.DefaultReceiverConfig(g)
-		rcfg.Credits = true
-		if err := b.EnableMailbox(rcfg); err != nil {
+		m := newPair(t, 2, mailbox.Geometry{Banks: 2, Slots: 2, FrameSize: 2048}, true, cfg, ChannelOptions{})
+		if err := m.InstallPackage(pkg); err != nil {
 			t.Fatal(err)
 		}
-		ch, err := Connect(a, b, ChannelOptions{})
+		m.Node(1).SetStress(true)
+		ch, err := m.Channel(0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,8 +472,8 @@ func TestDeterministicRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		c.Run()
-		return sim.Duration(c.Eng.Now())
+		m.Run()
+		return sim.Duration(m.Now())
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same-seed runs diverged: %v vs %v", a, b)

@@ -11,6 +11,8 @@ import (
 // strings. It is returned by handle sends to a torn-down or severed
 // channel, by Mesh.ChannelView when an endpoint is down, and delivered
 // through SendInfo/Result callbacks when FailNode fails queued sends.
+// FailNode on a node that is already down returns one with Src, Dst and
+// Node all naming that node.
 type NodeDownError struct {
 	// Src and Dst name the channel endpoints of the refused operation.
 	Src, Dst string
@@ -19,6 +21,9 @@ type NodeDownError struct {
 }
 
 func (e *NodeDownError) Error() string {
+	if e.Src == e.Dst {
+		return fmt.Sprintf("core: node %s is already down", e.Node)
+	}
 	side := "destination"
 	if e.Node == e.Src {
 		side = "source"
@@ -48,16 +53,18 @@ func (e *NodeDownError) Error() string {
 // function of the scenario.
 //
 // It returns the number of queued outbound messages (src == i) that
-// were failed: those were issued by the node but will never arrive
+// were failed, per namespace view ("" = base; a view with none is
+// absent): those were issued by the node but will never arrive
 // anywhere, which loss accounting needs separately from the inbound
-// backlog it can compute as issued-minus-serviced.
-func (m *Mesh) FailNode(i int) (int, error) {
+// backlog it can compute as issued-minus-serviced. Failing a node that
+// is already down is a *NodeDownError naming it on both sides.
+func (m *Mesh) FailNode(i int) (map[string]int, error) {
 	if i < 0 || i >= len(m.nodes) {
-		return 0, fmt.Errorf("core: mesh node %d out of range (%d nodes)", i, len(m.nodes))
+		return nil, fmt.Errorf("core: mesh node %d out of range (%d nodes)", i, len(m.nodes))
 	}
 	n := m.nodes[i]
 	if n.down {
-		return 0, fmt.Errorf("core: mesh: node %s is already down", n.Name)
+		return nil, &NodeDownError{Src: n.Name, Dst: n.Name, Node: n.Name}
 	}
 	n.Teardown()
 
@@ -89,17 +96,16 @@ func (m *Mesh) FailNode(i int) (int, error) {
 		}
 	}
 
-	outboundFailed := 0
-	for _, ch := range severed {
+	outboundFailed := map[string]int{}
+	for j, ch := range severed {
 		if ch.Dst == n {
 			// Peer's cache may hold images bound against the failed node's
 			// namespace; identical twins on other nodes simply re-bind.
 			ch.Src.jams.invalidate(ch.remoteFP)
 		}
 		err := &NodeDownError{Src: ch.Src.Name, Dst: ch.Dst.Name, Node: n.Name}
-		failed := ch.Sender.FailPending(err)
-		if ch.Src == n {
-			outboundFailed += failed
+		if failed := ch.Sender.FailPending(err); failed > 0 && ch.Src == n {
+			outboundFailed[keys[j].view] += failed
 		}
 	}
 	return outboundFailed, nil

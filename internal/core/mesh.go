@@ -8,7 +8,12 @@ import (
 	"twochains/internal/linker"
 	"twochains/internal/mailbox"
 	"twochains/internal/sim"
+	"twochains/internal/ucx"
 	"twochains/internal/vm"
+
+	// Register the default "simnet" fabric backend; core itself speaks
+	// only to the fabric.Transport interface.
+	_ "twochains/internal/simnet"
 )
 
 // MeshConfig sizes a many-node injection fabric.
@@ -20,8 +25,17 @@ type MeshConfig struct {
 	// cross-shard traffic serializes through the shared spine uplinks.
 	Shards int
 
-	Cluster ClusterConfig
-	Node    NodeConfig
+	// Ordered is the fabric write-order guarantee (paper testbed: true).
+	Ordered bool
+	Seed    uint64
+	// Backend names the fabric transport ("" selects the default,
+	// "simnet"); see fabric.Backends for the registered set.
+	Backend string
+	// Chaos configures the "chaos" failure-injection backend (and is
+	// ignored by every other backend); see fabric.ChaosConfig.
+	Chaos *fabric.ChaosConfig
+
+	Node NodeConfig
 	// PerNode, when set, derives node i's configuration from the Node
 	// template — heterogeneous deployments (per-node seeds, asymmetric
 	// feature ablations) without giving up the single-template default.
@@ -59,7 +73,8 @@ func DefaultMeshConfig(n int) MeshConfig {
 	return MeshConfig{
 		Nodes:    n,
 		Shards:   shards,
-		Cluster:  DefaultClusterConfig(),
+		Ordered:  true,
+		Seed:     0x7c2c2021,
 		Node:     DefaultNodeConfig(),
 		Geometry: defaultGeometry(),
 		Credits:  true,
@@ -67,19 +82,21 @@ func DefaultMeshConfig(n int) MeshConfig {
 }
 
 // Mesh is a sharded many-node injection fabric: N nodes on one simulated
-// RDMA network, partitioned across fabric shards, with channels created on
-// demand so full and partial meshes emerge from the traffic pattern.
+// RDMA network and one discrete-event clock, partitioned across fabric
+// shards, with channels created on demand so full and partial meshes
+// emerge from the traffic pattern.
 // Every channel gets its own mailbox region on the destination (a region
 // admits one remote writer), and all channels of one sender share the
 // node's prepared-jam cache — an element is bound once per receiver
 // namespace, not once per channel.
 type Mesh struct {
-	Cfg     MeshConfig
-	Cluster *Cluster
+	Cfg    MeshConfig
+	Eng    *sim.Engine
+	Fabric fabric.Transport
+	Ctx    *ucx.Context
 
-	nodes   []*Node
-	shardOf []int
-	chans   map[chanKey]*Channel
+	nodes []*Node
+	chans map[chanKey]*Channel
 	// nsMemo caches each (node, view) namespace snapshot + fingerprint so
 	// N inbound channels share one exchange instead of re-computing it.
 	nsMemo map[nsKey]nsSnap
@@ -113,15 +130,16 @@ type nsSnap struct {
 	fp    uint64
 }
 
-// NewMesh builds the cluster and its nodes and assigns fabric shards.
+// NewMesh builds the fabric and the nodes and assigns fabric shards.
 // Mailboxes and channels are created lazily by Channel.
 func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("core: mesh needs >= 2 nodes, got %d", cfg.Nodes)
 	}
-	if !fabric.Lookup(cfg.Cluster.Backend) {
-		return nil, fmt.Errorf("core: unknown fabric backend %q (registered: %v)",
-			cfg.Cluster.Backend, fabric.Backends())
+	if cfg.Chaos != nil && !fabric.Lookup(cfg.Chaos.Inner) {
+		// The chaos wrapper builds its inner backend itself, where an
+		// unknown name can only panic; refuse it here instead.
+		return nil, fmt.Errorf("core: unknown fabric backend %q (registered: %v)", cfg.Chaos.Inner, fabric.Backends())
 	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
@@ -141,26 +159,28 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	if cfg.Geometry.FrameSize == 0 {
 		cfg.Geometry.FrameSize = def.FrameSize
 	}
-	cl := NewCluster(cfg.Cluster)
+	eng := sim.NewEngine()
+	fab, err := fabric.New(cfg.Backend, eng, fabric.Config{Ordered: cfg.Ordered, Seed: cfg.Seed, Chaos: cfg.Chaos})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	m := &Mesh{
-		Cfg:     cfg,
-		Cluster: cl,
-		chans:   map[chanKey]*Channel{},
-		nsMemo:  map[nsKey]nsSnap{},
-		rng:     sim.NewRNG(cfg.Cluster.Seed ^ 0x6d657368), // "mesh"
+		Cfg:    cfg,
+		Eng:    eng,
+		Fabric: fab,
+		Ctx:    ucx.NewContext(fab),
+		chans:  map[chanKey]*Channel{},
+		nsMemo: map[nsKey]nsSnap{},
+		rng:    sim.NewRNG(cfg.Seed ^ 0x6d657368), // "mesh"
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		ncfg := cfg.Node
 		if cfg.PerNode != nil {
 			ncfg = cfg.PerNode(i, ncfg)
 		}
-		shard := i * cfg.Shards / cfg.Nodes
-		n, err := cl.AddNodeShard(fmt.Sprintf("n%02d", i), ncfg, shard)
-		if err != nil {
+		if err := m.addNode(ncfg, i*cfg.Shards/cfg.Nodes); err != nil {
 			return nil, err
 		}
-		m.nodes = append(m.nodes, n)
-		m.shardOf = append(m.shardOf, shard)
 	}
 	return m, nil
 }
@@ -172,9 +192,9 @@ func (m *Mesh) Nodes() int { return len(m.nodes) }
 func (m *Mesh) Node(i int) *Node { return m.nodes[i] }
 
 // ShardOf reports the fabric shard node i lives in.
-func (m *Mesh) ShardOf(i int) int { return m.shardOf[i] }
+func (m *Mesh) ShardOf(i int) int { return m.nodes[i].Shard }
 
-// RNG is the mesh's deterministic random stream, derived from the cluster
+// RNG is the mesh's deterministic random stream, derived from the mesh
 // seed. All workload randomness must come from here (or a Split of it) so
 // identical seeds replay identical runs.
 func (m *Mesh) RNG() *sim.RNG { return m.rng }
@@ -182,7 +202,7 @@ func (m *Mesh) RNG() *sim.RNG { return m.rng }
 // InstallPackage installs pkg on every node and invalidates the memoized
 // namespace exchanges (the install defines new symbols everywhere).
 // Channels connected before the install keep their old snapshot until
-// RefreshNames, matching ConnectTo semantics.
+// RefreshNames.
 func (m *Mesh) InstallPackage(pkg *Package) error {
 	for _, n := range m.nodes {
 		if _, err := n.InstallPackage(pkg); err != nil {
@@ -393,10 +413,27 @@ func (m *Mesh) InstallRied(i int, img *linker.Image, replace bool) (*linker.Load
 }
 
 // Run processes events until the mesh is quiescent.
-func (m *Mesh) Run() { m.Cluster.Run() }
+func (m *Mesh) Run() { m.Eng.Run() }
 
-// Close releases the mesh's address spaces; see Cluster.Close.
-func (m *Mesh) Close() { m.Cluster.Close() }
+// RunFor processes events for d of simulated time.
+func (m *Mesh) RunFor(d sim.Duration) { m.Eng.RunFor(d) }
+
+// Now returns the simulated time.
+func (m *Mesh) Now() sim.Time { return m.Eng.Now() }
+
+// Close releases every node's address-space backing and cache-model tag
+// arrays for reuse by the next system (mem.AddressSpace.Release,
+// memsim.Hierarchy.Release). Call it once the mesh will not run again:
+// afterwards every memory access on its nodes faults. Closing twice is
+// harmless.
+func (m *Mesh) Close() {
+	for _, n := range m.nodes {
+		n.AS.Release()
+		if n.Hier != nil {
+			n.Hier.Release()
+		}
+	}
+}
 
 // MeshStats aggregates fabric-wide activity.
 type MeshStats struct {

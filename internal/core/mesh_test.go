@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"twochains/internal/mailbox"
@@ -160,5 +161,69 @@ func TestMeshCrossShardSlower(t *testing.T) {
 	intra, cross := run(1), run(2)
 	if cross <= intra {
 		t.Fatalf("cross-shard %v not slower than intra-shard %v", cross, intra)
+	}
+}
+
+// TestFailNodeCountsPerView: FailNode reports the failed node's queued
+// outbound sends per namespace view, each equal to what that view's
+// channel queued, and leaves inbound queues out of the count. Failing the
+// node again is the typed already-down error.
+func TestFailNodeCountsPerView(t *testing.T) {
+	m, err := NewMesh(quickMeshCfg(3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := BuildBenchPackage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.InstallPackage(pkg); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.InstallPackageView("gold", "gold::tcbench", pkg); err != nil {
+		t.Fatal(err)
+	}
+	// Never run the engine: no credit returns, so every send past the
+	// region's 8 slots stalls in the sender's queue.
+	failed := map[string]int{}
+	queue := func(src, dst int, view, alias string, sends int) {
+		ch, err := m.ChannelView(src, dst, view, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := view
+		if src != 0 {
+			key = "inbound"
+		}
+		for i := 0; i < sends; i++ {
+			err := ch.Handle(alias, "jam_sssum").Inject([2]uint64{}, make([]byte, 8), func(r Result) {
+				var nd *NodeDownError
+				if errors.As(r.Err, &nd) {
+					failed[key]++
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	queue(0, 1, "", "tcbench", 12)
+	queue(0, 2, "gold", "gold::tcbench", 11)
+	queue(1, 0, "", "tcbench", 10)
+
+	counts, err := m.FailNode(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed[""] == 0 || failed["gold"] == 0 || failed[""] == failed["gold"] || failed["inbound"] == 0 {
+		t.Fatalf("queued-and-failed sends %v: want distinct nonzero base and view counts and an inbound backlog", failed)
+	}
+	if len(counts) != 2 || counts[""] != failed[""] || counts["gold"] != failed["gold"] {
+		t.Fatalf("FailNode counts %v, want base %d and gold %d (inbound excluded)", counts, failed[""], failed["gold"])
+	}
+	_, err = m.FailNode(0)
+	var nd *NodeDownError
+	if !errors.As(err, &nd) || nd.Node != m.Node(0).Name {
+		t.Fatalf("second FailNode: %v, want *NodeDownError naming %s", err, m.Node(0).Name)
 	}
 }

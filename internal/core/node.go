@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"twochains/internal/cpusim"
-	"twochains/internal/fabric"
 	"twochains/internal/linker"
 	"twochains/internal/mailbox"
 	"twochains/internal/mem"
@@ -14,73 +13,7 @@ import (
 	"twochains/internal/sim"
 	"twochains/internal/ucx"
 	"twochains/internal/vm"
-
-	// Register the default "simnet" fabric backend; core itself speaks
-	// only to the fabric.Transport interface.
-	_ "twochains/internal/simnet"
 )
-
-// ClusterConfig selects fabric-wide behaviour.
-type ClusterConfig struct {
-	// Ordered is the fabric write-order guarantee (paper testbed: true).
-	Ordered bool
-	Seed    uint64
-	// Backend names the fabric transport ("" selects the default,
-	// "simnet"); see fabric.Backends for the registered set.
-	Backend string
-	// Chaos configures the "chaos" failure-injection backend (and is
-	// ignored by every other backend); see fabric.ChaosConfig.
-	Chaos *fabric.ChaosConfig
-}
-
-// DefaultClusterConfig matches the paper's testbed.
-func DefaultClusterConfig() ClusterConfig {
-	return ClusterConfig{Ordered: true, Seed: 0x7c2c2021}
-}
-
-// Cluster is a set of simulated processes on one fabric backend sharing
-// one discrete-event clock.
-type Cluster struct {
-	Eng    *sim.Engine
-	Fabric fabric.Transport
-	Ctx    *ucx.Context
-	Nodes  []*Node
-}
-
-// NewCluster creates an empty cluster. It panics on an unregistered
-// backend name; callers that take the name from configuration should
-// validate it with fabric.Lookup first (tc.NewSystem and NewMesh do).
-func NewCluster(cfg ClusterConfig) *Cluster {
-	eng := sim.NewEngine()
-	fab, err := fabric.New(cfg.Backend, eng, fabric.Config{Ordered: cfg.Ordered, Seed: cfg.Seed, Chaos: cfg.Chaos})
-	if err != nil {
-		panic("core: " + err.Error())
-	}
-	return &Cluster{Eng: eng, Fabric: fab, Ctx: ucx.NewContext(fab)}
-}
-
-// Run processes events until the cluster is quiescent.
-func (c *Cluster) Run() { c.Eng.Run() }
-
-// RunFor processes events for d of simulated time.
-func (c *Cluster) RunFor(d sim.Duration) { c.Eng.RunFor(d) }
-
-// Close releases every node's address-space backing and cache-model tag
-// arrays for reuse by the next system (mem.AddressSpace.Release,
-// memsim.Hierarchy.Release). Call it once the cluster will not run again:
-// afterwards every memory access on its nodes faults. Closing twice is
-// harmless.
-func (c *Cluster) Close() {
-	for _, n := range c.Nodes {
-		n.AS.Release()
-		if n.Hier != nil {
-			n.Hier.Release()
-		}
-	}
-}
-
-// Now returns the simulated time.
-func (c *Cluster) Now() sim.Time { return c.Eng.Now() }
 
 // NodeConfig selects one node's hardware and runtime features.
 type NodeConfig struct {
@@ -121,9 +54,8 @@ func DefaultNodeConfig() NodeConfig {
 // Node is one simulated process: address space, caches, namespace, VM,
 // worker, and installed packages.
 type Node struct {
-	Name    string
-	Cfg     NodeConfig
-	Cluster *Cluster
+	Name string
+	Cfg  NodeConfig
 	// Shard is the fabric shard (leaf domain) the node lives in.
 	Shard int
 
@@ -135,10 +67,8 @@ type Node struct {
 	Counter *cpusim.Counter
 	Stdout  bytes.Buffer
 
-	// Receiver is the primary mailbox (EnableMailbox); Receivers holds
-	// every armed mailbox region, one per inbound channel in mesh
-	// deployments (AddMailbox).
-	Receiver  *mailbox.Receiver
+	// Receivers holds every armed mailbox region, one per inbound channel
+	// (AddMailbox).
 	Receivers []*mailbox.Receiver
 
 	pkgs    map[string]*InstalledPackage
@@ -167,55 +97,52 @@ type InstalledPackage struct {
 	rieds    map[string]*linker.Loaded
 }
 
-// AddNode creates a node in fabric shard 0 and attaches it to the fabric.
-func (c *Cluster) AddNode(name string, cfg NodeConfig) (*Node, error) {
-	return c.AddNodeShard(name, cfg, 0)
-}
-
-// AddNodeShard creates a node placed in the given fabric shard: its NIC
-// joins that leaf domain.
-func (c *Cluster) AddNodeShard(name string, cfg NodeConfig, shard int) (*Node, error) {
+// addNode creates node i of the mesh in the given fabric shard: its NIC
+// joins that leaf domain. Node i's cache and CPU models are seeded from
+// cfg.Seed ^ i.
+func (m *Mesh) addNode(cfg NodeConfig, shard int) error {
+	i := uint64(len(m.nodes))
+	name := fmt.Sprintf("n%02d", i)
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 64 << 20
 	}
 	n := &Node{
-		Name:    name,
-		Cfg:     cfg,
-		Cluster: c,
-		Shard:   shard,
-		AS:      mem.NewAddressSpace(cfg.MemBytes),
-		NS:      linker.NewNamespace(),
-		pkgs:    map[string]*InstalledPackage{},
-		jams:    newJamCache(),
+		Name:  name,
+		Cfg:   cfg,
+		Shard: shard,
+		AS:    mem.NewAddressSpace(cfg.MemBytes),
+		NS:    linker.NewNamespace(),
+		pkgs:  map[string]*InstalledPackage{},
+		jams:  newJamCache(),
 	}
 	if cfg.Timing {
 		mc := memsim.DefaultConfig()
 		mc.Stash = cfg.Stash
 		mc.Prefetch = cfg.Prefetch
-		mc.Seed = cfg.Seed ^ uint64(len(c.Nodes))
+		mc.Seed = cfg.Seed ^ i
 		n.Hier = memsim.New(mc)
 	}
 	machine, err := vm.New(n.AS, n.Hier, &n.Stdout)
 	if err != nil {
-		return nil, fmt.Errorf("core: node %s: %w", name, err)
+		return fmt.Errorf("core: node %s: %w", name, err)
 	}
 	n.VM = machine
 	n.VM.CheckExec = cfg.CheckExec
 	if err := vm.BindLibc(n.VM, n.NS); err != nil {
-		return nil, fmt.Errorf("core: node %s: %w", name, err)
+		return fmt.Errorf("core: node %s: %w", name, err)
 	}
-	n.Worker = c.Ctx.NewWorker(n.AS, n.Hier)
-	c.Fabric.AssignDomain(n.Worker.NIC, shard)
-	n.Counter = cpusim.NewCounter(sim.NewRNG(cfg.Seed ^ 0xc0ffee ^ uint64(len(c.Nodes))))
+	n.Worker = m.Ctx.NewWorker(n.AS, n.Hier)
+	m.Fabric.AssignDomain(n.Worker.NIC, shard)
+	n.Counter = cpusim.NewCounter(sim.NewRNG(cfg.Seed ^ 0xc0ffee ^ i))
 	if cfg.SecureExec {
 		va, err := n.AS.AllocPages("secure-exec", 64*1024, mem.PermRWX)
 		if err != nil {
-			return nil, fmt.Errorf("core: node %s: %w", name, err)
+			return fmt.Errorf("core: node %s: %w", name, err)
 		}
 		n.execArea = va
 	}
-	c.Nodes = append(c.Nodes, n)
-	return n, nil
+	m.nodes = append(m.nodes, n)
+	return nil
 }
 
 // SetStress toggles the memory-stress co-runner on this node.

@@ -39,8 +39,8 @@ type ChaosConfig struct {
 }
 
 // validate panics on a malformed config — the fabric Constructor
-// signature has no error return, mirroring how NewCluster treats an
-// impossible configuration as a programming error.
+// signature has no error return, so an impossible configuration is a
+// programming error. core.NewMesh refuses an unregistered Inner first.
 func (c *ChaosConfig) validate() {
 	if c == nil {
 		panic("fabric: chaos backend selected with nil Config.Chaos")

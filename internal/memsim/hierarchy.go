@@ -385,7 +385,7 @@ func (h *Hierarchy) Contains(addr uint64) string {
 }
 
 // Release gives the tag arrays to the pool New draws from; the owner calls
-// it after the last access (core.Cluster.Close). One-line caches of its own
+// it after the last access (core.Mesh.Close). One-line caches of its own
 // stay behind, so a late access or a second Release reaches nothing given up.
 func (h *Hierarchy) Release() {
 	h.l2.release()

@@ -149,7 +149,7 @@ func buildRig(cfg RunConfig, geom mailbox.Geometry, credits bool) (*rig, error) 
 			Sender:          mailbox.SenderConfig{SeparateSignal: cfg.SeparateSignal},
 			AutoSwitchAfter: cfg.AutoSwitchAfter,
 		}),
-		tc.WithConfig(func(c *core.MeshConfig) { c.Cluster.Seed = cfg.NodeCfg.Seed }),
+		tc.WithConfig(func(c *core.MeshConfig) { c.Seed = cfg.NodeCfg.Seed }),
 	)
 	if err != nil {
 		return nil, err
@@ -315,7 +315,7 @@ func buildUcxPair(cfg RunConfig, size int) (*ucxPair, error) {
 	sys, err := tc.NewSystem(2,
 		tc.WithNodeConfig(cfg.NodeCfg),
 		tc.WithOrdered(cfg.Ordered),
-		tc.WithConfig(func(c *core.MeshConfig) { c.Cluster.Seed = cfg.NodeCfg.Seed }),
+		tc.WithConfig(func(c *core.MeshConfig) { c.Seed = cfg.NodeCfg.Seed }),
 	)
 	if err != nil {
 		return nil, err

@@ -1,5 +1,5 @@
 // Package tc is the public façade of the Two-Chains runtime: a unified,
-// handle-based invocation API over the core cluster/mesh machinery.
+// handle-based invocation API over core.Mesh, the one node container.
 //
 // # System
 //
@@ -7,7 +7,7 @@
 // cluster of the paper's testbed is simply a 2-node System, and the
 // sharded many-node mesh is the same type with more nodes:
 //
-//	sys, err := tc.NewSystem(2)                       // a "cluster"
+//	sys, err := tc.NewSystem(2)                       // the paper's testbed
 //	sys, err := tc.NewSystem(16, tc.WithShards(4))    // a sharded mesh
 //	sys, err := tc.NewSystem(8, tc.WithBackend("ideal"))
 //

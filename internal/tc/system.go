@@ -12,8 +12,8 @@ import (
 	"twochains/internal/tenant"
 )
 
-// System is N simulated Two-Chains processes on one fabric backend. It
-// subsumes the former Cluster/Mesh split: a cluster is a 2-node System.
+// System is N simulated Two-Chains processes on one fabric backend: the
+// façade over core.Mesh, the one node container.
 type System struct {
 	mesh *core.Mesh
 	// futures is the system's future pool (see Future's ownership rules).
@@ -49,13 +49,13 @@ func WithShards(n int) SystemOpt {
 // WithBackend selects the fabric transport by registered name
 // ("simnet" is the default; "ideal" is the contention-free reference).
 func WithBackend(name string) SystemOpt {
-	return func(c *core.MeshConfig) { c.Cluster.Backend = name }
+	return func(c *core.MeshConfig) { c.Backend = name }
 }
 
 // WithSeed seeds both the fabric and the per-node stochastic models.
 func WithSeed(seed uint64) SystemOpt {
 	return func(c *core.MeshConfig) {
-		c.Cluster.Seed = seed
+		c.Seed = seed
 		c.Node.Seed = seed
 	}
 }
@@ -68,7 +68,7 @@ func WithTiming(on bool) SystemOpt {
 
 // WithOrdered selects the fabric write-order guarantee.
 func WithOrdered(on bool) SystemOpt {
-	return func(c *core.MeshConfig) { c.Cluster.Ordered = on }
+	return func(c *core.MeshConfig) { c.Ordered = on }
 }
 
 // WithGeometry sets the per-channel mailbox shape.
@@ -116,7 +116,7 @@ func WithChannelOptions(co core.ChannelOptions) SystemOpt {
 // selected (resolved when the system is built, so option order does not
 // matter), unless cc.Inner names one explicitly.
 func WithChaos(cc fabric.ChaosConfig) SystemOpt {
-	return func(c *core.MeshConfig) { c.Cluster.Chaos = &cc }
+	return func(c *core.MeshConfig) { c.Chaos = &cc }
 }
 
 // WithConfig is the catch-all escape hatch for fields without a
@@ -132,12 +132,12 @@ func NewSystem(n int, opts ...SystemOpt) (*System, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.Cluster.Chaos != nil && cfg.Cluster.Backend != "chaos" {
+	if cfg.Chaos != nil && cfg.Backend != "chaos" {
 		// WithChaos wraps whatever backend the other options selected.
-		if cfg.Cluster.Chaos.Inner == "" {
-			cfg.Cluster.Chaos.Inner = cfg.Cluster.Backend
+		if cfg.Chaos.Inner == "" {
+			cfg.Chaos.Inner = cfg.Backend
 		}
-		cfg.Cluster.Backend = "chaos"
+		cfg.Backend = "chaos"
 	}
 	m, err := core.NewMesh(cfg)
 	if err != nil {
@@ -168,10 +168,10 @@ func (s *System) ShardOf(i int) int { return s.mesh.ShardOf(i) }
 
 // Engine is the system's discrete-event clock. Drivers arm work from
 // outside the simulation with Engine().At / After.
-func (s *System) Engine() *sim.Engine { return s.mesh.Cluster.Eng }
+func (s *System) Engine() *sim.Engine { return s.mesh.Eng }
 
 // Now returns the current simulated time.
-func (s *System) Now() sim.Time { return s.mesh.Cluster.Now() }
+func (s *System) Now() sim.Time { return s.mesh.Now() }
 
 // RNG is the system's deterministic random stream; all workload
 // randomness must come from it (or a Split) for replayable runs.
@@ -181,7 +181,7 @@ func (s *System) RNG() *sim.RNG { return s.mesh.RNG() }
 func (s *System) Run() { s.mesh.Run() }
 
 // RunFor processes events for d of simulated time.
-func (s *System) RunFor(d sim.Duration) { s.mesh.Cluster.RunFor(d) }
+func (s *System) RunFor(d sim.Duration) { s.mesh.RunFor(d) }
 
 // InstallPackage installs pkg on every node. Installing the same package
 // twice is an error.
@@ -214,8 +214,8 @@ func (s *System) Teardown(i int) error {
 // FailNode injects a hard node failure: Teardown plus channel severing,
 // fast-fail of every queued send with a typed *core.NodeDownError, and
 // peer-side cache invalidation (see core.Mesh.FailNode). It returns the
-// number of queued outbound sends the failure destroyed.
-func (s *System) FailNode(i int) (int, error) { return s.mesh.FailNode(i) }
+// queued outbound sends the failure destroyed, per view ("" = base).
+func (s *System) FailNode(i int) (map[string]int, error) { return s.mesh.FailNode(i) }
 
 // RejoinNode brings a failed node back. Severed channels stay dead;
 // peers rebuild them lazily on their next Call.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"twochains/internal/core"
+	"twochains/internal/fabric"
 	"twochains/internal/mailbox"
 	"twochains/internal/mem"
 	"twochains/internal/sim"
@@ -248,9 +249,16 @@ func TestIdealBackend(t *testing.T) {
 	}
 }
 
+// TestUnknownBackend: an unregistered backend name is an error from
+// NewSystem, never a panic — also when it is the chaos wrapper's inner.
 func TestUnknownBackend(t *testing.T) {
-	if _, err := NewSystem(2, WithBackend("warp-drive")); err == nil {
-		t.Fatal("unknown backend did not fail")
+	for name, opt := range map[string]SystemOpt{
+		"backend":     WithBackend("warp-drive"),
+		"chaos inner": WithChaos(fabric.ChaosConfig{Inner: "warp-drive"}),
+	} {
+		if _, err := NewSystem(2, opt); err == nil {
+			t.Errorf("%s: unknown backend did not fail", name)
+		}
 	}
 }
 

@@ -662,9 +662,9 @@ func (l *lane) open() {
 // doFail tears node down mid-run. Every lane's loss ledger stays exact:
 // each planned message lands in exactly one of ticked, dropped, or lost.
 func (r *runner) doFail(node int) {
-	// Abandon the dead node's own unissued plans first, so the FailPending
-	// callbacks below (which re-fire issue chains synchronously) see the
-	// chains already dead.
+	// Abandon the dead node's own unissued plans first, so the callbacks
+	// of the sends FailNode fails (which re-fire issue chains
+	// synchronously) see the chains already dead.
 	lost := map[*lane]int{}
 	for _, l := range r.lanes {
 		if s := l.chains[node]; s != nil && !s.dead {
@@ -675,16 +675,9 @@ func (r *runner) doFail(node int) {
 		}
 	}
 	// Outbound: sends queued on the dead node's own channels were issued
-	// but will never arrive anywhere. FailNode reports only their total,
-	// so each lane fails its own channels' queues first (FailNode then
-	// finds them empty) and takes the count.
-	r.sys.Mesh().EachChannelView(func(src, _ int, view string, ch *core.Channel) {
-		if l := r.byView[view]; l != nil && src == node {
-			lost[l] += ch.Sender.FailPending(
-				&core.NodeDownError{Src: ch.Src.Name, Dst: ch.Dst.Name, Node: ch.Src.Name})
-		}
-	})
-	if _, err := r.sys.FailNode(node); err != nil {
+	// but will never arrive anywhere; FailNode counts them per view.
+	outbound, err := r.sys.FailNode(node)
+	if err != nil {
 		r.fail(err)
 		return
 	}
@@ -693,7 +686,7 @@ func (r *runner) doFail(node int) {
 	// serviced, and traffic still on the wire (its delivery writes memory
 	// but the stopped receiver never services it).
 	for _, l := range r.lanes {
-		l.lose(lost[l] + l.issued[node] - l.ticked[node])
+		l.lose(lost[l] + outbound[l.view] + l.issued[node] - l.ticked[node])
 	}
 }
 
