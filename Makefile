@@ -40,8 +40,8 @@
 # vs the recorded pre-PR-3 baseline in bench/BASELINE_PR3.json),
 # including the 64/128-node meshes, the multi-tenant overload benchmark
 # with its per-tenant goodput metrics, the chaos-perturbed fail/rejoin
-# mesh with its loss ledger, and the layer benchmarks of internal/sim
-# and internal/memsim. bench-smoke compares sim_inj_per_sec against the
+# mesh with its loss ledger, and the layer benchmarks of internal/sim,
+# internal/memsim and internal/vm. bench-smoke compares sim_inj_per_sec against the
 # newest recorded trajectory file ($(SMOKE_BASELINE)): that
 # metric is simulated injections per simulated second, a pure function
 # of the scenario, so the comparison is a determinism check (did the
@@ -153,7 +153,8 @@ bench-json:
 	   $(GO) test -run xxx -bench 'BenchmarkFuncCall$$|BenchmarkStringInject|BenchmarkFramePack' -benchmem -benchtime 200000x . && \
 	   $(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem -benchtime 200000x ./internal/sim && \
 	   $(GO) test -run xxx -bench 'BenchmarkAccessSameLine|BenchmarkStashedRead1K|BenchmarkConflictSet|BenchmarkReset' -benchmem -benchtime 200000x ./internal/memsim && \
-	   $(GO) test -run xxx -bench 'BenchmarkNew$$' -benchmem -benchtime 1000x ./internal/memsim; } \
+	   $(GO) test -run xxx -bench 'BenchmarkNew$$' -benchmem -benchtime 1000x ./internal/memsim && \
+	   $(GO) test -run xxx -bench 'BenchmarkInterpretSum' -benchmem -benchtime 50000x ./internal/vm; } \
 	| $(GO) run ./cmd/benchjson -baseline bench/BASELINE_PR3.json -o $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
 

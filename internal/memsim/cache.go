@@ -36,7 +36,8 @@ import (
 // generation and clear nothing. What an earlier one wrote is unobservable:
 // only t == floor+1+line and t <= floor are ever evaluated; a stale word is
 // <= floor, as generations only grow (the largest tag of one is the floor
-// of the next); and the shifts move stale words only among the free ways.
+// of the next); and no shift moves a free word: touch overwrites the first
+// one, invalidate writes a zero behind the last valid way.
 type cache struct {
 	ways    int
 	setMask uint64   // sets-1; the set count is a power of two
@@ -107,40 +108,45 @@ func find(s []uint64, want, floor uint64) int {
 // holds reports whether line is present, without touching recency.
 func (c *cache) holds(line uint64) bool { return find(c.set(line), c.floor+1+line, c.floor) >= 0 }
 
-// lookup reports whether line is present, making it the MRU way on a hit.
-func (c *cache) lookup(line uint64) bool {
-	s, want := c.set(line), c.floor+1+line
-	w := find(s, want, c.floor)
-	if w > 0 {
-		copy(s[1:w+1], s[:w])
-		s[0] = want
+// mru reports whether line is the most recently used way of its set: present,
+// and exactly where touch would leave it.
+func (c *cache) mru(line uint64) bool {
+	return c.tags[int(line&c.setMask)*c.ways] == c.floor+1+line
+}
+
+// touch makes line the MRU way of its set, filling it if absent (the LRU way
+// of a full set falls off the end), and reports whether it was present. It
+// is one pass over the set that carries each way one down as it reads it,
+// and stops at the line's own way, at the first free one (which the carry
+// overwrites), or past the last (whose tag falls off).
+func (c *cache) touch(line uint64) bool {
+	s, want, floor := c.set(line), c.floor+1+line, c.floor
+	carry := want
+	for w, t := range s {
+		s[w] = carry
+		if t == want {
+			return true
+		}
+		if t <= floor {
+			return false
+		}
+		carry = t
 	}
-	return w >= 0
+	return false
 }
 
-// insertAbsent places a line the caller has just looked up and missed; the
-// LRU way of a full set falls off the end.
-func (c *cache) insertAbsent(line uint64) {
-	s, want := c.set(line), c.floor+1+line
-	copy(s[1:], s)
-	s[0] = want
-}
-
-// insert places line in the cache, or refreshes it if already present.
-func (c *cache) insert(line uint64) {
-	if !c.lookup(line) {
-		c.insertAbsent(line)
-	}
-}
-
-// invalidate removes line if present, reporting whether it was there.
+// invalidate removes line if present, reporting whether it was there. The
+// valid ways behind it move up one, as far as the first free way; the free
+// tail is left as it is.
 func (c *cache) invalidate(line uint64) bool {
 	s, want := c.set(line), c.floor+1+line
 	w := find(s, want, c.floor)
 	if w < 0 {
 		return false
 	}
-	copy(s[w:], s[w+1:])
-	s[len(s)-1] = 0
+	for ; w < len(s)-1 && s[w+1] > c.floor; w++ {
+		s[w] = s[w+1]
+	}
+	s[w] = 0
 	return true
 }

@@ -70,15 +70,11 @@ type Hierarchy struct {
 	cfg         Config
 	lineShift   uint // log2(cfg.LineSize)
 	l2, l3, llc *cache
-	// memo is the line (+1; 0 = none) the last L2 hit or fill touched. It
-	// is the MRU way of its L2 set, so looking it up again would reorder
-	// nothing: AccessSeq answers for it without reading tag memory.
-	memo    uint64
-	streams [model.PrefetchStreams]stream
-	useCtr  uint64
-	rng     *sim.RNG
-	stress  bool
-	stats   Stats
+	streams     [model.PrefetchStreams]stream
+	useCtr      uint64
+	rng         *sim.RNG
+	stress      bool
+	stats       Stats
 }
 
 // New builds a hierarchy from cfg. A LineSize that is not a positive power
@@ -169,7 +165,10 @@ func (h *Hierarchy) AccessSeq(addr uint64, size int, k Kind, seq bool) sim.Durat
 	h.stats.Accesses++
 	first := h.line(addr)
 	last := h.line(addr + uint64(size) - 1)
-	if first == last && first+1 == h.memo {
+	// The commonest access re-touches the MRU line of its L2 set (the next
+	// word of the line used last, a push after a pop): a hit that reorders
+	// nothing, answered from one tag word.
+	if first == last && h.l2.mru(first) {
 		h.stats.LinesL2++
 		return l2Cost(!seq, k)
 	}
@@ -180,7 +179,6 @@ func (h *Hierarchy) AccessSeq(addr uint64, size int, k Kind, seq bool) sim.Durat
 			break
 		}
 	}
-	h.memo = last + 1 // every path through accessLine leaves its line in L2
 	return cost
 }
 
@@ -225,34 +223,33 @@ func streamCost(k Kind, l3, llc, dram, pref bool) sim.Duration {
 }
 
 // accessLine costs a single line and updates cache state: the line ends up
-// in every level (the hierarchy is modelled inclusive), filled into exactly
-// the levels that just missed.
+// as the MRU way of every level it reached (the hierarchy is modelled
+// inclusive), filled into exactly the levels that missed. Each level's set
+// is scanned once: touch finds the line or fills it in the same pass.
 func (h *Hierarchy) accessLine(line uint64, lead bool, k Kind) sim.Duration {
 	switch {
-	case h.l2.lookup(line):
+	case h.l2.touch(line):
 		h.stats.LinesL2++
 		return l2Cost(lead, k)
-	case h.l3.lookup(line):
+	case h.l3.touch(line):
 		h.stats.LinesL3++
-		h.l2.insertAbsent(line)
 		if lead {
 			return model.L3HitLat
 		}
 		return streamCost(k, true, false, false, false)
-	case h.llc.lookup(line):
+	case h.llc.touch(line):
 		// Under stress the stashed line may have been evicted by the
 		// co-running workload between arrival and the handler's read. The
 		// refetch hits a recently written, likely-open row and overlaps
 		// with neighbouring accesses, so it is charged as a streaming
-		// DRAM line rather than a full cold load.
+		// DRAM line rather than a full cold load. It refills the LLC way
+		// touch just made MRU, so the tags already say what the refetch
+		// leaves behind.
 		if h.stress && h.rng.Bernoulli(model.StressLLCEvictProb) {
-			h.llc.invalidate(line)
 			h.stats.StressEvict++
 			return h.dramLine(line, false, k)
 		}
 		h.stats.LinesLLC++
-		h.l2.insertAbsent(line)
-		h.l3.insertAbsent(line)
 		var extra sim.Duration
 		if h.stress {
 			extra = sim.FromNanos(model.StressLLCExtraNs)
@@ -266,8 +263,9 @@ func (h *Hierarchy) accessLine(line uint64, lead bool, k Kind) sim.Duration {
 	}
 }
 
-// dramLine costs a DRAM access for one line that no level holds, consulting
-// the prefetcher and the stress model, and fills it into all three. The stride
+// dramLine costs a DRAM access for one line (one no level held, or one the
+// stressor took from the LLC), consulting the prefetcher and the stress
+// model; accessLine's touches have already filled all three levels. The stride
 // prefetcher is a data-side engine: demand instruction fetches do not train
 // it (the modest I-side next-line prefetch is already folded into the
 // Fetch streaming cost), which is why code arriving in messages stays
@@ -275,9 +273,6 @@ func (h *Hierarchy) accessLine(line uint64, lead bool, k Kind) sim.Duration {
 // the interaction Fig. 9 measures.
 func (h *Hierarchy) dramLine(line uint64, lead bool, k Kind) sim.Duration {
 	prefetched := k != Fetch && h.trainPrefetch(line)
-	h.l2.insertAbsent(line)
-	h.l3.insertAbsent(line)
-	h.llc.insertAbsent(line)
 	var cost sim.Duration
 	switch {
 	case prefetched:
@@ -329,7 +324,6 @@ func (h *Hierarchy) NetworkWrite(addr uint64, size int) {
 	if size <= 0 {
 		return
 	}
-	h.memo = 0
 	firstLine := h.line(addr)
 	lastLine := h.line(addr + uint64(size) - 1)
 	for line := firstLine; ; line = (line + 1) & lineMask {
@@ -337,7 +331,7 @@ func (h *Hierarchy) NetworkWrite(addr uint64, size int) {
 		h.l2.invalidate(line)
 		h.l3.invalidate(line)
 		if h.cfg.Stash {
-			h.llc.insert(line)
+			h.llc.touch(line)
 			h.stats.NetStashed++
 		} else {
 			h.llc.invalidate(line)
@@ -359,14 +353,13 @@ func (h *Hierarchy) WarmLines(addr uint64, size int) {
 	firstLine := h.line(addr)
 	lastLine := h.line(addr + uint64(size) - 1)
 	for line := firstLine; ; line = (line + 1) & lineMask {
-		h.l2.insert(line)
-		h.l3.insert(line)
-		h.llc.insert(line)
+		h.l2.touch(line)
+		h.l3.touch(line)
+		h.llc.touch(line)
 		if line == lastLine {
 			break
 		}
 	}
-	h.memo = lastLine + 1
 }
 
 // Contains reports which level holds the line at addr: "L2", "L3", "LLC" or
@@ -392,7 +385,6 @@ func (h *Hierarchy) Release() {
 	h.l3.release()
 	h.llc.release()
 	h.l2, h.l3, h.llc = newCache(0, 1, 1), newCache(0, 1, 1), newCache(0, 1, 1)
-	h.memo = 0
 }
 
 // Reset empties all cache contents, prefetch streams and statistics.
@@ -400,7 +392,6 @@ func (h *Hierarchy) Reset() {
 	h.l2.reset()
 	h.l3.reset()
 	h.llc.reset()
-	h.memo = 0
 	h.streams = [model.PrefetchStreams]stream{}
 	h.useCtr = 0
 	h.stats = Stats{}

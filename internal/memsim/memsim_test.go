@@ -28,17 +28,19 @@ func (c *cache) occupancy() int {
 
 func TestCacheLookupInsert(t *testing.T) {
 	c := newCache(64*1024, 4, 64) // 1024 lines, 256 sets
-	if c.lookup(100) {
+	if c.holds(100) {
 		t.Fatal("empty cache hit")
 	}
-	c.insert(100)
-	if !c.lookup(100) {
+	if c.touch(100) {
+		t.Fatal("touch of an absent line reported a hit")
+	}
+	if !c.holds(100) || !c.touch(100) {
 		t.Fatal("inserted line missing")
 	}
 	if !c.invalidate(100) {
 		t.Fatal("invalidate missed")
 	}
-	if c.lookup(100) {
+	if c.holds(100) || c.invalidate(100) {
 		t.Fatal("line present after invalidate")
 	}
 }
@@ -46,15 +48,17 @@ func TestCacheLookupInsert(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := newCache(4*64, 4, 64) // one set, 4 ways
 	for line := uint64(0); line < 4; line++ {
-		c.insert(line)
+		c.touch(line)
 	}
 	// Touch 0 so 1 becomes LRU.
-	c.lookup(0)
-	c.insert(99)
-	if c.lookup(1) {
+	if !c.touch(0) {
+		t.Fatal("line 0 missing before the eviction")
+	}
+	c.touch(99)
+	if c.holds(1) {
 		t.Fatal("LRU line 1 survived the eviction")
 	}
-	if !c.lookup(0) || !c.lookup(2) || !c.lookup(3) || !c.lookup(99) {
+	if !c.holds(0) || !c.holds(2) || !c.holds(3) || !c.mru(99) {
 		t.Fatal("eviction took more than the LRU line")
 	}
 }
@@ -62,9 +66,11 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheReinsertIsRefresh(t *testing.T) {
 	c := newCache(4*64, 4, 64)
 	for line := uint64(0); line < 4; line++ {
-		c.insert(line)
+		c.touch(line)
 	}
-	c.insert(2)
+	if !c.touch(2) || !c.mru(2) {
+		t.Fatal("re-touching a present line did not refresh it")
+	}
 	if c.occupancy() != 4 {
 		t.Fatalf("occupancy = %d", c.occupancy())
 	}
@@ -74,7 +80,7 @@ func TestCacheOccupancyNeverExceedsCapacity(t *testing.T) {
 	f := func(lines []uint16) bool {
 		c := newCache(8*64, 2, 64) // 8 lines, 2-way, 4 sets
 		for _, l := range lines {
-			c.insert(uint64(l))
+			c.touch(uint64(l))
 		}
 		return c.occupancy() <= 8
 	}
@@ -84,12 +90,13 @@ func TestCacheOccupancyNeverExceedsCapacity(t *testing.T) {
 }
 
 func TestCacheInsertThenLookup(t *testing.T) {
-	// Property: immediately after insert, lookup hits.
+	// Property: immediately after a touch, the line is present and MRU, and
+	// touching it again hits.
 	f := func(lines []uint32) bool {
 		c := newCache(64*1024, 8, 64)
 		for _, l := range lines {
-			c.insert(uint64(l))
-			if !c.lookup(uint64(l)) {
+			c.touch(uint64(l))
+			if !c.mru(uint64(l)) || !c.holds(uint64(l)) || !c.touch(uint64(l)) {
 				return false
 			}
 		}

@@ -205,7 +205,7 @@ func TestReleasedHierarchy(t *testing.T) {
 
 	h.SetStress(true)
 	h.Access(diffBase, 8, Read)
-	h.Access(diffBase, 8, Read) // the memo line
+	h.Access(diffBase, 8, Read) // the MRU line of its L2 set
 	h.AccessSeq(diffBase+60, 700, Fetch, true)
 	h.Access(diffBase, 4096, Write)
 	h.NetworkWrite(diffBase, 2048)

@@ -106,7 +106,10 @@ type VM struct {
 	bodies   []*jamBody
 	bodyNext int
 
-	regs      [16]uint64
+	// regs is the register file, one word for every value of a uint8
+	// register field so the interpret loop indexes it without bounds
+	// checks; only the first isa.NumRegs exist (Validate refuses the rest).
+	regs      [256]uint64
 	stackVA   uint64
 	stackSize int
 
@@ -214,6 +217,9 @@ func (vm *VM) BindNative(name string, fn NativeFunc) (uint64, error) {
 func decodeText(start uint64, code []byte) ([]isa.Instr, error) {
 	if start+uint64(len(code)) < start {
 		return nil, fmt.Errorf("vm: code at 0x%x: %w: %d bytes wrap the address space", start, ErrBadCode, len(code))
+	}
+	if start <= retMagic && retMagic-start < uint64(len(code)) {
+		return nil, fmt.Errorf("vm: code at 0x%x: %w: covers the return sentinel 0x%x", start, ErrBadCode, uint64(retMagic))
 	}
 	instrs, err := isa.DecodeAll(code)
 	if err != nil {
@@ -406,9 +412,7 @@ func (vm *VM) setupCall(args []uint64) error {
 	if len(args) > 6 {
 		return fmt.Errorf("vm: too many arguments (%d > 6)", len(args))
 	}
-	for i := range vm.regs {
-		vm.regs[i] = 0
-	}
+	clear(vm.regs[:isa.NumRegs])
 	copy(vm.regs[:], args)
 	vm.regs[isa.RegSP] = vm.stackVA + uint64(vm.stackSize)
 	vm.regs[isa.RegLR] = retMagic
@@ -418,13 +422,21 @@ func (vm *VM) setupCall(args []uint64) error {
 // interpret runs the interpret loop from pc until return or fault. region
 // is the region pc lies in when the caller knows it, nil otherwise.
 // Registers live in vm.regs, already set up.
+//
+// Each time pc reaches a new 64-byte line, the outer loop checks it against
+// the return sentinel, the native page and the region and charges the
+// line's fetch. The run that follows dispatches while pc stays in the part
+// of that line inside the region, with none of those checks: no region
+// covers the sentinel (decodeText refuses it) and the native page is
+// line-aligned, so none of their answers can change before pc leaves.
 func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error) {
+	// No closure takes the address of cost, instrs or pc. cost syncs with
+	// the per-VM Env's cost slot, which natives write, around native calls.
 	var cost sim.Duration
 	var instrs uint64
-	// The per-VM Env escapes into natives; cost stays in a register-friendly
-	// local and syncs with the Env's cost slot around each native call.
 	env := &vm.env
 	env.Stdout = vm.Stdout
+	as, hier, budget, r := vm.AS, vm.Hier, vm.InstrBudget, &vm.regs
 
 	lastFetchLine := uint64(1) // an impossible line value forcing first fetch
 	// hotLines is a tiny L1I/loop-buffer model: lines fetched recently are
@@ -433,56 +445,41 @@ func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error)
 	var hotLines [8]uint64
 	hotIdx := 0
 
-	fail := func(err error) (uint64, sim.Duration, error) {
-		instrCost := model.Cycles(float64(instrs) * model.VMCyclesPerInstr)
-		vm.TotalInstrs += instrs
-		vm.TotalCost += cost + instrCost
-		f := &Fault{PC: pc, Err: err}
-		if region != nil && pc >= region.Start && pc < region.End {
-			f.Instr = region.instrs[(pc-region.Start)/isa.InstrSize].String()
-		}
-		return 0, cost + instrCost, f
-	}
-
-	for {
-		if pc == retMagic {
-			break
-		}
+	for pc != retMagic {
 		// Native call target: run host function and return to LR.
 		if pc >= vm.nativeBase && pc < vm.nativeEnd {
 			idx := int(pc-vm.nativeBase) / 8
 			if idx >= len(vm.natives) {
-				return fail(fmt.Errorf("call to unbound native slot %d", idx))
+				return vm.fault(region, pc, instrs, cost, fmt.Errorf("call to unbound native slot %d", idx))
 			}
 			cost += model.Cycles(20) // call/return overhead
 			vm.callCost = cost
-			ret, err := vm.natives[idx](env, [6]uint64{
-				vm.regs[0], vm.regs[1], vm.regs[2], vm.regs[3], vm.regs[4], vm.regs[5],
-			})
+			ret, err := vm.natives[idx](env, [6]uint64{r[0], r[1], r[2], r[3], r[4], r[5]})
 			cost = vm.callCost
 			if err != nil {
-				return fail(fmt.Errorf("native %s: %w", vm.nativeName[idx], err))
+				return vm.fault(region, pc, instrs, cost, fmt.Errorf("native %s: %w", vm.nativeName[idx], err))
 			}
-			vm.regs[0] = ret
-			pc = vm.regs[isa.RegLR]
+			r[0] = ret
+			pc = r[isa.RegLR]
 			continue
 		}
 		if region == nil || pc < region.Start || pc >= region.End {
 			region = vm.findRegion(pc)
 			if region == nil {
-				return fail(fmt.Errorf("jump to unmapped code"))
+				return vm.fault(nil, pc, instrs, cost, fmt.Errorf("jump to unmapped code"))
 			}
 		}
 		// Per-line fetch charging and optional X enforcement: lines never
 		// straddle pages, so one check covers all instructions in the line.
 		// Sequential fall-through into the next line rides the fetch-ahead
 		// stream; a taken branch to a new line pays the full latency.
-		if line := pc &^ 63; line != lastFetchLine {
+		line := pc &^ 63
+		if line != lastFetchLine {
 			seqFetch := line == lastFetchLine+64
 			lastFetchLine = line
 			if vm.CheckExec {
-				if err := vm.AS.FetchCheck(pc, isa.InstrSize); err != nil {
-					return fail(err)
+				if err := as.FetchCheck(pc, isa.InstrSize); err != nil {
+					return vm.fault(region, pc, instrs, cost, err)
 				}
 			}
 			hot := false
@@ -493,27 +490,30 @@ func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error)
 				}
 			}
 			if !hot {
-				if vm.Hier != nil {
-					cost += vm.Hier.AccessSeq(line, 64, memsim.Fetch, seqFetch)
+				if hier != nil {
+					cost += hier.AccessSeq(line, 64, memsim.Fetch, seqFetch)
 				}
 				hotLines[hotIdx] = line + 1
 				hotIdx = (hotIdx + 1) & 7
 			}
 		}
+		// The run is the part of this line inside the region: [lo, lo+span].
+		lo := max(line, region.Start)
+		span := min(line+63, region.End-1) - lo
+		code, start := region.instrs, region.Start
 
+	run:
 		instrs++
-		if instrs > vm.InstrBudget {
-			return fail(fmt.Errorf("instruction budget exceeded (%d)", vm.InstrBudget))
+		if instrs > budget {
+			return vm.fault(region, pc, instrs, cost, fmt.Errorf("instruction budget exceeded (%d)", budget))
 		}
-		in := region.instrs[(pc-region.Start)/isa.InstrSize]
+		in := code[(pc-start)/isa.InstrSize]
 		next := pc + isa.InstrSize
-		r := &vm.regs
 
 		switch in.Op {
 		case isa.NOP:
 		case isa.HALT:
-			pc = retMagic
-			continue
+			next = retMagic
 		case isa.MOVI:
 			r[in.Rd] = uint64(int64(in.Imm))
 		case isa.MOVIU:
@@ -530,12 +530,12 @@ func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error)
 			r[in.Rd] = r[in.Rs1] * r[in.Rs2]
 		case isa.DIV:
 			if r[in.Rs2] == 0 {
-				return fail(fmt.Errorf("division by zero"))
+				return vm.fault(region, pc, instrs, cost, fmt.Errorf("division by zero"))
 			}
 			r[in.Rd] = uint64(int64(r[in.Rs1]) / int64(r[in.Rs2]))
 		case isa.REM:
 			if r[in.Rs2] == 0 {
-				return fail(fmt.Errorf("division by zero"))
+				return vm.fault(region, pc, instrs, cost, fmt.Errorf("division by zero"))
 			}
 			r[in.Rd] = uint64(int64(r[in.Rs1]) % int64(r[in.Rs2]))
 		case isa.AND:
@@ -573,45 +573,50 @@ func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error)
 
 		case isa.LDB, isa.LDH, isa.LDW, isa.LD:
 			addr := r[in.Rs1] + uint64(int64(in.Imm))
-			size := loadSize(in.Op)
+			size := 1 << (in.Op - isa.LDB) // the four opcodes are consecutive
 			var v uint64
 			var err error
 			switch in.Op {
 			case isa.LDB:
-				v, err = vm.AS.ReadU8(addr)
+				v, err = as.ReadU8(addr)
 			case isa.LDH:
-				v, err = vm.AS.ReadU16(addr)
+				v, err = as.ReadU16(addr)
 			case isa.LDW:
-				v, err = vm.AS.ReadU32(addr)
+				v, err = as.ReadU32(addr)
 			default:
-				v, err = vm.AS.ReadU64(addr)
+				var ok bool
+				if v, ok = as.FastRead64(addr); !ok {
+					v, err = as.ReadU64(addr)
+				}
 			}
 			if err != nil {
-				return fail(err)
+				return vm.fault(region, pc, instrs, cost, err)
 			}
-			if vm.Hier != nil {
-				cost += vm.Hier.Access(addr, size, memsim.Read)
+			if hier != nil {
+				cost += hier.Access(addr, size, memsim.Read)
 			}
 			r[in.Rd] = v
 		case isa.STB, isa.STH, isa.STW, isa.ST:
 			addr := r[in.Rs1] + uint64(int64(in.Imm))
-			size := storeSize(in.Op)
+			size := 1 << (in.Op - isa.STB) // the four opcodes are consecutive
 			var err error
 			switch in.Op {
 			case isa.STB:
-				err = vm.AS.WriteU8(addr, r[in.Rd])
+				err = as.WriteU8(addr, r[in.Rd])
 			case isa.STH:
-				err = vm.AS.WriteU16(addr, r[in.Rd])
+				err = as.WriteU16(addr, r[in.Rd])
 			case isa.STW:
-				err = vm.AS.WriteU32(addr, r[in.Rd])
+				err = as.WriteU32(addr, r[in.Rd])
 			default:
-				err = vm.AS.WriteU64(addr, r[in.Rd])
+				if !as.FastWrite64(addr, r[in.Rd]) {
+					err = as.WriteU64(addr, r[in.Rd])
+				}
 			}
 			if err != nil {
-				return fail(err)
+				return vm.fault(region, pc, instrs, cost, err)
 			}
-			if vm.Hier != nil {
-				cost += vm.Hier.Access(addr, size, memsim.Write)
+			if hier != nil {
+				cost += hier.Access(addr, size, memsim.Write)
 			}
 
 		case isa.BEQ:
@@ -651,15 +656,15 @@ func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error)
 
 		case isa.CALLG, isa.LDG:
 			if region.GotVA == 0 {
-				return fail(fmt.Errorf("%s executed outside a loaded module (untransformed jam?)", in))
+				return vm.fault(region, pc, instrs, cost, fmt.Errorf("%s executed outside a loaded module (untransformed jam?)", in))
 			}
 			slotVA := region.GotVA + uint64(in.Imm)*8
-			v, err := vm.AS.ReadU64(slotVA)
+			v, err := as.ReadU64(slotVA)
 			if err != nil {
-				return fail(err)
+				return vm.fault(region, pc, instrs, cost, err)
 			}
-			if vm.Hier != nil {
-				cost += vm.Hier.Access(slotVA, 8, memsim.Read)
+			if hier != nil {
+				cost += hier.Access(slotVA, 8, memsim.Read)
 			}
 			if in.Op == isa.LDG {
 				r[in.Rd] = v
@@ -668,18 +673,18 @@ func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error)
 				next = v
 			}
 		case isa.CALLP, isa.LDP:
-			gp, err := vm.AS.ReadU64(region.GpSlotVA)
+			gp, err := as.ReadU64(region.GpSlotVA)
 			if err != nil {
-				return fail(fmt.Errorf("GOT pointer slot: %w", err))
+				return vm.fault(region, pc, instrs, cost, fmt.Errorf("GOT pointer slot: %w", err))
 			}
 			slotVA := gp + uint64(in.Imm)*8
-			v, err := vm.AS.ReadU64(slotVA)
+			v, err := as.ReadU64(slotVA)
 			if err != nil {
-				return fail(fmt.Errorf("GOT slot %d via 0x%x: %w", in.Imm, gp, err))
+				return vm.fault(region, pc, instrs, cost, fmt.Errorf("GOT slot %d via 0x%x: %w", in.Imm, gp, err))
 			}
-			if vm.Hier != nil {
-				cost += vm.Hier.Access(region.GpSlotVA, 8, memsim.Read)
-				cost += vm.Hier.Access(slotVA, 8, memsim.Read)
+			if hier != nil {
+				cost += hier.Access(region.GpSlotVA, 8, memsim.Read)
+				cost += hier.Access(slotVA, 8, memsim.Read)
 			}
 			if in.Op == isa.LDP {
 				r[in.Rd] = v
@@ -688,16 +693,32 @@ func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error)
 				next = v
 			}
 		default:
-			return fail(fmt.Errorf("unimplemented opcode %d", in.Op))
+			return vm.fault(region, pc, instrs, cost, fmt.Errorf("unimplemented opcode %d", in.Op))
 		}
 		pc = next
+		if pc-lo <= span {
+			goto run // still inside the run, by fall-through or a short branch
+		}
 	}
+	return r[0], vm.charge(instrs, cost), nil
+}
 
-	instrCost := model.Cycles(float64(instrs) * model.VMCyclesPerInstr)
-	total := cost + instrCost
+// charge adds a call's instructions and simulated cost to the VM's totals
+// and returns the call's whole cost.
+func (vm *VM) charge(instrs uint64, cost sim.Duration) sim.Duration {
+	total := cost + model.Cycles(float64(instrs)*model.VMCyclesPerInstr)
 	vm.TotalInstrs += instrs
 	vm.TotalCost += total
-	return vm.regs[0], total, nil
+	return total
+}
+
+// fault ends a call at pc with err, charged like a return.
+func (vm *VM) fault(region *Region, pc, instrs uint64, cost sim.Duration, err error) (uint64, sim.Duration, error) {
+	f := &Fault{PC: pc, Err: err}
+	if region != nil && pc >= region.Start && pc < region.End {
+		f.Instr = region.instrs[(pc-region.Start)/isa.InstrSize].String()
+	}
+	return 0, vm.charge(instrs, cost), f
 }
 
 func b2u(b bool) uint64 {
@@ -709,28 +730,4 @@ func b2u(b bool) uint64 {
 
 func branchTarget(pc uint64, imm int32) uint64 {
 	return pc + uint64(int64(imm)*isa.InstrSize)
-}
-
-func loadSize(op isa.Op) int {
-	switch op {
-	case isa.LDB:
-		return 1
-	case isa.LDH:
-		return 2
-	case isa.LDW:
-		return 4
-	}
-	return 8
-}
-
-func storeSize(op isa.Op) int {
-	switch op {
-	case isa.STB:
-		return 1
-	case isa.STH:
-		return 2
-	case isa.STW:
-		return 4
-	}
-	return 8
 }

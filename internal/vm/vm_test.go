@@ -22,7 +22,7 @@ type harness struct {
 	out bytes.Buffer
 }
 
-func newHarness(t *testing.T, withHier bool) *harness {
+func newHarness(t testing.TB, withHier bool) *harness {
 	t.Helper()
 	h := &harness{
 		as: mem.NewAddressSpace(8 << 20),
@@ -43,7 +43,7 @@ func newHarness(t *testing.T, withHier bool) *harness {
 	return h
 }
 
-func (h *harness) assemble(t *testing.T, name, src string) *elfobj.Object {
+func (h *harness) assemble(t testing.TB, name, src string) *elfobj.Object {
 	t.Helper()
 	obj, err := asm.Assemble(name, src)
 	if err != nil {
@@ -54,7 +54,7 @@ func (h *harness) assemble(t *testing.T, name, src string) *elfobj.Object {
 
 // loadLib assembles, links, loads a single-object library and maps its
 // text as a VM region.
-func (h *harness) loadLib(t *testing.T, name, src string) *linker.Loaded {
+func (h *harness) loadLib(t testing.TB, name, src string) *linker.Loaded {
 	t.Helper()
 	obj := h.assemble(t, name+".s", src)
 	img, err := linker.LinkLibrary(name, []*elfobj.Object{obj})
