@@ -152,9 +152,9 @@ bench-json:
 	   $(GO) test -run xxx -bench 'BenchmarkMesh(AllToAll|Fanout|Hotspot)(64|128)$$|BenchmarkMeshChaos64$$' -benchmem -benchtime 1x . && \
 	   $(GO) test -run xxx -bench 'BenchmarkFuncCall$$|BenchmarkStringInject|BenchmarkFramePack' -benchmem -benchtime 200000x . && \
 	   $(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem -benchtime 200000x ./internal/sim && \
-	   $(GO) test -run xxx -bench 'BenchmarkAccessSameLine|BenchmarkStashedRead1K|BenchmarkConflictSet|BenchmarkReset' -benchmem -benchtime 200000x ./internal/memsim && \
+	   $(GO) test -run xxx -bench 'BenchmarkAccessSameLine|BenchmarkStashedRead1K|BenchmarkNetworkWriteFrame|BenchmarkConflictSet|BenchmarkReset' -benchmem -benchtime 200000x ./internal/memsim && \
 	   $(GO) test -run xxx -bench 'BenchmarkNew$$' -benchmem -benchtime 1000x ./internal/memsim && \
-	   $(GO) test -run xxx -bench 'BenchmarkInterpretSum' -benchmem -benchtime 50000x ./internal/vm; } \
+	   $(GO) test -run xxx -bench 'BenchmarkInterpretSum|BenchmarkInterpretKVScan' -benchmem -benchtime 50000x ./internal/vm; } \
 	| $(GO) run ./cmd/benchjson -baseline bench/BASELINE_PR3.json -o $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"twochains/internal/mailbox"
+	"twochains/internal/mem"
+	"twochains/internal/memsim"
 	"twochains/internal/sim"
 )
 
@@ -122,6 +124,37 @@ func TestMeshManySendersOneReceiver(t *testing.T) {
 	}
 	if st := m.Stats(); st.Batches == 0 || st.CreditStalls == 0 {
 		t.Fatalf("stats %+v: want batched puts and credit stalls", st)
+	}
+}
+
+// TestMeshMemBytesRange: a negative MemBytes, and one whose address space
+// would reach past the span the cache model numbers, are a typed
+// *MemBytesError naming the node, not a panic in the address space; the
+// largest space inside the span is built.
+func TestMeshMemBytesRange(t *testing.T) {
+	build := func(memBytes int) error {
+		cfg := quickMeshCfg(2, 1)
+		cfg.PerNode = func(i int, c NodeConfig) NodeConfig {
+			if i == 1 {
+				c.MemBytes = memBytes
+			}
+			return c
+		}
+		m, err := NewMesh(cfg)
+		if err == nil {
+			m.Close()
+		}
+		return err
+	}
+	top := int(memsim.Span - mem.Base)
+	for _, bad := range []int{-1 << 20, -1, top + 1, top + mem.PageSize} {
+		var me *MemBytesError
+		if err := build(bad); !errors.As(err, &me) || me.Node != "n01" || me.MemBytes != bad {
+			t.Errorf("MemBytes %d: %v, want a *MemBytesError for n01", bad, err)
+		}
+	}
+	if err := build(top); err != nil {
+		t.Errorf("MemBytes %d (the top of the span): %v", top, err)
 	}
 }
 

@@ -97,6 +97,22 @@ type InstalledPackage struct {
 	rieds    map[string]*linker.Loaded
 }
 
+// MemBytesError is the typed error NewMesh returns for a node whose
+// NodeConfig.MemBytes is negative, or so large that its address space
+// would reach past memsim.Span, the addresses the cache model tells apart.
+type MemBytesError struct {
+	Node     string
+	MemBytes int
+}
+
+func (e *MemBytesError) Error() string {
+	if e.MemBytes < 0 {
+		return fmt.Sprintf("core: node %s: negative MemBytes %d", e.Node, e.MemBytes)
+	}
+	return fmt.Sprintf("core: node %s: MemBytes %d puts the top of its address space past the %d-byte span the cache model covers",
+		e.Node, e.MemBytes, uint64(memsim.Span))
+}
+
 // addNode creates node i of the mesh in the given fabric shard: its NIC
 // joins that leaf domain. Node i's cache and CPU models are seeded from
 // cfg.Seed ^ i.
@@ -105,6 +121,9 @@ func (m *Mesh) addNode(cfg NodeConfig, shard int) error {
 	name := fmt.Sprintf("n%02d", i)
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 64 << 20
+	}
+	if cfg.MemBytes < 0 || uint64(cfg.MemBytes) > memsim.Span-mem.Base {
+		return &MemBytesError{Node: name, MemBytes: cfg.MemBytes}
 	}
 	n := &Node{
 		Name:  name,

@@ -56,6 +56,28 @@ func BenchmarkStashedRead1K(b *testing.B) {
 	})
 }
 
+// BenchmarkNetworkWriteFrame is the per-frame receive cost: the NIC lands a
+// 2 KB frame and the mailbox reads its 16-byte header and the 8-byte
+// trailer word. Frames rotate over a 1 MB region on each of 16 hierarchies,
+// as a mesh's nodes take turns, so the tag sets a frame needs are mostly
+// cold in the host's caches, as they are in a run.
+func BenchmarkNetworkWriteFrame(b *testing.B) {
+	const frame, region, nodes = 2048, 1 << 20, 16
+	var hs [nodes]*Hierarchy
+	for i := range hs {
+		hs[i] = New(DefaultConfig())
+	}
+	var i uint64
+	steadyState(b, func() {
+		h := hs[i%nodes]
+		va := 0x100000 + (i/nodes*frame)%region
+		i++
+		h.NetworkWrite(va, frame)
+		sinkCost += h.Access(va, 16, Read)
+		sinkCost += h.Access(va+frame-8, 8, Read)
+	})
+}
+
 // BenchmarkConflictSet is the worst case for recency-ordered sets: ways+1
 // lines take turns in one set at every level, so each access misses
 // everywhere and shifts three full sets.
@@ -101,7 +123,7 @@ func BenchmarkNew(b *testing.B) {
 }
 
 // BenchmarkReset empties a hierarchy that holds a line: a generation bump
-// per level, whatever the arrays' size.
+// per level, and every 14th time a clear of the arrays.
 func BenchmarkReset(b *testing.B) {
 	h := New(DefaultConfig())
 	steadyState(b, func() {

@@ -10,9 +10,10 @@
 //     tail-latency experiments (Fig. 11/12).
 //
 // The model is functional about *placement* (real set-associative tag
-// arrays, each set kept in recency order, decide where each line lives and
-// which line an insert displaces) and analytic about *time* (per-line costs
-// from internal/model).
+// arrays of 32-bit words, each set kept in recency order, decide where each
+// line lives and which line an insert displaces) and analytic about *time*
+// (per-line costs from internal/model). Line numbers are 28 bits wide: Span
+// bytes at the default line size, 640 KB of tags a hierarchy.
 package memsim
 
 import (
@@ -31,24 +32,26 @@ import (
 // order are ever read; and which physical way holds a line is invisible.
 //
 // A valid way holds floor + 1 + line, floor being the cache's generation
-// shifted above the 40 line bits, and a word is free iff it is <= floor:
+// shifted above the 28 line bits, and a word is free iff it is <= floor:
 // reset, and reuse of the array by another hierarchy, start the next
 // generation and clear nothing. What an earlier one wrote is unobservable:
 // only t == floor+1+line and t <= floor are ever evaluated; a stale word is
 // <= floor, as generations only grow (the largest tag of one is the floor
 // of the next); and no shift moves a free word: touch overwrites the first
-// one, invalidate writes a zero behind the last valid way.
+// one, invalidate writes a zero behind the last valid way. The top four
+// bits of a word hold the generation, so an array is cleared once every 14
+// reuses; a 16-way LLC set is one 64-byte host line.
 type cache struct {
 	ways    int
 	setMask uint64   // sets-1; the set count is a power of two
-	floor   uint64   // generation * genStep, at most maxFloor
-	tags    []uint64 // sets*ways entries
+	floor   uint32   // generation * genStep, at most maxFloor
+	tags    []uint32 // sets*ways entries
 }
 
 const (
-	lineMask = 1<<40 - 1 // Hierarchy.line masks line numbers to 40 bits
+	lineMask = 1<<28 - 1 // Hierarchy.line masks line numbers to 28 bits
 	genStep  = lineMask + 1
-	maxFloor = (1<<24 - 2) * genStep // its largest tag, maxFloor+genStep, still fits a word
+	maxFloor = 14 * genStep // its largest tag, maxFloor+genStep, still fits a word
 )
 
 // tagPool recycles released caches, a pool per size class like mem's backings.
@@ -68,7 +71,7 @@ func newCache(sizeBytes, ways, lineSize int) *cache {
 	n := sets * ways
 	c, _ := tagPool[bits.Len(uint(n))].Get().(*cache)
 	if c == nil || len(c.tags) != n {
-		c = &cache{tags: make([]uint64, n)}
+		c = &cache{tags: make([]uint32, n)}
 	}
 	c.ways, c.setMask = ways, uint64(sets-1)
 	c.reset()
@@ -87,13 +90,13 @@ func (c *cache) reset() {
 }
 
 // set returns the ways line maps to.
-func (c *cache) set(line uint64) []uint64 {
+func (c *cache) set(line uint64) []uint32 {
 	base := int(line&c.setMask) * c.ways
 	return c.tags[base : base+c.ways]
 }
 
 // find returns the way of set s that holds the tag want, or -1.
-func find(s []uint64, want, floor uint64) int {
+func find(s []uint32, want, floor uint32) int {
 	for w, t := range s {
 		if t == want {
 			return w
@@ -106,12 +109,8 @@ func find(s []uint64, want, floor uint64) int {
 }
 
 // holds reports whether line is present, without touching recency.
-func (c *cache) holds(line uint64) bool { return find(c.set(line), c.floor+1+line, c.floor) >= 0 }
-
-// mru reports whether line is the most recently used way of its set: present,
-// and exactly where touch would leave it.
-func (c *cache) mru(line uint64) bool {
-	return c.tags[int(line&c.setMask)*c.ways] == c.floor+1+line
+func (c *cache) holds(line uint64) bool {
+	return find(c.set(line), c.floor+1+uint32(line), c.floor) >= 0
 }
 
 // touch makes line the MRU way of its set, filling it if absent (the LRU way
@@ -120,7 +119,7 @@ func (c *cache) mru(line uint64) bool {
 // and stops at the line's own way, at the first free one (which the carry
 // overwrites), or past the last (whose tag falls off).
 func (c *cache) touch(line uint64) bool {
-	s, want, floor := c.set(line), c.floor+1+line, c.floor
+	s, want, floor := c.set(line), c.floor+1+uint32(line), c.floor
 	carry := want
 	for w, t := range s {
 		s[w] = carry
@@ -139,7 +138,7 @@ func (c *cache) touch(line uint64) bool {
 // valid ways behind it move up one, as far as the first free way; the free
 // tail is left as it is.
 func (c *cache) invalidate(line uint64) bool {
-	s, want := c.set(line), c.floor+1+line
+	s, want := c.set(line), c.floor+1+uint32(line)
 	w := find(s, want, c.floor)
 	if w < 0 {
 		return false

@@ -117,9 +117,12 @@ func newRefHierarchy(cfg Config) *refHierarchy {
 	}
 }
 
-// line masks like Hierarchy.line: the model's physical address width is
-// the one thing the reference takes from the package.
+// line masks like Hierarchy.line, and next steps past the last line to line
+// 0: the model's address width is the one thing the reference takes from
+// the package.
 func (h *refHierarchy) line(addr uint64) uint64 { return addr / uint64(h.cfg.LineSize) & lineMask }
+
+func next(line uint64) uint64 { return (line + 1) & lineMask }
 
 func (h *refHierarchy) trainPrefetch(line uint64) bool {
 	if !h.cfg.Prefetch {
@@ -159,7 +162,7 @@ func (h *refHierarchy) AccessSeq(addr uint64, size int, k Kind, seq bool) sim.Du
 	first := h.line(addr)
 	last := h.line(addr + uint64(size) - 1)
 	var cost sim.Duration
-	for line := first; ; line++ {
+	for line := first; ; line = next(line) {
 		cost += h.accessLine(line, line == first && !seq, k)
 		if line == last {
 			break
@@ -250,7 +253,7 @@ func (h *refHierarchy) NetworkWrite(addr uint64, size int) {
 	}
 	first := h.line(addr)
 	last := h.line(addr + uint64(size) - 1)
-	for line := first; ; line++ {
+	for line := first; ; line = next(line) {
 		h.l2.invalidate(line)
 		h.l3.invalidate(line)
 		if h.cfg.Stash {
@@ -272,7 +275,7 @@ func (h *refHierarchy) WarmLines(addr uint64, size int) {
 	}
 	first := h.line(addr)
 	last := h.line(addr + uint64(size) - 1)
-	for line := first; ; line++ {
+	for line := first; ; line = next(line) {
 		h.fill(line)
 		if line == last {
 			break
@@ -342,8 +345,8 @@ const diffBase = 0x40000
 var diffHighBits = [4]uint64{1 << 46, 1 << 52, 1 << 63, 1<<63 | 1<<46}
 
 // tagArrays identifies the three tag arrays h holds.
-func tagArrays(h *Hierarchy) [3]*uint64 {
-	return [3]*uint64{&h.l2.tags[0], &h.l3.tags[0], &h.llc.tags[0]}
+func tagArrays(h *Hierarchy) [3]*uint32 {
+	return [3]*uint32{&h.l2.tags[0], &h.l3.tags[0], &h.llc.tags[0]}
 }
 
 // recycledArrays counts the tag arrays a recycle op got back from the pool:
@@ -353,6 +356,10 @@ var recycledArrays int
 // hierarchyDiff drives one op sequence against a Hierarchy and against the
 // reference model and fails on the first difference in any returned cost,
 // any Stats field, or the level holding any line the program touched.
+// Flag bit 3 turns every access op into a "Hit, else Access" op, the way
+// the interpreter charges loads, stores and fetches: Hit first, priced at
+// L2HitLat (model.Cycles(1) for a sequential access) when it answers, and
+// Access or AccessSeq only when it does not.
 func hierarchyDiff(t *testing.T, program []byte) { diffOn(t, program, New) }
 
 // diffOn is hierarchyDiff with the constructor of the hierarchy under test
@@ -363,6 +370,7 @@ func diffOn(t *testing.T, program []byte, build func(Config) *Hierarchy) (Config
 	cfg := diffGeometries[p.u8()%len(diffGeometries)]
 	flags := p.u8()
 	cfg.Stash, cfg.Prefetch, cfg.Seed = flags&1 != 0, flags&2 != 0, uint64(p.u8())
+	hitFirst := flags&8 != 0
 	got, want := build(cfg), newRefHierarchy(cfg)
 	// Every program leaves its arrays, as it dirtied them, to the next.
 	defer func() { got.Release() }()
@@ -388,8 +396,10 @@ func diffOn(t *testing.T, program []byte, build func(Config) *Hierarchy) (Config
 		case sel < 224: // a forward stream, which trains the prefetcher
 			cursor++
 			prev = 0x4000000 + cursor*ls
-		case sel < 240:
+		case sel < 236:
 			prev = diffBase + uint64(p.u16())*8
+		case sel < 240: // the last 2 KB the model numbers: line lineMask and below
+			prev = (lineMask+1)*ls - 8 - uint64(p.u8())*8
 		default: // a working-set line again, under address bits 46 and up
 			hi := p.u8()
 			prev = diffHighBits[hi>>6] | (diffBase + uint64(hi%48)*ls + uint64(p.u8())%ls)
@@ -429,9 +439,15 @@ func diffOn(t *testing.T, program []byte, build func(Config) *Hierarchy) (Config
 	access := func(op int, a uint64, n int, k Kind, seq bool) {
 		touch(a, n)
 		var g sim.Duration
-		if seq {
+		switch {
+		case hitFirst && got.Hit(a, n):
+			g = model.L2HitLat
+			if seq {
+				g = model.Cycles(1)
+			}
+		case seq:
 			g = got.AccessSeq(a, n, k, true)
-		} else {
+		default:
 			g = got.Access(a, n, k)
 		}
 		if w := want.AccessSeq(a, n, k, seq); g != w {

@@ -112,8 +112,13 @@ func (h *Hierarchy) Stats() Stats { return h.stats }
 // ResetStats zeroes the counters without touching cache contents.
 func (h *Hierarchy) ResetStats() { h.stats = Stats{} }
 
-// line masks to 40 bits: 46-bit physical addresses with 64-byte lines, more
-// than any mem.AddressSpace spans. An access off the top wraps to line 0.
+// Span is the address span the model numbers at the default line size:
+// 2^28 lines of 64 bytes, 16 GB. An address at or past it aliases the line
+// of its remainder; core refuses a node whose address space reaches it.
+const Span = (lineMask + 1) * model.LineSize
+
+// line masks to 28 bits, so an access off the top of the span wraps to
+// line 0.
 func (h *Hierarchy) line(addr uint64) uint64 { return addr >> h.lineShift & lineMask }
 
 // trainPrefetch records a DRAM-level miss for line and reports whether the
@@ -159,19 +164,15 @@ func (h *Hierarchy) Access(addr uint64, size int, k Kind) sim.Duration {
 // instruction fetch, where hardware fetch-ahead hides part of the next
 // line's latency behind execution of the current one.
 func (h *Hierarchy) AccessSeq(addr uint64, size int, k Kind, seq bool) sim.Duration {
+	if h.Hit(addr, size) {
+		return l2Cost(!seq, k)
+	}
 	if size <= 0 {
 		return 0
 	}
 	h.stats.Accesses++
 	first := h.line(addr)
 	last := h.line(addr + uint64(size) - 1)
-	// The commonest access re-touches the MRU line of its L2 set (the next
-	// word of the line used last, a push after a pop): a hit that reorders
-	// nothing, answered from one tag word.
-	if first == last && h.l2.mru(first) {
-		h.stats.LinesL2++
-		return l2Cost(!seq, k)
-	}
 	var cost sim.Duration
 	for line := first; ; line = (line + 1) & lineMask {
 		cost += h.accessLine(line, line == first && !seq, k)
@@ -180,6 +181,25 @@ func (h *Hierarchy) AccessSeq(addr uint64, size int, k Kind, seq bool) sim.Durat
 		}
 	}
 	return cost
+}
+
+// Hit answers the commonest access there is, one that stays in the MRU line
+// of its L2 set (the next word of the line used last, a push after a pop):
+// an L2 hit that reorders nothing, read from one tag word. It counts the
+// access and reports true, and the caller charges what Access would have,
+// model.L2HitLat (model.Cycles(1) for a line a sequential AccessSeq
+// continues); otherwise it counts nothing and the caller calls Access or
+// AccessSeq. It makes no call, so it inlines where the interpreter loads,
+// stores and fetches.
+func (h *Hierarchy) Hit(addr uint64, size int) bool {
+	line, c := addr>>h.lineShift&lineMask, h.l2
+	if size <= 0 || (addr+uint64(size)-1)>>h.lineShift&lineMask != line ||
+		c.tags[int(line&c.setMask)*c.ways] != c.floor+1+uint32(line) {
+		return false
+	}
+	h.stats.Accesses++
+	h.stats.LinesL2++
+	return true
 }
 
 // l2Cost is the cost of one line that hits in L2.

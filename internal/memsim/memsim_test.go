@@ -26,6 +26,10 @@ func (c *cache) occupancy() int {
 	return n
 }
 
+// mru reports whether line is the most recently used way of its set:
+// present, and exactly where touch would leave it.
+func (c *cache) mru(line uint64) bool { return c.set(line)[0] == c.floor+1+uint32(line) }
+
 func TestCacheLookupInsert(t *testing.T) {
 	c := newCache(64*1024, 4, 64) // 1024 lines, 256 sets
 	if c.holds(100) {

@@ -18,11 +18,11 @@ import (
 // (floors only grow, per array), so it is at most F+genStep, the tag of
 // line lineMask — which is exactly the floor the next occupant gets, hence
 // free. Words above that are not part of the poison because nothing can
-// have written them: ^uint64(0) in particular would need a floor above
-// maxFloor, and maxFloor+genStep is 2^64-2^40.
+// have written them: ^uint32(0) in particular would need a floor above
+// maxFloor, and maxFloor+genStep is 2^32-2^28.
 
 // poisoned holds the arrays poisonPool released, for newWatched.
-var poisoned = map[*uint64]bool{}
+var poisoned = map[*uint32]bool{}
 
 // poisonPool releases, for each level of cfg, three caches (under -race
 // sync.Pool drops a quarter of all Puts) standing at a generation of the
@@ -30,7 +30,7 @@ var poisoned = map[*uint64]bool{}
 // them: every line the next program touches, tagged valid under that
 // generation and sitting in the very set it will be looked up in, and
 // every other word equal to the floor the next occupant starts at.
-func poisonPool(cfg Config, lines map[uint64]bool, floor uint64) {
+func poisonPool(cfg Config, lines map[uint64]bool, floor uint32) {
 	for _, g := range [][2]int{{cfg.L2Size, cfg.L2Ways}, {cfg.L3Size, cfg.L3Ways}, {cfg.LLCSize, cfg.LLCWays}} {
 		for n := 0; n < 3; n++ {
 			c := newCache(g[0], g[1], cfg.LineSize)
@@ -42,7 +42,7 @@ func poisonPool(cfg Config, lines map[uint64]bool, floor uint64) {
 				// In whatever way of its set: stale words keep no order.
 				line &= lineMask
 				s := c.set(line)
-				s[int(line>>3)%len(s)] = floor + 1 + line
+				s[int(line>>3)%len(s)] = floor + 1 + uint32(line)
 			}
 			poisoned[&c.tags[0]] = true
 			c.release()
@@ -73,9 +73,9 @@ func TestPoisonedPoolDifferential(t *testing.T) {
 		cfg, lines := diffOn(t, program, New)
 		// Any generation, and often the two next to the wrap: the last one
 		// (the draw clears) and the one before (the draw lands on the last).
-		floor := uint64(1+rng.Intn(1<<24-2)) * genStep
+		floor := uint32(1+rng.Intn(maxFloor/genStep)) * genStep
 		if i%4 == 0 {
-			floor = maxFloor - uint64(i/4%2)*genStep
+			floor = maxFloor - uint32(i/4%2)*genStep
 		}
 		poisonPool(cfg, lines, floor)
 		diffOn(t, program, newWatched)
@@ -169,7 +169,7 @@ func generationWrap(t *testing.T, cfg Config) bool {
 		if c.floor != genStep {
 			t.Fatalf("floor 0x%x after the wrap, want the first generation 0x%x", c.floor, uint64(genStep))
 		}
-		if slices.ContainsFunc(c.tags, func(w uint64) bool { return w != 0 }) {
+		if slices.ContainsFunc(c.tags, func(w uint32) bool { return w != 0 }) {
 			t.Fatal("the wrap did not clear the array: an old tag could pass for a new one")
 		}
 	}
@@ -186,7 +186,7 @@ func TestReleasedHierarchy(t *testing.T) {
 	h.Access(diffBase, 512, Read)
 	h.NetworkWrite(diffBase+4096, 1024)
 	given := [3]*cache{h.l2, h.l3, h.llc}
-	var snapshot [3][]uint64
+	var snapshot [3][]uint32
 	for i, c := range given {
 		snapshot[i] = slices.Clone(c.tags)
 	}

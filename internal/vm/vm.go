@@ -491,7 +491,17 @@ func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error)
 			}
 			if !hot {
 				if hier != nil {
-					cost += hier.AccessSeq(line, 64, memsim.Fetch, seqFetch)
+					// What AccessSeq charges a line that hits L2: the
+					// load-to-use latency when it leads, one streamed
+					// cycle when it follows.
+					switch {
+					case !hier.Hit(line, 64):
+						cost += hier.AccessSeq(line, 64, memsim.Fetch, seqFetch)
+					case seqFetch:
+						cost += model.Cycles(1)
+					default:
+						cost += model.L2HitLat
+					}
 				}
 				hotLines[hotIdx] = line + 1
 				hotIdx = (hotIdx + 1) & 7
@@ -593,7 +603,11 @@ func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error)
 				return vm.fault(region, pc, instrs, cost, err)
 			}
 			if hier != nil {
-				cost += hier.Access(addr, size, memsim.Read)
+				if hier.Hit(addr, size) {
+					cost += model.L2HitLat
+				} else {
+					cost += hier.Access(addr, size, memsim.Read)
+				}
 			}
 			r[in.Rd] = v
 		case isa.STB, isa.STH, isa.STW, isa.ST:
@@ -616,7 +630,11 @@ func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error)
 				return vm.fault(region, pc, instrs, cost, err)
 			}
 			if hier != nil {
-				cost += hier.Access(addr, size, memsim.Write)
+				if hier.Hit(addr, size) {
+					cost += model.L2HitLat
+				} else {
+					cost += hier.Access(addr, size, memsim.Write)
+				}
 			}
 
 		case isa.BEQ:
@@ -659,12 +677,19 @@ func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error)
 				return vm.fault(region, pc, instrs, cost, fmt.Errorf("%s executed outside a loaded module (untransformed jam?)", in))
 			}
 			slotVA := region.GotVA + uint64(in.Imm)*8
-			v, err := as.ReadU64(slotVA)
-			if err != nil {
-				return vm.fault(region, pc, instrs, cost, err)
+			v, ok := as.FastRead64(slotVA)
+			if !ok {
+				var err error
+				if v, err = as.ReadU64(slotVA); err != nil {
+					return vm.fault(region, pc, instrs, cost, err)
+				}
 			}
 			if hier != nil {
-				cost += hier.Access(slotVA, 8, memsim.Read)
+				if hier.Hit(slotVA, 8) {
+					cost += model.L2HitLat
+				} else {
+					cost += hier.Access(slotVA, 8, memsim.Read)
+				}
 			}
 			if in.Op == isa.LDG {
 				r[in.Rd] = v
@@ -673,18 +698,32 @@ func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error)
 				next = v
 			}
 		case isa.CALLP, isa.LDP:
-			gp, err := as.ReadU64(region.GpSlotVA)
-			if err != nil {
-				return vm.fault(region, pc, instrs, cost, fmt.Errorf("GOT pointer slot: %w", err))
+			gp, ok := as.FastRead64(region.GpSlotVA)
+			if !ok {
+				var err error
+				if gp, err = as.ReadU64(region.GpSlotVA); err != nil {
+					return vm.fault(region, pc, instrs, cost, fmt.Errorf("GOT pointer slot: %w", err))
+				}
 			}
 			slotVA := gp + uint64(in.Imm)*8
-			v, err := as.ReadU64(slotVA)
-			if err != nil {
-				return vm.fault(region, pc, instrs, cost, fmt.Errorf("GOT slot %d via 0x%x: %w", in.Imm, gp, err))
+			v, ok := as.FastRead64(slotVA)
+			if !ok {
+				var err error
+				if v, err = as.ReadU64(slotVA); err != nil {
+					return vm.fault(region, pc, instrs, cost, fmt.Errorf("GOT slot %d via 0x%x: %w", in.Imm, gp, err))
+				}
 			}
 			if hier != nil {
-				cost += hier.Access(region.GpSlotVA, 8, memsim.Read)
-				cost += hier.Access(slotVA, 8, memsim.Read)
+				if hier.Hit(region.GpSlotVA, 8) {
+					cost += model.L2HitLat
+				} else {
+					cost += hier.Access(region.GpSlotVA, 8, memsim.Read)
+				}
+				if hier.Hit(slotVA, 8) {
+					cost += model.L2HitLat
+				} else {
+					cost += hier.Access(slotVA, 8, memsim.Read)
+				}
 			}
 			if in.Op == isa.LDP {
 				r[in.Rd] = v
