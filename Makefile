@@ -23,16 +23,20 @@
 # `make examples` builds and runs every examples/* binary headless — the
 # cheapest whole-surface smoke of the public API (CI runs it too).
 #
-# `make fuzz-smoke` runs FuzzEnsureJam (internal/vm) for a few seconds:
-# arbitrary bytes at arbitrary (VA, length) sequences must map or be
-# refused, never panic; then FuzzAddressSpaceRecycle (internal/mem):
+# `make fuzz-smoke` runs four fuzz targets for 5 s each. FuzzEnsureJam
+# (internal/vm): arbitrary bytes at arbitrary (VA, length) sequences must
+# map or be refused, never panic; then FuzzAddressSpaceRecycle (internal/mem):
 # arbitrary accessor sequences on a space grown into poisoned recycled
 # backings must match a never-recycled space value for value, fault for
 # fault, byte for byte; then FuzzHierarchy (internal/memsim): arbitrary
 # access / NIC-write / warm / stress / reset / recycle sequences on a
 # Hierarchy must match the reference stamp-LRU model cost for cost,
-# counter for counter, line for line. A failing input lands in the
-# package's testdata/fuzz/ — commit it with the fix.
+# counter for counter, line for line; then FuzzPortPut (internal/fabric):
+# arbitrary registrations and puts, with valid, foreign or never-issued
+# rkeys at in-range, edge and near-2^64 addresses, on every fabric backend
+# must land exactly the bytes a naive interval model says and refuse the
+# rest with an error, calling back once per put. A failing input lands in
+# the package's testdata/fuzz/ — commit it with the fix.
 #
 # `make bench-json` regenerates $(BENCH_OUT) (BENCH_PR21.json by
 # default; override with BENCH_OUT=...) — the machine-readable perf
@@ -143,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzEnsureJam -fuzztime 5s ./internal/vm
 	$(GO) test -run xxx -fuzz FuzzAddressSpaceRecycle -fuzztime 5s ./internal/mem
 	$(GO) test -run xxx -fuzz FuzzHierarchy -fuzztime 5s ./internal/memsim
+	$(GO) test -run xxx -fuzz FuzzPortPut -fuzztime 5s ./internal/fabric
 
 chaos-smoke:
 	$(GO) test -race -run 'TestFailRejoinDrain' ./internal/workload

@@ -31,8 +31,9 @@ type MeshConfig struct {
 	// Backend names the fabric transport ("" selects the default,
 	// "simnet"); see fabric.Backends for the registered set.
 	Backend string
-	// Chaos configures the "chaos" failure-injection backend (and is
-	// ignored by every other backend); see fabric.ChaosConfig.
+	// Chaos configures the "chaos" failure-injection backend. Every other
+	// backend ignores it, but NewMesh refuses a malformed one (see
+	// fabric.ChaosConfig.Validate).
 	Chaos *fabric.ChaosConfig
 
 	Node NodeConfig
@@ -136,10 +137,12 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("core: mesh needs >= 2 nodes, got %d", cfg.Nodes)
 	}
-	if cfg.Chaos != nil && !fabric.Lookup(cfg.Chaos.Inner) {
-		// The chaos wrapper builds its inner backend itself, where an
-		// unknown name can only panic; refuse it here instead.
-		return nil, fmt.Errorf("core: unknown fabric backend %q (registered: %v)", cfg.Chaos.Inner, fabric.Backends())
+	if cfg.Backend == "chaos" || cfg.Chaos != nil {
+		// The chaos constructor has no error return and panics on a bad
+		// config; refuse one here instead.
+		if err := cfg.Chaos.Validate(); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1

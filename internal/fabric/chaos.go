@@ -38,28 +38,30 @@ type ChaosConfig struct {
 	MinDelay, MaxDelay sim.Duration
 }
 
-// validate panics on a malformed config — the fabric Constructor
-// signature has no error return, so an impossible configuration is a
-// programming error. core.NewMesh refuses an unregistered Inner first.
-func (c *ChaosConfig) validate() {
-	if c == nil {
-		panic("fabric: chaos backend selected with nil Config.Chaos")
+// Validate reports a malformed config as an error: a nil config, an
+// unregistered or self-wrapping Inner, or delay bounds outside
+// 0 <= MinDelay <= MaxDelay <= MaxChaosDelay. core.NewMesh calls it before
+// it builds the fabric.
+func (c *ChaosConfig) Validate() error {
+	switch {
+	case c == nil:
+		return fmt.Errorf(`fabric: the "chaos" backend needs a ChaosConfig`)
+	case c.Inner == "chaos":
+		return fmt.Errorf("fabric: chaos backend cannot wrap itself")
+	case !Lookup(c.Inner):
+		return fmt.Errorf("fabric: unknown backend %q (registered: %v)", c.Inner, Backends())
+	case c.MinDelay < 0 || c.MaxDelay < c.MinDelay:
+		return fmt.Errorf("fabric: chaos: need 0 <= MinDelay <= MaxDelay, have [%dps, %dps]", c.MinDelay, c.MaxDelay)
+	case c.MaxDelay > MaxChaosDelay:
+		return fmt.Errorf("fabric: chaos: MaxDelay %dps exceeds the staging-safe cap %dps", c.MaxDelay, MaxChaosDelay)
 	}
-	if c.Inner == "chaos" {
-		panic("fabric: chaos backend cannot wrap itself")
-	}
-	if c.MinDelay < 0 || c.MaxDelay < c.MinDelay {
-		panic(fmt.Sprintf("fabric: chaos: need 0 <= MinDelay <= MaxDelay, have [%v, %v]", c.MinDelay, c.MaxDelay))
-	}
-	if c.MaxDelay > MaxChaosDelay {
-		panic(fmt.Sprintf("fabric: chaos: MaxDelay %v exceeds the staging-safe cap %v", c.MaxDelay, MaxChaosDelay))
-	}
+	return nil
 }
 
-// Chaos is the failure-injection wrapper transport. All memory
-// registration, delivery hooks, and actual data movement delegate to
-// the inner backend; the wrapper owns only the perturbation draw and
-// the deferred issue of each put.
+// Chaos is the failure-injection wrapper transport. Memory registration,
+// delivery hooks and the actual data movement delegate to the inner
+// backend; the wrapper owns only the perturbation draw and the deferred
+// issue of each put.
 type Chaos struct {
 	cfg   ChaosConfig
 	inner Transport
@@ -67,21 +69,20 @@ type Chaos struct {
 	rng   *sim.RNG
 }
 
-// NewChaos constructs the wrapper; it is registered as "chaos".
+// NewChaos constructs the wrapper; it is registered as "chaos". The
+// Constructor signature has no error return, so a config that skipped
+// Validate and fails it panics here.
 func NewChaos(eng *sim.Engine, cfg Config) Transport {
-	cfg.Chaos.validate()
+	if err := cfg.Chaos.Validate(); err != nil {
+		panic(err)
+	}
 	c := *cfg.Chaos
 	inner := cfg
 	inner.Chaos = nil
-	it, err := New(c.Inner, eng, inner)
-	if err != nil {
-		panic(fmt.Sprintf("fabric: chaos: %v", err))
-	}
+	// Validate checked that Inner is registered, so New cannot fail.
+	it, _ := New(c.Inner, eng, inner)
 	return &Chaos{cfg: c, inner: it, eng: eng, rng: sim.NewRNG(cfg.Seed ^ 0x6368616f73)} // "chaos"
 }
-
-// Inner exposes the wrapped transport (diagnostics and tests).
-func (c *Chaos) Inner() Transport { return c.inner }
 
 // Engine returns the inner backend's event clock.
 func (c *Chaos) Engine() *sim.Engine { return c.inner.Engine() }
@@ -91,8 +92,8 @@ func (c *Chaos) Engine() *sim.Engine { return c.inner.Engine() }
 // the per-destination release watermarks that keep delivery order.
 func (c *Chaos) Attach(as *mem.AddressSpace, hier *memsim.Hierarchy) Port {
 	return &chaosPort{
+		Port:    c.inner.Attach(as, hier),
 		fab:     c,
-		inner:   c.inner.Attach(as, hier),
 		rng:     c.rng.Split(),
 		release: map[Port]sim.Time{},
 	}
@@ -101,26 +102,18 @@ func (c *Chaos) Attach(as *mem.AddressSpace, hier *memsim.Hierarchy) Port {
 // AssignDomain places the inner port.
 func (c *Chaos) AssignDomain(p Port, domain int) {
 	if cp, ok := p.(*chaosPort); ok {
-		c.inner.AssignDomain(cp.inner, domain)
+		c.inner.AssignDomain(cp.Port, domain)
 	}
 }
 
-// DomainOf reports the inner port's fabric shard.
-func (c *Chaos) DomainOf(p Port) int {
-	if cp, ok := p.(*chaosPort); ok {
-		return c.inner.DomainOf(cp.inner)
-	}
-	return 0
-}
-
-// chaosPort wraps one inner port. Registration, hooks, and address
-// space pass straight through; Put draws a delay and defers the inner
-// issue; Fence defers at the current watermark so it stays ordered
-// between the puts it was called between.
+// chaosPort wraps one inner port. Registration, hooks and the address
+// space pass straight through the embedded Port; Put draws a delay and
+// defers the inner issue; Fence defers at the current watermark so it
+// stays ordered between the puts it was called between.
 type chaosPort struct {
-	fab   *Chaos
-	inner Port
-	rng   *sim.RNG
+	Port // the inner port
+	fab  *Chaos
+	rng  *sim.RNG
 	// release clamps per-destination issue times monotone: a later put
 	// that draws a smaller delay still issues no earlier than its
 	// predecessor, preserving the inner backend's ordering guarantee.
@@ -130,16 +123,7 @@ type chaosPort struct {
 	DelayTotal sim.Duration
 }
 
-func (p *chaosPort) RegisterMemory(base uint64, size int, access Access) (RKey, error) {
-	return p.inner.RegisterMemory(base, size, access)
-}
-func (p *chaosPort) Deregister(key RKey)                  { p.inner.Deregister(key) }
-func (p *chaosPort) SetDeliveryHook(fn func(uint64, int)) { p.inner.SetDeliveryHook(fn) }
-func (p *chaosPort) AddDeliveryHookRange(base uint64, size int, fn func(uint64, int)) {
-	p.inner.AddDeliveryHookRange(base, size, fn)
-}
-func (p *chaosPort) AddressSpace() *mem.AddressSpace { return p.inner.AddressSpace() }
-func (p *chaosPort) Label() string                   { return "chaos(" + p.inner.Label() + ")" }
+func (p *chaosPort) Label() string { return "chaos(" + p.Port.Label() + ")" }
 
 // delay draws the next perturbation from the port's RNG stream.
 func (p *chaosPort) delay() sim.Duration {
@@ -176,11 +160,11 @@ func (p *chaosPort) Put(dst Port, srcVA, dstVA uint64, size int, key RKey, onCom
 		p.DelayTotal += delta
 	}
 	if release == p.fab.eng.Now() {
-		p.inner.Put(d.inner, srcVA, dstVA, size, key, onComplete)
+		p.Port.Put(d.Port, srcVA, dstVA, size, key, onComplete)
 		return
 	}
 	p.fab.eng.At(release, func() {
-		p.inner.Put(d.inner, srcVA, dstVA, size, key, onComplete)
+		p.Port.Put(d.Port, srcVA, dstVA, size, key, onComplete)
 	})
 }
 
@@ -194,8 +178,8 @@ func (p *chaosPort) Fence(dst Port) {
 	}
 	wm := p.release[dst]
 	if wm <= p.fab.eng.Now() {
-		p.inner.Fence(d.inner)
+		p.Port.Fence(d.Port)
 		return
 	}
-	p.fab.eng.At(wm, func() { p.inner.Fence(d.inner) })
+	p.fab.eng.At(wm, func() { p.Port.Fence(d.Port) })
 }

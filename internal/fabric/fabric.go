@@ -4,7 +4,7 @@
 // register themselves by name, so alternate backends can be slotted into a
 // deployment without the upper layers changing.
 //
-// Two backends ship in-tree:
+// Three backends ship in-tree:
 //
 //   - "simnet" (package internal/simnet, the default): the paper-testbed
 //     RDMA model — per-direction wires, NIC tx queues, fabric-shard spine
@@ -13,11 +13,16 @@
 //     pay only base latency plus wire time, never queueing. It is the
 //     upper-bound ablation: the gap between "ideal" and "simnet" numbers
 //     is the cost of the modeled interconnect.
+//   - "chaos": a wrapper around another backend that perturbs each put's
+//     issue time within declared bounds (see ChaosConfig).
 //
-// The interface is deliberately small — endpoint create (Attach), remote
-// put (Port.Put), and rkey exchange (Port.RegisterMemory) — mirroring the
-// three capabilities the paper's runtime needs from its communication
-// framework.
+// The interface is what the paper's runtime needs from its communication
+// framework: register memory and hand out an rkey, put one-sided into a
+// remote mailbox, and fence on fabrics without write ordering. A Port has
+// six methods — RegisterMemory, Put, Fence, AddDeliveryHookRange,
+// AddressSpace and Label — and a Transport three: Engine, Attach and
+// AssignDomain. Registration, the rkey check, the delivery hooks and the
+// landing of a put live once, in Host, which every backend's port embeds.
 package fabric
 
 import (
@@ -40,7 +45,6 @@ type Access uint8
 const (
 	RemoteRead Access = 1 << iota
 	RemoteWrite
-	RemoteAtomic
 )
 
 // PutResult reports the outcome of a one-sided operation to its initiator.
@@ -55,8 +59,6 @@ type Port interface {
 	// RegisterMemory pins [base, base+size) for remote access and returns
 	// the rkey peers must present — the exchange step of an RDMA setup.
 	RegisterMemory(base uint64, size int, access Access) (RKey, error)
-	// Deregister removes a registration.
-	Deregister(key RKey)
 	// Put issues a one-sided write of size bytes from the local srcVA to
 	// dstVA on the destination port, authorized by key. Delivery happens
 	// with no destination-CPU involvement; onComplete fires at the
@@ -65,8 +67,6 @@ type Port interface {
 	// Fence orders later puts to dst after all earlier ones — the explicit
 	// primitive for fabrics without a write-order guarantee.
 	Fence(dst Port)
-	// SetDeliveryHook registers an observer for every inbound put.
-	SetDeliveryHook(fn func(va uint64, size int))
 	// AddDeliveryHookRange registers an observer invoked only for puts
 	// intersecting [base, base+size) — the scalable form for per-region
 	// watchers like mailbox receivers and credit-flag arrays.
@@ -88,8 +88,6 @@ type Transport interface {
 	// AssignDomain places a port into a fabric shard (leaf domain).
 	// Backends without a topology model may ignore it.
 	AssignDomain(p Port, domain int)
-	// DomainOf reports a port's fabric shard (0 when never assigned).
-	DomainOf(p Port) int
 }
 
 // Config sets backend-independent fabric characteristics; backends are free
@@ -102,8 +100,8 @@ type Config struct {
 	// delivery jitter).
 	Seed uint64
 	// Chaos configures the "chaos" failure-injection wrapper backend and
-	// is ignored by every other backend. Selecting backend "chaos" with a
-	// nil Chaos config panics.
+	// is ignored by every other backend. Callers check it with
+	// ChaosConfig.Validate first, as core.NewMesh does.
 	Chaos *ChaosConfig
 }
 

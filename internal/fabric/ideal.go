@@ -40,12 +40,9 @@ func (f *Ideal) Engine() *sim.Engine { return f.eng }
 // Attach adds a host port.
 func (f *Ideal) Attach(as *mem.AddressSpace, hier *memsim.Hierarchy) Port {
 	p := &idealPort{
+		Host:        NewHost(as, hier, f.rng.Split()),
 		fab:         f,
 		id:          len(f.ports),
-		as:          as,
-		hier:        hier,
-		regs:        map[RKey]idealReg{},
-		rng:         f.rng.Split(),
 		lastArrival: map[int]sim.Time{},
 	}
 	f.ports = append(f.ports, p)
@@ -55,23 +52,10 @@ func (f *Ideal) Attach(as *mem.AddressSpace, hier *memsim.Hierarchy) Port {
 // AssignDomain is a no-op: the ideal fabric has no topology.
 func (f *Ideal) AssignDomain(Port, int) {}
 
-// DomainOf always reports domain 0.
-func (f *Ideal) DomainOf(Port) int { return 0 }
-
-type idealReg struct {
-	base   uint64
-	size   int
-	access Access
-}
-
 type idealPort struct {
-	fab   *Ideal
-	id    int
-	as    *mem.AddressSpace
-	hier  *memsim.Hierarchy
-	regs  map[RKey]idealReg
-	rng   *sim.RNG
-	hooks []idealHook
+	Host
+	fab *Ideal
+	id  int
 	// lastArrival enforces in-order delivery per destination: a put may
 	// not land before an earlier put to the same peer, even when its
 	// smaller size gives it a shorter wire time. This is what makes the
@@ -79,64 +63,7 @@ type idealPort struct {
 	lastArrival map[int]sim.Time
 }
 
-type idealHook struct {
-	base, end uint64 // end == 0 matches every put
-	fn        func(va uint64, size int)
-}
-
 func (p *idealPort) Label() string { return fmt.Sprintf("ideal%d", p.id) }
-
-// AddressSpace returns the host memory this port DMAs into.
-func (p *idealPort) AddressSpace() *mem.AddressSpace { return p.as }
-
-func (p *idealPort) RegisterMemory(base uint64, size int, access Access) (RKey, error) {
-	if size <= 0 {
-		return 0, fmt.Errorf("fabric: ideal: register: non-positive size")
-	}
-	if _, err := p.as.ReadBytesDMA(base, 1); err != nil {
-		return 0, fmt.Errorf("fabric: ideal: register: base unmapped: %w", err)
-	}
-	if _, err := p.as.ReadBytesDMA(base+uint64(size)-1, 1); err != nil {
-		return 0, fmt.Errorf("fabric: ideal: register: end unmapped: %w", err)
-	}
-	var key RKey
-	for {
-		key = RKey(p.rng.Uint64())
-		if key == 0 {
-			continue
-		}
-		if _, dup := p.regs[key]; !dup {
-			break
-		}
-	}
-	p.regs[key] = idealReg{base: base, size: size, access: access}
-	return key, nil
-}
-
-func (p *idealPort) Deregister(key RKey) { delete(p.regs, key) }
-
-func (p *idealPort) SetDeliveryHook(fn func(va uint64, size int)) {
-	p.hooks = append(p.hooks, idealHook{fn: fn})
-}
-
-func (p *idealPort) AddDeliveryHookRange(base uint64, size int, fn func(va uint64, size int)) {
-	p.hooks = append(p.hooks, idealHook{base: base, end: base + uint64(size), fn: fn})
-}
-
-func (p *idealPort) check(key RKey, va uint64, size int, want Access) error {
-	reg, ok := p.regs[key]
-	if !ok {
-		return fmt.Errorf("fabric: ideal: invalid rkey %#x", key)
-	}
-	if va < reg.base || va+uint64(size) > reg.base+uint64(reg.size) {
-		return fmt.Errorf("fabric: ideal: access [0x%x,+%d) outside registration [0x%x,+%d)",
-			va, size, reg.base, reg.size)
-	}
-	if reg.access&want == 0 {
-		return fmt.Errorf("fabric: ideal: registration %#x lacks permission %d", key, want)
-	}
-	return nil
-}
 
 // Put copies the bytes after the ideal one-way delay: base latency plus
 // wire time, unconditionally — the fabric itself is never the bottleneck.
@@ -154,7 +81,7 @@ func (p *idealPort) Put(dst Port, srcVA, dstVA uint64, size int, key RKey, onCom
 		})
 		return
 	}
-	src, err := p.as.ViewDMA(srcVA, size)
+	src, err := p.AddressSpace().ViewDMA(srcVA, size)
 	if err != nil {
 		eng.After(0, func() {
 			if onComplete != nil {
@@ -170,7 +97,7 @@ func (p *idealPort) Put(dst Port, srcVA, dstVA uint64, size int, key RKey, onCom
 		arrival = last
 	}
 	p.lastArrival[d.id] = arrival
-	if err := d.check(key, dstVA, size, RemoteWrite); err != nil {
+	if err := d.CheckPut(key, dstVA, size); err != nil {
 		p.fab.bufs.Put(data)
 		eng.At(arrival, func() {
 			if onComplete != nil {
@@ -180,18 +107,8 @@ func (p *idealPort) Put(dst Port, srcVA, dstVA uint64, size int, key RKey, onCom
 		return
 	}
 	eng.At(arrival, func() {
-		if err := d.as.WriteBytesDMA(dstVA, data); err != nil {
-			panic(fmt.Sprintf("fabric: ideal: delivery DMA failed inside registration: %v", err))
-		}
+		d.Land(dstVA, data)
 		p.fab.bufs.Put(data)
-		if d.hier != nil {
-			d.hier.NetworkWrite(dstVA, size)
-		}
-		for _, h := range d.hooks {
-			if h.end == 0 || (dstVA < h.end && dstVA+uint64(size) > h.base) {
-				h.fn(dstVA, size)
-			}
-		}
 		if onComplete != nil {
 			onComplete(PutResult{Delivered: eng.Now()})
 		}

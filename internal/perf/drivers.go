@@ -374,12 +374,12 @@ func UcxPutLatency(cfg RunConfig, size int) (*RunResult, error) {
 		}
 		return d
 	}
-	p.b.Worker.NIC.SetDeliveryHook(func(va uint64, n int) {
+	p.b.Worker.NIC.AddDeliveryHookRange(p.bBuf, size+64, func(va uint64, n int) {
 		p.sys.Engine().After(detect(p.b, va), func() {
 			p.ba.Put(p.bBuf, p.aBuf, size, p.aKey, nil)
 		})
 	})
-	p.a.Worker.NIC.SetDeliveryHook(func(va uint64, n int) {
+	p.a.Worker.NIC.AddDeliveryHookRange(p.aBuf, size+64, func(va uint64, n int) {
 		p.sys.Engine().After(detect(p.a, va), func() {
 			rtt := p.sys.Now().Sub(t0)
 			if iter >= cfg.Warmup {

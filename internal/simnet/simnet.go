@@ -5,9 +5,8 @@
 //
 //   - memory registration with 32-bit remote keys (rkeys); a put with an
 //     invalid or mismatched rkey is "rejected at the hardware level";
-//   - one-sided PUT (RDMA write) and GET (RDMA read) that complete without
-//     receiver CPU involvement;
-//   - 64-bit remote atomics (fetch-add);
+//   - one-sided PUT (RDMA write) that completes without receiver CPU
+//     involvement;
 //   - a configurable in-order delivery guarantee: modern back-to-back
 //     links enforce write ordering (the paper's testbed does), but the
 //     mailbox supports fence + separate signal put when it is absent;
@@ -15,6 +14,8 @@
 //
 // Time is discrete-event simulated; data movement is real (bytes are
 // copied between the nodes' address spaces through the DMA paths).
+// Registration, the rkey check, delivery hooks and landing are the shared
+// fabric.Host every NIC embeds; this package adds the NIC's timing.
 package simnet
 
 import (
@@ -40,23 +41,9 @@ type RKey = fabric.RKey
 type Access = fabric.Access
 
 const (
-	RemoteRead   = fabric.RemoteRead
-	RemoteWrite  = fabric.RemoteWrite
-	RemoteAtomic = fabric.RemoteAtomic
+	RemoteRead  = fabric.RemoteRead
+	RemoteWrite = fabric.RemoteWrite
 )
-
-// Registration is a pinned, remotely accessible memory region.
-type Registration struct {
-	Key    RKey
-	Base   uint64
-	Size   int
-	Access Access
-}
-
-// Contains reports whether [va, va+size) falls inside the registration.
-func (r *Registration) Contains(va uint64, size int) bool {
-	return va >= r.Base && va+uint64(size) <= r.Base+uint64(r.Size)
-}
 
 // Config sets fabric-wide characteristics (the backend-independent set;
 // Seed additionally drives delivery jitter when Ordered is false).
@@ -121,37 +108,19 @@ func (sh *fabShard) getJob(dst *NIC, dstVA uint64, data []byte, onComplete func(
 	return j
 }
 
-// deliver lands the put: memory write + stash + hooks, with the job and
-// its staging buffer recycled before user callbacks run so re-entrant
-// sends reuse them immediately.
+// deliver lands the put: memory write + stash + hooks, with the job
+// recycled before the hooks run and the staging buffer before onComplete,
+// so re-entrant sends reuse them immediately.
 func (j *putJob) deliver() {
 	sh, dst, dstVA, data, onComplete := j.sh, j.dst, j.dstVA, j.data, j.onComplete
 	j.dst, j.data, j.onComplete = nil, nil, nil
 	sh.jobs = append(sh.jobs, j)
 
-	dst.land(dstVA, data)
+	dst.stats.PutsDelivered++
+	dst.Land(dstVA, data)
 	sh.bufs.Put(data)
 	if onComplete != nil {
 		onComplete(PutResult{Delivered: dst.fabric.eng.Now()})
-	}
-}
-
-// land performs the destination-side effects of a delivered put.
-func (n *NIC) land(dstVA uint64, data []byte) {
-	// Failure here is a model bug (registration guaranteed the range is
-	// mapped).
-	if err := n.as.WriteBytesDMA(dstVA, data); err != nil {
-		panic(fmt.Sprintf("simnet: delivery DMA failed inside registration: %v", err))
-	}
-	size := len(data)
-	if n.hier != nil {
-		n.hier.NetworkWrite(dstVA, size)
-	}
-	n.stats.PutsDelivered++
-	for _, hook := range n.onDeliver {
-		if hook.end == 0 || (dstVA < hook.end && dstVA+uint64(size) > hook.base) {
-			hook.fn(dstVA, size)
-		}
 	}
 }
 
@@ -196,14 +165,6 @@ func (f *Fabric) AssignDomain(p fabric.Port, domain int) {
 	n.shard = f.shard(domain)
 }
 
-// DomainOf reports a port's fabric shard (0 when never assigned).
-func (f *Fabric) DomainOf(p fabric.Port) int {
-	if n, ok := p.(*NIC); ok {
-		return n.domain
-	}
-	return 0
-}
-
 // wire returns the directional wire resource from this NIC to dst.
 // Labels are lazy: an N-node mesh mints N² wires, and nothing formats a
 // name unless a trace actually prints it.
@@ -233,22 +194,17 @@ func (f *Fabric) uplink(srcDom, dstDom int) *sim.Resource {
 type Stats struct {
 	PutsSent      uint64
 	PutsDelivered uint64
-	GetsSent      uint64
-	AtomicsSent   uint64
 	BytesSent     uint64
 	Rejected      uint64
 }
 
-// NIC is one host adapter. It owns the host's registrations and its
-// transmit queue, and delivers inbound traffic into the host's address
-// space and cache hierarchy.
+// NIC is one host adapter: the shared target side (registrations, hooks,
+// landing) plus its transmit queue, wires and fence barriers.
 type NIC struct {
+	fabric.Host
 	ID     int
 	fabric *Fabric
-	as     *mem.AddressSpace
-	hier   *memsim.Hierarchy // may be nil
 	tx     *sim.Resource
-	keyRng *sim.RNG
 	// jitterRng drives unordered-delivery jitter. It is per-NIC (split
 	// deterministically at attach) so draws depend only on this NIC's own
 	// issue sequence, never on the global interleaving of issuers.
@@ -256,40 +212,24 @@ type NIC struct {
 	domain    int
 	shard     *fabShard
 	wires     map[int]*sim.Resource
-	regs      map[RKey]*Registration
 
 	// barrier is the fence point per destination: puts issued after a
 	// Fence are not delivered before it (used when Ordered is false).
 	barrier map[int]sim.Time
-	// onDeliver observes delivered puts (the reactive mailbox hooks this
-	// to implement signal watching; the sender hooks it for credit
-	// returns). Hooks run in registration order; ranged hooks fire only
-	// for puts intersecting their window, so a node with many mailbox
-	// regions pays one callback per delivery, not one per region.
-	onDeliver []deliveryHook
-	stats     Stats
-}
-
-// deliveryHook is one inbound-put observer; end == 0 matches every put.
-type deliveryHook struct {
-	base, end uint64
-	fn        func(va uint64, size int)
+	stats   Stats
 }
 
 // AttachNIC adds a host to the fabric. hier may be nil (no cache model).
 func (f *Fabric) AttachNIC(as *mem.AddressSpace, hier *memsim.Hierarchy) *NIC {
 	id := len(f.nics)
 	n := &NIC{
+		Host:      fabric.NewHost(as, hier, f.rng.Split()), // before jitterRng: keeps every rkey
 		ID:        id,
 		fabric:    f,
-		as:        as,
-		hier:      hier,
 		tx:        sim.NewResourceLazy(func() string { return fmt.Sprintf("nic%d-tx", id) }),
-		keyRng:    f.rng.Split(),
 		jitterRng: f.rng.Split(),
 		shard:     f.shard(0),
 		wires:     map[int]*sim.Resource{},
-		regs:      map[RKey]*Registration{},
 		barrier:   map[int]sim.Time{},
 	}
 	f.nics = append(f.nics, n)
@@ -303,69 +243,6 @@ func (n *NIC) Stats() Stats { return n.stats }
 
 // Label names the port for diagnostics (fabric.Port).
 func (n *NIC) Label() string { return fmt.Sprintf("nic%d", n.ID) }
-
-// AddressSpace returns the host memory this NIC DMAs into.
-func (n *NIC) AddressSpace() *mem.AddressSpace { return n.as }
-
-// SetDeliveryHook registers an observer for inbound puts. Multiple hooks
-// may be registered; all run on every delivery.
-func (n *NIC) SetDeliveryHook(fn func(va uint64, size int)) {
-	n.onDeliver = append(n.onDeliver, deliveryHook{fn: fn})
-}
-
-// AddDeliveryHookRange registers an observer invoked only for puts that
-// intersect [base, base+size) — the scalable form for per-region watchers
-// like mailbox receivers and credit-flag arrays.
-func (n *NIC) AddDeliveryHookRange(base uint64, size int, fn func(va uint64, size int)) {
-	n.onDeliver = append(n.onDeliver, deliveryHook{base: base, end: base + uint64(size), fn: fn})
-}
-
-// RegisterMemory pins [base, base+size) for remote access and returns its
-// rkey. Mirroring the IBTA model, the key is derived per registration and
-// must be conveyed to peers out of band.
-func (n *NIC) RegisterMemory(base uint64, size int, access Access) (RKey, error) {
-	if size <= 0 {
-		return 0, fmt.Errorf("simnet: register: non-positive size")
-	}
-	if _, err := n.as.ReadBytesDMA(base, 1); err != nil {
-		return 0, fmt.Errorf("simnet: register: base unmapped: %w", err)
-	}
-	if _, err := n.as.ReadBytesDMA(base+uint64(size)-1, 1); err != nil {
-		return 0, fmt.Errorf("simnet: register: end unmapped: %w", err)
-	}
-	var key RKey
-	for {
-		key = RKey(n.keyRng.Uint64())
-		if key == 0 {
-			continue
-		}
-		if _, dup := n.regs[key]; !dup {
-			break
-		}
-	}
-	n.regs[key] = &Registration{Key: key, Base: base, Size: size, Access: access}
-	return key, nil
-}
-
-// Deregister removes a registration.
-func (n *NIC) Deregister(key RKey) { delete(n.regs, key) }
-
-// checkAccess validates an inbound operation against the target's
-// registrations. A failure models the hardware NAK.
-func (n *NIC) checkAccess(key RKey, va uint64, size int, want Access) error {
-	reg, ok := n.regs[key]
-	if !ok {
-		return fmt.Errorf("simnet: invalid rkey %#x", key)
-	}
-	if !reg.Contains(va, size) {
-		return fmt.Errorf("simnet: access [0x%x,+%d) outside registration [0x%x,+%d)",
-			va, size, reg.Base, reg.Size)
-	}
-	if reg.Access&want == 0 {
-		return fmt.Errorf("simnet: registration %#x lacks permission %d", key, want)
-	}
-	return nil
-}
 
 // PutResult reports the outcome of a one-sided operation to its initiator.
 type PutResult = fabric.PutResult
@@ -398,7 +275,7 @@ func (n *NIC) Put(dstPort fabric.Port, srcVA, dstVA uint64, size int, key RKey, 
 	// Snapshot the payload at issue time into a pooled staging buffer (the
 	// sender may legitimately repack the slot before delivery); the buffer
 	// returns to the pool the moment delivery lands.
-	src, err := n.as.ViewDMA(srcVA, size)
+	src, err := n.AddressSpace().ViewDMA(srcVA, size)
 	if err != nil {
 		n.stats.Rejected++
 		eng.After(0, func() {
@@ -432,7 +309,7 @@ func (n *NIC) Put(dstPort fabric.Port, srcVA, dstVA uint64, size int, key RKey, 
 		arrival = b
 	}
 
-	if err := dst.checkAccess(key, dstVA, size, RemoteWrite); err != nil {
+	if err := dst.CheckPut(key, dstVA, size); err != nil {
 		n.stats.Rejected++
 		n.shard.bufs.Put(data)
 		eng.At(arrival, func() {
@@ -444,95 +321,6 @@ func (n *NIC) Put(dstPort fabric.Port, srcVA, dstVA uint64, size int, key RKey, 
 	}
 
 	eng.At(arrival, n.shard.getJob(dst, dstVA, data, onComplete).run)
-}
-
-// Get issues a one-sided RDMA read of size bytes from srcVA on the target
-// into dstVA locally.
-func (n *NIC) Get(dst *NIC, remoteVA, localVA uint64, size int, key RKey, onComplete func(PutResult)) {
-	eng := n.fabric.eng
-	n.stats.GetsSent++
-
-	txDone := n.tx.Claim(eng.Now(), model.NicPerMsg)
-	// Request travels, response serializes the payload back. Both legs of
-	// a cross-shard read traverse the spine: the header-sized request pays
-	// the hop, the payload additionally contends on the response uplink.
-	reqArrive := txDone.Add(model.PutBaseLat / 2)
-	if n.domain != dst.domain {
-		reqArrive = reqArrive.Add(model.UplinkHopLat)
-	}
-	wireDone := dst.wire(n.ID).Claim(reqArrive, model.WireTime(size))
-	if sd, dd := dst.domain, n.domain; sd != dd {
-		wireDone = n.fabric.uplink(sd, dd).Claim(wireDone, model.WireTime(size))
-		wireDone = wireDone.Add(model.UplinkHopLat)
-	}
-	arrival := wireDone.Add(model.PutBaseLat / 2)
-
-	if err := dst.checkAccess(key, remoteVA, size, RemoteRead); err != nil {
-		n.stats.Rejected++
-		eng.At(arrival, func() {
-			if onComplete != nil {
-				onComplete(PutResult{Err: err})
-			}
-		})
-		return
-	}
-	eng.At(arrival, func() {
-		data, err := dst.as.ViewDMA(remoteVA, size)
-		if err != nil {
-			panic(fmt.Sprintf("simnet: get DMA failed inside registration: %v", err))
-		}
-		if err := n.as.WriteBytesDMA(localVA, data); err != nil {
-			if onComplete != nil {
-				onComplete(PutResult{Err: fmt.Errorf("simnet: local landing: %w", err)})
-			}
-			return
-		}
-		if n.hier != nil {
-			n.hier.NetworkWrite(localVA, size)
-		}
-		if onComplete != nil {
-			onComplete(PutResult{Delivered: eng.Now()})
-		}
-	})
-}
-
-// AtomicFetchAdd performs a remote 64-bit fetch-and-add at dstVA,
-// delivering the previous value to the callback.
-func (n *NIC) AtomicFetchAdd(dst *NIC, dstVA uint64, add uint64, key RKey, onComplete func(old uint64, res PutResult)) {
-	eng := n.fabric.eng
-	n.stats.AtomicsSent++
-	txDone := n.tx.Claim(eng.Now(), model.NicPerMsg)
-	arrival := txDone.Add(model.PutBaseLat)
-	if err := dst.checkAccess(key, dstVA, 8, RemoteAtomic); err != nil {
-		n.stats.Rejected++
-		eng.At(arrival, func() {
-			if onComplete != nil {
-				onComplete(0, PutResult{Err: err})
-			}
-		})
-		return
-	}
-	eng.At(arrival, func() {
-		raw, err := dst.as.ReadBytesDMA(dstVA, 8)
-		if err != nil {
-			panic(fmt.Sprintf("simnet: atomic read failed inside registration: %v", err))
-		}
-		old := leU64(raw)
-		var buf [8]byte
-		putLeU64(buf[:], old+add)
-		if err := dst.as.WriteBytesDMA(dstVA, buf[:]); err != nil {
-			panic(fmt.Sprintf("simnet: atomic write failed inside registration: %v", err))
-		}
-		if dst.hier != nil {
-			dst.hier.NetworkWrite(dstVA, 8)
-		}
-		// Result returns to the initiator after another half RTT.
-		eng.After(sim.Duration(model.PutBaseLat)/2, func() {
-			if onComplete != nil {
-				onComplete(old, PutResult{Delivered: eng.Now()})
-			}
-		})
-	})
 }
 
 // Fence guarantees that puts to dst issued after the fence are delivered
@@ -561,16 +349,5 @@ func (n *NIC) Fence(dstPort fabric.Port) {
 	}
 	if cur, ok := n.barrier[dst.ID]; !ok || latest > cur {
 		n.barrier[dst.ID] = latest
-	}
-}
-
-func leU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLeU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
 	}
 }

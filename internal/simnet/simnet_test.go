@@ -169,60 +169,11 @@ func TestUnorderedCanReorderWithoutFence(t *testing.T) {
 	}
 }
 
-func TestGetReadsRemote(t *testing.T) {
-	eng, a, b := twoHosts(t, DefaultConfig(), RemoteRead|RemoteWrite)
-	want := []byte("remote bytes")
-	if err := b.as.WriteBytes(b.buf, want); err != nil {
-		t.Fatal(err)
-	}
-	var res PutResult
-	a.nic.Get(b.nic, b.buf, a.buf+1024, len(want), b.key, func(r PutResult) { res = r })
-	eng.Run()
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	got, _ := a.as.ReadBytes(a.buf+1024, len(want))
-	if string(got) != string(want) {
-		t.Fatalf("get = %q", got)
-	}
-}
-
-func TestAtomicFetchAdd(t *testing.T) {
-	eng, a, b := twoHosts(t, DefaultConfig(), RemoteAtomic)
-	if err := b.as.WriteU64(b.buf, 100); err != nil {
-		t.Fatal(err)
-	}
-	var old uint64
-	var res PutResult
-	a.nic.AtomicFetchAdd(b.nic, b.buf, 42, b.key, func(o uint64, r PutResult) { old, res = o, r })
-	eng.Run()
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if old != 100 {
-		t.Fatalf("old = %d", old)
-	}
-	v, _ := b.as.ReadU64(b.buf)
-	if v != 142 {
-		t.Fatalf("value = %d", v)
-	}
-}
-
-func TestAtomicWithoutPermissionRejected(t *testing.T) {
-	eng, a, b := twoHosts(t, DefaultConfig(), RemoteWrite)
-	var res PutResult
-	a.nic.AtomicFetchAdd(b.nic, b.buf, 1, b.key, func(_ uint64, r PutResult) { res = r })
-	eng.Run()
-	if res.Err == nil {
-		t.Fatal("atomic without permission accepted")
-	}
-}
-
 func TestDeliveryHookFires(t *testing.T) {
 	eng, a, b := twoHosts(t, DefaultConfig(), RemoteWrite)
 	var hookVA uint64
 	var hookSize int
-	b.nic.SetDeliveryHook(func(va uint64, size int) { hookVA, hookSize = va, size })
+	b.nic.AddDeliveryHookRange(b.buf, 64*1024, func(va uint64, size int) { hookVA, hookSize = va, size })
 	a.nic.Put(b.nic, a.buf, b.buf+256, 128, b.key, nil)
 	eng.Run()
 	if hookVA != b.buf+256 || hookSize != 128 {
@@ -296,17 +247,6 @@ func TestRegisterErrors(t *testing.T) {
 	}
 	if _, err := a.nic.RegisterMemory(0x10, 64, RemoteWrite); err == nil {
 		t.Fatal("unmapped registration accepted")
-	}
-}
-
-func TestDeregisterInvalidatesKey(t *testing.T) {
-	eng, a, b := twoHosts(t, DefaultConfig(), RemoteWrite)
-	b.nic.Deregister(b.key)
-	var res PutResult
-	a.nic.Put(b.nic, a.buf, b.buf, 64, b.key, func(r PutResult) { res = r })
-	eng.Run()
-	if res.Err == nil {
-		t.Fatal("put with deregistered key accepted")
 	}
 }
 

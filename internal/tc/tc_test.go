@@ -250,14 +250,19 @@ func TestIdealBackend(t *testing.T) {
 }
 
 // TestUnknownBackend: an unregistered backend name is an error from
-// NewSystem, never a panic — also when it is the chaos wrapper's inner.
+// NewSystem, never a panic — also when it is the chaos wrapper's inner —
+// and so is every malformed chaos configuration.
 func TestUnknownBackend(t *testing.T) {
 	for name, opt := range map[string]SystemOpt{
-		"backend":     WithBackend("warp-drive"),
-		"chaos inner": WithChaos(fabric.ChaosConfig{Inner: "warp-drive"}),
+		"backend":            WithBackend("warp-drive"),
+		"chaos inner":        WithChaos(fabric.ChaosConfig{Inner: "warp-drive"}),
+		"bare chaos":         WithBackend("chaos"),
+		"chaos wraps chaos":  WithChaos(fabric.ChaosConfig{Inner: "chaos"}),
+		"chaos min over max": WithChaos(fabric.ChaosConfig{MinDelay: 2 * sim.Nanosecond, MaxDelay: sim.Nanosecond}),
+		"chaos over cap":     WithChaos(fabric.ChaosConfig{MaxDelay: fabric.MaxChaosDelay + 1}),
 	} {
 		if _, err := NewSystem(2, opt); err == nil {
-			t.Errorf("%s: unknown backend did not fail", name)
+			t.Errorf("%s: NewSystem did not fail", name)
 		}
 	}
 }

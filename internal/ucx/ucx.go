@@ -19,8 +19,6 @@
 package ucx
 
 import (
-	"fmt"
-
 	"twochains/internal/fabric"
 	"twochains/internal/mem"
 	"twochains/internal/memsim"
@@ -88,10 +86,9 @@ type Endpoint struct {
 	Local  *Worker
 	Remote *Worker
 
-	window    int
-	inflight  int
-	backlog   []func()
-	completed uint64
+	window   int
+	inflight int
+	backlog  []func()
 	// thinFree recycles thinOp records (see thinOp).
 	thinFree []*thinOp
 }
@@ -102,9 +99,6 @@ func (w *Worker) Connect(peer *Worker) *Endpoint {
 }
 
 func (ep *Endpoint) engine() *sim.Engine { return ep.Local.Eng }
-
-// Completed returns the number of standard-path operations completed.
-func (ep *Endpoint) Completed() uint64 { return ep.completed }
 
 // Put performs a standard one-sided put with the full library path:
 // posting overhead, protocol tier selection (including the rendezvous
@@ -126,7 +120,6 @@ func (ep *Endpoint) Put(srcVA, dstVA uint64, size int, key fabric.RKey, onComple
 				// Completion detection costs CPU on the sender.
 				compDone := ep.Local.CPU.Claim(eng.Now(), model.UcxCompOverhead)
 				eng.At(compDone, func() {
-					ep.completed++
 					ep.release()
 					if onComplete != nil {
 						onComplete(res.Err, res.Delivered)
@@ -257,45 +250,4 @@ func (ep *Endpoint) PutThinFenced(srcVA, dstVA uint64, bodyLen, sigLen int, key 
 				}
 			})
 	})
-}
-
-// AmTierOverhead is the protocol-tier software cost the mailbox path pays
-// for a frame of the given size.
-func AmTierOverhead(size int) sim.Duration {
-	return model.TierFor(size).Overhead
-}
-
-// SenderOverheadThin reports the per-message sender CPU time of the thin
-// path (used by analytic rate projections in the perf harness).
-func SenderOverheadThin(size int) sim.Duration {
-	return model.AmPackOverhead + model.AmPostOverhead + AmTierOverhead(size) + model.DoorbellLat
-}
-
-// SenderOverheadStd reports the same for the standard path.
-func SenderOverheadStd(size int) sim.Duration {
-	return model.UcxPostOverhead + model.UcxFlowOverhead + model.TierFor(size).Overhead +
-		model.DoorbellLat + model.UcxCompOverhead
-}
-
-// Flush invokes cb once every currently outstanding standard-path put has
-// completed. Implementation detail: completions are strictly ordered
-// through the sender CPU resource, so waiting for the count to drain at
-// each event suffices.
-func (ep *Endpoint) Flush(cb func()) {
-	eng := ep.engine()
-	var check func()
-	check = func() {
-		if ep.inflight == 0 && len(ep.backlog) == 0 {
-			cb()
-			return
-		}
-		eng.After(100*sim.Nanosecond, check)
-	}
-	check()
-}
-
-// String describes the endpoint for diagnostics.
-func (ep *Endpoint) String() string {
-	return fmt.Sprintf("ep(%s->%s, window %d, inflight %d)",
-		ep.Local.NIC.Label(), ep.Remote.NIC.Label(), ep.window, ep.inflight)
 }

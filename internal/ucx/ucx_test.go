@@ -61,9 +61,6 @@ func TestPutDataArrives(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("got %q", got)
 	}
-	if p.ab.Completed() != 1 {
-		t.Fatalf("completed = %d", p.ab.Completed())
-	}
 }
 
 func TestPutErrorPropagates(t *testing.T) {
@@ -195,32 +192,13 @@ func TestWindowLimitsInflight(t *testing.T) {
 	}
 }
 
-func TestFlushWaits(t *testing.T) {
-	p := newPair(t)
-	done := 0
-	for i := 0; i < 5; i++ {
-		p.ab.Put(p.aBuf, p.bBuf, 1024, p.bMem.Key, func(error, sim.Time) { done++ })
-	}
-	flushed := false
-	p.ab.Flush(func() {
-		flushed = true
-		if done != 5 {
-			t.Errorf("flush fired with %d/5 done", done)
-		}
-	})
-	p.eng.Run()
-	if !flushed {
-		t.Fatal("flush never fired")
-	}
-}
-
 func TestAmTierOverheadFollowsTiers(t *testing.T) {
 	rndv := model.ProtoTiers[4].Overhead
-	if AmTierOverhead(1<<20) != rndv {
-		t.Fatalf("huge AM frame overhead %v, want rndv tier %v", AmTierOverhead(1<<20), rndv)
+	if got := model.TierFor(1 << 20).Overhead; got != rndv {
+		t.Fatalf("huge AM frame overhead %v, want rndv tier %v", got, rndv)
 	}
-	if AmTierOverhead(64) != 0 {
-		t.Fatalf("64B AM overhead %v, want 0 (short tier)", AmTierOverhead(64))
+	if got := model.TierFor(64).Overhead; got != 0 {
+		t.Fatalf("64B AM overhead %v, want 0 (short tier)", got)
 	}
 }
 
@@ -257,12 +235,24 @@ func TestTierMonotonicity(t *testing.T) {
 	}
 }
 
+// TestSenderOverheadAccessors: one thin put costs the sender less
+// simulated CPU time than one standard put, read from the sender's CPU
+// resource once the put has completed.
 func TestSenderOverheadAccessors(t *testing.T) {
-	if SenderOverheadThin(64) >= SenderOverheadStd(64) {
-		t.Fatal("thin path not cheaper at 64B")
+	busy := func(thin bool, size int) sim.Duration {
+		p := newPair(t)
+		if thin {
+			p.ab.PutThin(p.aBuf, p.bBuf, size, p.bMem.Key, nil)
+		} else {
+			p.ab.Put(p.aBuf, p.bBuf, size, p.bMem.Key, nil)
+		}
+		p.eng.Run()
+		return p.a.CPU.BusyTime()
 	}
-	if SenderOverheadThin(4096) >= SenderOverheadStd(4096) {
-		t.Fatal("thin path not cheaper at 4KB")
+	for _, size := range []int{64, 4096} {
+		if thin, std := busy(true, size), busy(false, size); thin >= std {
+			t.Fatalf("%dB: thin path CPU %v not below standard %v", size, thin, std)
+		}
 	}
 }
 
