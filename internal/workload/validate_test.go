@@ -10,7 +10,7 @@ import (
 
 // wantScenarioError runs the scenario and requires a *ScenarioError on
 // the named field.
-func wantScenarioError(t *testing.T, sc Scenario, field string) {
+func wantScenarioError(t *testing.T, sc Scenario, field string) *ScenarioError {
 	t.Helper()
 	_, err := Run(sc)
 	if err == nil {
@@ -23,6 +23,7 @@ func wantScenarioError(t *testing.T, sc Scenario, field string) {
 	if serr.Field != field {
 		t.Fatalf("error field %q (%v), want %q", serr.Field, serr, field)
 	}
+	return serr
 }
 
 // TestValidateTypedErrors: every class of degenerate scenario surfaces
@@ -100,7 +101,11 @@ func TestValidateTypedErrors(t *testing.T) {
 
 	sc = base()
 	sc.Phases = []Phase{{Arrival: &Arrival{Kind: 99}}}
-	wantScenarioError(t, sc, "Phases[0].Arrival.Kind")
+	serr := wantScenarioError(t, sc, "Phases[0].Arrival.Kind")
+	const wantReason = "unknown arrival kind 99 (registered: [closed-loop(0) poisson(1) mmpp(2) trace(3)])"
+	if serr.Reason != wantReason {
+		t.Fatalf("unknown-kind reason %q, want %q", serr.Reason, wantReason)
+	}
 
 	sc = base()
 	sc.Phases = []Phase{{Swap: &Swap{Node: 9}}}
