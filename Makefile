@@ -74,6 +74,13 @@
 # PR 19, 2.87 at PR 20 and reads 0.83 since PR 21: a space's first
 # mapping now takes a recycled backing of any size that fits);
 # chaos-smoke race-runs the fail/rejoin drain.
+# `make simdiff BASE=<rev>` is the "nothing simulated moved" check for a
+# change that must not touch the model: it builds cmd/tcperf from BASE
+# (extracted with `git archive` into a temporary directory) and from the
+# working tree, runs `tcperf -e all -csv` on both and compares the two
+# outputs byte for byte. On a mismatch it prints the first differing
+# lines and exits 1. It is not part of `make check`, because it needs a
+# base revision.
 # `make profile` captures CPU+heap profiles of BenchmarkMeshAllToAll for
 # diagnosing regressions (mesh_cpu.prof / mesh_mem.prof, inspect with
 # `go tool pprof`).
@@ -94,7 +101,7 @@ SMOKE_BASELINE ?= BENCH_PR21.json
 # the check to a paired target).
 FUNC_BASELINE ?= BENCH_PR21.json
 
-.PHONY: check fmt-check vet lint build test fuzz-smoke bench-smoke chaos-smoke bench-json profile perf examples
+.PHONY: check fmt-check vet lint build test fuzz-smoke bench-smoke chaos-smoke bench-json profile perf examples simdiff
 
 check: fmt-check vet build lint test chaos-smoke fuzz-smoke bench-smoke
 
@@ -162,6 +169,21 @@ bench-json:
 	   $(GO) test -run xxx -bench 'BenchmarkInterpretSum|BenchmarkInterpretKVScan' -benchmem -benchtime 50000x ./internal/vm; } \
 	| $(GO) run ./cmd/benchjson -baseline bench/BASELINE_PR3.json -o $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
+
+simdiff:
+	@test -n "$(BASE)" || { echo "usage: make simdiff BASE=<rev>"; exit 2; }
+	@tmp=$$(mktemp -d) || exit 1; trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base" && git archive "$(BASE)" | tar -x -C "$$tmp/base" && \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/tcperf.base" ./cmd/tcperf) && \
+	$(GO) build -o "$$tmp/tcperf.new" ./cmd/tcperf && \
+	"$$tmp/tcperf.base" -e all -csv > "$$tmp/base.csv" && \
+	"$$tmp/tcperf.new" -e all -csv > "$$tmp/new.csv" || exit 1; \
+	if cmp -s "$$tmp/base.csv" "$$tmp/new.csv"; then \
+		echo "simdiff: tcperf -e all -csv identical to $(BASE) ($$(wc -l < "$$tmp/new.csv") lines)"; \
+	else \
+		echo "simdiff: tcperf -e all -csv differs from $(BASE) (< base, > working tree):"; \
+		diff "$$tmp/base.csv" "$$tmp/new.csv" | head -20; exit 1; \
+	fi
 
 profile: vet
 	$(GO) test -run xxx -bench BenchmarkMeshAllToAll -benchtime 20x \

@@ -20,7 +20,11 @@ import (
 //
 // Bound is the channel-level invocation surface (resolved by string via
 // Channel.Handle) and the engine under the tc.Func public API (which
-// holds one handle per destination).
+// holds one handle per destination). Its four sends — Inject,
+// InjectBurst, CallLocal, CallLocalBurst — fill pooled frames and hand
+// them to the channel's mailbox sender; each reports completion through
+// the sender's own callback, one mailbox.SendInfo per message (nil when
+// nobody observes it), so a call allocates nothing of its own.
 type Bound struct {
 	ch                *Channel
 	pkgName, elemName string
@@ -44,17 +48,6 @@ type Bound struct {
 	// injectCnt counts single injects through this handle for the
 	// auto-switch heuristic (ChannelOptions.AutoSwitchAfter).
 	injectCnt int
-}
-
-// Bind returns this channel's handle for the element, performing the
-// sender-side lookup and the travelling-GOT bind immediately. The handle
-// is cached per channel: binding twice returns the same handle.
-func (ch *Channel) Bind(pkgName, elemName string) (*Bound, error) {
-	b := ch.Handle(pkgName, elemName)
-	if err := b.ensureInject(); err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // Handle returns the cached per-channel handle without forcing a bind:
@@ -159,12 +152,6 @@ func (b *Bound) burstMsgs(n int) []*mailbox.Message {
 	return b.burstScratch[:n]
 }
 
-// The *Info quartet below is the allocation-free spine of the handle: it
-// speaks the mailbox's native SendInfo callback (one pooled frame per
-// message, released by the sender after packing) and is what tc.Func
-// drives with its prebound future callbacks. The Result-typed methods
-// wrap it for callers that want the higher-level Result.
-
 // takeAutoSwitch counts one single inject through the handle and reports
 // whether the auto-switch policy (ChannelOptions.AutoSwitchAfter, the
 // paper's §VIII future-work optimization) downgrades it to a Local
@@ -185,22 +172,17 @@ func (b *Bound) takeAutoSwitch() bool {
 	return ok
 }
 
-// InjectInfo sends one Injected Function active message, reporting
-// completion through the mailbox-level SendInfo callback. An
-// auto-switched call goes out as a Local Function message instead.
-func (b *Bound) InjectInfo(args [2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
+// Inject sends one Injected Function active message through the handle:
+// the pre-bound code travels in the frame and executes on arrival. An
+// auto-switched call goes out as a Local Function message instead; the
+// receiver's Delivery.Kind tells which arrived.
+func (b *Bound) Inject(args [2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
 	if err := b.checkUp(); err != nil {
 		return err
 	}
 	if b.takeAutoSwitch() {
 		return b.callLocalRaw(args, usr, done)
 	}
-	return b.injectRaw(args, usr, done)
-}
-
-// injectRaw is the post-policy injected send: bind if stale, fill a
-// pooled frame, hand it to the sender.
-func (b *Bound) injectRaw(args [2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
 	if err := b.ensureInject(); err != nil {
 		return err
 	}
@@ -210,10 +192,10 @@ func (b *Bound) injectRaw(args [2]uint64, usr []byte, done func(mailbox.SendInfo
 	return nil
 }
 
-// InjectBurstInfo sends one Injected Function message per args entry as a
-// single batched operation (contiguous frame slots coalesce into single
-// puts); done, when non-nil, fires once per message.
-func (b *Bound) InjectBurstInfo(argsBatch [][2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
+// InjectBurst sends one Injected Function message per args entry as a
+// single batched operation: the mailbox sender coalesces contiguous frame
+// slots into single puts. usr is the shared payload.
+func (b *Bound) InjectBurst(argsBatch [][2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
 	if len(argsBatch) == 0 {
 		return nil
 	}
@@ -233,9 +215,10 @@ func (b *Bound) InjectBurstInfo(argsBatch [][2]uint64, usr []byte, done func(mai
 	return nil
 }
 
-// CallLocalInfo sends a Local Function active message, reporting
-// completion through the mailbox-level SendInfo callback.
-func (b *Bound) CallLocalInfo(args [2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
+// CallLocal sends a Local Function active message through the handle:
+// only the pre-resolved IDs and payload travel; the receiver calls its
+// library copy of the function.
+func (b *Bound) CallLocal(args [2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
 	if err := b.checkUp(); err != nil {
 		return err
 	}
@@ -254,9 +237,9 @@ func (b *Bound) callLocalRaw(args [2]uint64, usr []byte, done func(mailbox.SendI
 	return nil
 }
 
-// CallLocalBurstInfo sends one Local Function message per args entry as a
-// batch, coalescing contiguous frames like InjectBurstInfo.
-func (b *Bound) CallLocalBurstInfo(argsBatch [][2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
+// CallLocalBurst sends one Local Function message per args entry as a
+// batch, coalescing contiguous frames like InjectBurst.
+func (b *Bound) CallLocalBurst(argsBatch [][2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
 	if len(argsBatch) == 0 {
 		return nil
 	}
@@ -274,41 +257,6 @@ func (b *Bound) CallLocalBurstInfo(argsBatch [][2]uint64, usr []byte, done func(
 	}
 	b.ch.Sender.SendBatch(msgs, done)
 	return nil
-}
-
-// Inject sends one Injected Function active message through the handle:
-// the pre-bound code travels in the frame and executes on arrival. An
-// auto-switched call goes out — and reports its Result — as a Local
-// Function message instead.
-func (b *Bound) Inject(args [2]uint64, usr []byte, done func(Result)) error {
-	if err := b.checkUp(); err != nil {
-		return err
-	}
-	if b.takeAutoSwitch() {
-		return b.callLocalRaw(args, usr, wrapDone(done, false))
-	}
-	return b.injectRaw(args, usr, wrapDone(done, true))
-}
-
-// InjectBurst sends one Injected Function message per args entry as a
-// single batched operation; the mailbox sender coalesces contiguous frame
-// slots into single puts. usr is the shared payload; done, when non-nil,
-// fires once per message.
-func (b *Bound) InjectBurst(argsBatch [][2]uint64, usr []byte, done func(Result)) error {
-	return b.InjectBurstInfo(argsBatch, usr, wrapDone(done, true))
-}
-
-// CallLocal sends a Local Function active message through the handle:
-// only the pre-resolved IDs and payload travel; the receiver calls its
-// library copy of the function.
-func (b *Bound) CallLocal(args [2]uint64, usr []byte, done func(Result)) error {
-	return b.CallLocalInfo(args, usr, wrapDone(done, false))
-}
-
-// CallLocalBurst sends one Local Function message per args entry as a
-// batch, coalescing contiguous frames like InjectBurst.
-func (b *Bound) CallLocalBurst(argsBatch [][2]uint64, usr []byte, done func(Result)) error {
-	return b.CallLocalBurstInfo(argsBatch, usr, wrapDone(done, false))
 }
 
 // InjectedWireLen reports the frame size an Inject with a payload of

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"twochains/internal/mailbox"
-	"twochains/internal/sim"
 )
 
 // ChannelOptions tune a sender-side connection.
@@ -110,34 +109,8 @@ func putU64(b []byte, v uint64) {
 	}
 }
 
-// Result reports the outcome of one active message send.
-type Result struct {
-	Seq       uint32
-	Err       error
-	Delivered sim.Time
-	// Injected records which invocation method was actually used (the
-	// auto-switch optimization may downgrade an inject to a local call).
-	Injected bool
-}
-
 // SendData sends a delivery-only frame (the without-execution mode used by
 // the Fig. 5/6 overhead experiments).
-func (ch *Channel) SendData(usr []byte, done func(Result)) {
-	ch.Sender.Send(mailbox.PackData(usr), wrapDone(done, false))
-}
-
-// InjectedWireLen reports the frame size an Inject of the element with a
-// payload of usrLen bytes would occupy; benchmarks use it to configure
-// mailbox geometry.
-func (ch *Channel) InjectedWireLen(pkgName, elemName string, usrLen int) (int, error) {
-	return ch.Handle(pkgName, elemName).InjectedWireLen(usrLen)
-}
-
-func wrapDone(done func(Result), injected bool) func(mailbox.SendInfo) {
-	if done == nil {
-		return nil
-	}
-	return func(info mailbox.SendInfo) {
-		done(Result{Seq: info.Seq, Err: info.Err, Delivered: info.Delivered, Injected: injected})
-	}
+func (ch *Channel) SendData(usr []byte, done func(mailbox.SendInfo)) {
+	ch.Sender.Send(mailbox.PackData(usr), done)
 }

@@ -274,10 +274,13 @@ func TestInjectMissingSymbolFails(t *testing.T) {
 
 func TestAutoSwitchToLocal(t *testing.T) {
 	bn := newBench(t, 1024, quickCfg(), ChannelOptions{AutoSwitchAfter: 2})
+	// Which invocation method went out is what arrived on the wire.
 	var kinds []bool
+	bn.ab.Recv.OnProcessed = func(d *mailbox.Delivery, _ sim.Time) {
+		kinds = append(kinds, d.Kind == mailbox.KindInjected)
+	}
 	for i := 0; i < 5; i++ {
-		err := bn.ab.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, []byte{1, 2, 3, 4, 5, 6, 7, 8},
-			func(r Result) { kinds = append(kinds, r.Injected) })
+		err := bn.ab.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, []byte{1, 2, 3, 4, 5, 6, 7, 8}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 // (and the tc retry machinery) switch on it instead of parsing message
 // strings. It is returned by handle sends to a torn-down or severed
 // channel, by Mesh.ChannelView when an endpoint is down, and delivered
-// through SendInfo/Result callbacks when FailNode fails queued sends.
+// through SendInfo callbacks when FailNode fails queued sends.
 // FailNode on a node that is already down returns one with Src, Dst and
 // Node all naming that node.
 type NodeDownError struct {

@@ -345,21 +345,6 @@ func (m *Mesh) registerView(view string) {
 	m.views[i] = view
 }
 
-// ConnectFull eagerly creates every ordered pair's channel.
-func (m *Mesh) ConnectFull() error {
-	for s := 0; s < len(m.nodes); s++ {
-		for d := 0; d < len(m.nodes); d++ {
-			if s == d {
-				continue
-			}
-			if _, err := m.Channel(s, d); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Channels returns the currently connected channel count.
 func (m *Mesh) Channels() int { return len(m.chans) }
 

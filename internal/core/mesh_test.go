@@ -182,7 +182,7 @@ func TestMeshCrossShardSlower(t *testing.T) {
 			t.Fatal(err)
 		}
 		var done sim.Time
-		err = ch.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, make([]byte, 64), func(r Result) {
+		err = ch.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, make([]byte, 64), func(r mailbox.SendInfo) {
 			done = r.Delivered
 		})
 		if err != nil {
@@ -229,7 +229,7 @@ func TestFailNodeCountsPerView(t *testing.T) {
 			key = "inbound"
 		}
 		for i := 0; i < sends; i++ {
-			err := ch.Handle(alias, "jam_sssum").Inject([2]uint64{}, make([]byte, 8), func(r Result) {
+			err := ch.Handle(alias, "jam_sssum").Inject([2]uint64{}, make([]byte, 8), func(r mailbox.SendInfo) {
 				var nd *NodeDownError
 				if errors.As(r.Err, &nd) {
 					failed[key]++

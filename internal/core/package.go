@@ -69,16 +69,6 @@ func (p *Package) Element(name string) (*Element, bool) {
 	return nil, false
 }
 
-// ElementByID returns the element with the given ID.
-func (p *Package) ElementByID(id uint8) (*Element, bool) {
-	for _, e := range p.Elements {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return nil, false
-}
-
 // Jams returns the jam elements in ID order.
 func (p *Package) Jams() []*Element {
 	var out []*Element

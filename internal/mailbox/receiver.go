@@ -29,9 +29,6 @@ type ReceiverConfig struct {
 	// receiver waits on the header first, computes the frame length, then
 	// waits on the trailing signal — a second wait episode per message.
 	VariableFrames bool
-	// PagePerm is the mailbox page permission; the paper's compact layout
-	// uses RWX, the security ablation splits it.
-	PagePerm mem.Perm
 	// InsertGp makes the receiver overwrite the GOT pointer slot on
 	// arrival instead of trusting the sender's value (paper §V security
 	// option: "have the receiver insert the GOT pointer on message
@@ -55,7 +52,7 @@ type ReceiverConfig struct {
 // per-channel regions, perf rigs) starts from it and layers options on
 // with the With* builder methods.
 func DefaultReceiverConfig(g Geometry) ReceiverConfig {
-	return ReceiverConfig{Geometry: g, WaitMode: cpusim.Poll, PagePerm: mem.PermRWX}
+	return ReceiverConfig{Geometry: g, WaitMode: cpusim.Poll}
 }
 
 // The With* methods below form the ReceiverConfig builder: each returns an
@@ -87,13 +84,6 @@ func (c ReceiverConfig) WithVariableFrames(on bool) ReceiverConfig {
 // arrival (paper §V security option).
 func (c ReceiverConfig) WithInsertGp(on bool) ReceiverConfig {
 	c.InsertGp = on
-	return c
-}
-
-// WithPagePerm sets the mailbox page permission (security ablations split
-// the paper's compact RWX layout).
-func (c ReceiverConfig) WithPagePerm(p mem.Perm) ReceiverConfig {
-	c.PagePerm = p
 	return c
 }
 
@@ -172,10 +162,9 @@ func NewReceiver(w *ucx.Worker, cfg ReceiverConfig, counter *cpusim.Counter, han
 	if err := cfg.Geometry.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.PagePerm == 0 {
-		cfg.PagePerm = mem.PermRWX
-	}
-	base, err := w.AS.AllocPages("mailboxes", cfg.Geometry.RegionSize(), cfg.PagePerm)
+	// The paper's compact layout: frames execute in place, so mailbox
+	// pages are RWX.
+	base, err := w.AS.AllocPages("mailboxes", cfg.Geometry.RegionSize(), mem.PermRWX)
 	if err != nil {
 		return nil, err
 	}

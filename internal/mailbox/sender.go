@@ -201,9 +201,6 @@ func (s *Sender) GetMessage() *Message {
 // Stats returns a copy of the counters.
 func (s *Sender) Stats() SenderStats { return s.stats }
 
-// NextSeq returns the sequence number the next Send will use.
-func (s *Sender) NextSeq() uint32 { return s.seq }
-
 // packStaging packs msg into the staging slot buf (slot index idx),
 // skipping work the slot's previous occupant already did: an identical
 // jam image is already in place, and bytes past the previous pack's
@@ -229,134 +226,37 @@ func (s *Sender) packStaging(msg *Message, buf []byte, idx int, seq uint32, dstV
 	return nil
 }
 
-// Send packs and transmits msg to the next mailbox slot. If the target
-// bank's credit is not available the send queues until the receiver
-// returns the bank flag. done fires when the frame (and its signal) has
-// been delivered remotely.
+// Send packs and transmits msg to the next mailbox slot: a one-frame
+// SendBatch. If the target bank's credit is not available the send queues
+// until the receiver returns the bank flag. done fires when the frame
+// (and its signal) has been delivered remotely.
 func (s *Sender) Send(msg *Message, done func(SendInfo)) {
-	if len(s.stalled) > 0 {
-		s.stalled = append(s.stalled, queuedSend{msg, done})
-		return
-	}
-	s.trySend(msg, done)
+	one := [1]*Message{msg}
+	s.SendBatch(one[:], done)
 }
 
-func (s *Sender) trySend(msg *Message, done func(SendInfo)) {
-	g := s.Cfg.Geometry
-	seq := s.seq
-	bank, slot, off := g.SlotFor(seq)
-
-	if s.Cfg.Credits && slot == 0 {
-		flagVA := s.CreditVA + uint64(bank*8)
-		flag, err := s.Worker.AS.ReadU64(flagVA)
-		if err != nil {
-			s.finish(msg, done, SendInfo{Seq: seq, Err: err})
-			return
-		}
-		if flag == 0 {
-			// Bank still owned by the receiver: stall until the credit
-			// returns. Waiting costs cycles like any signal wait. The
-			// message stays queued (and, if pooled, out of the pool)
-			// until it is finally packed or fails.
-			if len(s.stalled) == 0 {
-				s.stallAt = s.eng.Now()
-				s.stats.CreditStalls++
-			}
-			s.stalled = append(s.stalled, queuedSend{msg, done})
-			return
-		}
-		// Claim the bank.
-		if err := s.Worker.AS.WriteU64(flagVA, 0); err != nil {
-			s.finish(msg, done, SendInfo{Seq: seq, Err: err})
-			return
-		}
-	}
-	s.seq++
-
-	frameSize := g.FrameSize
-	stagingVA := s.staging + off
-	dstVA := s.RemoteBase + off
-
-	buf, err := s.Worker.AS.View(stagingVA, frameSize)
-	if err != nil {
-		s.finish(msg, done, SendInfo{Seq: seq, Err: err})
-		return
-	}
-	if err := s.packStaging(msg, buf, bank*g.Slots+slot, seq, dstVA); err != nil {
-		s.finish(msg, done, SendInfo{Seq: seq, Err: err})
-		return
-	}
-	s.stats.Sent++
-
-	// GOT patching cost: one entry per travelling slot plus the pointer.
-	if msg.Kind == KindInjected {
-		entries := msg.GotTableLen/8 + 1
-		patch := sim.Duration(entries) * model.GOTPatchPerEntry
-		s.Worker.CPU.Claim(s.eng.Now(), patch)
-		if s.Counter != nil {
-			s.Counter.Work(patch)
-		}
-	}
-	// The frame bytes now live in staging: a pooled message is done.
-	msg.release()
-
-	report := s.getCompletion(seq, 1, done)
-	if s.Cfg.SeparateSignal {
-		// Body first (without trailer), fence, then the signal put: the
-		// protocol for fabrics with no write-order guarantee.
-		bodyLen := frameSize - SigSize
-		s.Ep.PutThinFenced(stagingVA, dstVA, bodyLen, SigSize, s.RemoteKey, report.putCB())
-	} else {
-		// Ordered fabric, fixed frames: the entire message in one put.
-		s.Ep.PutThin(stagingVA, dstVA, frameSize, s.RemoteKey, report.putCB())
-	}
-}
-
-// SendBatch transmits a burst of messages, amortizing the thin-put setup
-// (post, doorbell, protocol tier) across the burst: frames are packed into
-// consecutive mailbox slots and every contiguous run of slots ships as one
-// put, so a sender pays the per-put software cost once per run instead of
-// once per frame. Runs break at the mailbox region wrap and at credit
-// stalls; messages past a stall queue in order and go out one by one when
-// the receiver returns the bank flag. done (when non-nil) fires once per
-// message. On fabrics without the write-order guarantee the batch
-// degenerates to individual fenced sends — the separate-signal protocol
-// puts a fence between every body and its signal, which a single coalesced
-// put cannot express.
+// SendBatch transmits a run of messages — every send goes through it,
+// Send as a run of one. Frames are packed into consecutive mailbox slots
+// and every contiguous run of slots ships as one put, so a burst pays the
+// per-put software cost (post, doorbell, protocol tier) once per run
+// instead of once per frame. Runs break at the mailbox region wrap and at
+// credit stalls; messages past a stall, or submitted while earlier ones
+// are still stalled, queue in order and go out one frame per put when the
+// receiver returns the bank flag. On fabrics without the write-order
+// guarantee every frame is its own run: the separate-signal protocol
+// fences between a body and its signal, which one coalesced put cannot
+// express. done (when non-nil) fires once per message. msgs is not
+// retained.
 func (s *Sender) SendBatch(msgs []*Message, done func(SendInfo)) {
-	if s.Cfg.SeparateSignal || len(s.stalled) > 0 {
-		for _, m := range msgs {
-			s.Send(m, done)
-		}
+	if len(s.stalled) > 0 {
+		s.queue(msgs, done)
 		return
 	}
 	g := s.Cfg.Geometry
-	frameSize := g.FrameSize
-
-	// The contiguous run is tracked as (start offset, frame count, first
-	// seq): frames of one run occupy consecutive slots, so their sequence
-	// numbers are consecutive too and a single counted completion record
-	// fans the run's one fabric callback out per message — no per-message
-	// closures.
-	var runStart uint64 // staging offset of the current contiguous run
-	var runBytes int
-	var runSeq0 uint32 // seq of the run's first frame
-
-	flush := func() {
-		if runBytes == 0 {
-			return
-		}
-		frames := runBytes / frameSize
-		if frames > 1 {
-			s.stats.Batches++
-			s.stats.BatchedFrames += uint64(frames)
-		}
-		src, dst := s.staging+runStart, s.RemoteBase+runStart
-		n := runBytes
-		runBytes = 0
-		s.Ep.PutThin(src, dst, n, s.RemoteKey, s.getCompletion(runSeq0, frames, done).putCB())
-	}
-
+	// The contiguous run's frames occupy consecutive slots, so their
+	// sequence numbers are consecutive too and one counted completion
+	// record fans the run's single fabric callback out per message.
+	var r run
 	for i, msg := range msgs {
 		seq := s.seq
 		bank, slot, off := g.SlotFor(seq)
@@ -369,32 +269,32 @@ func (s *Sender) SendBatch(msgs []*Message, done func(SendInfo)) {
 				continue
 			}
 			if flag == 0 {
-				// Bank owned by the receiver: ship what we have and queue
-				// the rest behind the stall, exactly like Send would.
-				flush()
+				// Bank still owned by the receiver: ship what we have and
+				// stall until the credit returns. Waiting costs cycles like
+				// any signal wait. Queued messages stay out of the pool
+				// until they are finally packed or fail.
+				s.flush(&r, done)
 				s.stallAt = s.eng.Now()
 				s.stats.CreditStalls++
-				for _, m := range msgs[i:] {
-					s.stalled = append(s.stalled, queuedSend{m, done})
-				}
+				s.queue(msgs[i:], done)
 				return
 			}
+			// Claim the bank.
 			if err := s.Worker.AS.WriteU64(flagVA, 0); err != nil {
 				s.finish(msg, done, SendInfo{Seq: seq, Err: err})
 				continue
 			}
 		}
-		if runBytes > 0 && off != runStart+uint64(runBytes) {
+		if r.bytes > 0 && off != r.start+uint64(r.bytes) {
 			// Region wrapped: the next slot is not contiguous in memory.
-			flush()
+			s.flush(&r, done)
 		}
-		if runBytes == 0 {
-			runStart = off
-			runSeq0 = seq
+		if r.bytes == 0 {
+			r.start, r.seq0 = off, seq
 		}
 		s.seq++
 
-		buf, err := s.Worker.AS.View(s.staging+off, frameSize)
+		buf, err := s.Worker.AS.View(s.staging+off, g.FrameSize)
 		if err != nil {
 			s.finish(msg, done, SendInfo{Seq: seq, Err: err})
 			continue
@@ -404,6 +304,7 @@ func (s *Sender) SendBatch(msgs []*Message, done func(SendInfo)) {
 			continue
 		}
 		s.stats.Sent++
+		// GOT patching cost: one entry per travelling slot plus the pointer.
 		if msg.Kind == KindInjected {
 			entries := msg.GotTableLen/8 + 1
 			patch := sim.Duration(entries) * model.GOTPatchPerEntry
@@ -412,10 +313,52 @@ func (s *Sender) SendBatch(msgs []*Message, done func(SendInfo)) {
 				s.Counter.Work(patch)
 			}
 		}
+		// The frame bytes now live in staging: a pooled message is done.
 		msg.release()
-		runBytes += frameSize
+		r.bytes += g.FrameSize
+		if s.Cfg.SeparateSignal {
+			s.flush(&r, done)
+		}
 	}
-	flush()
+	s.flush(&r, done)
+}
+
+// run is the contiguous stretch of packed staging slots SendBatch has
+// not put yet: its staging offset, length and first frame's seq.
+type run struct {
+	start uint64
+	bytes int
+	seq0  uint32
+}
+
+// flush puts the packed run, if any, and empties it. In separate-signal
+// mode the run is one frame: body first (without trailer), fence, then
+// the signal put — the protocol for fabrics with no write-order
+// guarantee. Otherwise the whole run goes in one put.
+func (s *Sender) flush(r *run, done func(SendInfo)) {
+	if r.bytes == 0 {
+		return
+	}
+	frames := r.bytes / s.Cfg.Geometry.FrameSize
+	src, dst, n := s.staging+r.start, s.RemoteBase+r.start, r.bytes
+	r.bytes = 0
+	cb := s.getCompletion(r.seq0, frames, done).putCB()
+	if s.Cfg.SeparateSignal {
+		s.Ep.PutThinFenced(src, dst, n-SigSize, SigSize, s.RemoteKey, cb)
+		return
+	}
+	if frames > 1 {
+		s.stats.Batches++
+		s.stats.BatchedFrames += uint64(frames)
+	}
+	s.Ep.PutThin(src, dst, n, s.RemoteKey, cb)
+}
+
+// queue appends msgs to the stall queue in order.
+func (s *Sender) queue(msgs []*Message, done func(SendInfo)) {
+	for _, m := range msgs {
+		s.stalled = append(s.stalled, queuedSend{m, done})
+	}
 }
 
 // finish reports a failed (never-packed) send and releases a pooled
@@ -446,9 +389,10 @@ func (s *Sender) drain() {
 	s.stalled = s.drainBuf[:0]
 	s.drainBuf = nil
 	for i, q := range pending {
-		s.trySend(q.msg, q.done)
+		// One frame per put: each queued message carries its own done.
+		s.Send(q.msg, q.done)
 		if len(s.stalled) > 0 {
-			// trySend re-stalled on the next bank boundary; keep the
+			// The send re-stalled on the next bank boundary; keep the
 			// remainder queued in order behind it.
 			s.stalled = append(s.stalled, pending[i+1:]...)
 			break

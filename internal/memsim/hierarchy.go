@@ -103,9 +103,6 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // model used by the tail-latency experiments.
 func (h *Hierarchy) SetStress(on bool) { h.stress = on }
 
-// Stressed reports whether the stress model is active.
-func (h *Hierarchy) Stressed() bool { return h.stress }
-
 // Stats returns a copy of the counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }
 

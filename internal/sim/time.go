@@ -78,11 +78,3 @@ func Max(a, b Time) Time {
 	}
 	return b
 }
-
-// MaxDur returns the longer of a and b.
-func MaxDur(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -228,13 +228,13 @@ func (f *Func) issueOnce(fu *Future, dst int, args [2]uint64, cfg *callCfg) erro
 	fu.injected = !cfg.local
 	switch {
 	case cfg.local && cfg.burst:
-		return b.CallLocalBurstInfo(cfg.batch, cfg.usr, fu.infoCb)
+		return b.CallLocalBurst(cfg.batch, cfg.usr, fu.infoCb)
 	case cfg.local:
-		return b.CallLocalInfo(args, cfg.usr, fu.infoCb)
+		return b.CallLocal(args, cfg.usr, fu.infoCb)
 	case cfg.burst:
-		return b.InjectBurstInfo(cfg.batch, cfg.usr, fu.infoCb)
+		return b.InjectBurst(cfg.batch, cfg.usr, fu.infoCb)
 	default:
-		return b.InjectInfo(args, cfg.usr, fu.infoCb)
+		return b.Inject(args, cfg.usr, fu.infoCb)
 	}
 }
 
@@ -339,11 +339,10 @@ type Future struct {
 	injected bool // invocation method of the in-flight call
 	res      Result
 	cbs      []func(Result)
-	// infoCb and completeCb are prebound adapters created once per pooled
+	// infoCb is the prebound completion adapter, created once per pooled
 	// future and reused across generations, so issuing a call allocates
 	// no closures.
-	infoCb     func(mailbox.SendInfo)
-	completeCb func(core.Result)
+	infoCb func(mailbox.SendInfo)
 }
 
 // newFuture takes a future from the pool (or mints one with its prebound
@@ -357,7 +356,6 @@ func (s *System) newFuture(expect int) *Future {
 	} else {
 		fu = &Future{sys: s}
 		fu.infoCb = fu.completeInfo
-		fu.completeCb = fu.complete
 	}
 	fu.expect = expect
 	fu.resolved, fu.observed, fu.armed, fu.released, fu.free = false, false, false, false, false
@@ -392,27 +390,6 @@ func (fu *Future) completeInfo(info mailbox.SendInfo) {
 		fu.res.Delivered = info.Delivered
 	}
 	fu.res.Injected = fu.injected
-	if fu.res.N >= fu.expect {
-		fu.resolve()
-	}
-}
-
-// complete folds one per-message completion into the aggregate.
-func (fu *Future) complete(r core.Result) {
-	if fu.resolved {
-		return
-	}
-	fu.res.N++
-	if fu.res.Seq == 0 {
-		fu.res.Seq = r.Seq
-	}
-	if r.Err != nil && fu.res.Err == nil {
-		fu.res.Err = r.Err
-	}
-	if r.Delivered > fu.res.Delivered {
-		fu.res.Delivered = r.Delivered
-	}
-	fu.res.Injected = r.Injected
 	if fu.res.N >= fu.expect {
 		fu.resolve()
 	}

@@ -242,7 +242,7 @@ func (s *System) SendData(src, dst int, usr []byte) *Future {
 			Node: s.mesh.Node(dst).Name})
 		return fu
 	}
-	ch.SendData(usr, fu.completeCb)
+	ch.SendData(usr, fu.infoCb)
 	fu.armed = true
 	return fu
 }

@@ -20,8 +20,9 @@
 //
 // Data and DataWords declarations accumulate into a generated
 // ried_<app>.rds; Func compiles AMC through the same amcc pipeline the
-// paper's C flow uses. FuncAsm/Ried/RiedAsm/Source accept hand-written
-// element sources when the generated forms are not enough.
+// paper's C flow uses. Ried and Source accept hand-written element
+// sources (Source takes JAM assembly too: jam_*.ams, ried_*.rds) when
+// the generated forms are not enough.
 //
 // # Authoring rules
 //
@@ -118,20 +119,10 @@ func (b *Builder) Func(name, src string) *Builder {
 	return b.addFile(canonical("jam_", name)+".amc", src)
 }
 
-// FuncAsm adds a jam written in JAM assembly.
-func (b *Builder) FuncAsm(name, src string) *Builder {
-	return b.addFile(canonical("jam_", name)+".ams", src)
-}
-
 // Ried adds a hand-written ried in AMC; module-level object definitions
 // become the library's exported data objects.
 func (b *Builder) Ried(name, src string) *Builder {
 	return b.addFile(canonical("ried_", name)+".rdc", src)
-}
-
-// RiedAsm adds a hand-written ried in JAM assembly.
-func (b *Builder) RiedAsm(name, src string) *Builder {
-	return b.addFile(canonical("ried_", name)+".rds", src)
 }
 
 // Source adds one raw canonical element file (jam_*.amc/.ams or

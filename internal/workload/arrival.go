@@ -2,74 +2,62 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"twochains/internal/sim"
 )
 
-// arrivalSpec describes one registered arrival process. Validate checks
-// the Arrival parameters during scenario resolution (at builds the
-// blame-path for ScenarioError fields); Gen draws the n cumulative
-// arrival offsets for one sender, in issue order, from the scenario
-// RNG. A nil Gen marks a self-clocked (closed-loop) process: bursts
-// chain on completion instead of firing at precomputed instants.
+// arrivalSpec describes one arrival process. Validate checks the Arrival
+// parameters during scenario resolution (at builds the blame-path for
+// ScenarioError fields); Gen draws the n cumulative arrival offsets for
+// one sender, in issue order, from the scenario RNG. A nil Gen marks a
+// self-clocked (closed-loop) process: bursts chain on completion instead
+// of firing at precomputed instants.
 type arrivalSpec struct {
 	name     string
 	validate func(a *Arrival, at func(string) string) error
 	gen      func(a *Arrival, rng *sim.RNG, n int) []sim.Duration
 }
 
-var arrivalKinds = map[ArrivalKind]*arrivalSpec{}
-
-// RegisterArrival registers an arrival process under kind. Scenario
-// validation enumerates registered kinds instead of hardcoding a
-// switch, so third-party processes validate and generate through the
-// same path as the built-ins. Registration happens at init time;
-// re-registering a kind panics.
-func RegisterArrival(kind ArrivalKind, name string, validate func(a *Arrival, at func(string) string) error, gen func(a *Arrival, rng *sim.RNG, n int) []sim.Duration) {
-	if name == "" {
-		panic("workload: RegisterArrival: empty name")
+// arrivalSpecFor returns the process of kind, or nil for a kind outside
+// the table.
+func arrivalSpecFor(kind ArrivalKind) *arrivalSpec {
+	if int(kind) >= len(arrivalKinds) {
+		return nil
 	}
-	if _, dup := arrivalKinds[kind]; dup {
-		panic(fmt.Sprintf("workload: RegisterArrival: kind %d already registered", kind))
-	}
-	arrivalKinds[kind] = &arrivalSpec{name: name, validate: validate, gen: gen}
+	return &arrivalKinds[kind]
 }
 
-// ArrivalKindNames lists the registered arrival kinds as "name(kind)"
-// strings in kind order, for error messages.
+// ArrivalKindNames lists the arrival kinds as "name(kind)" strings in
+// kind order, for error messages.
 func ArrivalKindNames() []string {
-	kinds := make([]int, 0, len(arrivalKinds))
-	for k := range arrivalKinds {
-		kinds = append(kinds, int(k))
-	}
-	sort.Ints(kinds)
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = fmt.Sprintf("%s(%d)", arrivalKinds[ArrivalKind(k)].name, k)
+	names := make([]string, len(arrivalKinds))
+	for k, spec := range arrivalKinds {
+		names[k] = fmt.Sprintf("%s(%d)", spec.name, k)
 	}
 	return names
 }
 
 // openLoop reports whether the arrival kind fires bursts at precomputed
-// instants (a registered generator) rather than chaining on completion.
+// instants (a generator) rather than chaining on completion.
 func (a Arrival) openLoop() bool {
-	s := arrivalKinds[a.Kind]
+	s := arrivalSpecFor(a.Kind)
 	return s != nil && s.gen != nil
 }
 
-func init() {
-	RegisterArrival(ClosedLoop, "closed-loop", nil, nil)
+// arrivalKinds holds every arrival process, indexed by ArrivalKind.
+var arrivalKinds = [...]arrivalSpec{
+	ClosedLoop: {name: "closed-loop"},
 
-	RegisterArrival(Poisson, "poisson",
-		func(a *Arrival, at func(string) string) error {
+	Poisson: {
+		name: "poisson",
+		validate: func(a *Arrival, at func(string) string) error {
 			if a.RatePerSec <= 0 {
 				return &ScenarioError{Field: at("Arrival.RatePerSec"),
 					Reason: fmt.Sprintf("open-loop Poisson arrivals need a positive rate, have %v", a.RatePerSec)}
 			}
 			return nil
 		},
-		func(a *Arrival, rng *sim.RNG, n int) []sim.Duration {
+		gen: func(a *Arrival, rng *sim.RNG, n int) []sim.Duration {
 			mean := float64(sim.Second) / a.RatePerSec
 			out := make([]sim.Duration, n)
 			var at float64
@@ -78,10 +66,12 @@ func init() {
 				out[i] = sim.Duration(at)
 			}
 			return out
-		})
+		},
+	},
 
-	RegisterArrival(MMPP, "mmpp",
-		func(a *Arrival, at func(string) string) error {
+	MMPP: {
+		name: "mmpp",
+		validate: func(a *Arrival, at func(string) string) error {
 			if a.RatePerSec <= 0 {
 				return &ScenarioError{Field: at("Arrival.RatePerSec"),
 					Reason: fmt.Sprintf("MMPP base state needs a positive rate, have %v", a.RatePerSec)}
@@ -100,7 +90,7 @@ func init() {
 			}
 			return nil
 		},
-		func(a *Arrival, rng *sim.RNG, n int) []sim.Duration {
+		gen: func(a *Arrival, rng *sim.RNG, n int) []sim.Duration {
 			// Two-state Markov-modulated Poisson process: arrivals are
 			// Poisson at the current state's rate; the state flips after an
 			// exponentially distributed sojourn. Gaps that straddle a state
@@ -127,10 +117,12 @@ func init() {
 				rem = rng.Exp(soj[state])
 			}
 			return out
-		})
+		},
+	},
 
-	RegisterArrival(Trace, "trace",
-		func(a *Arrival, at func(string) string) error {
+	Trace: {
+		name: "trace",
+		validate: func(a *Arrival, at func(string) string) error {
 			if len(a.Trace) == 0 {
 				return &ScenarioError{Field: at("Arrival.Trace"),
 					Reason: "trace replay needs at least one recorded inter-arrival gap"}
@@ -143,7 +135,7 @@ func init() {
 			}
 			return nil
 		},
-		func(a *Arrival, rng *sim.RNG, n int) []sim.Duration {
+		gen: func(a *Arrival, rng *sim.RNG, n int) []sim.Duration {
 			// Recorded-trace replay: the scenario carries measured
 			// inter-arrival gaps and each sender replays them cyclically.
 			// No RNG is consumed — the trace is the randomness.
@@ -154,5 +146,6 @@ func init() {
 				out[i] = at
 			}
 			return out
-		})
+		},
+	},
 }

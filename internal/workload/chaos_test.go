@@ -122,7 +122,7 @@ func TestArrivalTraceReplay(t *testing.T) {
 	}
 }
 
-// TestArrivalValidation pins the registry-driven arrival validation and
+// TestArrivalValidation pins the table-driven arrival validation and
 // the failure-plan static checks: every rejection is a typed
 // *ScenarioError naming the offending field.
 func TestArrivalValidation(t *testing.T) {

@@ -208,8 +208,8 @@ func (sc *Scenario) resolvePhases() ([]phaseSpec, error) {
 		} else {
 			spec.arrival = sc.Arrival
 		}
-		ak, ok := arrivalKinds[spec.arrival.Kind]
-		if !ok {
+		ak := arrivalSpecFor(spec.arrival.Kind)
+		if ak == nil {
 			return nil, &ScenarioError{Field: at("Arrival.Kind"),
 				Reason: fmt.Sprintf("unknown arrival kind %d (registered: %v)", spec.arrival.Kind, ArrivalKindNames())}
 		}

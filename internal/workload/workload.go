@@ -109,8 +109,8 @@ const (
 	Trace
 )
 
-// Arrival is a phase's arrival process. Kinds beyond the built-ins can
-// be added with RegisterArrival; validation enumerates the registry.
+// Arrival is a phase's arrival process. Its Kind indexes the fixed table
+// of processes in arrival.go; validation rejects any other kind.
 type Arrival struct {
 	Kind ArrivalKind
 	// RatePerSec is the mean burst arrival rate per sender in simulated
@@ -384,7 +384,7 @@ func buildPlan(sc *Scenario, topo Topology, spec *phaseSpec, rng *sim.RNG) (*pha
 	if p.err != nil {
 		return nil, p.err
 	}
-	if gen := arrivalKinds[spec.arrival.Kind]; gen != nil && gen.gen != nil {
+	if gen := arrivalSpecFor(spec.arrival.Kind); gen != nil && gen.gen != nil {
 		for src := range pp.bursts {
 			if len(pp.bursts[src]) == 0 {
 				continue
