@@ -23,7 +23,7 @@
 # `make examples` builds and runs every examples/* binary headless — the
 # cheapest whole-surface smoke of the public API (CI runs it too).
 #
-# `make fuzz-smoke` runs four fuzz targets for 5 s each. FuzzEnsureJam
+# `make fuzz-smoke` runs five fuzz targets for 5 s each. FuzzEnsureJam
 # (internal/vm): arbitrary bytes at arbitrary (VA, length) sequences must
 # map or be refused, never panic; then FuzzAddressSpaceRecycle (internal/mem):
 # arbitrary accessor sequences on a space grown into poisoned recycled
@@ -35,8 +35,13 @@
 # arbitrary registrations and puts, with valid, foreign or never-issued
 # rkeys at in-range, edge and near-2^64 addresses, on every fabric backend
 # must land exactly the bytes a naive interval model says and refuse the
-# rest with an error, calling back once per put. A failing input lands in
-# the package's testdata/fuzz/ — commit it with the fix.
+# rest with an error, calling back once per put; then FuzzDecode
+# (internal/wire): bytes seeded from the real tcapp encodings, fed to the
+# object, image, jam or package decoder its first byte picks, must never
+# panic, must be refused with a typed *wire.Error or re-encode to exactly
+# themselves, and may allocate at most 16 bytes per input byte plus 4 KiB.
+# A failing input lands in the package's testdata/fuzz/ — commit it with
+# the fix.
 #
 # `make bench-json` regenerates $(BENCH_OUT) (BENCH_PR21.json by
 # default; override with BENCH_OUT=...) — the machine-readable perf
@@ -155,6 +160,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzAddressSpaceRecycle -fuzztime 5s ./internal/mem
 	$(GO) test -run xxx -fuzz FuzzHierarchy -fuzztime 5s ./internal/memsim
 	$(GO) test -run xxx -fuzz FuzzPortPut -fuzztime 5s ./internal/fabric
+	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 5s ./internal/wire
 
 chaos-smoke:
 	$(GO) test -race -run 'TestFailRejoinDrain' ./internal/workload

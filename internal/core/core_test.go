@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"twochains/internal/mailbox"
 	"twochains/internal/sim"
+	"twochains/internal/wire"
 )
 
 // newPair builds a single-shard mesh of nodes on the production channel
@@ -109,20 +112,25 @@ func TestPackageEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodePackage(pkg.Encode())
+	data := pkg.Encode()
+	back, err := DecodePackage(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Name != pkg.Name || len(back.Elements) != len(pkg.Elements) {
-		t.Fatalf("package round trip: %s %d", back.Name, len(back.Elements))
+	if !reflect.DeepEqual(back, pkg) {
+		t.Fatalf("package round trip mismatch:\n%+v\n%+v", back, pkg)
 	}
-	bi, _ := back.Element("jam_iput")
-	pi, _ := pkg.Element("jam_iput")
-	if bi.Jam.ShippedSize() != pi.Jam.ShippedSize() {
-		t.Fatal("jam lost in round trip")
-	}
-	if back.LocalLib == nil {
-		t.Fatal("local lib lost")
+	// Every proper prefix, and the encoding with one byte appended, is a
+	// typed *wire.Error.
+	for cut := 0; cut <= len(data); cut++ {
+		in := data[:cut]
+		if cut == len(data) {
+			in = append(in, 0)
+		}
+		var we *wire.Error
+		if _, err := DecodePackage(in); !errors.As(err, &we) {
+			t.Fatalf("%d of %d bytes: err = %v, want a *wire.Error", len(in), len(data), err)
+		}
 	}
 }
 

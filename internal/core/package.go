@@ -12,7 +12,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -22,6 +21,7 @@ import (
 	"twochains/internal/elfobj"
 	"twochains/internal/linker"
 	"twochains/internal/mailbox"
+	"twochains/internal/wire"
 )
 
 // ElementKind distinguishes the two chains.
@@ -182,98 +182,37 @@ const PackageMagic = 0x4b504354
 // Encode serializes the package (the install-directory format tcpkg
 // writes).
 func (p *Package) Encode() []byte {
-	var b []byte
-	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
-	str := func(s string) {
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-		b = append(b, s...)
-	}
-	blob := func(p []byte) {
-		u32(uint32(len(p)))
-		b = append(b, p...)
-	}
-	u32(PackageMagic)
-	str(p.Name)
-	u32(uint32(len(p.Elements)))
+	w := wire.NewWriter(PackageMagic)
+	w.Str(p.Name)
+	w.Count(len(p.Elements))
 	for _, e := range p.Elements {
-		b = append(b, e.ID, byte(e.Kind))
-		str(e.Name)
+		w.U8(e.ID)
+		w.U8(uint8(e.Kind))
+		w.Str(e.Name)
 		switch e.Kind {
 		case ElemJam:
-			blob(e.Jam.Encode())
+			w.Bytes(e.Jam.Encode())
 		case ElemRied:
-			blob(e.Ried.Encode())
+			w.Bytes(e.Ried.Encode())
 		}
 	}
 	if p.LocalLib != nil {
-		blob(p.LocalLib.Encode())
+		w.Bytes(p.LocalLib.Encode())
 	} else {
-		u32(0)
+		w.Bytes(nil)
 	}
-	return b
+	return w
 }
 
-// DecodePackage parses a serialized package.
+// DecodePackage parses a serialized package and every element in it.
+// Every failure is a *wire.Error.
 func DecodePackage(data []byte) (*Package, error) {
-	off := 0
-	bad := func(what string) (*Package, error) {
-		return nil, fmt.Errorf("core: truncated package at %s (offset %d)", what, off)
-	}
-	u32 := func() (uint32, bool) {
-		if off+4 > len(data) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(data[off:])
-		off += 4
-		return v, true
-	}
-	str := func() (string, bool) {
-		if off+2 > len(data) {
-			return "", false
-		}
-		n := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if off+n > len(data) {
-			return "", false
-		}
-		s := string(data[off : off+n])
-		off += n
-		return s, true
-	}
-	blob := func() ([]byte, bool) {
-		n, ok := u32()
-		if !ok || off+int(n) > len(data) {
-			return nil, false
-		}
-		out := data[off : off+int(n)]
-		off += int(n)
-		return out, true
-	}
-	magic, ok := u32()
-	if !ok || magic != PackageMagic {
-		return nil, fmt.Errorf("core: bad package magic")
-	}
-	p := &Package{}
-	if p.Name, ok = str(); !ok {
-		return bad("name")
-	}
-	n, ok := u32()
-	if !ok || n > 256 {
-		return bad("element count")
-	}
-	for i := 0; i < int(n); i++ {
-		if off+2 > len(data) {
-			return bad("element header")
-		}
-		e := &Element{ID: data[off], Kind: ElementKind(data[off+1])}
-		off += 2
-		if e.Name, ok = str(); !ok {
-			return bad("element name")
-		}
-		raw, ok := blob()
-		if !ok {
-			return bad("element body")
-		}
+	r := wire.NewReader("core package", PackageMagic, data)
+	p := &Package{Name: r.Str("name")}
+	p.Elements = wire.Make[*Element](r.Count("element count", 256, 8))
+	for i := range p.Elements {
+		e := &Element{ID: r.U8("element id"), Kind: ElementKind(r.U8("element kind")), Name: r.Str("element name")}
+		raw := r.Bytes("element body")
 		var err error
 		switch e.Kind {
 		case ElemJam:
@@ -281,23 +220,20 @@ func DecodePackage(data []byte) (*Package, error) {
 		case ElemRied:
 			e.Ried, err = linker.DecodeImage(raw)
 		default:
-			return nil, fmt.Errorf("core: unknown element kind %d", e.Kind)
+			err = fmt.Errorf("unknown element kind %d", e.Kind)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: element %s: %w", e.Name, err)
+			// Once the reader has failed every later body is nil and
+			// fails too; stop rather than allocate errors nobody reads.
+			r.Fail("element "+e.Name, err)
+			break
 		}
-		p.Elements = append(p.Elements, e)
+		p.Elements[i] = e
 	}
-	raw, ok := blob()
-	if !ok {
-		return bad("local library")
-	}
-	if len(raw) > 0 {
+	if raw := r.Bytes("local library"); len(raw) > 0 {
 		lib, err := linker.DecodeImage(raw)
-		if err != nil {
-			return nil, fmt.Errorf("core: local library: %w", err)
-		}
+		r.Fail("local library", err)
 		p.LocalLib = lib
 	}
-	return p, nil
+	return wire.Finish(r, p)
 }

@@ -15,8 +15,9 @@
 package elfobj
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"twochains/internal/wire"
 )
 
 // Magic identifies the serialized object format ("TCEO": Two-Chains ELF-
@@ -177,11 +178,9 @@ func (o *Object) Validate() error {
 		if s.Name == "" {
 			return fmt.Errorf("elfobj %s: symbol %d has empty name", o.Name, i)
 		}
-		if s.Defined() {
-			if int(s.Value) > o.SectionSize(s.Section) {
-				return fmt.Errorf("elfobj %s: symbol %q offset %d outside %s (size %d)",
-					o.Name, s.Name, s.Value, s.Section, o.SectionSize(s.Section))
-			}
+		if s.Defined() && int(s.Value) > o.SectionSize(s.Section) {
+			return fmt.Errorf("elfobj %s: symbol %q offset %d outside %s (size %d)",
+				o.Name, s.Name, s.Value, s.Section, o.SectionSize(s.Section))
 		}
 	}
 	for i, r := range o.Relocs {
@@ -192,16 +191,13 @@ func (o *Object) Validate() error {
 		if sec == nil {
 			return fmt.Errorf("elfobj %s: reloc %d: fixup in %s", o.Name, i, r.Section)
 		}
-		need := 8
-		if r.Type != RelAbs64 {
-			// Instruction imm fixups patch 4 bytes at Offset+4.
-			need = 8
-			if r.Offset%8 != 0 {
-				return fmt.Errorf("elfobj %s: reloc %d: %s fixup misaligned at %d",
-					o.Name, i, r.Type, r.Offset)
-			}
+		// Instruction imm fixups patch 4 bytes at Offset+4 of an aligned
+		// instruction; an ABS64 pointer is 8 bytes at Offset.
+		if r.Type != RelAbs64 && r.Offset%8 != 0 {
+			return fmt.Errorf("elfobj %s: reloc %d: %s fixup misaligned at %d",
+				o.Name, i, r.Type, r.Offset)
 		}
-		if int(r.Offset)+need > len(sec) {
+		if int(r.Offset)+8 > len(sec) {
 			return fmt.Errorf("elfobj %s: reloc %d: fixup at %d overruns %s (size %d)",
 				o.Name, i, r.Offset, r.Section, len(sec))
 		}
@@ -214,166 +210,69 @@ func (o *Object) Validate() error {
 
 // Encode serializes the object.
 func (o *Object) Encode() []byte {
-	var b buf
-	b.u32(Magic)
-	b.u16(Version)
-	b.str(o.Name)
-	b.bytes(o.Text)
-	b.bytes(o.Rodata)
-	b.bytes(o.Data)
-	b.u32(o.BssSize)
-	b.u32(uint32(len(o.Symbols)))
+	w := wire.NewWriter(Magic)
+	w.U16(Version)
+	w.Str(o.Name)
+	w.Bytes(o.Text)
+	w.Bytes(o.Rodata)
+	w.Bytes(o.Data)
+	w.U32(o.BssSize)
+	w.Count(len(o.Symbols))
 	for _, s := range o.Symbols {
-		b.str(s.Name)
-		b.u8(uint8(s.Section))
-		b.u8(uint8(s.Binding))
-		b.u8(uint8(s.Kind))
-		b.u32(s.Value)
-		b.u32(s.Size)
+		w.Str(s.Name)
+		w.U8(uint8(s.Section))
+		w.U8(uint8(s.Binding))
+		w.U8(uint8(s.Kind))
+		w.U32(s.Value)
+		w.U32(s.Size)
 	}
-	b.u32(uint32(len(o.Relocs)))
+	w.Count(len(o.Relocs))
 	for _, r := range o.Relocs {
-		b.u8(uint8(r.Type))
-		b.u8(uint8(r.Section))
-		b.u32(r.Offset)
-		b.u32(uint32(r.Sym))
-		b.u32(uint32(r.Addend))
+		w.U8(uint8(r.Type))
+		w.U8(uint8(r.Section))
+		w.U32(r.Offset)
+		w.U32(uint32(r.Sym))
+		w.U32(uint32(r.Addend))
 	}
-	return b.out
+	return w
 }
 
-// Decode parses a serialized object.
+// Decode parses a serialized object and validates it. Every failure is a
+// *wire.Error.
 func Decode(data []byte) (*Object, error) {
-	r := reader{in: data}
-	if r.u32() != Magic {
-		return nil, fmt.Errorf("elfobj: bad magic")
+	r := wire.NewReader("elfobj", Magic, data)
+	if v := r.U16("version"); v != Version {
+		r.Fail("version", fmt.Errorf("unsupported version %d", v))
 	}
-	if v := r.u16(); v != Version {
-		return nil, fmt.Errorf("elfobj: unsupported version %d", v)
-	}
-	o := &Object{}
-	o.Name = r.str()
-	o.Text = r.bytes()
-	o.Rodata = r.bytes()
-	o.Data = r.bytes()
-	o.BssSize = r.u32()
-	nsym := int(r.u32())
-	if nsym > 1<<20 {
-		return nil, fmt.Errorf("elfobj: implausible symbol count %d", nsym)
-	}
-	if nsym > 0 {
-		o.Symbols = make([]Symbol, nsym)
+	// Appending to nil keeps an empty section nil, as builders leave it.
+	o := &Object{
+		Name:    r.Str("name"),
+		Text:    append([]byte(nil), r.Bytes(".text")...),
+		Rodata:  append([]byte(nil), r.Bytes(".rodata")...),
+		Data:    append([]byte(nil), r.Bytes(".data")...),
+		BssSize: r.U32(".bss size"),
+		Symbols: wire.Make[Symbol](r.Count("symbol count", 1<<20, 13)),
 	}
 	for i := range o.Symbols {
 		o.Symbols[i] = Symbol{
-			Name:    r.str(),
-			Section: SectionID(r.u8()),
-			Binding: Binding(r.u8()),
-			Kind:    SymKind(r.u8()),
-			Value:   r.u32(),
-			Size:    r.u32(),
+			Name:    r.Str("symbol name"),
+			Section: SectionID(r.U8("symbol section")),
+			Binding: Binding(r.U8("symbol binding")),
+			Kind:    SymKind(r.U8("symbol kind")),
+			Value:   r.U32("symbol value"),
+			Size:    r.U32("symbol size"),
 		}
 	}
-	nrel := int(r.u32())
-	if nrel > 1<<20 {
-		return nil, fmt.Errorf("elfobj: implausible reloc count %d", nrel)
-	}
-	if nrel > 0 {
-		o.Relocs = make([]Reloc, nrel)
-	}
+	o.Relocs = wire.Make[Reloc](r.Count("reloc count", 1<<20, 14))
 	for i := range o.Relocs {
 		o.Relocs[i] = Reloc{
-			Type:    RelocType(r.u8()),
-			Section: SectionID(r.u8()),
-			Offset:  r.u32(),
-			Sym:     int(r.u32()),
-			Addend:  int32(r.u32()),
+			Type:    RelocType(r.U8("reloc type")),
+			Section: SectionID(r.U8("reloc section")),
+			Offset:  r.U32("reloc offset"),
+			Sym:     int(r.U32("reloc symbol")),
+			Addend:  int32(r.U32("reloc addend")),
 		}
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("elfobj: truncated object: %w", r.err)
-	}
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// buf is a tiny append-only encoder.
-type buf struct{ out []byte }
-
-func (b *buf) u8(v uint8)   { b.out = append(b.out, v) }
-func (b *buf) u16(v uint16) { b.out = binary.LittleEndian.AppendUint16(b.out, v) }
-func (b *buf) u32(v uint32) { b.out = binary.LittleEndian.AppendUint32(b.out, v) }
-func (b *buf) str(s string) {
-	b.u16(uint16(len(s)))
-	b.out = append(b.out, s...)
-}
-func (b *buf) bytes(p []byte) {
-	b.u32(uint32(len(p)))
-	b.out = append(b.out, p...)
-}
-
-// reader is the matching decoder; it latches the first error.
-type reader struct {
-	in  []byte
-	off int
-	err error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.in) {
-		r.err = fmt.Errorf("need %d bytes at %d, have %d", n, r.off, len(r.in)-r.off)
-		return nil
-	}
-	out := r.in[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) str() string {
-	n := int(r.u16())
-	b := r.take(n)
-	return string(b)
-}
-
-func (r *reader) bytes() []byte {
-	n := int(r.u32())
-	if n == 0 {
-		return nil
-	}
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	r.Fail("object", o.Validate())
+	return wire.Finish(r, o)
 }

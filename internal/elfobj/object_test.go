@@ -2,9 +2,14 @@ package elfobj
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"twochains/internal/wire"
 )
 
 func sampleObject() *Object {
@@ -47,12 +52,50 @@ func TestDecodeRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTruncation: every proper prefix of a real encoding,
+// and the encoding with one byte appended, is a typed *wire.Error.
 func TestDecodeRejectsTruncation(t *testing.T) {
 	data := sampleObject().Encode()
-	for _, cut := range []int{1, 7, len(data) / 2, len(data) - 1} {
-		if _, err := Decode(data[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	for cut := 0; cut <= len(data); cut++ {
+		in := data[:cut]
+		if cut == len(data) {
+			in = append(in, 0)
 		}
+		var we *wire.Error
+		if _, err := Decode(in); !errors.As(err, &we) {
+			t.Fatalf("%d of %d bytes: err = %v, want a *wire.Error", len(in), len(data), err)
+		}
+	}
+}
+
+// TestDecodeHugeSymbolCount: 28 bytes claiming 2^20 symbols are refused
+// before anything is sized from the count.
+func TestDecodeHugeSymbolCount(t *testing.T) {
+	in := []byte{
+		'T', 'C', 'E', 'O', 1, 0, // magic, version
+		0, 0, // name
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // .text, .rodata, .data
+		0, 0, 0, 0, // .bss size
+		0, 0, 0x10, 0, // symbol count 1<<20
+	}
+	// The runtime or another goroutine can allocate inside the window, but
+	// the decode allocates the same every time: the least of three
+	// readings is the decode's.
+	var err error
+	n := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = Decode(in)
+		runtime.ReadMemStats(&after)
+		n = min(n, after.TotalAlloc-before.TotalAlloc)
+	}
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Field != "symbol count" {
+		t.Fatalf("err = %v, want a *wire.Error on the symbol count", err)
+	}
+	if n >= 1024 {
+		t.Fatalf("decoding %d bytes allocated %d B, want under 1 KB", len(in), n)
 	}
 }
 

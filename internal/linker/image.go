@@ -11,11 +11,11 @@
 package linker
 
 import (
-	"encoding/binary"
-	"fmt"
+	"bytes"
 	"sort"
 
 	"twochains/internal/elfobj"
+	"twochains/internal/wire"
 )
 
 // PageAlign is the section alignment inside a linked image, chosen so the
@@ -98,171 +98,74 @@ func (img *Image) Externs() []string {
 	return out
 }
 
-// Encode serializes the image (the on-the-wire form of a ried).
-func (img *Image) Encode() []byte {
-	var b []byte
-	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
-	str := func(s string) {
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-		b = append(b, s...)
-	}
-	u32(ImageMagic)
-	str(img.Name)
-	u32(uint32(len(img.Blob)))
-	b = append(b, img.Blob...)
-	for _, v := range []int{
-		img.GotOff, img.GotLen, img.TextOff, img.TextLen,
-		img.RodataOff, img.RodataLen, img.DataOff, img.DataLen,
-		img.BssOff, img.BssLen, img.TotalSize,
-	} {
-		u32(uint32(v))
-	}
-	u32(uint32(len(img.Exports)))
-	for _, e := range img.Exports {
-		str(e.Name)
-		u32(e.Off)
-		b = append(b, byte(e.Kind))
-	}
-	u32(uint32(len(img.Got)))
-	for _, g := range img.Got {
-		str(g.Sym)
-		flag := byte(0)
-		if g.Local {
-			flag = 1
-		}
-		b = append(b, flag)
-		u32(g.Off)
-	}
-	u32(uint32(len(img.LoadRelocs)))
-	for _, lr := range img.LoadRelocs {
-		str(lr.Sym)
-		flag := byte(0)
-		if lr.Local {
-			flag = 1
-		}
-		b = append(b, flag)
-		u32(lr.Off)
-		u32(lr.Target)
-		u32(uint32(lr.Addend))
-	}
-	return b
-}
-
-// DecodeImage parses a serialized image.
-func DecodeImage(data []byte) (*Image, error) {
-	off := 0
-	fail := func(what string) (*Image, error) {
-		return nil, fmt.Errorf("linker: truncated image at %s (offset %d)", what, off)
-	}
-	u32 := func() (uint32, bool) {
-		if off+4 > len(data) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(data[off:])
-		off += 4
-		return v, true
-	}
-	str := func() (string, bool) {
-		if off+2 > len(data) {
-			return "", false
-		}
-		n := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if off+n > len(data) {
-			return "", false
-		}
-		s := string(data[off : off+n])
-		off += n
-		return s, true
-	}
-	magic, ok := u32()
-	if !ok || magic != ImageMagic {
-		return nil, fmt.Errorf("linker: bad image magic")
-	}
-	img := &Image{}
-	if img.Name, ok = str(); !ok {
-		return fail("name")
-	}
-	blobLen, ok := u32()
-	if !ok || off+int(blobLen) > len(data) {
-		return fail("blob")
-	}
-	img.Blob = make([]byte, blobLen)
-	copy(img.Blob, data[off:off+int(blobLen)])
-	off += int(blobLen)
-	ptrs := []*int{
+// layout lists the section geometry fields in their wire order.
+func (img *Image) layout() [11]*int {
+	return [...]*int{
 		&img.GotOff, &img.GotLen, &img.TextOff, &img.TextLen,
 		&img.RodataOff, &img.RodataLen, &img.DataOff, &img.DataLen,
 		&img.BssOff, &img.BssLen, &img.TotalSize,
 	}
-	for _, p := range ptrs {
-		v, ok := u32()
-		if !ok {
-			return fail("layout")
-		}
-		*p = int(v)
+}
+
+// Encode serializes the image (the on-the-wire form of a ried).
+func (img *Image) Encode() []byte {
+	w := wire.NewWriter(ImageMagic)
+	w.Str(img.Name)
+	w.Bytes(img.Blob)
+	for _, p := range img.layout() {
+		w.U32(uint32(*p))
 	}
-	nexp, ok := u32()
-	if !ok || nexp > 1<<20 {
-		return fail("exports")
+	w.Count(len(img.Exports))
+	for _, e := range img.Exports {
+		w.Str(e.Name)
+		w.U32(e.Off)
+		w.U8(uint8(e.Kind))
 	}
-	for i := 0; i < int(nexp); i++ {
-		var e ImageSym
-		if e.Name, ok = str(); !ok {
-			return fail("export name")
-		}
-		v, ok := u32()
-		if !ok || off >= len(data) {
-			return fail("export off")
-		}
-		e.Off = v
-		e.Kind = elfobj.SymKind(data[off])
-		off++
-		img.Exports = append(img.Exports, e)
+	w.Count(len(img.Got))
+	for _, g := range img.Got {
+		w.Str(g.Sym)
+		w.Bool(g.Local)
+		w.U32(g.Off)
 	}
-	ngot, ok := u32()
-	if !ok || ngot > 1<<20 {
-		return fail("got")
+	w.Count(len(img.LoadRelocs))
+	for _, lr := range img.LoadRelocs {
+		w.Str(lr.Sym)
+		w.Bool(lr.Local)
+		w.U32(lr.Off)
+		w.U32(lr.Target)
+		w.U32(uint32(lr.Addend))
 	}
-	for i := 0; i < int(ngot); i++ {
-		var g GotEntry
-		if g.Sym, ok = str(); !ok {
-			return fail("got sym")
-		}
-		if off >= len(data) {
-			return fail("got flag")
-		}
-		g.Local = data[off] == 1
-		off++
-		v, ok := u32()
-		if !ok {
-			return fail("got off")
-		}
-		g.Off = v
-		img.Got = append(img.Got, g)
+	return w
+}
+
+// DecodeImage parses a serialized image. Every failure is a *wire.Error.
+func DecodeImage(data []byte) (*Image, error) {
+	r := wire.NewReader("linker image", ImageMagic, data)
+	img := &Image{Name: r.Str("name"), Blob: bytes.Clone(r.Bytes("blob"))}
+	for _, p := range img.layout() {
+		*p = int(r.U32("layout"))
 	}
-	nlr, ok := u32()
-	if !ok || nlr > 1<<20 {
-		return fail("loadrelocs")
+	img.Exports = wire.Make[ImageSym](r.Count("export count", 1<<20, 7))
+	for i := range img.Exports {
+		img.Exports[i] = ImageSym{
+			Name: r.Str("export name"),
+			Off:  r.U32("export offset"),
+			Kind: elfobj.SymKind(r.U8("export kind")),
+		}
 	}
-	for i := 0; i < int(nlr); i++ {
-		var lr LoadReloc
-		if lr.Sym, ok = str(); !ok {
-			return fail("loadreloc sym")
-		}
-		if off >= len(data) {
-			return fail("loadreloc flag")
-		}
-		lr.Local = data[off] == 1
-		off++
-		a, ok1 := u32()
-		b2, ok2 := u32()
-		c, ok3 := u32()
-		if !ok1 || !ok2 || !ok3 {
-			return fail("loadreloc fields")
-		}
-		lr.Off, lr.Target, lr.Addend = a, b2, int32(c)
-		img.LoadRelocs = append(img.LoadRelocs, lr)
+	img.Got = wire.Make[GotEntry](r.Count("GOT count", 1<<20, 7))
+	for i := range img.Got {
+		img.Got[i] = GotEntry{Sym: r.Str("GOT symbol"), Local: r.Bool("GOT local"), Off: r.U32("GOT offset")}
 	}
-	return img, nil
+	img.LoadRelocs = wire.Make[LoadReloc](r.Count("load reloc count", 1<<20, 15))
+	for i := range img.LoadRelocs {
+		img.LoadRelocs[i] = LoadReloc{
+			Sym:    r.Str("load reloc symbol"),
+			Local:  r.Bool("load reloc local"),
+			Off:    r.U32("load reloc offset"),
+			Target: r.U32("load reloc target"),
+			Addend: int32(r.U32("load reloc addend")),
+		}
+	}
+	return wire.Finish(r, img)
 }

@@ -1,11 +1,12 @@
 package linker
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 
 	"twochains/internal/elfobj"
 	"twochains/internal/isa"
+	"twochains/internal/wire"
 )
 
 // JamMagic identifies a serialized jam ("TCJM").
@@ -173,100 +174,39 @@ func BuildJam(obj *elfobj.Object, entry string) (*Jam, error) {
 
 // Encode serializes the jam for package installation.
 func (j *Jam) Encode() []byte {
-	var b []byte
-	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
-	str := func(s string) {
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-		b = append(b, s...)
-	}
-	u32(JamMagic)
-	str(j.Name)
-	u32(j.Entry)
-	u32(uint32(j.TextLen))
-	u32(uint32(len(j.Body)))
-	b = append(b, j.Body...)
-	u32(uint32(len(j.Got)))
+	w := wire.NewWriter(JamMagic)
+	w.Str(j.Name)
+	w.U32(j.Entry)
+	w.U32(uint32(j.TextLen))
+	w.Bytes(j.Body)
+	w.Count(len(j.Got))
 	for _, g := range j.Got {
-		str(g.Name)
-		flag := byte(0)
-		if g.Local {
-			flag = 1
-		}
-		b = append(b, flag)
-		u32(g.Off)
+		w.Str(g.Name)
+		w.Bool(g.Local)
+		w.U32(g.Off)
 	}
-	return b
+	return w
 }
 
-// DecodeJam parses a serialized jam.
+// DecodeJam parses a serialized jam and checks its text length and entry
+// point. Every failure is a *wire.Error.
 func DecodeJam(data []byte) (*Jam, error) {
-	off := 0
-	u32 := func() (uint32, bool) {
-		if off+4 > len(data) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(data[off:])
-		off += 4
-		return v, true
+	r := wire.NewReader("linker jam", JamMagic, data)
+	j := &Jam{
+		Name:    r.Str("name"),
+		Entry:   r.U32("entry"),
+		TextLen: int(r.U32("text length")),
+		Body:    bytes.Clone(r.Bytes("body")),
+		Got:     wire.Make[GotSym](r.Count("GOT count", 1<<16, 7)),
 	}
-	str := func() (string, bool) {
-		if off+2 > len(data) {
-			return "", false
-		}
-		n := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if off+n > len(data) {
-			return "", false
-		}
-		s := string(data[off : off+n])
-		off += n
-		return s, true
-	}
-	magic, ok := u32()
-	if !ok || magic != JamMagic {
-		return nil, fmt.Errorf("linker: bad jam magic")
-	}
-	j := &Jam{}
-	if j.Name, ok = str(); !ok {
-		return nil, fmt.Errorf("linker: truncated jam name")
-	}
-	e, ok1 := u32()
-	tl, ok2 := u32()
-	bl, ok3 := u32()
-	if !ok1 || !ok2 || !ok3 || off+int(bl) > len(data) {
-		return nil, fmt.Errorf("linker: truncated jam body")
-	}
-	j.Entry = e
-	j.TextLen = int(tl)
-	j.Body = make([]byte, bl)
-	copy(j.Body, data[off:off+int(bl)])
-	off += int(bl)
-	ng, ok := u32()
-	if !ok || ng > 1<<16 {
-		return nil, fmt.Errorf("linker: truncated jam GOT")
-	}
-	for i := 0; i < int(ng); i++ {
-		var g GotSym
-		if g.Name, ok = str(); !ok {
-			return nil, fmt.Errorf("linker: truncated jam GOT name")
-		}
-		if off >= len(data) {
-			return nil, fmt.Errorf("linker: truncated jam GOT flag")
-		}
-		g.Local = data[off] == 1
-		off++
-		v, ok := u32()
-		if !ok {
-			return nil, fmt.Errorf("linker: truncated jam GOT off")
-		}
-		g.Off = v
-		j.Got = append(j.Got, g)
+	for i := range j.Got {
+		j.Got[i] = GotSym{Name: r.Str("GOT name"), Local: r.Bool("GOT local"), Off: r.U32("GOT offset")}
 	}
 	if j.TextLen > len(j.Body) || j.TextLen%isa.InstrSize != 0 {
-		return nil, fmt.Errorf("linker: jam %s: bad text length %d", j.Name, j.TextLen)
+		r.Fail("text length", fmt.Errorf("jam %s: bad text length %d", j.Name, j.TextLen))
 	}
 	if int(j.Entry) >= j.TextLen {
-		return nil, fmt.Errorf("linker: jam %s: entry %d outside text", j.Name, j.Entry)
+		r.Fail("entry", fmt.Errorf("jam %s: entry %d outside text", j.Name, j.Entry))
 	}
-	return j, nil
+	return wire.Finish(r, j)
 }

@@ -1,6 +1,7 @@
 package linker
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"twochains/internal/elfobj"
 	"twochains/internal/isa"
 	"twochains/internal/mem"
+	"twochains/internal/wire"
 )
 
 func mustAsm(t *testing.T, name, src string) *elfobj.Object {
@@ -162,14 +164,64 @@ func TestImageEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// rejectsEveryCut checks that decode refuses every proper prefix of data,
+// and data with one byte appended, with a typed *wire.Error.
+func rejectsEveryCut(t *testing.T, data []byte, decode func([]byte) error) {
+	t.Helper()
+	for cut := 0; cut <= len(data); cut++ {
+		in := data[:cut]
+		if cut == len(data) {
+			in = append(in, 0)
+		}
+		var we *wire.Error
+		if err := decode(in); !errors.As(err, &we) {
+			t.Fatalf("%d of %d bytes: err = %v, want a *wire.Error", len(in), len(data), err)
+		}
+	}
+}
+
+// flagAt returns the offset of the one byte where two encodings differ.
+func flagAt(t *testing.T, a, b []byte) int {
+	t.Helper()
+	at := -1
+	for i := range a {
+		if a[i] != b[i] {
+			if at >= 0 {
+				t.Fatalf("encodings differ at %d and %d", at, i)
+			}
+			at = i
+		}
+	}
+	return at
+}
+
 func TestDecodeImageGarbage(t *testing.T) {
 	if _, err := DecodeImage([]byte{1, 2, 3}); err == nil {
 		t.Fatal("garbage image accepted")
 	}
-	data := linkAB(t).Encode()
-	for _, cut := range []int{4, 10, len(data) / 2, len(data) - 1} {
-		if _, err := DecodeImage(data[:cut]); err == nil {
-			t.Fatalf("truncated image (%d) accepted", cut)
+	img := linkAB(t)
+	rejectsEveryCut(t, img.Encode(), func(b []byte) error { _, err := DecodeImage(b); return err })
+
+	// A Local flag byte other than 0 or 1 is refused, in a GOT entry and
+	// in a load relocation.
+	data := img.Encode()
+	for field, flip := range map[string]func(*Image){
+		"GOT local": func(c *Image) {
+			c.Got = append([]GotEntry(nil), c.Got...)
+			c.Got[0].Local = !c.Got[0].Local
+		},
+		"load reloc local": func(c *Image) {
+			c.LoadRelocs = append([]LoadReloc(nil), c.LoadRelocs...)
+			c.LoadRelocs[0].Local = !c.LoadRelocs[0].Local
+		},
+	} {
+		c := *img
+		flip(&c)
+		bad := append([]byte(nil), data...)
+		bad[flagAt(t, data, c.Encode())] = 2
+		var we *wire.Error
+		if _, err := DecodeImage(bad); !errors.As(err, &we) || we.Field != field {
+			t.Errorf("%s byte 2: err = %v, want a *wire.Error on it", field, err)
 		}
 	}
 }
@@ -440,11 +492,18 @@ func TestDecodeJamGarbage(t *testing.T) {
 	if _, err := DecodeJam([]byte{0, 1, 2}); err == nil {
 		t.Fatal("garbage jam accepted")
 	}
-	data := buildJam(t).Encode()
-	for _, cut := range []int{4, 8, len(data) - 1} {
-		if _, err := DecodeJam(data[:cut]); err == nil {
-			t.Fatalf("truncated jam (%d) accepted", cut)
-		}
+	j := buildJam(t)
+	data := j.Encode()
+	rejectsEveryCut(t, data, func(b []byte) error { _, err := DecodeJam(b); return err })
+
+	flipped := *j
+	flipped.Got = append([]GotSym(nil), j.Got...)
+	flipped.Got[0].Local = !flipped.Got[0].Local
+	bad := append([]byte(nil), data...)
+	bad[flagAt(t, data, flipped.Encode())] = 2
+	var we *wire.Error
+	if _, err := DecodeJam(bad); !errors.As(err, &we) || we.Field != "GOT local" {
+		t.Errorf("GOT flag byte 2: err = %v, want a *wire.Error on \"GOT local\"", err)
 	}
 }
 
