@@ -13,7 +13,7 @@ import (
 // system's pool (touching it afterwards aliases the next Call that
 // recycles it). The same goes for address-space backings and cache-model
 // tag arrays: Close on a tc.System, or Release on a mem.AddressSpace or a
-// memsim.Hierarchy, hands node memory or tags to a process-wide pool, and
+// memsim.Hierarchy, puts node memory or tags on a process-wide shelf, and
 // the next system built may already own them. The check is a
 // straight-line reaching-uses pass over each block: any use of the
 // handed-off variable in the statements after the hand-off is flagged

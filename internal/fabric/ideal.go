@@ -26,7 +26,7 @@ type Ideal struct {
 	ports []*idealPort
 	rng   *sim.RNG
 	// bufs recycles in-flight put staging copies, like simnet's fabric.
-	bufs sim.BufPool
+	bufs mem.Shelf[[]byte]
 }
 
 // NewIdeal constructs the ideal backend; it is registered as "ideal".
@@ -90,7 +90,7 @@ func (p *idealPort) Put(dst Port, srcVA, dstVA uint64, size int, key RKey, onCom
 		})
 		return
 	}
-	data := p.fab.bufs.Get(size)
+	data := mem.GetBytes(&p.fab.bufs, size)
 	copy(data, src)
 	arrival := eng.Now().Add(model.PutBaseLat + model.WireTime(size))
 	if last := p.lastArrival[d.id]; arrival < last {
@@ -98,7 +98,7 @@ func (p *idealPort) Put(dst Port, srcVA, dstVA uint64, size int, key RKey, onCom
 	}
 	p.lastArrival[d.id] = arrival
 	if err := d.CheckPut(key, dstVA, size); err != nil {
-		p.fab.bufs.Put(data)
+		mem.PutBytes(&p.fab.bufs, data)
 		eng.At(arrival, func() {
 			if onComplete != nil {
 				onComplete(PutResult{Err: err})
@@ -108,7 +108,7 @@ func (p *idealPort) Put(dst Port, srcVA, dstVA uint64, size int, key RKey, onCom
 	}
 	eng.At(arrival, func() {
 		d.Land(dstVA, data)
-		p.fab.bufs.Put(data)
+		mem.PutBytes(&p.fab.bufs, data)
 		if onComplete != nil {
 			onComplete(PutResult{Delivered: eng.Now()})
 		}

@@ -13,7 +13,7 @@ import (
 // through every accessor, exactly like one whose memory came zeroed from
 // the allocator — no byte of a previous occupant is observable. The tests
 // below make the previous occupant as loud as possible: every backing
-// that enters the pool here is filled with poison first.
+// that goes on the shelf here is filled with poison first.
 
 const poison = 0xA5
 
@@ -35,38 +35,48 @@ func poisonedBacking(c int) []byte {
 	return b
 }
 
-// seedPool puts poisoned backings of every class a space of the given
-// capacity can grow through into the pool (several of each: under -race
-// sync.Pool drops a quarter of all Puts).
-func seedPool(capacity int) {
+// ownShelf gives the caller an empty backing shelf of its own, so what a
+// space draws is exactly what the caller put there, until the caller runs
+// the function returned, which puts the process shelf back.
+func ownShelf() (restore func()) {
+	backingsMu.Lock()
+	defer backingsMu.Unlock()
+	saved := backings
+	backings = Shelf[[]byte]{Max: saved.Max}
+	return func() {
+		backingsMu.Lock()
+		defer backingsMu.Unlock()
+		backings = saved
+	}
+}
+
+// seedShelf puts one poisoned backing of every class a space of the given
+// capacity can grow through on the shelf, and returns them by capacity.
+func seedShelf(capacity int) map[int]*byte {
+	seeded := map[int]*byte{}
 	for c := 1 << 16; ; c <<= 1 {
 		if c > capacity {
 			c = capacity
 		}
-		for n := 0; n < 3; n++ {
-			putBacking(poisonedBacking(c))
-		}
+		b := poisonedBacking(c)
+		seeded[cap(b)] = &b[0]
+		PutBytes(&backings, b)
 		if c == capacity {
-			return
+			return seeded
 		}
 	}
 }
 
-// seedTopOnly leaves the pool with poisoned backings of the one class
-// that holds a whole space of the given capacity and nothing in the
-// classes below it, so a space's first growth — a page, say — draws an
-// array many times the request.
-func seedTopOnly(capacity int) {
-	for k := 16; 1<<k < capacity; k++ {
-		for backings[k].Get() != nil {
-		}
-	}
-	for n := 0; n < 3; n++ {
-		putBacking(poisonedBacking(capacity))
-	}
+// seedTopOnly puts one poisoned backing on the shelf, of the class that
+// holds a whole space of the given capacity, so a space's first growth — a
+// page, say — draws an array many times the request.
+func seedTopOnly(capacity int) map[int]*byte {
+	b := poisonedBacking(capacity)
+	PutBytes(&backings, b)
+	return map[int]*byte{cap(b): &b[0]}
 }
 
-// releasePoisoned is the test hook on the way into the pool: it poisons
+// releasePoisoned is the test hook on the way onto the shelf: it poisons
 // the whole backing, mapped prefix and spare capacity alike, then releases.
 func releasePoisoned(as *AddressSpace) {
 	fillPoison(as.data[:cap(as.data)])
@@ -140,7 +150,7 @@ func (s *stream) size() int {
 func (s *stream) perm() Perm { return Perm(s.u8()) % (PermRWX + 1) }
 
 // recycleDiff drives one op sequence against a space on poisoned recycled
-// backings and against a reference that never sees the pool, and fails on
+// backings and against a reference that never sees the shelf, and fails on
 // the first difference in any value, error, permission or final byte.
 func recycleDiff(t *testing.T, prog []byte) {
 	s := &stream{b: prog}
@@ -149,15 +159,16 @@ func recycleDiff(t *testing.T, prog []byte) {
 	if mode&1 != 0 {
 		capacity = 48 * PageSize // the last growth step is clamped, not a power of two
 	}
+	defer ownShelf()()
+	seed := seedShelf
 	if mode&2 != 0 {
-		seedTopOnly(capacity) // the first growth draws a whole-space array
-	} else {
-		seedPool(capacity)
+		seed = seedTopOnly // the first growth draws a whole-space array
 	}
+	seeded := seed(capacity)
 	got := NewAddressSpace(capacity)
 	defer releasePoisoned(got)
 	// The reference is mapped in full from the allocator up front: it
-	// never grows, so it never draws from the pool.
+	// never grows, so it never draws from the shelf.
 	want := NewAddressSpace(capacity)
 	want.data = make([]byte, capacity)
 
@@ -306,7 +317,12 @@ func recycleDiff(t *testing.T, prog []byte) {
 		t.Fatalf("%d pages still stale after every page was read", got.stale)
 	}
 	if want.stale != 0 || len(want.data) != capacity {
-		t.Fatal("the reference space touched the pool")
+		t.Fatal("the reference space touched the shelf")
+	}
+	// Every growth drew the array seeded for its class, so the space ends
+	// on the one of its final size.
+	if b := got.data[:cap(got.data)]; &b[0] != seeded[cap(b)] {
+		t.Fatalf("the space ends on a %d-byte backing that is not the one seeded for its class", cap(b))
 	}
 }
 
@@ -353,78 +369,72 @@ func FuzzAddressSpaceRecycle(f *testing.F) {
 }
 
 // TestFirstGrowthTakesLargerBacking: with nothing recycled in the class a
-// space's first growth asks for, it takes the larger array the pool does
+// space's first growth asks for, it takes the larger array the shelf does
 // have, all of it stale, and never grows again: views taken either side
 // of where the doubling chain used to copy (64 KB, 128 KB) stay aliased to
 // the one backing through every later Alloc, and read zero, not poison.
 func TestFirstGrowthTakesLargerBacking(t *testing.T) {
 	const capacity = 1 << 18
-	for try := 0; ; try++ {
-		seedTopOnly(capacity)
-		as := NewAddressSpace(capacity)
-		va, err := as.AllocPages("first", PageSize, PermRW)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(as.data) != capacity {
-			if try > 100 {
-				t.Fatalf("first growth mapped %d bytes: the pool never handed the %d-byte backing back", len(as.data), capacity)
-			}
-			continue // the pool dropped every Put (it may, and does under -race)
-		}
-		if as.stale != capacity/PageSize {
-			t.Fatalf("%d stale pages after the first growth, want all %d", as.stale, capacity/PageSize)
-		}
-		if _, ok := as.FastRead64(va); ok {
-			t.Fatal("the fast path served a page nobody has zeroed")
-		}
-		backing := &as.data[0]
-		type held struct {
-			off int
-			b   []byte
-		}
-		var views []held
-		for _, edge := range []int{1 << 16, 1 << 17} {
-			for as.brk < Base+uint64(edge+PageSize) {
-				if _, err := as.AllocPages("more", 5*PageSize, PermRW); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, off := range []int{edge - PageSize, edge - 16, edge} {
-				v, err := as.ViewMut(Base+uint64(off), 32)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(v, make([]byte, 32)) {
-					t.Fatalf("view at offset 0x%x reads % x: a previous occupant's bytes", off, v)
-				}
-				views = append(views, held{off, v})
-			}
-		}
-		if _, err := as.AllocPages("rest", capacity-int(as.brk-Base), PermRW); err != nil {
-			t.Fatal(err)
-		}
-		if &as.data[0] != backing || len(as.data) != capacity {
-			t.Fatal("the space grew again after drawing a whole-space backing")
-		}
-		for i, v := range views {
-			v.b[0] = byte(i + 1)
-			if got, err := as.ReadU8(Base + uint64(v.off)); err != nil || got != uint64(i+1) {
-				t.Fatalf("the view taken at offset 0x%x no longer aliases the space: it stored %d, the space reads %d, %v",
-					v.off, i+1, got, err)
-			}
-		}
-		for off := 0; off < capacity; off += PageSize {
-			if v, err := as.ReadU64(Base + uint64(off) + 64); err != nil || v != 0 {
-				t.Fatalf("offset 0x%x reads 0x%x, %v: a previous occupant's bytes", off+64, v, err)
-			}
-		}
-		if as.stale != 0 {
-			t.Fatalf("%d pages still stale after every page was read", as.stale)
-		}
-		releasePoisoned(as)
-		return
+	defer ownShelf()()
+	top := seedTopOnly(capacity)[capacity]
+	as := NewAddressSpace(capacity)
+	va, err := as.AllocPages("first", PageSize, PermRW)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(as.data) != capacity || &as.data[0] != top {
+		t.Fatalf("first growth mapped %d bytes, not the %d-byte backing on the shelf", len(as.data), capacity)
+	}
+	if as.stale != capacity/PageSize {
+		t.Fatalf("%d stale pages after the first growth, want all %d", as.stale, capacity/PageSize)
+	}
+	if _, ok := as.FastRead64(va); ok {
+		t.Fatal("the fast path served a page nobody has zeroed")
+	}
+	type held struct {
+		off int
+		b   []byte
+	}
+	var views []held
+	for _, edge := range []int{1 << 16, 1 << 17} {
+		for as.brk < Base+uint64(edge+PageSize) {
+			if _, err := as.AllocPages("more", 5*PageSize, PermRW); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, off := range []int{edge - PageSize, edge - 16, edge} {
+			v, err := as.ViewMut(Base+uint64(off), 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(v, make([]byte, 32)) {
+				t.Fatalf("view at offset 0x%x reads % x: a previous occupant's bytes", off, v)
+			}
+			views = append(views, held{off, v})
+		}
+	}
+	if _, err := as.AllocPages("rest", capacity-int(as.brk-Base), PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if &as.data[0] != top || len(as.data) != capacity {
+		t.Fatal("the space grew again after drawing a whole-space backing")
+	}
+	for i, v := range views {
+		v.b[0] = byte(i + 1)
+		if got, err := as.ReadU8(Base + uint64(v.off)); err != nil || got != uint64(i+1) {
+			t.Fatalf("the view taken at offset 0x%x no longer aliases the space: it stored %d, the space reads %d, %v",
+				v.off, i+1, got, err)
+		}
+	}
+	for off := 0; off < capacity; off += PageSize {
+		if v, err := as.ReadU64(Base + uint64(off) + 64); err != nil || v != 0 {
+			t.Fatalf("offset 0x%x reads 0x%x, %v: a previous occupant's bytes", off+64, v, err)
+		}
+	}
+	if as.stale != 0 {
+		t.Fatalf("%d pages still stale after every page was read", as.stale)
+	}
+	releasePoisoned(as)
 }
 
 // TestRecycledPagesReadZero is the invariant in its plainest form: write a
@@ -432,53 +442,48 @@ func TestFirstGrowthTakesLargerBacking(t *testing.T) {
 // zeroes through the fast and the slow accessors alike.
 func TestRecycledPagesReadZero(t *testing.T) {
 	const capacity = 1 << 17
-	for try := 0; ; try++ {
-		first := NewAddressSpace(capacity)
-		va, err := first.AllocPages("all", capacity, PermRW)
-		if err != nil {
+	first := NewAddressSpace(capacity)
+	va, err := first.AllocPages("all", capacity, PermRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < capacity; off += 8 {
+		if err := first.WriteU64(va+uint64(off), ^uint64(0)); err != nil {
 			t.Fatal(err)
 		}
-		for off := 0; off < capacity; off += 8 {
-			if err := first.WriteU64(va+uint64(off), ^uint64(0)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		first.Release()
+	}
+	backing := &first.data[0]
+	first.Release()
 
-		before := BackingPoolStats().Recycled
-		as := NewAddressSpace(capacity)
-		if va, err = as.AllocPages("all", capacity, PermRW); err != nil {
-			t.Fatal(err)
+	before := BackingPoolStats().Recycled
+	as := NewAddressSpace(capacity)
+	if va, err = as.AllocPages("all", capacity, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if &as.data[0] != backing || BackingPoolStats().Recycled != before+1 {
+		t.Fatal("the next space did not grow into the backing just released")
+	}
+	if as.stale != capacity/PageSize {
+		t.Fatalf("%d stale pages after growing into a recycled backing, want %d", as.stale, capacity/PageSize)
+	}
+	if _, ok := as.FastRead64(va); ok {
+		t.Fatal("the fast path served a page nobody has zeroed")
+	}
+	if as.FastWrite64(va+PageSize, 1) || as.FastSpan(va+2*PageSize, 64, PermR) != nil {
+		t.Fatal("the fast path served a page nobody has zeroed")
+	}
+	for off := 0; off < capacity; off += 8 {
+		if v, err := as.ReadU64(va + uint64(off)); err != nil || v != 0 {
+			t.Fatalf("offset 0x%x reads 0x%x, %v: a previous occupant's bytes", off, v, err)
 		}
-		if BackingPoolStats().Recycled == before {
-			if try > 100 {
-				t.Fatal("the pool never handed a released backing back")
-			}
-			continue // the pool dropped it (it may, and does under -race)
-		}
-		if as.stale != capacity/PageSize {
-			t.Fatalf("%d stale pages after growing into a recycled backing, want %d", as.stale, capacity/PageSize)
-		}
-		if _, ok := as.FastRead64(va); ok {
-			t.Fatal("the fast path served a page nobody has zeroed")
-		}
-		if as.FastWrite64(va+PageSize, 1) || as.FastSpan(va+2*PageSize, 64, PermR) != nil {
-			t.Fatal("the fast path served a page nobody has zeroed")
-		}
-		for off := 0; off < capacity; off += 8 {
-			if v, err := as.ReadU64(va + uint64(off)); err != nil || v != 0 {
-				t.Fatalf("offset 0x%x reads 0x%x, %v: a previous occupant's bytes", off, v, err)
-			}
-		}
-		if v, ok := as.FastRead64(va); !ok || v != 0 {
-			t.Fatalf("a scrubbed page is not back on the fast path: 0x%x, %v", v, ok)
-		}
-		return
+	}
+	if v, ok := as.FastRead64(va); !ok || v != 0 {
+		t.Fatalf("a scrubbed page is not back on the fast path: 0x%x, %v", v, ok)
 	}
 }
 
 // TestReleaseUnmaps: after Release every access is a typed out-of-bounds
-// fault — never a panic, never a read of bytes the pool now owns — and a
+// fault — never a panic, never a read of bytes the shelf now holds — and a
 // second Release is harmless.
 func TestReleaseUnmaps(t *testing.T) {
 	as := NewAddressSpace(1 << 20)
@@ -493,7 +498,7 @@ func TestReleaseUnmaps(t *testing.T) {
 	as.Release()
 	as.Release()
 	if n := BackingPoolStats().Released - before; n != 1 {
-		t.Errorf("two Releases of one space handed %d backings to the pool, want 1", n)
+		t.Errorf("two Releases of one space put %d backings on the shelf, want 1", n)
 	}
 
 	oob := func(what string, err error) {

@@ -14,7 +14,6 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // PageSize is the permission granularity.
@@ -127,14 +126,14 @@ type Region struct {
 // for zeroing the other 60 — which used to dominate the wall-clock cost
 // of constructing many-node systems.
 //
-// Backings are recycled across spaces: Release hands the array to a
-// process-wide pool and the next space to grow draws it from there
-// instead of allocating (and zeroing) a new one. A recycled array holds
-// its previous occupant's bytes, so its pages start stale and are zeroed
-// one at a time on first touch; no accessor can observe a byte that was
-// not zeroed or written through this space. The owner of a space calls
-// Release exactly when nothing will access it again (tc.System.Close);
-// Views must not outlive it.
+// Backings are recycled across spaces: Release puts the array on a
+// process-wide Shelf, last in first out and capped in bytes, and the next
+// space to grow takes it from there instead of allocating (and zeroing) a
+// new one. A recycled array holds its previous occupant's bytes, so its
+// pages start stale and are zeroed one at a time on first touch; no
+// accessor can observe a byte that was not zeroed or written through this
+// space. The owner of a space calls Release exactly when nothing will
+// access it again (tc.System.Close); Views must not outlive it.
 type AddressSpace struct {
 	data     []byte // mapped prefix of the space, grows on demand
 	capacity int    // virtual size in bytes
@@ -144,46 +143,43 @@ type AddressSpace struct {
 	regions  []Region
 }
 
-// backings recycles released backing arrays, one pool per power-of-two
-// size (index log2). It is shared by every space in the process — by
-// simulations running side by side too: spaces themselves stay
-// single-owner.
-var backings [bits.UintSize]sync.Pool
+// backings holds released backing arrays for the next space that grows, for
+// every space in the process, under backingsMu with its counters: up to
+// 1 GiB, a 64-node mesh's 64 spaces of 16 MiB.
+var (
+	backingsMu         sync.Mutex
+	backings           = Shelf[[]byte]{Max: 1 << 30}
+	released, recycled uint64
+)
 
-// released and recycled count the pool's traffic; see BackingPoolStats.
-var released, recycled atomic.Uint64
-
-// PoolStats is the backing pool's traffic since the process started.
+// PoolStats is the backing shelf's traffic since the process started.
 type PoolStats struct {
-	Released uint64 // backings Release handed to the pool
-	Recycled uint64 // growths served from the pool instead of the allocator
+	Released uint64 // backings Release put on the shelf
+	Recycled uint64 // growths served from the shelf instead of the allocator
 }
 
-// BackingPoolStats reports the pool counters — for tests that must know
+// BackingPoolStats reports the shelf counters — for tests that must know
 // a system was released, or that the reuse path actually ran.
 func BackingPoolStats() PoolStats {
-	return PoolStats{Released: released.Load(), Recycled: recycled.Load()}
+	backingsMu.Lock()
+	defer backingsMu.Unlock()
+	return PoolStats{Released: released, Recycled: recycled}
 }
 
-// getBacking draws a c-byte array from the pool; nil means it has none
-// of that size. The bytes are whatever the previous occupant left.
-func getBacking(c int) []byte {
-	b := backings[bits.Len(uint(c-1))].Get()
-	if b == nil {
-		return nil
-	}
-	recycled.Add(1)
-	return b.([]byte)[:c]
-}
-
-// putBacking hands an array to the pool. Only exact power-of-two arrays
-// are kept (a size class holds one size); the one odd case, a capacity
-// that is not a power of two mapped in full from the allocator, is left
-// to the collector.
-func putBacking(b []byte) {
-	if c := cap(b); c != 0 && c&(c-1) == 0 {
-		released.Add(1)
-		backings[bits.Len(uint(c-1))].Put(b[:c])
+// getBacking takes the smallest shelved array that holds c bytes, trying c
+// and then, doubling, each size up to most; it returns nil if there is none.
+// The bytes are whatever the previous occupant left.
+func getBacking(c, most int) []byte {
+	backingsMu.Lock()
+	defer backingsMu.Unlock()
+	for ; ; c = min(c<<1, most) {
+		if b, ok := backings.Get(1 << bits.Len(uint(c-1))); ok {
+			recycled++
+			return b[:c]
+		}
+		if c >= most {
+			return nil
+		}
 	}
 }
 
@@ -198,11 +194,17 @@ func NewAddressSpace(capacity int) *AddressSpace {
 	}
 }
 
-// Release returns the backing to the pool and unmaps the space: every
-// later access is an out-of-bounds *Fault and every Alloc fails. Calling
-// it again is harmless. The caller must hold no View of the space.
+// Release puts the backing on the shelf and unmaps the space: every later
+// access is an out-of-bounds *Fault and every Alloc fails. Calling it again
+// is harmless. The caller must hold no View of the space. An array past the
+// shelf's cap, or the one odd case, a capacity that is not a power of two
+// mapped in full from the allocator, is left to the collector.
 func (as *AddressSpace) Release() {
-	putBacking(as.data)
+	backingsMu.Lock()
+	if PutBytes(&backings, as.data) {
+		released++
+	}
+	backingsMu.Unlock()
 	as.data, as.perms, as.capacity, as.stale = nil, nil, 0, 0
 }
 
@@ -224,11 +226,11 @@ func (as *AddressSpace) index(va uint64) (int, bool) {
 }
 
 // grow extends the mapped prefix to cover at least n bytes (n must exceed
-// it), from a recycled backing when the pool has one of the size. Growth
+// it), from a recycled backing when the shelf has one of the size. Growth
 // doubles, so the copy work amortizes to O(high-water mark). Fresh bytes
 // read as zero either way: a new array is zero, and the new pages of a
 // recycled one are marked stale. The outgrown array is left to the
-// collector, not pooled — a View handed out before the growth may still
+// collector, not shelved — a View handed out before the growth may still
 // alias it.
 //
 // A space's first mapping takes the smallest recycled array that fits, of
@@ -247,16 +249,13 @@ func (as *AddressSpace) grow(n int) {
 	if c > as.capacity {
 		c = as.capacity
 	}
-	nd := getBacking(c)
+	most := c
 	if old == 0 {
-		for big := c; nd == nil && big < as.capacity; {
-			big = min(big<<1, as.capacity)
-			if nd = getBacking(big); nd != nil {
-				c = big
-			}
-		}
+		most = as.capacity
 	}
+	nd := getBacking(c, most)
 	if nd != nil {
+		c = len(nd)
 		for p := old / PageSize; p < c/PageSize; p++ {
 			as.perms[p] = as.perms[p].stale()
 		}

@@ -96,7 +96,7 @@ func BenchmarkConflictSet(b *testing.B) {
 }
 
 // BenchmarkNew is a node's share of building a system and closing it: New
-// draws from the pool the three tag arrays Release handed back, so in
+// takes from the shelf the three tag arrays Release put there, so in
 // steady state the pair allocates the Hierarchy, its RNG and the one-line
 // stand-ins Release leaves behind, and nothing as large as an array.
 func BenchmarkNew(b *testing.B) {
@@ -113,7 +113,7 @@ func BenchmarkNew(b *testing.B) {
 	}
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per >= 1024 {
-		b.Fatalf("New+Release allocates %d B per pair, want < 1 KB: the tag arrays are not coming back from the pool", per)
+		b.Fatalf("New+Release allocates %d B per pair, want < 1 KB: the tag arrays are not coming back from the shelf", per)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -17,8 +17,9 @@
 package memsim
 
 import (
-	"math/bits"
 	"sync"
+
+	"twochains/internal/mem"
 )
 
 // A cache is a set-associative tag array with per-set LRU replacement.
@@ -54,12 +55,17 @@ const (
 	maxFloor = 14 * genStep // its largest tag, maxFloor+genStep, still fits a word
 )
 
-// tagPool recycles released caches, a pool per size class like mem's backings.
-var tagPool [bits.UintSize]sync.Pool
+// tagShelf holds released caches, array and generation together, for the
+// next hierarchy in the process: up to 64 MiB of tags, room for a 64-node
+// mesh's (640 KiB a node at the default geometry).
+var (
+	tagsMu   sync.Mutex
+	tagShelf = mem.Shelf[*cache]{Max: 64 << 20 / 4}
+)
 
 // newCache is total for the line sizes New passes (powers of two): fewer
 // than one way means one, and the set count is rounded down to a power of
-// two, at least one. The tags are a pooled array of that length, uncleared.
+// two, at least one. The tags are a shelved array of that length, uncleared.
 func newCache(sizeBytes, ways, lineSize int) *cache {
 	if ways < 1 {
 		ways = 1
@@ -69,17 +75,16 @@ func newCache(sizeBytes, ways, lineSize int) *cache {
 		sets *= 2
 	}
 	n := sets * ways
-	c, _ := tagPool[bits.Len(uint(n))].Get().(*cache)
-	if c == nil || len(c.tags) != n {
+	tagsMu.Lock()
+	c, ok := tagShelf.Get(n)
+	tagsMu.Unlock()
+	if !ok {
 		c = &cache{tags: make([]uint32, n)}
 	}
 	c.ways, c.setMask = ways, uint64(sets-1)
 	c.reset()
 	return c
 }
-
-// release hands c to tagPool; the caller must not touch it again.
-func (c *cache) release() { tagPool[bits.Len(uint(len(c.tags)))].Put(c) }
 
 // reset starts the next generation; past the last, it clears and restarts.
 func (c *cache) reset() {

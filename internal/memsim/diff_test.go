@@ -349,7 +349,7 @@ func tagArrays(h *Hierarchy) [3]*uint32 {
 	return [3]*uint32{&h.l2.tags[0], &h.l3.tags[0], &h.llc.tags[0]}
 }
 
-// recycledArrays counts the tag arrays a recycle op got back from the pool:
+// recycledArrays counts the tag arrays a recycle op got back from the shelf:
 // the hierarchy built after a Release holding an array the released one held.
 var recycledArrays int
 
@@ -363,7 +363,7 @@ var recycledArrays int
 func hierarchyDiff(t *testing.T, program []byte) { diffOn(t, program, New) }
 
 // diffOn is hierarchyDiff with the constructor of the hierarchy under test
-// supplied (recycle_test.go watches what New draws from a poisoned pool).
+// supplied (recycle_test.go watches what New draws from a poisoned shelf).
 // It returns the geometry the program chose and the lines it touched.
 func diffOn(t *testing.T, program []byte, build func(Config) *Hierarchy) (Config, map[uint64]bool) {
 	p := &prog{b: program}
@@ -535,7 +535,7 @@ func TestHierarchyDifferential(t *testing.T) {
 		hierarchyDiff(t, randomProgram(rng))
 	}
 	if recycledArrays == before {
-		t.Fatal("no recycle op got an array back from the pool: the differential never ran on a reused one")
+		t.Fatal("no recycle op got an array back from the shelf: the differential never ran on a reused one")
 	}
 }
 

@@ -394,13 +394,15 @@ func (h *Hierarchy) Contains(addr uint64) string {
 	return "DRAM"
 }
 
-// Release gives the tag arrays to the pool New draws from; the owner calls
+// Release puts the tag arrays on the shelf New takes from; the owner calls
 // it after the last access (core.Mesh.Close). One-line caches of its own
 // stay behind, so a late access or a second Release reaches nothing given up.
 func (h *Hierarchy) Release() {
-	h.l2.release()
-	h.l3.release()
-	h.llc.release()
+	tagsMu.Lock()
+	for _, c := range [...]*cache{h.l2, h.l3, h.llc} {
+		tagShelf.Put(c, len(c.tags))
+	}
+	tagsMu.Unlock()
 	h.l2, h.l3, h.llc = newCache(0, 1, 1), newCache(0, 1, 1), newCache(0, 1, 1)
 }
 

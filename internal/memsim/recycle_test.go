@@ -10,7 +10,7 @@ import (
 // cost for cost, counter for counter and line for line, like one whose
 // arrays came zeroed from the allocator — no tag of a previous occupant is
 // observable. The tests below make the previous occupant as loud as the
-// representation allows: every array that enters the pool here is filled,
+// representation allows: every array that goes on the shelf here is filled,
 // every word of it, with the most misleading values one can hold.
 //
 // What it can hold is bounded, and the bound is the whole argument. A word
@@ -21,43 +21,47 @@ import (
 // have written them: ^uint32(0) in particular would need a floor above
 // maxFloor, and maxFloor+genStep is 2^32-2^28.
 
-// poisoned holds the arrays poisonPool released, for newWatched.
+// poisoned holds the arrays poisonShelf released, for newWatched.
 var poisoned = map[*uint32]bool{}
 
-// poisonPool releases, for each level of cfg, three caches (under -race
-// sync.Pool drops a quarter of all Puts) standing at a generation of the
-// caller's choice and filled as a hostile previous occupant would leave
-// them: every line the next program touches, tagged valid under that
-// generation and sitting in the very set it will be looked up in, and
-// every other word equal to the floor the next occupant starts at.
-func poisonPool(cfg Config, lines map[uint64]bool, floor uint32) {
+// poisonShelf releases, for each level of cfg, a cache standing at a
+// generation of the caller's choice and filled as a hostile previous
+// occupant would leave it: every line the next program touches, tagged
+// valid under that generation and sitting in the very set it will be looked
+// up in, and every other word equal to the floor the next occupant starts
+// at. All three are drawn before any goes back on top of the shelf, so the
+// next New draws three poisoned arrays even where two levels are the same
+// size.
+func poisonShelf(cfg Config, lines map[uint64]bool, floor uint32) {
+	var caches []*cache
 	for _, g := range [][2]int{{cfg.L2Size, cfg.L2Ways}, {cfg.L3Size, cfg.L3Ways}, {cfg.LLCSize, cfg.LLCWays}} {
-		for n := 0; n < 3; n++ {
-			c := newCache(g[0], g[1], cfg.LineSize)
-			c.floor = floor
-			for i := range c.tags {
-				c.tags[i] = floor + genStep
-			}
-			for line := range lines {
-				// In whatever way of its set: stale words keep no order.
-				line &= lineMask
-				s := c.set(line)
-				s[int(line>>3)%len(s)] = floor + 1 + uint32(line)
-			}
-			poisoned[&c.tags[0]] = true
-			c.release()
+		caches = append(caches, newCache(g[0], g[1], cfg.LineSize))
+	}
+	for _, c := range caches {
+		c.floor = floor
+		for i := range c.tags {
+			c.tags[i] = floor + genStep
 		}
+		for line := range lines {
+			// In whatever way of its set: stale words keep no order.
+			line &= lineMask
+			s := c.set(line)
+			s[int(line>>3)%len(s)] = floor + 1 + uint32(line)
+		}
+		poisoned[&c.tags[0]] = true
+		tagShelf.Put(c, len(c.tags))
 	}
 }
 
 // poisonDrawn counts the poisoned arrays New handed to a hierarchy under
-// test.
+// test, each once.
 var poisonDrawn int
 
 func newWatched(cfg Config) *Hierarchy {
 	h := New(cfg)
 	for _, a := range tagArrays(h) {
 		if poisoned[a] {
+			delete(poisoned, a)
 			poisonDrawn++
 		}
 	}
@@ -77,12 +81,12 @@ func TestPoisonedPoolDifferential(t *testing.T) {
 		if i%4 == 0 {
 			floor = maxFloor - uint32(i/4%2)*genStep
 		}
-		poisonPool(cfg, lines, floor)
+		poisonShelf(cfg, lines, floor)
+		before := poisonDrawn
 		diffOn(t, program, newWatched)
-		clear(poisoned) // or it keeps every array of every program alive
-	}
-	if poisonDrawn == 0 {
-		t.Fatal("no program ran on a poisoned array: the differential covered nothing")
+		if n := poisonDrawn - before; n != 3 || len(poisoned) != 0 {
+			t.Fatalf("program %d ran on %d poisoned arrays, want all 3", i, n)
+		}
 	}
 }
 
@@ -92,19 +96,9 @@ func TestPoisonedPoolDifferential(t *testing.T) {
 // model agrees with the reference throughout — including on line lineMask,
 // whose tag in the last generation is the largest word there is.
 func TestGenerationWrap(t *testing.T) {
-	// Tag counts no other test uses, one size class each: what the pool
-	// hands back is what this test released, level for level.
+	// Three tag counts (6, 10, 24), so the shelf hands back what this test
+	// released, level for level.
 	cfg := Config{L2Size: 2 * 3 * 64, L2Ways: 3, L3Size: 2 * 5 * 64, L3Ways: 5, LLCSize: 4 * 6 * 64, LLCWays: 6, LineSize: 64, Stash: true}
-	for try := 0; !generationWrap(t, cfg); try++ {
-		if try > 100 {
-			t.Fatal("the pool never handed a released hierarchy's arrays back")
-		}
-	}
-}
-
-// generationWrap reports false when the pool dropped an array mid-way (it
-// may, and does under -race) and the walk has to start over.
-func generationWrap(t *testing.T, cfg Config) bool {
 	got, want := New(cfg), newRefHierarchy(cfg)
 	defer func() { got.Release() }()
 	caches := func() [3]*cache { return [3]*cache{got.l2, got.l3, got.llc} }
@@ -131,11 +125,14 @@ func generationWrap(t *testing.T, cfg Config) bool {
 			t.Fatalf("%s: stats diverged:\n got %+v\nwant %+v", when, g, w)
 		}
 	}
-	recycle := func() bool {
+	recycle := func() {
+		t.Helper()
 		old := tagArrays(got)
 		got.Release()
 		got, want = New(cfg), newRefHierarchy(cfg)
-		return tagArrays(got) == old
+		if tagArrays(got) != old {
+			t.Fatal("New did not take back the arrays the hierarchy just released")
+		}
 	}
 	stale := func(c *cache) (n int) {
 		for _, w := range c.tags {
@@ -147,9 +144,7 @@ func generationWrap(t *testing.T, cfg Config) bool {
 	}
 
 	step("two generations before the wrap")
-	if !recycle() {
-		return false
-	}
+	recycle()
 	for _, c := range caches() {
 		if c.floor != maxFloor {
 			t.Fatalf("floor 0x%x after the first recycle, want the last generation 0x%x", c.floor, uint64(maxFloor))
@@ -162,9 +157,7 @@ func generationWrap(t *testing.T, cfg Config) bool {
 	if tag := got.llc.tags[int(lineMask&got.llc.setMask)*got.llc.ways]; tag != maxFloor+genStep {
 		t.Fatalf("line lineMask is tagged 0x%x in the last generation, want 0x%x", tag, uint64(maxFloor+genStep))
 	}
-	if !recycle() {
-		return false
-	}
+	recycle()
 	for _, c := range caches() {
 		if c.floor != genStep {
 			t.Fatalf("floor 0x%x after the wrap, want the first generation 0x%x", c.floor, uint64(genStep))
@@ -174,11 +167,10 @@ func generationWrap(t *testing.T, cfg Config) bool {
 		}
 	}
 	step("after the wrap")
-	return true
 }
 
 // TestReleasedHierarchy: after Release no entry point panics or reaches the
-// arrays the pool now owns, the counters are kept, and a second Release is
+// arrays the shelf now holds, the counters are kept, and a second Release is
 // harmless — it hands back the one-line stand-ins, not the arrays again.
 func TestReleasedHierarchy(t *testing.T) {
 	cfg := diffGeometries[4]
@@ -218,7 +210,7 @@ func TestReleasedHierarchy(t *testing.T) {
 	}
 	for i, c := range given {
 		if !slices.Equal(c.tags, snapshot[i]) {
-			t.Fatalf("an access after Release wrote to the level-%d array the pool owns", i)
+			t.Fatalf("an access after Release wrote to the level-%d array the shelf holds", i)
 		}
 	}
 }
@@ -229,35 +221,52 @@ func TestReleasedHierarchy(t *testing.T) {
 func TestRecycledLinesReadAbsent(t *testing.T) {
 	cfg := testConfig(true, false)
 	const lines = 4096
-	for try := 0; ; try++ {
-		first := New(cfg)
-		first.WarmLines(diffBase, lines*cfg.LineSize)
-		old := tagArrays(first)
-		first.Release()
+	first := New(cfg)
+	first.WarmLines(diffBase, lines*cfg.LineSize)
+	old := tagArrays(first)
+	first.Release()
 
-		h := New(cfg)
-		// The equal-sized L2 and L3 arrays come back swapped.
-		if now := tagArrays(h); !slices.Contains(old[:2], now[0]) || !slices.Contains(old[:2], now[1]) || now[2] != old[2] {
+	h := New(cfg)
+	// Last in, first out: the L3 array went on the shelf after the
+	// equal-sized L2 one, so the two come back swapped.
+	if now := tagArrays(h); now != [3]*uint32{old[1], old[0], old[2]} {
+		t.Fatal("New did not take back the arrays the hierarchy just released")
+	}
+	if n := h.l2.occupancy() + h.l3.occupancy() + h.llc.occupancy(); n != 0 {
+		t.Fatalf("%d valid tags in a hierarchy nobody has accessed", n)
+	}
+	cold := New(cfg).Access(diffBase, 8, Read) // what a hierarchy on fresh arrays charges
+	for i := uint64(0); i < lines; i++ {
+		a := diffBase + i*uint64(cfg.LineSize)
+		if lvl := h.Contains(a); lvl != "DRAM" {
+			t.Fatalf("line %d is in %s: a previous occupant's tag", i, lvl)
+		}
+		if c := h.Access(a, 8, Read); c != cold {
+			t.Fatalf("line %d cost %v, a cold load costs %v", i, c, cold)
+		}
+	}
+}
+
+// TestSameClassGeometriesKeepTheirArrays: two geometries whose levels have
+// different tag counts in the same size classes (6 and 5, 10 and 12, 24 and
+// 20), built and released in turn, each take back their own arrays: a
+// draw that finds only the other geometry's lengths leaves them shelved.
+func TestSameClassGeometriesKeepTheirArrays(t *testing.T) {
+	a := Config{L2Size: 2 * 3 * 64, L2Ways: 3, L3Size: 2 * 5 * 64, L3Ways: 5, LLCSize: 4 * 6 * 64, LLCWays: 6, LineSize: 64}
+	b := Config{L2Size: 1 * 5 * 64, L2Ways: 5, L3Size: 2 * 6 * 64, L3Ways: 6, LLCSize: 4 * 5 * 64, LLCWays: 5, LineSize: 64}
+	own := map[*Config][3]*uint32{}
+	for round := 0; round < 3; round++ {
+		for _, cfg := range []*Config{&a, &b} {
+			h := New(*cfg)
+			arrays := tagArrays(h)
+			if was, ok := own[cfg]; ok && arrays != was {
+				t.Fatalf("round %d: the %d/%d/%d-tag geometry did not take back its own arrays",
+					round, len(h.l2.tags), len(h.l3.tags), len(h.llc.tags))
+			}
+			own[cfg] = arrays
+			h.Access(diffBase, 4096, Write)
 			h.Release()
-			if try > 100 {
-				t.Fatal("the pool never handed the released arrays back")
-			}
-			continue // the pool dropped one (it may, and does under -race)
 		}
-		if n := h.l2.occupancy() + h.l3.occupancy() + h.llc.occupancy(); n != 0 {
-			t.Fatalf("%d valid tags in a hierarchy nobody has accessed", n)
-		}
-		cold := New(cfg).Access(diffBase, 8, Read) // what a hierarchy on fresh arrays charges
-		for i := uint64(0); i < lines; i++ {
-			a := diffBase + i*uint64(cfg.LineSize)
-			if lvl := h.Contains(a); lvl != "DRAM" {
-				t.Fatalf("line %d is in %s: a previous occupant's tag", i, lvl)
-			}
-			if c := h.Access(a, 8, Read); c != cold {
-				t.Fatalf("line %d cost %v, a cold load costs %v", i, c, cold)
-			}
-		}
-		return
 	}
 }
 

@@ -74,11 +74,11 @@ type Fabric struct {
 }
 
 // fabShard is one leaf domain: its spine uplinks (every issuer into a
-// given remote domain contends on one), and the staging-buffer pool and
+// given remote domain contends on one), and the staging-buffer shelf and
 // delivery-job free list of the puts its NICs issue.
 type fabShard struct {
 	uplinks map[int]*sim.Resource // keyed by destination domain
-	bufs    sim.BufPool
+	bufs    mem.Shelf[[]byte]
 	jobs    []*putJob
 }
 
@@ -118,7 +118,7 @@ func (j *putJob) deliver() {
 
 	dst.stats.PutsDelivered++
 	dst.Land(dstVA, data)
-	sh.bufs.Put(data)
+	mem.PutBytes(&sh.bufs, data)
 	if onComplete != nil {
 		onComplete(PutResult{Delivered: dst.fabric.eng.Now()})
 	}
@@ -285,7 +285,7 @@ func (n *NIC) Put(dstPort fabric.Port, srcVA, dstVA uint64, size int, key RKey, 
 		})
 		return
 	}
-	data := n.shard.bufs.Get(size)
+	data := mem.GetBytes(&n.shard.bufs, size)
 	copy(data, src)
 
 	// NIC processing, then wire serialization.
@@ -311,7 +311,7 @@ func (n *NIC) Put(dstPort fabric.Port, srcVA, dstVA uint64, size int, key RKey, 
 
 	if err := dst.CheckPut(key, dstVA, size); err != nil {
 		n.stats.Rejected++
-		n.shard.bufs.Put(data)
+		mem.PutBytes(&n.shard.bufs, data)
 		eng.At(arrival, func() {
 			if onComplete != nil {
 				onComplete(PutResult{Err: err})

@@ -147,7 +147,7 @@ func NewSystem(n int, opts ...SystemOpt) (*System, error) {
 }
 
 // Close ends the system's life: every node's address-space backing goes
-// back to the process-wide pool for the next system to reuse (see
+// onto the process-wide shelf for the next system to reuse (see
 // mem.AddressSpace). Call it when the last Run has returned and nothing
 // will read node memory again — a mem.View, a pending Future or a Call
 // after Close faults instead of touching memory another system may now

@@ -9,8 +9,8 @@ import (
 )
 
 // Run owns the system it builds: whichever way it returns, every node's
-// address-space backing must have gone back to the pool (tc.System.Close).
-// The observable is mem's pool counter: one release per node per Run.
+// address-space backing must have gone onto the shelf (tc.System.Close).
+// The observable is mem's shelf counter: one release per node per Run.
 
 var lifecycleOnce sync.Once
 
@@ -71,7 +71,7 @@ func TestRunReleasesOnEveryReturn(t *testing.T) {
 	}
 }
 
-// TestRunConcurrentAndSharded exercises the cross-run pools (mem's
+// TestRunConcurrentAndSharded exercises the cross-run shelves (mem's
 // address-space backings, memsim's tag arrays) from several goroutines at
 // once — meaningful under -race: two Runs side by side draw from and
 // release into them concurrently. Reuse must not couple runs: each gives
