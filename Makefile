@@ -12,9 +12,11 @@
 # benchmark/README.md. Nothing below measures host speed against a
 # threshold except the BenchmarkFuncCall ns/op check.
 #
-# `make lint` runs cmd/tclint — the static checkers for the ROADMAP's
-# ownership and determinism contracts (scratchescape, poolownership,
-# detsource) — and fails on any diagnostic.
+# `make lint` runs cmd/tclint — the four static checkers for the ROADMAP's
+# ownership, determinism and deletion contracts (scratchescape,
+# poolownership, detsource, deadexport) — and fails on any diagnostic.
+# deadexport counts callers across the whole module, so lint type-checks
+# every module package (once each) whatever it is pointed at.
 # Suppress a single finding with `//tclint:allow <analyzer> <reason>`;
 # stale or malformed directives fail the lint themselves. The vet
 # target names copylocks/loopclosure/atomic explicitly so a toolchain
@@ -23,7 +25,7 @@
 # `make examples` builds and runs every examples/* binary headless — the
 # cheapest whole-surface smoke of the public API (CI runs it too).
 #
-# `make fuzz-smoke` runs five fuzz targets for 5 s each. FuzzEnsureJam
+# `make fuzz-smoke` runs six fuzz targets for 5 s each. FuzzEnsureJam
 # (internal/vm): arbitrary bytes at arbitrary (VA, length) sequences must
 # map or be refused, never panic; then FuzzAddressSpaceRecycle (internal/mem):
 # arbitrary accessor sequences on a space grown into poisoned recycled
@@ -39,7 +41,11 @@
 # (internal/wire): bytes seeded from the real tcapp encodings, fed to the
 # object, image, jam or package decoder its first byte picks, must never
 # panic, must be refused with a typed *wire.Error or re-encode to exactly
-# themselves, and may allocate at most 16 bytes per input byte plus 4 KiB.
+# themselves, and may allocate at most 16 bytes per input byte plus 4 KiB;
+# then FuzzParseFrame (internal/mailbox): slot bytes seeded from frames
+# packed from every tcapp element (injected, local and data kinds) must be
+# refused with a typed *wire.Error or *mem.Fault, or parse into a delivery
+# whose GOT, body, entry, args and payload lie inside the slot.
 # A failing input lands in the package's testdata/fuzz/ — commit it with
 # the fix.
 #
@@ -164,6 +170,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzHierarchy -fuzztime 5s ./internal/memsim
 	$(GO) test -run xxx -fuzz FuzzPortPut -fuzztime 5s ./internal/fabric
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 5s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzParseFrame -fuzztime 5s ./internal/mailbox
 
 chaos-smoke:
 	$(GO) test -race -run 'TestFailRejoinDrain' ./internal/workload

@@ -1,7 +1,9 @@
-// Command tclint is the multichecker for the repo's ownership and
-// determinism contracts: it runs the internal/analysis suite
-// (scratchescape, poolownership, detsource) over the named packages and
-// exits nonzero on any diagnostic.
+// Command tclint is the multichecker for the repo's ownership,
+// determinism and deletion contracts: it runs the four analyzers of the
+// internal/analysis suite (scratchescape, poolownership, detsource,
+// deadexport) over the named packages and exits nonzero on any
+// diagnostic. It type-checks the whole module either way, since
+// deadexport counts callers everywhere in it.
 //
 // Usage:
 //

@@ -1,8 +1,8 @@
 // Package analysis is tclint's static-analysis suite: a small,
 // self-contained go/analysis-style framework (stdlib go/ast + go/types
 // only — the container has no module cache, so golang.org/x/tools is
-// deliberately not a dependency) plus the three analyzer families that
-// machine-check the repo's documented ownership and determinism
+// deliberately not a dependency) plus the four analyzers that
+// machine-check the repo's documented ownership, determinism and deletion
 // contracts:
 //
 //   - scratchescape — a *mailbox.Delivery callback argument or a
@@ -13,6 +13,9 @@
 //   - detsource — the simulation packages draw no nondeterminism:
 //     no wall clock, no global math/rand, no effectful map iteration,
 //     no goroutines.
+//   - deadexport — every exported name under internal/ has a caller in
+//     a non-test file of the module (ROADMAP aim 2: every name needs a
+//     caller or must go).
 //
 // Violations that are legitimate for an owner (for example the mailbox
 // receiver storing its own scratch record) are suppressed with a
@@ -47,7 +50,8 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	report func(Diagnostic)
+	callers *callerSet
+	report  func(Diagnostic)
 }
 
 // Reportf records a diagnostic at pos.
@@ -77,7 +81,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{ScratchEscape, PoolOwnership, DetSource}
+	return []*Analyzer{ScratchEscape, PoolOwnership, DetSource, DeadExport}
 }
 
 // Run applies the analyzers to each package, filters diagnostics
@@ -120,6 +124,7 @@ func runPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
+			callers:  pkg.callers,
 			report:   func(d Diagnostic) { raw = append(raw, d) },
 		}
 		if err := a.Run(pass); err != nil {

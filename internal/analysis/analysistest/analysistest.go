@@ -47,6 +47,8 @@ type expectation struct {
 // Run loads the fixture directory as pkgPath, applies the analyzers
 // (with allow filtering and directive hygiene), and reports every
 // mismatch between diagnostics and // want expectations through t.
+//
+//tclint:allow deadexport the fixture tests of internal/analysis are its only callers, by design
 func Run(t *testing.T, loader *analysis.Loader, dir, pkgPath string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	if loader == nil {

@@ -7,9 +7,8 @@ import (
 	"twochains/internal/analysis/analysistest"
 )
 
-// One loader for the whole suite: the source importer type-checks the
-// transitive closure (mailbox, mem, tc, ...) once per process instead
-// of once per fixture.
+// One loader for the whole suite: it type-checks each module package
+// once, for whichever fixture (or the whole-tree test) imports it first.
 var loader = analysis.NewLoader()
 
 // Fixture packages claim synthetic import paths on purpose: detsource
@@ -24,6 +23,12 @@ func TestPoolOwnershipFixtures(t *testing.T) {
 
 func TestDetSourceFixtures(t *testing.T) {
 	analysistest.Run(t, loader, "testdata/detsource", "twochains/internal/sim", analysis.DetSource)
+}
+
+// The deadexport fixture's path lies under internal/, where the rule
+// applies; its own files are its only callers.
+func TestDeadExportFixtures(t *testing.T) {
+	analysistest.Run(t, loader, "testdata/deadexport", "fixture/internal/deadexport", analysis.DeadExport)
 }
 
 // The allow fixture runs under the full suite: staleness is defined

@@ -11,8 +11,7 @@ func hierarchyAfterRelease(h *memsim.Hierarchy, addr uint64) {
 }
 
 func hierarchyRebuilt(h *memsim.Hierarchy, addr uint64) {
-	cfg := h.Config()
 	h.Release()
-	h = memsim.New(cfg)
+	h = memsim.New(memsim.DefaultConfig())
 	_ = h.Access(addr, 8, memsim.Read)
 }

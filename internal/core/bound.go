@@ -258,13 +258,3 @@ func (b *Bound) CallLocalBurst(argsBatch [][2]uint64, usr []byte, done func(mail
 	b.ch.Sender.SendBatch(msgs, done)
 	return nil
 }
-
-// InjectedWireLen reports the frame size an Inject with a payload of
-// usrLen bytes would occupy.
-func (b *Bound) InjectedWireLen(usrLen int) (int, error) {
-	if err := b.ensureInject(); err != nil {
-		return 0, err
-	}
-	m := &mailbox.Message{Kind: mailbox.KindInjected, JamImage: b.pj.image, Usr: make([]byte, usrLen)}
-	return m.WireLen(), nil
-}

@@ -403,9 +403,6 @@ func (m *Mesh) InstallRied(i int, img *linker.Image, replace bool) (*linker.Load
 // Run processes events until the mesh is quiescent.
 func (m *Mesh) Run() { m.Eng.Run() }
 
-// RunFor processes events for d of simulated time.
-func (m *Mesh) RunFor(d sim.Duration) { m.Eng.RunFor(d) }
-
 // Now returns the simulated time.
 func (m *Mesh) Now() sim.Time { return m.Eng.Now() }
 

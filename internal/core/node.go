@@ -171,16 +171,6 @@ func (n *Node) SetStress(on bool) {
 	}
 }
 
-// BindNative registers a host function in this node's namespace, making
-// it callable from jams and rieds like any C library symbol.
-func (n *Node) BindNative(name string, fn vm.NativeFunc) error {
-	va, err := n.VM.BindNative(name, fn)
-	if err != nil {
-		return err
-	}
-	return n.NS.Define(name, va)
-}
-
 // NamespaceView returns the node's namespace view for key, forking it
 // from the base namespace on first use. The fork copies the current base
 // bindings (libc, natives, already-installed base packages), so a view

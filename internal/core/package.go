@@ -69,17 +69,6 @@ func (p *Package) Element(name string) (*Element, bool) {
 	return nil, false
 }
 
-// Jams returns the jam elements in ID order.
-func (p *Package) Jams() []*Element {
-	var out []*Element
-	for _, e := range p.Elements {
-		if e.Kind == ElemJam {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // BuildPackage compiles package sources. Keys are canonical file names:
 // jam_NAME.* defines a jam whose entry symbol is jam_NAME; ried_NAME.*
 // defines a ried library. Suffix selects the language: .amc and .rdc are

@@ -81,10 +81,3 @@ func (c *Counter) Wait(mode WaitMode, d sim.Duration) sim.Duration {
 
 // Total returns all cycles accumulated.
 func (c *Counter) Total() float64 { return c.WorkCycles + c.WaitCycles }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() {
-	c.WorkCycles = 0
-	c.WaitCycles = 0
-	c.Waits = 0
-}

@@ -286,13 +286,13 @@ func FuzzPortPut(f *testing.F) {
 			if op[0]%4 == 0 {
 				// Register [base, base+size) on b (or on a, minting a key
 				// that is foreign to b). Both spaces span spaceSize, so
-				// asB.End() bounds either.
+				// mem.Base+spaceSize bounds either.
 				var base uint64
 				switch (op[1] >> 2) & 3 {
 				case 0:
 					base = mem.Base + uint64(op[2])*61%spaceSize
 				case 1:
-					base = asB.End() - uint64(op[2]%64)
+					base = mem.Base + spaceSize - uint64(op[2]%64)
 				case 2:
 					base = math.MaxUint64 - uint64(op[2])
 				case 3:
@@ -309,7 +309,7 @@ func FuzzPortPut(f *testing.F) {
 				}
 				key, err := port.RegisterMemory(base, size, access)
 				end, carry := bits.Add64(base, uint64(size), 0)
-				if ok := size > 0 && carry == 0 && base >= mem.Base && end <= asB.End(); ok != (err == nil) {
+				if ok := size > 0 && carry == 0 && base >= mem.Base && end <= mem.Base+spaceSize; ok != (err == nil) {
 					t.Fatalf("register [0x%x,+%d): err %v, model says ok=%v", base, size, err, ok)
 				}
 				if err != nil {

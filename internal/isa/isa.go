@@ -39,9 +39,8 @@ const NumRegs = 16
 // R0-R5 arguments and return value (R0), R6-R9 caller-saved temporaries,
 // R10-R13 callee-saved, R14 link register, R15 stack pointer.
 const (
-	RegRet = 0
-	RegLR  = 14
-	RegSP  = 15
+	RegLR = 14
+	RegSP = 15
 )
 
 // Op is an opcode.
@@ -339,6 +338,8 @@ func DecodeAll(code []byte) ([]Instr, error) {
 }
 
 // EncodeAll encodes a sequence of instructions.
+//
+//tclint:allow deadexport the vm tests and the root benchmarks assemble their programs with it
 func EncodeAll(ins []Instr) []byte {
 	out := make([]byte, len(ins)*InstrSize)
 	for i, in := range ins {

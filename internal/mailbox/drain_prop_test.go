@@ -32,7 +32,7 @@ func TestDrainFIFOProperty(t *testing.T) {
 			var args [2]uint64
 			var err error
 			for i := range args {
-				if args[i], err = ReadArg(r.b.AS, d, i); err != nil {
+				if args[i], err = readArg(r.b.AS, d, i); err != nil {
 					return 0, err
 				}
 			}

@@ -17,7 +17,6 @@ type FairArbiter struct {
 	cursor  int
 	queued  int
 	busy    bool
-	grants  []uint64
 }
 
 // arbClass is one tenant class: its DRR weight, the remaining quantum of
@@ -40,18 +39,10 @@ func (a *FairArbiter) AddClass(weight int) int {
 		weight = 1
 	}
 	a.classes = append(a.classes, arbClass{weight: weight})
-	a.grants = append(a.grants, 0)
 	if len(a.classes) == 1 {
 		a.classes[0].deficit = weight
 	}
 	return len(a.classes) - 1
-}
-
-// Grants reports how many service grants each class has received.
-func (a *FairArbiter) Grants() []uint64 {
-	out := make([]uint64, len(a.grants))
-	copy(out, a.grants)
-	return out
 }
 
 // enqueue queues a receiver with a ready frame under its class and
@@ -94,7 +85,6 @@ func (a *FairArbiter) dispatch() {
 				continue
 			}
 			a.busy = true
-			a.grants[a.cursor]++
 			r.granted()
 			return
 		}

@@ -24,6 +24,7 @@ import (
 	"math/bits"
 
 	"twochains/internal/mem"
+	"twochains/internal/wire"
 )
 
 // Frame layout constants.
@@ -205,37 +206,20 @@ type Delivery struct {
 	UsrVA    uint64
 }
 
-// Arg reads the i-th argument word from the frame.
-func (d *Delivery) Arg(as *mem.AddressSpace, i int) (uint64, error) {
-	if i < 0 || i >= ArgsSize/8 {
-		return 0, fmt.Errorf("mailbox: arg index %d out of range", i)
-	}
-	raw, err := as.ReadBytesDMA(d.ArgsVA+uint64(i*8), 8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(raw), nil
-}
-
-// ParseFrame reads and validates a frame at frameVA.
-func ParseFrame(as *mem.AddressSpace, frameVA uint64, frameSize int) (*Delivery, error) {
-	d := &Delivery{}
-	if err := ParseFrameInto(d, as, frameVA, frameSize); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// ParseFrameInto is ParseFrame into a caller-owned Delivery, the
-// allocation-free form receivers use with a per-region scratch record.
-// d is fully overwritten.
+// ParseFrameInto reads and validates the frame at frameVA into a
+// caller-owned Delivery, the allocation-free form receivers use with a
+// per-region scratch record. d is fully overwritten. The slot's bytes are
+// hostile input: a frame is refused with a *wire.Error naming the field
+// (or a *mem.Fault when the slot is not readable), and an accepted one has
+// its GOT, GOT pointer slot, body, args and payload inside the slot, ahead
+// of the signal trailer.
 func ParseFrameInto(d *Delivery, as *mem.AddressSpace, frameVA uint64, frameSize int) error {
 	hdr, err := as.ViewDMA(frameVA, HeaderSize)
 	if err != nil {
 		return err
 	}
 	if hdr[0] != FrameMagic {
-		return fmt.Errorf("mailbox: bad frame magic %#x at 0x%x", hdr[0], frameVA)
+		return frameError("magic", 0, "bad frame magic %#x at 0x%x", hdr[0], frameVA)
 	}
 	*d = Delivery{
 		Kind:    hdr[1],
@@ -258,9 +242,8 @@ func ParseFrameInto(d *Delivery, as *mem.AddressSpace, frameVA uint64, frameSize
 		gotLen := int(binary.LittleEndian.Uint16(pre))
 		textLen := int(binary.LittleEndian.Uint16(pre[2:]))
 		entry := binary.LittleEndian.Uint32(pre[4:])
-		if gotLen+8 > d.JamLen {
-			return fmt.Errorf("mailbox: frame at 0x%x: GOT table %d exceeds jam %d",
-				frameVA, gotLen, d.JamLen)
+		if gotLen+8 > d.JamLen || gotLen%8 != 0 {
+			return frameError("GOT length", HeaderSize, "GOT table %d invalid for jam %d", gotLen, d.JamLen)
 		}
 		off += PreSize
 		d.GotVA = off
@@ -269,29 +252,32 @@ func ParseFrameInto(d *Delivery, as *mem.AddressSpace, frameVA uint64, frameSize
 		d.BodyLen = d.JamLen - gotLen - 8
 		d.TextLen = textLen
 		if textLen > d.BodyLen || textLen%8 != 0 {
-			return fmt.Errorf("mailbox: frame at 0x%x: text length %d invalid for body %d",
-				frameVA, textLen, d.BodyLen)
+			return frameError("text length", HeaderSize+2, "text length %d invalid for body %d", textLen, d.BodyLen)
 		}
 		if int(entry) >= textLen {
-			return fmt.Errorf("mailbox: frame at 0x%x: entry %d outside text %d",
-				frameVA, entry, textLen)
+			return frameError("entry", HeaderSize+4, "entry %d outside text %d", entry, textLen)
 		}
 		d.EntryVA = d.CodeVA + uint64(entry)
 		off += uint64(d.JamLen)
 	case KindLocal, KindData:
 		if d.JamLen != 0 {
-			return fmt.Errorf("mailbox: non-injected frame carries jam bytes")
+			return frameError("jam length", 8, "non-injected frame carries %d jam bytes", d.JamLen)
 		}
 	default:
-		return fmt.Errorf("mailbox: unknown message kind %d", d.Kind)
+		return frameError("kind", 1, "unknown message kind %d", d.Kind)
 	}
 	if overhead+d.UsrLen > frameSize {
-		return fmt.Errorf("mailbox: frame at 0x%x overruns slot (jam %d, usr %d, slot %d)",
-			frameVA, d.JamLen, d.UsrLen, frameSize)
+		return frameError("usr length", 12, "frame overruns slot (jam %d, usr %d, slot %d)", d.JamLen, d.UsrLen, frameSize)
 	}
 	d.ArgsVA = off
 	d.UsrVA = off + ArgsSize
 	return nil
+}
+
+// frameError refuses a frame at the field that starts off bytes into the
+// slot.
+func frameError(field string, off int, format string, args ...any) error {
+	return &wire.Error{Format: "mailbox frame", Field: field, Off: off, Err: fmt.Errorf(format, args...)}
 }
 
 // SigPresent checks the signal trailer of the frame slot for seq.

@@ -9,6 +9,20 @@ import (
 	"twochains/internal/mem"
 )
 
+// readUsr copies the user payload of a delivery.
+func readUsr(as *mem.AddressSpace, d *Delivery) ([]byte, error) {
+	return as.ReadBytesDMA(d.UsrVA, d.UsrLen)
+}
+
+// readArg reads argument word i of a delivery.
+func readArg(as *mem.AddressSpace, d *Delivery, i int) (uint64, error) {
+	raw, err := as.ReadBytesDMA(d.ArgsVA+uint64(i*8), 8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(raw), nil
+}
+
 // TestPackParseRoundTripProperty: any well-formed message packs into a
 // frame that parses back to the same structure, with the signal trailer in
 // place and the payload intact.
@@ -62,7 +76,8 @@ func TestPackParseRoundTripProperty(t *testing.T) {
 		if SigPresent(as, frameVA, frameSize, seq+1) {
 			return false
 		}
-		d, err := ParseFrame(as, frameVA, frameSize)
+		d := new(Delivery)
+		err := ParseFrameInto(d, as, frameVA, frameSize)
 		if err != nil {
 			return false
 		}
@@ -72,12 +87,12 @@ func TestPackParseRoundTripProperty(t *testing.T) {
 		if d.UsrLen != len(usr) {
 			return false
 		}
-		gotUsr, err := ReadUsr(as, d)
+		gotUsr, err := readUsr(as, d)
 		if err != nil || !bytes.Equal(gotUsr, usr) {
 			return false
 		}
 		for i, want := range args {
-			got, err := ReadArg(as, d, i)
+			got, err := readArg(as, d, i)
 			if err != nil || got != want {
 				return false
 			}
@@ -123,7 +138,8 @@ func TestCorruptedFrameNeverPanics(t *testing.T) {
 		if err := as.WriteBytesDMA(frameVA, buf); err != nil {
 			return false
 		}
-		d, err := ParseFrame(as, frameVA, frameSize)
+		d := new(Delivery)
+		err := ParseFrameInto(d, as, frameVA, frameSize)
 		if err != nil {
 			return true // rejected: fine
 		}
@@ -207,16 +223,17 @@ func TestBurstSplitReassemblyProperty(t *testing.T) {
 			if !SigPresent(as, base+off, g.FrameSize, seq) {
 				return false
 			}
-			d, err := ParseFrame(as, base+off, g.FrameSize)
+			d := new(Delivery)
+			err := ParseFrameInto(d, as, base+off, g.FrameSize)
 			if err != nil || d.Seq != seq || d.Kind != KindLocal {
 				return false
 			}
-			a0, err0 := ReadArg(as, d, 0)
-			a1, err1 := ReadArg(as, d, 1)
+			a0, err0 := readArg(as, d, 0)
+			a1, err1 := readArg(as, d, 1)
 			if err0 != nil || err1 != nil || a0 != uint64(seq) || a1 != ^uint64(seq) {
 				return false
 			}
-			got, err := ReadUsr(as, d)
+			got, err := readUsr(as, d)
 			if err != nil || !bytes.Equal(got, usr) {
 				return false
 			}

@@ -44,14 +44,14 @@ func newRig(t *testing.T, g Geometry, credits bool, handler Handler) *rig {
 			// callback: copy it for post-run assertions.
 			cp := *d
 			r.handled = append(r.handled, &cp)
-			usr, err := ReadUsr(r.b.AS, d)
+			usr, err := readUsr(r.b.AS, d)
 			if err != nil {
 				return 0, err
 			}
 			r.usr = append(r.usr, usr)
 			var args [2]uint64
 			for i := range args {
-				if args[i], err = ReadArg(r.b.AS, d, i); err != nil {
+				if args[i], err = readArg(r.b.AS, d, i); err != nil {
 					return 0, err
 				}
 			}
@@ -98,7 +98,7 @@ func TestLocalFrameRoundTrip(t *testing.T) {
 		t.Fatalf("delivery %+v", d)
 	}
 	for i, want := range []uint64{11, 22} {
-		got, err := ReadArg(r.b.AS, d, i)
+		got, err := readArg(r.b.AS, d, i)
 		if err != nil || got != want {
 			t.Fatalf("arg %d = %d, %v", i, got, err)
 		}
@@ -275,8 +275,8 @@ func TestHandlerErrorCounted(t *testing.T) {
 		t.Fatalf("OnError got %v", reported)
 	}
 	// The loop must advance past the bad frame.
-	if r.receiver.Pending() != 2 {
-		t.Fatalf("receiver stuck at seq %d", r.receiver.Pending())
+	if r.receiver.nextSeq != 2 {
+		t.Fatalf("receiver stuck at seq %d", r.receiver.nextSeq)
 	}
 }
 
@@ -369,7 +369,7 @@ func TestSeparateSignalModeDelivers(t *testing.T) {
 	g := Geometry{Banks: 2, Slots: 2, FrameSize: 256}
 	var usr [][]byte
 	recv, err := NewReceiver(b, DefaultReceiverConfig(g), nil, func(d *Delivery) (sim.Duration, error) {
-		u, err := ReadUsr(b.AS, d)
+		u, err := readUsr(b.AS, d)
 		usr = append(usr, u)
 		return 0, err
 	})
@@ -439,7 +439,7 @@ func TestPackRejectsOversize(t *testing.T) {
 func TestParseRejectsGarbage(t *testing.T) {
 	as := mem.NewAddressSpace(1 << 16)
 	va, _ := as.AllocPages("f", 4096, mem.PermRW)
-	if _, err := ParseFrame(as, va, 256); err == nil {
+	if err := ParseFrameInto(new(Delivery), as, va, 256); err == nil {
 		t.Fatal("zero frame parsed")
 	}
 }

@@ -201,9 +201,6 @@ func (r *Receiver) SetCreditReturn(ep *ucx.Endpoint, va uint64, key fabric.RKey)
 // Stats returns a copy of the counters.
 func (r *Receiver) Stats() ReceiverStats { return r.stats }
 
-// Pending returns the sequence number the receiver is waiting for.
-func (r *Receiver) Pending() uint32 { return r.nextSeq }
-
 // Start arms the receive loop; the wait clock for the first message
 // starts now.
 func (r *Receiver) Start() {

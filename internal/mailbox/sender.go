@@ -1,8 +1,6 @@
 package mailbox
 
 import (
-	"encoding/binary"
-
 	"twochains/internal/cpusim"
 	"twochains/internal/fabric"
 	"twochains/internal/mem"
@@ -436,19 +434,4 @@ func PackLocal(pkgID, elemID uint8, args [2]uint64, usr []byte) *Message {
 // PackData constructs a delivery-only message (without-execution mode).
 func PackData(usr []byte) *Message {
 	return &Message{Kind: KindData, Usr: usr}
-}
-
-// ReadUsr copies the user payload of a delivery (test/diagnostic helper).
-func ReadUsr(as *mem.AddressSpace, d *Delivery) ([]byte, error) {
-	return as.ReadBytesDMA(d.UsrVA, d.UsrLen)
-}
-
-// ReadArg reads argument i of a delivery without a Delivery method
-// receiver (kept for symmetry with ReadUsr).
-func ReadArg(as *mem.AddressSpace, d *Delivery, i int) (uint64, error) {
-	raw, err := as.ReadBytesDMA(d.ArgsVA+uint64(i*8), 8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(raw), nil
 }

@@ -217,7 +217,7 @@ func recycleDiff(t *testing.T, prog []byte) {
 			if gerr, werr := wr(got, va, v), wr(want, va, v); !sameErr(gerr, werr) {
 				t.Fatalf("op %d WriteU%d(0x%x): got %v want %v", op, 8<<width, va, gerr, werr)
 			}
-		case 5:
+		case 5, 7:
 			// The fast accessors may decline where the reference would not
 			// (a stale page); what they do deliver must be the checked value.
 			va := s.va(capacity)
@@ -231,13 +231,6 @@ func recycleDiff(t *testing.T, prog []byte) {
 			if got.FastWrite64(va, v) {
 				if werr := want.WriteU64(va, v); werr != nil {
 					t.Fatalf("op %d FastWrite64(0x%x) stored where the checked write faults: %v", op, va, werr)
-				}
-			}
-		case 7:
-			va, n, perm := s.va(capacity), s.u8()%128+1, s.perm()|PermR
-			if g := got.FastSpan(va, n, perm); g != nil {
-				if w := want.FastSpan(va, n, perm); !bytes.Equal(g, w) {
-					t.Fatalf("op %d FastSpan(0x%x,%d,%v): got % x want % x", op, va, n, perm, g, w)
 				}
 			}
 		case 8, 9, 10:
@@ -469,7 +462,7 @@ func TestRecycledPagesReadZero(t *testing.T) {
 	if _, ok := as.FastRead64(va); ok {
 		t.Fatal("the fast path served a page nobody has zeroed")
 	}
-	if as.FastWrite64(va+PageSize, 1) || as.FastSpan(va+2*PageSize, 64, PermR) != nil {
+	if as.FastWrite64(va+PageSize, 1) {
 		t.Fatal("the fast path served a page nobody has zeroed")
 	}
 	for off := 0; off < capacity; off += 8 {
@@ -539,8 +532,8 @@ func TestReleaseUnmaps(t *testing.T) {
 	if _, ok := as.FastRead64(va); ok {
 		t.Error("FastRead64 served a released space")
 	}
-	if as.FastWrite64(va, 1) || as.FastSpan(va, 8, PermR) != nil {
-		t.Error("a fast path served a released space")
+	if as.FastWrite64(va, 1) {
+		t.Error("FastWrite64 served a released space")
 	}
 	if _, ok := as.PermAt(va); ok {
 		t.Error("PermAt reports a mapped page after Release")
@@ -548,7 +541,7 @@ func TestReleaseUnmaps(t *testing.T) {
 	if _, err := as.Alloc("more", 8, 8, PermRW); err == nil {
 		t.Error("Alloc succeeded on a released space")
 	}
-	if r, ok := as.RegionFor(va); !ok || r.Name != "buf" {
+	if regs := as.Regions(); len(regs) != 1 || regs[0].Name != "buf" {
 		t.Error("the region table (diagnostics) did not survive Release")
 	}
 }

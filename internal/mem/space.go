@@ -160,6 +160,8 @@ type PoolStats struct {
 
 // BackingPoolStats reports the shelf counters — for tests that must know
 // a system was released, or that the reuse path actually ran.
+//
+//tclint:allow deadexport the workload lifecycle tests count released backings through it
 func BackingPoolStats() PoolStats {
 	backingsMu.Lock()
 	defer backingsMu.Unlock()
@@ -207,12 +209,6 @@ func (as *AddressSpace) Release() {
 	backingsMu.Unlock()
 	as.data, as.perms, as.capacity, as.stale = nil, nil, 0, 0
 }
-
-// Size returns the mapped capacity in bytes.
-func (as *AddressSpace) Size() int { return as.capacity }
-
-// End returns one past the highest usable VA.
-func (as *AddressSpace) End() uint64 { return Base + uint64(as.capacity) }
 
 func (as *AddressSpace) index(va uint64) (int, bool) {
 	if va < Base {
@@ -356,6 +352,8 @@ func (as *AddressSpace) Protect(va uint64, size int, perm Perm) error {
 }
 
 // PermAt returns the permissions of the page containing va.
+//
+//tclint:allow deadexport the linker tests read the page permissions a load sets through it
 func (as *AddressSpace) PermAt(va uint64) (Perm, bool) {
 	i, ok := as.index(va)
 	if !ok {
@@ -365,21 +363,13 @@ func (as *AddressSpace) PermAt(va uint64) (Perm, bool) {
 }
 
 // Regions returns the named allocations.
+//
+//tclint:allow deadexport the tc tests read a node's region layout through it
 func (as *AddressSpace) Regions() []Region {
 	out := make([]Region, len(as.regions))
 	copy(out, as.regions)
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
-}
-
-// RegionFor returns the region containing va, for diagnostics.
-func (as *AddressSpace) RegionFor(va uint64) (Region, bool) {
-	for _, r := range as.regions {
-		if va >= r.Addr && va < r.Addr+uint64(r.Size) {
-			return r, true
-		}
-	}
-	return Region{}, false
 }
 
 // check verifies an access against the declared permissions, returning a
@@ -427,6 +417,8 @@ func (as *AddressSpace) slowIdx(va uint64, size int, kind AccessKind) (int, erro
 }
 
 // ReadBytes copies size bytes at va into a fresh slice.
+//
+//tclint:allow deadexport the ucx tests read what a put landed through it
 func (as *AddressSpace) ReadBytes(va uint64, size int) ([]byte, error) {
 	i, err := as.slowIdx(va, size, AccessRead)
 	if err != nil {
@@ -545,19 +537,6 @@ func (as *AddressSpace) FastRead64(va uint64) (uint64, bool) {
 		return 0, false
 	}
 	return binary.LittleEndian.Uint64(as.data[i:]), true
-}
-
-// FastSpan returns a direct window over [va, va+n) when the whole span
-// lies in one page of the mapped prefix with want granted — the bulk
-// form of FastRead64/FastWrite64 for register-save/restore sequences.
-// nil means the caller must fall back to per-word checked accesses.
-func (as *AddressSpace) FastSpan(va uint64, n int, want Perm) []byte {
-	i := va - Base
-	if va < Base || i+uint64(n) > uint64(len(as.data)) ||
-		i&(PageSize-1) > PageSize-uint64(n) || as.perms[i/PageSize]&want == 0 {
-		return nil
-	}
-	return as.data[i : i+uint64(n)]
 }
 
 // FastWrite64 is the store-side twin of FastRead64; ok=false means the

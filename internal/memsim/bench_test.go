@@ -128,7 +128,7 @@ func BenchmarkReset(b *testing.B) {
 	h := New(DefaultConfig())
 	steadyState(b, func() {
 		sinkCost += h.Access(0x10000, 8, Read)
-		h.Reset()
+		h.reset()
 	})
 	if lvl := h.Contains(0x10000); lvl != "DRAM" {
 		b.Fatalf("a line survived Reset in %s", lvl)

@@ -269,7 +269,7 @@ func (h *refHierarchy) NetworkWrite(addr uint64, size int) {
 	}
 }
 
-func (h *refHierarchy) WarmLines(addr uint64, size int) {
+func (h *refHierarchy) warmLines(addr uint64, size int) {
 	if size <= 0 {
 		return
 	}
@@ -296,7 +296,7 @@ func (h *refHierarchy) Contains(addr uint64) string {
 	return "DRAM"
 }
 
-func (h *refHierarchy) Reset() {
+func (h *refHierarchy) reset() {
 	h.l2.reset()
 	h.l3.reset()
 	h.llc.reset()
@@ -477,8 +477,8 @@ func diffOn(t *testing.T, program []byte, build func(Config) *Hierarchy) (Config
 			a := addr()
 			n := size(&a)
 			touch(a, n)
-			got.WarmLines(a, n)
-			want.WarmLines(a, n)
+			got.warmLines(a, n)
+			want.warmLines(a, n)
 		case 12:
 			on := p.u8()&1 != 0
 			got.SetStress(on)
@@ -487,8 +487,8 @@ func diffOn(t *testing.T, program []byte, build func(Config) *Hierarchy) (Config
 			switch sel := p.u8(); {
 			case sel < 64:
 				checkLines(op)
-				got.Reset()
-				want.Reset()
+				got.reset()
+				want.reset()
 			case sel < 96:
 				// The system is closed and the next one built: every line
 				// touched so far must read as DRAM in both (checked by the
@@ -503,7 +503,7 @@ func diffOn(t *testing.T, program []byte, build func(Config) *Hierarchy) (Config
 					}
 				}
 			default:
-				got.ResetStats()
+				got.stats = Stats{}
 				want.stats = Stats{}
 			}
 		case 14:

@@ -96,18 +96,12 @@ func New(cfg Config) *Hierarchy {
 	}
 }
 
-// Config returns the active configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
 // SetStress toggles the co-running `stress-ng --class vm` interference
 // model used by the tail-latency experiments.
 func (h *Hierarchy) SetStress(on bool) { h.stress = on }
 
 // Stats returns a copy of the counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }
-
-// ResetStats zeroes the counters without touching cache contents.
-func (h *Hierarchy) ResetStats() { h.stats = Stats{} }
 
 // Span is the address span the model numbers at the default line size:
 // 2^28 lines of 64 bytes, 16 GB. An address at or past it aliases the line
@@ -360,27 +354,10 @@ func (h *Hierarchy) NetworkWrite(addr uint64, size int) {
 	}
 }
 
-// WarmLines preloads [addr, addr+size) into the whole hierarchy, modelling
-// code or data that is hot from previous use (e.g. a loaded library's
-// function body after its first invocations).
-func (h *Hierarchy) WarmLines(addr uint64, size int) {
-	if size <= 0 {
-		return
-	}
-	firstLine := h.line(addr)
-	lastLine := h.line(addr + uint64(size) - 1)
-	for line := firstLine; ; line = (line + 1) & lineMask {
-		h.l2.touch(line)
-		h.l3.touch(line)
-		h.llc.touch(line)
-		if line == lastLine {
-			break
-		}
-	}
-}
-
 // Contains reports which level holds the line at addr: "L2", "L3", "LLC" or
-// "DRAM". For tests and diagnostics; does not update recency or stats.
+// "DRAM". It does not update recency or stats.
+//
+//tclint:allow deadexport the simnet tests check where a delivered line landed through it
 func (h *Hierarchy) Contains(addr uint64) string {
 	line := h.line(addr)
 	switch {
@@ -404,14 +381,4 @@ func (h *Hierarchy) Release() {
 	}
 	tagsMu.Unlock()
 	h.l2, h.l3, h.llc = newCache(0, 1, 1), newCache(0, 1, 1), newCache(0, 1, 1)
-}
-
-// Reset empties all cache contents, prefetch streams and statistics.
-func (h *Hierarchy) Reset() {
-	h.l2.reset()
-	h.l3.reset()
-	h.llc.reset()
-	h.streams = [model.PrefetchStreams]stream{}
-	h.useCtr = 0
-	h.stats = Stats{}
 }

@@ -141,7 +141,7 @@ func TestNoStashGoesToDRAM(t *testing.T) {
 	h := New(testConfig(false, false))
 	// Pre-warm the line, then simulate inbound DMA: copies must be
 	// invalidated so the handler pays a DRAM access.
-	h.WarmLines(0x3000, 64)
+	h.warmLines(0x3000, 64)
 	h.NetworkWrite(0x3000, 64)
 	if lvl := h.Contains(0x3000); lvl != "DRAM" {
 		t.Fatalf("line in %s after non-stash DMA, want DRAM", lvl)
@@ -261,7 +261,7 @@ func TestStressCanEvictStashedLines(t *testing.T) {
 
 func TestWarmLinesMakesL2Hits(t *testing.T) {
 	h := New(testConfig(false, false))
-	h.WarmLines(0x7000, 1408)
+	h.warmLines(0x7000, 1408)
 	cost := h.Access(0x7000, 1408, Fetch)
 	// 22 lines, first at L2 latency, rest pipelined at ~1 cycle.
 	expectMax := model.L2HitLat + 30*model.Cycles(1)
@@ -281,7 +281,7 @@ func TestResetClearsState(t *testing.T) {
 	h := New(testConfig(true, true))
 	h.NetworkWrite(0x9000, 512)
 	h.Access(0x9000, 512, Read)
-	h.Reset()
+	h.reset()
 	if h.Stats().Accesses != 0 {
 		t.Fatal("stats not cleared")
 	}
@@ -365,7 +365,7 @@ func TestGeometryIsTotal(t *testing.T) {
 				tc.l2Sets, tc.l2Ways, line = model.L2Size/model.LineSize/model.L2Ways, model.L2Ways, model.LineSize
 			}
 			h := New(tc.cfg)
-			if got := h.Config(); got.Stash != tc.cfg.Stash || got.Prefetch != tc.cfg.Prefetch || got.Seed != tc.cfg.Seed || got.LineSize != line {
+			if got := h.cfg; got.Stash != tc.cfg.Stash || got.Prefetch != tc.cfg.Prefetch || got.Seed != tc.cfg.Seed || got.LineSize != line {
 				t.Fatalf("config %+v from %+v, want line size %d and the caller's stash, prefetch and seed", got, tc.cfg, line)
 			}
 			if sets(h.l2) != tc.l2Sets || h.l2.ways != tc.l2Ways {

@@ -201,9 +201,9 @@ func TestReleasedHierarchy(t *testing.T) {
 	h.AccessSeq(diffBase+60, 700, Fetch, true)
 	h.Access(diffBase, 4096, Write)
 	h.NetworkWrite(diffBase, 2048)
-	h.WarmLines(diffBase, 2048)
+	h.warmLines(diffBase, 2048)
 	h.Contains(diffBase)
-	h.Reset()
+	h.reset()
 	h.Access(diffBase, 8, Read)
 	if lvl := h.Contains(diffBase); lvl != "L2" {
 		t.Errorf("the stand-in model lost the line it just loaded: in %s", lvl)
@@ -222,7 +222,7 @@ func TestRecycledLinesReadAbsent(t *testing.T) {
 	cfg := testConfig(true, false)
 	const lines = 4096
 	first := New(cfg)
-	first.WarmLines(diffBase, lines*cfg.LineSize)
+	first.warmLines(diffBase, lines*cfg.LineSize)
 	old := tagArrays(first)
 	first.Release()
 
@@ -279,7 +279,7 @@ func TestAccessWrapsAtTopOfAddressWidth(t *testing.T) {
 	top := uint64(lineMask+1) << h.lineShift
 	h.Access(top-8, 16, Read)
 	h.NetworkWrite(^uint64(0)-3, 8)
-	h.WarmLines(top-1, 2)
+	h.warmLines(top-1, 2)
 	if st := h.Stats(); st.LinesDRAM != 2 || st.NetStashed+st.NetToDRAM != 2 {
 		t.Fatalf("wrapping accesses touched %+v, want two lines each", st)
 	}

@@ -7,6 +7,10 @@
 // Experiments must take constants from here and never hard-code latencies:
 // the ablation and calibration tests rely on being able to perturb a single
 // parameter and observe the effect.
+//
+// What the model lacks: DRAM has one idle latency and no bandwidth or
+// open-row model, the stride prefetcher keeps no depth of lines in
+// flight, and bank-flag flow-control credits cost the sender no CPU.
 package model
 
 import "twochains/internal/sim"
@@ -17,8 +21,6 @@ const (
 	CoreHz = 2.6e9
 	// CyclePs is one core cycle in picoseconds (≈384.6 ps at 2.6 GHz).
 	CyclePs = 1e12 / CoreHz
-	// InterconnectHz is the on-chip interconnect clock (paper: 1.6 GHz).
-	InterconnectHz = 1.6e9
 )
 
 // Cycles converts a cycle count to a simulated duration.
@@ -42,25 +44,20 @@ const (
 // Cache and DRAM access latencies (load-to-use, typical for this class of
 // part; DDR4-2666 idle latency ≈ 90 ns).
 var (
-	L2HitLat   = Cycles(13)               // ≈ 5 ns
-	L3HitLat   = Cycles(32)               // ≈ 12.3 ns
-	LLCHitLat  = Cycles(55)               // ≈ 21.2 ns
-	DRAMLat    = sim.FromNanos(90)        // idle DRAM read
-	DRAMRowHit = sim.FromNanos(58)        // open-row access
-	DRAMBw     = 21.3e9 * 2               // bytes/s, 2 channels DDR4-2666
-	DRAMGap    = sim.FromNanos(64 / 42.6) // per-line serialization at full bw
-	_          = DRAMGap                  // (kept for the bandwidth model)
-	PrefillLat = sim.FromNanos(10)        // line already in flight via prefetch
-	MLPStream  = sim.FromNanos(28)        // effective per-line DRAM cost when
+	L2HitLat   = Cycles(13)        // ≈ 5 ns
+	L3HitLat   = Cycles(32)        // ≈ 12.3 ns
+	LLCHitLat  = Cycles(55)        // ≈ 21.2 ns
+	DRAMLat    = sim.FromNanos(90) // idle DRAM read
+	PrefillLat = sim.FromNanos(10) // line already in flight via prefetch
+	MLPStream  = sim.FromNanos(28) // effective per-line DRAM cost when
 	// misses overlap (no prefetch yet)
 )
 
 // Prefetcher model: a stride prefetcher that trains on sequential line
 // misses and, once confident, hides most of the DRAM latency.
 const (
-	PrefetchTrainMisses = 3  // sequential misses before the stream is hot
-	PrefetchStreams     = 8  // tracked streams
-	PrefetchDepth       = 16 // lines kept in flight ahead of the demand stream
+	PrefetchTrainMisses = 3 // sequential misses before the stream is hot
+	PrefetchStreams     = 8 // tracked streams
 )
 
 // Network parameters (ConnectX-6 200 Gb/s back-to-back over PCIe Gen4).
@@ -93,13 +90,12 @@ func WireTime(n int) sim.Duration {
 // path avoids (paper §VII: "the standard UCX put operation has more library
 // overhead for flow control and detecting message completion").
 var (
-	UcxPostOverhead  = sim.FromNanos(70)  // build + post a WQE through ucp
-	UcxCompOverhead  = sim.FromNanos(110) // poll CQ + completion callback
-	UcxFlowOverhead  = sim.FromNanos(160) // window accounting + credit msgs
-	AmPackOverhead   = sim.FromNanos(38)  // mailbox frame pack (header+sig)
-	AmPostOverhead   = sim.FromNanos(35)  // post: frame is preformatted
-	AmCreditOverhead = sim.FromNanos(18)  // amortized bank-flag flow control
-	FenceOverhead    = sim.FromNanos(28)  // explicit wire fence (no-order fabrics)
+	UcxPostOverhead = sim.FromNanos(70)  // build + post a WQE through ucp
+	UcxCompOverhead = sim.FromNanos(110) // poll CQ + completion callback
+	UcxFlowOverhead = sim.FromNanos(160) // window accounting + credit msgs
+	AmPackOverhead  = sim.FromNanos(38)  // mailbox frame pack (header+sig)
+	AmPostOverhead  = sim.FromNanos(35)  // post: frame is preformatted
+	FenceOverhead   = sim.FromNanos(28)  // explicit wire fence (no-order fabrics)
 )
 
 // Protocol tiers (paper §VII-A: UCX switches protocols by message size, and
@@ -134,9 +130,6 @@ func TierFor(size int) ProtoTier {
 
 // Mailbox / polling parameters.
 var (
-	// PollIterCycles is the cost of one spin-poll loop iteration
-	// (load + compare + branch on the signal byte).
-	PollIterCycles = 4.0
 	// PollDetectLat is the coherence delay between the NIC writing the
 	// signal line and the polling core observing it.
 	PollDetectLat = sim.FromNanos(24)

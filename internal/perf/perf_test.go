@@ -20,12 +20,6 @@ func TestSamplesStatistics(t *testing.T) {
 	if s.Tail() < 990 {
 		t.Fatalf("p99.9 = %d", s.Tail())
 	}
-	if s.Max() != 1000 {
-		t.Fatalf("max = %d", s.Max())
-	}
-	if s.Mean() < 495 || s.Mean() > 505 {
-		t.Fatalf("mean = %d", s.Mean())
-	}
 	spread := s.TailSpread()
 	if spread < 0.9 || spread > 1.1 {
 		t.Fatalf("spread = %f", spread)

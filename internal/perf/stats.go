@@ -22,9 +22,6 @@ func (s *Samples) Add(d sim.Duration) { s.vals = append(s.vals, d) }
 // N returns the sample count.
 func (s *Samples) N() int { return len(s.vals) }
 
-// Reset discards all samples.
-func (s *Samples) Reset() { s.vals = s.vals[:0] }
-
 // sorted returns a sorted copy.
 func (s *Samples) sorted() []sim.Duration {
 	out := make([]sim.Duration, len(s.vals))
@@ -54,29 +51,6 @@ func (s *Samples) Median() sim.Duration { return s.Percentile(0.5) }
 
 // Tail returns the 99.9th percentile (the paper's tail latency).
 func (s *Samples) Tail() sim.Duration { return s.Percentile(0.999) }
-
-// Mean returns the arithmetic mean.
-func (s *Samples) Mean() sim.Duration {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	var sum sim.Duration
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / sim.Duration(len(s.vals))
-}
-
-// Max returns the largest sample.
-func (s *Samples) Max() sim.Duration {
-	var m sim.Duration
-	for _, v := range s.vals {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
 
 // TailSpread computes the paper's equation (1):
 //

@@ -123,9 +123,6 @@ func (e *Engine) pop() (at Time, fn func()) {
 	return at, fn
 }
 
-// Pending reports the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // Step executes the single earliest pending event, advancing the clock.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
@@ -143,30 +140,4 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run() {
 	for e.Step() {
 	}
-}
-
-// RunUntil executes events with time <= deadline. Events scheduled beyond
-// the deadline remain queued; the clock is left at the last executed event
-// (or advanced to deadline if nothing else ran).
-func (e *Engine) RunUntil(deadline Time) {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// RunFor executes events for d simulated time from now.
-func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
-
-// Advance moves the clock forward by d without executing events. It panics
-// if an event would be skipped; it exists for sequential (non-pipelined)
-// models that account time inline between events.
-func (e *Engine) Advance(d Duration) {
-	t := e.now.Add(d)
-	if len(e.queue) > 0 && e.queue[0].at < t {
-		panic("sim: Advance would skip a pending event")
-	}
-	e.now = t
 }

@@ -14,7 +14,7 @@ import (
 // scheduled them and from wherever. The cases cover every scheduling
 // context there is: a flat schedule built before the run, events
 // scheduling events (at their own timestamp too), scheduling from outside
-// any event while the run is paused between RunUntil and Step calls, and
+// any event while the run is paused between runUntil and Step calls, and
 // scheduling after Advance moved the clock with nothing executing.
 func TestEngineHeapMatchesSortedOrder(t *testing.T) {
 	type key struct {
@@ -84,7 +84,7 @@ func TestEngineHeapMatchesSortedOrder(t *testing.T) {
 		})
 	})
 
-	// The run pauses — RunUntil between timestamps and on one, Step in
+	// The run pauses — runUntil between timestamps and on one, Step in
 	// the middle of a timestamp — and each pause schedules from outside
 	// any event, onto the paused timestamp and onto later ones that
 	// already hold events scheduled before the pause and will receive
@@ -102,7 +102,7 @@ func TestEngineHeapMatchesSortedOrder(t *testing.T) {
 				sched(Time(rng.Intn(300)), nest)
 			}
 			for _, stop := range []Time{0, 17, 17, 90, 150} {
-				e.RunUntil(stop)
+				e.runUntil(stop)
 				outside()
 				for i := rng.Intn(5); i > 0; i-- {
 					e.Step()
@@ -112,8 +112,9 @@ func TestEngineHeapMatchesSortedOrder(t *testing.T) {
 		})
 	})
 
-	// Advance moves the clock with no event executing; what is scheduled
-	// next ties with events scheduled before the clock moved.
+	// A deadline with nothing due moves the clock with no event
+	// executing; what is scheduled next ties with events scheduled before
+	// the clock moved.
 	t.Run("advance", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(45))
 		check(t, func(e *Engine, sched func(Time, func())) {
@@ -121,12 +122,11 @@ func TestEngineHeapMatchesSortedOrder(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				sched(100+Time(rng.Intn(50)), nest)
 			}
-			e.Advance(60)
+			e.runUntil(60)
 			for i := 0; i < 500; i++ {
 				sched(100+Time(rng.Intn(50)), nest)
 			}
-			e.RunUntil(120)
-			e.Advance(0)
+			e.runUntil(120)
 			for i := 0; i < 200; i++ {
 				sched(120+Time(rng.Intn(30)), nest)
 			}
@@ -182,7 +182,7 @@ func TestEngineScheduleAtNowFromEvent(t *testing.T) {
 	}
 }
 
-// TestRunUntilLeavesFutureEventsQueued pins that RunUntil executes
+// TestRunUntilLeavesFutureEventsQueued pins that runUntil executes
 // nothing past the deadline, leaves the remainder queued in order, and
 // that a subsequent Run drains them.
 func TestRunUntilLeavesFutureEventsQueued(t *testing.T) {
@@ -192,19 +192,19 @@ func TestRunUntilLeavesFutureEventsQueued(t *testing.T) {
 		at := at
 		e.At(at, func() { got = append(got, int(at)) })
 	}
-	e.RunUntil(15)
+	e.runUntil(15)
 	if len(got) != 3 || got[0] != 5 || got[1] != 10 || got[2] != 15 {
 		t.Fatalf("ran %v through deadline 15", got)
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", e.Pending())
+	if len(e.queue) != 2 {
+		t.Fatalf("pending = %d, want 2", len(e.queue))
 	}
 	if e.Now() != 15 {
 		t.Fatalf("Now = %d, want 15", e.Now())
 	}
 	e.Run()
 	if len(got) != 5 || got[3] != 20 || got[4] != 25 {
-		t.Fatalf("drain after RunUntil ran %v", got)
+		t.Fatalf("drain after runUntil ran %v", got)
 	}
 }
 
@@ -289,4 +289,16 @@ func BenchmarkEngineBurstDrain(b *testing.B) {
 		e.Run()
 	}
 	b.SetBytes(0)
+}
+
+// runUntil pauses a run: it executes the events with time <= deadline and
+// leaves later ones queued. The clock is left at the last executed event,
+// or advanced to deadline if nothing else ran.
+func (e *Engine) runUntil(deadline Time) {
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
+		e.Step()
+	}
+	if e.now < deadline {
+		e.now = deadline
+	}
 }

@@ -4,35 +4,11 @@ package sim
 // core) as a single FIFO server: work items occupy it back to back, and a
 // request issued while the resource is busy is queued behind the current
 // occupant. This captures pipelining: a stream of messages through a chain
-// of Resources overlaps exactly as hardware stages would.
+// of Resources overlaps exactly as hardware stages would. The zero value is
+// an idle resource.
 type Resource struct {
-	name     string
-	lazyName func() string // builds name on first use; nil once built
 	nextFree Time
 	busy     Duration // total busy time, for utilization reporting
-	served   uint64
-}
-
-// NewResource returns an idle resource with the given diagnostic name.
-func NewResource(name string) *Resource {
-	return &Resource{name: name}
-}
-
-// NewResourceLazy returns an idle resource whose diagnostic name is built
-// only if something asks for it. Hot paths that mint many resources (one
-// per wire of an N-node fabric) use it to keep label formatting off the
-// setup path entirely.
-func NewResourceLazy(name func() string) *Resource {
-	return &Resource{lazyName: name}
-}
-
-// Name returns the diagnostic name, building (and caching) a lazy one.
-func (r *Resource) Name() string {
-	if r.lazyName != nil {
-		r.name = r.lazyName()
-		r.lazyName = nil
-	}
-	return r.name
 }
 
 // Claim reserves the resource for dur starting no earlier than now, queueing
@@ -43,33 +19,13 @@ func (r *Resource) Claim(now Time, dur Duration) (done Time) {
 	done = start.Add(dur)
 	r.nextFree = done
 	r.busy += dur
-	r.served++
 	return done
-}
-
-// ClaimAt is Claim but also returns the start time, for models that care
-// about queueing delay separately from service time.
-func (r *Resource) ClaimAt(now Time, dur Duration) (start, done Time) {
-	start = Max(now, r.nextFree)
-	done = start.Add(dur)
-	r.nextFree = done
-	r.busy += dur
-	r.served++
-	return start, done
 }
 
 // FreeAt returns the earliest time new work could start.
 func (r *Resource) FreeAt() Time { return r.nextFree }
 
 // BusyTime returns the cumulative busy duration.
+//
+//tclint:allow deadexport the ucx and mailbox tests read CPU occupancy through it
 func (r *Resource) BusyTime() Duration { return r.busy }
-
-// Served returns the number of claims processed.
-func (r *Resource) Served() uint64 { return r.served }
-
-// Reset returns the resource to idle at time zero and clears statistics.
-func (r *Resource) Reset() {
-	r.nextFree = 0
-	r.busy = 0
-	r.served = 0
-}

@@ -52,9 +52,6 @@ func FromNanos(ns float64) Duration {
 	return Duration(ns*float64(Nanosecond) + 0.5)
 }
 
-// FromMicros converts a float64 microsecond count to a Duration.
-func FromMicros(us float64) Duration { return FromNanos(us * 1000) }
-
 // String formats the duration with an adaptive unit, for logs and tables.
 func (d Duration) String() string {
 	switch {

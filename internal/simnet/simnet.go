@@ -37,13 +37,8 @@ func init() {
 // RKey is an InfiniBand-style 32-bit remote access key.
 type RKey = fabric.RKey
 
-// Access is the remote permission mask carried by a registration.
-type Access = fabric.Access
-
-const (
-	RemoteRead  = fabric.RemoteRead
-	RemoteWrite = fabric.RemoteWrite
-)
+// RemoteWrite is the remote permission a put target registers with.
+const RemoteWrite = fabric.RemoteWrite
 
 // Config sets fabric-wide characteristics (the backend-independent set;
 // Seed additionally drives delivery jitter when Ordered is false).
@@ -166,13 +161,10 @@ func (f *Fabric) AssignDomain(p fabric.Port, domain int) {
 }
 
 // wire returns the directional wire resource from this NIC to dst.
-// Labels are lazy: an N-node mesh mints N² wires, and nothing formats a
-// name unless a trace actually prints it.
 func (n *NIC) wire(dst int) *sim.Resource {
 	w, ok := n.wires[dst]
 	if !ok {
-		src := n.ID
-		w = sim.NewResourceLazy(func() string { return fmt.Sprintf("wire %d->%d", src, dst) })
+		w = new(sim.Resource)
 		n.wires[dst] = w
 	}
 	return w
@@ -184,7 +176,7 @@ func (f *Fabric) uplink(srcDom, dstDom int) *sim.Resource {
 	sh := f.shard(srcDom)
 	u, ok := sh.uplinks[dstDom]
 	if !ok {
-		u = sim.NewResourceLazy(func() string { return fmt.Sprintf("uplink %d->%d", srcDom, dstDom) })
+		u = new(sim.Resource)
 		sh.uplinks[dstDom] = u
 	}
 	return u
@@ -226,7 +218,7 @@ func (f *Fabric) AttachNIC(as *mem.AddressSpace, hier *memsim.Hierarchy) *NIC {
 		Host:      fabric.NewHost(as, hier, f.rng.Split()), // before jitterRng: keeps every rkey
 		ID:        id,
 		fabric:    f,
-		tx:        sim.NewResourceLazy(func() string { return fmt.Sprintf("nic%d-tx", id) }),
+		tx:        new(sim.Resource),
 		jitterRng: f.rng.Split(),
 		shard:     f.shard(0),
 		wires:     map[int]*sim.Resource{},
@@ -235,11 +227,6 @@ func (f *Fabric) AttachNIC(as *mem.AddressSpace, hier *memsim.Hierarchy) *NIC {
 	f.nics = append(f.nics, n)
 	return n
 }
-
-// NIC accessors.
-
-// Stats returns a copy of the traffic counters.
-func (n *NIC) Stats() Stats { return n.stats }
 
 // Label names the port for diagnostics (fabric.Port).
 func (n *NIC) Label() string { return fmt.Sprintf("nic%d", n.ID) }

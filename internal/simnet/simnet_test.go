@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"twochains/internal/fabric"
 	"twochains/internal/mem"
 	"twochains/internal/memsim"
 	"twochains/internal/model"
@@ -17,7 +18,7 @@ type host struct {
 	key RKey
 }
 
-func twoHosts(t *testing.T, cfg Config, access Access) (*sim.Engine, *host, *host) {
+func twoHosts(t *testing.T, cfg Config, access fabric.Access) (*sim.Engine, *host, *host) {
 	t.Helper()
 	eng := sim.NewEngine()
 	f := NewFabric(eng, cfg)
@@ -91,7 +92,7 @@ func TestInvalidRkeyRejected(t *testing.T) {
 		t.Fatalf("err = %v", res.Err)
 	}
 	// Nothing delivered.
-	if b.nic.Stats().PutsDelivered != 0 {
+	if b.nic.stats.PutsDelivered != 0 {
 		t.Fatal("rejected put delivered")
 	}
 }
@@ -107,7 +108,7 @@ func TestOutOfRegistrationRejected(t *testing.T) {
 }
 
 func TestPermissionEnforced(t *testing.T) {
-	eng, a, b := twoHosts(t, DefaultConfig(), RemoteRead) // write not granted
+	eng, a, b := twoHosts(t, DefaultConfig(), fabric.RemoteRead) // write not granted
 	var res PutResult
 	a.nic.Put(b.nic, a.buf, b.buf, 64, b.key, func(r PutResult) { res = r })
 	eng.Run()
@@ -230,12 +231,12 @@ func TestStatsCounters(t *testing.T) {
 	a.nic.Put(b.nic, a.buf, b.buf, 64, b.key, nil)
 	a.nic.Put(b.nic, a.buf, b.buf, 64, b.key+1, nil) // rejected
 	eng.Run()
-	s := a.nic.Stats()
+	s := a.nic.stats
 	if s.PutsSent != 2 || s.Rejected != 1 {
 		t.Fatalf("stats %+v", s)
 	}
-	if b.nic.Stats().PutsDelivered != 1 {
-		t.Fatalf("delivered %d", b.nic.Stats().PutsDelivered)
+	if b.nic.stats.PutsDelivered != 1 {
+		t.Fatalf("delivered %d", b.nic.stats.PutsDelivered)
 	}
 }
 

@@ -21,11 +21,8 @@ type Func struct {
 	bounds    []*core.Bound // indexed by destination node
 	// ten is the owning tenant of a FuncFor handle (nil for base
 	// handles): its calls route over the tenant's namespace-view channels
-	// and pass its admission control by default.
+	// and pass its admission control.
 	ten *tenant.Tenant
-	// tbounds caches bounds for base handles called WithTenant, keyed
-	// tenantID*nodes+dst (a handle's own tenant uses bounds instead).
-	tbounds map[int]*core.Bound
 }
 
 // Func returns a handle for the named element, sent from node src. The
@@ -50,14 +47,9 @@ func (s *System) Func(src int, pkg, elem string) (*Func, error) {
 		bounds: make([]*core.Bound, s.mesh.Nodes())}, nil
 }
 
-// Source returns the handle's sending node.
-func (f *Func) Source() int { return f.src }
-
-// Name returns the handle's package/element name.
-func (f *Func) Name() string { return f.pkg + "/" + f.elem }
-
 // bound returns the per-destination handle, creating the channel (and its
-// mailbox region) on first use.
+// mailbox region) on first use. A FuncFor handle's channels belong to its
+// tenant's namespace view.
 func (f *Func) bound(dst int) (*core.Bound, error) {
 	if dst >= 0 && dst < len(f.bounds) {
 		// A cached handle on a channel severed by FailNode is stale: the
@@ -67,7 +59,13 @@ func (f *Func) bound(dst int) (*core.Bound, error) {
 			return b, nil
 		}
 	}
-	ch, err := f.sys.mesh.Channel(f.src, dst)
+	var ch *core.Channel
+	var err error
+	if f.ten != nil {
+		ch, err = f.sys.viewChannel(f.src, dst, f.ten)
+	} else {
+		ch, err = f.sys.mesh.Channel(f.src, dst)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +80,6 @@ type callCfg struct {
 	usr      []byte
 	burst    bool
 	batch    [][2]uint64
-	ten      *tenant.Tenant
 	hasRetry bool
 	retry    RetryPolicy
 }
@@ -92,7 +89,6 @@ const (
 	optLocal = iota + 1
 	optPayload
 	optBurst
-	optTenant
 	optRetry
 )
 
@@ -103,7 +99,6 @@ type CallOpt struct {
 	kind  uint8
 	usr   []byte
 	batch [][2]uint64
-	ten   *tenant.Tenant
 	retry RetryPolicy
 }
 
@@ -127,16 +122,6 @@ func Burst(batch [][2]uint64) CallOpt {
 	return CallOpt{kind: optBurst, batch: batch}
 }
 
-// WithTenant attributes the call to a tenant: it routes over the
-// tenant's namespace-view channel (fair-queued under the tenant's weight
-// at the receiver) and must pass the tenant's token-bucket admission —
-// a rejected call resolves immediately with a *tenant.AdmissionError,
-// readable via Future.IssueErr. On a FuncFor handle the owning tenant is
-// already implied; WithTenant overrides it.
-func WithTenant(t *tenant.Tenant) CallOpt {
-	return CallOpt{kind: optTenant, ten: t}
-}
-
 // WithRetry arms issuer-side resilience on the call: a retryable issue
 // failure — the destination torn down or severed by a node failure
 // (*core.NodeDownError), or a deferred tenant admission
@@ -158,8 +143,6 @@ func (o CallOpt) apply(c *callCfg) {
 		c.usr = o.usr
 	case optBurst:
 		c.burst, c.batch = true, o.batch
-	case optTenant:
-		c.ten = o.ten
 	case optRetry:
 		c.hasRetry, c.retry = true, o.retry
 	}
@@ -188,9 +171,6 @@ func (f *Func) Call(dst int, args [2]uint64, opts ...CallOpt) *Future {
 		fu.resolve()
 		return fu
 	}
-	if cfg.ten == nil {
-		cfg.ten = f.ten
-	}
 	if cfg.hasRetry {
 		f.issueRetry(fu, dst, args, cfg, 0, 0)
 		return fu
@@ -209,17 +189,11 @@ func (f *Func) Call(dst int, args [2]uint64, opts ...CallOpt) *Future {
 // handle, pass admission, dispatch. nil means the call is in flight and
 // the future will resolve inside the engine.
 func (f *Func) issueOnce(fu *Future, dst int, args [2]uint64, cfg *callCfg) error {
-	var b *core.Bound
-	var err error
-	if cfg.ten != nil {
-		b, err = f.viewBound(cfg.ten, dst)
-	} else {
-		b, err = f.bound(dst)
-	}
+	b, err := f.bound(dst)
 	if err != nil {
 		return err
 	}
-	if ten := cfg.ten; ten != nil && ten.Admission != nil {
+	if ten := f.ten; ten != nil && ten.Admission != nil {
 		// The channel's credit-stall count is the congestion feedback.
 		if dec := ten.Admit(f.src, f.sys.Now(), fu.expect, b.CreditStalls()); !dec.OK {
 			return ten.Reject(dec)
@@ -278,17 +252,6 @@ func (f *Func) issueRetry(fu *Future, dst int, args [2]uint64, cfg callCfg, atte
 	})
 }
 
-// WireLen reports the frame size an injected Call to dst with a payload
-// of usrLen bytes would occupy; benchmarks use it to size mailbox
-// geometry.
-func (f *Func) WireLen(dst, usrLen int) (int, error) {
-	b, err := f.bound(dst)
-	if err != nil {
-		return 0, err
-	}
-	return b.InjectedWireLen(usrLen)
-}
-
 // Result aggregates the outcome of one Call.
 type Result struct {
 	// N counts delivered messages (1 for a single call, the batch size
@@ -314,17 +277,16 @@ type Result struct {
 //
 // Futures are pooled per System. The ownership rules:
 //
-//   - A future that is never observed — no Done, no Await, no Retain
-//     before it resolves — returns to the pool automatically the moment
+//   - A future that is never observed — no Done, no Await before it
+//     resolves — returns to the pool automatically the moment
 //     it resolves inside the simulation. Fire-and-forget callers
 //     (Call(...).IssueErr(), or discarding the return entirely) therefore
 //     never allocate and never need to clean up, but must not touch the
 //     future after running the simulation.
-//   - Registering a Done callback, calling Await, or calling Retain marks
-//     the future observed: it stays valid indefinitely and is simply
-//     garbage collected, exactly like the pre-pooling behaviour. Callers
-//     that poll Result after sys.Run() must observe the future first
-//     (Retain is the no-op-shaped way to do that).
+//   - Registering a Done callback or calling Await marks the future
+//     observed: it stays valid indefinitely and is simply garbage
+//     collected, exactly like the pre-pooling behaviour. Callers that poll
+//     Result after sys.Run() must observe the future first.
 //   - Release hands an observed future back to the pool once the caller
 //     is done with it (safe from inside its own Done callback). After
 //     Release the future must not be touched.
@@ -332,7 +294,7 @@ type Future struct {
 	sys      *System
 	expect   int
 	resolved bool
-	observed bool // Done/Await/Retain seen: caller keeps the handle
+	observed bool // Done/Await seen: caller keeps the handle
 	armed    bool // in flight; resolution happens inside the engine
 	released bool // caller opted back into recycling
 	free     bool // currently in the pool (reuse/double-release guard)
@@ -418,18 +380,6 @@ func (fu *Future) resolve() {
 		// hand it back to the pool.
 		fu.recycle()
 	}
-}
-
-// Resolved reports whether the future has completed.
-func (fu *Future) Resolved() bool { return fu.resolved }
-
-// Retain marks the future observed, pinning it out of the pool so the
-// caller can poll Result after the simulation has run. It returns the
-// future for chaining; call it synchronously after Call, before running
-// the simulation.
-func (fu *Future) Retain() *Future {
-	fu.observed = true
-	return fu
 }
 
 // Release hands the future back to the pool: the caller promises not to

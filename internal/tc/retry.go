@@ -65,6 +65,7 @@ func (e *RetryError) Error() string {
 		e.Attempts, e.Elapsed, e.Last)
 }
 
+//tclint:allow deadexport errors.As and errors.Is call it through an interface inside package errors
 func (e *RetryError) Unwrap() error { return e.Last }
 
 // retryable reports whether an issue error is worth re-attempting under

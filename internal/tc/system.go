@@ -1,8 +1,6 @@
 package tc
 
 import (
-	"fmt"
-
 	"twochains/internal/core"
 	"twochains/internal/cpusim"
 	"twochains/internal/fabric"
@@ -180,9 +178,6 @@ func (s *System) RNG() *sim.RNG { return s.mesh.RNG() }
 // Run processes events until the system is quiescent.
 func (s *System) Run() { s.mesh.Run() }
 
-// RunFor processes events for d of simulated time.
-func (s *System) RunFor(d sim.Duration) { s.mesh.RunFor(d) }
-
 // InstallPackage installs pkg on every node. Installing the same package
 // twice is an error.
 func (s *System) InstallPackage(pkg *core.Package) error {
@@ -201,19 +196,9 @@ func (s *System) InstallRied(i int, img *linker.Image, replace bool) (*linker.Lo
 // i; Func handles re-bind automatically on their next Call.
 func (s *System) RefreshNames(i int) { s.mesh.RefreshNames(i) }
 
-// Teardown takes node i out of service: its mailbox regions stop being
-// polled and subsequent Calls addressed to it fail fast.
-func (s *System) Teardown(i int) error {
-	if i < 0 || i >= s.mesh.Nodes() {
-		return fmt.Errorf("tc: teardown: node %d out of range (%d nodes)", i, s.mesh.Nodes())
-	}
-	s.mesh.Node(i).Teardown()
-	return nil
-}
-
-// FailNode injects a hard node failure: Teardown plus channel severing,
-// fast-fail of every queued send with a typed *core.NodeDownError, and
-// peer-side cache invalidation (see core.Mesh.FailNode). It returns the
+// FailNode injects a hard node failure: a core.Node.Teardown plus channel
+// severing, fast-fail of every queued send with a typed
+// *core.NodeDownError, and peer-side cache invalidation (see core.Mesh.FailNode). It returns the
 // queued outbound sends the failure destroyed, per view ("" = base).
 func (s *System) FailNode(i int) (map[string]int, error) { return s.mesh.FailNode(i) }
 

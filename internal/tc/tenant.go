@@ -45,15 +45,6 @@ func (s *System) Tenant(name string) (*tenant.Tenant, bool) {
 	return s.tenants.Lookup(name)
 }
 
-// Tenants returns the registered tenants in AddTenant order (nil when
-// the system is single-tenant).
-func (s *System) Tenants() []*tenant.Tenant {
-	if s.tenants == nil {
-		return nil
-	}
-	return s.tenants.List()
-}
-
 // InstallPackageFor installs pkg on every node inside the tenant's
 // package namespace, under the tenant-qualified name. Two tenants can
 // install different apps — or different versions of the same app —
@@ -110,38 +101,4 @@ func (s *System) viewChannel(src, dst int, t *tenant.Tenant) (*core.Channel, err
 		}
 		return rc
 	})
-}
-
-// viewBound resolves the per-destination handle for a call attributed to
-// tenant t: the handle's own bound cache when the handle belongs to t
-// (FuncFor), a side cache when a base handle is called WithTenant.
-func (f *Func) viewBound(t *tenant.Tenant, dst int) (*core.Bound, error) {
-	if dst < 0 || dst >= len(f.bounds) {
-		return nil, fmt.Errorf("tc: func: destination node %d out of range (%d nodes)", dst, len(f.bounds))
-	}
-	own := t == f.ten
-	key := t.ID*len(f.bounds) + dst
-	// Handles on channels severed by FailNode are stale (see Func.bound):
-	// drop and re-resolve through the mesh.
-	if own {
-		if b := f.bounds[dst]; b != nil && !b.Channel().Dead() {
-			return b, nil
-		}
-	} else if b := f.tbounds[key]; b != nil && !b.Channel().Dead() {
-		return b, nil
-	}
-	ch, err := f.sys.viewChannel(f.src, dst, t)
-	if err != nil {
-		return nil, err
-	}
-	b := ch.Handle(f.pkg, f.elem)
-	if own {
-		f.bounds[dst] = b
-	} else {
-		if f.tbounds == nil {
-			f.tbounds = map[int]*core.Bound{}
-		}
-		f.tbounds[key] = b
-	}
-	return b, nil
 }

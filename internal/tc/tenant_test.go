@@ -155,31 +155,3 @@ func TestTenantAdmissionDefer(t *testing.T) {
 		t.Fatalf("defer error = %+v", ae)
 	}
 }
-
-// TestWithTenantOnBaseHandle attributes a base-handle call to a tenant:
-// admission charges the tenant's bucket and the call still executes.
-func TestWithTenantOnBaseHandle(t *testing.T) {
-	sys := quickSystem(t, 2)
-	tn, err := sys.AddTenant(tenant.Config{Name: "gold", Weight: 2,
-		Admission: &tenant.Admission{RatePerSec: 1000, Burst: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn, err := sys.Func(0, "tcbench", "jam_iput")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fn.Call(1, [2]uint64{1, 0}, WithTenant(tn)).Await(); err != nil {
-		t.Fatalf("attributed call: %v", err)
-	}
-	if st := tn.Stats(); st.Admitted != 1 {
-		t.Fatalf("attributed call not charged: %+v", st)
-	}
-	// The same handle still calls un-attributed, over the base channel.
-	if _, err := fn.Call(1, [2]uint64{2, 0}).Await(); err != nil {
-		t.Fatalf("base call after attributed call: %v", err)
-	}
-	if st := tn.Stats(); st.Admitted != 1 {
-		t.Fatalf("base call charged to tenant: %+v", st)
-	}
-}

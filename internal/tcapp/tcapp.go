@@ -119,19 +119,6 @@ func (b *Builder) Func(name, src string) *Builder {
 	return b.addFile(canonical("jam_", name)+".amc", src)
 }
 
-// Ried adds a hand-written ried in AMC; module-level object definitions
-// become the library's exported data objects.
-func (b *Builder) Ried(name, src string) *Builder {
-	return b.addFile(canonical("ried_", name)+".rdc", src)
-}
-
-// Source adds one raw canonical element file (jam_*.amc/.ams or
-// ried_*.rdc/.rds) — the escape hatch when the typed methods do not
-// fit.
-func (b *Builder) Source(file, src string) *Builder {
-	return b.addFile(file, src)
-}
-
 // dataName validates a data-object symbol.
 func dataName(name string) error {
 	if name == "" {

@@ -34,7 +34,7 @@ func TestRegistryShape(t *testing.T) {
 		if pkg.Name != n {
 			t.Errorf("app %s built package named %s", n, pkg.Name)
 		}
-		if len(pkg.Jams()) == 0 {
+		if len(jams(pkg)) == 0 {
 			t.Errorf("app %s has no jams", n)
 		}
 	}
@@ -102,7 +102,11 @@ func TestDataObjectsExported(t *testing.T) {
 		t.Fatal("no generated ried_kvstore")
 	}
 	for _, sym := range []string{"kv_keys", "kv_vals", "kv_count"} {
-		if _, ok := ried.Ried.FindExport(sym); !ok {
+		found := false
+		for _, e := range ried.Ried.Exports {
+			found = found || e.Name == sym
+		}
+		if !found {
 			t.Errorf("ried_kvstore does not export %s", sym)
 		}
 	}
@@ -123,7 +127,7 @@ func newAppRig(t *testing.T, app string, onExec func(ret uint64, err error)) *ap
 	}
 	// Size frames for the largest jam at the payload sizes the tests use.
 	frame := 0
-	for _, e := range pkg.Jams() {
+	for _, e := range jams(pkg) {
 		need, err := core.InjectedFrameLen(e, 256)
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +147,7 @@ func newAppRig(t *testing.T, app string, onExec func(ret uint64, err error)) *ap
 	}
 	sys.Node(1).OnExecuted = func(ret uint64, _ sim.Duration, err error) { onExec(ret, err) }
 	r := &appRig{sys: sys, fns: map[string]*tc.Func{}}
-	for _, e := range pkg.Jams() {
+	for _, e := range jams(pkg) {
 		fn, err := sys.Func(0, app, e.Name)
 		if err != nil {
 			t.Fatal(err)
@@ -387,4 +391,15 @@ func TestBuildSharedAcrossSystems(t *testing.T) {
 	if !reflect.DeepEqual(rieds, freshRieds) {
 		t.Error("the shared ried package differs from a fresh build after use")
 	}
+}
+
+// jams returns the package's jam elements in ID order.
+func jams(pkg *core.Package) []*core.Element {
+	var out []*core.Element
+	for _, e := range pkg.Elements {
+		if e.Kind == core.ElemJam {
+			out = append(out, e)
+		}
+	}
+	return out
 }

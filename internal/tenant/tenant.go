@@ -192,6 +192,8 @@ func (t *Tenant) Reject(d Decision) *AdmissionError {
 }
 
 // Stats sums the per-node admission counters.
+//
+//tclint:allow deadexport the tc and tenant tests check admission charging through it
 func (t *Tenant) Stats() AdmitStats {
 	var s AdmitStats
 	for i := range t.admitted {
@@ -217,7 +219,6 @@ type Config struct {
 // names, per-node bucket state sized to the node count.
 type Registry struct {
 	nodes  int
-	list   []*Tenant
 	byName map[string]*Tenant
 }
 
@@ -240,7 +241,7 @@ func (g *Registry) Add(cfg Config) (*Tenant, error) {
 	}
 	t := &Tenant{
 		Name:      cfg.Name,
-		ID:        len(g.list),
+		ID:        len(g.byName),
 		Weight:    cfg.Weight,
 		Untrusted: cfg.Untrusted,
 		buckets:   make([]bucket, g.nodes),
@@ -256,7 +257,6 @@ func (g *Registry) Add(cfg Config) (*Tenant, error) {
 		a := cfg.Admission.withDefaults()
 		t.Admission = &a
 	}
-	g.list = append(g.list, t)
 	g.byName[cfg.Name] = t
 	return t, nil
 }
@@ -266,10 +266,3 @@ func (g *Registry) Lookup(name string) (*Tenant, bool) {
 	t, ok := g.byName[name]
 	return t, ok
 }
-
-// List returns the tenants in Add (dense-ID) order; the slice is shared,
-// not a copy.
-func (g *Registry) List() []*Tenant { return g.list }
-
-// Len returns the tenant count.
-func (g *Registry) Len() int { return len(g.list) }

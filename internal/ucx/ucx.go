@@ -60,7 +60,7 @@ func (c *Context) NewWorker(as *mem.AddressSpace, hier *memsim.Hierarchy) *Worke
 		NIC:  c.Fabric.Attach(as, hier),
 		AS:   as,
 		Hier: hier,
-		CPU:  sim.NewResource("ucx-cpu"),
+		CPU:  new(sim.Resource),
 		Eng:  c.Fabric.Engine(),
 	}
 }

@@ -3,6 +3,7 @@ package ucx
 import (
 	"testing"
 
+	"twochains/internal/fabric"
 	"twochains/internal/mem"
 	"twochains/internal/model"
 	"twochains/internal/sim"
@@ -38,7 +39,7 @@ func newPair(t *testing.T) *pair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.bMem, err = p.b.RegisterMemory(p.bBuf, 256*1024, simnet.RemoteWrite|simnet.RemoteRead)
+	p.bMem, err = p.b.RegisterMemory(p.bBuf, 256*1024, simnet.RemoteWrite|fabric.RemoteRead)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -390,6 +390,7 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("vm: fault at pc=0x%x: %v", f.PC, f.Err)
 }
 
+//tclint:allow deadexport errors.As and errors.Is call it through an interface inside package errors
 func (f *Fault) Unwrap() error { return f.Err }
 
 // Call executes the function at entry with up to six arguments, returning

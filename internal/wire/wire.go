@@ -27,6 +27,7 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("%s: %s at offset %d: %v", e.Format, e.Field, e.Off, e.Err)
 }
 
+//tclint:allow deadexport errors.As and errors.Is call it through an interface inside package errors
 func (e *Error) Unwrap() error { return e.Err }
 
 // Reader decodes one format. Once it has failed, every read returns a

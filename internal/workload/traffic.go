@@ -78,18 +78,12 @@ type Planner struct {
 	err  error
 }
 
-// Topology returns the deployment view.
-func (p *Planner) Topology() Topology { return p.topo }
-
 // Nodes returns the node count.
 func (p *Planner) Nodes() int { return p.topo.Nodes }
 
 // Rounds returns the phase's round parameter — the conventional "how
 // many times around" knob; generators are free to interpret it.
 func (p *Planner) Rounds() int { return p.spec.rounds }
-
-// Burst returns the messages per emitted burst.
-func (p *Planner) Burst() int { return p.spec.burst }
 
 // Scenario returns the scenario being planned (read-only by
 // convention).
