@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/bits"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,17 +16,8 @@ import (
 )
 
 func TestRegistry(t *testing.T) {
-	names := fabric.Backends()
-	want := map[string]bool{"ideal": false, "simnet": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("backend %q not registered (have %v)", n, names)
-		}
+	if names, want := fabric.Backends(), []string{"chaos", "ideal", "simnet"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("backends %v, want %v", names, want)
 	}
 	if !fabric.Lookup("") {
 		t.Error("empty name does not resolve to the default backend")

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -248,22 +249,21 @@ func TestUcxBaselines(t *testing.T) {
 	}
 }
 
+// TestRegistryComplete pins the experiment list in tcperf -list order.
 func TestRegistryComplete(t *testing.T) {
-	names := map[string]bool{}
-	for _, e := range Experiments() {
-		names[e.Name] = true
-	}
+	want := []string{"chaos"}
 	for i := 5; i <= 14; i++ {
-		if !names["fig"+strconv.Itoa(i)] {
-			t.Errorf("fig%d not registered", i)
-		}
+		want = append(want, "fig"+strconv.Itoa(i))
 	}
-	for _, extra := range []string{"sssum-conv", "ablate-frames", "ablate-order",
+	want = append(want, "sssum-conv", "ablate-frames", "ablate-order",
 		"ablate-got", "ablate-autoswitch", "ablate-banks", "ablate-secexec",
-		"mesh", "scenarios"} {
-		if !names[extra] {
-			t.Errorf("%s not registered", extra)
-		}
+		"mesh", "scenarios", "tenants")
+	var names []string
+	for _, e := range Experiments() {
+		names = append(names, e.Name)
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("experiments %v,\nwant %v", names, want)
 	}
 	if _, ok := Lookup("fig9"); !ok {
 		t.Error("Lookup failed")

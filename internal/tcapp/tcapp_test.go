@@ -12,19 +12,11 @@ import (
 	"twochains/internal/tcapp"
 )
 
-// TestRegistryShape: the in-tree apps are registered and build.
+// TestRegistryShape: the in-tree apps are listed in name order and build.
 func TestRegistryShape(t *testing.T) {
 	names := tcapp.Names()
-	for _, want := range []string{"histo", "kvstore", "tcbench"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("app %q not registered (have %v)", want, names)
-		}
+	if want := []string{"histo", "kvstore", "tcbench"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("apps %v, want %v", names, want)
 	}
 	for _, n := range names {
 		pkg, err := tcapp.Build(n)

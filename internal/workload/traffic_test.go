@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -29,8 +31,14 @@ func registryScenario(traffic string, seed uint64) Scenario {
 // simulated times; a different seed produces a different run.
 func TestRegisteredTrafficDeterminism(t *testing.T) {
 	names := TrafficNames()
-	if len(names) < 4 {
-		t.Fatalf("registry has %d shapes, want >= 4 (fanout/alltoall/hotspot/ring)", len(names))
+	var builtin []string
+	for _, name := range names {
+		if !strings.HasPrefix(name, "test-") {
+			builtin = append(builtin, name)
+		}
+	}
+	if want := []string{"alltoall", "fanout", "hotspot", "ring"}; !reflect.DeepEqual(builtin, want) {
+		t.Fatalf("built-in shapes %v, want %v", builtin, want)
 	}
 	for _, name := range names {
 		name := name
