@@ -25,7 +25,7 @@
 # `make examples` builds and runs every examples/* binary headless — the
 # cheapest whole-surface smoke of the public API (CI runs it too).
 #
-# `make fuzz-smoke` runs six fuzz targets for 5 s each. FuzzEnsureJam
+# `make fuzz-smoke` runs seven fuzz targets for 5 s each. FuzzEnsureJam
 # (internal/vm): arbitrary bytes at arbitrary (VA, length) sequences must
 # map or be refused, never panic; then FuzzAddressSpaceRecycle (internal/mem):
 # arbitrary accessor sequences on a space grown into poisoned recycled
@@ -45,7 +45,11 @@
 # then FuzzParseFrame (internal/mailbox): slot bytes seeded from frames
 # packed from every tcapp element (injected, local and data kinds) must be
 # refused with a typed *wire.Error or *mem.Fault, or parse into a delivery
-# whose GOT, body, entry, args and payload lie inside the slot.
+# whose GOT, body, entry, args and payload lie inside the slot; then
+# FuzzCompile (internal/amcc): source seeded from the AMC the tcapp apps
+# compile must be refused with a typed *amcc.Error or compile to an object
+# that passes Validate and re-encodes to the same bytes through
+# elfobj.Decode, never panicking.
 # A failing input lands in the package's testdata/fuzz/ — commit it with
 # the fix.
 #
@@ -95,7 +99,8 @@
 # base revision.
 # `make profile` captures CPU+heap profiles of BenchmarkMeshAllToAll for
 # diagnosing regressions (mesh_cpu.prof / mesh_mem.prof, inspect with
-# `go tool pprof`).
+# `go tool pprof`). It does not run vet first: CI runs it after `make
+# check`, which already did.
 
 GO ?= go
 GOFMT ?= gofmt
@@ -171,6 +176,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzPortPut -fuzztime 5s ./internal/fabric
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 5s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzParseFrame -fuzztime 5s ./internal/mailbox
+	$(GO) test -run xxx -fuzz FuzzCompile -fuzztime 5s ./internal/amcc
 
 chaos-smoke:
 	$(GO) test -race -run 'TestFailRejoinDrain' ./internal/workload
@@ -201,7 +207,7 @@ simdiff:
 		diff "$$tmp/base.csv" "$$tmp/new.csv" | head -20; exit 1; \
 	fi
 
-profile: vet
+profile:
 	$(GO) test -run xxx -bench BenchmarkMeshAllToAll -benchtime 20x \
 		-cpuprofile mesh_cpu.prof -memprofile mesh_mem.prof .
 	@echo "profiles: mesh_cpu.prof mesh_mem.prof (go tool pprof -top mesh_cpu.prof)"

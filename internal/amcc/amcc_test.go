@@ -409,6 +409,8 @@ func TestCompileErrors(t *testing.T) {
 		{"callArity", "long g(long a){ return a; }\nlong f(void){ return g(1,2); }", "expects 1 arguments"},
 		{"fnAsValue", "long g(void){ return 0; }\nlong f(void){ return g; }", "used as a value"},
 		{"doubleStar", "long f(long** p){ return 0; }", "indirection"},
+		{"bssLength", "long a[0x7fffffffffffffff];", "does not fit"},
+		{"bssTotal", "long a[0x1fffffff];\nbyte* b[9];", "does not fit"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package amcc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -88,7 +89,11 @@ func (g *codegen) release(r int) {
 			// best-effort once a diagnostic is latched.
 			return
 		}
-		// LIFO discipline violated: a compiler bug, surface loudly.
+		// LIFO discipline violated. No source reaches this: every
+		// generator releases the registers it allocated in reverse order
+		// on each path that has not latched a diagnostic (FuzzCompile
+		// checks it from arbitrary source), so it is a codegen bug, and
+		// panicking beats emitting code that clobbers a live value.
 		panic(fmt.Sprintf("amcc: scratch release out of order (r%d, stack %v)", r, g.inUse))
 	}
 	g.inUse = g.inUse[:len(g.inUse)-1]
@@ -161,7 +166,17 @@ func (g *codegen) run() (string, error) {
 	}
 	if len(bsses) > 0 {
 		g.emit(".bss")
+		// An object's .bss size is 32 bits wide; a length past it (or one
+		// that parsed negative from a 64-bit hex constant) is a diagnostic,
+		// not a negative .space the assembler rejects or a size it
+		// truncates.
+		var total int64
 		for _, gd := range bsses {
+			if gd.count < 0 || gd.count > (math.MaxUint32-total)/gd.elem {
+				g.errf(gd.line, "array %q does not fit the 4 GiB .bss", gd.name)
+				return "", g.compErr
+			}
+			total += gd.count * gd.elem
 			g.emit(".global %s", gd.name)
 			g.emit("%s:", gd.name)
 			g.emit("    .space %d", gd.count*gd.elem)
@@ -203,6 +218,8 @@ func (g *codegen) genFunc(fn *function) {
 	g.emit("    ret")
 	if len(g.inUse) != 0 {
 		if g.compErr == nil {
+			// Unreachable from source for the reason release gives: a
+			// statement releases what its expressions allocated.
 			panic(fmt.Sprintf("amcc: scratch registers leaked in %s: %v", fn.name, g.inUse))
 		}
 		g.inUse = g.inUse[:0]

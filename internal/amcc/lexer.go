@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
 )
 
 type tokKind int
@@ -117,7 +116,9 @@ scan:
 	c := lx.src[lx.pos]
 	start := lx.pos
 	switch {
-	case unicode.IsLetter(rune(c)) || c == '_':
+	case c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_':
+		// ASCII only: a byte that starts an identifier must also continue
+		// one (isIdentChar), or the token is empty and the lexer stalls.
 		for lx.pos < len(lx.src) && (isIdentChar(lx.src[lx.pos])) {
 			lx.pos++
 		}

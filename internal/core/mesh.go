@@ -8,12 +8,9 @@ import (
 	"twochains/internal/linker"
 	"twochains/internal/mailbox"
 	"twochains/internal/sim"
+	"twochains/internal/simnet"
 	"twochains/internal/ucx"
 	"twochains/internal/vm"
-
-	// Register the default "simnet" fabric backend; core itself speaks
-	// only to the fabric.Transport interface.
-	_ "twochains/internal/simnet"
 )
 
 // MeshConfig sizes a many-node injection fabric.
@@ -28,11 +25,12 @@ type MeshConfig struct {
 	// Ordered is the fabric write-order guarantee (paper testbed: true).
 	Ordered bool
 	Seed    uint64
-	// Backend names the fabric transport ("" selects the default,
-	// "simnet"); see fabric.Backends for the registered set.
+	// Backend names the fabric transport: "simnet" (the default, also
+	// selected by ""), "ideal" or "chaos".
 	Backend string
-	// Chaos configures the "chaos" failure-injection backend. Every other
-	// backend ignores it, but NewMesh refuses a malformed one (see
+	// Chaos configures the "chaos" failure-injection backend. When set,
+	// it wraps whatever Backend selects (the default Inner), so Backend
+	// need not say "chaos". NewMesh refuses a malformed one (see
 	// fabric.ChaosConfig.Validate).
 	Chaos *fabric.ChaosConfig
 
@@ -137,13 +135,6 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("core: mesh needs >= 2 nodes, got %d", cfg.Nodes)
 	}
-	if cfg.Backend == "chaos" || cfg.Chaos != nil {
-		// The chaos constructor has no error return and panics on a bad
-		// config; refuse one here instead.
-		if err := cfg.Chaos.Validate(); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
@@ -163,7 +154,7 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		cfg.Geometry.FrameSize = def.FrameSize
 	}
 	eng := sim.NewEngine()
-	fab, err := fabric.New(cfg.Backend, eng, fabric.Config{Ordered: cfg.Ordered, Seed: cfg.Seed, Chaos: cfg.Chaos})
+	fab, err := newTransport(eng, cfg.Backend, cfg.Chaos, fabric.Config{Ordered: cfg.Ordered, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -186,6 +177,35 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		}
 	}
 	return m, nil
+}
+
+// newTransport builds the named fabric backend on eng. A set chaos config
+// wraps any other backend in "chaos" (it becomes the default Inner), and
+// "chaos" builds its Inner through this same switch.
+func newTransport(eng *sim.Engine, backend string, chaos *fabric.ChaosConfig, cfg fabric.Config) (fabric.Transport, error) {
+	if chaos != nil && backend != "chaos" {
+		cc := *chaos
+		if cc.Inner == "" {
+			cc.Inner = backend
+		}
+		backend, chaos = "chaos", &cc
+	}
+	switch backend {
+	case "", "simnet":
+		return simnet.NewFabric(eng, cfg), nil
+	case "ideal":
+		return fabric.NewIdeal(eng, cfg), nil
+	case "chaos":
+		if err := chaos.Validate(); err != nil {
+			return nil, err
+		}
+		inner, err := newTransport(eng, chaos.Inner, nil, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return fabric.NewChaos(inner, *chaos, cfg.Seed), nil
+	}
+	return nil, fmt.Errorf("fabric: unknown backend %q (registered: [chaos ideal simnet])", backend)
 }
 
 // Nodes returns the node count.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"twochains/internal/fabric"
 	"twochains/internal/mailbox"
 	"twochains/internal/mem"
 	"twochains/internal/memsim"
@@ -34,6 +35,35 @@ func TestMeshShardAssignment(t *testing.T) {
 	}
 	if _, err := NewMesh(MeshConfig{Nodes: 1}); err == nil {
 		t.Error("1-node mesh accepted")
+	}
+}
+
+// TestMeshChaosWrapsBackend: a set Chaos wraps whatever Backend selects
+// in the chaos fabric, also when Backend does not say "chaos".
+func TestMeshChaosWrapsBackend(t *testing.T) {
+	for _, c := range []struct{ backend, inner, label string }{
+		{"", "", "chaos(nic0)"},
+		{"ideal", "", "chaos(ideal0)"},
+		{"chaos", "", "chaos(nic0)"},
+		{"simnet", "ideal", "chaos(ideal0)"},
+	} {
+		cfg := quickMeshCfg(2, 1)
+		cfg.Backend = c.backend
+		cfg.Chaos = &fabric.ChaosConfig{Inner: c.inner, MaxDelay: sim.Nanosecond}
+		m, err := NewMesh(cfg)
+		if err != nil {
+			t.Fatalf("backend %q: %v", c.backend, err)
+		}
+		if _, ok := m.Fabric.(*fabric.Chaos); !ok {
+			t.Errorf("backend %q with Chaos set built a %T", c.backend, m.Fabric)
+		}
+		if got := m.Node(0).Worker.NIC.Label(); got != c.label {
+			t.Errorf("backend %q, inner %q: port %s, want %s", c.backend, c.inner, got, c.label)
+		}
+		if cfg.Chaos.Inner != c.inner {
+			t.Errorf("NewMesh rewrote the caller's ChaosConfig.Inner to %q", cfg.Chaos.Inner)
+		}
+		m.Close()
 	}
 }
 

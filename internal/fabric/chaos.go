@@ -9,10 +9,6 @@ import (
 	"twochains/internal/sim"
 )
 
-func init() {
-	Register("chaos", NewChaos)
-}
-
 // MaxChaosDelay caps the per-put perturbation the chaos backend will
 // accept. The wrapper defers the inner put — including its payload
 // snapshot — by the drawn delay, and a sender's staging slot is only
@@ -22,10 +18,9 @@ func init() {
 var MaxChaosDelay = model.PutBaseLat
 
 // ChaosConfig parameterizes the "chaos" backend: a failure-injection
-// wrapper around any other registered backend. It perturbs put issue
-// latency within declared bounds using the deployment's deterministic
-// RNG (equal seeds draw equal perturbations, so chaos runs replay
-// bit-identically).
+// wrapper around another backend. It perturbs put issue latency within
+// declared bounds using the deployment's deterministic RNG (equal seeds
+// draw equal perturbations, so chaos runs replay bit-identically).
 type ChaosConfig struct {
 	// Inner names the wrapped backend ("" selects the default). Wrapping
 	// "chaos" in itself is rejected.
@@ -38,18 +33,16 @@ type ChaosConfig struct {
 	MinDelay, MaxDelay sim.Duration
 }
 
-// Validate reports a malformed config as an error: a nil config, an
-// unregistered or self-wrapping Inner, or delay bounds outside
+// Validate reports a malformed config as an error: a nil config, a
+// self-wrapping Inner, or delay bounds outside
 // 0 <= MinDelay <= MaxDelay <= MaxChaosDelay. core.NewMesh calls it before
-// it builds the fabric.
+// it builds the inner backend, whose build refuses an unknown Inner.
 func (c *ChaosConfig) Validate() error {
 	switch {
 	case c == nil:
 		return fmt.Errorf(`fabric: the "chaos" backend needs a ChaosConfig`)
 	case c.Inner == "chaos":
 		return fmt.Errorf("fabric: chaos backend cannot wrap itself")
-	case !Lookup(c.Inner):
-		return fmt.Errorf("fabric: unknown backend %q (registered: %v)", c.Inner, Backends())
 	case c.MinDelay < 0 || c.MaxDelay < c.MinDelay:
 		return fmt.Errorf("fabric: chaos: need 0 <= MinDelay <= MaxDelay, have [%dps, %dps]", c.MinDelay, c.MaxDelay)
 	case c.MaxDelay > MaxChaosDelay:
@@ -69,19 +62,11 @@ type Chaos struct {
 	rng   *sim.RNG
 }
 
-// NewChaos constructs the wrapper; it is registered as "chaos". The
-// Constructor signature has no error return, so a config that skipped
-// Validate and fails it panics here.
-func NewChaos(eng *sim.Engine, cfg Config) Transport {
-	if err := cfg.Chaos.Validate(); err != nil {
-		panic(err)
-	}
-	c := *cfg.Chaos
-	inner := cfg
-	inner.Chaos = nil
-	// Validate checked that Inner is registered, so New cannot fail.
-	it, _ := New(c.Inner, eng, inner)
-	return &Chaos{cfg: c, inner: it, eng: eng, rng: sim.NewRNG(cfg.Seed ^ 0x6368616f73)} // "chaos"
+// NewChaos wraps the built inner transport. cfg must pass Validate;
+// seed is the deployment's fabric seed, from which the perturbation RNG
+// derives.
+func NewChaos(inner Transport, cfg ChaosConfig, seed uint64) *Chaos {
+	return &Chaos{cfg: cfg, inner: inner, eng: inner.Engine(), rng: sim.NewRNG(seed ^ 0x6368616f73)} // "chaos"
 }
 
 // Engine returns the inner backend's event clock.

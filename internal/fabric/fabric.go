@@ -1,10 +1,10 @@
 // Package fabric defines the pluggable interconnect backend interface the
 // Two-Chains runtime is built against. The runtime layers (ucx, mailbox,
-// core, tc) speak only to Transport and Port; concrete interconnect models
-// register themselves by name, so alternate backends can be slotted into a
-// deployment without the upper layers changing.
+// core, tc) speak only to Transport and Port, so the interconnect model
+// under a deployment can change without the upper layers changing.
 //
-// Three backends ship in-tree:
+// Three backends ship in-tree; core.MeshConfig.Backend selects one by
+// name:
 //
 //   - "simnet" (package internal/simnet, the default): the paper-testbed
 //     RDMA model — per-direction wires, NIC tx queues, fabric-shard spine
@@ -26,10 +26,6 @@
 package fabric
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"twochains/internal/mem"
 	"twochains/internal/memsim"
 	"twochains/internal/sim"
@@ -99,72 +95,4 @@ type Config struct {
 	// Seed drives the backend's stochastic models (rkey generation,
 	// delivery jitter).
 	Seed uint64
-	// Chaos configures the "chaos" failure-injection wrapper backend and
-	// is ignored by every other backend. Callers check it with
-	// ChaosConfig.Validate first, as core.NewMesh does.
-	Chaos *ChaosConfig
-}
-
-// Constructor builds one backend instance on the given engine.
-type Constructor func(eng *sim.Engine, cfg Config) Transport
-
-// DefaultBackend is the backend New selects for the empty name.
-const DefaultBackend = "simnet"
-
-var (
-	regMu    sync.RWMutex
-	backends = map[string]Constructor{}
-)
-
-// Register makes a backend available under name. It is intended to be
-// called from backend package init functions; registering a duplicate name
-// panics.
-func Register(name string, c Constructor) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if name == "" || c == nil {
-		panic("fabric: Register with empty name or nil constructor")
-	}
-	if _, dup := backends[name]; dup {
-		panic(fmt.Sprintf("fabric: backend %q registered twice", name))
-	}
-	backends[name] = c
-}
-
-// Lookup reports whether a backend name is registered ("" resolves to the
-// default).
-func Lookup(name string) bool {
-	if name == "" {
-		name = DefaultBackend
-	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := backends[name]
-	return ok
-}
-
-// Backends lists the registered backend names in sorted order.
-func Backends() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(backends))
-	for n := range backends {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// New instantiates the named backend ("" selects DefaultBackend).
-func New(name string, eng *sim.Engine, cfg Config) (Transport, error) {
-	if name == "" {
-		name = DefaultBackend
-	}
-	regMu.RLock()
-	c, ok := backends[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("fabric: unknown backend %q (registered: %v)", name, Backends())
-	}
-	return c(eng, cfg), nil
 }

@@ -8,42 +8,75 @@ import (
 	"strings"
 	"testing"
 
+	"twochains/internal/core"
 	"twochains/internal/fabric"
 	"twochains/internal/mem"
 	"twochains/internal/sim"
-
-	_ "twochains/internal/simnet" // register the default backend
+	"twochains/internal/simnet"
 )
 
+// TestRegistry: core.NewMesh builds every in-tree backend by name, ""
+// selects simnet, and an unknown name is an error naming the set
+// [chaos ideal simnet].
 func TestRegistry(t *testing.T) {
-	if names, want := fabric.Backends(), []string{"chaos", "ideal", "simnet"}; !reflect.DeepEqual(names, want) {
-		t.Errorf("backends %v, want %v", names, want)
+	for _, c := range []struct {
+		name string
+		want fabric.Transport
+	}{
+		{"chaos", (*fabric.Chaos)(nil)},
+		{"ideal", (*fabric.Ideal)(nil)},
+		{"simnet", (*simnet.Fabric)(nil)},
+		{"", (*simnet.Fabric)(nil)},
+	} {
+		cfg := core.DefaultMeshConfig(2)
+		cfg.Backend = c.name
+		if c.name == "chaos" {
+			cfg.Chaos = &fabric.ChaosConfig{}
+		}
+		m, err := core.NewMesh(cfg)
+		if err != nil {
+			t.Fatalf("backend %q: %v", c.name, err)
+		}
+		if got, want := reflect.TypeOf(m.Fabric), reflect.TypeOf(c.want); got != want {
+			t.Errorf("backend %q built a %v, want a %v", c.name, got, want)
+		}
+		m.Close()
 	}
-	if !fabric.Lookup("") {
-		t.Error("empty name does not resolve to the default backend")
-	}
-	if fabric.Lookup("warp-drive") {
-		t.Error("Lookup found an unregistered backend")
-	}
-	if _, err := fabric.New("warp-drive", sim.NewEngine(), fabric.Config{}); err == nil {
-		t.Error("New with unknown backend did not fail")
+	cfg := core.DefaultMeshConfig(2)
+	cfg.Backend = "warp-drive"
+	_, err := core.NewMesh(cfg)
+	if want := `core: fabric: unknown backend "warp-drive" (registered: [chaos ideal simnet])`; err == nil || err.Error() != want {
+		t.Errorf("unknown backend: %v, want %s", err, want)
 	}
 }
 
-// contractBackend is one backend every Port must behave alike on. foreign
-// names a backend whose ports it must refuse as put destinations.
+// contractBackend is one backend every Port must behave alike on, built
+// on a fresh engine by build. foreign builds a backend whose ports it must
+// refuse as put destinations.
 type contractBackend struct {
-	name, backend, foreign string
-	chaos                  *fabric.ChaosConfig
+	name           string
+	build, foreign func(*sim.Engine) fabric.Transport
+}
+
+// contractConfig is the fabric configuration every contract backend runs.
+var contractConfig = fabric.Config{Ordered: true, Seed: 1}
+
+func newSimnet(eng *sim.Engine) fabric.Transport { return simnet.NewFabric(eng, contractConfig) }
+
+func newIdeal(eng *sim.Engine) fabric.Transport { return fabric.NewIdeal(eng, contractConfig) }
+
+// chaosOver wraps the transports inner builds in a chaos backend.
+func chaosOver(inner func(*sim.Engine) fabric.Transport) func(*sim.Engine) fabric.Transport {
+	return func(eng *sim.Engine) fabric.Transport {
+		return fabric.NewChaos(inner(eng), fabric.ChaosConfig{MaxDelay: 100 * sim.Nanosecond}, contractConfig.Seed)
+	}
 }
 
 var contractBackends = []contractBackend{
-	{name: "simnet", backend: "simnet", foreign: "ideal"},
-	{name: "ideal", backend: "ideal", foreign: "simnet"},
-	{name: "chaos(simnet)", backend: "chaos", foreign: "simnet",
-		chaos: &fabric.ChaosConfig{Inner: "simnet", MaxDelay: 100 * sim.Nanosecond}},
-	{name: "chaos(ideal)", backend: "chaos", foreign: "ideal",
-		chaos: &fabric.ChaosConfig{Inner: "ideal", MaxDelay: 100 * sim.Nanosecond}},
+	{name: "simnet", build: newSimnet, foreign: newIdeal},
+	{name: "ideal", build: newIdeal, foreign: newSimnet},
+	{name: "chaos(simnet)", build: chaosOver(newSimnet), foreign: newSimnet},
+	{name: "chaos(ideal)", build: chaosOver(newIdeal), foreign: newIdeal},
 }
 
 const spaceSize = 16 << 10
@@ -57,19 +90,10 @@ type portEnv struct {
 	key, roKey fabric.RKey
 }
 
-func newTransport(t testing.TB, eng *sim.Engine, backend string, chaos *fabric.ChaosConfig) fabric.Transport {
-	t.Helper()
-	tr, err := fabric.New(backend, eng, fabric.Config{Ordered: true, Seed: 1, Chaos: chaos})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
 func newPortEnv(t *testing.T, c contractBackend) *portEnv {
 	t.Helper()
 	e := &portEnv{eng: sim.NewEngine()}
-	tr := newTransport(t, e.eng, c.backend, c.chaos)
+	tr := c.build(e.eng)
 	e.a = tr.Attach(mem.NewAddressSpace(spaceSize), nil)
 	e.b = tr.Attach(mem.NewAddressSpace(spaceSize), nil)
 	var err error
@@ -143,8 +167,7 @@ func TestPortContract(t *testing.T) {
 			for bad == e.roKey || bad == 0 {
 				bad++
 			}
-			ftr := newTransport(t, sim.NewEngine(), c.foreign, nil)
-			foreign := ftr.Attach(mem.NewAddressSpace(spaceSize), nil)
+			foreign := c.foreign(sim.NewEngine()).Attach(mem.NewAddressSpace(spaceSize), nil)
 			for _, r := range []struct {
 				name string
 				dst  fabric.Port
@@ -262,7 +285,7 @@ func FuzzPortPut(f *testing.F) {
 		}
 		c := contractBackends[int(prog[0])%len(contractBackends)]
 		eng := sim.NewEngine()
-		tr := newTransport(t, eng, c.backend, c.chaos)
+		tr := c.build(eng)
 		asA, asB := mem.NewAddressSpace(spaceSize), mem.NewAddressSpace(spaceSize)
 		defer asA.Release()
 		defer asB.Release()

@@ -9,10 +9,6 @@ import (
 	"twochains/internal/sim"
 )
 
-func init() {
-	Register("ideal", NewIdeal)
-}
-
 // Ideal is the contention-free reference backend: every put pays the base
 // one-way latency plus wire serialization time for its size, and nothing
 // else — no NIC occupancy, no shared wires, no spine uplinks, no protocol
@@ -29,8 +25,8 @@ type Ideal struct {
 	bufs mem.Shelf[[]byte]
 }
 
-// NewIdeal constructs the ideal backend; it is registered as "ideal".
-func NewIdeal(eng *sim.Engine, cfg Config) Transport {
+// NewIdeal constructs the ideal backend.
+func NewIdeal(eng *sim.Engine, cfg Config) *Ideal {
 	return &Ideal{eng: eng, rng: sim.NewRNG(cfg.Seed ^ 0x697f4561)}
 }
 

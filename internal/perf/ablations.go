@@ -7,14 +7,6 @@ import (
 // Ablations cover the design choices DESIGN.md calls out: frame sizing,
 // ordering guarantees, GOT insertion policy, the injected-to-local
 // auto-switch, and mailbox bank geometry.
-func registerAblations() {
-	register("ablate-frames", "fixed vs variable frame size (extra signal wait)", ablateFrames)
-	register("ablate-order", "ordered fabric vs fence + separate signal put", ablateOrder)
-	register("ablate-got", "sender-set GOT pointer vs receiver insertion (§V)", ablateGot)
-	register("ablate-autoswitch", "auto-switch injected->local on re-injection (§VIII)", ablateAutoswitch)
-	register("ablate-banks", "bank/mailbox geometry for injection rate", ablateBanks)
-	register("ablate-secexec", "RWX mailbox vs SecureExec copy-before-run (§V)", ablateSecExec)
-}
 
 func ablateFrames(o Options) (*Table, error) {
 	t := &Table{

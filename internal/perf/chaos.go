@@ -7,10 +7,6 @@ import (
 	"twochains/internal/workload"
 )
 
-func init() {
-	register("chaos", "Chaos fabric: goodput under put perturbation and a fail/rejoin drain profile", chaosExp)
-}
-
 // chaosExp measures what failure injection costs: the same mesh
 // scenario clean, under chaos perturbation, and with a mid-run node
 // failure plus rejoin — goodput, the loss ledger, and the drain

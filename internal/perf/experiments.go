@@ -39,22 +39,41 @@ type Experiment struct {
 	Run   func(Options) (*Table, error)
 }
 
-var registry []Experiment
-
-func register(name, title string, run func(Options) (*Table, error)) {
-	registry = append(registry, Experiment{Name: name, Title: title, Run: run})
+// experiments is every experiment, in tcperf -list order.
+var experiments = []Experiment{
+	{Name: "chaos", Title: "Chaos fabric: goodput under put perturbation and a fail/rejoin drain profile", Run: chaosExp},
+	{Name: "fig5", Title: "Server-Side Sum: AM put without-execution latency vs UCX put", Run: fig5},
+	{Name: "fig6", Title: "Server-Side Sum: AM put without-execution bandwidth vs UCX put", Run: fig6},
+	{Name: "fig7", Title: "Indirect Put: latency, Injected vs Local Function", Run: fig7},
+	{Name: "fig8", Title: "Indirect Put: message rate, Injected vs Local Function", Run: fig8},
+	{Name: "fig9", Title: "Indirect Put: latency with LLC stashing on/off", Run: fig9},
+	{Name: "fig10", Title: "Indirect Put: message rate with LLC stashing on/off", Run: fig10},
+	{Name: "fig11", Title: "Indirect Put: tail latency on loaded system, stash vs nonstash", Run: fig11},
+	{Name: "fig12", Title: "Server-Side Sum: tail latency on loaded system, stash vs nonstash", Run: fig12},
+	{Name: "fig13", Title: "Indirect Put: WFE vs polling, latency and CPU cycles", Run: fig13},
+	{Name: "fig14", Title: "Server-Side Sum: WFE vs polling, latency and CPU cycles", Run: fig14},
+	{Name: "sssum-conv", Title: "Server-Side Sum: Injected vs Local convergence (§VII-A text)", Run: sssumConv},
+	{Name: "ablate-frames", Title: "fixed vs variable frame size (extra signal wait)", Run: ablateFrames},
+	{Name: "ablate-order", Title: "ordered fabric vs fence + separate signal put", Run: ablateOrder},
+	{Name: "ablate-got", Title: "sender-set GOT pointer vs receiver insertion (§V)", Run: ablateGot},
+	{Name: "ablate-autoswitch", Title: "auto-switch injected->local on re-injection (§VIII)", Run: ablateAutoswitch},
+	{Name: "ablate-banks", Title: "bank/mailbox geometry for injection rate", Run: ablateBanks},
+	{Name: "ablate-secexec", Title: "RWX mailbox vs SecureExec copy-before-run (§V)", Run: ablateSecExec},
+	{Name: "mesh", Title: "Sharded mesh: mixed-workload injection rates by pattern and node count", Run: meshExp},
+	{Name: "scenarios", Title: "Composed scenarios: open-loop kvstore and multi-phase multi-package runs", Run: scenariosExp},
+	{Name: "tenants", Title: "Multi-tenant overload: weighted-fair goodput shares and per-tenant p99 under 1-8x offered load", Run: tenantsExp},
 }
 
-// Experiments lists all registered experiments in definition order.
+// Experiments lists all experiments in tcperf -list order.
 func Experiments() []Experiment {
-	out := make([]Experiment, len(registry))
-	copy(out, registry)
+	out := make([]Experiment, len(experiments))
+	copy(out, experiments)
 	return out
 }
 
 // Lookup finds an experiment by name.
 func Lookup(name string) (Experiment, bool) {
-	for _, e := range registry {
+	for _, e := range experiments {
 		if e.Name == name {
 			return e, true
 		}
@@ -88,21 +107,6 @@ func latencyIters(o Options, base, payload int) (warmup, iters int) {
 		w = 5
 	}
 	return w, n
-}
-
-func init() {
-	register("fig5", "Server-Side Sum: AM put without-execution latency vs UCX put", fig5)
-	register("fig6", "Server-Side Sum: AM put without-execution bandwidth vs UCX put", fig6)
-	register("fig7", "Indirect Put: latency, Injected vs Local Function", fig7)
-	register("fig8", "Indirect Put: message rate, Injected vs Local Function", fig8)
-	register("fig9", "Indirect Put: latency with LLC stashing on/off", fig9)
-	register("fig10", "Indirect Put: message rate with LLC stashing on/off", fig10)
-	register("fig11", "Indirect Put: tail latency on loaded system, stash vs nonstash", fig11)
-	register("fig12", "Server-Side Sum: tail latency on loaded system, stash vs nonstash", fig12)
-	register("fig13", "Indirect Put: WFE vs polling, latency and CPU cycles", fig13)
-	register("fig14", "Server-Side Sum: WFE vs polling, latency and CPU cycles", fig14)
-	register("sssum-conv", "Server-Side Sum: Injected vs Local convergence (§VII-A text)", sssumConv)
-	registerAblations()
 }
 
 func fig5(o Options) (*Table, error) {

@@ -6,10 +6,6 @@ import (
 	"twochains/internal/workload"
 )
 
-func init() {
-	register("mesh", "Sharded mesh: mixed-workload injection rates by pattern and node count", meshExp)
-}
-
 // meshIters scales the per-sender round count with the option multiplier.
 func meshIters(o Options) int {
 	if o.Scale <= 0 {

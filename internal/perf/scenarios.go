@@ -6,10 +6,6 @@ import (
 	"twochains/internal/workload"
 )
 
-func init() {
-	register("scenarios", "Composed scenarios: open-loop kvstore and multi-phase multi-package runs", scenariosExp)
-}
-
 // scenariosExp runs the composed application-package scenarios — the
 // widened workload surface beyond the three tcbench patterns — and
 // reports per-phase completion alongside the usual rate and batching

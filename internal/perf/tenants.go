@@ -6,10 +6,6 @@ import (
 	"twochains/internal/workload"
 )
 
-func init() {
-	register("tenants", "Multi-tenant overload: weighted-fair goodput shares and per-tenant p99 under 1-8x offered load", tenantsExp)
-}
-
 // tenantsExp sweeps the stock two-tenant overload composition (gold
 // weighted 3, bronze 1, identical offered load) across offered-load
 // multipliers and reports each tenant's goodput inside the overlap

@@ -28,12 +28,6 @@ import (
 	"twochains/internal/sim"
 )
 
-func init() {
-	fabric.Register("simnet", func(eng *sim.Engine, cfg Config) fabric.Transport {
-		return NewFabric(eng, cfg)
-	})
-}
-
 // RKey is an InfiniBand-style 32-bit remote access key.
 type RKey = fabric.RKey
 
@@ -50,7 +44,7 @@ func DefaultConfig() Config {
 }
 
 // Fabric connects NICs with per-direction wires. It implements
-// fabric.Transport and registers itself as the "simnet" backend.
+// fabric.Transport; core.MeshConfig selects it as the "simnet" backend.
 type Fabric struct {
 	eng  *sim.Engine
 	cfg  Config

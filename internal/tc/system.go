@@ -111,8 +111,8 @@ func WithChannelOptions(co core.ChannelOptions) SystemOpt {
 // failure-injection transport: per-put latency perturbation within the
 // declared bounds, drawn from the deployment's deterministic RNG (see
 // fabric.ChaosConfig). The wrapped backend is whatever WithBackend
-// selected (resolved when the system is built, so option order does not
-// matter), unless cc.Inner names one explicitly.
+// selected, unless cc.Inner names one explicitly; core.NewMesh resolves
+// it, so option order does not matter.
 func WithChaos(cc fabric.ChaosConfig) SystemOpt {
 	return func(c *core.MeshConfig) { c.Chaos = &cc }
 }
@@ -129,13 +129,6 @@ func NewSystem(n int, opts ...SystemOpt) (*System, error) {
 	cfg := core.DefaultMeshConfig(n)
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.Chaos != nil && cfg.Backend != "chaos" {
-		// WithChaos wraps whatever backend the other options selected.
-		if cfg.Chaos.Inner == "" {
-			cfg.Chaos.Inner = cfg.Backend
-		}
-		cfg.Backend = "chaos"
 	}
 	m, err := core.NewMesh(cfg)
 	if err != nil {

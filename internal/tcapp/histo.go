@@ -72,16 +72,6 @@ func BuildHisto() (*core.Package, error) {
 		Build()
 }
 
-func init() {
-	Register(App{
-		Name:       "histo",
-		Doc:        "byte histogram + weighted reduce: jam_hist_add/sum over ried_histo",
-		Build:      BuildHisto,
-		BuildRieds: func() (*core.Package, error) { return histoData(New("histo")).Build() },
-		NewOracle:  func() Oracle { return NewHistoOracle() },
-	})
-}
-
 // HistoOracle is the native model of one node's histo state.
 type HistoOracle struct {
 	buckets [histBuckets]uint64

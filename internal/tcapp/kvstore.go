@@ -123,16 +123,6 @@ func BuildKVStore() (*core.Package, error) {
 		Build()
 }
 
-func init() {
-	Register(App{
-		Name:       "kvstore",
-		Doc:        "open-addressed key/value table: jam_kv_put/get/scan over ried_kvstore",
-		Build:      BuildKVStore,
-		BuildRieds: func() (*core.Package, error) { return kvStoreData(New("kvstore")).Build() },
-		NewOracle:  func() Oracle { return NewKVOracle() },
-	})
-}
-
 // KVOracle is the native model of one node's kvstore state.
 type KVOracle struct {
 	keys  [kvSlots]uint64

@@ -1,8 +1,8 @@
 // Package tcapp is the application-package authoring layer: a builder
 // for composing Two-Chains packages from Go source strings, and a
-// by-name registry of the applications shipped in-tree, so workloads
-// select packages as data ("kvstore") instead of hard-wiring build
-// calls.
+// fixed table of the applications shipped in-tree, looked up by name,
+// so workloads select packages as data ("kvstore") instead of
+// hard-wiring build calls.
 //
 // # Authoring
 //
@@ -39,7 +39,7 @@
 //
 // # Oracles
 //
-// Every in-tree app registers a native oracle: a pure-Go model of one
+// Every in-tree app carries a native oracle: a pure-Go model of one
 // node's server-side state whose Apply mirrors each handler execution
 // (same element, args, payload => same return value). Equivalence tests
 // drive identical traffic through the simulated fabric and the oracle
@@ -50,7 +50,6 @@ package tcapp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -223,7 +222,7 @@ func (b *Builder) Build() (*core.Package, error) {
 	return core.BuildPackage(b.name, files)
 }
 
-// App is one registered application package: how to build it, a fresh
+// App is one in-tree application package: how to build it, a fresh
 // native oracle for its server-side semantics (nil when the app has
 // none), and a one-line description for tooling.
 type App struct {
@@ -250,50 +249,81 @@ type Oracle interface {
 	Apply(elem string, args [2]uint64, usr []byte) (uint64, error)
 }
 
-// entry is a registered app and its two builds, each made on first use
-// and shared after. A name registers once, so it has exactly one build:
-// nothing invalidates.
+// entry is an in-tree app and its two builds, each made on first use
+// and shared after. Nothing invalidates a build.
 type entry struct {
 	App
 	full, rieds func() (*core.Package, error)
 }
 
-var registry = map[string]*entry{}
-
-// Register adds an app to the registry. It panics on duplicates or
-// missing fields — registration happens at init time, where a panic is
-// a build error.
-func Register(app App) {
-	if app.Name == "" || app.Build == nil {
-		panic("tcapp: Register: app needs a name and a Build function")
-	}
-	if _, dup := registry[app.Name]; dup {
-		panic("tcapp: Register: duplicate app " + app.Name)
-	}
+// newEntry memoizes app's builds; without a BuildRieds, a rieds-only
+// build shares the full one.
+func newEntry(app App) *entry {
 	e := &entry{App: app, full: sync.OnceValues(app.Build)}
 	e.rieds = e.full
 	if app.BuildRieds != nil {
 		e.rieds = sync.OnceValues(app.BuildRieds)
 	}
-	registry[app.Name] = e
+	return e
 }
 
-// Lookup returns the registered app.
+// apps is the in-tree set, in name order.
+var apps = []*entry{
+	newEntry(App{
+		Name:       "histo",
+		Doc:        "byte histogram + weighted reduce: jam_hist_add/sum over ried_histo",
+		Build:      BuildHisto,
+		BuildRieds: func() (*core.Package, error) { return histoData(New("histo")).Build() },
+		NewOracle:  func() Oracle { return NewHistoOracle() },
+	}),
+	newEntry(App{
+		Name:       "kvstore",
+		Doc:        "open-addressed key/value table: jam_kv_put/get/scan over ried_kvstore",
+		Build:      BuildKVStore,
+		BuildRieds: func() (*core.Package, error) { return kvStoreData(New("kvstore")).Build() },
+		NewOracle:  func() Oracle { return NewKVOracle() },
+	}),
+	// The benchmark package of paper §VI-B, listed so scenario mixes can
+	// name it like any other app. Its oracle covers Server-Side Sum;
+	// Indirect Put's placement semantics are pinned by the dedicated
+	// equivalence tests in core.
+	newEntry(App{
+		Name:  "tcbench",
+		Doc:   "paper benchmark package: jam_sssum, jam_iput, jam_hello + ried_kvbench",
+		Build: core.BuildBenchPackage,
+		BuildRieds: func() (*core.Package, error) {
+			return core.BuildPackage("tcbench", map[string]string{
+				"ried_kvbench.rds": core.RiedKVBenchSrc,
+			})
+		},
+		NewOracle: func() Oracle { return &benchOracle{} },
+	}),
+}
+
+// find returns the named app's entry, or nil.
+func find(name string) *entry {
+	for _, e := range apps {
+		if e.Name == name {
+			return e
+		}
+	}
+	return nil
+}
+
+// Lookup returns the named in-tree app.
 func Lookup(name string) (App, bool) {
-	e, ok := registry[name]
-	if !ok {
-		return App{}, false
+	if e := find(name); e != nil {
+		return e.App, true
 	}
-	return e.App, true
+	return App{}, false
 }
 
-// Names lists the registered apps in sorted order.
+// Names lists the in-tree apps in sorted order.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
+	out := make([]string, len(apps))
+	for i, e := range apps {
+		out[i] = e.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -301,8 +331,8 @@ func Names() []string {
 // the process. Every caller shares the one value: a built package is
 // immutable (installing it only reads it), so treat it as read-only.
 func Build(name string) (*core.Package, error) {
-	e, ok := registry[name]
-	if !ok {
+	e := find(name)
+	if e == nil {
 		return nil, fmt.Errorf("tcapp: no registered app %q (have %v)", name, Names())
 	}
 	return e.full()
@@ -313,29 +343,11 @@ func Build(name string) (*core.Package, error) {
 // lighter path fall back to the full build (the swap installer filters to
 // ElemRied either way).
 func BuildRieds(name string) (*core.Package, error) {
-	e, ok := registry[name]
-	if !ok {
+	e := find(name)
+	if e == nil {
 		return nil, fmt.Errorf("tcapp: no registered app %q (have %v)", name, Names())
 	}
 	return e.rieds()
-}
-
-func init() {
-	// The benchmark package of paper §VI-B, registered so scenario mixes
-	// can name it like any other app. Its oracle covers Server-Side Sum;
-	// Indirect Put's placement semantics are pinned by the dedicated
-	// equivalence tests in core.
-	Register(App{
-		Name:  "tcbench",
-		Doc:   "paper benchmark package: jam_sssum, jam_iput, jam_hello + ried_kvbench",
-		Build: core.BuildBenchPackage,
-		BuildRieds: func() (*core.Package, error) {
-			return core.BuildPackage("tcbench", map[string]string{
-				"ried_kvbench.rds": core.RiedKVBenchSrc,
-			})
-		},
-		NewOracle: func() Oracle { return &benchOracle{} },
-	})
 }
 
 // benchOracle models tcbench's Server-Side Sum.

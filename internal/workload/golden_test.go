@@ -207,8 +207,9 @@ func onShards(sc Scenario, shards int) Scenario {
 // The pins below were captured at commit 2d40b5f. The same re-capture
 // rule as goldenRuns applies.
 
-// shardedPins: every registered traffic shape (the three test fixtures
-// fail, each in its own way) on four fabric shards, two seeds.
+// shardedPins: every traffic shape in the table (three of the test
+// fixtures fail, each in its own way) on four fabric shards, two seeds.
+// The test-pair and test-silent rows were captured at commit aa1405d.
 var shardedPins = []pin{
 	{"alltoall", shardedScenario("alltoall", 0x7c2c2021), 0xaa3e9dfb79aa9f10, 35736154, 576, 0, ""},
 	{"alltoall", shardedScenario("alltoall", 0x51edba5e), 0x3f6ffd6a8afea580, 35602642, 576, 0, ""},
@@ -226,10 +227,14 @@ var shardedPins = []pin{
 		"workload: invalid scenario: Traffic: emit to node 9 of 9"},
 	{"test-oob", shardedScenario("test-oob", 0x51edba5e), 0, 0, 0, 0,
 		"workload: invalid scenario: Traffic: emit to node 9 of 9"},
+	{"test-pair", shardedScenario("test-pair", 0x7c2c2021), 0xbe5a80f1d5907a20, 5025797, 16, 0, ""},
+	{"test-pair", shardedScenario("test-pair", 0x51edba5e), 0x6ed455fc38d79360, 7173845, 16, 0, ""},
 	{"test-selfloop", shardedScenario("test-selfloop", 0x7c2c2021), 0, 0, 0, 0,
 		"core: mesh channel 0->0 is a self-loop"},
 	{"test-selfloop", shardedScenario("test-selfloop", 0x51edba5e), 0, 0, 0, 0,
 		"core: mesh channel 0->0 is a self-loop"},
+	{"test-silent", shardedScenario("test-silent", 0x7c2c2021), 0, 0, 0, 0, ""},
+	{"test-silent", shardedScenario("test-silent", 0x51edba5e), 0, 0, 0, 0, ""},
 	{"seed4003", meshScaleSeed4003(), 0xcde4a6b1f968acb0, 1009721738, 30720, 0, ""},
 }
 

@@ -11,39 +11,7 @@ import (
 // Run owns the system it builds: whichever way it returns, every node's
 // address-space backing must have gone onto the shelf (tc.System.Close).
 // The observable is mem's shelf counter: one release per node per Run.
-
-var lifecycleOnce sync.Once
-
-// registerLifecycleShapes adds the two fixtures that make Run fail after
-// the simulation started. They have rows in shardedPins like any shape;
-// both fail the same way for every seed.
-func registerLifecycleShapes() {
-	lifecycleOnce.Do(func() {
-		// A self-loop passes planning (both ends are in range) and is
-		// refused at issue: the runner's issueErr return.
-		RegisterTraffic("test-selfloop", func() Traffic {
-			return TrafficFunc(func(p *Planner) error {
-				p.Emit(0, 0)
-				return nil
-			})
-		})
-		// A built-in mid-phase swap naming an app nobody registered fails
-		// when it fires: the runner's swapErr return.
-		RegisterTraffic("test-badswap", func() Traffic {
-			return TrafficFunc(func(p *Planner) error {
-				for r := 0; r < p.Rounds(); r++ {
-					p.Emit(0, 1)
-				}
-				p.SwapAtHalf(1, "test-no-such-app")
-				return nil
-			})
-		})
-	})
-}
-
 func TestRunReleasesOnEveryReturn(t *testing.T) {
-	registerLifecycleShapes()
-	registerOOB()
 	for _, tc := range []struct {
 		name    string
 		traffic Pattern

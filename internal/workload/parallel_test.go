@@ -1,30 +1,21 @@
 package workload
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // The tests in this file keep the names they had when each scenario was
 // run on a second, multi-core engine and compared with the first; they
 // now check the same scenarios against pinned outcomes (golden_test.go).
 
-// TestWorkersSweepDeterminism pins every registered traffic shape
-// (third-party ones included — registering is opting in, and needs rows
-// in shardedPins) on four fabric shards at two seeds, and the benchmark's
-// mesh_scale shape at seed 4003.
+// TestWorkersSweepDeterminism pins every traffic shape in the table (the
+// test fixtures included) on four fabric shards at two seeds, and the
+// benchmark's mesh_scale shape at seed 4003.
 func TestWorkersSweepDeterminism(t *testing.T) {
-	// The fixture shapes have pins too; register them here so the test
-	// does not depend on which tests ran before it.
-	registerLifecycleShapes()
-	registerOOB()
 	pinned := map[string]bool{}
 	for _, p := range shardedPins {
 		pinned[p.name] = true
 	}
 	for _, name := range TrafficNames() {
-		// Another test's fixture may have registered before this one ran.
-		if !pinned[name] && !strings.HasPrefix(name, "test-") {
+		if !pinned[name] {
 			t.Errorf("traffic %q has no rows in shardedPins", name)
 		}
 	}

@@ -2,21 +2,8 @@ package workload
 
 import (
 	"errors"
-	"sync"
 	"testing"
 )
-
-// registerSilentTraffic registers the zero-emission fixture shape
-// exactly once, regardless of which test runs first.
-var silentOnce sync.Once
-
-func registerSilentTraffic() {
-	silentOnce.Do(func() {
-		RegisterTraffic("test-silent", func() Traffic {
-			return TrafficFunc(func(p *Planner) error { return nil })
-		})
-	})
-}
 
 // asScenarioError unwraps to the typed validation error.
 func asScenarioError(err error, target **ScenarioError) bool {
@@ -202,7 +189,6 @@ func TestSwapOnlyPhase(t *testing.T) {
 	sc.Burst = 2
 	// The middle phase plans zero messages: a swap-only stage built from
 	// a traffic shape that emits nothing.
-	registerSilentTraffic()
 	sc.Phases = []Phase{
 		{Name: "pre"},
 		{Name: "swap-only", Traffic: "test-silent", Swap: &Swap{Node: 2, App: "tcbench"}},
@@ -228,7 +214,6 @@ func TestSwapOnlyPhase(t *testing.T) {
 // TestLeadingSwapOnlyPhase: a scenario may open with a zero-traffic
 // swap phase; the run must chain into the real traffic, not deadlock.
 func TestLeadingSwapOnlyPhase(t *testing.T) {
-	registerSilentTraffic()
 	sc := DefaultScenario(Fanout, 3)
 	sc.Timing = false
 	sc.Rounds = 1

@@ -1,22 +1,53 @@
 package workload
 
 import (
+	"os"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 )
 
-// Fixture shapes register once per process: RegisterTraffic panics on
-// duplicates, and tests must survive -count=N reruns.
-var (
-	pairOnce sync.Once
-	oobOnce  sync.Once
-)
+// fixtureShapes join the traffic table for this package's tests.
+var fixtureShapes = map[string]func(p *planner){
+	// Node 0 <-> node 1 only, regardless of mesh size.
+	"test-pair": func(p *planner) {
+		for r := 0; r < p.spec.rounds; r++ {
+			p.emit(0, 1)
+			p.emit(1, 0)
+		}
+	},
+	// Emits nothing: the traffic of a swap-only phase.
+	"test-silent": func(p *planner) {},
+	// A plan that is rejected: by then Run has already built the system.
+	"test-oob": func(p *planner) {
+		p.emit(0, p.nodes) // one past the end
+	},
+	// A self-loop passes planning (both ends are in range) and is refused
+	// at issue: the runner's issueErr return.
+	"test-selfloop": func(p *planner) {
+		p.emit(0, 0)
+	},
+	// A built-in mid-phase swap naming an app that is not in tcapp's
+	// table fails when it fires: the runner's swapErr return.
+	"test-badswap": func(p *planner) {
+		for r := 0; r < p.spec.rounds; r++ {
+			p.emit(0, 1)
+		}
+		p.swapAtHalf(1, "test-no-such-app")
+	},
+}
 
-// registryScenario builds a quick scenario for an arbitrary registered
-// traffic shape — what the determinism property runs for every name, so
-// third-party Traffic implementations inherit the check by registering.
+// TestMain adds the fixture shapes before any test runs, so every test
+// sees the same table.
+func TestMain(m *testing.M) {
+	for name, gen := range fixtureShapes {
+		traffics[name] = gen
+	}
+	os.Exit(m.Run())
+}
+
+// registryScenario builds a quick scenario for any traffic shape — what
+// the determinism property runs for every name in the table.
 func registryScenario(traffic string, seed uint64) Scenario {
 	sc := DefaultScenario(Pattern(traffic), 5)
 	sc.Timing = true
@@ -26,7 +57,7 @@ func registryScenario(traffic string, seed uint64) Scenario {
 	return sc
 }
 
-// TestRegisteredTrafficDeterminism: for every registered traffic shape,
+// TestRegisteredTrafficDeterminism: for every traffic shape in the table,
 // equal seeds produce bit-identical digests, injection counts, and
 // simulated times; a different seed produces a different run.
 func TestRegisteredTrafficDeterminism(t *testing.T) {
@@ -72,21 +103,9 @@ func TestRegisteredTrafficDeterminism(t *testing.T) {
 	}
 }
 
-// TestRegisterTrafficExtension: a scenario can select a freshly
-// registered shape by name, and the plan honours its emission order.
+// TestRegisterTrafficExtension: a scenario can select a shape added to
+// the table by name, and the plan honours its emission order.
 func TestRegisterTrafficExtension(t *testing.T) {
-	pairOnce.Do(func() {
-		RegisterTraffic("test-pair", func() Traffic {
-			return TrafficFunc(func(p *Planner) error {
-				// Node 0 <-> node 1 only, regardless of mesh size.
-				for r := 0; r < p.Rounds(); r++ {
-					p.Emit(0, 1)
-					p.Emit(1, 0)
-				}
-				return nil
-			})
-		})
-	})
 	sc := DefaultScenario("test-pair", 4)
 	sc.Timing = false
 	sc.Burst = 2
@@ -124,23 +143,9 @@ func TestRingPattern(t *testing.T) {
 	}
 }
 
-// registerOOB adds the shape whose plan is rejected: by then Run has
-// already built the system (plans need its topology).
-func registerOOB() {
-	oobOnce.Do(func() {
-		RegisterTraffic("test-oob", func() Traffic {
-			return TrafficFunc(func(p *Planner) error {
-				p.Emit(0, p.Nodes()) // one past the end
-				return nil
-			})
-		})
-	})
-}
-
 // TestEmitOutOfRange: a generator emitting outside the topology is a
 // typed scenario error, not a panic or a silent drop.
 func TestEmitOutOfRange(t *testing.T) {
-	registerOOB()
 	sc := DefaultScenario("test-oob", 3)
 	_, err := Run(sc)
 	var serr *ScenarioError

@@ -140,7 +140,7 @@ func (sc *Scenario) resolvePhases() ([]phaseSpec, error) {
 		if trafficInherited {
 			spec.traffic = string(sc.Pattern)
 		}
-		if _, ok := trafficRegistry[spec.traffic]; !ok {
+		if _, ok := traffics[spec.traffic]; !ok {
 			// An inherited unknown shape is the scenario Pattern's fault,
 			// not the (empty) phase field's.
 			field := at("Traffic")

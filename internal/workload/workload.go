@@ -6,13 +6,11 @@
 //
 // # The Traffic/Phase model
 //
-// A Scenario is data all the way down. Its traffic shape is a Traffic —
-// a deterministic plan generator over a Topology view — selected by
-// registered name, so new shapes are registrations, not forks of this
-// package. The three paper patterns (fanout, alltoall, hotspot) are
-// registered implementations whose plans are bit-identical to the
-// pre-registry driver; golden tests pin their digests and simulated
-// times per seed.
+// A Scenario is data all the way down. Its traffic shape — a
+// deterministic plan generator over the node count — is selected by
+// name from a fixed table of four: the three paper patterns (fanout,
+// alltoall, hotspot) and ring. Golden tests pin their digests and
+// simulated times per seed.
 //
 // A scenario runs as a sequence of Phases, each with its own traffic,
 // element mix, arrival process, and optional RIED swap (a RIED — a
@@ -41,7 +39,7 @@
 // All randomness — element choice, argument words, hotspot target and
 // skew, arrival gaps — flows from one sim RNG seeded by Scenario.Seed;
 // plans are generated before simulation starts, so equal seeds give
-// bit-identical digests and simulated times for any registered Traffic.
+// bit-identical digests and simulated times for every traffic shape.
 package workload
 
 import (
@@ -58,7 +56,7 @@ import (
 	"twochains/internal/tenant"
 )
 
-// Pattern names a registered traffic shape.
+// Pattern names a traffic shape.
 type Pattern string
 
 // The built-in traffic shapes.
@@ -70,18 +68,18 @@ const (
 )
 
 // Patterns lists the three paper patterns in canonical order (the mesh
-// experiments iterate these; TrafficNames lists everything registered,
-// including Ring and third-party shapes).
+// experiments iterate these; TrafficNames lists every shape, Ring
+// included).
 func Patterns() []Pattern { return []Pattern{Fanout, AllToAll, Hotspot} }
 
 // DefaultPkg is the package a mix entry with an empty Pkg refers to.
 const DefaultPkg = "tcbench"
 
 // ElementMix is one entry of a phase's traffic mix: an element of a
-// tcapp-registered package with a selection weight, sent either as an
+// tcapp package with a selection weight, sent either as an
 // Injected Function (code travels) or a Local Function (IDs travel).
 type ElementMix struct {
-	// Pkg is the tcapp-registered application package ("" = tcbench).
+	// Pkg is the tcapp application package ("" = tcbench).
 	Pkg    string
 	Elem   string
 	Weight int
@@ -133,7 +131,7 @@ type Arrival struct {
 // their next call.
 type Swap struct {
 	Node int
-	// App is the tcapp-registered application whose RIEDs are
+	// App is the tcapp application whose RIEDs are
 	// reinstalled ("" = tcbench).
 	App string
 }
@@ -164,7 +162,7 @@ type Rejoin struct {
 // executed.
 type Phase struct {
 	Name    string
-	Traffic string // registered traffic name ("" = Scenario.Pattern)
+	Traffic string // traffic shape name ("" = Scenario.Pattern)
 	Rounds  int
 	Burst   int
 	Mix     []ElementMix
@@ -365,22 +363,20 @@ type phasePlan struct {
 // buildPlan runs the phase's Traffic generator, consuming the RNG in
 // the generator's emission order so the schedule is a pure function of
 // the scenario, then draws open-loop arrival gaps (senders ascending).
-func buildPlan(sc *Scenario, topo Topology, spec *phaseSpec, rng *sim.RNG) (*phasePlan, error) {
+func buildPlan(sc *Scenario, spec *phaseSpec, rng *sim.RNG) (*phasePlan, error) {
 	pp := &phasePlan{
 		spec:     spec,
-		bursts:   make([][]burst, topo.Nodes),
-		sent:     make([]int, topo.Nodes),
+		bursts:   make([][]burst, sc.Nodes),
+		sent:     make([]int, sc.Nodes),
 		hotNode:  -1,
 		swapNode: -1,
 	}
-	tr, ok := newTraffic(spec.traffic)
+	gen, ok := traffics[spec.traffic]
 	if !ok {
 		return nil, &ScenarioError{Field: spec.at("Traffic"), Reason: fmt.Sprintf("unknown traffic %q", spec.traffic)}
 	}
-	p := &Planner{topo: topo, sc: sc, spec: spec, rng: rng, pp: pp}
-	if err := tr.Generate(p); err != nil {
-		return nil, err
-	}
+	p := &planner{nodes: sc.Nodes, sc: sc, spec: spec, rng: rng, pp: pp}
+	gen(p)
 	if p.err != nil {
 		return nil, p.err
 	}
@@ -877,14 +873,9 @@ func Run(sc Scenario) (*Result, error) {
 	// Result carries values only, never a view of node memory.
 	defer sys.Close()
 
-	topo := Topology{
-		Nodes:   sc.Nodes,
-		Shards:  sys.Mesh().Cfg.Shards,
-		ShardOf: sys.ShardOf,
-	}
 	res := &Result{
 		Scenario: sc,
-		Shards:   topo.Shards,
+		Shards:   sys.Mesh().Cfg.Shards,
 		PerNode:  make([]NodeResult, sc.Nodes),
 		HotNode:  -1,
 	}
@@ -933,7 +924,7 @@ func Run(sc Scenario) (*Result, error) {
 	for _, l := range r.lanes {
 		planned := 0
 		for j := range l.specs {
-			pp, err := buildPlan(&sc, topo, &l.specs[j], sys.RNG())
+			pp, err := buildPlan(&sc, &l.specs[j], sys.RNG())
 			if err != nil {
 				return nil, err
 			}
