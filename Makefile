@@ -12,11 +12,12 @@
 # benchmark/README.md. Nothing below measures host speed against a
 # threshold except the BenchmarkFuncCall ns/op check.
 #
-# `make lint` runs cmd/tclint — the four static checkers for the ROADMAP's
+# `make lint` runs cmd/tclint — the five static checkers for the ROADMAP's
 # ownership, determinism and deletion contracts (scratchescape,
-# poolownership, detsource, deadexport) — and fails on any diagnostic.
-# deadexport counts callers across the whole module, so lint type-checks
-# every module package (once each) whatever it is pointed at.
+# poolownership, detsource, deadexport, writeonly) — and fails on any
+# diagnostic. deadexport counts callers and writeonly counts field
+# readers across the whole module, so lint type-checks every module
+# package (once each) whatever it is pointed at.
 # Suppress a single finding with `//tclint:allow <analyzer> <reason>`;
 # stale or malformed directives fail the lint themselves. The vet
 # target names copylocks/loopclosure/atomic explicitly so a toolchain
@@ -25,7 +26,10 @@
 # `make examples` builds and runs every examples/* binary headless — the
 # cheapest whole-surface smoke of the public API (CI runs it too).
 #
-# `make fuzz-smoke` runs seven fuzz targets for 5 s each. FuzzEnsureJam
+# `make cross` builds and vets the tree for arm64, the paper's testbed
+# architecture (no download: the toolchain cross-compiles pure Go).
+#
+# `make fuzz-smoke` runs eight fuzz targets for 5 s each. FuzzEnsureJam
 # (internal/vm): arbitrary bytes at arbitrary (VA, length) sequences must
 # map or be refused, never panic; then FuzzAddressSpaceRecycle (internal/mem):
 # arbitrary accessor sequences on a space grown into poisoned recycled
@@ -49,7 +53,10 @@
 # FuzzCompile (internal/amcc): source seeded from the AMC the tcapp apps
 # compile must be refused with a typed *amcc.Error or compile to an object
 # that passes Validate and re-encodes to the same bytes through
-# elfobj.Decode, never panicking.
+# elfobj.Decode, never panicking; then FuzzAssemble (internal/asm): source
+# seeded from tcbench's assembly and from what amcc emits for the tcapp
+# jams must be refused with a typed *asm.Error or assemble to an object
+# with the same two properties.
 # A failing input lands in the package's testdata/fuzz/ — commit it with
 # the fix.
 #
@@ -118,7 +125,7 @@ SMOKE_BASELINE ?= BENCH_PR21.json
 # the check to a paired target).
 FUNC_BASELINE ?= BENCH_PR21.json
 
-.PHONY: check fmt-check vet lint build test fuzz-smoke bench-smoke chaos-smoke bench-json profile perf examples simdiff
+.PHONY: check fmt-check vet lint build cross test fuzz-smoke bench-smoke chaos-smoke bench-json profile perf examples simdiff
 
 check: fmt-check vet build lint test chaos-smoke fuzz-smoke bench-smoke
 
@@ -137,6 +144,9 @@ lint:
 
 build:
 	$(GO) build ./...
+
+cross:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
 
 test:
 	$(GO) test -race ./...
@@ -177,6 +187,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 5s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzParseFrame -fuzztime 5s ./internal/mailbox
 	$(GO) test -run xxx -fuzz FuzzCompile -fuzztime 5s ./internal/amcc
+	$(GO) test -run xxx -fuzz FuzzAssemble -fuzztime 5s ./internal/asm
 
 chaos-smoke:
 	$(GO) test -race -run 'TestFailRejoinDrain' ./internal/workload

@@ -1,9 +1,9 @@
 // Command tclint is the multichecker for the repo's ownership,
-// determinism and deletion contracts: it runs the four analyzers of the
+// determinism and deletion contracts: it runs the five analyzers of the
 // internal/analysis suite (scratchescape, poolownership, detsource,
-// deadexport) over the named packages and exits nonzero on any
-// diagnostic. It type-checks the whole module either way, since
-// deadexport counts callers everywhere in it.
+// deadexport, writeonly) over the named packages and exits nonzero on
+// any diagnostic. It type-checks the whole module either way, since
+// deadexport and writeonly count callers and readers everywhere in it.
 //
 // Usage:
 //

@@ -411,6 +411,7 @@ func TestCompileErrors(t *testing.T) {
 		{"doubleStar", "long f(long** p){ return 0; }", "indirection"},
 		{"bssLength", "long a[0x7fffffffffffffff];", "does not fit"},
 		{"bssTotal", "long a[0x1fffffff];\nbyte* b[9];", "does not fit"},
+		{"arrayInit", "long a[5] = 7;", "array \"a\" cannot have an initializer"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -55,7 +55,6 @@ const (
 type expr struct {
 	kind exprKind
 	line int
-	typ  Type
 
 	num  int64
 	str  string
@@ -66,7 +65,6 @@ type expr struct {
 	args     []*expr
 
 	local *localVar // resolved local for exVar
-	sym   *symbol   // resolved symbol for exGlobal / direct calls
 }
 
 // stmtKind enumerates statement nodes.
@@ -106,7 +104,6 @@ type localVar struct {
 
 // symbol is a module-level name: a function, a global object, or an extern.
 type symbol struct {
-	name     string
 	typ      Type // for objects: the pointer type an expression naming it has
 	isFunc   bool
 	isExtern bool
@@ -117,11 +114,9 @@ type symbol struct {
 // function is a parsed function definition.
 type function struct {
 	name   string
-	ret    Type
 	params []*localVar
 	body   *stmt
 	locals []*localVar // all locals including params
-	line   int
 }
 
 // globalDef is a module-level object definition (rieds only).

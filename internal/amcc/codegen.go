@@ -43,7 +43,6 @@ type codegen struct {
 	out    strings.Builder
 	labelN int
 
-	fn       *function
 	frame    int
 	spOff    int // static SP displacement below the frame base
 	retLabel string
@@ -191,7 +190,6 @@ func (g *codegen) run() (string, error) {
 func (g *codegen) slotOff(v *localVar) int { return v.offset + g.spOff }
 
 func (g *codegen) genFunc(fn *function) {
-	g.fn = fn
 	// Frame: [0]=LR, then one 8-byte slot per local (params included).
 	for i, v := range fn.locals {
 		v.offset = 8 * (1 + i)
@@ -521,22 +519,6 @@ func (g *codegen) genBinary(e *expr) (int, Type) {
 			}
 			resT = TypeLong
 		}
-	case "*":
-		g.emit("    mul  r%d, r%d, r%d", l, l, r)
-	case "/":
-		g.emit("    div  r%d, r%d, r%d", l, l, r)
-	case "%":
-		g.emit("    rem  r%d, r%d, r%d", l, l, r)
-	case "&":
-		g.emit("    and  r%d, r%d, r%d", l, l, r)
-	case "|":
-		g.emit("    or   r%d, r%d, r%d", l, l, r)
-	case "^":
-		g.emit("    xor  r%d, r%d, r%d", l, l, r)
-	case "<<":
-		g.emit("    shl  r%d, r%d, r%d", l, l, r)
-	case ">>":
-		g.emit("    shr  r%d, r%d, r%d", l, l, r)
 	case "==":
 		g.emit("    seq  r%d, r%d, r%d", l, l, r)
 	case "!=":
@@ -560,10 +542,20 @@ func (g *codegen) genBinary(e *expr) (int, Type) {
 			g.emit("    xori r%d, r%d, 1", l, l)
 		}
 	default:
-		g.errf(e.line, "internal: unhandled operator %q", e.op)
+		if mn, ok := regOps[e.op]; ok {
+			g.emit("    %-4s r%d, r%d, r%d", mn, l, l, r)
+		} else {
+			g.errf(e.line, "internal: unhandled operator %q", e.op)
+		}
 	}
 	g.release(r)
 	return l, resT
+}
+
+// regOps maps each binary operator that is one register-register
+// instruction to its mnemonic.
+var regOps = map[string]string{
+	"*": "mul", "/": "div", "%": "rem", "&": "and", "|": "or", "^": "xor", "<<": "shl", ">>": "shr",
 }
 
 func (g *codegen) genShortCircuit(e *expr) (int, Type) {

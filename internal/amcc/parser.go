@@ -32,15 +32,7 @@ func parse(file, src string) (*unit, error) {
 
 // --- token helpers ---
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) peek() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+func (p *parser) cur() token { return p.toks[p.pos] }
 
 func (p *parser) at(kind tokKind, text string) bool {
 	t := p.cur()
@@ -148,6 +140,9 @@ func (p *parser) topDecl() error {
 		if isExtern {
 			return p.errf("extern %q cannot have an initializer", name.text)
 		}
+		if isArray {
+			return p.errf("array %q cannot have an initializer", name.text)
+		}
 		v := n.num
 		init = &v
 	}
@@ -161,9 +156,8 @@ func (p *parser) topDecl() error {
 	if !symType.isPtr() {
 		symType = TypePtrLong
 	}
-	_ = isArray
 	p.unit.syms[name.text] = &symbol{
-		name: name.text, typ: symType, isExtern: isExtern,
+		typ: symType, isExtern: isExtern,
 	}
 	if !isExtern {
 		elem := int64(8)
@@ -181,7 +175,7 @@ func (p *parser) funcDecl(isExtern bool, ret Type, name token) error {
 	if _, err := p.expect(tkPunct, "("); err != nil {
 		return err
 	}
-	fn := &function{name: name.text, ret: ret, line: name.line}
+	fn := &function{name: name.text}
 	for !p.at(tkPunct, ")") {
 		if len(fn.params) > 0 {
 			if _, err := p.expect(tkPunct, ","); err != nil {
@@ -208,8 +202,7 @@ func (p *parser) funcDecl(isExtern bool, ret Type, name token) error {
 		return err
 	}
 	p.unit.syms[name.text] = &symbol{
-		name: name.text, isFunc: true, isExtern: isExtern,
-		retType: ret, numParam: len(fn.params),
+		isFunc: true, isExtern: isExtern, retType: ret, numParam: len(fn.params),
 	}
 	if p.accept(tkPunct, ";") {
 		if !isExtern {
@@ -310,17 +303,7 @@ func (p *parser) statement() (*stmt, error) {
 		return &stmt{kind: stContinue, line: line}, err
 
 	case p.accept(tkKeyword, "if"):
-		if _, err := p.expect(tkPunct, "("); err != nil {
-			return nil, err
-		}
-		cond, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tkPunct, ")"); err != nil {
-			return nil, err
-		}
-		body, err := p.statement()
+		cond, body, err := p.condBody()
 		if err != nil {
 			return nil, err
 		}
@@ -333,17 +316,7 @@ func (p *parser) statement() (*stmt, error) {
 		return s, nil
 
 	case p.accept(tkKeyword, "while"):
-		if _, err := p.expect(tkPunct, "("); err != nil {
-			return nil, err
-		}
-		cond, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tkPunct, ")"); err != nil {
-			return nil, err
-		}
-		body, err := p.statement()
+		cond, body, err := p.condBody()
 		if err != nil {
 			return nil, err
 		}
@@ -409,6 +382,21 @@ func (p *parser) statement() (*stmt, error) {
 		_, err = p.expect(tkPunct, ";")
 		return s, err
 	}
+}
+
+// condBody parses the "(cond) body" of an if or a while.
+func (p *parser) condBody() (cond *expr, body *stmt, err error) {
+	if _, err = p.expect(tkPunct, "("); err != nil {
+		return nil, nil, err
+	}
+	if cond, err = p.expression(); err != nil {
+		return nil, nil, err
+	}
+	if _, err = p.expect(tkPunct, ")"); err != nil {
+		return nil, nil, err
+	}
+	body, err = p.statement()
+	return cond, body, err
 }
 
 func (p *parser) simpleOrDecl() (*stmt, error) {

@@ -67,17 +67,22 @@ func collectAllows(pkg *Package) *allowSet {
 }
 
 // suppress reports whether a directive covers d, marking the directive
-// used. Malformed directives (unknown analyzer, empty reason) never
-// suppress — they fail hygiene instead, so a typo cannot silently waive
-// a contract.
+// used; one on d's own line wins over one on the line above, so each of
+// a run of trailing directives waives its own line. Malformed directives
+// (unknown analyzer, empty reason) never suppress — they fail hygiene
+// instead, so a typo cannot silently waive a contract.
 func (as *allowSet) suppress(d Diagnostic) bool {
+	var match *allowDirective
 	for _, dir := range as.byKey[allowKey(d.Pos.Filename, d.Pos.Line)] {
-		if dir.analyzer == d.Analyzer && dir.reason != "" && knownAnalyzer(dir.analyzer) {
-			dir.used = true
-			return true
+		if dir.analyzer == d.Analyzer && dir.reason != "" && knownAnalyzer(dir.analyzer) &&
+			(match == nil || dir.pos.Line == d.Pos.Line) {
+			match = dir
 		}
 	}
-	return false
+	if match != nil {
+		match.used = true
+	}
+	return match != nil
 }
 
 // hygiene returns the directive-quality diagnostics: unknown analyzer

@@ -33,8 +33,7 @@ var DeadExport = &Analyzer{
 }
 
 func runDeadExport(pass *Pass) error {
-	path := pass.Pkg.Path()
-	if !strings.HasPrefix(path, "internal/") && !strings.Contains(path, "/internal/") {
+	if !underInternal(pass.Pkg.Path()) {
 		return nil
 	}
 	live := pass.callers.liveObjects()
@@ -93,16 +92,24 @@ func runDeadExport(pass *Pass) error {
 	return nil
 }
 
+// underInternal reports whether an import path lies under internal/,
+// where deadexport and writeonly apply.
+func underInternal(path string) bool {
+	return strings.HasPrefix(path, "internal/") || strings.Contains(path, "/internal/")
+}
+
 // A callerSet is the package set whose non-test files count as callers,
-// with the objects they keep alive computed on first use.
+// with the objects they keep alive and the fields they read computed on
+// first use.
 type callerSet struct {
-	pkgs []*Package
-	live map[types.Object]bool
+	pkgs  []*Package
+	live  map[types.Object]bool
+	reads map[types.Object]bool
 }
 
 func (cs *callerSet) add(pkg *Package) {
 	cs.pkgs = append(cs.pkgs, pkg)
-	cs.live = nil
+	cs.live, cs.reads = nil, nil
 }
 
 // liveObjects returns every object a non-test file of the set uses,

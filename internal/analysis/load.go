@@ -22,15 +22,15 @@ import (
 // A Package is one loaded, type-checked package.
 type Package struct {
 	Path  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
 
 	// callers holds the packages whose non-test files count as
-	// references for deadexport: the whole module for a package from
-	// Load, the fixture alone for one from LoadDir.
+	// references for deadexport and readers for writeonly: the whole
+	// module for a package from Load, the fixture alone for one from
+	// LoadDir.
 	callers *callerSet
 }
 
@@ -124,7 +124,7 @@ func (l *Loader) list(args ...string) ([]listedPackage, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg, err := l.check(lp.ImportPath, lp.Dir, parsed)
+		pkg, err := l.check(lp.ImportPath, parsed)
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +173,7 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 			return nil, err
 		}
 	}
-	pkg, err := l.check(path, dir, parsed)
+	pkg, err := l.check(path, parsed)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +194,7 @@ func (l *Loader) parse(filenames []string) ([]*ast.File, error) {
 	return files, nil
 }
 
-func (l *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
+func (l *Loader) check(path string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -214,7 +214,7 @@ func (l *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-check %s: %w", path, err)
 	}
-	return &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 type importerFunc func(path string) (*types.Package, error)

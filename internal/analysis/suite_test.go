@@ -31,6 +31,12 @@ func TestDeadExportFixtures(t *testing.T) {
 	analysistest.Run(t, loader, "testdata/deadexport", "fixture/internal/deadexport", analysis.DeadExport)
 }
 
+// The writeonly fixture's path lies under internal/, where the rule
+// applies; its own files are its only readers.
+func TestWriteOnlyFixtures(t *testing.T) {
+	analysistest.Run(t, loader, "testdata/writeonly", "fixture/internal/writeonly", analysis.WriteOnly)
+}
+
 // The allow fixture runs under the full suite: staleness is defined
 // against the set of analyzers that ran, and the fixture pins both a
 // suppressed diagnostic and a stale directive for a second analyzer.

@@ -24,6 +24,7 @@ package asm
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -64,42 +65,44 @@ const (
 	refGot
 )
 
+// A label is a symbol this file defines, at off in section sec.
+type label struct {
+	sec elfobj.SectionID
+	off int
+}
+
+// A dataRel is a .quad naming a symbol: a RelAbs64 fixup at off in sec.
+type dataRel struct {
+	line int
+	sec  elfobj.SectionID
+	off  int
+	sym  string
+}
+
 type asmState struct {
-	file   string
-	cur    *section
-	text   section
-	rodata section
-	data   section
-	bss    section
-	labels map[string]struct {
-		sec elfobj.SectionID
-		off int
-	}
-	globals map[string]bool
-	externs map[string]bool
-	instrs  []pendingInstr
-	dataRel []struct {
-		line   int
-		sec    elfobj.SectionID
-		off    int
-		sym    string
-		addend int32
-	}
+	file       string
+	cur        *section
+	text       section
+	rodata     section
+	data       section
+	bss        section
+	labels     map[string]label
+	globals    map[string]bool
+	externs    map[string]bool
+	instrs     []pendingInstr
+	dataRel    []dataRel
 	labelOrder []string
 }
 
 // Assemble translates src into a relocatable object named name.
 func Assemble(name, src string) (*elfobj.Object, error) {
 	st := &asmState{
-		file:   name,
-		text:   section{id: elfobj.SecText},
-		rodata: section{id: elfobj.SecRodata},
-		data:   section{id: elfobj.SecData},
-		bss:    section{id: elfobj.SecBss},
-		labels: map[string]struct {
-			sec elfobj.SectionID
-			off int
-		}{},
+		file:    name,
+		text:    section{id: elfobj.SecText},
+		rodata:  section{id: elfobj.SecRodata},
+		data:    section{id: elfobj.SecData},
+		bss:     section{id: elfobj.SecBss},
+		labels:  map[string]label{},
 		globals: map[string]bool{},
 		externs: map[string]bool{},
 	}
@@ -190,14 +193,7 @@ func (st *asmState) defineLabel(line int, name string) error {
 	if _, dup := st.labels[name]; dup {
 		return st.errf(line, "label %q redefined", name)
 	}
-	off := len(st.cur.data)
-	if st.cur.id == elfobj.SecBss {
-		off = st.cur.size
-	}
-	st.labels[name] = struct {
-		sec elfobj.SectionID
-		off int
-	}{st.cur.id, off}
+	st.labels[name] = label{st.cur.id, st.curSize()}
 	st.labelOrder = append(st.labelOrder, name)
 	return nil
 }
@@ -230,7 +226,11 @@ func (st *asmState) doDirective(line int, s string) error {
 		if err != nil || n <= 0 || n&(n-1) != 0 {
 			return st.errf(line, ".align wants a positive power of two")
 		}
-		st.padTo(alignUp(st.curSize(), int(n)))
+		target := alignUp(st.curSize(), int(n))
+		if err := st.fits(line, int64(target-st.curSize())); err != nil {
+			return err
+		}
+		st.padTo(target)
 	case ".pad":
 		n, err := parseInt(args, 0)
 		if err != nil || n < 0 {
@@ -245,6 +245,9 @@ func (st *asmState) doDirective(line int, s string) error {
 		if len(st.text.data) > int(n) {
 			return st.errf(line, ".pad target %d smaller than current text size %d", n, len(st.text.data))
 		}
+		if err := st.fits(line, n-int64(len(st.text.data))); err != nil {
+			return err
+		}
 		for len(st.text.data) < int(n) {
 			st.text.data = append(st.text.data, isa.Instr{Op: isa.NOP}.Bytes()...)
 		}
@@ -257,6 +260,9 @@ func (st *asmState) doDirective(line int, s string) error {
 		if err != nil || n < 0 {
 			return st.errf(line, ".space wants a byte count")
 		}
+		if err := st.fits(line, n); err != nil {
+			return err
+		}
 		if st.cur.id == elfobj.SecBss {
 			st.cur.size += int(n)
 		} else {
@@ -264,6 +270,22 @@ func (st *asmState) doDirective(line int, s string) error {
 		}
 	default:
 		return st.errf(line, "unknown directive %s", dir)
+	}
+	return nil
+}
+
+// maxSection caps a file-backed section, which is allocated as it grows;
+// .bss is only reserved, up to the object format's 32-bit size.
+const maxSection = 16 << 20
+
+// fits refuses growing the current section by n bytes past its cap.
+func (st *asmState) fits(line int, n int64) error {
+	limit := int64(maxSection)
+	if st.cur.id == elfobj.SecBss {
+		limit = math.MaxUint32
+	}
+	if n > limit-int64(st.curSize()) {
+		return st.errf(line, "%s would grow past %d bytes", st.cur.id, limit)
 	}
 	return nil
 }
@@ -305,13 +327,7 @@ func (st *asmState) doEmit(line int, dir string, args []string) error {
 			if width != 8 {
 				return st.errf(line, "symbol reference requires .quad, got %s", dir)
 			}
-			st.dataRel = append(st.dataRel, struct {
-				line   int
-				sec    elfobj.SectionID
-				off    int
-				sym    string
-				addend int32
-			}{line, st.cur.id, len(st.cur.data), a, 0})
+			st.dataRel = append(st.dataRel, dataRel{line, st.cur.id, len(st.cur.data), a})
 			st.cur.data = append(st.cur.data, make([]byte, 8)...)
 			continue
 		}
@@ -588,16 +604,7 @@ func (st *asmState) finish() (*elfobj.Object, error) {
 
 	// Defined symbols first, in declaration order.
 	for _, name := range st.labelOrder {
-		l := st.labels[name]
-		bind := elfobj.BindLocal
-		if st.globals[name] {
-			bind = elfobj.BindGlobal
-		}
-		kind := elfobj.KindObject
-		if l.sec == elfobj.SecText {
-			kind = elfobj.KindFunc
-		}
-		addSym(elfobj.Symbol{Name: name, Section: l.sec, Binding: bind, Kind: kind, Value: uint32(l.off)})
+		addSym(symbolFor(st, name))
 	}
 	// Globals that were exported but never defined are an error.
 	for g := range st.globals {
@@ -659,10 +666,8 @@ func (st *asmState) finish() (*elfobj.Object, error) {
 
 	// Data relocations.
 	for _, dr := range st.dataRel {
-		lbl, defined := st.labels[dr.sym]
 		var si int
-		if defined {
-			_ = lbl
+		if _, defined := st.labels[dr.sym]; defined {
 			si = addSym(symbolFor(st, dr.sym))
 		} else if st.externs[dr.sym] {
 			si = addSym(elfobj.Symbol{Name: dr.sym, Section: elfobj.SecNone, Binding: elfobj.BindGlobal})
@@ -671,7 +676,7 @@ func (st *asmState) finish() (*elfobj.Object, error) {
 		}
 		o.Relocs = append(o.Relocs, elfobj.Reloc{
 			Type: elfobj.RelAbs64, Section: dr.sec,
-			Offset: uint32(dr.off), Sym: si, Addend: dr.addend,
+			Offset: uint32(dr.off), Sym: si,
 		})
 	}
 
@@ -679,7 +684,7 @@ func (st *asmState) finish() (*elfobj.Object, error) {
 	// out of the symbol table; a reference is what creates the entry.
 
 	if err := o.Validate(); err != nil {
-		return nil, err
+		return nil, &Error{File: st.file, Msg: err.Error()}
 	}
 	return o, nil
 }

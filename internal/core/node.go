@@ -90,9 +90,8 @@ type Node struct {
 type InstalledPackage struct {
 	Pkg *Package
 	ID  uint8
-	// LocalLib is the loaded Local Function library, with the function
-	// vector indexed by element ID.
-	LocalLib *linker.Loaded
+	// localVec is the loaded Local Function library's function vector,
+	// indexed by element ID.
 	localVec map[uint8]uint64
 	rieds    map[string]*linker.Loaded
 }
@@ -252,7 +251,6 @@ func (n *Node) installPackageAs(alias string, ns *linker.Namespace, pkg *Package
 		if err := n.mapLibrary(ld); err != nil {
 			return nil, err
 		}
-		inst.LocalLib = ld
 		for _, e := range pkg.Elements {
 			if e.Kind != ElemJam {
 				continue

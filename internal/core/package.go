@@ -50,7 +50,6 @@ type Element struct {
 
 // Package is a built Two-Chains package.
 type Package struct {
-	ID       uint8
 	Name     string
 	Elements []*Element
 	// LocalLib is the Local Function shared library: every jam compiled

@@ -36,7 +36,6 @@ func (m WaitMode) String() string {
 type Counter struct {
 	WorkCycles float64
 	WaitCycles float64
-	Waits      uint64
 	rng        *sim.RNG
 }
 
@@ -57,7 +56,6 @@ func (c *Counter) Wait(mode WaitMode, d sim.Duration) sim.Duration {
 	if d < 0 {
 		d = 0
 	}
-	c.Waits++
 	switch mode {
 	case Poll:
 		// Fully busy for the duration of the wait.

@@ -25,7 +25,7 @@ func TestWfeCyclesNearConstant(t *testing.T) {
 	c := NewCounter(nil)
 	c.Wait(WFE, 1000*sim.Nanosecond)
 	short := c.WaitCycles
-	c.WorkCycles, c.WaitCycles, c.Waits = 0, 0, 0
+	c.WorkCycles, c.WaitCycles = 0, 0
 	c.Wait(WFE, 100_000*sim.Nanosecond)
 	long := c.WaitCycles
 	if long > 10*short {
@@ -54,7 +54,7 @@ func TestWfeSpuriousWakeups(t *testing.T) {
 	var total float64
 	const n = 1000
 	for i := 0; i < n; i++ {
-		c.WorkCycles, c.WaitCycles, c.Waits = 0, 0, 0
+		c.WorkCycles, c.WaitCycles = 0, 0
 		c.Wait(WFE, 100*sim.Microsecond)
 		total += c.WaitCycles
 	}

@@ -103,9 +103,6 @@ type chaosPort struct {
 	// that draws a smaller delay still issues no earlier than its
 	// predecessor, preserving the inner backend's ordering guarantee.
 	release map[Port]sim.Time
-	// Delayed/DelayTotal count perturbed puts and their summed delay.
-	Delayed    uint64
-	DelayTotal sim.Duration
 }
 
 func (p *chaosPort) Label() string { return "chaos(" + p.Port.Label() + ")" }
@@ -134,16 +131,11 @@ func (p *chaosPort) Put(dst Port, srcVA, dstVA uint64, size int, key RKey, onCom
 		})
 		return
 	}
-	delta := p.delay()
-	release := p.fab.eng.Now().Add(delta)
+	release := p.fab.eng.Now().Add(p.delay())
 	if last := p.release[dst]; release < last {
 		release = last
 	}
 	p.release[dst] = release
-	if delta > 0 {
-		p.Delayed++
-		p.DelayTotal += delta
-	}
 	if release == p.fab.eng.Now() {
 		p.Port.Put(d.Port, srcVA, dstVA, size, key, onComplete)
 		return

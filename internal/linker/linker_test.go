@@ -290,7 +290,8 @@ func TestLoadAppliesLoadRelocs(t *testing.T) {
 	if !found {
 		t.Fatal("no load reloc for beta")
 	}
-	v, err := as.ReadU64(ld.Base + uint64(fptrOff))
+	base := ld.GotVA - uint64(img.GotOff) // VA of image offset 0
+	v, err := as.ReadU64(base + uint64(fptrOff))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestLoadPermissions(t *testing.T) {
 	if err := as.WriteU64(ld.GotVA, 0x41414141); err == nil {
 		t.Error("GOT overwrite succeeded despite ReadOnlyGOT")
 	}
-	dataVA := ld.Base + uint64(img.DataOff)
+	dataVA := ld.GotVA - uint64(img.GotOff) + uint64(img.DataOff)
 	if p, _ := as.PermAt(dataVA); p != mem.PermRW {
 		t.Errorf("data perm %s", p)
 	}

@@ -56,7 +56,6 @@ func (ns *Namespace) Snapshot() map[string]uint64 {
 // Loaded is a library mapped into one node's address space.
 type Loaded struct {
 	Image *Image
-	Base  uint64 // VA of image offset 0
 
 	GotVA   uint64
 	TextVA  uint64
@@ -150,7 +149,6 @@ func Load(as *mem.AddressSpace, ns *Namespace, img *Image, opts LoadOptions) (*L
 
 	ld := &Loaded{
 		Image:   img,
-		Base:    base,
 		GotVA:   base + uint64(img.GotOff),
 		TextVA:  base + uint64(img.TextOff),
 		TextLen: img.TextLen,

@@ -188,13 +188,12 @@ func (m *Message) packInto(buf []byte, frameSize int, seq uint32, dstFrameVA uin
 // Delivery describes a parsed frame on the receiver, with the VAs of its
 // parts in the receiver's address space.
 type Delivery struct {
-	Kind    uint8
-	PkgID   uint8
-	ElemID  uint8
-	Seq     uint32
-	FrameVA uint64
-	JamLen  int
-	UsrLen  int
+	Kind   uint8
+	PkgID  uint8
+	ElemID uint8
+	Seq    uint32
+	JamLen int
+	UsrLen int
 
 	GotVA    uint64 // travelling GOT table (injected only)
 	GpSlotVA uint64 // GOT pointer slot (injected only)
@@ -222,13 +221,12 @@ func ParseFrameInto(d *Delivery, as *mem.AddressSpace, frameVA uint64, frameSize
 		return frameError("magic", 0, "bad frame magic %#x at 0x%x", hdr[0], frameVA)
 	}
 	*d = Delivery{
-		Kind:    hdr[1],
-		PkgID:   hdr[2],
-		ElemID:  hdr[3],
-		Seq:     binary.LittleEndian.Uint32(hdr[4:]),
-		FrameVA: frameVA,
-		JamLen:  int(binary.LittleEndian.Uint32(hdr[8:])),
-		UsrLen:  int(binary.LittleEndian.Uint32(hdr[12:])),
+		Kind:   hdr[1],
+		PkgID:  hdr[2],
+		ElemID: hdr[3],
+		Seq:    binary.LittleEndian.Uint32(hdr[4:]),
+		JamLen: int(binary.LittleEndian.Uint32(hdr[8:])),
+		UsrLen: int(binary.LittleEndian.Uint32(hdr[12:])),
 	}
 	overhead := HeaderSize + ArgsSize + SigSize
 	off := frameVA + HeaderSize

@@ -103,9 +103,8 @@ func (c ReceiverConfig) WithIsolationCost(d sim.Duration) ReceiverConfig {
 
 // ReceiverStats counts receiver-side activity.
 type ReceiverStats struct {
-	Processed   uint64
-	CreditsSent uint64
-	Errors      uint64
+	Processed uint64
+	Errors    uint64
 }
 
 // Receiver owns a node's mailbox region and its reactive receive loop.
@@ -359,7 +358,6 @@ func (r *Receiver) complete(d *Delivery, t sim.Time) {
 
 	if r.Cfg.Credits && slot == r.Cfg.Geometry.Slots-1 && r.creditEp != nil {
 		// Bank drained: return its credit to the sender.
-		r.stats.CreditsSent++
 		flagVA := r.creditVA + uint64(bank*8)
 		one := [8]byte{1}
 		if err := r.Worker.AS.WriteBytes(r.scratch(), one[:]); err == nil {

@@ -111,10 +111,10 @@ func (f *Fault) Error() string {
 
 // Region records an allocation for diagnostics.
 type Region struct {
-	Name string
+	Name string //tclint:allow writeonly the tc tests read a node's region layout through AS.Regions
 	Addr uint64
-	Size int
-	Perm Perm
+	Size int  //tclint:allow writeonly the tc tests read a node's region layout through AS.Regions
+	Perm Perm //tclint:allow writeonly the tc tests read a node's region layout through AS.Regions
 }
 
 // AddressSpace is one simulated process image.
@@ -154,7 +154,9 @@ var (
 
 // PoolStats is the backing shelf's traffic since the process started.
 type PoolStats struct {
+	//tclint:allow writeonly the workload lifecycle tests count released backings through BackingPoolStats
 	Released uint64 // backings Release put on the shelf
+	//tclint:allow writeonly the mem recycle tests check that the reuse path ran through BackingPoolStats
 	Recycled uint64 // growths served from the shelf instead of the allocator
 }
 
@@ -555,60 +557,28 @@ func (as *AddressSpace) ReadU8(va uint64) (uint64, error) {
 	if i, ok := as.fastIdx(va, 1, PermR); ok {
 		return uint64(as.data[i]), nil
 	}
-	return as.readU8Slow(va)
-}
-
-func (as *AddressSpace) readU8Slow(va uint64) (uint64, error) {
-	i, err := as.slowIdx(va, 1, AccessRead)
-	if err != nil {
-		return 0, err
-	}
-	return uint64(as.data[i]), nil
+	return as.readSlow(va, 1)
 }
 
 func (as *AddressSpace) ReadU16(va uint64) (uint64, error) {
 	if i, ok := as.fastIdx(va, 2, PermR); ok {
 		return uint64(binary.LittleEndian.Uint16(as.data[i:])), nil
 	}
-	return as.readU16Slow(va)
-}
-
-func (as *AddressSpace) readU16Slow(va uint64) (uint64, error) {
-	i, err := as.slowIdx(va, 2, AccessRead)
-	if err != nil {
-		return 0, err
-	}
-	return uint64(binary.LittleEndian.Uint16(as.data[i:])), nil
+	return as.readSlow(va, 2)
 }
 
 func (as *AddressSpace) ReadU32(va uint64) (uint64, error) {
 	if i, ok := as.fastIdx(va, 4, PermR); ok {
 		return uint64(binary.LittleEndian.Uint32(as.data[i:])), nil
 	}
-	return as.readU32Slow(va)
-}
-
-func (as *AddressSpace) readU32Slow(va uint64) (uint64, error) {
-	i, err := as.slowIdx(va, 4, AccessRead)
-	if err != nil {
-		return 0, err
-	}
-	return uint64(binary.LittleEndian.Uint32(as.data[i:])), nil
+	return as.readSlow(va, 4)
 }
 
 func (as *AddressSpace) ReadU64(va uint64) (uint64, error) {
 	if i, ok := as.fastIdx(va, 8, PermR); ok {
 		return binary.LittleEndian.Uint64(as.data[i:]), nil
 	}
-	return as.readU64Slow(va)
-}
-
-func (as *AddressSpace) readU64Slow(va uint64) (uint64, error) {
-	i, err := as.slowIdx(va, 8, AccessRead)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(as.data[i:]), nil
+	return as.readSlow(va, 8)
 }
 
 func (as *AddressSpace) WriteU8(va uint64, v uint64) error {
@@ -616,16 +586,7 @@ func (as *AddressSpace) WriteU8(va uint64, v uint64) error {
 		as.data[i] = byte(v)
 		return nil
 	}
-	return as.writeU8Slow(va, v)
-}
-
-func (as *AddressSpace) writeU8Slow(va uint64, v uint64) error {
-	i, err := as.slowIdx(va, 1, AccessWrite)
-	if err != nil {
-		return err
-	}
-	as.data[i] = byte(v)
-	return nil
+	return as.writeSlow(va, 1, v)
 }
 
 func (as *AddressSpace) WriteU16(va uint64, v uint64) error {
@@ -633,16 +594,7 @@ func (as *AddressSpace) WriteU16(va uint64, v uint64) error {
 		binary.LittleEndian.PutUint16(as.data[i:], uint16(v))
 		return nil
 	}
-	return as.writeU16Slow(va, v)
-}
-
-func (as *AddressSpace) writeU16Slow(va uint64, v uint64) error {
-	i, err := as.slowIdx(va, 2, AccessWrite)
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint16(as.data[i:], uint16(v))
-	return nil
+	return as.writeSlow(va, 2, v)
 }
 
 func (as *AddressSpace) WriteU32(va uint64, v uint64) error {
@@ -650,16 +602,7 @@ func (as *AddressSpace) WriteU32(va uint64, v uint64) error {
 		binary.LittleEndian.PutUint32(as.data[i:], uint32(v))
 		return nil
 	}
-	return as.writeU32Slow(va, v)
-}
-
-func (as *AddressSpace) writeU32Slow(va uint64, v uint64) error {
-	i, err := as.slowIdx(va, 4, AccessWrite)
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(as.data[i:], uint32(v))
-	return nil
+	return as.writeSlow(va, 4, v)
 }
 
 func (as *AddressSpace) WriteU64(va uint64, v uint64) error {
@@ -667,15 +610,31 @@ func (as *AddressSpace) WriteU64(va uint64, v uint64) error {
 		binary.LittleEndian.PutUint64(as.data[i:], v)
 		return nil
 	}
-	return as.writeU64Slow(va, v)
+	return as.writeSlow(va, 8, v)
 }
 
-func (as *AddressSpace) writeU64Slow(va uint64, v uint64) error {
-	i, err := as.slowIdx(va, 8, AccessWrite)
+// readSlow is the typed readers' checked path: a size-byte
+// little-endian load.
+func (as *AddressSpace) readSlow(va uint64, size int) (uint64, error) {
+	i, err := as.slowIdx(va, size, AccessRead)
+	if err != nil {
+		return 0, err
+	}
+	var b [8]byte
+	copy(b[:], as.data[i:i+size])
+	return binary.LittleEndian.Uint64(b[:]), nil
+}
+
+// writeSlow is the typed writers' checked path: it stores the low size
+// bytes of v, little-endian.
+func (as *AddressSpace) writeSlow(va uint64, size int, v uint64) error {
+	i, err := as.slowIdx(va, size, AccessWrite)
 	if err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(as.data[i:], v)
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	copy(as.data[i:i+size], b[:size])
 	return nil
 }
 

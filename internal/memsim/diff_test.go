@@ -189,7 +189,6 @@ func (h *refHierarchy) accessLine(line uint64, lead bool, k Kind) sim.Duration {
 	case h.llc.lookup(line):
 		if h.stress && h.rng.Bernoulli(model.StressLLCEvictProb) {
 			h.llc.invalidate(line)
-			h.stats.StressEvict++
 			return h.dramLine(line, false, k)
 		}
 		h.stats.LinesLLC++
@@ -213,7 +212,6 @@ func (h *refHierarchy) dramLine(line uint64, lead bool, k Kind) sim.Duration {
 	var cost sim.Duration
 	switch {
 	case prefetched:
-		h.stats.LinesPref++
 		cost = streamCost(k, false, false, false, true)
 		if lead {
 			cost = model.PrefillLat + sim.FromNanos(4)

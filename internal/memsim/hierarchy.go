@@ -46,15 +46,13 @@ func DefaultConfig() Config {
 
 // Stats counts where accesses were satisfied.
 type Stats struct {
-	Accesses    uint64
-	LinesL2     uint64
-	LinesL3     uint64
-	LinesLLC    uint64
-	LinesDRAM   uint64
-	LinesPref   uint64 // DRAM lines covered by a hot prefetch stream
-	NetStashed  uint64 // network lines written into LLC
-	NetToDRAM   uint64 // network lines written to DRAM
-	StressEvict uint64 // LLC lines lost to the stressor
+	Accesses   uint64 //tclint:allow writeonly item 1(a) snapshot
+	LinesL2    uint64
+	LinesL3    uint64
+	LinesLLC   uint64
+	LinesDRAM  uint64 // DRAM lines no prefetch stream covered
+	NetStashed uint64 // network lines written into LLC
+	NetToDRAM  uint64 // network lines written to DRAM
 }
 
 type stream struct {
@@ -257,7 +255,6 @@ func (h *Hierarchy) accessLine(line uint64, lead bool, k Kind) sim.Duration {
 		// touch just made MRU, so the tags already say what the refetch
 		// leaves behind.
 		if h.stress && h.rng.Bernoulli(model.StressLLCEvictProb) {
-			h.stats.StressEvict++
 			return h.dramLine(line, false, k)
 		}
 		h.stats.LinesLLC++
@@ -287,7 +284,6 @@ func (h *Hierarchy) dramLine(line uint64, lead bool, k Kind) sim.Duration {
 	var cost sim.Duration
 	switch {
 	case prefetched:
-		h.stats.LinesPref++
 		cost = streamCost(k, false, false, false, true)
 		if lead {
 			cost = model.PrefillLat + sim.FromNanos(4)

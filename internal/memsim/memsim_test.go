@@ -195,22 +195,23 @@ func TestPrefetcherNarrowsGap(t *testing.T) {
 
 func TestPrefetcherTrainsOnSequentialMisses(t *testing.T) {
 	h := New(testConfig(false, true))
-	// Stream through 64 lines; after training, lines should be "prefetched".
+	// Stream through 64 cold lines; after training, lines should be
+	// "prefetched", which LinesDRAM does not count.
 	h.Access(0x100000, 64*64, Read)
-	st := h.Stats()
-	if st.LinesPref == 0 {
+	covered := 64 - h.Stats().LinesDRAM
+	if covered == 0 {
 		t.Fatal("no prefetch-covered lines on a 64-line stream")
 	}
-	if st.LinesPref < 50 {
-		t.Fatalf("LinesPref = %d, want most of the 64-line stream", st.LinesPref)
+	if covered < 50 {
+		t.Fatalf("prefetch covered %d lines, want most of the 64-line stream", covered)
 	}
 }
 
 func TestPrefetcherOffMeansNoPrefLines(t *testing.T) {
 	h := New(testConfig(false, false))
 	h.Access(0x100000, 64*64, Read)
-	if st := h.Stats(); st.LinesPref != 0 {
-		t.Fatalf("LinesPref = %d with prefetcher off", st.LinesPref)
+	if st := h.Stats(); st.LinesDRAM != 64 {
+		t.Fatalf("LinesDRAM = %d of 64 cold lines with prefetcher off", st.LinesDRAM)
 	}
 }
 
@@ -242,13 +243,18 @@ func TestStressAddsDelayAndTail(t *testing.T) {
 func TestStressCanEvictStashedLines(t *testing.T) {
 	h := New(testConfig(true, false))
 	h.SetStress(true)
-	evictions := 0
 	for i := 0; i < 2000; i++ {
 		addr := uint64(0x200000 + i*64)
 		h.NetworkWrite(addr, 64)
 		h.Access(addr, 8, Read)
 	}
-	evictions = int(h.Stats().StressEvict)
+	// Every read finds its line stashed in the LLC; one the stressor took
+	// is refetched from DRAM instead.
+	st := h.Stats()
+	if st.LinesLLC+st.LinesDRAM != 2000 {
+		t.Fatalf("LLC %d + DRAM %d lines, want 2000 reads", st.LinesLLC, st.LinesDRAM)
+	}
+	evictions := int(st.LinesDRAM)
 	if evictions == 0 {
 		t.Fatal("stress never evicted a stashed line in 2000 trials")
 	}

@@ -8,37 +8,31 @@ import (
 // ordering guarantees, GOT insertion policy, the injected-to-local
 // auto-switch, and mailbox bank geometry.
 
+// latencyAblation fills t with jam_iput ping-pong latency for payloads
+// of each count of ints, with the option set switches off (second=false)
+// and on: the median of each and the percent change.
+func latencyAblation(o Options, t *Table, ints []int, set func(c *RunConfig, on bool)) (*Table, error) {
+	for _, n := range ints {
+		w, it := latencyIters(o, 300, 4*n)
+		off, on, err := sweepPoint(PingPong, injectedCfg("jam_iput", 4*n, w, it), set, t.Name, fmt.Sprint(n), [2]string{t.Cols[1], t.Cols[2]})
+		if err != nil {
+			return nil, err
+		}
+		a, b := off.Samples.Median(), on.Samples.Median()
+		t.AddRow(fmt.Sprint(n), FmtUs(a), FmtUs(b),
+			fmt.Sprintf("%.1f", PercentDelta(float64(a), float64(b))))
+	}
+	return t, nil
+}
+
 func ablateFrames(o Options) (*Table, error) {
 	t := &Table{
 		Name:  "ablate-frames",
 		Title: "Indirect Put latency: fixed-size vs variable-size frames",
 		Cols:  []string{"ints", "fixed(us)", "variable(us)", "penalty(%)"},
 	}
-	for _, n := range []int{1, 16, 256, 4096} {
-		w, it := latencyIters(o, 300, 4*n)
-		mk := func(variable bool) RunConfig {
-			cfg := DefaultRunConfig()
-			cfg.Warmup, cfg.Iters = w, it
-			cfg.Kind = WkInjected
-			cfg.Elem = "jam_iput"
-			cfg.PayloadBytes = 4 * n
-			cfg.VariableFrames = variable
-			return cfg
-		}
-		fixed, err := PingPong(mk(false))
-		if err != nil {
-			return nil, err
-		}
-		variable, err := PingPong(mk(true))
-		if err != nil {
-			return nil, err
-		}
-		f, v := fixed.Samples.Median(), variable.Samples.Median()
-		t.AddRow(fmt.Sprint(n), FmtUs(f), FmtUs(v),
-			fmt.Sprintf("%.1f", PercentDelta(float64(f), float64(v))))
-	}
 	t.Note("variable frames wait on the header, then on the trailing signal (paper Fig. 1)")
-	return t, nil
+	return latencyAblation(o, t, []int{1, 16, 256, 4096}, func(c *RunConfig, on bool) { c.VariableFrames = on })
 }
 
 func ablateOrder(o Options) (*Table, error) {
@@ -47,32 +41,10 @@ func ablateOrder(o Options) (*Table, error) {
 		Title: "Indirect Put latency: write-order guarantee vs fence + separate signal put",
 		Cols:  []string{"ints", "ordered(us)", "fenced(us)", "penalty(%)"},
 	}
-	for _, n := range []int{1, 16, 256, 4096} {
-		w, it := latencyIters(o, 300, 4*n)
-		mk := func(ordered bool) RunConfig {
-			cfg := DefaultRunConfig()
-			cfg.Warmup, cfg.Iters = w, it
-			cfg.Kind = WkInjected
-			cfg.Elem = "jam_iput"
-			cfg.PayloadBytes = 4 * n
-			cfg.Ordered = ordered
-			cfg.SeparateSignal = !ordered
-			return cfg
-		}
-		ord, err := PingPong(mk(true))
-		if err != nil {
-			return nil, err
-		}
-		fenced, err := PingPong(mk(false))
-		if err != nil {
-			return nil, err
-		}
-		a, b := ord.Samples.Median(), fenced.Samples.Median()
-		t.AddRow(fmt.Sprint(n), FmtUs(a), FmtUs(b),
-			fmt.Sprintf("%.1f", PercentDelta(float64(a), float64(b))))
-	}
 	t.Note("without the hardware guarantee each message needs a fence and a second put")
-	return t, nil
+	return latencyAblation(o, t, []int{1, 16, 256, 4096}, func(c *RunConfig, fenced bool) {
+		c.Ordered, c.SeparateSignal = !fenced, fenced
+	})
 }
 
 func ablateGot(o Options) (*Table, error) {
@@ -81,31 +53,8 @@ func ablateGot(o Options) (*Table, error) {
 		Title: "Indirect Put latency: sender-set GOT pointer vs receiver insertion",
 		Cols:  []string{"ints", "sender(us)", "receiver(us)", "penalty(%)"},
 	}
-	for _, n := range []int{1, 64, 1024} {
-		w, it := latencyIters(o, 300, 4*n)
-		mk := func(insert bool) RunConfig {
-			cfg := DefaultRunConfig()
-			cfg.Warmup, cfg.Iters = w, it
-			cfg.Kind = WkInjected
-			cfg.Elem = "jam_iput"
-			cfg.PayloadBytes = 4 * n
-			cfg.InsertGp = insert
-			return cfg
-		}
-		snd, err := PingPong(mk(false))
-		if err != nil {
-			return nil, err
-		}
-		rcv, err := PingPong(mk(true))
-		if err != nil {
-			return nil, err
-		}
-		a, b := snd.Samples.Median(), rcv.Samples.Median()
-		t.AddRow(fmt.Sprint(n), FmtUs(a), FmtUs(b),
-			fmt.Sprintf("%.1f", PercentDelta(float64(a), float64(b))))
-	}
 	t.Note("receiver insertion defeats GOT-pointer spoofing at one extra patch per arrival")
-	return t, nil
+	return latencyAblation(o, t, []int{1, 64, 1024}, func(c *RunConfig, on bool) { c.InsertGp = on })
 }
 
 func ablateAutoswitch(o Options) (*Table, error) {
@@ -165,29 +114,6 @@ func ablateSecExec(o Options) (*Table, error) {
 		Title: "Indirect Put latency: execute-in-mailbox vs copy to private X page",
 		Cols:  []string{"ints", "rwx(us)", "secexec(us)", "penalty(%)"},
 	}
-	for _, n := range []int{1, 64, 1024} {
-		w, it := latencyIters(o, 300, 4*n)
-		mk := func(sec bool) RunConfig {
-			cfg := DefaultRunConfig()
-			cfg.Warmup, cfg.Iters = w, it
-			cfg.Kind = WkInjected
-			cfg.Elem = "jam_iput"
-			cfg.PayloadBytes = 4 * n
-			cfg.NodeCfg.SecureExec = sec
-			return cfg
-		}
-		rwx, err := PingPong(mk(false))
-		if err != nil {
-			return nil, err
-		}
-		sec, err := PingPong(mk(true))
-		if err != nil {
-			return nil, err
-		}
-		a, b := rwx.Samples.Median(), sec.Samples.Median()
-		t.AddRow(fmt.Sprint(n), FmtUs(a), FmtUs(b),
-			fmt.Sprintf("%.1f", PercentDelta(float64(a), float64(b))))
-	}
 	t.Note("the paper's §V separation of code pages from writable mailbox data")
-	return t, nil
+	return latencyAblation(o, t, []int{1, 64, 1024}, func(c *RunConfig, on bool) { c.NodeCfg.SecureExec = on })
 }

@@ -69,7 +69,6 @@ type RunResult struct {
 	Bandwidth float64 // payload bytes/second
 	CyclesA   float64 // total CPU cycles on the initiator over the run
 	CyclesB   float64 // total CPU cycles on the target over the run
-	FrameSize int
 	Errors    int
 }
 
@@ -81,10 +80,8 @@ type rig struct {
 	a, b       *core.Node
 	ab, ba     *core.Channel
 	fnAB, fnBA *tc.Func // nil for WkData runs
-	frame      int
 	cfg        RunConfig
 	payload    []byte
-	errCount   int
 }
 
 // message builds the benchmark message template to size frames.
@@ -168,7 +165,7 @@ func buildRig(cfg RunConfig, geom mailbox.Geometry, credits bool) (*rig, error) 
 	if err != nil {
 		return nil, err
 	}
-	r := &rig{sys: sys, a: a, b: b, ab: ab, ba: ba, frame: geom.FrameSize, cfg: cfg, payload: payload}
+	r := &rig{sys: sys, a: a, b: b, ab: ab, ba: ba, cfg: cfg, payload: payload}
 	if cfg.Kind != WkData {
 		if r.fnAB, err = sys.Func(0, "tcbench", cfg.Elem); err != nil {
 			return nil, err
@@ -206,7 +203,7 @@ func PingPong(cfg RunConfig) (*RunResult, error) {
 		return nil, err
 	}
 	defer r.sys.Close()
-	res := &RunResult{FrameSize: r.frame}
+	res := &RunResult{}
 
 	total := cfg.Warmup + cfg.Iters
 	iter := 0
@@ -261,7 +258,7 @@ func InjectionRate(cfg RunConfig) (*RunResult, error) {
 		return nil, err
 	}
 	defer r.sys.Close()
-	res := &RunResult{FrameSize: r.frame}
+	res := &RunResult{}
 
 	total := cfg.Warmup + cfg.Iters
 	processed := 0
@@ -354,7 +351,7 @@ func UcxPutLatency(cfg RunConfig, size int) (*RunResult, error) {
 		return nil, err
 	}
 	defer p.sys.Close()
-	res := &RunResult{FrameSize: size}
+	res := &RunResult{}
 	total := cfg.Warmup + cfg.Iters
 	iter := 0
 	var t0 sim.Time
@@ -407,7 +404,7 @@ func UcxPutBandwidth(cfg RunConfig, size int) (*RunResult, error) {
 		return nil, err
 	}
 	defer p.sys.Close()
-	res := &RunResult{FrameSize: size}
+	res := &RunResult{}
 	total := cfg.Warmup + cfg.Iters
 	var tStart, tEnd sim.Time
 	i := 0

@@ -177,37 +177,25 @@ func localVsInjected(o Options, elem string, ints []int, rate bool) (*Table, err
 		Title: elem + " Injected vs Local Function: " + title,
 		Cols:  []string{"ints", "local", "injected", "delta(%)"},
 	}
+	driver := PingPong
+	if rate {
+		driver = InjectionRate
+	}
 	for _, n := range ints {
 		payload := 4 * n
 		w, it := latencyIters(o, 300, payload)
-		mk := func(kind WorkloadKind) RunConfig {
-			cfg := DefaultRunConfig()
-			cfg.Warmup, cfg.Iters = w, it
-			cfg.Kind = kind
-			cfg.Elem = elem
-			cfg.PayloadBytes = payload
-			return cfg
+		loc, inj, err := sweepPoint(driver, injectedCfg(elem, payload, w, it), func(c *RunConfig, inj bool) {
+			if !inj {
+				c.Kind = WkLocal
+			}
+		}, name, "n="+fmt.Sprint(n), [2]string{"local", "injected"})
+		if err != nil {
+			return nil, err
 		}
 		if rate {
-			loc, err := InjectionRate(mk(WkLocal))
-			if err != nil {
-				return nil, fmt.Errorf("%s n=%d local: %w", name, n, err)
-			}
-			inj, err := InjectionRate(mk(WkInjected))
-			if err != nil {
-				return nil, fmt.Errorf("%s n=%d injected: %w", name, n, err)
-			}
 			t.AddRow(fmt.Sprint(n), FmtRate(loc.Rate), FmtRate(inj.Rate),
 				fmt.Sprintf("%.1f", PercentDelta(loc.Rate, inj.Rate)))
 		} else {
-			loc, err := PingPong(mk(WkLocal))
-			if err != nil {
-				return nil, fmt.Errorf("%s n=%d local: %w", name, n, err)
-			}
-			inj, err := PingPong(mk(WkInjected))
-			if err != nil {
-				return nil, fmt.Errorf("%s n=%d injected: %w", name, n, err)
-			}
 			l, i := loc.Samples.Median(), inj.Samples.Median()
 			t.AddRow(fmt.Sprint(n), FmtUs(l), FmtUs(i),
 				fmt.Sprintf("%.1f", PercentDelta(float64(l), float64(i))))
@@ -231,61 +219,79 @@ func fig8(o Options) (*Table, error) {
 
 // stashSweep compares stash on/off for one workload.
 func stashSweep(o Options, name, elem string, payloads []int, rate bool, labelInts bool) (*Table, error) {
-	unit := "latency (us)"
+	unit, driver := "latency (us)", PingPong
 	if rate {
-		unit = "message rate"
+		unit, driver = "message rate", InjectionRate
 	}
 	t := &Table{
 		Name:  name,
 		Title: elem + " with LLC stashing on/off: " + unit,
-		Cols:  []string{"x", "nonstash", "stash", "delta(%)"},
-	}
-	if labelInts {
-		t.Cols[0] = "ints"
-	} else {
-		t.Cols[0] = "size(B)"
+		Cols:  []string{xCol(labelInts), "nonstash", "stash", "delta(%)"},
 	}
 	for _, payload := range payloads {
 		w, it := latencyIters(o, 300, payload)
-		mk := func(stash bool) RunConfig {
-			cfg := DefaultRunConfig()
-			cfg.Warmup, cfg.Iters = w, it
-			cfg.Kind = WkInjected
-			cfg.Elem = elem
-			cfg.PayloadBytes = payload
-			cfg.NodeCfg.Stash = stash
-			return cfg
-		}
-		label := fmt.Sprint(payload)
-		if labelInts {
-			label = fmt.Sprint(payload / 4)
+		label := xLabel(labelInts, payload)
+		non, st, err := sweepPoint(driver, injectedCfg(elem, payload, w, it), setStash, name, label, [2]string{"nonstash", "stash"})
+		if err != nil {
+			return nil, err
 		}
 		if rate {
-			non, err := InjectionRate(mk(false))
-			if err != nil {
-				return nil, fmt.Errorf("%s %s nonstash: %w", name, label, err)
-			}
-			st, err := InjectionRate(mk(true))
-			if err != nil {
-				return nil, fmt.Errorf("%s %s stash: %w", name, label, err)
-			}
 			t.AddRow(label, FmtRate(non.Rate), FmtRate(st.Rate),
 				fmt.Sprintf("%.1f", PercentDelta(non.Rate, st.Rate)))
 		} else {
-			non, err := PingPong(mk(false))
-			if err != nil {
-				return nil, fmt.Errorf("%s %s nonstash: %w", name, label, err)
-			}
-			st, err := PingPong(mk(true))
-			if err != nil {
-				return nil, fmt.Errorf("%s %s stash: %w", name, label, err)
-			}
 			nv, sv := non.Samples.Median(), st.Samples.Median()
 			t.AddRow(label, FmtUs(nv), FmtUs(sv),
 				fmt.Sprintf("%.1f", PercentDelta(float64(nv), float64(sv))*-1))
 		}
 	}
 	return t, nil
+}
+
+// injectedCfg is one sweep point's base run: elem injected with a
+// payload of the given bytes, w warmup and it measured iterations.
+func injectedCfg(elem string, payload, w, it int) RunConfig {
+	cfg := DefaultRunConfig()
+	cfg.Warmup, cfg.Iters = w, it
+	cfg.Kind = WkInjected
+	cfg.Elem = elem
+	cfg.PayloadBytes = payload
+	return cfg
+}
+
+// sweepPoint runs driver on two variants of base, in order: set leaves
+// the first as is (second=false) or makes the second. A failure names
+// the table, the point's label and the variant.
+func sweepPoint(driver func(RunConfig) (*RunResult, error), base RunConfig, set func(c *RunConfig, second bool),
+	name, label string, variants [2]string) (a, b *RunResult, err error) {
+	var out [2]*RunResult
+	for i := range out {
+		cfg := base
+		set(&cfg, i == 1)
+		if out[i], err = driver(cfg); err != nil {
+			return nil, nil, fmt.Errorf("%s %s %s: %w", name, label, variants[i], err)
+		}
+	}
+	return out[0], out[1], nil
+}
+
+// setStash switches LLC stashing off for the first variant of a sweep
+// point and on for the second.
+func setStash(c *RunConfig, on bool) { c.NodeCfg.Stash = on }
+
+// xCol and xLabel name a sweep's x axis and one point on it: the payload
+// as a count of 4-byte ints, or in bytes.
+func xCol(labelInts bool) string {
+	if labelInts {
+		return "ints"
+	}
+	return "size(B)"
+}
+
+func xLabel(labelInts bool, payload int) string {
+	if labelInts {
+		return fmt.Sprint(payload / 4)
+	}
+	return fmt.Sprint(payload)
 }
 
 func intsPayloads(lo, hi int) []int {
@@ -317,37 +323,17 @@ func tailSweep(o Options, name, elem string, payloads []int, labelInts bool) (*T
 	t := &Table{
 		Name:  name,
 		Title: elem + " on fully loaded system (stress-ng model): median/tail/spread",
-		Cols: []string{"x", "non_med(us)", "non_tail(us)", "non_spread(%)",
+		Cols: []string{xCol(labelInts), "non_med(us)", "non_tail(us)", "non_spread(%)",
 			"st_med(us)", "st_tail(us)", "st_spread(%)"},
-	}
-	if labelInts {
-		t.Cols[0] = "ints"
-	} else {
-		t.Cols[0] = "size(B)"
 	}
 	for _, payload := range payloads {
 		w, it := latencyIters(o, 3000, payload)
-		mk := func(stash bool) RunConfig {
-			cfg := DefaultRunConfig()
-			cfg.Warmup, cfg.Iters = w, it
-			cfg.Kind = WkInjected
-			cfg.Elem = elem
-			cfg.PayloadBytes = payload
-			cfg.NodeCfg.Stash = stash
-			cfg.Stress = true
-			return cfg
-		}
-		label := fmt.Sprint(payload)
-		if labelInts {
-			label = fmt.Sprint(payload / 4)
-		}
-		non, err := PingPong(mk(false))
+		label := xLabel(labelInts, payload)
+		cfg := injectedCfg(elem, payload, w, it)
+		cfg.Stress = true
+		non, st, err := sweepPoint(PingPong, cfg, setStash, name, label, [2]string{"nonstash", "stash"})
 		if err != nil {
-			return nil, fmt.Errorf("%s %s nonstash: %w", name, label, err)
-		}
-		st, err := PingPong(mk(true))
-		if err != nil {
-			return nil, fmt.Errorf("%s %s stash: %w", name, label, err)
+			return nil, err
 		}
 		t.AddRow(label,
 			FmtUs(non.Samples.Median()), FmtUs(non.Samples.Tail()),
@@ -379,35 +365,18 @@ func wfeSweep(o Options, name, elem string, payloads []int, labelInts bool) (*Ta
 	t := &Table{
 		Name:  name,
 		Title: elem + ": spin-poll vs WFE wait, latency and total CPU cycles",
-		Cols:  []string{"x", "poll(us)", "wfe(us)", "poll_cycles", "wfe_cycles", "cycle_reduction(x)"},
-	}
-	if labelInts {
-		t.Cols[0] = "ints"
-	} else {
-		t.Cols[0] = "size(B)"
+		Cols:  []string{xCol(labelInts), "poll(us)", "wfe(us)", "poll_cycles", "wfe_cycles", "cycle_reduction(x)"},
 	}
 	for _, payload := range payloads {
 		w, it := latencyIters(o, 600, payload)
-		mk := func(mode cpusim.WaitMode) RunConfig {
-			cfg := DefaultRunConfig()
-			cfg.Warmup, cfg.Iters = w, it
-			cfg.Kind = WkInjected
-			cfg.Elem = elem
-			cfg.PayloadBytes = payload
-			cfg.WaitMode = mode
-			return cfg
-		}
-		label := fmt.Sprint(payload)
-		if labelInts {
-			label = fmt.Sprint(payload / 4)
-		}
-		poll, err := PingPong(mk(cpusim.Poll))
+		label := xLabel(labelInts, payload)
+		poll, wfe, err := sweepPoint(PingPong, injectedCfg(elem, payload, w, it), func(c *RunConfig, wfe bool) {
+			if wfe {
+				c.WaitMode = cpusim.WFE
+			}
+		}, name, label, [2]string{"poll", "wfe"})
 		if err != nil {
-			return nil, fmt.Errorf("%s %s poll: %w", name, label, err)
-		}
-		wfe, err := PingPong(mk(cpusim.WFE))
-		if err != nil {
-			return nil, fmt.Errorf("%s %s wfe: %w", name, label, err)
+			return nil, err
 		}
 		pc := poll.CyclesA + poll.CyclesB
 		wc := wfe.CyclesA + wfe.CyclesB

@@ -50,7 +50,9 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Intn returns a uniform value in [0, n). It panics if n <= 0.
+// Intn returns a uniform value in [0, n). It panics if n <= 0, which no
+// scenario reaches: workload's Validate guarantees Nodes >= 2 and a mix
+// weight sum in (0, math.MaxInt], the only n a run draws with.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("sim: Intn with non-positive n")

@@ -85,15 +85,18 @@ func TestPutLatencyModel(t *testing.T) {
 
 func TestInvalidRkeyRejected(t *testing.T) {
 	eng, a, b := twoHosts(t, DefaultConfig(), RemoteWrite)
+	if err := a.as.WriteBytes(a.buf, []byte("rejected")); err != nil {
+		t.Fatal(err)
+	}
 	var res PutResult
 	a.nic.Put(b.nic, a.buf, b.buf, 64, b.key+1, func(r PutResult) { res = r })
 	eng.Run()
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "rkey") {
 		t.Fatalf("err = %v", res.Err)
 	}
-	// Nothing delivered.
-	if b.nic.stats.PutsDelivered != 0 {
-		t.Fatal("rejected put delivered")
+	// Nothing landed.
+	if got, _ := b.as.ReadBytes(b.buf, 8); string(got) != string(make([]byte, 8)) {
+		t.Fatalf("rejected put landed %q", got)
 	}
 }
 
@@ -228,15 +231,26 @@ func TestPipelinedThroughputBoundedByWire(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	eng, a, b := twoHosts(t, DefaultConfig(), RemoteWrite)
-	a.nic.Put(b.nic, a.buf, b.buf, 64, b.key, nil)
-	a.nic.Put(b.nic, a.buf, b.buf, 64, b.key+1, nil) // rejected
-	eng.Run()
-	s := a.nic.stats
-	if s.PutsSent != 2 || s.Rejected != 1 {
-		t.Fatalf("stats %+v", s)
+	if err := a.as.WriteBytes(a.buf, []byte("landed")); err != nil {
+		t.Fatal(err)
 	}
-	if b.nic.stats.PutsDelivered != 1 {
-		t.Fatalf("delivered %d", b.nic.stats.PutsDelivered)
+	var failed int
+	done := func(r PutResult) {
+		if r.Err != nil {
+			failed++
+		}
+	}
+	a.nic.Put(b.nic, a.buf, b.buf, 64, b.key, done)
+	a.nic.Put(b.nic, a.buf, b.buf+128, 64, b.key+1, done) // rejected
+	eng.Run()
+	if s := a.nic.stats; s.PutsSent != 2 || failed != 1 {
+		t.Fatalf("stats %+v, %d puts failed, want 1", s, failed)
+	}
+	if got, _ := b.as.ReadBytes(b.buf, 6); string(got) != "landed" {
+		t.Fatalf("delivered put landed %q", got)
+	}
+	if got, _ := b.as.ReadBytes(b.buf+128, 6); string(got) != string(make([]byte, 6)) {
+		t.Fatalf("rejected put landed %q", got)
 	}
 }
 

@@ -29,12 +29,22 @@ type Func struct {
 // element must be installed on src as a jam; unknown packages or elements
 // fail here, not at call time.
 func (s *System) Func(src int, pkg, elem string) (*Func, error) {
+	return s.newFunc(nil, src, pkg, elem)
+}
+
+// newFunc resolves a handle for elem of pkg as installed on src: the
+// base install, or tenant t's when t is not nil.
+func (s *System) newFunc(t *tenant.Tenant, src int, pkg, elem string) (*Func, error) {
 	if src < 0 || src >= s.mesh.Nodes() {
 		return nil, fmt.Errorf("tc: func: source node %d out of range (%d nodes)", src, s.mesh.Nodes())
 	}
-	inst, ok := s.mesh.Node(src).Package(pkg)
+	q, owner := pkg, ""
+	if t != nil {
+		q, owner = tenant.Qualified(t.Name, pkg), fmt.Sprintf(" for tenant %q", t.Name)
+	}
+	inst, ok := s.mesh.Node(src).Package(q)
 	if !ok {
-		return nil, fmt.Errorf("tc: func: package %q not installed on node %d", pkg, src)
+		return nil, fmt.Errorf("tc: func: package %q not installed%s on node %d", pkg, owner, src)
 	}
 	e, ok := inst.Pkg.Element(elem)
 	if !ok {
@@ -43,7 +53,7 @@ func (s *System) Func(src int, pkg, elem string) (*Func, error) {
 	if e.Kind != core.ElemJam {
 		return nil, fmt.Errorf("tc: func: element %q in package %q is a %s, not a jam", elem, pkg, e.Kind)
 	}
-	return &Func{sys: s, src: src, pkg: pkg, elem: elem,
+	return &Func{sys: s, src: src, pkg: q, elem: elem, ten: t,
 		bounds: make([]*core.Bound, s.mesh.Nodes())}, nil
 }
 
@@ -199,7 +209,6 @@ func (f *Func) issueOnce(fu *Future, dst int, args [2]uint64, cfg *callCfg) erro
 			return ten.Reject(dec)
 		}
 	}
-	fu.injected = !cfg.local
 	switch {
 	case cfg.local && cfg.burst:
 		return b.CallLocalBurst(cfg.batch, cfg.usr, fu.infoCb)
@@ -264,11 +273,6 @@ type Result struct {
 	// Delivered is the latest receiver-side delivery time. Handler
 	// execution happens after delivery; observe it via Node.OnExecuted.
 	Delivered sim.Time
-	// Injected records the invocation method the call requested. (Under
-	// the core.ChannelOptions.AutoSwitchAfter ablation a reoccurring
-	// single inject may be downgraded to Local Function on the wire;
-	// the flag still reports the requested method.)
-	Injected bool
 }
 
 // Future is the completion handle of one Call. It resolves exactly once,
@@ -298,7 +302,6 @@ type Future struct {
 	armed    bool // in flight; resolution happens inside the engine
 	released bool // caller opted back into recycling
 	free     bool // currently in the pool (reuse/double-release guard)
-	injected bool // invocation method of the in-flight call
 	res      Result
 	cbs      []func(Result)
 	// infoCb is the prebound completion adapter, created once per pooled
@@ -321,7 +324,6 @@ func (s *System) newFuture(expect int) *Future {
 	}
 	fu.expect = expect
 	fu.resolved, fu.observed, fu.armed, fu.released, fu.free = false, false, false, false, false
-	fu.injected = false
 	fu.res = Result{}
 	fu.cbs = fu.cbs[:0]
 	return fu
@@ -351,7 +353,6 @@ func (fu *Future) completeInfo(info mailbox.SendInfo) {
 	if info.Delivered > fu.res.Delivered {
 		fu.res.Delivered = info.Delivered
 	}
-	fu.res.Injected = fu.injected
 	if fu.res.N >= fu.expect {
 		fu.resolve()
 	}

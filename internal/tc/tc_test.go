@@ -183,12 +183,17 @@ func TestFutureDoneAfterResolve(t *testing.T) {
 	late := 0
 	fu.Done(func(r Result) {
 		late++
-		if r.N != 1 || r.Err != nil || !r.Injected {
+		if r.N != 1 || r.Err != nil {
 			t.Errorf("bad result in late callback: %+v", r)
 		}
 	})
 	if first != 1 || late != 1 {
 		t.Fatalf("callbacks fired %d/%d times, want 1/1", first, late)
+	}
+	// The call was injected: its receiver mapped the shipped jam once.
+	sys.Run()
+	if tier := sys.Stats().Tier; tier.Hits+tier.Misses != 1 {
+		t.Errorf("injected call mapped jams %+v, want once", tier)
 	}
 }
 
@@ -205,16 +210,16 @@ func TestLocalCallResolvesReceiverIDs(t *testing.T) {
 		}
 		got = ret
 	}
-	res, err := fn.Call(1, [2]uint64{}, Local(), Payload([]byte{1, 2, 3, 4, 5, 6, 7, 8})).Await()
-	if err != nil {
+	if _, err := fn.Call(1, [2]uint64{}, Local(), Payload([]byte{1, 2, 3, 4, 5, 6, 7, 8})).Await(); err != nil {
 		t.Fatal(err)
-	}
-	if res.Injected {
-		t.Fatal("local call reported as injected")
 	}
 	sys.Run()
 	if got == 0 {
 		t.Fatal("local function did not execute")
+	}
+	// The call was local: no jam travelled, so the receiver mapped none.
+	if tier := sys.Stats().Tier; tier.Hits+tier.Misses != 0 {
+		t.Fatalf("local call mapped jams %+v", tier)
 	}
 }
 

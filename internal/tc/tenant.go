@@ -69,24 +69,7 @@ func (s *System) FuncFor(tenantName string, src int, pkg, elem string) (*Func, e
 	if !ok {
 		return nil, fmt.Errorf("tc: func: unknown tenant %q", tenantName)
 	}
-	if src < 0 || src >= s.mesh.Nodes() {
-		return nil, fmt.Errorf("tc: func: source node %d out of range (%d nodes)", src, s.mesh.Nodes())
-	}
-	q := tenant.Qualified(t.Name, pkg)
-	inst, ok := s.mesh.Node(src).Package(q)
-	if !ok {
-		return nil, fmt.Errorf("tc: func: package %q not installed for tenant %q on node %d",
-			pkg, t.Name, src)
-	}
-	e, ok := inst.Pkg.Element(elem)
-	if !ok {
-		return nil, fmt.Errorf("tc: func: no element %q in package %q", elem, pkg)
-	}
-	if e.Kind != core.ElemJam {
-		return nil, fmt.Errorf("tc: func: element %q in package %q is a %s, not a jam", elem, pkg, e.Kind)
-	}
-	return &Func{sys: s, src: src, pkg: q, elem: elem, ten: t,
-		bounds: make([]*core.Bound, s.mesh.Nodes())}, nil
+	return s.newFunc(t, src, pkg, elem)
 }
 
 // viewChannel returns the src->dst channel of the tenant's namespace

@@ -125,9 +125,8 @@ func BuildKVStore() (*core.Package, error) {
 
 // KVOracle is the native model of one node's kvstore state.
 type KVOracle struct {
-	keys  [kvSlots]uint64
-	vals  [kvSlots]uint64
-	count uint64
+	keys [kvSlots]uint64
+	vals [kvSlots]uint64
 }
 
 // NewKVOracle returns an empty table model.
@@ -152,7 +151,6 @@ func (o *KVOracle) Apply(elem string, args [2]uint64, usr []byte) (uint64, error
 				return h, nil
 			case 0:
 				o.keys[h], o.vals[h] = key, val
-				o.count++
 				return h, nil
 			}
 			h = (h + 1) & kvMask

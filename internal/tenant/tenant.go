@@ -116,9 +116,9 @@ type bucket struct {
 // AdmitStats aggregates a tenant's admission outcomes (Stats sums the
 // issuer-owned per-node counters; call it only outside the simulation).
 type AdmitStats struct {
-	Admitted uint64
-	Dropped  uint64
-	Deferred uint64
+	Admitted uint64 //tclint:allow writeonly item 1(a) snapshot
+	Dropped  uint64 //tclint:allow writeonly item 1(a) snapshot
+	Deferred uint64 //tclint:allow writeonly item 1(a) snapshot
 }
 
 // Tenant is one serving tenant: a dense ID (the fair-queue class on

@@ -42,7 +42,6 @@ func NewContext(f fabric.Transport) *Context { return &Context{Fabric: f} }
 // Worker is a progress engine bound to one node: its NIC plus the CPU time
 // the communication library consumes on that node.
 type Worker struct {
-	Ctx  *Context
 	NIC  fabric.Port
 	AS   *mem.AddressSpace
 	Hier *memsim.Hierarchy
@@ -56,7 +55,6 @@ type Worker struct {
 // NewWorker attaches a node to the fabric.
 func (c *Context) NewWorker(as *mem.AddressSpace, hier *memsim.Hierarchy) *Worker {
 	return &Worker{
-		Ctx:  c,
 		NIC:  c.Fabric.Attach(as, hier),
 		AS:   as,
 		Hier: hier,
@@ -67,9 +65,7 @@ func (c *Context) NewWorker(as *mem.AddressSpace, hier *memsim.Hierarchy) *Worke
 
 // Memory is a registered region handle with its rkey.
 type Memory struct {
-	Base uint64
-	Size int
-	Key  fabric.RKey
+	Key fabric.RKey
 }
 
 // RegisterMemory pins a region for remote access.
@@ -78,7 +74,7 @@ func (w *Worker) RegisterMemory(base uint64, size int, access fabric.Access) (*M
 	if err != nil {
 		return nil, err
 	}
-	return &Memory{Base: base, Size: size, Key: key}, nil
+	return &Memory{Key: key}, nil
 }
 
 // Endpoint is a connection from a local worker to a remote worker.

@@ -58,7 +58,6 @@ type NativeFunc func(env *Env, args [6]uint64) (uint64, error)
 
 // Env gives natives access to the executing node's state and cost meter.
 type Env struct {
-	VM     *VM
 	AS     *mem.AddressSpace
 	Hier   *memsim.Hierarchy
 	Stdout io.Writer
@@ -120,9 +119,8 @@ type VM struct {
 	env      Env
 	callCost sim.Duration
 
-	// Cumulative counters across calls.
-	TotalInstrs uint64
-	TotalCost   sim.Duration
+	// TotalInstrs counts instructions across calls.
+	TotalInstrs uint64 //tclint:allow writeonly item 1(a) snapshot
 	// JITCompiles and JITDeopts are always 0: nothing is translated.
 	//
 	// Deprecated: inert since PR 21. Kept until benchmark/ stops naming
@@ -186,7 +184,7 @@ func New(as *mem.AddressSpace, hier *memsim.Hierarchy, stdout io.Writer) (*VM, e
 		Stdout:      stdout,
 		InstrBudget: DefaultInstrBudget,
 	}
-	vm.env = Env{VM: vm, AS: as, Hier: hier, Stdout: stdout, cost: &vm.callCost}
+	vm.env = Env{AS: as, Hier: hier, Stdout: stdout, cost: &vm.callCost}
 	base, err := as.AllocPages("vm:natives", mem.PageSize, mem.PermR)
 	if err != nil {
 		return nil, err
@@ -743,13 +741,11 @@ func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error)
 	return r[0], vm.charge(instrs, cost), nil
 }
 
-// charge adds a call's instructions and simulated cost to the VM's totals
-// and returns the call's whole cost.
+// charge adds a call's instructions to the VM's total and returns the
+// call's whole cost.
 func (vm *VM) charge(instrs uint64, cost sim.Duration) sim.Duration {
-	total := cost + model.Cycles(float64(instrs)*model.VMCyclesPerInstr)
 	vm.TotalInstrs += instrs
-	vm.TotalCost += total
-	return total
+	return cost + model.Cycles(float64(instrs)*model.VMCyclesPerInstr)
 }
 
 // fault ends a call at pc with err, charged like a return.

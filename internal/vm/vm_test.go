@@ -483,8 +483,8 @@ td:
 	if cost1 <= 0 || cost2 <= cost1 {
 		t.Fatalf("costs: %v then %v", cost1, cost2)
 	}
-	if h.vm.TotalInstrs == 0 || h.vm.TotalCost == 0 {
-		t.Fatal("cumulative counters empty")
+	if h.vm.TotalInstrs == 0 {
+		t.Fatal("cumulative instruction counter empty")
 	}
 }
 
@@ -730,9 +730,6 @@ td:
 			}
 			if got != want {
 				t.Errorf("%s/%s:\n got %#v\nwant %#v", c.name, leg, got, want)
-			}
-			if h.vm.TotalCost != cost {
-				t.Errorf("%s/%s: TotalCost = %d after one call that cost %d", c.name, leg, h.vm.TotalCost, cost)
 			}
 		}
 	}

@@ -275,7 +275,7 @@ type tenantGoldenRun struct {
 }
 
 // verify checks one finished run against the pins.
-func (g tenantGoldenRun) verify(t *testing.T, res *Result) {
+func (g tenantGoldenRun) verify(t *testing.T, res *Result, lanes []*lane) {
 	t.Helper()
 	if res.Digest != g.digest {
 		t.Errorf("digest = %#x, want %#x", res.Digest, g.digest)
@@ -286,11 +286,12 @@ func (g tenantGoldenRun) verify(t *testing.T, res *Result) {
 	if int64(res.OverlapWindow) != g.overlap {
 		t.Errorf("overlap window = %d, want %d", int64(res.OverlapWindow), g.overlap)
 	}
-	verifyTenants(t, res, g.tenants)
+	verifyTenants(t, res, lanes, g.tenants)
 }
 
-// verifyTenants checks every tenant's slice of a finished run.
-func verifyTenants(t *testing.T, res *Result, want []tenantGolden) {
+// verifyTenants checks every tenant's slice of a finished run; lane i
+// holds tenant i's phases.
+func verifyTenants(t *testing.T, res *Result, lanes []*lane, want []tenantGolden) {
 	t.Helper()
 	if len(res.Tenants) != len(want) {
 		t.Fatalf("tenants reported: %d, want %d", len(res.Tenants), len(want))
@@ -298,7 +299,7 @@ func verifyTenants(t *testing.T, res *Result, want []tenantGolden) {
 	for i, w := range want {
 		tr := res.Tenants[i]
 		var ends []int64
-		for _, ph := range tr.Phases {
+		for _, ph := range lanes[i].phases {
 			ends = append(ends, int64(ph.End))
 		}
 		got := tenantGolden{tr.Name, tr.Serviced, tr.Dropped, tr.Deferred, tr.Lost, int64(tr.P99Latency), ends}
@@ -395,11 +396,11 @@ var shardedTenantPins = []tenantGoldenRun{
 // run runs the scenario in a subtest and checks it against the pins.
 func (g tenantGoldenRun) run(t *testing.T) {
 	t.Run(g.name, func(t *testing.T) {
-		res, err := Run(g.sc)
+		res, lanes, err := run(g.sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.verify(t, res)
+		g.verify(t, res, lanes)
 	})
 }
 
@@ -428,7 +429,7 @@ type enginePin struct {
 }
 
 // verify checks one finished run against the pin.
-func (p enginePin) verify(t *testing.T, res *Result) {
+func (p enginePin) verify(t *testing.T, res *Result, lanes []*lane) {
 	t.Helper()
 	if res.Digest != p.digest {
 		t.Errorf("%s: digest = %#x, want %#x", p.name, res.Digest, p.digest)
@@ -442,7 +443,7 @@ func (p enginePin) verify(t *testing.T, res *Result) {
 	if !reflect.DeepEqual(res.PerNode, p.nodes) {
 		t.Errorf("%s: per-node rows\n got %+v\nwant %+v", p.name, res.PerNode, p.nodes)
 	}
-	verifyTenants(t, res, p.tenants)
+	verifyTenants(t, res, lanes, p.tenants)
 }
 
 // enginePinFor returns the row named name.

@@ -17,11 +17,11 @@ import (
 // named pin.
 func runPinned(t *testing.T, pin string, sc Scenario) *Result {
 	t.Helper()
-	res, err := Run(sc)
+	res, lanes, err := run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enginePinFor(t, pin).verify(t, res)
+	enginePinFor(t, pin).verify(t, res, lanes)
 	return res
 }
 

@@ -61,20 +61,17 @@ type TenantResult struct {
 	Serviced int
 	Dropped  int
 	Deferred int
-	Lost     int
+	Lost     int //tclint:allow writeonly the per-tenant loss ledger the workload tests pin
 	Errors   int
 	// GoodputPerSec is the tenant's serviced messages per simulated
 	// second inside the run's overlap window (the fair-share comparison
-	// metric); RatePerSec the whole-run average.
+	// metric).
 	GoodputPerSec float64
-	RatePerSec    float64
 	// P99Latency is the 99th percentile of issue-to-delivery simulated
 	// latency (credit stalls under overload push it up); LastService the
 	// tenant's final service stamp.
 	P99Latency  sim.Duration
 	LastService sim.Duration
-	// Phases are the tenant's per-phase results.
-	Phases []PhaseResult
 }
 
 // laneSpec is one lane's resolved phase program. cfg is the tenant the
@@ -197,7 +194,7 @@ func (sc *Scenario) resolveTenants(base []phaseSpec) ([]laneSpec, error) {
 
 // tenantResults assembles the per-tenant reports of a multi-tenant run
 // and the overlap window their goodput is measured in.
-func tenantResults(lanes []*lane, simTime sim.Duration) ([]TenantResult, sim.Duration) {
+func tenantResults(lanes []*lane) ([]TenantResult, sim.Duration) {
 	// The overlap window: every tenant's servicing overlaps in [0, W], so
 	// goodput inside it compares fair shares instead of drain tails.
 	lasts := make([]sim.Time, len(lanes))
@@ -224,7 +221,6 @@ func tenantResults(lanes []*lane, simTime sim.Duration) ([]TenantResult, sim.Dur
 			Lost:        l.lost,
 			Errors:      l.errs,
 			LastService: sim.Duration(lasts[i]),
-			Phases:      l.phases,
 		}
 		inWindow := 0
 		for _, t := range l.svc {
@@ -234,9 +230,6 @@ func tenantResults(lanes []*lane, simTime sim.Duration) ([]TenantResult, sim.Dur
 		}
 		if secs := sim.Duration(window).Seconds(); secs > 0 {
 			tr.GoodputPerSec = float64(inWindow) / secs
-		}
-		if secs := simTime.Seconds(); secs > 0 {
-			tr.RatePerSec = float64(tr.Serviced) / secs
 		}
 		if lats := l.lat; len(lats) > 0 {
 			sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })

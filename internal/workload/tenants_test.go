@@ -237,7 +237,7 @@ func tenantFailScenario(nodes int) Scenario {
 // node, and a repeat run reproduces the ledger bit for bit.
 func TestTenantFailRejoinLedger(t *testing.T) {
 	sc := tenantFailScenario(4)
-	a, err := Run(sc)
+	a, lanes, err := run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,19 +261,24 @@ func TestTenantFailRejoinLedger(t *testing.T) {
 	if a.Mesh.CreditStalls == 0 {
 		t.Error("no credit stalls: the failure found no queued sends to fail")
 	}
-	gold := a.Tenants[0]
-	if got := gold.Phases[2].Executed; got != gold.Phases[2].Planned {
-		t.Errorf("drain after rejoin executed %d of %d", got, gold.Phases[2].Planned)
+	gold := lanes[0].phases
+	if got := gold[2].Executed; got != gold[2].Planned {
+		t.Errorf("drain after rejoin executed %d of %d", got, gold[2].Planned)
 	}
-	if gold.Phases[2].End <= gold.Phases[1].End {
+	if gold[2].End <= gold[1].End {
 		t.Error("drain phase did not advance simulated time")
 	}
-	b, err := Run(sc)
+	b, blanes, err := run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Digest != b.Digest || a.SimTime != b.SimTime || !reflect.DeepEqual(a.Tenants, b.Tenants) {
 		t.Fatalf("repeat run diverged:\n%+v\nvs\n%+v", a.Tenants, b.Tenants)
+	}
+	for i := range lanes {
+		if !reflect.DeepEqual(lanes[i].phases, blanes[i].phases) {
+			t.Fatalf("repeat run's tenant %d phases diverged:\n%+v\nvs\n%+v", i, lanes[i].phases, blanes[i].phases)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"twochains/internal/core"
 	"twochains/internal/fabric"
@@ -197,6 +198,10 @@ func (sc *Scenario) resolvePhases() ([]phaseSpec, error) {
 			if m.Weight < 0 {
 				return nil, &ScenarioError{Field: at(fmt.Sprintf("Mix[%d].Weight", j)),
 					Reason: fmt.Sprintf("element %q has negative weight %d", m.Elem, m.Weight)}
+			}
+			if m.Weight > math.MaxInt-spec.wsum {
+				return nil, &ScenarioError{Field: at(fmt.Sprintf("Mix[%d].Weight", j)),
+					Reason: fmt.Sprintf("element %q's weight %d takes the mix's sum past %d", m.Elem, m.Weight, math.MaxInt)}
 			}
 			spec.wsum += m.Weight
 		}

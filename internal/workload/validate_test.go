@@ -68,6 +68,11 @@ func TestValidateTypedErrors(t *testing.T) {
 	wantScenarioError(t, sc, "Mix")
 
 	sc = base()
+	sc.Mix = []ElementMix{{Elem: "jam_sssum", Weight: 1 << 62}, {Elem: "jam_iput", Weight: 1 << 62},
+		{Elem: "jam_sssum", Weight: 1 << 62}, {Elem: "jam_iput", Weight: 1 << 62}, {Elem: "jam_sssum", Weight: 1}}
+	wantScenarioError(t, sc, "Mix[1].Weight")
+
+	sc = base()
 	sc.Mix = []ElementMix{{Elem: "jam_nonexistent", Weight: 1}}
 	wantScenarioError(t, sc, "Mix[0].Elem")
 

@@ -213,7 +213,7 @@ type Scenario struct {
 	// Interpreter is never read: the interpret loop is the only engine.
 	//
 	// Deprecated: inert since PR 21. Kept until benchmark/ stops naming it.
-	Interpreter bool
+	Interpreter bool //tclint:allow writeonly an item 7(a) shim: benchmark/ still sets it
 	// HotSkew is the probability a hotspot burst targets the hot node
 	// (0 = default 0.8). Ignored by other patterns.
 	HotSkew float64
@@ -297,8 +297,7 @@ type PhaseResult struct {
 
 // Result reports one scenario run.
 type Result struct {
-	Scenario Scenario
-	Shards   int // fabric shards actually used
+	Shards int // fabric shards actually used
 	// Windows is always 0.
 	//
 	// Deprecated: ignored. Kept until benchmark/ stops naming it.
@@ -320,8 +319,7 @@ type Result struct {
 	Swapped    bool // a RIED swap fired during the run
 	HotNode    int  // skew target of the last hotspot phase (-1 otherwise)
 	// Tenants reports per-tenant outcomes of a multi-tenant run (nil
-	// otherwise); in that mode per-phase results live on each tenant and
-	// the top-level Phases slice is empty.
+	// otherwise); in that mode the top-level Phases slice is empty.
 	Tenants []TenantResult
 	// OverlapWindow is the interval every tenant was still being serviced
 	// in: the minimum over tenants of their last service stamp. Per-tenant
@@ -842,14 +840,21 @@ func (sc *Scenario) systemOpts(frame int) []tc.SystemOpt {
 // deterministic: equal scenarios produce equal results. Validation and
 // plan-building failures are *ScenarioError.
 func Run(sc Scenario) (*Result, error) {
+	res, _, err := run(sc)
+	return res, err
+}
+
+// run is Run, also returning the lanes: with Tenants, lane i is tenant
+// i, and its phases are that tenant's per-phase results.
+func run(sc Scenario) (*Result, []*lane, error) {
 	if err := sc.validateScalars(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// resolveLanes both defaults and validates the phase and tenant
 	// surface — one pass covers what Validate would check.
 	laneSpecs, err := sc.resolveLanes()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Frame geometry and package builds cover every lane's specs.
 	var all []phaseSpec
@@ -858,15 +863,15 @@ func Run(sc Scenario) (*Result, error) {
 	}
 	pkgs, err := packagesFor(all)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	frame, err := frameSizeFor(pkgs, all, sc.PayloadBytes)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sys, err := tc.NewSystem(sc.Nodes, sc.systemOpts(frame)...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The system lives exactly as long as this call: whichever way it
 	// returns, the nodes' memory goes back for the next run to reuse.
@@ -874,10 +879,9 @@ func Run(sc Scenario) (*Result, error) {
 	defer sys.Close()
 
 	res := &Result{
-		Scenario: sc,
-		Shards:   sys.Mesh().Cfg.Shards,
-		PerNode:  make([]NodeResult, sc.Nodes),
-		HotNode:  -1,
+		Shards:  sys.Mesh().Cfg.Shards,
+		PerNode: make([]NodeResult, sc.Nodes),
+		HotNode: -1,
 	}
 	r := &runner{
 		sys:     sys,
@@ -906,13 +910,13 @@ func Run(sc Scenario) (*Result, error) {
 		}
 		if l.view != "" {
 			if l.ten, err = sys.AddTenant(ls.cfg); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		r.lanes = append(r.lanes, l)
 		r.byView[l.view] = l
 		if err := l.install(pkgs); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	sys.Mesh().OnChannelCreated = r.onChannel
@@ -926,7 +930,7 @@ func Run(sc Scenario) (*Result, error) {
 		for j := range l.specs {
 			pp, err := buildPlan(&sc, &l.specs[j], sys.RNG())
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if l.ten != nil {
 				// RIED swaps inside a namespace view are not modelled, so a
@@ -982,10 +986,10 @@ func Run(sc Scenario) (*Result, error) {
 	sys.Run()
 	sys.Mesh().OnChannelCreated = nil
 	if r.issueErr != nil {
-		return nil, r.issueErr
+		return nil, nil, r.issueErr
 	}
 	if r.swapErr != nil {
-		return nil, r.swapErr
+		return nil, nil, r.swapErr
 	}
 
 	res.SimTime = sim.Duration(sys.Now())
@@ -1006,13 +1010,13 @@ func Run(sc Scenario) (*Result, error) {
 	if base != nil {
 		res.Phases = base.phases
 	} else {
-		res.Tenants, res.OverlapWindow = tenantResults(r.lanes, res.SimTime)
+		res.Tenants, res.OverlapWindow = tenantResults(r.lanes)
 	}
 	if settled != total {
-		return res, fmt.Errorf("workload: %s settled %d of %d planned messages (%d lost)",
+		return res, r.lanes, fmt.Errorf("workload: %s settled %d of %d planned messages (%d lost)",
 			sc.Pattern, settled, total, res.Lost)
 	}
-	return res, nil
+	return res, r.lanes, nil
 }
 
 // sortedKeys returns the map's keys in sorted order.
