@@ -46,7 +46,8 @@
 # object, image, jam or package decoder its first byte picks, must never
 # panic, must be refused with a typed *wire.Error or re-encode to exactly
 # themselves, and may allocate at most 16 bytes per input byte plus 4 KiB;
-# then FuzzParseFrame (internal/mailbox): slot bytes seeded from frames
+# an accepted image must also load into a fresh space, r-x text and no
+# page outside its region touched; then FuzzParseFrame (internal/mailbox): slot bytes seeded from frames
 # packed from every tcapp element (injected, local and data kinds) must be
 # refused with a typed *wire.Error or *mem.Fault, or parse into a delivery
 # whose GOT, body, entry, args and payload lie inside the slot; then
@@ -60,8 +61,10 @@
 # A failing input lands in the package's testdata/fuzz/ — commit it with
 # the fix.
 #
-# `make bench-json` regenerates $(BENCH_OUT) (BENCH_PR21.json by
-# default; override with BENCH_OUT=...) — the machine-readable perf
+# `make bench-json` writes $(BENCH_OUT) (the gitignored
+# bench_trajectory.json by default, so a local run never re-records the
+# committed gate baseline; pass BENCH_OUT=BENCH_PRnn.json to record one on
+# purpose) — the machine-readable perf
 # trajectory point (ns/op, allocs/op, simulated injections/sec, speedup
 # vs the recorded pre-PR-3 baseline in bench/BASELINE_PR3.json),
 # including the 64/128-node meshes, the multi-tenant overload benchmark
@@ -111,7 +114,7 @@
 
 GO ?= go
 GOFMT ?= gofmt
-BENCH_OUT ?= BENCH_PR21.json
+BENCH_OUT ?= bench_trajectory.json
 SMOKE_BASELINE ?= BENCH_PR21.json
 # FUNC_BASELINE gates BenchmarkFuncCall/BenchmarkStringInject ns/op (lower
 # is better): the one host-clock check in this file. It follows

@@ -412,6 +412,7 @@ func TestCompileErrors(t *testing.T) {
 		{"bssLength", "long a[0x7fffffffffffffff];", "does not fit"},
 		{"bssTotal", "long a[0x1fffffff];\nbyte* b[9];", "does not fit"},
 		{"arrayInit", "long a[5] = 7;", "array \"a\" cannot have an initializer"},
+		{"longName", "long f" + strings.Repeat("x", 70000) + "(long a) { return a; }", "over the 65535"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

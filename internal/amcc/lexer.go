@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"twochains/internal/wire"
 )
 
 type tokKind int
@@ -123,6 +125,9 @@ scan:
 			lx.pos++
 		}
 		text := lx.src[start:lx.pos]
+		if len(text) > wire.MaxStr {
+			return token{}, lx.errf("identifier of %d bytes is over the %d a symbol name holds", len(text), wire.MaxStr)
+		}
 		kind := tkIdent
 		if keywords[text] {
 			kind = tkKeyword

@@ -30,6 +30,7 @@ import (
 
 	"twochains/internal/elfobj"
 	"twochains/internal/isa"
+	"twochains/internal/wire"
 )
 
 // Error is an assembly diagnostic with source position.
@@ -189,7 +190,18 @@ func isIdent(s string) bool {
 	return true
 }
 
+// checkName refuses a symbol name wire.Writer.Str cannot encode.
+func (st *asmState) checkName(line int, name string) error {
+	if len(name) > wire.MaxStr {
+		return st.errf(line, "symbol name of %d bytes is over the %d a name holds", len(name), wire.MaxStr)
+	}
+	return nil
+}
+
 func (st *asmState) defineLabel(line int, name string) error {
+	if err := st.checkName(line, name); err != nil {
+		return err
+	}
 	if _, dup := st.labels[name]; dup {
 		return st.errf(line, "label %q redefined", name)
 	}
@@ -219,6 +231,9 @@ func (st *asmState) doDirective(line int, s string) error {
 	case ".extern":
 		if len(args) != 1 || !isIdent(args[0]) {
 			return st.errf(line, ".extern wants one symbol")
+		}
+		if err := st.checkName(line, args[0]); err != nil {
+			return err
 		}
 		st.externs[args[0]] = true
 	case ".align":

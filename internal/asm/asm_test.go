@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -318,6 +319,22 @@ func TestExternDefinedLocallyRejected(t *testing.T) {
 	_, err := Assemble("t.s", ".text\n.extern f\nf:\n    ret\n")
 	if err == nil {
 		t.Fatal(".extern of defined symbol accepted")
+	}
+}
+
+// TestLongSymbolNameRejected: a symbol name wire.Writer.Str cannot
+// encode is refused on its line, as a label and as an .extern.
+func TestLongSymbolNameRejected(t *testing.T) {
+	long := strings.Repeat("x", 70000)
+	for _, src := range []string{
+		".text\n" + long + ":\n    ret\n",
+		".text\n.extern " + long + "\nf:\n    callg " + long + "\n",
+	} {
+		_, err := Assemble("t.s", src)
+		var ae *Error
+		if !errors.As(err, &ae) || ae.Line != 2 || !strings.Contains(ae.Msg, "over the 65535") {
+			t.Errorf("70,000-byte symbol name: err = %v, want an *asm.Error on line 2", err)
+		}
 	}
 }
 

@@ -46,7 +46,7 @@ type Bound struct {
 	burstScratch []*mailbox.Message
 
 	// injectCnt counts single injects through this handle for the
-	// auto-switch heuristic (ChannelOptions.AutoSwitchAfter).
+	// auto-switch heuristic (MeshConfig.AutoSwitchAfter).
 	injectCnt int
 }
 
@@ -153,14 +153,14 @@ func (b *Bound) burstMsgs(n int) []*mailbox.Message {
 }
 
 // takeAutoSwitch counts one single inject through the handle and reports
-// whether the auto-switch policy (ChannelOptions.AutoSwitchAfter, the
+// whether the auto-switch policy (MeshConfig.AutoSwitchAfter, the
 // paper's §VIII future-work optimization) downgrades it to a Local
 // Function call: the function has reoccurred often enough and the
 // receiver is known to hold the package, so shipping its code again is
 // waste. Bursts never auto-switch — they are an explicit bulk-injection
 // choice.
 func (b *Bound) takeAutoSwitch() bool {
-	after := b.ch.Opts.AutoSwitchAfter
+	after := b.ch.autoSwitchAfter
 	if after <= 0 {
 		return false
 	}

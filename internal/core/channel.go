@@ -1,21 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"twochains/internal/mailbox"
-)
-
-// ChannelOptions tune a sender-side connection.
-type ChannelOptions struct {
-	Sender mailbox.SenderConfig
-	// AutoSwitchAfter, when positive, enables the paper's future-work
-	// optimization (§VIII): after an element has been injected that many
-	// times through a handle, the handle detects the reoccurring function
-	// and switches to Local Function invocation, shrinking the message
-	// (single sends only; bursts are an explicit bulk-injection choice).
-	AutoSwitchAfter int
-}
+import "twochains/internal/mailbox"
 
 // Channel is one node's view of sending active messages to a peer. It owns
 // the mailbox sender and the namespace mirror from the exchange step;
@@ -26,7 +11,8 @@ type Channel struct {
 	// Recv is the destination mailbox region this channel writes into.
 	Recv   *mailbox.Receiver
 	Sender *mailbox.Sender
-	Opts   ChannelOptions
+	// autoSwitchAfter is the mesh's MeshConfig.AutoSwitchAfter.
+	autoSwitchAfter int
 
 	// remoteNames is the snapshot of the receiver's namespace obtained in
 	// the out-of-band exchange; the sender binds travelling GOT entries
@@ -67,33 +53,24 @@ type preparedJam struct {
 // (Node.AddMailbox). The namespace exchange (names, fp) is computed by the
 // caller, once per receiver namespace, and shared read-only; the
 // connection wires the credit return path when credits are on.
-func connectTo(src, dst *Node, recv *mailbox.Receiver, opts ChannelOptions, names map[string]uint64, fp uint64) (*Channel, error) {
-	if opts.Sender.Geometry.FrameSize == 0 {
-		opts.Sender.Geometry = recv.Cfg.Geometry
-	}
-	if opts.Sender.Geometry != recv.Cfg.Geometry {
-		return nil, fmt.Errorf("core: connect %s->%s: geometry mismatch", src.Name, dst.Name)
-	}
-	opts.Sender.Credits = recv.Cfg.Credits
-
+func connectTo(src, dst *Node, recv *mailbox.Receiver, scfg mailbox.SenderConfig, autoSwitchAfter int, names map[string]uint64, fp uint64) (*Channel, error) {
 	ep := src.Worker.Connect(dst.Worker)
-	snd, err := mailbox.NewSender(src.Worker, ep, opts.Sender,
-		recv.BaseVA, recv.Mem.Key, src.Counter)
+	snd, err := mailbox.NewSender(src.Worker, ep, scfg, recv.BaseVA, recv.Key, src.Counter)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Sender.Credits {
-		recv.SetCreditReturn(dst.Worker.Connect(src.Worker), snd.CreditVA, snd.CreditMem.Key)
+	if scfg.Credits {
+		recv.SetCreditReturn(dst.Worker.Connect(src.Worker), snd.CreditVA, snd.CreditKey)
 	}
 	return &Channel{
-		Src:         src,
-		Dst:         dst,
-		Recv:        recv,
-		Sender:      snd,
-		Opts:        opts,
-		remoteNames: names,
-		remoteFP:    fp,
-		bounds:      map[[2]string]*Bound{},
+		Src:             src,
+		Dst:             dst,
+		Recv:            recv,
+		Sender:          snd,
+		autoSwitchAfter: autoSwitchAfter,
+		remoteNames:     names,
+		remoteFP:        fp,
+		bounds:          map[[2]string]*Bound{},
 	}, nil
 }
 

@@ -15,14 +15,14 @@ import (
 // path: every channel gets its own mailbox region of geometry g on the
 // destination. Install packages before the first Channel call, which runs
 // the namespace exchange.
-func newPair(t *testing.T, nodes int, g mailbox.Geometry, credits bool, nodeCfg NodeConfig, chOpts ChannelOptions) *Mesh {
+func newPair(t *testing.T, nodes int, g mailbox.Geometry, credits bool, nodeCfg NodeConfig, autoSwitchAfter int) *Mesh {
 	t.Helper()
 	cfg := DefaultMeshConfig(nodes)
 	cfg.Shards = 1
 	cfg.Node = nodeCfg
 	cfg.Geometry = g
 	cfg.Credits = credits
-	cfg.Channel = chOpts
+	cfg.AutoSwitchAfter = autoSwitchAfter
 	m, err := NewMesh(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -38,13 +38,13 @@ type bench struct {
 	ab *Channel
 }
 
-func newBench(t *testing.T, frameSize int, nodeCfg NodeConfig, chOpts ChannelOptions) *bench {
+func newBench(t *testing.T, frameSize int, nodeCfg NodeConfig, autoSwitchAfter int) *bench {
 	t.Helper()
 	pkg, err := BuildBenchPackage()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newPair(t, 2, mailbox.Geometry{Banks: 2, Slots: 4, FrameSize: frameSize}, true, nodeCfg, chOpts)
+	m := newPair(t, 2, mailbox.Geometry{Banks: 2, Slots: 4, FrameSize: frameSize}, true, nodeCfg, autoSwitchAfter)
 	if err := m.InstallPackage(pkg); err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,25 @@ func TestPackageEncodeDecode(t *testing.T) {
 	}
 }
 
+// TestBuildPackageLongNames: BuildPackage refuses a package or file name
+// that, or whose local library name, wire.Writer.Str cannot encode.
+func TestBuildPackageLongNames(t *testing.T) {
+	src := ".text\n.global jam_f\njam_f:\n    ret\n"
+	long := strings.Repeat("x", wire.MaxStr)
+	for _, c := range []struct {
+		pkg, file string
+	}{
+		{long, "jam_f.ams"},
+		{"p", "jam_" + long + ".ams"},
+	} {
+		if _, err := BuildPackage(c.pkg, map[string]string{c.file: src}); err == nil || !strings.Contains(err.Error(), "over the") {
+			t.Errorf("package name %d bytes, file name %d bytes: err = %v, want a name-length refusal", len(c.pkg), len(c.file), err)
+		}
+	}
+}
+
 func TestInjectedSSSum(t *testing.T) {
-	bn := newBench(t, 1024, quickCfg(), ChannelOptions{})
+	bn := newBench(t, 1024, quickCfg(), 0)
 	payload := make([]byte, 64)
 	for i := range payload {
 		payload[i] = byte(i * 7)
@@ -183,7 +200,7 @@ func TestLocalMatchesInjected(t *testing.T) {
 			payload[i] = byte(i*13 + size)
 		}
 		run := func(local bool) uint64 {
-			bn := newBench(t, 2048, quickCfg(), ChannelOptions{})
+			bn := newBench(t, 2048, quickCfg(), 0)
 			var ret uint64
 			bn.b.OnExecuted = func(r uint64, _ sim.Duration, err error) {
 				if err != nil {
@@ -211,7 +228,7 @@ func TestLocalMatchesInjected(t *testing.T) {
 }
 
 func TestIndirectPut(t *testing.T) {
-	bn := newBench(t, 2048, quickCfg(), ChannelOptions{})
+	bn := newBench(t, 2048, quickCfg(), 0)
 	payload := []byte("indirect put payload: the client controls placement")
 	var offsets []uint64
 	bn.b.OnExecuted = func(r uint64, _ sim.Duration, err error) {
@@ -254,7 +271,7 @@ func TestIndirectPut(t *testing.T) {
 }
 
 func TestJamHelloPrintfWithTravellingRodata(t *testing.T) {
-	bn := newBench(t, 1024, quickCfg(), ChannelOptions{})
+	bn := newBench(t, 1024, quickCfg(), 0)
 	if err := bn.ab.Handle("tcbench", "jam_hello").Inject([2]uint64{7, 0}, []byte("xyz"), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +288,7 @@ func TestInjectMissingSymbolFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 2048}, false, quickCfg(), ChannelOptions{})
+	m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 2048}, false, quickCfg(), 0)
 	if _, err := m.Node(0).InstallPackage(pkg); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +304,7 @@ func TestInjectMissingSymbolFails(t *testing.T) {
 }
 
 func TestAutoSwitchToLocal(t *testing.T) {
-	bn := newBench(t, 1024, quickCfg(), ChannelOptions{AutoSwitchAfter: 2})
+	bn := newBench(t, 1024, quickCfg(), 2)
 	// Which invocation method went out is what arrived on the wire.
 	var kinds []bool
 	bn.ab.Recv.OnProcessed = func(d *mailbox.Delivery, _ sim.Time) {
@@ -318,7 +335,7 @@ func TestSecureExecMode(t *testing.T) {
 	cfg := quickCfg()
 	cfg.SecureExec = true
 	cfg.CheckExec = true
-	bn := newBench(t, 1024, cfg, ChannelOptions{})
+	bn := newBench(t, 1024, cfg, 0)
 	payload := make([]byte, 32)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -378,7 +395,7 @@ jam_scaled:
 		t.Fatal(err)
 	}
 
-	m := newPair(t, 3, mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 512}, false, quickCfg(), ChannelOptions{})
+	m := newPair(t, 3, mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 512}, false, quickCfg(), 0)
 	b, d := m.Node(1), m.Node(2)
 	for i, pkg := range []*Package{pkgA, pkgB, pkgC} {
 		if _, err := m.Node(i).InstallPackage(pkg); err != nil {
@@ -453,7 +470,7 @@ tc_op:
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 512}, false, quickCfg(), ChannelOptions{})
+	m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 512}, false, quickCfg(), 0)
 	if err := m.InstallPackage(pkg); err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +514,7 @@ tc_op:
 func TestTimingPathProducesCosts(t *testing.T) {
 	cfg := DefaultNodeConfig()
 	cfg.MemBytes = 32 << 20
-	bn := newBench(t, 2048, cfg, ChannelOptions{})
+	bn := newBench(t, 2048, cfg, 0)
 	var cost sim.Duration
 	bn.b.OnExecuted = func(_ uint64, c sim.Duration, err error) {
 		if err != nil {

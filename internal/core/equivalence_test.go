@@ -52,7 +52,7 @@ func TestCJamMatchesAsmSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newPair(t, 2, mailbox.Geometry{Banks: 2, Slots: 4, FrameSize: 2048}, true, quickCfg(), ChannelOptions{})
+	m := newPair(t, 2, mailbox.Geometry{Banks: 2, Slots: 4, FrameSize: 2048}, true, quickCfg(), 0)
 	if err := m.InstallPackage(pkg); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestLocalInjectedEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(payload []byte, local bool) (uint64, bool) {
-		m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 2048}, false, quickCfg(), ChannelOptions{})
+		m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 2048}, false, quickCfg(), 0)
 		if err := m.InstallPackage(pkg); err != nil {
 			return 0, false
 		}
@@ -174,7 +174,7 @@ jam_fine:
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 256}, false, quickCfg(), ChannelOptions{})
+	m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 256}, false, quickCfg(), 0)
 	if err := m.InstallPackage(pkg); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestRunawayJamIsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 256}, false, quickCfg(), ChannelOptions{})
+	m := newPair(t, 2, mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 256}, false, quickCfg(), 0)
 	if err := m.InstallPackage(pkg); err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestDeterministicRuns(t *testing.T) {
 		}
 		cfg := DefaultNodeConfig()
 		cfg.MemBytes = 32 << 20
-		m := newPair(t, 2, mailbox.Geometry{Banks: 2, Slots: 2, FrameSize: 2048}, true, cfg, ChannelOptions{})
+		m := newPair(t, 2, mailbox.Geometry{Banks: 2, Slots: 2, FrameSize: 2048}, true, cfg, 0)
 		if err := m.InstallPackage(pkg); err != nil {
 			t.Fatal(err)
 		}

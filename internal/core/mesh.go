@@ -9,7 +9,6 @@ import (
 	"twochains/internal/mailbox"
 	"twochains/internal/sim"
 	"twochains/internal/simnet"
-	"twochains/internal/ucx"
 	"twochains/internal/vm"
 )
 
@@ -42,17 +41,21 @@ type MeshConfig struct {
 
 	// Geometry is the per-channel mailbox shape; Credits arms bank-flag
 	// flow control on every channel; WaitMode applies to both sides.
+	// Every sender uses the fence + separate-signal protocol exactly when
+	// the fabric is not Ordered (paper Fig. 1).
 	Geometry mailbox.Geometry
 	Credits  bool
 	WaitMode cpusim.WaitMode
-	// ReceiverTweak, when set, post-processes every per-channel receiver
-	// configuration (ablations: variable frames, GP insertion, page
-	// permissions) after the shared geometry/credits/waitmode defaults.
-	ReceiverTweak func(mailbox.ReceiverConfig) mailbox.ReceiverConfig
-
-	// Channel is the sender-options template applied to every channel
-	// (geometry and credits are filled in per destination).
-	Channel ChannelOptions
+	// VariableFrames selects the variable-size frame protocol on every
+	// receiver: a second wait episode per message.
+	VariableFrames bool
+	// AutoSwitchAfter, when positive, enables the paper's future-work
+	// optimization (§VIII) on every channel: after an element has been
+	// injected that many times through a handle, the handle detects the
+	// reoccurring function and switches to Local Function invocation,
+	// shrinking the message (single sends only; bursts are an explicit
+	// bulk-injection choice).
+	AutoSwitchAfter int
 }
 
 // defaultGeometry is the mesh's per-channel mailbox shape unless the
@@ -92,7 +95,6 @@ type Mesh struct {
 	Cfg    MeshConfig
 	Eng    *sim.Engine
 	Fabric fabric.Transport
-	Ctx    *ucx.Context
 
 	nodes []*Node
 	chans map[chanKey]*Channel
@@ -162,7 +164,6 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		Cfg:    cfg,
 		Eng:    eng,
 		Fabric: fab,
-		Ctx:    ucx.NewContext(fab),
 		chans:  map[chanKey]*Channel{},
 		nsMemo: map[nsKey]nsSnap{},
 		rng:    sim.NewRNG(cfg.Seed ^ 0x6d657368), // "mesh"
@@ -262,18 +263,6 @@ func (m *Mesh) InstallPackageView(view, alias string, pkg *Package) error {
 	return nil
 }
 
-// receiverConfig builds the per-channel receiver configuration through
-// the shared mailbox builder, then applies the deployment's tweak.
-func (m *Mesh) receiverConfig() mailbox.ReceiverConfig {
-	rcfg := mailbox.DefaultReceiverConfig(m.Cfg.Geometry).
-		WithCredits(m.Cfg.Credits).
-		WithWaitMode(m.Cfg.WaitMode)
-	if m.Cfg.ReceiverTweak != nil {
-		rcfg = m.Cfg.ReceiverTweak(rcfg)
-	}
-	return rcfg
-}
-
 // Channel returns the src->dst base channel, creating it (and its
 // dedicated mailbox region on dst) on first use.
 func (m *Mesh) Channel(src, dst int) (*Channel, error) {
@@ -284,10 +273,14 @@ func (m *Mesh) Channel(src, dst int) (*Channel, error) {
 // view ("" = base), creating it on first use. A view channel gets its
 // own mailbox region on dst and exchanges names against dst's view
 // namespace, so a tenant's RIED bindings and element IDs resolve inside
-// its own install set. tweak, when non-nil, post-processes the receiver
-// configuration at creation time only (it enrolls the receiver with a
-// fair arbiter or prices an isolation boundary); lookups of an existing
-// channel ignore it.
+// its own install set.
+//
+// ChannelView is the one place a channel's configuration is made: both
+// sides derive from the mesh configuration and, for the receiver's GOT
+// pointer policy, from dst's NodeConfig. tweak, when non-nil, sets the
+// receiver's serving fields at creation time only (it enrolls the
+// receiver with a fair arbiter or prices an isolation boundary); lookups
+// of an existing channel ignore it.
 func (m *Mesh) ChannelView(src, dst int, view string, tweak func(mailbox.ReceiverConfig) mailbox.ReceiverConfig) (*Channel, error) {
 	if src < 0 || src >= len(m.nodes) || dst < 0 || dst >= len(m.nodes) {
 		return nil, fmt.Errorf("core: mesh channel %d->%d out of range (%d nodes)", src, dst, len(m.nodes))
@@ -308,7 +301,13 @@ func (m *Mesh) ChannelView(src, dst int, view string, tweak func(mailbox.Receive
 		// A failed process issues nothing: no fresh channels either.
 		return nil, &NodeDownError{Src: m.nodes[src].Name, Dst: m.nodes[dst].Name, Node: m.nodes[src].Name}
 	}
-	rcfg := m.receiverConfig()
+	rcfg := mailbox.ReceiverConfig{
+		Geometry:       m.Cfg.Geometry,
+		WaitMode:       m.Cfg.WaitMode,
+		Credits:        m.Cfg.Credits,
+		VariableFrames: m.Cfg.VariableFrames,
+		InsertGp:       m.nodes[dst].Cfg.InsertGp,
+	}
 	if tweak != nil {
 		rcfg = tweak(rcfg)
 	}
@@ -316,9 +315,12 @@ func (m *Mesh) ChannelView(src, dst int, view string, tweak func(mailbox.Receive
 	if err != nil {
 		return nil, err
 	}
-	opts := m.Cfg.Channel
-	opts.Sender.Geometry = m.Cfg.Geometry
-	opts.Sender.WaitMode = m.Cfg.WaitMode
+	scfg := mailbox.SenderConfig{
+		Geometry:       m.Cfg.Geometry,
+		Credits:        m.Cfg.Credits,
+		WaitMode:       m.Cfg.WaitMode,
+		SeparateSignal: !m.Cfg.Ordered,
+	}
 	nk := nsKey{dst, view}
 	snap, memoized := m.nsMemo[nk]
 	if !memoized {
@@ -330,7 +332,7 @@ func (m *Mesh) ChannelView(src, dst int, view string, tweak func(mailbox.Receive
 		snap.fp = nsFingerprint(snap.names)
 		m.nsMemo[nk] = snap
 	}
-	ch, err := connectTo(m.nodes[src], m.nodes[dst], recv, opts, snap.names, snap.fp)
+	ch, err := connectTo(m.nodes[src], m.nodes[dst], recv, scfg, m.Cfg.AutoSwitchAfter, snap.names, snap.fp)
 	if err != nil {
 		// Un-arm the region so a retry doesn't accumulate orphan
 		// receivers (the address space itself is bump-allocated and not

@@ -67,6 +67,69 @@ func TestMeshChaosWrapsBackend(t *testing.T) {
 	}
 }
 
+// TestChannelConfigDerived pins how ChannelView derives every channel
+// setting from the deployment: the separate-signal protocol from an
+// unordered fabric, GOT-pointer insertion from the destination node,
+// variable frames and auto-switch from the mesh, and a tenant view's
+// serving fields from its creation hook.
+func TestChannelConfigDerived(t *testing.T) {
+	for _, ordered := range []bool{true, false} {
+		cfg := quickMeshCfg(3, 1)
+		cfg.Ordered = ordered
+		cfg.VariableFrames = true
+		cfg.AutoSwitchAfter = 5
+		cfg.PerNode = func(i int, nc NodeConfig) NodeConfig {
+			nc.InsertGp = i == 1
+			return nc
+		}
+		m, err := NewMesh(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arb := mailbox.NewFairArbiter()
+		arb.AddClass(1)
+		class := arb.AddClass(2) // nonzero, so a dropped class shows
+		tenant := func(rc mailbox.ReceiverConfig) mailbox.ReceiverConfig {
+			rc.Arbiter, rc.ArbClass, rc.IsolationCost = arb, class, 7*sim.Nanosecond
+			return rc
+		}
+		for _, c := range []struct {
+			src, dst int
+			view     string
+		}{{0, 1, ""}, {1, 2, ""}, {2, 1, ""}, {0, 2, ""}, {2, 1, "t"}} {
+			var hook func(mailbox.ReceiverConfig) mailbox.ReceiverConfig
+			if c.view != "" {
+				hook = tenant
+			}
+			ch, err := m.ChannelView(c.src, c.dst, c.view, hook)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, rc := ch.Sender.Cfg, ch.Recv.Cfg
+			if sc.SeparateSignal != !ordered {
+				t.Errorf("ordered %v, %d->%d: SeparateSignal %v", ordered, c.src, c.dst, sc.SeparateSignal)
+			}
+			if sc.Geometry != cfg.Geometry || rc.Geometry != cfg.Geometry || sc.Credits != cfg.Credits || rc.Credits != cfg.Credits {
+				t.Errorf("%d->%d: sender %+v and receiver %+v do not share the mesh geometry and credits", c.src, c.dst, sc, rc)
+			}
+			if rc.InsertGp != (c.dst == 1) {
+				t.Errorf("%d->%d: InsertGp %v, want it on node 1's receivers only", c.src, c.dst, rc.InsertGp)
+			}
+			if !rc.VariableFrames || ch.autoSwitchAfter != 5 {
+				t.Errorf("%d->%d: VariableFrames %v, auto-switch after %d; want true, 5", c.src, c.dst, rc.VariableFrames, ch.autoSwitchAfter)
+			}
+			var want mailbox.ReceiverConfig
+			if hook != nil {
+				want = hook(want)
+			}
+			if rc.Arbiter != want.Arbiter || rc.ArbClass != want.ArbClass || rc.IsolationCost != want.IsolationCost {
+				t.Errorf("%d->%d view %q: arbiter %p class %d isolation %v", c.src, c.dst, c.view, rc.Arbiter, rc.ArbClass, rc.IsolationCost)
+			}
+		}
+		m.Close()
+	}
+}
+
 // TestMeshJamCacheSharedAcrossChannels: two receivers with identical
 // namespaces cost the sender exactly one bind; the second channel's
 // prepare is a cache hit.

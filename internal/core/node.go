@@ -38,6 +38,9 @@ type NodeConfig struct {
 	SecureExec bool
 	// ReadOnlyGOT remaps library GOTs read-only after binding.
 	ReadOnlyGOT bool
+	// InsertGp makes this node's receivers overwrite the travelling GOT
+	// pointer on arrival instead of trusting the sender's value.
+	InsertGp bool
 }
 
 // DefaultNodeConfig matches the paper's measurement configuration.
@@ -149,7 +152,7 @@ func (m *Mesh) addNode(cfg NodeConfig, shard int) error {
 	if err := vm.BindLibc(n.VM, n.NS); err != nil {
 		return fmt.Errorf("core: node %s: %w", name, err)
 	}
-	n.Worker = m.Ctx.NewWorker(n.AS, n.Hier)
+	n.Worker = ucx.NewWorker(m.Fabric, n.AS, n.Hier)
 	m.Fabric.AssignDomain(n.Worker.NIC, shard)
 	n.Counter = cpusim.NewCounter(sim.NewRNG(cfg.Seed ^ 0xc0ffee ^ i))
 	if cfg.SecureExec {

@@ -68,6 +68,9 @@ func (p *Package) Element(name string) (*Element, bool) {
 	return nil, false
 }
 
+// localSuffix names a package's Local Function library after the package.
+const localSuffix = "_local"
+
 // BuildPackage compiles package sources. Keys are canonical file names:
 // jam_NAME.* defines a jam whose entry symbol is jam_NAME; ried_NAME.*
 // defines a ried library. Suffix selects the language: .amc and .rdc are
@@ -77,6 +80,11 @@ func (p *Package) Element(name string) (*Element, bool) {
 func BuildPackage(name string, sources map[string]string) (*Package, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("core: package %s: no sources", name)
+	}
+	// Names are encoded with wire.Writer.Str; the local library adds a
+	// suffix to the package name.
+	if len(name+localSuffix) > wire.MaxStr {
+		return nil, fmt.Errorf("core: package name of %d bytes is over the %d a name holds", len(name), wire.MaxStr-len(localSuffix))
 	}
 	pkg := &Package{Name: name}
 
@@ -102,6 +110,9 @@ func BuildPackage(name string, sources map[string]string) (*Package, error) {
 	var jamObjs []*elfobj.Object
 	var id uint8
 	for _, file := range files {
+		if len(file) > wire.MaxStr {
+			return nil, fmt.Errorf("core: package %s: file name of %d bytes is over the %d a name holds", name, len(file), wire.MaxStr)
+		}
 		src := sources[file]
 		switch {
 		case strings.HasPrefix(file, "jam_"):
@@ -139,7 +150,7 @@ func BuildPackage(name string, sources map[string]string) (*Package, error) {
 
 	// Local Function library: all jam sources linked unmodified.
 	if len(jamObjs) > 0 {
-		lib, err := linker.LinkLibrary(name+"_local", jamObjs)
+		lib, err := linker.LinkLibrary(name+localSuffix, jamObjs)
 		if err != nil {
 			return nil, fmt.Errorf("core: package %s: local library: %w", name, err)
 		}

@@ -174,9 +174,15 @@ func (o *Object) FindSymbol(name string) int {
 // Validate checks internal consistency: symbol offsets within sections,
 // relocation targets within bounds, symbol indices valid.
 func (o *Object) Validate() error {
+	if len(o.Name) > wire.MaxStr {
+		return fmt.Errorf("elfobj: object name of %d bytes is over the %d a name holds", len(o.Name), wire.MaxStr)
+	}
 	for i, s := range o.Symbols {
 		if s.Name == "" {
 			return fmt.Errorf("elfobj %s: symbol %d has empty name", o.Name, i)
+		}
+		if len(s.Name) > wire.MaxStr {
+			return fmt.Errorf("elfobj %s: symbol %d name of %d bytes is over the %d a name holds", o.Name, i, len(s.Name), wire.MaxStr)
 		}
 		if s.Defined() && int(s.Value) > o.SectionSize(s.Section) {
 			return fmt.Errorf("elfobj %s: symbol %q offset %d outside %s (size %d)",

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -144,6 +145,28 @@ func TestValidateEmptySymbolName(t *testing.T) {
 	o.Symbols[0].Name = ""
 	if err := o.Validate(); err == nil {
 		t.Fatal("empty symbol name validated")
+	}
+}
+
+// TestValidateNameLength: a name of wire.MaxStr bytes round-trips; one
+// byte more is refused by Validate, in the object name and in a symbol.
+func TestValidateNameLength(t *testing.T) {
+	o := sampleObject()
+	o.Symbols[0].Name = strings.Repeat("x", wire.MaxStr)
+	if err := o.Validate(); err != nil {
+		t.Fatalf("%d-byte symbol name refused: %v", wire.MaxStr, err)
+	}
+	if _, err := Decode(o.Encode()); err != nil {
+		t.Fatalf("%d-byte symbol name does not round-trip: %v", wire.MaxStr, err)
+	}
+	o.Symbols[0].Name += "x"
+	if err := o.Validate(); err == nil {
+		t.Error("over-long symbol name validated")
+	}
+	o = sampleObject()
+	o.Name = strings.Repeat("x", wire.MaxStr+1)
+	if err := o.Validate(); err == nil {
+		t.Error("over-long object name validated")
 	}
 }
 

@@ -12,8 +12,10 @@ package linker
 
 import (
 	"bytes"
+	"fmt"
 
 	"twochains/internal/elfobj"
+	"twochains/internal/isa"
 	"twochains/internal/wire"
 )
 
@@ -107,12 +109,21 @@ func (img *Image) Encode() []byte {
 	return w
 }
 
-// DecodeImage parses a serialized image. Every failure is a *wire.Error.
+// DecodeImage parses a serialized image. It refuses any layout
+// LinkLibrary cannot produce (see checkLayout) and any export, local GOT
+// target or load relocation outside the image, so a decoded image loads
+// into its own pages and no others. Every failure is a *wire.Error.
 func DecodeImage(data []byte) (*Image, error) {
 	r := wire.NewReader("linker image", ImageMagic, data)
 	img := &Image{Name: r.Str("name"), Blob: bytes.Clone(r.Bytes("blob"))}
 	for _, p := range img.layout() {
 		*p = int(r.U32("layout"))
+	}
+	r.Fail("layout", img.checkLayout())
+	inside := func(field string, off uint32) {
+		if int(off) > img.TotalSize {
+			r.Fail(field, fmt.Errorf("offset %d past the image's %d bytes", off, img.TotalSize))
+		}
 	}
 	img.Exports = wire.Make[ImageSym](r.Count("export count", 1<<20, 7))
 	for i := range img.Exports {
@@ -121,20 +132,60 @@ func DecodeImage(data []byte) (*Image, error) {
 			Off:  r.U32("export offset"),
 			Kind: elfobj.SymKind(r.U8("export kind")),
 		}
+		inside("export offset", img.Exports[i].Off)
 	}
 	img.Got = wire.Make[GotEntry](r.Count("GOT count", 1<<20, 7))
+	if len(img.Got)*8 != img.GotLen {
+		r.Fail("GOT count", fmt.Errorf("%d entries in a %d-byte GOT", len(img.Got), img.GotLen))
+	}
 	for i := range img.Got {
 		img.Got[i] = GotEntry{Sym: r.Str("GOT symbol"), Local: r.Bool("GOT local"), Off: r.U32("GOT offset")}
+		if img.Got[i].Local {
+			inside("GOT offset", img.Got[i].Off)
+		}
 	}
 	img.LoadRelocs = wire.Make[LoadReloc](r.Count("load reloc count", 1<<20, 15))
 	for i := range img.LoadRelocs {
-		img.LoadRelocs[i] = LoadReloc{
+		lr := LoadReloc{
 			Sym:    r.Str("load reloc symbol"),
 			Local:  r.Bool("load reloc local"),
 			Off:    r.U32("load reloc offset"),
 			Target: r.U32("load reloc target"),
 			Addend: int32(r.U32("load reloc addend")),
 		}
+		// The pointer a load relocation writes lies in the blob's sections.
+		if lr.Off < uint32(img.TextOff) || int(lr.Off)+8 > len(img.Blob) {
+			r.Fail("load reloc offset", fmt.Errorf("8 bytes at %d outside the sections [%d, %d)", lr.Off, img.TextOff, len(img.Blob)))
+		}
+		if lr.Local {
+			inside("load reloc target", lr.Target)
+		}
+		img.LoadRelocs[i] = lr
 	}
 	return wire.Finish(r, img)
+}
+
+// checkLayout reports a layout LinkLibrary cannot produce: the sections
+// come in [GOT][text][rodata][data][bss] order, each starting on the page
+// boundary after the one before it (the GOT at 0), the text in whole
+// instructions, TotalSize the page boundary after .bss, and a blob that
+// holds everything before .bss.
+func (img *Image) checkLayout() error {
+	l := img.layout()
+	end := 0
+	for i := 0; i < len(l)-1; i += 2 {
+		if want := alignUp(end, PageAlign); *l[i] != want {
+			return fmt.Errorf("section %d at %d, want %d", i/2, *l[i], want)
+		}
+		end = *l[i] + *l[i+1]
+	}
+	switch {
+	case img.TextLen%isa.InstrSize != 0:
+		return fmt.Errorf("text length %d is not whole instructions", img.TextLen)
+	case img.TotalSize != alignUp(end, PageAlign):
+		return fmt.Errorf("total size %d, want %d", img.TotalSize, alignUp(end, PageAlign))
+	case len(img.Blob) != img.BssOff:
+		return fmt.Errorf("%d-byte blob, want %d (up to .bss)", len(img.Blob), img.BssOff)
+	}
+	return nil
 }

@@ -227,6 +227,53 @@ func TestDecodeImageGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeImageRefusesLayouts: an image whose layout LinkLibrary cannot
+// produce, or whose export, local GOT target or load relocation lies
+// outside it, is refused with a *wire.Error on the field.
+func TestDecodeImageRefusesLayouts(t *testing.T) {
+	img := linkAB(t)
+	if _, err := DecodeImage(img.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	local := -1
+	for i, g := range img.Got {
+		if g.Local {
+			local = i
+		}
+	}
+	if local < 0 || len(img.LoadRelocs) == 0 || !img.LoadRelocs[0].Local {
+		t.Fatal("linkAB has no local GOT entry or local load relocation")
+	}
+	for _, c := range []struct {
+		name, field string
+		edit        func(c *Image)
+	}{
+		{"textPastTotal", "layout", func(c *Image) { c.TextLen = c.TotalSize }},
+		{"sectionsSwapped", "layout", func(c *Image) { c.RodataOff, c.DataOff = c.DataOff, c.RodataOff }},
+		{"gotNotAtZero", "layout", func(c *Image) { c.GotOff = 8 }},
+		{"unaligned", "layout", func(c *Image) { c.DataOff++ }},
+		{"raggedText", "layout", func(c *Image) { c.TextLen -= 4 }},
+		{"totalShort", "layout", func(c *Image) { c.TotalSize -= PageAlign }},
+		{"blobShort", "layout", func(c *Image) { c.Blob = c.Blob[:len(c.Blob)-1] }},
+		{"gotLen", "GOT count", func(c *Image) { c.GotLen += 8 }},
+		{"export", "export offset", func(c *Image) { c.Exports[0].Off = uint32(c.TotalSize + 1) }},
+		{"gotTarget", "GOT offset", func(c *Image) { c.Got[local].Off = uint32(c.TotalSize + 1) }},
+		{"relocInGot", "load reloc offset", func(c *Image) { c.LoadRelocs[0].Off = 0 }},
+		{"relocPastBlob", "load reloc offset", func(c *Image) { c.LoadRelocs[0].Off = uint32(len(c.Blob) - 4) }},
+		{"relocTarget", "load reloc target", func(c *Image) { c.LoadRelocs[0].Target = uint32(c.TotalSize + 1) }},
+	} {
+		cp := *img
+		cp.Exports = append([]ImageSym(nil), img.Exports...)
+		cp.Got = append([]GotEntry(nil), img.Got...)
+		cp.LoadRelocs = append([]LoadReloc(nil), img.LoadRelocs...)
+		c.edit(&cp)
+		var we *wire.Error
+		if _, err := DecodeImage(cp.Encode()); !errors.As(err, &we) || we.Field != c.field {
+			t.Errorf("%s: err = %v, want a *wire.Error on %s", c.name, err, c.field)
+		}
+	}
+}
+
 func newSpace(t *testing.T) (*mem.AddressSpace, *Namespace) {
 	t.Helper()
 	as := mem.NewAddressSpace(4 << 20)

@@ -24,9 +24,8 @@ func newFairRig(t *testing.T, weights [2]int, svc sim.Duration) *fairRig {
 	t.Helper()
 	eng := sim.NewEngine()
 	fab := simnet.NewFabric(eng, simnet.DefaultConfig())
-	ctx := ucx.NewContext(fab)
-	src := ctx.NewWorker(mem.NewAddressSpace(8<<20), nil)
-	dst := ctx.NewWorker(mem.NewAddressSpace(8<<20), nil)
+	src := ucx.NewWorker(fab, mem.NewAddressSpace(8<<20), nil)
+	dst := ucx.NewWorker(fab, mem.NewAddressSpace(8<<20), nil)
 	g := Geometry{Banks: 4, Slots: 8, FrameSize: 256}
 
 	fr := &fairRig{eng: eng, arb: NewFairArbiter()}
@@ -36,7 +35,7 @@ func newFairRig(t *testing.T, weights [2]int, svc sim.Duration) *fairRig {
 		if got := fr.arb.AddClass(weights[class]); got != class {
 			t.Fatalf("class index %d, want %d", got, class)
 		}
-		rcfg := DefaultReceiverConfig(g).WithArbiter(fr.arb, class)
+		rcfg := ReceiverConfig{Geometry: g, Arbiter: fr.arb, ArbClass: class}
 		recv, err := NewReceiver(dst, rcfg, cpusim.NewCounter(nil), handler)
 		if err != nil {
 			t.Fatal(err)
@@ -45,7 +44,7 @@ func newFairRig(t *testing.T, weights [2]int, svc sim.Duration) *fairRig {
 		recv.Start()
 		fr.recvs[class] = recv
 		snd, err := NewSender(src, src.Connect(dst), SenderConfig{Geometry: g},
-			recv.BaseVA, recv.Mem.Key, cpusim.NewCounter(nil))
+			recv.BaseVA, recv.Key, cpusim.NewCounter(nil))
 		if err != nil {
 			t.Fatal(err)
 		}

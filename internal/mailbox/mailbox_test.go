@@ -29,16 +29,14 @@ func newRig(t *testing.T, g Geometry, credits bool, handler Handler) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	fab := simnet.NewFabric(eng, simnet.DefaultConfig())
-	ctx := ucx.NewContext(fab)
 	r := &rig{
 		eng:     eng,
-		a:       ctx.NewWorker(mem.NewAddressSpace(8<<20), nil),
-		b:       ctx.NewWorker(mem.NewAddressSpace(8<<20), nil),
+		a:       ucx.NewWorker(fab, mem.NewAddressSpace(8<<20), nil),
+		b:       ucx.NewWorker(fab, mem.NewAddressSpace(8<<20), nil),
 		recvCnt: cpusim.NewCounter(nil),
 		sendCnt: cpusim.NewCounter(nil),
 	}
-	rcfg := DefaultReceiverConfig(g)
-	rcfg.Credits = credits
+	rcfg := ReceiverConfig{Geometry: g, Credits: credits}
 	if handler == nil {
 		handler = func(d *Delivery) (sim.Duration, error) {
 			// d is the receiver's scratch record, valid only during the
@@ -67,13 +65,13 @@ func newRig(t *testing.T, g Geometry, credits bool, handler Handler) *rig {
 	r.receiver = recv
 
 	scfg := SenderConfig{Geometry: g, Credits: credits}
-	snd, err := NewSender(r.a, r.a.Connect(r.b), scfg, recv.BaseVA, recv.Mem.Key, r.sendCnt)
+	snd, err := NewSender(r.a, r.a.Connect(r.b), scfg, recv.BaseVA, recv.Key, r.sendCnt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.sender = snd
 	if credits {
-		recv.SetCreditReturn(r.b.Connect(r.a), snd.CreditVA, snd.CreditMem.Key)
+		recv.SetCreditReturn(r.b.Connect(r.a), snd.CreditVA, snd.CreditKey)
 	}
 	recv.Start()
 	return r
@@ -295,17 +293,15 @@ func TestWaitCyclesPollVsWfe(t *testing.T) {
 		g := g1()
 		eng := sim.NewEngine()
 		fab := simnet.NewFabric(eng, simnet.DefaultConfig())
-		ctx := ucx.NewContext(fab)
-		a := ctx.NewWorker(mem.NewAddressSpace(4<<20), nil)
-		b := ctx.NewWorker(mem.NewAddressSpace(4<<20), nil)
+		a := ucx.NewWorker(fab, mem.NewAddressSpace(4<<20), nil)
+		b := ucx.NewWorker(fab, mem.NewAddressSpace(4<<20), nil)
 		cnt := cpusim.NewCounter(nil)
-		rcfg := DefaultReceiverConfig(g)
-		rcfg.WaitMode = mode
+		rcfg := ReceiverConfig{Geometry: g, WaitMode: mode}
 		recv, err := NewReceiver(b, rcfg, cnt, func(d *Delivery) (sim.Duration, error) { return 0, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		snd, err := NewSender(a, a.Connect(b), SenderConfig{Geometry: g}, recv.BaseVA, recv.Mem.Key, nil)
+		snd, err := NewSender(a, a.Connect(b), SenderConfig{Geometry: g}, recv.BaseVA, recv.Key, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,18 +327,16 @@ func TestVariableFramesCostExtraWait(t *testing.T) {
 		g := g1()
 		eng := sim.NewEngine()
 		fab := simnet.NewFabric(eng, simnet.DefaultConfig())
-		ctx := ucx.NewContext(fab)
-		a := ctx.NewWorker(mem.NewAddressSpace(4<<20), nil)
-		b := ctx.NewWorker(mem.NewAddressSpace(4<<20), nil)
+		a := ucx.NewWorker(fab, mem.NewAddressSpace(4<<20), nil)
+		b := ucx.NewWorker(fab, mem.NewAddressSpace(4<<20), nil)
 		cnt := cpusim.NewCounter(nil)
 		// WFE with no RNG: every wait episode costs exactly WfeWaitCycles.
-		rcfg := DefaultReceiverConfig(g).WithWaitMode(cpusim.WFE)
-		rcfg.VariableFrames = variable
+		rcfg := ReceiverConfig{Geometry: g, WaitMode: cpusim.WFE, VariableFrames: variable}
 		recv, err := NewReceiver(b, rcfg, cnt, func(d *Delivery) (sim.Duration, error) { return 0, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		snd, err := NewSender(a, a.Connect(b), SenderConfig{Geometry: g}, recv.BaseVA, recv.Mem.Key, nil)
+		snd, err := NewSender(a, a.Connect(b), SenderConfig{Geometry: g}, recv.BaseVA, recv.Key, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,12 +361,11 @@ func TestSeparateSignalModeDelivers(t *testing.T) {
 	// uncorrupted and in sequence.
 	eng := sim.NewEngine()
 	fab := simnet.NewFabric(eng, simnet.Config{Ordered: false, Seed: 99})
-	ctx := ucx.NewContext(fab)
-	a := ctx.NewWorker(mem.NewAddressSpace(4<<20), nil)
-	b := ctx.NewWorker(mem.NewAddressSpace(4<<20), nil)
+	a := ucx.NewWorker(fab, mem.NewAddressSpace(4<<20), nil)
+	b := ucx.NewWorker(fab, mem.NewAddressSpace(4<<20), nil)
 	g := Geometry{Banks: 2, Slots: 2, FrameSize: 256}
 	var usr [][]byte
-	recv, err := NewReceiver(b, DefaultReceiverConfig(g), nil, func(d *Delivery) (sim.Duration, error) {
+	recv, err := NewReceiver(b, ReceiverConfig{Geometry: g}, nil, func(d *Delivery) (sim.Duration, error) {
 		u, err := readUsr(b.AS, d)
 		usr = append(usr, u)
 		return 0, err
@@ -381,7 +374,7 @@ func TestSeparateSignalModeDelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	scfg := SenderConfig{Geometry: g, SeparateSignal: true}
-	snd, err := NewSender(a, a.Connect(b), scfg, recv.BaseVA, recv.Mem.Key, nil)
+	snd, err := NewSender(a, a.Connect(b), scfg, recv.BaseVA, recv.Key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,11 +447,9 @@ func TestInsertGpSecurityMode(t *testing.T) {
 	g := Geometry{Banks: 1, Slots: 1, FrameSize: 512}
 	eng := sim.NewEngine()
 	fab := simnet.NewFabric(eng, simnet.DefaultConfig())
-	ctx := ucx.NewContext(fab)
-	a := ctx.NewWorker(mem.NewAddressSpace(4<<20), nil)
-	b := ctx.NewWorker(mem.NewAddressSpace(4<<20), nil)
-	rcfg := DefaultReceiverConfig(g)
-	rcfg.InsertGp = true
+	a := ucx.NewWorker(fab, mem.NewAddressSpace(4<<20), nil)
+	b := ucx.NewWorker(fab, mem.NewAddressSpace(4<<20), nil)
+	rcfg := ReceiverConfig{Geometry: g, InsertGp: true}
 	var gp, gotVA uint64
 	recv, err := NewReceiver(b, rcfg, nil, func(d *Delivery) (sim.Duration, error) {
 		gp, _ = b.AS.ReadU64(d.GpSlotVA)
@@ -468,7 +459,7 @@ func TestInsertGpSecurityMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snd, err := NewSender(a, a.Connect(b), SenderConfig{Geometry: g}, recv.BaseVA, recv.Mem.Key, nil)
+	snd, err := NewSender(a, a.Connect(b), SenderConfig{Geometry: g}, recv.BaseVA, recv.Key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,9 @@ import (
 // runtime supplies a handler that dispatches to the VM.
 type Handler func(d *Delivery) (sim.Duration, error)
 
-// ReceiverConfig selects mailbox behaviour.
+// ReceiverConfig selects mailbox behaviour. The zero value beyond
+// Geometry is the paper's measurement configuration: fixed frames,
+// polling wait, no credits, sender-set GOT pointer.
 type ReceiverConfig struct {
 	Geometry Geometry
 	WaitMode cpusim.WaitMode
@@ -46,61 +48,6 @@ type ReceiverConfig struct {
 	IsolationCost sim.Duration
 }
 
-// DefaultReceiverConfig returns the paper's measurement configuration:
-// fixed frames, RWX mailbox pages, polling wait. It is the single source
-// of receiver defaults; every deployment path (two-node clusters, mesh
-// per-channel regions, perf rigs) starts from it and layers options on
-// with the With* builder methods.
-func DefaultReceiverConfig(g Geometry) ReceiverConfig {
-	return ReceiverConfig{Geometry: g, WaitMode: cpusim.Poll}
-}
-
-// The With* methods below form the ReceiverConfig builder: each returns an
-// updated copy, so call sites chain the deviations from the default
-// instead of hand-assigning fields —
-//
-//	rcfg := mailbox.DefaultReceiverConfig(geom).WithCredits(true).WithWaitMode(cpusim.WFE)
-
-// WithCredits toggles bank-granular flow control.
-func (c ReceiverConfig) WithCredits(on bool) ReceiverConfig {
-	c.Credits = on
-	return c
-}
-
-// WithWaitMode selects the wait-episode cycle accounting mode.
-func (c ReceiverConfig) WithWaitMode(m cpusim.WaitMode) ReceiverConfig {
-	c.WaitMode = m
-	return c
-}
-
-// WithVariableFrames toggles the variable-size frame protocol (a second
-// wait episode per message).
-func (c ReceiverConfig) WithVariableFrames(on bool) ReceiverConfig {
-	c.VariableFrames = on
-	return c
-}
-
-// WithInsertGp makes the receiver overwrite the travelling GOT pointer on
-// arrival (paper §V security option).
-func (c ReceiverConfig) WithInsertGp(on bool) ReceiverConfig {
-	c.InsertGp = on
-	return c
-}
-
-// WithArbiter enrolls the receiver in a weighted-fair service arbiter
-// under the given class.
-func (c ReceiverConfig) WithArbiter(a *FairArbiter, class int) ReceiverConfig {
-	c.Arbiter, c.ArbClass = a, class
-	return c
-}
-
-// WithIsolationCost charges d per executed message (the untrusted-tenant
-// isolation boundary).
-func (c ReceiverConfig) WithIsolationCost(d sim.Duration) ReceiverConfig {
-	c.IsolationCost = d
-	return c
-}
-
 // ReceiverStats counts receiver-side activity.
 type ReceiverStats struct {
 	Processed uint64
@@ -115,7 +62,7 @@ type Receiver struct {
 	Handler Handler
 
 	BaseVA uint64
-	Mem    *ucx.Memory
+	Key    fabric.RKey
 
 	// OnProcessed observes completed messages (benchmark hook). The
 	// Delivery is the receiver's scratch record: valid only during the
@@ -167,7 +114,7 @@ func NewReceiver(w *ucx.Worker, cfg ReceiverConfig, counter *cpusim.Counter, han
 	if err != nil {
 		return nil, err
 	}
-	m, err := w.RegisterMemory(base, cfg.Geometry.RegionSize(), fabric.RemoteWrite)
+	key, err := w.RegisterMemory(base, cfg.Geometry.RegionSize(), fabric.RemoteWrite)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +124,7 @@ func NewReceiver(w *ucx.Worker, cfg ReceiverConfig, counter *cpusim.Counter, han
 		Counter: counter,
 		Handler: handler,
 		BaseVA:  base,
-		Mem:     m,
+		Key:     key,
 		eng:     w.Eng,
 		nextSeq: 1,
 	}

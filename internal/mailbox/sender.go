@@ -54,7 +54,7 @@ type Sender struct {
 	// Credit flag array (one u64 per bank) in the sender's memory,
 	// remotely writable by the receiver.
 	CreditVA  uint64
-	CreditMem *ucx.Memory
+	CreditKey fabric.RKey
 
 	eng     *sim.Engine
 	staging uint64
@@ -164,11 +164,9 @@ func NewSender(w *ucx.Worker, ep *ucx.Endpoint, cfg SenderConfig, remoteBase uin
 			return nil, err
 		}
 		s.CreditVA = va
-		creditMem, err := w.RegisterMemory(va, cfg.Geometry.Banks*8, fabric.RemoteWrite)
-		if err != nil {
+		if s.CreditKey, err = w.RegisterMemory(va, cfg.Geometry.Banks*8, fabric.RemoteWrite); err != nil {
 			return nil, err
 		}
-		s.CreditMem = creditMem
 		// All banks start available.
 		for b := 0; b < cfg.Geometry.Banks; b++ {
 			if err := w.AS.WriteU64(va+uint64(b*8), 1); err != nil {

@@ -29,11 +29,10 @@ func newSendPathRig(t *testing.T, credits, sep bool) *sendPathRig {
 	eng := sim.NewEngine()
 	fcfg := simnet.DefaultConfig()
 	fcfg.Ordered = !sep
-	ctx := ucx.NewContext(simnet.NewFabric(eng, fcfg))
-	a := ctx.NewWorker(mem.NewAddressSpace(4<<20), nil)
-	b := ctx.NewWorker(mem.NewAddressSpace(4<<20), nil)
-	rcfg := DefaultReceiverConfig(g)
-	rcfg.Credits = credits
+	fab := simnet.NewFabric(eng, fcfg)
+	a := ucx.NewWorker(fab, mem.NewAddressSpace(4<<20), nil)
+	b := ucx.NewWorker(fab, mem.NewAddressSpace(4<<20), nil)
+	rcfg := ReceiverConfig{Geometry: g, Credits: credits}
 	recv, err := NewReceiver(b, rcfg, cpusim.NewCounter(nil), func(d *Delivery) (sim.Duration, error) {
 		return 300 * sim.Nanosecond, nil
 	})
@@ -41,12 +40,12 @@ func newSendPathRig(t *testing.T, credits, sep bool) *sendPathRig {
 		t.Fatal(err)
 	}
 	scfg := SenderConfig{Geometry: g, Credits: credits, SeparateSignal: sep}
-	snd, err := NewSender(a, a.Connect(b), scfg, recv.BaseVA, recv.Mem.Key, cpusim.NewCounter(nil))
+	snd, err := NewSender(a, a.Connect(b), scfg, recv.BaseVA, recv.Key, cpusim.NewCounter(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if credits {
-		recv.SetCreditReturn(b.Connect(a), snd.CreditVA, snd.CreditMem.Key)
+		recv.SetCreditReturn(b.Connect(a), snd.CreditVA, snd.CreditKey)
 	}
 	recv.Start()
 	return &sendPathRig{eng: eng, a: a, sender: snd}

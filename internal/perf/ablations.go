@@ -42,9 +42,7 @@ func ablateOrder(o Options) (*Table, error) {
 		Cols:  []string{"ints", "ordered(us)", "fenced(us)", "penalty(%)"},
 	}
 	t.Note("without the hardware guarantee each message needs a fence and a second put")
-	return latencyAblation(o, t, []int{1, 16, 256, 4096}, func(c *RunConfig, fenced bool) {
-		c.Ordered, c.SeparateSignal = !fenced, fenced
-	})
+	return latencyAblation(o, t, []int{1, 16, 256, 4096}, func(c *RunConfig, fenced bool) { c.Ordered = !fenced })
 }
 
 func ablateGot(o Options) (*Table, error) {
@@ -54,7 +52,7 @@ func ablateGot(o Options) (*Table, error) {
 		Cols:  []string{"ints", "sender(us)", "receiver(us)", "penalty(%)"},
 	}
 	t.Note("receiver insertion defeats GOT-pointer spoofing at one extra patch per arrival")
-	return latencyAblation(o, t, []int{1, 64, 1024}, func(c *RunConfig, on bool) { c.InsertGp = on })
+	return latencyAblation(o, t, []int{1, 64, 1024}, func(c *RunConfig, on bool) { c.NodeCfg.InsertGp = on })
 }
 
 func ablateAutoswitch(o Options) (*Table, error) {

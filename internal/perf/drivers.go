@@ -35,10 +35,8 @@ type RunConfig struct {
 	Stress   bool
 	Ordered  bool
 
-	// Mailbox protocol options (ablations).
+	// VariableFrames selects the variable-size frame protocol (ablation).
 	VariableFrames bool
-	SeparateSignal bool
-	InsertGp       bool
 
 	// Injection-rate geometry (banks x mailboxes per bank).
 	Banks, Slots int
@@ -139,14 +137,11 @@ func buildRig(cfg RunConfig, geom mailbox.Geometry, credits bool) (*rig, error) 
 		tc.WithGeometry(geom),
 		tc.WithCredits(credits),
 		tc.WithWaitMode(cfg.WaitMode),
-		tc.WithReceiverTweak(func(rc mailbox.ReceiverConfig) mailbox.ReceiverConfig {
-			return rc.WithVariableFrames(cfg.VariableFrames).WithInsertGp(cfg.InsertGp)
+		tc.WithConfig(func(c *core.MeshConfig) {
+			c.Seed = cfg.NodeCfg.Seed
+			c.VariableFrames = cfg.VariableFrames
+			c.AutoSwitchAfter = cfg.AutoSwitchAfter
 		}),
-		tc.WithChannelOptions(core.ChannelOptions{
-			Sender:          mailbox.SenderConfig{SeparateSignal: cfg.SeparateSignal},
-			AutoSwitchAfter: cfg.AutoSwitchAfter,
-		}),
-		tc.WithConfig(func(c *core.MeshConfig) { c.Seed = cfg.NodeCfg.Seed }),
 	)
 	if err != nil {
 		return nil, err
@@ -324,11 +319,8 @@ func buildUcxPair(cfg RunConfig, size int) (*ucxPair, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		m, err := n.Worker.RegisterMemory(va, size+64, fabric.RemoteWrite)
-		if err != nil {
-			return 0, 0, err
-		}
-		return va, m.Key, nil
+		key, err := n.Worker.RegisterMemory(va, size+64, fabric.RemoteWrite)
+		return va, key, err
 	}
 	if p.aBuf, p.aKey, err = alloc(a); err != nil {
 		return nil, err

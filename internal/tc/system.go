@@ -95,18 +95,6 @@ func WithPerNode(fn func(i int, cfg core.NodeConfig) core.NodeConfig) SystemOpt 
 	return func(c *core.MeshConfig) { c.PerNode = fn }
 }
 
-// WithReceiverTweak post-processes every per-channel receiver
-// configuration (ablations: variable frames, GP insertion, page perms).
-func WithReceiverTweak(fn func(mailbox.ReceiverConfig) mailbox.ReceiverConfig) SystemOpt {
-	return func(c *core.MeshConfig) { c.ReceiverTweak = fn }
-}
-
-// WithChannelOptions sets the sender-options template applied to every
-// channel (separate-signal protocol, auto-switch threshold, ...).
-func WithChannelOptions(co core.ChannelOptions) SystemOpt {
-	return func(c *core.MeshConfig) { c.Channel = co }
-}
-
 // WithChaos wraps the deployment's fabric backend in the "chaos"
 // failure-injection transport: per-put latency perturbation within the
 // declared bounds, drawn from the deployment's deterministic RNG (see

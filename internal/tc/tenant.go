@@ -78,9 +78,9 @@ func (s *System) FuncFor(tenantName string, src int, pkg, elem string) (*Func, e
 // creation.
 func (s *System) viewChannel(src, dst int, t *tenant.Tenant) (*core.Channel, error) {
 	return s.mesh.ChannelView(src, dst, t.Name, func(rc mailbox.ReceiverConfig) mailbox.ReceiverConfig {
-		rc = rc.WithArbiter(s.arbs[dst], t.ID)
+		rc.Arbiter, rc.ArbClass = s.arbs[dst], t.ID
 		if t.Untrusted {
-			rc = rc.WithIsolationCost(model.TenantIsolationCost)
+			rc.IsolationCost = model.TenantIsolationCost
 		}
 		return rc
 	})

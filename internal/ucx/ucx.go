@@ -1,6 +1,6 @@
 // Package ucx models the communication framework the Two-Chains runtime
-// plugs into (UCX in the paper): contexts, workers, endpoints, registered
-// memory, and a size-tiered protocol stack.
+// plugs into (UCX in the paper): workers on a fabric transport, endpoints,
+// memory registration, and a size-tiered protocol stack.
 //
 // Two put paths exist, mirroring §VII of the paper:
 //
@@ -29,16 +29,6 @@ import (
 // DefaultWindow is the standard path's outstanding-operation limit.
 const DefaultWindow = 16
 
-// Context owns the fabric connection for one process. The transport is an
-// abstract backend (fabric.Transport); "simnet" models the paper testbed,
-// and alternate backends slot in without this package changing.
-type Context struct {
-	Fabric fabric.Transport
-}
-
-// NewContext wraps a fabric transport.
-func NewContext(f fabric.Transport) *Context { return &Context{Fabric: f} }
-
 // Worker is a progress engine bound to one node: its NIC plus the CPU time
 // the communication library consumes on that node.
 type Worker struct {
@@ -52,29 +42,22 @@ type Worker struct {
 	Eng *sim.Engine
 }
 
-// NewWorker attaches a node to the fabric.
-func (c *Context) NewWorker(as *mem.AddressSpace, hier *memsim.Hierarchy) *Worker {
+// NewWorker attaches a node to the fabric transport. The transport is an
+// abstract backend (fabric.Transport); "simnet" models the paper testbed,
+// and alternate backends slot in without this package changing.
+func NewWorker(f fabric.Transport, as *mem.AddressSpace, hier *memsim.Hierarchy) *Worker {
 	return &Worker{
-		NIC:  c.Fabric.Attach(as, hier),
+		NIC:  f.Attach(as, hier),
 		AS:   as,
 		Hier: hier,
 		CPU:  new(sim.Resource),
-		Eng:  c.Fabric.Engine(),
+		Eng:  f.Engine(),
 	}
 }
 
-// Memory is a registered region handle with its rkey.
-type Memory struct {
-	Key fabric.RKey
-}
-
-// RegisterMemory pins a region for remote access.
-func (w *Worker) RegisterMemory(base uint64, size int, access fabric.Access) (*Memory, error) {
-	key, err := w.NIC.RegisterMemory(base, size, access)
-	if err != nil {
-		return nil, err
-	}
-	return &Memory{Key: key}, nil
+// RegisterMemory pins a region for remote access and returns its rkey.
+func (w *Worker) RegisterMemory(base uint64, size int, access fabric.Access) (fabric.RKey, error) {
+	return w.NIC.RegisterMemory(base, size, access)
 }
 
 // Endpoint is a connection from a local worker to a remote worker.

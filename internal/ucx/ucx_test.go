@@ -16,19 +16,18 @@ type pair struct {
 	ab   *Endpoint
 	aBuf uint64
 	bBuf uint64
-	bMem *Memory
+	bKey fabric.RKey
 }
 
 func newPair(t *testing.T) *pair {
 	t.Helper()
 	eng := sim.NewEngine()
 	fab := simnet.NewFabric(eng, simnet.DefaultConfig())
-	ctx := NewContext(fab)
 	p := &pair{eng: eng}
 	asA := mem.NewAddressSpace(2 << 20)
 	asB := mem.NewAddressSpace(2 << 20)
-	p.a = ctx.NewWorker(asA, nil)
-	p.b = ctx.NewWorker(asB, nil)
+	p.a = NewWorker(fab, asA, nil)
+	p.b = NewWorker(fab, asB, nil)
 	p.ab = p.a.Connect(p.b)
 	var err error
 	p.aBuf, err = asA.AllocPages("a", 256*1024, mem.PermRW)
@@ -39,7 +38,7 @@ func newPair(t *testing.T) *pair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.bMem, err = p.b.RegisterMemory(p.bBuf, 256*1024, simnet.RemoteWrite|fabric.RemoteRead)
+	p.bKey, err = p.b.RegisterMemory(p.bBuf, 256*1024, simnet.RemoteWrite|fabric.RemoteRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestPutDataArrives(t *testing.T) {
 		t.Fatal(err)
 	}
 	var gotErr error
-	p.ab.Put(p.aBuf, p.bBuf, len(want), p.bMem.Key, func(err error, _ sim.Time) { gotErr = err })
+	p.ab.Put(p.aBuf, p.bBuf, len(want), p.bKey, func(err error, _ sim.Time) { gotErr = err })
 	p.eng.Run()
 	if gotErr != nil {
 		t.Fatal(gotErr)
@@ -67,7 +66,7 @@ func TestPutDataArrives(t *testing.T) {
 func TestPutErrorPropagates(t *testing.T) {
 	p := newPair(t)
 	var gotErr error
-	p.ab.Put(p.aBuf, p.bBuf, 64, p.bMem.Key+1, func(err error, _ sim.Time) { gotErr = err })
+	p.ab.Put(p.aBuf, p.bBuf, 64, p.bKey+1, func(err error, _ sim.Time) { gotErr = err })
 	p.eng.Run()
 	if gotErr == nil {
 		t.Fatal("bad rkey not reported")
@@ -83,9 +82,9 @@ func TestThinVsStandardMatchesPaperShape(t *testing.T) {
 		p := newPair(t)
 		var done sim.Time
 		if thin {
-			p.ab.PutThin(p.aBuf, p.bBuf, size, p.bMem.Key, func(_ error, d sim.Time) { done = d })
+			p.ab.PutThin(p.aBuf, p.bBuf, size, p.bKey, func(_ error, d sim.Time) { done = d })
 		} else {
-			p.ab.Put(p.aBuf, p.bBuf, size, p.bMem.Key, func(_ error, d sim.Time) { done = d })
+			p.ab.Put(p.aBuf, p.bBuf, size, p.bKey, func(_ error, d sim.Time) { done = d })
 		}
 		p.eng.Run()
 		return sim.Duration(done)
@@ -104,7 +103,7 @@ func TestThinVsStandardMatchesPaperShape(t *testing.T) {
 		p := newPair(t)
 		var last sim.Time
 		for i := 0; i < n; i++ {
-			p.ab.PutThin(p.aBuf, p.bBuf, size, p.bMem.Key, func(_ error, d sim.Time) {
+			p.ab.PutThin(p.aBuf, p.bBuf, size, p.bKey, func(_ error, d sim.Time) {
 				if d > last {
 					last = d
 				}
@@ -123,7 +122,7 @@ func TestThinVsStandardMatchesPaperShape(t *testing.T) {
 			if i == n {
 				return
 			}
-			p.ab.Put(p.aBuf, p.bBuf, size, p.bMem.Key, func(_ error, d sim.Time) {
+			p.ab.Put(p.aBuf, p.bBuf, size, p.bKey, func(_ error, d sim.Time) {
 				if d > last {
 					last = d
 				}
@@ -152,7 +151,7 @@ func TestRendezvousHandshakePenalty(t *testing.T) {
 	timeStd := func(size int) sim.Duration {
 		p := newPair(t)
 		var done sim.Time
-		p.ab.Put(p.aBuf, p.bBuf, size, p.bMem.Key, func(_ error, d sim.Time) { done = d })
+		p.ab.Put(p.aBuf, p.bBuf, size, p.bKey, func(_ error, d sim.Time) { done = d })
 		p.eng.Run()
 		return sim.Duration(done)
 	}
@@ -171,7 +170,7 @@ func TestWindowLimitsInflight(t *testing.T) {
 	p := newPair(t)
 	issued := 0
 	for i := 0; i < DefaultWindow*3; i++ {
-		p.ab.Put(p.aBuf, p.bBuf, 64, p.bMem.Key, func(err error, _ sim.Time) {
+		p.ab.Put(p.aBuf, p.bBuf, 64, p.bKey, func(err error, _ sim.Time) {
 			if err != nil {
 				t.Errorf("put %v", err)
 			}
@@ -210,7 +209,7 @@ func TestThinRndvHandshakeOverlaps(t *testing.T) {
 	p := newPair(t)
 	var last sim.Time
 	for i := 0; i < n; i++ {
-		p.ab.PutThin(p.aBuf, p.bBuf, size, p.bMem.Key, func(_ error, d sim.Time) {
+		p.ab.PutThin(p.aBuf, p.bBuf, size, p.bKey, func(_ error, d sim.Time) {
 			if d > last {
 				last = d
 			}
@@ -243,9 +242,9 @@ func TestSenderOverheadAccessors(t *testing.T) {
 	busy := func(thin bool, size int) sim.Duration {
 		p := newPair(t)
 		if thin {
-			p.ab.PutThin(p.aBuf, p.bBuf, size, p.bMem.Key, nil)
+			p.ab.PutThin(p.aBuf, p.bBuf, size, p.bKey, nil)
 		} else {
-			p.ab.Put(p.aBuf, p.bBuf, size, p.bMem.Key, nil)
+			p.ab.Put(p.aBuf, p.bBuf, size, p.bKey, nil)
 		}
 		p.eng.Run()
 		return p.a.CPU.BusyTime()
@@ -264,7 +263,7 @@ func TestPipelinedStandardPutsRespectCPU(t *testing.T) {
 	const n = 200
 	var last sim.Time
 	for i := 0; i < n; i++ {
-		p.ab.Put(p.aBuf, p.bBuf, 64, p.bMem.Key, func(_ error, d sim.Time) {
+		p.ab.Put(p.aBuf, p.bBuf, 64, p.bKey, func(_ error, d sim.Time) {
 			if d > last {
 				last = d
 			}

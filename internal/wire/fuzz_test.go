@@ -11,6 +11,7 @@ import (
 	"twochains/internal/core"
 	"twochains/internal/elfobj"
 	"twochains/internal/linker"
+	"twochains/internal/mem"
 	"twochains/internal/tcapp"
 	"twochains/internal/wire"
 )
@@ -52,6 +53,11 @@ func FuzzDecode(f *testing.F) {
 				seed(2, e.Jam.Encode())
 			} else {
 				seed(1, e.Ried.Encode())
+				// Text reaching past the image: Load would make the
+				// pages after the image's region r-x.
+				bad := *e.Ried
+				bad.TextLen = bad.TotalSize
+				seed(1, bad.Encode())
 			}
 		}
 		seed(1, pkg.LocalLib.Encode())
@@ -91,5 +97,59 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(v.Encode(), data) {
 			t.Fatalf("%s: accepted %d bytes that re-encode differently", d.name, len(data))
 		}
+		if img, ok := v.(*linker.Image); ok {
+			loadsInPlace(t, img)
+		}
 	})
+}
+
+// loadsInPlace loads an accepted image into a fresh 1 MiB space after a
+// guard page, with every name it imports defined. An image that fits must
+// load, its text must read back and be r-x, and no page outside the
+// image's region may change its permissions.
+func loadsInPlace(t *testing.T, img *linker.Image) {
+	const room = 1 << 20
+	as := mem.NewAddressSpace(room)
+	defer as.Release()
+	if _, err := as.AllocPages("guard", mem.PageSize, mem.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	perms := func() (p [room / mem.PageSize]mem.Perm) {
+		for i := range p {
+			p[i], _ = as.PermAt(mem.Base + uint64(i*mem.PageSize))
+		}
+		return p
+	}
+	before := perms()
+	ns := linker.NewNamespace()
+	for _, g := range img.Got {
+		ns.Redefine(g.Sym, mem.Base)
+	}
+	for _, lr := range img.LoadRelocs {
+		ns.Redefine(lr.Sym, mem.Base)
+	}
+	ld, err := linker.Load(as, ns, img, linker.LoadOptions{Replace: true})
+	if img.TotalSize == 0 || img.TotalSize > room-mem.PageSize {
+		return // nothing to map, or no room for it: Alloc refuses
+	}
+	if err != nil {
+		t.Fatalf("image of %d bytes accepted but does not load: %v", img.TotalSize, err)
+	}
+	if _, err := as.ReadBytesDMA(ld.TextVA, ld.TextLen); err != nil {
+		t.Fatalf("loaded text does not read back: %v", err)
+	}
+	base := ld.GotVA - uint64(img.GotOff)
+	after := perms()
+	for i := range after {
+		va := mem.Base + uint64(i*mem.PageSize)
+		inText := va >= ld.TextVA && va < ld.TextVA+uint64(ld.TextLen)
+		switch {
+		case va < base || va >= base+uint64(img.TotalSize):
+			if after[i] != before[i] {
+				t.Fatalf("page %#x outside the image [%#x, %#x) went %v -> %v", va, base, base+uint64(img.TotalSize), before[i], after[i])
+			}
+		case inText && after[i] != mem.PermRX:
+			t.Fatalf("text page %#x is %v, want %v", va, after[i], mem.PermRX)
+		}
+	}
 }

@@ -11,7 +11,13 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
+
+// MaxStr is the longest string Writer.Str encodes: its length is a u16.
+// The layer that makes a name (an identifier, a symbol, a package or
+// element name) refuses a longer one, so every encoding decodes.
+const MaxStr = math.MaxUint16
 
 // Error is a decode failure: which format, which field, and where.
 type Error struct {
