@@ -12,12 +12,13 @@
 # benchmark/README.md. Nothing below measures host speed against a
 # threshold except the BenchmarkFuncCall ns/op check.
 #
-# `make lint` runs cmd/tclint — the five static checkers for the ROADMAP's
+# `make lint` runs cmd/tclint — the six static checkers for the ROADMAP's
 # ownership, determinism and deletion contracts (scratchescape,
-# poolownership, detsource, deadexport, writeonly) — and fails on any
-# diagnostic. deadexport counts callers and writeonly counts field
-# readers across the whole module, so lint type-checks every module
-# package (once each) whatever it is pointed at.
+# poolownership, detsource, deadexport, writeonly, neverset) — and fails
+# on any diagnostic. deadexport counts callers, and writeonly and
+# neverset count field readers and setters, across the whole module, so
+# lint type-checks every module package (once each) whatever it is
+# pointed at.
 # Suppress a single finding with `//tclint:allow <analyzer> <reason>`;
 # stale or malformed directives fail the lint themselves. The vet
 # target names copylocks/loopclosure/atomic explicitly so a toolchain
@@ -65,9 +66,8 @@
 # bench_trajectory.json by default, so a local run never re-records the
 # committed gate baseline; pass BENCH_OUT=BENCH_PRnn.json to record one on
 # purpose) — the machine-readable perf
-# trajectory point (ns/op, allocs/op, simulated injections/sec, speedup
-# vs the recorded pre-PR-3 baseline in bench/BASELINE_PR3.json),
-# including the 64/128-node meshes, the multi-tenant overload benchmark
+# trajectory point (ns/op, allocs/op, simulated injections/sec, stamped
+# with the host shape), including the 64/128-node meshes, the multi-tenant overload benchmark
 # with its per-tenant goodput metrics, the chaos-perturbed fail/rejoin
 # mesh with its loss ledger, and the layer benchmarks of internal/sim,
 # internal/memsim and internal/vm. bench-smoke compares sim_inj_per_sec against the
@@ -203,7 +203,7 @@ bench-json:
 	   $(GO) test -run xxx -bench 'BenchmarkAccessSameLine|BenchmarkStashedRead1K|BenchmarkNetworkWriteFrame|BenchmarkConflictSet|BenchmarkReset' -benchmem -benchtime 200000x ./internal/memsim && \
 	   $(GO) test -run xxx -bench 'BenchmarkNew$$' -benchmem -benchtime 1000x ./internal/memsim && \
 	   $(GO) test -run xxx -bench 'BenchmarkInterpretSum|BenchmarkInterpretKVScan' -benchmem -benchtime 50000x ./internal/vm; } \
-	| $(GO) run ./cmd/benchjson -baseline bench/BASELINE_PR3.json -o $(BENCH_OUT)
+	| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
 
 simdiff:

@@ -3,14 +3,12 @@
 // history (BENCH_PR3.json and successors).
 //
 // It reads benchmark output on stdin, parses every benchmark line into
-// {ns/op, bytes/op, allocs/op, custom metrics}, optionally merges a
-// recorded baseline file, and emits one JSON document with a
-// speedup-vs-baseline section so regressions (or claimed wins) are
-// diffable in review. The output name comes from -o (stdout without
-// it); the Makefile's bench-json target supplies the per-PR file name:
+// {ns/op, bytes/op, allocs/op, custom metrics}, and emits one JSON
+// document stamped with the host shape. The output name comes from -o
+// (stdout without it); the Makefile's bench-json target supplies the
+// file name:
 //
-//	go test -run xxx -bench . -benchmem . | go run ./cmd/benchjson \
-//	    -baseline bench/BASELINE_PR3.json -o BENCH_PR3.json
+//	go test -run xxx -bench . -benchmem . | go run ./cmd/benchjson -o BENCH_PRnn.json
 //
 // With -smoke it becomes the CI regression gate instead: for every
 // benchmark present both on stdin and in the -baseline file, the chosen
@@ -67,13 +65,8 @@ type File struct {
 	Note string `json:"note"`
 	// Host is the recording machine's shape.
 	Host *Host `json:"host,omitempty"`
-	// Baseline is the pre-change recording this run is compared against.
-	Baseline map[string]*Entry `json:"baseline,omitempty"`
 	// Current is this run.
 	Current map[string]*Entry `json:"current"`
-	// SpeedupNsPerOp is baseline ns/op divided by current ns/op for every
-	// benchmark present in both sections: >1 is faster.
-	SpeedupNsPerOp map[string]float64 `json:"speedup_ns_per_op,omitempty"`
 }
 
 func parse(r *bufio.Scanner) (map[string]*Entry, error) {
@@ -219,7 +212,7 @@ func metricOf(e *Entry, metric string) (float64, bool) {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "", "recorded baseline JSON (File or bare name->Entry map)")
+	baselinePath := flag.String("baseline", "", "recorded baseline JSON for -smoke (File or bare name->Entry map)")
 	outPath := flag.String("o", "", "output path (default stdout)")
 	note := flag.String("note", "regenerate with `make bench-json`", "provenance note")
 	smoke := flag.Bool("smoke", false, "regression-gate mode: compare -metric against -baseline and exit non-zero on regression")
@@ -237,6 +230,10 @@ func main() {
 		os.Exit(1)
 	}
 	host := Host{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
+	if !*smoke && *baselinePath != "" {
+		fmt.Fprintln(os.Stderr, "benchjson: -baseline is read only with -smoke")
+		os.Exit(2)
+	}
 	if *smoke {
 		if *baselinePath == "" {
 			fmt.Fprintln(os.Stderr, "benchjson: -smoke needs -baseline")
@@ -259,20 +256,6 @@ func main() {
 		Note:    *note,
 		Host:    &host,
 		Current: cur,
-	}
-	if *baselinePath != "" {
-		base, _, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f.Baseline = base
-		f.SpeedupNsPerOp = map[string]float64{}
-		for name, b := range f.Baseline {
-			if c, ok := cur[name]; ok && c.NsPerOp > 0 && b.NsPerOp > 0 {
-				f.SpeedupNsPerOp[name] = b.NsPerOp / c.NsPerOp
-			}
-		}
 	}
 	enc, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {

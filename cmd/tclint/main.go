@@ -1,9 +1,10 @@
 // Command tclint is the multichecker for the repo's ownership,
-// determinism and deletion contracts: it runs the five analyzers of the
+// determinism and deletion contracts: it runs the six analyzers of the
 // internal/analysis suite (scratchescape, poolownership, detsource,
-// deadexport, writeonly) over the named packages and exits nonzero on
-// any diagnostic. It type-checks the whole module either way, since
-// deadexport and writeonly count callers and readers everywhere in it.
+// deadexport, writeonly, neverset) over the named packages and exits
+// nonzero on any diagnostic. It type-checks the whole module either way,
+// since deadexport, writeonly and neverset count callers, readers and
+// setters everywhere in it.
 //
 // Usage:
 //

@@ -1,7 +1,7 @@
 // Package analysis is tclint's static-analysis suite: a small,
 // self-contained go/analysis-style framework (stdlib go/ast + go/types
 // only — the container has no module cache, so golang.org/x/tools is
-// deliberately not a dependency) plus the five analyzers that
+// deliberately not a dependency) plus the six analyzers that
 // machine-check the repo's documented ownership, determinism and deletion
 // contracts:
 //
@@ -19,6 +19,9 @@
 //   - writeonly — every field of a named struct type under internal/ is
 //     read by a non-test file of the module (the same rule for fields:
 //     a counter nobody reads goes, with its increments).
+//   - neverset — every such field is set by a non-test file of the
+//     module (an option only tests set is zero in every real run, so it
+//     goes, with the code it gates).
 //
 // Violations that are legitimate for an owner (for example the mailbox
 // receiver storing its own scratch record) are suppressed with a
@@ -84,7 +87,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{ScratchEscape, PoolOwnership, DetSource, DeadExport, WriteOnly}
+	return []*Analyzer{ScratchEscape, PoolOwnership, DetSource, DeadExport, WriteOnly, NeverSet}
 }
 
 // Run applies the analyzers to each package, filters diagnostics

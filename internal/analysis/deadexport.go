@@ -93,23 +93,23 @@ func runDeadExport(pass *Pass) error {
 }
 
 // underInternal reports whether an import path lies under internal/,
-// where deadexport and writeonly apply.
+// where deadexport, writeonly and neverset apply.
 func underInternal(path string) bool {
 	return strings.HasPrefix(path, "internal/") || strings.Contains(path, "/internal/")
 }
 
 // A callerSet is the package set whose non-test files count as callers,
-// with the objects they keep alive and the fields they read computed on
-// first use.
+// with the objects they keep alive and the fields they read and set
+// computed on first use.
 type callerSet struct {
-	pkgs  []*Package
-	live  map[types.Object]bool
-	reads map[types.Object]bool
+	pkgs        []*Package
+	live        map[types.Object]bool
+	reads, sets map[types.Object]bool
 }
 
 func (cs *callerSet) add(pkg *Package) {
 	cs.pkgs = append(cs.pkgs, pkg)
-	cs.live, cs.reads = nil, nil
+	cs.live, cs.reads, cs.sets = nil, nil, nil
 }
 
 // liveObjects returns every object a non-test file of the set uses,

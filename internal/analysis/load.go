@@ -28,9 +28,9 @@ type Package struct {
 	Info  *types.Info
 
 	// callers holds the packages whose non-test files count as
-	// references for deadexport and readers for writeonly: the whole
-	// module for a package from Load, the fixture alone for one from
-	// LoadDir.
+	// references for deadexport, readers for writeonly and setters for
+	// neverset: the whole module for a package from Load, the fixture
+	// alone for one from LoadDir.
 	callers *callerSet
 }
 
@@ -61,11 +61,11 @@ func NewLoader() *Loader {
 
 // listedPackage is the slice of `go list -json` output the loader needs.
 type listedPackage struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Standard   bool
-	Match      []string
+	ImportPath string   //tclint:allow neverset encoding/json sets it
+	Dir        string   //tclint:allow neverset encoding/json sets it
+	GoFiles    []string //tclint:allow neverset encoding/json sets it
+	Standard   bool     //tclint:allow neverset encoding/json sets it
+	Match      []string //tclint:allow neverset encoding/json sets it
 }
 
 // Load expands the go-list patterns (e.g. "./...") and returns every

@@ -37,6 +37,12 @@ func TestWriteOnlyFixtures(t *testing.T) {
 	analysistest.Run(t, loader, "testdata/writeonly", "fixture/internal/writeonly", analysis.WriteOnly)
 }
 
+// The neverset fixture's path lies under internal/, where the rule
+// applies; its own files are its only setters.
+func TestNeverSetFixtures(t *testing.T) {
+	analysistest.Run(t, loader, "testdata/neverset", "fixture/internal/neverset", analysis.NeverSet)
+}
+
 // The allow fixture runs under the full suite: staleness is defined
 // against the set of analyzers that ran, and the fixture pins both a
 // suppressed diagnostic and a stale directive for a second analyzer.

@@ -29,28 +29,35 @@ var WriteOnly = &Analyzer{
 }
 
 func runWriteOnly(pass *Pass) error {
+	read, _ := pass.callers.fieldUses()
+	eachStruct(pass, func(name string, t types.Type, st *types.Struct) {
+		promoting := promotingFields(t)
+		for i := 0; i < st.NumFields(); i++ {
+			if fld := st.Field(i); !read[fld] && !promoting[i] {
+				pass.Reportf(fld.Pos(), "field %s.%s is written but never read in a non-test file of the module", name, fld.Name())
+			}
+		}
+	})
+	return nil
+}
+
+// eachStruct calls fn for each package-level named struct type declared
+// in a non-test file of a package under internal/, where writeonly and
+// neverset apply.
+func eachStruct(pass *Pass, fn func(name string, t types.Type, st *types.Struct)) {
 	if !underInternal(pass.Pkg.Path()) {
-		return nil
+		return
 	}
-	read := pass.callers.readFields()
 	scope := pass.Pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
 		if !ok || tn.IsAlias() || strings.HasSuffix(pass.Fset.Position(tn.Pos()).Filename, "_test.go") {
 			continue
 		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		promoting := promotingFields(tn.Type())
-		for i := 0; i < st.NumFields(); i++ {
-			if fld := st.Field(i); !read[fld] && !promoting[i] {
-				pass.Reportf(fld.Pos(), "field %s.%s is written but never read in a non-test file of the module", name, fld.Name())
-			}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			fn(name, tn.Type(), st)
 		}
 	}
-	return nil
 }
 
 // promotingFields returns the indices of the embedded fields a method of
@@ -66,12 +73,13 @@ func promotingFields(t types.Type) map[int]bool {
 	return out
 }
 
-// readFields returns every field a non-test file of the set reads.
-func (cs *callerSet) readFields() map[types.Object]bool {
+// fieldUses returns every field a non-test file of the set reads, and
+// every field one sets.
+func (cs *callerSet) fieldUses() (reads, sets map[types.Object]bool) {
 	if cs.reads == nil {
-		cs.reads = make(map[types.Object]bool)
+		cs.reads, cs.sets = make(map[types.Object]bool), make(map[types.Object]bool)
 		for _, pkg := range cs.pkgs {
-			r := fieldReader{pkg.Info, cs.reads}
+			r := fieldReader{pkg.Info, cs.reads, cs.sets}
 			for _, f := range pkg.Files {
 				if !isTestFile(pkg.Fset, f) {
 					ast.Inspect(f, r.visit)
@@ -79,21 +87,31 @@ func (cs *callerSet) readFields() map[types.Object]bool {
 			}
 		}
 	}
-	return cs.reads
+	return cs.reads, cs.sets
 }
 
-// A fieldReader marks the fields an AST reads, walking write targets
-// with write and everything else with visit.
+// A fieldReader marks the fields an AST reads and the fields it sets,
+// walking write targets with write and everything else with visit.
 type fieldReader struct {
 	info  *types.Info
 	reads map[types.Object]bool
+	sets  map[types.Object]bool
 }
 
 func (r fieldReader) visit(n ast.Node) bool {
 	switch n := n.(type) {
 	case *ast.SelectorExpr:
-		if sel := r.info.Selections[n]; sel != nil {
-			r.markPath(sel, true)
+		sel := r.info.Selections[n]
+		if sel == nil {
+			break
+		}
+		r.markPath(sel, true)
+		// A pointer-receiver method called on an addressable value takes
+		// its address, as & does.
+		if sel.Kind() == types.MethodVal && !sel.Indirect() {
+			if _, ok := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ok {
+				r.write(n.X)
+			}
 		}
 	case *ast.AssignStmt:
 		if n.Tok == token.DEFINE {
@@ -109,6 +127,29 @@ func (r fieldReader) visit(n ast.Node) bool {
 	case *ast.IncDecStmt:
 		r.write(n.X)
 		return false
+	case *ast.UnaryExpr:
+		// &f sets f, and the walk below reads it.
+		if n.Op == token.AND {
+			r.write(n.X)
+		}
+	case *ast.SliceExpr:
+		if isArray(r.info.TypeOf(n.X)) {
+			r.write(n.X)
+		}
+	case *ast.CompositeLit:
+		t := r.info.TypeOf(n).Underlying()
+		if p, ok := t.(*types.Pointer); ok { // an elided &T in a []*T literal
+			t = p.Elem().Underlying()
+		}
+		if st, ok := t.(*types.Struct); ok {
+			for i, e := range n.Elts {
+				fld := st.Field(i)
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					fld = r.info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+				}
+				r.sets[origin(fld)] = true
+			}
+		}
 	}
 	return true
 }
@@ -132,10 +173,10 @@ func (r fieldReader) markPath(sel *types.Selection, withField bool) {
 	}
 }
 
-// write walks a write target. A field selected from a struct value, or
-// an element of an array value, is written along with that value; an
-// index, a pointer the selection goes through, or any other operand is
-// read.
+// write walks a write target. The field it selects is set; a field
+// selected from a struct value, or an element of an array value, is
+// written along with that value; an index, a pointer the selection goes
+// through, or any other operand is read.
 func (r fieldReader) write(e ast.Expr) {
 	switch x := e.(type) {
 	case *ast.ParenExpr:
@@ -143,6 +184,7 @@ func (r fieldReader) write(e ast.Expr) {
 		return
 	case *ast.SelectorExpr:
 		if sel := r.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+			r.sets[origin(sel.Obj())] = true
 			if sel.Indirect() {
 				r.markPath(sel, false)
 				ast.Inspect(x.X, r.visit)
@@ -152,11 +194,16 @@ func (r fieldReader) write(e ast.Expr) {
 			return
 		}
 	case *ast.IndexExpr:
-		if _, ok := r.info.TypeOf(x.X).Underlying().(*types.Array); ok {
+		if isArray(r.info.TypeOf(x.X)) {
 			r.write(x.X)
 			ast.Inspect(x.Index, r.visit)
 			return
 		}
 	}
 	ast.Inspect(e, r.visit)
+}
+
+func isArray(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Array)
+	return ok
 }

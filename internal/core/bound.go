@@ -66,10 +66,6 @@ func (ch *Channel) Handle(pkgName, elemName string) *Bound {
 // Channel returns the channel the handle sends on.
 func (b *Bound) Channel() *Channel { return b.ch }
 
-// CreditStalls reports the channel sender's cumulative credit-stall
-// count — the flow-control telemetry tenant admission feeds on.
-func (b *Bound) CreditStalls() uint64 { return b.ch.Sender.Stats().CreditStalls }
-
 // ensureInject makes the prepared image current for the channel's
 // receiver namespace.
 func (b *Bound) ensureInject() error {

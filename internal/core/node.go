@@ -31,13 +31,13 @@ type NodeConfig struct {
 
 	// Security options (paper §V).
 	// CheckExec makes the VM enforce execute permissions on fetch.
-	CheckExec bool
+	CheckExec bool //tclint:allow neverset a paper §V defence: the tests and ROADMAP 3(c) set it
 	// SecureExec copies injected jam bodies out of the mailbox into a
 	// separate execution area before running them, so mailbox pages need
 	// not be executable.
 	SecureExec bool
 	// ReadOnlyGOT remaps library GOTs read-only after binding.
-	ReadOnlyGOT bool
+	ReadOnlyGOT bool //tclint:allow neverset a paper §V defence: the tests and ROADMAP 3(c) set it
 	// InsertGp makes this node's receivers overwrite the travelling GOT
 	// pointer on arrival instead of trusting the sender's value.
 	InsertGp bool

@@ -204,8 +204,7 @@ func (f *Func) issueOnce(fu *Future, dst int, args [2]uint64, cfg *callCfg) erro
 		return err
 	}
 	if ten := f.ten; ten != nil && ten.Admission != nil {
-		// The channel's credit-stall count is the congestion feedback.
-		if dec := ten.Admit(f.src, f.sys.Now(), fu.expect, b.CreditStalls()); !dec.OK {
+		if dec := ten.Admit(f.src, f.sys.Now(), fu.expect); !dec.OK {
 			return ten.Reject(dec)
 		}
 	}
@@ -224,9 +223,8 @@ func (f *Func) issueOnce(fu *Future, dst int, args [2]uint64, cfg *callCfg) erro
 // issueRetry drives the WithRetry attempt loop: each retryable failure
 // schedules the next attempt after the policy's backoff (floored by a
 // deferred admission's RetryAfter) on the simulated clock, so retried
-// calls replay deterministically. Exhaustion — attempts spent, or the
-// timeout overrun — resolves the future with a *RetryError surfaced via
-// Future.IssueErr.
+// calls replay deterministically. Exhaustion resolves the future with a
+// *RetryError surfaced via Future.IssueErr.
 func (f *Func) issueRetry(fu *Future, dst int, args [2]uint64, cfg callCfg, attempt int, elapsed sim.Duration) {
 	err := f.issueOnce(fu, dst, args, &cfg)
 	if err == nil {
@@ -248,10 +246,6 @@ func (f *Func) issueRetry(fu *Future, dst int, args [2]uint64, cfg callCfg, atte
 	delay := cfg.retry.delay(attempt)
 	if after > delay {
 		delay = after
-	}
-	if cfg.retry.Timeout > 0 && elapsed+delay > cfg.retry.Timeout {
-		fu.fail(&RetryError{Attempts: attempt + 1, Elapsed: elapsed, Last: err})
-		return
 	}
 	// Resolution now happens inside the engine: mark the future armed so
 	// an unobserved fire-and-forget call still recycles when it resolves.

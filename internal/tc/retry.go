@@ -22,34 +22,18 @@ type RetryPolicy struct {
 	// exhausts the budget without letting simulated time advance, so any
 	// policy meant to ride out a failure window wants Backoff > 0.
 	Backoff sim.Duration
-	// Max caps the doubled backoff (0 = uncapped).
-	Max sim.Duration
-	// Timeout bounds the total simulated time spent retrying: a retry
-	// whose delay would stretch the elapsed retry time past Timeout is
-	// not attempted (0 = no bound).
-	Timeout sim.Duration
 }
 
 // delay returns the backoff before retry number attempt (0-based: the
 // delay after the first failed attempt is delay(0) == Backoff).
 func (p RetryPolicy) delay(attempt int) sim.Duration {
-	d := p.Backoff
-	for i := 0; i < attempt; i++ {
-		d *= 2
-		if p.Max > 0 && d >= p.Max {
-			return p.Max
-		}
-	}
-	if p.Max > 0 && d > p.Max {
-		return p.Max
-	}
-	return d
+	return p.Backoff << attempt
 }
 
 // RetryError reports a Call whose retry policy was exhausted: every
-// attempt failed with a retryable error (or the timeout cut the policy
-// short). It surfaces through Future.IssueErr, wrapping the last
-// attempt's error for errors.As / errors.Is inspection.
+// attempt failed with a retryable error. It surfaces through
+// Future.IssueErr, wrapping the last attempt's error for errors.As /
+// errors.Is inspection.
 type RetryError struct {
 	// Attempts counts the issue attempts actually made.
 	Attempts int

@@ -1,7 +1,7 @@
 // Package tenant is the multi-tenant serving layer's state: named
 // tenants with fair-share weights, per-tenant admission control (token
-// buckets in simulated time, fed back by sender credit telemetry), and
-// the naming convention that keys per-tenant package namespaces.
+// buckets in simulated time), and the naming convention that keys
+// per-tenant package namespaces.
 //
 // The package is deliberately thin — plain deterministic state machines
 // over sim time — so it can sit under both the tc call path and the
@@ -22,6 +22,7 @@ package tenant
 
 import (
 	"fmt"
+	"math"
 
 	"twochains/internal/sim"
 )
@@ -59,22 +60,15 @@ type Admission struct {
 	Burst float64
 	// Policy selects Drop (default) or Defer on an empty bucket.
 	Policy Policy
-	// StallPenalty deducts that many tokens for every newly observed
-	// credit stall on the call's channel — the feedback loop from the
-	// mailbox flow-control telemetry: a tenant whose traffic is already
-	// backing up the fabric is throttled harder than its nominal rate.
-	StallPenalty float64
 }
 
-// withDefaults returns the config with zero fields resolved.
-func (a Admission) withDefaults() Admission {
-	if a.Burst <= 0 {
-		a.Burst = a.RatePerSec / 100
-		if a.Burst < 1 {
-			a.Burst = 1
-		}
+// Capacity returns the bucket capacity in messages: Burst, or its
+// default when Burst is 0.
+func (a Admission) Capacity() float64 {
+	if a.Burst > 0 {
+		return a.Burst
 	}
-	return a
+	return max(a.RatePerSec/100, 1)
 }
 
 // Decision is one admission outcome.
@@ -107,9 +101,6 @@ func (e *AdmissionError) Error() string {
 type bucket struct {
 	tokens float64
 	last   sim.Time
-	// stalls is the channel credit-stall count already charged, so only
-	// the delta since the last Admit is penalized.
-	stalls uint64
 	inited bool
 }
 
@@ -143,17 +134,16 @@ type Tenant struct {
 }
 
 // Admit charges n messages issued from node src at simulated time now
-// against the tenant's bucket, with stalls the issuing channel's
-// cumulative credit-stall count (the telemetry feedback). A tenant
-// without admission control admits everything.
-func (t *Tenant) Admit(src int, now sim.Time, n int, stalls uint64) Decision {
+// against the tenant's bucket. A tenant without admission control admits
+// everything.
+func (t *Tenant) Admit(src int, now sim.Time, n int) Decision {
 	if t.Admission == nil {
 		return Decision{OK: true}
 	}
 	a := t.Admission
 	b := &t.buckets[src]
 	if !b.inited {
-		b.tokens, b.last, b.stalls, b.inited = a.Burst, now, stalls, true
+		b.tokens, b.last, b.inited = a.Burst, now, true
 	}
 	if d := now.Sub(b.last); d > 0 {
 		b.tokens += d.Seconds() * a.RatePerSec
@@ -162,15 +152,6 @@ func (t *Tenant) Admit(src int, now sim.Time, n int, stalls uint64) Decision {
 		}
 		b.last = now
 	}
-	if a.StallPenalty > 0 && stalls > b.stalls {
-		b.tokens -= float64(stalls-b.stalls) * a.StallPenalty
-		// Debt is capped at one bucket so a stall storm throttles the
-		// tenant for a bounded horizon instead of forever.
-		if b.tokens < -a.Burst {
-			b.tokens = -a.Burst
-		}
-	}
-	b.stalls = stalls
 	need := float64(n)
 	if b.tokens >= need {
 		b.tokens -= need
@@ -228,7 +209,8 @@ func NewRegistry(nodes int) *Registry {
 }
 
 // Add registers a tenant and returns it. Names must be unique and
-// non-empty, weights >= 1, and admission rates > 0.
+// non-empty, weights >= 1, admission rates positive and finite, and
+// admission bursts finite and not negative.
 func (g *Registry) Add(cfg Config) (*Tenant, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("tenant: empty name")
@@ -250,11 +232,16 @@ func (g *Registry) Add(cfg Config) (*Tenant, error) {
 		deferred:  make([]uint64, g.nodes),
 	}
 	if cfg.Admission != nil {
-		if !(cfg.Admission.RatePerSec > 0) {
-			return nil, fmt.Errorf("tenant: %s: admission rate must be > 0, have %v",
-				cfg.Name, cfg.Admission.RatePerSec)
+		a := *cfg.Admission
+		if !(a.RatePerSec > 0) || math.IsInf(a.RatePerSec, 1) {
+			return nil, fmt.Errorf("tenant: %s: admission rate must be positive and finite, have %v",
+				cfg.Name, a.RatePerSec)
 		}
-		a := cfg.Admission.withDefaults()
+		if !(a.Burst >= 0) || math.IsInf(a.Burst, 1) {
+			return nil, fmt.Errorf("tenant: %s: admission burst must be finite and >= 0, have %v",
+				cfg.Name, a.Burst)
+		}
+		a.Burst = a.Capacity()
 		t.Admission = &a
 	}
 	g.byName[cfg.Name] = t

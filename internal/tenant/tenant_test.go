@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"math"
 	"testing"
 
 	"twochains/internal/sim"
@@ -20,8 +21,17 @@ func TestRegistryValidation(t *testing.T) {
 	if _, err := g.Add(Config{Name: "a", Weight: 1}); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	if _, err := g.Add(Config{Name: "b", Weight: 1, Admission: &Admission{RatePerSec: 0}}); err == nil {
-		t.Fatal("zero admission rate accepted")
+	for _, a := range []Admission{
+		{RatePerSec: 0},
+		{RatePerSec: math.NaN()},
+		{RatePerSec: math.Inf(1)},
+		{RatePerSec: 1000, Burst: math.NaN()},
+		{RatePerSec: 1000, Burst: math.Inf(1)},
+		{RatePerSec: 1000, Burst: -1},
+	} {
+		if _, err := g.Add(Config{Name: "b", Weight: 1, Admission: &a}); err == nil {
+			t.Fatalf("admission %+v accepted", a)
+		}
 	}
 	b, err := g.Add(Config{Name: "b", Weight: 1, Admission: &Admission{RatePerSec: 1000}})
 	if err != nil {
@@ -54,25 +64,25 @@ func TestBucketRefillAndDrop(t *testing.T) {
 	now := sim.Time(0)
 	// Burst capacity admits 4, then drops.
 	for i := 0; i < 4; i++ {
-		if d := tn.Admit(0, now, 1, 0); !d.OK {
+		if d := tn.Admit(0, now, 1); !d.OK {
 			t.Fatalf("admit %d rejected", i)
 		}
 	}
-	if d := tn.Admit(0, now, 1, 0); d.OK {
+	if d := tn.Admit(0, now, 1); d.OK {
 		t.Fatal("empty bucket admitted")
 	}
 	// 1000 msgs/s = 1 token per ms: after 2 ms two more pass.
 	now = now.Add(2 * sim.Millisecond)
 	for i := 0; i < 2; i++ {
-		if d := tn.Admit(0, now, 1, 0); !d.OK {
+		if d := tn.Admit(0, now, 1); !d.OK {
 			t.Fatalf("refilled admit %d rejected", i)
 		}
 	}
-	if d := tn.Admit(0, now, 1, 0); d.OK {
+	if d := tn.Admit(0, now, 1); d.OK {
 		t.Fatal("over-refilled bucket admitted")
 	}
 	// Node 1's bucket is independent of node 0's.
-	if d := tn.Admit(1, now, 4, 0); !d.OK {
+	if d := tn.Admit(1, now, 4); !d.OK {
 		t.Fatal("per-node bucket not independent")
 	}
 	st := tn.Stats()
@@ -89,15 +99,15 @@ func TestDeferRetryHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := sim.Time(0)
-	if d := tn.Admit(0, now, 1, 0); !d.OK {
+	if d := tn.Admit(0, now, 1); !d.OK {
 		t.Fatal("first admit rejected")
 	}
-	d := tn.Admit(0, now, 1, 0)
+	d := tn.Admit(0, now, 1)
 	if d.OK || d.RetryAfter <= 0 {
 		t.Fatalf("defer decision = %+v", d)
 	}
 	// The hint is honest: at now+RetryAfter the call passes.
-	if d2 := tn.Admit(0, now.Add(d.RetryAfter), 1, 0); !d2.OK {
+	if d2 := tn.Admit(0, now.Add(d.RetryAfter), 1); !d2.OK {
 		t.Fatalf("retry at hinted time rejected")
 	}
 	ae := tn.Reject(d)
@@ -109,46 +119,16 @@ func TestDeferRetryHint(t *testing.T) {
 	}
 }
 
-func TestStallPenalty(t *testing.T) {
-	g := NewRegistry(1)
-	tn, err := g.Add(Config{Name: "t", Weight: 1,
-		Admission: &Admission{RatePerSec: 1000, Burst: 8, StallPenalty: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := sim.Time(0)
-	if d := tn.Admit(0, now, 1, 0); !d.OK {
-		t.Fatal("baseline admit rejected")
-	}
-	// 3 new stalls cost 6 tokens on top of the message: bucket had 7,
-	// drops to 1 after penalty, then admits 1 and is empty.
-	if d := tn.Admit(0, now, 1, 3); !d.OK {
-		t.Fatal("post-penalty admit rejected")
-	}
-	if d := tn.Admit(0, now, 1, 3); d.OK {
-		t.Fatal("stall-penalized bucket admitted (penalty not charged, or re-charged)")
-	}
-	// The same cumulative stall count is not charged twice: refill one
-	// token and the next message passes.
-	if d := tn.Admit(0, now.Add(sim.Millisecond), 1, 3); !d.OK {
-		t.Fatal("stall delta re-charged")
-	}
-}
-
 func TestAdmitDeterminism(t *testing.T) {
 	run := func() []bool {
 		g := NewRegistry(1)
 		tn, _ := g.Add(Config{Name: "t", Weight: 1,
-			Admission: &Admission{RatePerSec: 12345, Burst: 3.5, StallPenalty: 0.5}})
+			Admission: &Admission{RatePerSec: 12345, Burst: 3.5}})
 		var out []bool
 		now := sim.Time(0)
-		stalls := uint64(0)
 		for i := 0; i < 200; i++ {
 			now = now.Add(sim.Duration(i%7) * 13 * sim.Microsecond)
-			if i%11 == 0 {
-				stalls++
-			}
-			out = append(out, tn.Admit(0, now, 1+i%3, stalls).OK)
+			out = append(out, tn.Admit(0, now, 1+i%3).OK)
 		}
 		return out
 	}

@@ -125,8 +125,8 @@ type VM struct {
 	//
 	// Deprecated: inert since PR 21. Kept until benchmark/ stops naming
 	// them.
-	JITCompiles uint64
-	JITDeopts   uint64
+	JITCompiles uint64 //tclint:allow neverset an item 7(a) shim: benchmark/ still reads it
+	JITDeopts   uint64 //tclint:allow neverset an item 7(a) shim: benchmark/ still reads it
 	// Tier counts what EnsureJam did.
 	Tier TierStats
 }

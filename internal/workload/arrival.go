@@ -51,9 +51,9 @@ var arrivalKinds = [...]arrivalSpec{
 	Poisson: {
 		name: "poisson",
 		validate: func(a *Arrival, at func(string) string) error {
-			if a.RatePerSec <= 0 {
+			if !positiveFinite(a.RatePerSec) {
 				return &ScenarioError{Field: at("Arrival.RatePerSec"),
-					Reason: fmt.Sprintf("open-loop Poisson arrivals need a positive rate, have %v", a.RatePerSec)}
+					Reason: fmt.Sprintf("open-loop Poisson arrivals need a positive finite rate, have %v", a.RatePerSec)}
 			}
 			return nil
 		},
@@ -72,13 +72,13 @@ var arrivalKinds = [...]arrivalSpec{
 	MMPP: {
 		name: "mmpp",
 		validate: func(a *Arrival, at func(string) string) error {
-			if a.RatePerSec <= 0 {
+			if !positiveFinite(a.RatePerSec) {
 				return &ScenarioError{Field: at("Arrival.RatePerSec"),
-					Reason: fmt.Sprintf("MMPP base state needs a positive rate, have %v", a.RatePerSec)}
+					Reason: fmt.Sprintf("MMPP base state needs a positive finite rate, have %v", a.RatePerSec)}
 			}
-			if a.BurstRatePerSec <= 0 {
+			if !positiveFinite(a.BurstRatePerSec) {
 				return &ScenarioError{Field: at("Arrival.BurstRatePerSec"),
-					Reason: fmt.Sprintf("MMPP burst state needs a positive rate, have %v", a.BurstRatePerSec)}
+					Reason: fmt.Sprintf("MMPP burst state needs a positive finite rate, have %v", a.BurstRatePerSec)}
 			}
 			if a.MeanBase <= 0 {
 				return &ScenarioError{Field: at("Arrival.MeanBase"),
@@ -115,35 +115,6 @@ var arrivalKinds = [...]arrivalSpec{
 				at += rem
 				state = 1 - state
 				rem = rng.Exp(soj[state])
-			}
-			return out
-		},
-	},
-
-	Trace: {
-		name: "trace",
-		validate: func(a *Arrival, at func(string) string) error {
-			if len(a.Trace) == 0 {
-				return &ScenarioError{Field: at("Arrival.Trace"),
-					Reason: "trace replay needs at least one recorded inter-arrival gap"}
-			}
-			for i, gap := range a.Trace {
-				if gap < 0 {
-					return &ScenarioError{Field: at(fmt.Sprintf("Arrival.Trace[%d]", i)),
-						Reason: fmt.Sprintf("recorded inter-arrival gaps cannot be negative, have %v", gap)}
-				}
-			}
-			return nil
-		},
-		gen: func(a *Arrival, rng *sim.RNG, n int) []sim.Duration {
-			// Recorded-trace replay: the scenario carries measured
-			// inter-arrival gaps and each sender replays them cyclically.
-			// No RNG is consumed — the trace is the randomness.
-			out := make([]sim.Duration, n)
-			var at sim.Duration
-			for i := range out {
-				at += a.Trace[i%len(a.Trace)]
-				out[i] = at
 			}
 			return out
 		},

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -92,36 +93,6 @@ func TestFailRejoinDrain(t *testing.T) {
 	}
 }
 
-// TestArrivalTraceReplay pins the recorded-trace generator: replayed
-// gaps are deterministic (no RNG consumed), cyclic, and drain to exact
-// completion.
-func TestArrivalTraceReplay(t *testing.T) {
-	sc := DefaultScenario(AllToAll, 4)
-	sc.Burst = 2
-	sc.Rounds = 2
-	sc.Arrival = Arrival{Kind: Trace, Trace: []sim.Duration{
-		100 * sim.Nanosecond, 500 * sim.Nanosecond, 2 * sim.Microsecond}}
-	a, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var planned int
-	for _, ph := range a.Phases {
-		planned += ph.Planned
-	}
-	if a.Injections != planned {
-		t.Fatalf("trace replay executed %d of %d planned", a.Injections, planned)
-	}
-	b, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Digest != b.Digest || a.SimTime != b.SimTime {
-		t.Fatalf("trace replay diverged across runs: %#x/%d vs %#x/%d",
-			a.Digest, int64(a.SimTime), b.Digest, int64(b.SimTime))
-	}
-}
-
 // TestArrivalValidation pins the table-driven arrival validation and
 // the failure-plan static checks: every rejection is a typed
 // *ScenarioError naming the offending field.
@@ -136,18 +107,26 @@ func TestArrivalValidation(t *testing.T) {
 		mut   func(*Scenario)
 		field string
 	}{
-		{"unknown kind", func(sc *Scenario) { sc.Arrival = Arrival{Kind: 99} }, "Arrival.Kind"},
-		{"poisson no rate", func(sc *Scenario) { sc.Arrival = Arrival{Kind: Poisson} }, "Arrival.RatePerSec"},
+		{"unknown kind", func(sc *Scenario) { sc.Phases = []Phase{{Arrival: &Arrival{Kind: 99}}} }, "Phases[0].Arrival.Kind"},
+		{"poisson no rate", func(sc *Scenario) { sc.Phases = []Phase{{Arrival: &Arrival{Kind: Poisson}}} }, "Phases[0].Arrival.RatePerSec"},
 		{"mmpp no burst rate", func(sc *Scenario) {
-			sc.Arrival = Arrival{Kind: MMPP, RatePerSec: 1e6, MeanBase: 1, MeanBurst: 1}
-		}, "Arrival.BurstRatePerSec"},
+			sc.Phases = []Phase{{Arrival: &Arrival{Kind: MMPP, RatePerSec: 1e6, MeanBase: 1, MeanBurst: 1}}}
+		}, "Phases[0].Arrival.BurstRatePerSec"},
 		{"mmpp no sojourn", func(sc *Scenario) {
-			sc.Arrival = Arrival{Kind: MMPP, RatePerSec: 1e6, BurstRatePerSec: 1e7, MeanBurst: 1}
-		}, "Arrival.MeanBase"},
-		{"empty trace", func(sc *Scenario) { sc.Arrival = Arrival{Kind: Trace} }, "Arrival.Trace"},
-		{"negative trace gap", func(sc *Scenario) {
-			sc.Arrival = Arrival{Kind: Trace, Trace: []sim.Duration{10, -1}}
-		}, "Arrival.Trace[1]"},
+			sc.Phases = []Phase{{Arrival: &Arrival{Kind: MMPP, RatePerSec: 1e6, BurstRatePerSec: 1e7, MeanBurst: 1}}}
+		}, "Phases[0].Arrival.MeanBase"},
+		{"poisson NaN rate", func(sc *Scenario) {
+			sc.Phases = []Phase{{Arrival: &Arrival{Kind: Poisson, RatePerSec: math.NaN()}}}
+		}, "Phases[0].Arrival.RatePerSec"},
+		{"poisson +Inf rate", func(sc *Scenario) {
+			sc.Phases = []Phase{{Arrival: &Arrival{Kind: Poisson, RatePerSec: math.Inf(1)}}}
+		}, "Phases[0].Arrival.RatePerSec"},
+		{"mmpp NaN base rate", func(sc *Scenario) {
+			sc.Phases = []Phase{{Arrival: &Arrival{Kind: MMPP, RatePerSec: math.NaN(), BurstRatePerSec: 1e7, MeanBase: 1, MeanBurst: 1}}}
+		}, "Phases[0].Arrival.RatePerSec"},
+		{"mmpp NaN burst rate", func(sc *Scenario) {
+			sc.Phases = []Phase{{Arrival: &Arrival{Kind: MMPP, RatePerSec: 1e6, BurstRatePerSec: math.NaN(), MeanBase: 1, MeanBurst: 1}}}
+		}, "Phases[0].Arrival.BurstRatePerSec"},
 		{"phase arrival blame", func(sc *Scenario) {
 			sc.Phases = []Phase{{}, {Arrival: &Arrival{Kind: 77}}}
 		}, "Phases[1].Arrival.Kind"},

@@ -344,7 +344,8 @@ func shardedTwoPhaseTenants(seed uint64) Scenario {
 	sc.Seed = seed
 	sc.Tenants = []TenantSpec{
 		{Name: "gold", Weight: 3, Phases: []Phase{
-			{Name: "warm", Rounds: 1, Mix: []ElementMix{{Elem: "jam_iput", Weight: 1}}},
+			{Name: "warm", Rounds: 1, Arrival: &Arrival{Kind: Poisson, RatePerSec: 150_000},
+				Mix: []ElementMix{{Elem: "jam_iput", Weight: 1}}},
 			{Name: "burst", Arrival: &Arrival{Kind: Poisson, RatePerSec: 150_000},
 				Mix: []ElementMix{{Elem: "jam_sssum", Weight: 1}}},
 		}},

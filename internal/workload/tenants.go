@@ -13,16 +13,15 @@ import (
 // scenario form (see tenant.Admission for the semantics).
 type AdmitSpec struct {
 	// RatePerSec is the sustained admission rate per sender node in
-	// messages per simulated second (> 0).
+	// messages per simulated second (> 0, finite).
 	RatePerSec float64
-	// Burst is the bucket capacity in messages (0 = default).
+	// Burst is the bucket capacity in messages (0 = default). The
+	// bucket must hold at least Scenario.Burst tokens, or no burst is
+	// ever admitted.
 	Burst float64
 	// Defer rejects with a retry hint instead of dropping; the driver
 	// honours the hint and re-issues the burst.
 	Defer bool
-	// StallPenalty deducts tokens per newly observed credit stall on the
-	// issuing channel — congestion feedback from the mailbox telemetry.
-	StallPenalty float64
 }
 
 // TenantSpec declares one tenant of a multi-tenant scenario.
@@ -38,7 +37,7 @@ type TenantSpec struct {
 	Admit *AdmitSpec
 	// Untrusted prices an isolation boundary per invocation at the
 	// receiver (model.TenantIsolationCost).
-	Untrusted bool
+	Untrusted bool //tclint:allow neverset ROADMAP item 11 decides it
 	// Phases is the tenant's own phase list; empty reuses the
 	// scenario-level phases. RIED swaps are not supported inside tenant
 	// phases, and Fail/Rejoin entries may appear in the phases of at most
@@ -116,8 +115,8 @@ func (sc *Scenario) resolveTenants(base []phaseSpec) ([]laneSpec, error) {
 			return nil, &ScenarioError{Field: at("Weight"),
 				Reason: fmt.Sprintf("fair-share weight must be >= 1, have %d", ts.Weight)}
 		}
-		if ts.Load < 0 {
-			return nil, &ScenarioError{Field: at("Load"), Reason: fmt.Sprintf("negative load factor %v", ts.Load)}
+		if !nonNegFinite(ts.Load) {
+			return nil, &ScenarioError{Field: at("Load"), Reason: fmt.Sprintf("load factor %v is negative or not finite", ts.Load)}
 		}
 		load := ts.Load
 		if load == 0 {
@@ -173,20 +172,26 @@ func (sc *Scenario) resolveTenants(base []phaseSpec) ([]laneSpec, error) {
 			Name: ts.Name, Weight: ts.Weight, Untrusted: ts.Untrusted,
 		}}
 		if ts.Admit != nil {
-			if !(ts.Admit.RatePerSec > 0) {
+			if !positiveFinite(ts.Admit.RatePerSec) {
 				return nil, &ScenarioError{Field: at("Admit.RatePerSec"),
-					Reason: fmt.Sprintf("admission rate must be > 0, have %v", ts.Admit.RatePerSec)}
+					Reason: fmt.Sprintf("admission rate must be positive and finite, have %v", ts.Admit.RatePerSec)}
+			}
+			if !nonNegFinite(ts.Admit.Burst) {
+				return nil, &ScenarioError{Field: at("Admit.Burst"),
+					Reason: fmt.Sprintf("bucket capacity %v is negative or not finite", ts.Admit.Burst)}
 			}
 			pol := tenant.Drop
 			if ts.Admit.Defer {
 				pol = tenant.Defer
 			}
-			lanes[i].cfg.Admission = &tenant.Admission{
-				RatePerSec:   ts.Admit.RatePerSec,
-				Burst:        ts.Admit.Burst,
-				Policy:       pol,
-				StallPenalty: ts.Admit.StallPenalty,
+			a := &tenant.Admission{RatePerSec: ts.Admit.RatePerSec, Burst: ts.Admit.Burst, Policy: pol}
+			// A bucket smaller than one burst never admits it: dropped,
+			// or deferred and re-issued forever.
+			if c := a.Capacity(); c < float64(sc.Burst) {
+				return nil, &ScenarioError{Field: at("Admit.Burst"),
+					Reason: fmt.Sprintf("a %v-token bucket can never admit a %d-message burst", c, sc.Burst)}
 			}
+			lanes[i].cfg.Admission = a
 		}
 	}
 	return lanes, nil

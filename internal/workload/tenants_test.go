@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -30,7 +31,7 @@ func tenantScenario(nodes int) Scenario {
 	sc.Rounds = 2
 	sc.Burst = 4
 	sc.Seed = 0x7c2c2025
-	sc.Arrival = Arrival{Kind: Poisson, RatePerSec: 150_000}
+	sc.Phases = []Phase{{Arrival: &Arrival{Kind: Poisson, RatePerSec: 150_000}}}
 	sc.Mix = []ElementMix{{Elem: "jam_iput", Weight: 1}}
 	sc.Tenants = []TenantSpec{
 		{Name: "gold", Weight: 3},
@@ -63,6 +64,28 @@ func TestTenantValidation(t *testing.T) {
 	sc = base
 	sc.Tenants = []TenantSpec{{Name: "gold", Weight: 1, Load: -2}}
 	wantTenantError(t, sc, "Tenants[0].Load")
+
+	// NaN and +Inf pass a plain sign check; each float is refused.
+	sc = base
+	sc.Tenants = []TenantSpec{{Name: "gold", Weight: 1, Load: math.NaN()}}
+	wantTenantError(t, sc, "Tenants[0].Load")
+
+	sc = base
+	sc.Tenants = []TenantSpec{{Name: "gold", Weight: 1, Admit: &AdmitSpec{RatePerSec: math.Inf(1)}}}
+	wantTenantError(t, sc, "Tenants[0].Admit.RatePerSec")
+
+	sc = base
+	sc.Tenants = []TenantSpec{{Name: "gold", Weight: 1, Admit: &AdmitSpec{RatePerSec: 1e6, Burst: math.NaN()}}}
+	wantTenantError(t, sc, "Tenants[0].Admit.Burst")
+
+	// A bucket smaller than one burst can never admit it; with Defer
+	// the run would re-issue forever, so only Validate is called.
+	sc = DefaultScenario(AllToAll, 3)
+	sc.Tenants = []TenantSpec{{Name: "gold", Weight: 1, Admit: &AdmitSpec{RatePerSec: 50_000, Burst: 4, Defer: true}}}
+	var se *ScenarioError
+	if err := sc.Validate(); !errors.As(err, &se) || se.Field != "Tenants[0].Admit.Burst" {
+		t.Fatalf("bucket smaller than Burst %d: Validate() = %v, want *ScenarioError on Tenants[0].Admit.Burst", sc.Burst, err)
+	}
 
 	// A tenant phase referencing an unregistered app blames the tenant's
 	// phase field, not the scenario's.
@@ -132,7 +155,7 @@ func TestTenantStarvationResistance(t *testing.T) {
 	// capacity, the aggressor 10x more: only the fair queue keeps the
 	// victim at its share.
 	sc.Rounds = 8
-	sc.Arrival = Arrival{Kind: Poisson, RatePerSec: 250_000}
+	sc.Phases = []Phase{{Arrival: &Arrival{Kind: Poisson, RatePerSec: 250_000}}}
 	sc.Tenants = []TenantSpec{
 		{Name: "aggressor", Weight: 1, Load: 10},
 		{Name: "victim", Weight: 1},

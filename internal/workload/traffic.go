@@ -61,8 +61,8 @@ func (p *planner) emit(src, dst int) {
 	m := p.pickMix()
 	args := p.mkArgs()
 	p.pp.bursts[src] = append(p.pp.bursts[src], burst{dst: dst, mix: m, args: args, local: m.Local})
-	p.pp.sent[dst] += p.spec.burst
-	p.pp.total += p.spec.burst
+	p.pp.sent[dst] += p.sc.Burst
+	p.pp.total += p.sc.Burst
 }
 
 // pickMix draws one weighted element choice.
@@ -79,7 +79,7 @@ func (p *planner) pickMix() ElementMix {
 
 // mkArgs draws one burst's argument words.
 func (p *planner) mkArgs() [][2]uint64 {
-	args := make([][2]uint64, p.spec.burst)
+	args := make([][2]uint64, p.sc.Burst)
 	for i := range args {
 		args[i] = [2]uint64{p.rng.Uint64()%30000 + 1, 0}
 		if p.spec.arg1Random {
@@ -134,15 +134,14 @@ func genAllToAll(p *planner) {
 	}
 }
 
+// hotSkew is the probability a hotspot burst targets the hot node.
+const hotSkew = 0.8
+
 // genHotspot: skewed traffic onto one hot node, with the mid-phase RIED
 // hot-swap planned at half the hot node's traffic (unless the scenario
 // disables it).
 func genHotspot(p *planner) {
 	sc := p.sc
-	skew := sc.HotSkew
-	if skew <= 0 {
-		skew = 0.8
-	}
 	rng := p.rng
 	hot := rng.Intn(p.nodes)
 	p.setHotNode(hot)
@@ -155,7 +154,7 @@ func genHotspot(p *planner) {
 			// Background traffic needs a node that is neither the sender
 			// nor the hot node; with 2 nodes none exists and every burst
 			// goes hot.
-			if p.nodes > 2 && !rng.Bernoulli(skew) {
+			if p.nodes > 2 && !rng.Bernoulli(hotSkew) {
 				for {
 					dst = rng.Intn(p.nodes)
 					if dst != src && dst != hot {

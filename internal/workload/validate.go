@@ -64,8 +64,8 @@ func (sc *Scenario) validateScalars() error {
 		return &ScenarioError{Field: "PayloadBytes",
 			Reason: fmt.Sprintf("payload %d exceeds the %d-byte frame budget", sc.PayloadBytes, MaxPayloadBytes)}
 	}
-	if sc.HotSkew < 0 || sc.HotSkew > 1 {
-		return &ScenarioError{Field: "HotSkew", Reason: fmt.Sprintf("skew %v outside [0, 1]", sc.HotSkew)}
+	if sc.Burst < 1 {
+		return &ScenarioError{Field: "Burst", Reason: fmt.Sprintf("must be >= 1, have %d", sc.Burst)}
 	}
 	if sc.Backend == "chaos" && sc.Chaos == nil {
 		return &ScenarioError{Field: "Backend",
@@ -84,12 +84,19 @@ func (sc *Scenario) validateScalars() error {
 	return nil
 }
 
+// positiveFinite and nonNegFinite check a scenario float. NaN fails
+// every comparison and +Inf passes a sign check, and converting either
+// to an integer gives a different value on each architecture, so both
+// are refused.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+func nonNegFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
 // phaseSpec is one phase with every scenario-level default applied.
 type phaseSpec struct {
 	name       string
 	traffic    string
 	rounds     int
-	burst      int
 	mix        []ElementMix
 	wsum       int
 	arrival    Arrival
@@ -123,7 +130,6 @@ func (sc *Scenario) resolvePhases() ([]phaseSpec, error) {
 			name:       ph.Name,
 			traffic:    ph.Traffic,
 			rounds:     ph.Rounds,
-			burst:      ph.Burst,
 			mix:        ph.Mix,
 			arg1Random: ph.Arg1Random,
 			swap:       ph.Swap,
@@ -151,29 +157,15 @@ func (sc *Scenario) resolvePhases() ([]phaseSpec, error) {
 			return nil, &ScenarioError{Field: field,
 				Reason: fmt.Sprintf("unknown traffic %q (registered: %v)", spec.traffic, TrafficNames())}
 		}
-		// When a phase inherits a scenario-level default, blame the field
-		// the user actually set.
-		inheritedAt := func(field string, inherited bool) string {
-			if inherited {
-				return field
-			}
-			return at(field)
-		}
-		roundsInherited := spec.rounds == 0
-		if roundsInherited {
-			spec.rounds = sc.Rounds
+		// When a phase inherits the scenario-level default, blame the
+		// field the user actually set.
+		roundsField := at("Rounds")
+		if spec.rounds == 0 {
+			spec.rounds, roundsField = sc.Rounds, "Rounds"
 		}
 		if spec.rounds < 1 {
-			return nil, &ScenarioError{Field: inheritedAt("Rounds", roundsInherited),
+			return nil, &ScenarioError{Field: roundsField,
 				Reason: fmt.Sprintf("must be >= 1, have %d", spec.rounds)}
-		}
-		burstInherited := spec.burst == 0
-		if burstInherited {
-			spec.burst = sc.Burst
-		}
-		if spec.burst < 1 {
-			return nil, &ScenarioError{Field: inheritedAt("Burst", burstInherited),
-				Reason: fmt.Sprintf("must be >= 1, have %d", spec.burst)}
 		}
 		if len(spec.mix) == 0 {
 			spec.mix = sc.Mix
@@ -210,8 +202,6 @@ func (sc *Scenario) resolvePhases() ([]phaseSpec, error) {
 		}
 		if ph.Arrival != nil {
 			spec.arrival = *ph.Arrival
-		} else {
-			spec.arrival = sc.Arrival
 		}
 		ak := arrivalSpecFor(spec.arrival.Kind)
 		if ak == nil {

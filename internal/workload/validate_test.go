@@ -56,10 +56,6 @@ func TestValidateTypedErrors(t *testing.T) {
 	wantScenarioError(t, sc, "PayloadBytes")
 
 	sc = base()
-	sc.HotSkew = 1.5
-	wantScenarioError(t, sc, "HotSkew")
-
-	sc = base()
 	sc.Mix = []ElementMix{{Elem: "jam_sssum", Weight: -1}}
 	wantScenarioError(t, sc, "Mix[0].Weight")
 
@@ -84,10 +80,6 @@ func TestValidateTypedErrors(t *testing.T) {
 	sc.Phases = []Phase{{Traffic: "zigzag"}}
 	wantScenarioError(t, sc, "Phases[0].Traffic")
 
-	sc = base()
-	sc.Phases = []Phase{{}, {Burst: -2}}
-	wantScenarioError(t, sc, "Phases[1].Burst")
-
 	// A phase inheriting an invalid scenario-level default blames the
 	// scenario field the user actually set, not the empty phase field.
 	sc = base()
@@ -107,7 +99,7 @@ func TestValidateTypedErrors(t *testing.T) {
 	sc = base()
 	sc.Phases = []Phase{{Arrival: &Arrival{Kind: 99}}}
 	serr := wantScenarioError(t, sc, "Phases[0].Arrival.Kind")
-	const wantReason = "unknown arrival kind 99 (registered: [closed-loop(0) poisson(1) mmpp(2) trace(3)])"
+	const wantReason = "unknown arrival kind 99 (registered: [closed-loop(0) poisson(1) mmpp(2)])"
 	if serr.Reason != wantReason {
 		t.Fatalf("unknown-kind reason %q, want %q", serr.Reason, wantReason)
 	}

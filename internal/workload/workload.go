@@ -31,10 +31,11 @@
 //
 // Closed-loop (default): each sender self-clocks — burst k+1 is issued
 // from the completion of burst k, so the fabric runs loaded but
-// bounded. Open-loop (Arrival{Kind: Poisson, RatePerSec: r}): each
-// sender's bursts arrive at exponential interarrival gaps drawn at plan
-// time, independent of completions — the offered-load shape, where
-// queueing (credit stalls) is part of the measurement.
+// bounded. Open-loop (Phase.Arrival = &Arrival{Kind: Poisson,
+// RatePerSec: r}): each sender's bursts arrive at exponential
+// interarrival gaps drawn at plan time, independent of completions —
+// the offered-load shape, where queueing (credit stalls) is part of the
+// measurement.
 //
 // All randomness — element choice, argument words, hotspot target and
 // skew, arrival gaps — flows from one sim RNG seeded by Scenario.Seed;
@@ -102,9 +103,6 @@ const (
 	// BurstRatePerSec, with exponential sojourns of mean MeanBase /
 	// MeanBurst — open-loop bursty offered load.
 	MMPP
-	// Trace replays recorded inter-arrival gaps (Arrival.Trace)
-	// cyclically per sender — open-loop measured load, no randomness.
-	Trace
 )
 
 // Arrival is a phase's arrival process. Its Kind indexes the fixed table
@@ -119,9 +117,6 @@ type Arrival struct {
 	// MeanBase/MeanBurst are the MMPP mean state sojourns.
 	MeanBase  sim.Duration
 	MeanBurst sim.Duration
-	// Trace holds recorded inter-arrival gaps for Kind Trace, replayed
-	// cyclically by every sender.
-	Trace []sim.Duration
 }
 
 // Swap is a remote-linking dynamic update expressed as data: when the
@@ -157,14 +152,14 @@ type Rejoin struct {
 }
 
 // Phase is one stage of a scenario. Zero fields inherit the scenario-
-// level value (Traffic from Pattern, Rounds/Burst/Mix/Arrival from the
-// scenario); a phase opens when the previous phase's plan has fully
-// executed.
+// level value (Traffic from Pattern, Rounds and Mix from the scenario),
+// a nil Arrival is closed loop, and every phase sends Scenario.Burst
+// messages per injection; a phase opens when the previous phase's plan
+// has fully executed.
 type Phase struct {
 	Name    string
 	Traffic string // traffic shape name ("" = Scenario.Pattern)
 	Rounds  int
-	Burst   int
 	Mix     []ElementMix
 	Arrival *Arrival
 	Swap    *Swap
@@ -205,7 +200,7 @@ type Scenario struct {
 	Burst, Rounds int
 	PayloadBytes  int
 	// Mix is the default element mix; empty selects DefaultMix.
-	Mix  []ElementMix
+	Mix  []ElementMix //tclint:allow neverset an item 7(a) shim: benchmark/ still reads it
 	Seed uint64
 	// Timing enables the cache/CPU cost model (required for meaningful
 	// rates; functional tests turn it off for speed).
@@ -214,9 +209,6 @@ type Scenario struct {
 	//
 	// Deprecated: inert since PR 21. Kept until benchmark/ stops naming it.
 	Interpreter bool //tclint:allow writeonly an item 7(a) shim: benchmark/ still sets it
-	// HotSkew is the probability a hotspot burst targets the hot node
-	// (0 = default 0.8). Ignored by other patterns.
-	HotSkew float64
 	// DisableSwap turns off the hotspot pattern's built-in mid-phase
 	// RIED hot-swap (phase-level Swap entries are unaffected).
 	DisableSwap bool
@@ -227,8 +219,6 @@ type Scenario struct {
 	// bit-identical results: the perturbation RNG is split per port and
 	// consumed in issue order.
 	Chaos *ChaosSpec
-	// Arrival is the default arrival process (closed loop unless set).
-	Arrival Arrival
 	// Phases composes the run; empty means one closed-loop phase of
 	// Pattern.
 	Phases []Phase
@@ -244,7 +234,7 @@ type Scenario struct {
 	// OnExecuted observes every handler execution (node index, return
 	// value, error) — the hook equivalence tests use to compare injected
 	// execution against a native oracle.
-	OnExecuted func(node int, ret uint64, err error)
+	OnExecuted func(node int, ret uint64, err error) //tclint:allow neverset the workload oracle tests observe executions through it
 }
 
 // DefaultScenario returns a ready-to-run scenario of the given pattern.
@@ -301,8 +291,8 @@ type Result struct {
 	// Windows is always 0.
 	//
 	// Deprecated: ignored. Kept until benchmark/ stops naming it.
-	Windows    uint64
-	Injections int // handlers executed fabric-wide
+	Windows    uint64 //tclint:allow neverset an item 7(a) shim: benchmark/ still reads it
+	Injections int    // handlers executed fabric-wide
 	// Lost counts planned messages a node failure made unexecutable:
 	// issued-but-not-executed backlog into the dead node, queued sends
 	// out of it, its own unissued plan, and bursts refused at issue while
