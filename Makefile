@@ -107,6 +107,24 @@
 # outputs byte for byte. On a mismatch it prints the first differing
 # lines and exits 1. It is not part of `make check`, because it needs a
 # base revision.
+# `make reach` asks which code under internal/ a real run executes. It
+# builds every command but benchjson, every example and benchmark/ with
+# `go build -cover -coverpkg=./...`, runs each as its docs say (the
+# invocations are listed in reach.sh; tcperf runs at -scale 0.05, which
+# enters the same functions as scale 1), each of which must exit 0, and
+# merges the counters with `go tool covdata func`. Every function under internal/ that no invocation entered needs
+# a line in reach.txt, `<file> <function> <reason>`, with one of three
+# reasons: `error path` (only a failure reaches it), `test diagnostic`
+# (tests compare or report through it) or `pinned by <Test|Fuzz name>`
+# (that test, declared in some _test.go file, runs it: ISA paths,
+# natives and language forms a user program built with tcpkg may use).
+# A function with no line, a line for a function that now runs (stale,
+# as tclint treats stale waivers), another reason and `pinned by` a test
+# that does not exist all fail. A package no main links is keyed by its
+# directory and the name `package`. The logic is in reach.sh (~10 s on
+# a 2-core host). It is not part of `make check`; CI runs it beside
+# `make cross`.
+#
 # `make profile` captures CPU+heap profiles of BenchmarkMeshAllToAll for
 # diagnosing regressions (mesh_cpu.prof / mesh_mem.prof, inspect with
 # `go tool pprof`). It does not run vet first: CI runs it after `make
@@ -124,11 +142,11 @@ SMOKE_BASELINE ?= BENCH_PR21.json
 # StringInject 955 -> 1880, medians of six alternating readings, 0
 # allocs/op both sides; BENCH_PR15.json held 1515/1443). ns/op is a host-clock number from a 2-core host whose
 # neighbouring runs differ by up to 40 %; if this is the only failure,
-# A/B parent and change before blaming the diff (ROADMAP item 1(a) moves
+# A/B parent and change before blaming the diff (ROADMAP item 1(b) moves
 # the check to a paired target).
 FUNC_BASELINE ?= BENCH_PR21.json
 
-.PHONY: check fmt-check vet lint build cross test fuzz-smoke bench-smoke chaos-smoke bench-json profile perf examples simdiff
+.PHONY: check fmt-check vet lint build cross test fuzz-smoke bench-smoke chaos-smoke bench-json profile perf examples simdiff reach
 
 check: fmt-check vet build lint test chaos-smoke fuzz-smoke bench-smoke
 
@@ -221,8 +239,11 @@ simdiff:
 		diff "$$tmp/base.csv" "$$tmp/new.csv" | head -20; exit 1; \
 	fi
 
+reach:
+	GO=$(GO) bash reach.sh
+
 profile:
-	$(GO) test -run xxx -bench BenchmarkMeshAllToAll -benchtime 20x \
+	$(GO) test -run xxx -bench '^BenchmarkMeshAllToAll$$' -benchtime 20x \
 		-cpuprofile mesh_cpu.prof -memprofile mesh_mem.prof .
 	@echo "profiles: mesh_cpu.prof mesh_mem.prof (go tool pprof -top mesh_cpu.prof)"
 

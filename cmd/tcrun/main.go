@@ -54,6 +54,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: tcrun {-pkg FILE | -app NAME} -jam NAME [-arg0 N] [-arg1 N] [-payload N] [-injected=false]")
 		os.Exit(2)
 	}
+	if *payload < 0 {
+		fmt.Fprintf(os.Stderr, "tcrun: -payload %d: the payload size must not be negative\n", *payload)
+		os.Exit(2)
+	}
 	var pkg *core.Package
 	if *appName != "" {
 		var err error

@@ -10,20 +10,6 @@ const (
 	TypeVoid                // function return only
 )
 
-func (t Type) String() string {
-	switch t {
-	case TypeLong:
-		return "long"
-	case TypePtrLong:
-		return "long*"
-	case TypePtrByte:
-		return "byte*"
-	case TypeVoid:
-		return "void"
-	}
-	return "?"
-}
-
 // elemSize returns the pointee size for pointer arithmetic.
 func (t Type) elemSize() int64 {
 	if t == TypePtrLong {

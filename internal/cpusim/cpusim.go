@@ -24,13 +24,6 @@ const (
 	WFE
 )
 
-func (m WaitMode) String() string {
-	if m == WFE {
-		return "wfe"
-	}
-	return "poll"
-}
-
 // Counter accumulates the cycles one hardware thread spends across a
 // benchmark run, split into useful work and signal waiting.
 type Counter struct {

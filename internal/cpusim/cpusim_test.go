@@ -85,12 +85,6 @@ func TestNegativeWaitClamped(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if Poll.String() != "poll" || WFE.String() != "wfe" {
-		t.Fatal("mode strings")
-	}
-}
-
 func TestPaperRatioShape(t *testing.T) {
 	// The §VII-D shape: for a ping-pong with ~1us waits and ~0.3us work,
 	// polling should cost several times more cycles than WFE overall.

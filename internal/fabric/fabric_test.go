@@ -52,10 +52,12 @@ func TestRegistry(t *testing.T) {
 
 // contractBackend is one backend every Port must behave alike on, built
 // on a fresh engine by build. foreign builds a backend whose ports it must
-// refuse as put destinations.
+// refuse as put destinations. fence builds the backend the fence case runs
+// on: the same one, but on an unordered simnet where one is wrapped, since
+// only there can a later put overtake an earlier one.
 type contractBackend struct {
-	name           string
-	build, foreign func(*sim.Engine) fabric.Transport
+	name                  string
+	build, foreign, fence func(*sim.Engine) fabric.Transport
 }
 
 // contractConfig is the fabric configuration every contract backend runs.
@@ -65,6 +67,10 @@ func newSimnet(eng *sim.Engine) fabric.Transport { return simnet.NewFabric(eng, 
 
 func newIdeal(eng *sim.Engine) fabric.Transport { return fabric.NewIdeal(eng, contractConfig) }
 
+func newUnorderedSimnet(eng *sim.Engine) fabric.Transport {
+	return simnet.NewFabric(eng, fabric.Config{Seed: contractConfig.Seed})
+}
+
 // chaosOver wraps the transports inner builds in a chaos backend.
 func chaosOver(inner func(*sim.Engine) fabric.Transport) func(*sim.Engine) fabric.Transport {
 	return func(eng *sim.Engine) fabric.Transport {
@@ -72,11 +78,20 @@ func chaosOver(inner func(*sim.Engine) fabric.Transport) func(*sim.Engine) fabri
 	}
 }
 
+// slowChaosOver is chaosOver at the largest delay the backend accepts,
+// so a put is still unissued when the fence after it is called.
+func slowChaosOver(inner func(*sim.Engine) fabric.Transport) func(*sim.Engine) fabric.Transport {
+	return func(eng *sim.Engine) fabric.Transport {
+		d := fabric.MaxChaosDelay
+		return fabric.NewChaos(inner(eng), fabric.ChaosConfig{MinDelay: d, MaxDelay: d}, contractConfig.Seed)
+	}
+}
+
 var contractBackends = []contractBackend{
-	{name: "simnet", build: newSimnet, foreign: newIdeal},
-	{name: "ideal", build: newIdeal, foreign: newSimnet},
-	{name: "chaos(simnet)", build: chaosOver(newSimnet), foreign: newSimnet},
-	{name: "chaos(ideal)", build: chaosOver(newIdeal), foreign: newIdeal},
+	{name: "simnet", build: newSimnet, foreign: newIdeal, fence: newUnorderedSimnet},
+	{name: "ideal", build: newIdeal, foreign: newSimnet, fence: newIdeal},
+	{name: "chaos(simnet)", build: chaosOver(newSimnet), foreign: newSimnet, fence: slowChaosOver(newUnorderedSimnet)},
+	{name: "chaos(ideal)", build: chaosOver(newIdeal), foreign: newIdeal, fence: slowChaosOver(newIdeal)},
 }
 
 const spaceSize = 16 << 10
@@ -85,6 +100,7 @@ const spaceSize = 16 << 10
 // landing buffer registered twice, writable (key) and read-only (roKey).
 type portEnv struct {
 	eng        *sim.Engine
+	tr         fabric.Transport
 	a, b       fabric.Port
 	src, buf   uint64
 	key, roKey fabric.RKey
@@ -93,9 +109,9 @@ type portEnv struct {
 func newPortEnv(t *testing.T, c contractBackend) *portEnv {
 	t.Helper()
 	e := &portEnv{eng: sim.NewEngine()}
-	tr := c.build(e.eng)
-	e.a = tr.Attach(mem.NewAddressSpace(spaceSize), nil)
-	e.b = tr.Attach(mem.NewAddressSpace(spaceSize), nil)
+	e.tr = c.build(e.eng)
+	e.a = e.tr.Attach(mem.NewAddressSpace(spaceSize), nil)
+	e.b = e.tr.Attach(mem.NewAddressSpace(spaceSize), nil)
 	var err error
 	if e.src, err = e.a.AddressSpace().AllocPages("src", 4096, mem.PermRW); err != nil {
 		t.Fatal(err)
@@ -129,7 +145,9 @@ func (e *portEnv) put(t *testing.T, dst fabric.Port, dstVA uint64, size int, key
 // TestPortContract: every backend lands the bytes, fires a ranged hook for
 // a put that intersects its window and not for one beside it, and refuses
 // a bad rkey, an out-of-range put, a wrapping put, a read-only
-// registration and a foreign port type — without landing a byte.
+// registration and a foreign port type — without landing a byte. Across
+// fabric shards, a put issued after Fence(dst) is delivered no earlier
+// than the put issued before it.
 func TestPortContract(t *testing.T) {
 	for _, c := range contractBackends {
 		t.Run(c.name, func(t *testing.T) {
@@ -189,6 +207,23 @@ func TestPortContract(t *testing.T) {
 			}
 			if landed != 1 {
 				t.Fatalf("%d puts landed, want only the first", landed)
+			}
+
+			// A large put, a fence, then a small one that would otherwise
+			// overtake it on an unordered fabric.
+			f := newPortEnv(t, contractBackend{build: c.fence})
+			f.tr.AssignDomain(f.a, 0)
+			f.tr.AssignDomain(f.b, 1)
+			var before, after fabric.PutResult
+			f.a.Put(f.b, f.src, f.buf, 4096, f.key, func(r fabric.PutResult) { before = r })
+			f.a.Fence(f.b)
+			f.a.Put(f.b, f.src, f.buf, 8, f.key, func(r fabric.PutResult) { after = r })
+			f.eng.Run()
+			if before.Err != nil || after.Err != nil || before.Delivered == 0 {
+				t.Fatalf("fenced puts: %+v, %+v", before, after)
+			}
+			if after.Delivered < before.Delivered {
+				t.Fatalf("post-fence put delivered at %v, before the pre-fence put at %v", after.Delivered, before.Delivered)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -547,45 +548,62 @@ func TestHaltStops(t *testing.T) {
 	}
 }
 
+// TestNativeMemcmpStrlen calls each libc native that no shipped program
+// calls, through one GOT trampoline each: a jam built with tcpkg may use
+// any of them.
 func TestNativeMemcmpStrlen(t *testing.T) {
 	h := newHarness(t, false)
 	a, _ := h.as.Alloc("a", 32, 8, mem.PermRW)
 	b, _ := h.as.Alloc("b", 32, 8, mem.PermRW)
 	_ = h.as.WriteBytes(a, append([]byte("hello"), 0))
 	_ = h.as.WriteBytes(b, append([]byte("hellp"), 0))
-	ld := h.loadLib(t, "cmp", `
-.text
-.extern memcmp
-.extern strlen
-.global docmp
-docmp:
+	natives := []string{"memcmp", "strlen", "strcmp", "puts", "memset", "abort"}
+	var src strings.Builder
+	src.WriteString(".text\n")
+	for _, n := range natives {
+		fmt.Fprintf(&src, `.extern %[1]s
+.global do%[1]s
+do%[1]s:
     addi sp, sp, -16
     st   lr, [sp+0]
-    callg memcmp
-    mov  r3, r0
-    ld   lr, [sp+0]
-    addi sp, sp, 16
-    mov  r0, r3
-    ret
-.global dolen
-dolen:
-    addi sp, sp, -16
-    st   lr, [sp+0]
-    callg strlen
+    callg %[1]s
     ld   lr, [sp+0]
     addi sp, sp, 16
     ret
-`)
-	got, _, err := h.vm.Call(ld.Exports["docmp"], a, b, 5)
-	if err != nil {
-		t.Fatal(err)
+`, n)
 	}
-	if int64(got) >= 0 {
-		t.Fatalf("memcmp = %d, want negative", int64(got))
+	ld := h.loadLib(t, "natives", src.String())
+	for _, c := range []struct {
+		fn      string
+		args    []uint64
+		want    int64
+		wantErr string
+	}{
+		{fn: "memcmp", args: []uint64{a, b, 5}, want: -1},
+		{fn: "memcmp", args: []uint64{a, b, 4}, want: 0},
+		{fn: "strlen", args: []uint64{a}, want: 5},
+		{fn: "strcmp", args: []uint64{b, a}, want: 1},
+		{fn: "strcmp", args: []uint64{a, a}, want: 0},
+		{fn: "puts", args: []uint64{a}, want: 6},
+		{fn: "memset", args: []uint64{b + 1, 'x', 3}, want: int64(b + 1)},
+		{fn: "abort", wantErr: "abort() called"},
+	} {
+		got, _, err := h.vm.Call(ld.Exports["do"+c.fn], c.args...)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s%v: err %v, want %q", c.fn, c.args, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil || int64(got) != c.want {
+			t.Errorf("%s%v = %d, %v; want %d", c.fn, c.args, int64(got), err, c.want)
+		}
 	}
-	n, _, err := h.vm.Call(ld.Exports["dolen"], a)
-	if err != nil || n != 5 {
-		t.Fatalf("strlen = %d, %v", n, err)
+	if h.out.String() != "hello\n" {
+		t.Errorf("puts wrote %q", h.out.String())
+	}
+	if got, _ := h.as.ReadCString(b, 32); got != "hxxxp" {
+		t.Errorf("memset left %q", got)
 	}
 }
 

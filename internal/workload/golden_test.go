@@ -217,8 +217,6 @@ var shardedPins = []pin{
 	{"fanout", shardedScenario("fanout", 0x51edba5e), 0x1a03aeb8c7fa6840, 31729134, 64, 0, ""},
 	{"hotspot", shardedScenario("hotspot", 0x7c2c2021), 0xb039af42dc02e960, 37122570, 512, 0, ""},
 	{"hotspot", shardedScenario("hotspot", 0x51edba5e), 0x1cf222ad84571a80, 36080486, 512, 0, ""},
-	{"ring", shardedScenario("ring", 0x7c2c2021), 0x2fc8bb26fd123fd0, 8469178, 72, 0, ""},
-	{"ring", shardedScenario("ring", 0x51edba5e), 0x7930ef31b2c2a550, 7751642, 72, 0, ""},
 	{"test-badswap", shardedScenario("test-badswap", 0x7c2c2021), 0, 0, 0, 0,
 		`tcapp: no registered app "test-no-such-app" (have [histo kvstore tcbench])`},
 	{"test-badswap", shardedScenario("test-badswap", 0x51edba5e), 0, 0, 0, 0,

@@ -12,13 +12,11 @@ import (
 // emits bursts in a deterministic order: the plan must be a pure function
 // of (node count, scenario, RNG state). Every shape in the table gets the
 // determinism property test in traffic_test.go. Fanout, AllToAll and
-// Hotspot are the paper's three mesh patterns; Ring is the minimal
-// neighbour exchange.
+// Hotspot are the paper's three mesh patterns.
 var traffics = map[string]func(p *planner){
 	string(Fanout):   genFanout,
 	string(AllToAll): genAllToAll,
 	string(Hotspot):  genHotspot,
-	string(Ring):     genRing,
 }
 
 // TrafficNames lists every traffic shape in sorted order.
@@ -167,14 +165,5 @@ func genHotspot(p *planner) {
 	}
 	if !sc.DisableSwap {
 		p.swapAtHalf(hot, "tcbench")
-	}
-}
-
-// genRing: every node bursts to its clockwise neighbour.
-func genRing(p *planner) {
-	for r := 0; r < p.spec.rounds; r++ {
-		for src := 0; src < p.nodes; src++ {
-			p.emit(src, (src+1)%p.nodes)
-		}
 	}
 }

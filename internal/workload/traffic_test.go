@@ -68,7 +68,7 @@ func TestRegisteredTrafficDeterminism(t *testing.T) {
 			builtin = append(builtin, name)
 		}
 	}
-	if want := []string{"alltoall", "fanout", "hotspot", "ring"}; !reflect.DeepEqual(builtin, want) {
+	if want := []string{"alltoall", "fanout", "hotspot"}; !reflect.DeepEqual(builtin, want) {
 		t.Fatalf("built-in shapes %v, want %v", builtin, want)
 	}
 	for _, name := range names {
@@ -121,24 +121,6 @@ func TestRegisterTrafficExtension(t *testing.T) {
 		}
 		if nr.Sent != want || nr.Executed != want {
 			t.Errorf("node %d: sent %d executed %d, want %d", i, nr.Sent, nr.Executed, want)
-		}
-	}
-}
-
-// TestRingPattern: the ring shape addresses each node exactly
-// rounds*burst times.
-func TestRingPattern(t *testing.T) {
-	sc := DefaultScenario(Ring, 5)
-	sc.Timing = false
-	sc.Burst = 3
-	sc.Rounds = 2
-	res, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, nr := range res.PerNode {
-		if nr.Executed != sc.Rounds*sc.Burst {
-			t.Errorf("node %d executed %d, want %d", i, nr.Executed, sc.Rounds*sc.Burst)
 		}
 	}
 }

@@ -8,9 +8,9 @@
 //
 // A Scenario is data all the way down. Its traffic shape — a
 // deterministic plan generator over the node count — is selected by
-// name from a fixed table of four: the three paper patterns (fanout,
-// alltoall, hotspot) and ring. Golden tests pin their digests and
-// simulated times per seed.
+// name from a fixed table of the three paper patterns (fanout,
+// alltoall, hotspot). Golden tests pin their digests and simulated
+// times per seed.
 //
 // A scenario runs as a sequence of Phases, each with its own traffic,
 // element mix, arrival process, and optional RIED swap (a RIED — a
@@ -65,12 +65,11 @@ const (
 	Fanout   Pattern = "fanout"
 	AllToAll Pattern = "alltoall"
 	Hotspot  Pattern = "hotspot"
-	Ring     Pattern = "ring"
 )
 
 // Patterns lists the three paper patterns in canonical order (the mesh
-// experiments iterate these; TrafficNames lists every shape, Ring
-// included).
+// experiments iterate these; TrafficNames lists every shape in the
+// table, sorted).
 func Patterns() []Pattern { return []Pattern{Fanout, AllToAll, Hotspot} }
 
 // DefaultPkg is the package a mix entry with an empty Pkg refers to.
