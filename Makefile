@@ -28,7 +28,12 @@
 # cheapest whole-surface smoke of the public API (CI runs it too).
 #
 # `make cross` builds and vets the tree for arm64, the paper's testbed
-# architecture (no download: the toolchain cross-compiles pure Go).
+# architecture (no download: the toolchain cross-compiles pure Go), then
+# fails on any fused multiply-add (FMADDD, FMSUBD, FNMADDD, FNMSUBD) the
+# arm64 compiler emits for a line under internal/: Go may fuse x*y + z
+# into one rounding, which amd64 never does, so a fused line gives Arm
+# other digests for the same seed. Write such a line float64(x*y) + z
+# (the whole target takes ~11 s warm on a 2-core host).
 #
 # `make fuzz-smoke` runs eight fuzz targets for 5 s each. FuzzEnsureJam
 # (internal/vm): arbitrary bytes at arbitrary (VA, length) sequences must
@@ -168,6 +173,12 @@ build:
 
 cross:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
+	@fused=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/... 2>&1 | \
+		grep -E '[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]' | \
+		grep -oE '\($(CURDIR)/internal/[^)]*\.go:[0-9]+\)' | sort | uniq -c); \
+	if [ -n "$$fused" ]; then \
+		echo "cross: fused multiply-adds on arm64 (write float64(x*y) + z):"; echo "$$fused"; exit 1; \
+	fi
 
 test:
 	$(GO) test -race ./...

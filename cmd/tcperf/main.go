@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -26,6 +27,10 @@ func main() {
 		list    = flag.Bool("list", false, "list available experiments")
 	)
 	flag.Parse()
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "tcperf: -scale %v: the iteration multiplier must be positive and finite\n", *scale)
+		os.Exit(2)
+	}
 
 	if *list || *expName == "" {
 		fmt.Println("available experiments:")

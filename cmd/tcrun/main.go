@@ -155,9 +155,11 @@ func main() {
 	fmt.Printf("%s%s: %s(%d, %d) with %dB payload, frame %dB, end-to-end %v\n",
 		mode, via, *jam, *arg0, *arg1, *payload, frame, sim.Duration(sys.Now()))
 	st := sys.Stats()
-	fmt.Printf("stats: %d sent, %d processed, %d errors; vm: slot hit/miss %d/%d, %d decodes\n",
-		st.Sent, st.Processed, st.Errors,
-		st.Tier.Hits, st.Tier.Misses, st.Tier.Decodes)
+	fmt.Printf("stats: %d events; fabric: %d puts, %d bytes; mailbox: %d sent, %d processed, %d errors; "+
+		"vm: slot hit/miss %d/%d, %d decodes, %d instrs; cache: %d accesses; admission: %d/%d/%d admitted/dropped/deferred\n",
+		st.Events, st.Puts, st.PutBytes, st.Sent, st.Processed, st.Errors,
+		st.SlotHits, st.SlotMisses, st.Decodes, st.Instrs, st.Cache.Accesses,
+		st.Admitted, st.Dropped, st.Deferred)
 	if out := server.Stdout.String(); out != "" {
 		fmt.Printf("server stdout:\n%s", out)
 	}

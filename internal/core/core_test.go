@@ -326,7 +326,7 @@ func TestAutoSwitchToLocal(t *testing.T) {
 			t.Fatalf("auto-switch pattern %v, want %v", kinds, want)
 		}
 	}
-	if bn.ab.Recv.Stats().Processed != 5 {
+	if bn.ab.Recv.Processed != 5 {
 		t.Fatal("not all processed")
 	}
 }

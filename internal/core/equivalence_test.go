@@ -204,11 +204,11 @@ jam_fine:
 	if len(rets) != 1 || rets[0] != 77 {
 		t.Fatalf("survivor results %v", rets)
 	}
-	if ch.Recv.Stats().Processed != 2 {
-		t.Fatalf("processed %d", ch.Recv.Stats().Processed)
+	if ch.Recv.Processed != 2 {
+		t.Fatalf("processed %d", ch.Recv.Processed)
 	}
-	if ch.Recv.Stats().Errors != 1 {
-		t.Fatalf("receiver errors %d", ch.Recv.Stats().Errors)
+	if ch.Recv.Errors != 1 {
+		t.Fatalf("receiver errors %d", ch.Recv.Errors)
 	}
 }
 

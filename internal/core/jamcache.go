@@ -7,14 +7,6 @@ import (
 	"twochains/internal/mailbox"
 )
 
-// JamCacheStats counts prepared-jam cache activity on one sender node.
-type JamCacheStats struct {
-	// Binds is the number of bind operations actually performed (cache
-	// misses); Hits is the number of lookups served from the cache.
-	Binds uint64
-	Hits  uint64
-}
-
 // jamCacheKey identifies a prepared jam: the element (by its integer
 // installed-package and element IDs, resolved before the cache is
 // consulted — no string building or string hashing on the lookup path)
@@ -44,8 +36,10 @@ type jamCache struct {
 	entries map[jamCacheKey]*preparedJam
 	// gens tracks insertion order of fingerprints per element, oldest
 	// first, for generation eviction.
-	gens  map[[2]uint8][]jamCacheKey
-	stats JamCacheStats
+	gens map[[2]uint8][]jamCacheKey
+	// binds counts the binds performed (cache misses), hits the lookups
+	// served from the cache.
+	binds, hits uint64
 }
 
 func newJamCache() *jamCache {
@@ -54,9 +48,6 @@ func newJamCache() *jamCache {
 		gens:    map[[2]uint8][]jamCacheKey{},
 	}
 }
-
-// JamCacheStats returns a copy of this node's sender-side cache counters.
-func (n *Node) JamCacheStats() JamCacheStats { return n.jams.stats }
 
 // nsFingerprint hashes a namespace snapshot (FNV-1a over sorted
 // name=va pairs) into the cache key component.
@@ -100,14 +91,14 @@ func (c *jamCache) prepare(src *Node, pkgName, elemName, dstName string, names m
 	}
 	key := jamCacheKey{pkgID: inst.ID, elemID: elem.ID, nsFP: nsFP}
 	if pj, ok := c.entries[key]; ok {
-		c.stats.Hits++
+		c.hits++
 		return pj, nil
 	}
 	pj, err := bindJam(src, inst, elem, dstName, names)
 	if err != nil {
 		return nil, err
 	}
-	c.stats.Binds++
+	c.binds++
 	c.entries[key] = pj
 	id := [2]uint8{inst.ID, elem.ID}
 	c.gens[id] = append(c.gens[id], key)

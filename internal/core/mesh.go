@@ -7,9 +7,9 @@ import (
 	"twochains/internal/fabric"
 	"twochains/internal/linker"
 	"twochains/internal/mailbox"
+	"twochains/internal/memsim"
 	"twochains/internal/sim"
 	"twochains/internal/simnet"
-	"twochains/internal/vm"
 )
 
 // MeshConfig sizes a many-node injection fabric.
@@ -442,42 +442,63 @@ func (m *Mesh) Close() {
 	}
 }
 
-// MeshStats aggregates fabric-wide activity.
+// MeshStats is one simulation's counters, every layer's summed over the
+// nodes: what the system did. Each counts simulated events, so a fixed
+// scenario reproduces every field exactly.
 type MeshStats struct {
-	Channels      int
-	Sent          uint64
-	CreditStalls  uint64
-	Batches       uint64
-	BatchedFrames uint64
-	Processed     uint64
-	Errors        uint64
-	JamBinds      uint64
-	JamHits       uint64
-	// Tier sums the receive-side VMs' EnsureJam counters. They count
-	// simulated events, so a fixed scenario reproduces them exactly.
-	Tier vm.TierStats
+	Channels int
+	Events   uint64 // engine events run
+	// Puts and PutBytes count the puts the nodes' workers handed the
+	// fabric (ucx.Worker) and their bytes.
+	Puts, PutBytes uint64
+	// The senders' counters (mailbox.Sender), then the receivers'.
+	Sent, CreditStalls, Batches, BatchedFrames uint64
+	Processed, Errors                          uint64
+	// JamBinds and JamHits count the sender-side prepared-jam cache's
+	// binds (misses) and hits.
+	JamBinds, JamHits uint64
+	// The receiving VMs' counters (vm.VM).
+	SlotHits, SlotMisses, Decodes, Instrs uint64
+	// The tenants' admission counters (tenant.Tenant); only
+	// tc.System.Stats, which holds the tenants, fills them.
+	Admitted, Dropped, Deferred uint64
+	// Cache sums the nodes' cache-model counters (zero without timing).
+	Cache memsim.Stats
 }
 
-// Stats sums sender, receiver, jam-cache, and VM counters over the mesh.
+// Stats sums every node's, channel's and worker's counters over the mesh.
 func (m *Mesh) Stats() MeshStats {
-	st := MeshStats{Channels: m.Channels()}
+	st := MeshStats{Channels: m.Channels(), Events: m.Eng.Steps()}
 	m.EachChannel(func(_, _ int, ch *Channel) {
-		ss := ch.Sender.Stats()
-		st.Sent += ss.Sent
-		st.CreditStalls += ss.CreditStalls
-		st.Batches += ss.Batches
-		st.BatchedFrames += ss.BatchedFrames
+		s := ch.Sender
+		st.Sent += s.Sent
+		st.CreditStalls += s.CreditStalls
+		st.Batches += s.Batches
+		st.BatchedFrames += s.BatchedFrames
 	})
 	for _, n := range m.nodes {
 		for _, r := range n.Receivers {
-			rs := r.Stats()
-			st.Processed += rs.Processed
-			st.Errors += rs.Errors
+			st.Processed += r.Processed
+			st.Errors += r.Errors
 		}
-		js := n.JamCacheStats()
-		st.JamBinds += js.Binds
-		st.JamHits += js.Hits
-		st.Tier.Add(n.VM.Tier)
+		st.Puts += n.Worker.Puts
+		st.PutBytes += n.Worker.PutBytes
+		st.JamBinds += n.jams.binds
+		st.JamHits += n.jams.hits
+		st.SlotHits += n.VM.SlotHits
+		st.SlotMisses += n.VM.SlotMisses
+		st.Decodes += n.VM.Decodes
+		st.Instrs += n.VM.Instrs
+		if n.Hier != nil {
+			c := n.Hier.Stats()
+			st.Cache.Accesses += c.Accesses
+			st.Cache.LinesL2 += c.LinesL2
+			st.Cache.LinesL3 += c.LinesL3
+			st.Cache.LinesLLC += c.LinesLLC
+			st.Cache.LinesDRAM += c.LinesDRAM
+			st.Cache.NetStashed += c.NetStashed
+			st.Cache.NetToDRAM += c.NetToDRAM
+		}
 	}
 	return st
 }

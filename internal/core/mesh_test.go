@@ -156,12 +156,12 @@ func TestMeshJamCacheSharedAcrossChannels(t *testing.T) {
 		}
 	}
 	m.Run()
-	st := m.Node(0).JamCacheStats()
-	if st.Binds != 1 {
-		t.Errorf("binds = %d, want 1 (identical receiver namespaces must share)", st.Binds)
+	jc := m.Node(0).jams
+	if jc.binds != 1 {
+		t.Errorf("binds = %d, want 1 (identical receiver namespaces must share)", jc.binds)
 	}
-	if st.Hits != 1 {
-		t.Errorf("hits = %d, want 1", st.Hits)
+	if jc.hits != 1 {
+		t.Errorf("hits = %d, want 1", jc.hits)
 	}
 	if got := m.Stats().Processed; got != 2 {
 		t.Errorf("processed = %d, want 2", got)

@@ -62,7 +62,7 @@ func (c *Counter) Wait(mode WaitMode, d sim.Duration) sim.Duration {
 			mean := model.WfeSpuriousWakeMean * d.Microseconds()
 			if mean > 0 {
 				spurious := c.rng.Exp(mean)
-				cycles += spurious * model.WfeWaitCycles
+				cycles += float64(spurious * model.WfeWaitCycles) // float64(): never fused
 			}
 		}
 		c.WaitCycles += cycles

@@ -73,8 +73,8 @@ func TestDrainFIFOProperty(t *testing.T) {
 				return false
 			}
 		}
-		if rs := r.receiver.Stats(); rs.Errors != 0 {
-			t.Logf("receiver errors: %d", rs.Errors)
+		if r.receiver.Errors != 0 {
+			t.Logf("receiver errors: %d", r.receiver.Errors)
 			return false
 		}
 		return true
@@ -110,7 +110,7 @@ func TestDrainRestallKeepsOrder(t *testing.T) {
 			t.Fatalf("position %d carries submission %d", i, a[0])
 		}
 	}
-	if st := r.sender.Stats(); st.CreditStalls == 0 {
+	if r.sender.CreditStalls == 0 {
 		t.Fatal("scenario never stalled — not exercising drain")
 	}
 }

@@ -205,8 +205,8 @@ func TestSequenceOfMessages(t *testing.T) {
 			t.Fatalf("message %d arg %d", i, r.args[i][0])
 		}
 	}
-	if r.receiver.Stats().Processed != n {
-		t.Fatalf("processed %d", r.receiver.Stats().Processed)
+	if r.receiver.Processed != n {
+		t.Fatalf("processed %d", r.receiver.Processed)
 	}
 }
 
@@ -230,12 +230,12 @@ func TestCreditFlowControlStalls(t *testing.T) {
 	if len(seqs) != n {
 		t.Fatalf("delivered %d", len(seqs))
 	}
-	if r.sender.Stats().CreditStalls == 0 {
+	if r.sender.CreditStalls == 0 {
 		t.Fatal("sender never stalled despite tiny mailbox")
 	}
 	// n frames drain through a window of Banks*Slots < n only if every
 	// bank's credit comes back.
-	if got := r.receiver.Stats().Processed; got != n || n <= g.Banks*g.Slots {
+	if got := r.receiver.Processed; got != n || n <= g.Banks*g.Slots {
 		t.Fatalf("processed %d of %d frames through a %d-slot window", got, n, g.Banks*g.Slots)
 	}
 	for i := 1; i < len(seqs); i++ {
@@ -256,7 +256,7 @@ func TestWithoutExecutionSkipsHandler(t *testing.T) {
 	if called {
 		t.Fatal("handler invoked for KindData frame")
 	}
-	if r.receiver.Stats().Processed != 1 {
+	if r.receiver.Processed != 1 {
 		t.Fatal("data frame not processed")
 	}
 }
@@ -269,7 +269,7 @@ func TestHandlerErrorCounted(t *testing.T) {
 	r.receiver.OnError = func(d *Delivery, err error) { reported = err }
 	r.sender.Send(PackLocal(1, 1, [2]uint64{}, nil), nil)
 	r.eng.Run()
-	if r.receiver.Stats().Errors != 1 {
+	if r.receiver.Errors != 1 {
 		t.Fatal("error not counted")
 	}
 	if reported == nil || !strings.Contains(reported.Error(), "fake") {

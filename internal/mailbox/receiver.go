@@ -48,12 +48,6 @@ type ReceiverConfig struct {
 	IsolationCost sim.Duration
 }
 
-// ReceiverStats counts receiver-side activity.
-type ReceiverStats struct {
-	Processed uint64
-	Errors    uint64
-}
-
 // Receiver owns a node's mailbox region and its reactive receive loop.
 type Receiver struct {
 	Cfg     ReceiverConfig
@@ -82,7 +76,10 @@ type Receiver struct {
 	started   bool
 	waitStart sim.Time
 	scratchVA uint64
-	stats     ReceiverStats
+	// Processed counts the frames the loop consumed, Errors the ones whose
+	// parse or handler failed.
+	Processed uint64
+	Errors    uint64
 
 	// One message is in service at a time (busy), so the receive loop
 	// runs on a single scratch Delivery and two prebound event closures
@@ -143,9 +140,6 @@ func (r *Receiver) SetCreditReturn(ep *ucx.Endpoint, va uint64, key fabric.RKey)
 	r.creditVA = va
 	r.creditKey = key
 }
-
-// Stats returns a copy of the counters.
-func (r *Receiver) Stats() ReceiverStats { return r.stats }
 
 // Start arms the receive loop; the wait clock for the first message
 // starts now.
@@ -280,7 +274,7 @@ func (r *Receiver) service(va uint64) {
 
 // fail records an error, still consuming the frame so the loop advances.
 func (r *Receiver) fail(d *Delivery, err error, serviceCost sim.Duration) {
-	r.stats.Errors++
+	r.Errors++
 	if r.OnError != nil {
 		r.OnError(d, err)
 	}
@@ -297,7 +291,7 @@ func (r *Receiver) complete(d *Delivery, t sim.Time) {
 		r.yieldGrant()
 		return
 	}
-	r.stats.Processed++
+	r.Processed++
 	seq := r.nextSeq
 	bank, slot, _ := r.Cfg.Geometry.SlotFor(seq)
 	r.nextSeq++

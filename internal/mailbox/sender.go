@@ -31,16 +31,6 @@ type SendInfo struct {
 	Delivered sim.Time // receiver-side arrival of the signal
 }
 
-// SenderStats counts send-side activity.
-type SenderStats struct {
-	Sent         uint64
-	CreditStalls uint64
-	// Batches counts thin puts that carried more than one frame;
-	// BatchedFrames counts the frames they carried.
-	Batches       uint64
-	BatchedFrames uint64
-}
-
 // Sender streams frames into a remote mailbox region.
 type Sender struct {
 	Cfg     SenderConfig
@@ -75,7 +65,14 @@ type Sender struct {
 	// stalled sends reuses two stable buffers instead of reallocating.
 	drainBuf []queuedSend
 	stallAt  sim.Time
-	stats    SenderStats
+
+	// Sent counts packed frames and CreditStalls the sends that waited
+	// for a bank's credit. Batches counts thin puts that carried more than
+	// one frame; BatchedFrames counts the frames they carried.
+	Sent          uint64
+	CreditStalls  uint64
+	Batches       uint64
+	BatchedFrames uint64
 }
 
 type queuedSend struct {
@@ -194,9 +191,6 @@ func (s *Sender) GetMessage() *Message {
 	return &Message{owner: s}
 }
 
-// Stats returns a copy of the counters.
-func (s *Sender) Stats() SenderStats { return s.stats }
-
 // packStaging packs msg into the staging slot buf (slot index idx),
 // skipping work the slot's previous occupant already did: an identical
 // jam image is already in place, and bytes past the previous pack's
@@ -271,7 +265,7 @@ func (s *Sender) SendBatch(msgs []*Message, done func(SendInfo)) {
 				// until they are finally packed or fail.
 				s.flush(&r, done)
 				s.stallAt = s.eng.Now()
-				s.stats.CreditStalls++
+				s.CreditStalls++
 				s.queue(msgs[i:], done)
 				return
 			}
@@ -299,7 +293,7 @@ func (s *Sender) SendBatch(msgs []*Message, done func(SendInfo)) {
 			s.finish(msg, done, SendInfo{Seq: seq, Err: err})
 			continue
 		}
-		s.stats.Sent++
+		s.Sent++
 		// GOT patching cost: one entry per travelling slot plus the pointer.
 		if msg.Kind == KindInjected {
 			entries := msg.GotTableLen/8 + 1
@@ -344,8 +338,8 @@ func (s *Sender) flush(r *run, done func(SendInfo)) {
 		return
 	}
 	if frames > 1 {
-		s.stats.Batches++
-		s.stats.BatchedFrames += uint64(frames)
+		s.Batches++
+		s.BatchedFrames += uint64(frames)
 	}
 	s.Ep.PutThin(src, dst, n, s.RemoteKey, cb)
 }

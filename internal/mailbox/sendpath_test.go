@@ -92,7 +92,7 @@ func (r *sendPathRig) pins() string {
 			fmt.Fprintf(&sb, "%d@%d ", in.Seq, int64(in.Delivered))
 		}
 	}
-	st := r.sender.Stats()
+	st := r.sender
 	fmt.Fprintf(&sb, "| sent=%d stalls=%d batches=%d batched=%d busy=%d",
 		st.Sent, st.CreditStalls, st.Batches, st.BatchedFrames, int64(r.a.CPU.BusyTime()))
 	return sb.String()

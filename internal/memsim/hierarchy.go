@@ -46,7 +46,7 @@ func DefaultConfig() Config {
 
 // Stats counts where accesses were satisfied.
 type Stats struct {
-	Accesses   uint64 //tclint:allow writeonly item 1(a) snapshot
+	Accesses   uint64
 	LinesL2    uint64
 	LinesL3    uint64
 	LinesLLC   uint64

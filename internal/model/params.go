@@ -24,7 +24,11 @@ const (
 )
 
 // Cycles converts a cycle count to a simulated duration.
-func Cycles(n float64) sim.Duration { return sim.Duration(n*CyclePs + 0.5) }
+//
+// The explicit float64 rounds the product before the add, so no
+// architecture fuses the two into one multiply-add (Arm64's FMADDD) and
+// every architecture computes the same duration.
+func Cycles(n float64) sim.Duration { return sim.Duration(float64(n*CyclePs) + 0.5) }
 
 // DurToCycles converts a duration to core cycles.
 func DurToCycles(d sim.Duration) float64 { return float64(d) / CyclePs }

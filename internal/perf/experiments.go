@@ -8,15 +8,12 @@ import (
 
 // Options tune experiment execution.
 type Options struct {
-	// Scale multiplies iteration counts; 1.0 is the tcperf default,
-	// tests use smaller values.
+	// Scale multiplies iteration counts: positive and finite; 1.0 is the
+	// tcperf default, tests use smaller values.
 	Scale float64
 }
 
 func (o Options) iters(base int) int {
-	if o.Scale <= 0 {
-		o.Scale = 1
-	}
 	n := int(float64(base) * o.Scale)
 	if n < 20 {
 		n = 20

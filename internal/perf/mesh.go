@@ -8,9 +8,6 @@ import (
 
 // meshIters scales the per-sender round count with the option multiplier.
 func meshIters(o Options) int {
-	if o.Scale <= 0 {
-		o.Scale = 1
-	}
 	n := int(2 * o.Scale)
 	if n < 1 {
 		n = 1
@@ -52,8 +49,8 @@ func meshExp(o Options) (*Table, error) {
 				fmt.Sprintf("%.0f", batched), fmt.Sprintf("%.0f", hit),
 				fmt.Sprint(res.Mesh.CreditStalls),
 				fmt.Sprintf("%.3f", res.SimTime.Seconds()*1e3),
-				fmt.Sprintf("%d/%d", res.Mesh.Tier.Hits, res.Mesh.Tier.Misses),
-				fmt.Sprint(res.Mesh.Tier.Decodes))
+				fmt.Sprintf("%d/%d", res.Mesh.SlotHits, res.Mesh.SlotMisses),
+				fmt.Sprint(res.Mesh.Decodes))
 		}
 	}
 	t.Note("hotspot swaps the hot node's server ried mid-run; rates are simulated injections/sec")

@@ -1,6 +1,10 @@
 package perf
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -273,10 +277,17 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// update rewrites the experiment goldens in testdata/ from this run:
+// `go test ./internal/perf -run TestExperimentSmoke -update`, the one
+// deliberate way to move a pinned figure.
+var update = flag.Bool("update", false, "rewrite testdata/<experiment>.csv from this run")
+
 func TestExperimentSmoke(t *testing.T) {
 	// Every experiment must run end to end at tiny scale and produce a
-	// fully populated table. This is the repository's broadest
-	// integration test.
+	// fully populated table, and that table's CSV must equal its golden
+	// in testdata/ byte for byte: every cell is a simulated figure, a
+	// function of the model and the seed alone. This is the repository's
+	// broadest integration test.
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -297,6 +308,22 @@ func TestExperimentSmoke(t *testing.T) {
 						t.Fatalf("empty cell %d in row %v", j, row)
 					}
 				}
+			}
+			var got bytes.Buffer
+			tab.FprintCSV(&got)
+			path := filepath.Join("testdata", e.Name+".csv")
+			if *update {
+				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (record it with -update)", err)
+			}
+			if got.String() != string(want) {
+				t.Fatalf("table differs from %s\n got:\n%s\nwant:\n%s", path, got.String(), want)
 			}
 		})
 	}

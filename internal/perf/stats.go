@@ -36,7 +36,7 @@ func (s *Samples) Percentile(p float64) sim.Duration {
 		return 0
 	}
 	sorted := s.sorted()
-	idx := int(p*float64(len(sorted)-1) + 0.5)
+	idx := int(float64(p*float64(len(sorted)-1)) + 0.5) // float64(): never fused
 	if idx < 0 {
 		idx = 0
 	}

@@ -49,7 +49,7 @@ func FromNanos(ns float64) Duration {
 	if ns < 0 {
 		return 0
 	}
-	return Duration(ns*float64(Nanosecond) + 0.5)
+	return Duration(float64(ns*float64(Nanosecond)) + 0.5) // float64(): never fused
 }
 
 // String formats the duration with an adaptive unit, for logs and tables.

@@ -175,12 +175,6 @@ func (f *Fabric) uplink(srcDom, dstDom int) *sim.Resource {
 	return u
 }
 
-// Stats aggregates per-NIC traffic counters.
-type Stats struct {
-	PutsSent  uint64 //tclint:allow writeonly item 1(a) snapshot
-	BytesSent uint64 //tclint:allow writeonly item 1(a) snapshot
-}
-
 // NIC is one host adapter: the shared target side (registrations, hooks,
 // landing) plus its transmit queue, wires and fence barriers.
 type NIC struct {
@@ -199,7 +193,6 @@ type NIC struct {
 	// barrier is the fence point per destination: puts issued after a
 	// Fence are not delivered before it (used when Ordered is false).
 	barrier map[int]sim.Time
-	stats   Stats //tclint:allow writeonly item 1(a) snapshot
 }
 
 // AttachNIC adds a host to the fabric. hier may be nil (no cache model).
@@ -246,9 +239,6 @@ func (n *NIC) Put(dstPort fabric.Port, srcVA, dstVA uint64, size int, key RKey, 
 		})
 		return
 	}
-	n.stats.PutsSent++
-	n.stats.BytesSent += uint64(size)
-
 	// Snapshot the payload at issue time into a pooled staging buffer (the
 	// sender may legitimately repack the slot before delivery); the buffer
 	// returns to the pool the moment delivery lands.

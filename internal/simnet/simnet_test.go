@@ -229,7 +229,9 @@ func TestPipelinedThroughputBoundedByWire(t *testing.T) {
 	}
 }
 
-func TestStatsCounters(t *testing.T) {
+// TestRejectedPutLandsNothing: of two puts, the one with a wrong rkey is
+// reported failed and lands no byte; the other lands.
+func TestRejectedPutLandsNothing(t *testing.T) {
 	eng, a, b := twoHosts(t, DefaultConfig(), RemoteWrite)
 	if err := a.as.WriteBytes(a.buf, []byte("landed")); err != nil {
 		t.Fatal(err)
@@ -243,8 +245,8 @@ func TestStatsCounters(t *testing.T) {
 	a.nic.Put(b.nic, a.buf, b.buf, 64, b.key, done)
 	a.nic.Put(b.nic, a.buf, b.buf+128, 64, b.key+1, done) // rejected
 	eng.Run()
-	if s := a.nic.stats; s.PutsSent != 2 || failed != 1 {
-		t.Fatalf("stats %+v, %d puts failed, want 1", s, failed)
+	if failed != 1 {
+		t.Fatalf("%d puts failed, want 1", failed)
 	}
 	if got, _ := b.as.ReadBytes(b.buf, 6); string(got) != "landed" {
 		t.Fatalf("delivered put landed %q", got)

@@ -213,8 +213,19 @@ func (s *System) SendData(src, dst int, usr []byte) *Future {
 	return fu
 }
 
-// Stats sums sender, receiver, and jam-cache counters over the system.
-func (s *System) Stats() core.MeshStats { return s.mesh.Stats() }
+// Stats is the system's one counter snapshot: the mesh's (core.Mesh.Stats)
+// plus its tenants' admission counters.
+func (s *System) Stats() core.MeshStats {
+	st := s.mesh.Stats()
+	if s.tenants != nil {
+		for _, t := range s.tenants.Tenants {
+			st.Admitted += t.Admitted
+			st.Dropped += t.Dropped
+			st.Deferred += t.Deferred
+		}
+	}
+	return st
+}
 
 // Mesh exposes the underlying core deployment for callers that need the
 // full internal surface (the perf harness does).

@@ -125,8 +125,11 @@ func TestTenantAdmissionDrop(t *testing.T) {
 		t.Fatalf("drop error = %+v", ae)
 	}
 	sys.Run()
-	if st := tn.Stats(); st.Admitted != 2 || st.Dropped != 1 {
-		t.Fatalf("admission stats = %+v", st)
+	if tn.Admitted != 2 || tn.Dropped != 1 {
+		t.Fatalf("admitted %d, dropped %d", tn.Admitted, tn.Dropped)
+	}
+	if st := sys.Stats(); st.Admitted != 2 || st.Dropped != 1 || st.Deferred != 0 {
+		t.Fatalf("snapshot admitted %d, dropped %d, deferred %d", st.Admitted, st.Dropped, st.Deferred)
 	}
 }
 

@@ -16,8 +16,8 @@
 //   - Fair-queue state lives in mailbox.FairArbiter on the *receiving*
 //     node, not here; the tenant only contributes its dense ID (the
 //     arbiter class) and weight.
-//   - The admit/drop/defer counters are per issuing node too; Stats sums
-//     them.
+//   - The admit/drop/defer counters are per tenant; tc.System.Stats sums
+//     them over tenants.
 package tenant
 
 import (
@@ -104,14 +104,6 @@ type bucket struct {
 	inited bool
 }
 
-// AdmitStats aggregates a tenant's admission outcomes (Stats sums the
-// issuer-owned per-node counters; call it only outside the simulation).
-type AdmitStats struct {
-	Admitted uint64 //tclint:allow writeonly item 1(a) snapshot
-	Dropped  uint64 //tclint:allow writeonly item 1(a) snapshot
-	Deferred uint64 //tclint:allow writeonly item 1(a) snapshot
-}
-
 // Tenant is one serving tenant: a dense ID (the fair-queue class on
 // every receiving node), a fair-share weight, and optional admission
 // control.
@@ -126,11 +118,15 @@ type Tenant struct {
 	// receiver).
 	Untrusted bool
 
-	// Issuer-owned per-node state (see the package comment).
-	buckets  []bucket
-	admitted []uint64
-	dropped  []uint64
-	deferred []uint64
+	// Under admission control, Admitted and Dropped count the messages
+	// Admit passed and refused under Drop; Deferred counts its Defer
+	// decisions.
+	Admitted uint64
+	Dropped  uint64
+	Deferred uint64
+
+	// buckets is indexed by issuing node (see the package comment).
+	buckets []bucket
 }
 
 // Admit charges n messages issued from node src at simulated time now
@@ -146,7 +142,7 @@ func (t *Tenant) Admit(src int, now sim.Time, n int) Decision {
 		b.tokens, b.last, b.inited = a.Burst, now, true
 	}
 	if d := now.Sub(b.last); d > 0 {
-		b.tokens += d.Seconds() * a.RatePerSec
+		b.tokens += float64(d.Seconds() * a.RatePerSec) // float64(): never fused
 		if b.tokens > a.Burst {
 			b.tokens = a.Burst
 		}
@@ -155,34 +151,21 @@ func (t *Tenant) Admit(src int, now sim.Time, n int) Decision {
 	need := float64(n)
 	if b.tokens >= need {
 		b.tokens -= need
-		t.admitted[src] += uint64(n)
+		t.Admitted += uint64(n)
 		return Decision{OK: true}
 	}
 	if a.Policy == Defer {
-		t.deferred[src]++
+		t.Deferred++
 		wait := (need - b.tokens) / a.RatePerSec // seconds until refilled
 		return Decision{RetryAfter: sim.Duration(wait*float64(sim.Second)) + 1}
 	}
-	t.dropped[src] += uint64(n)
+	t.Dropped += uint64(n)
 	return Decision{}
 }
 
 // Reject builds the typed error for a failed Decision.
 func (t *Tenant) Reject(d Decision) *AdmissionError {
 	return &AdmissionError{Tenant: t.Name, Deferred: d.RetryAfter > 0, RetryAfter: d.RetryAfter}
-}
-
-// Stats sums the per-node admission counters.
-//
-//tclint:allow deadexport the tc and tenant tests check admission charging through it
-func (t *Tenant) Stats() AdmitStats {
-	var s AdmitStats
-	for i := range t.admitted {
-		s.Admitted += t.admitted[i]
-		s.Dropped += t.dropped[i]
-		s.Deferred += t.deferred[i]
-	}
-	return s
 }
 
 // Config declares one tenant.
@@ -199,13 +182,14 @@ type Config struct {
 // Registry is the per-system tenant set: dense IDs in Add order, unique
 // names, per-node bucket state sized to the node count.
 type Registry struct {
-	nodes  int
-	byName map[string]*Tenant
+	nodes int
+	// Tenants lists the registered tenants in ID order.
+	Tenants []*Tenant
 }
 
 // NewRegistry returns an empty registry for a fabric of nodes nodes.
 func NewRegistry(nodes int) *Registry {
-	return &Registry{nodes: nodes, byName: map[string]*Tenant{}}
+	return &Registry{nodes: nodes}
 }
 
 // Add registers a tenant and returns it. Names must be unique and
@@ -215,7 +199,7 @@ func (g *Registry) Add(cfg Config) (*Tenant, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("tenant: empty name")
 	}
-	if _, dup := g.byName[cfg.Name]; dup {
+	if _, dup := g.Lookup(cfg.Name); dup {
 		return nil, fmt.Errorf("tenant: duplicate tenant %q", cfg.Name)
 	}
 	if cfg.Weight < 1 {
@@ -223,13 +207,10 @@ func (g *Registry) Add(cfg Config) (*Tenant, error) {
 	}
 	t := &Tenant{
 		Name:      cfg.Name,
-		ID:        len(g.byName),
+		ID:        len(g.Tenants),
 		Weight:    cfg.Weight,
 		Untrusted: cfg.Untrusted,
 		buckets:   make([]bucket, g.nodes),
-		admitted:  make([]uint64, g.nodes),
-		dropped:   make([]uint64, g.nodes),
-		deferred:  make([]uint64, g.nodes),
 	}
 	if cfg.Admission != nil {
 		a := *cfg.Admission
@@ -244,12 +225,16 @@ func (g *Registry) Add(cfg Config) (*Tenant, error) {
 		a.Burst = a.Capacity()
 		t.Admission = &a
 	}
-	g.byName[cfg.Name] = t
+	g.Tenants = append(g.Tenants, t)
 	return t, nil
 }
 
 // Lookup returns the named tenant.
 func (g *Registry) Lookup(name string) (*Tenant, bool) {
-	t, ok := g.byName[name]
-	return t, ok
+	for _, t := range g.Tenants {
+		if t.Name == name {
+			return t, true
+		}
+	}
+	return nil, false
 }

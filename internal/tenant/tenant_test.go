@@ -85,9 +85,8 @@ func TestBucketRefillAndDrop(t *testing.T) {
 	if d := tn.Admit(1, now, 4); !d.OK {
 		t.Fatal("per-node bucket not independent")
 	}
-	st := tn.Stats()
-	if st.Admitted != 10 || st.Dropped != 2 {
-		t.Fatalf("stats = %+v", st)
+	if tn.Admitted != 10 || tn.Dropped != 2 {
+		t.Fatalf("admitted %d, dropped %d", tn.Admitted, tn.Dropped)
 	}
 }
 
@@ -114,8 +113,8 @@ func TestDeferRetryHint(t *testing.T) {
 	if !ae.Deferred || ae.RetryAfter != d.RetryAfter || ae.Tenant != "t" {
 		t.Fatalf("AdmissionError = %+v", ae)
 	}
-	if tn.Stats().Deferred != 1 {
-		t.Fatalf("deferred count = %d", tn.Stats().Deferred)
+	if tn.Deferred != 1 {
+		t.Fatalf("deferred count = %d", tn.Deferred)
 	}
 }
 

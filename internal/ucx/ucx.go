@@ -40,6 +40,10 @@ type Worker struct {
 	// Eng is the fabric's engine: this worker's software costs schedule
 	// on it.
 	Eng *sim.Engine
+	// Puts and PutBytes count the puts this worker handed its NIC and
+	// the bytes they carried.
+	Puts     uint64
+	PutBytes uint64
 }
 
 // NewWorker attaches a node to the fabric transport. The transport is an
@@ -58,6 +62,12 @@ func NewWorker(f fabric.Transport, as *mem.AddressSpace, hier *memsim.Hierarchy)
 // RegisterMemory pins a region for remote access and returns its rkey.
 func (w *Worker) RegisterMemory(base uint64, size int, access fabric.Access) (fabric.RKey, error) {
 	return w.NIC.RegisterMemory(base, size, access)
+}
+
+// count records one put of size bytes handed to the NIC.
+func (w *Worker) count(size int) {
+	w.Puts++
+	w.PutBytes += uint64(size)
 }
 
 // Endpoint is a connection from a local worker to a remote worker.
@@ -95,6 +105,7 @@ func (ep *Endpoint) Put(srcVA, dstVA uint64, size int, key fabric.RKey, onComple
 		postDone := ep.Local.CPU.Claim(eng.Now(), swCost)
 
 		fire := func() {
+			ep.Local.count(size)
 			ep.Local.NIC.Put(ep.Remote.NIC, srcVA, dstVA, size, key, func(res fabric.PutResult) {
 				// Completion detection costs CPU on the sender.
 				compDone := ep.Local.CPU.Claim(eng.Now(), model.UcxCompOverhead)
@@ -161,6 +172,7 @@ func (ep *Endpoint) getThinOp() *thinOp {
 }
 
 func (op *thinOp) doFire() {
+	op.ep.Local.count(op.size)
 	op.ep.Local.NIC.Put(op.ep.Remote.NIC, op.srcVA, op.dstVA, op.size, op.key, op.cb)
 }
 
@@ -214,10 +226,12 @@ func (ep *Endpoint) PutThinFenced(srcVA, dstVA uint64, bodyLen, sigLen int, key 
 	}
 	eng.At(postDone, func() {
 		var bodyErr error
+		ep.Local.count(bodyLen)
 		ep.Local.NIC.Put(ep.Remote.NIC, srcVA, dstVA, bodyLen, key, func(res fabric.PutResult) {
 			bodyErr = res.Err
 		})
 		ep.Local.NIC.Fence(ep.Remote.NIC)
+		ep.Local.count(sigLen)
 		ep.Local.NIC.Put(ep.Remote.NIC, srcVA+uint64(bodyLen), dstVA+uint64(bodyLen), sigLen, key,
 			func(res fabric.PutResult) {
 				if onDelivered != nil {

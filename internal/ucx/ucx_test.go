@@ -73,6 +73,24 @@ func TestPutErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestPutCounters: every put a worker hands its NIC counts once, with
+// its bytes, on each path — a fenced thin put is two — and a put the
+// target refuses counts too.
+func TestPutCounters(t *testing.T) {
+	p := newPair(t)
+	p.ab.Put(p.aBuf, p.bBuf, 64, p.bKey, nil)
+	p.ab.Put(p.aBuf, p.bBuf, 32, p.bKey+1, nil) // refused
+	p.ab.PutThin(p.aBuf, p.bBuf, 128, p.bKey, nil)
+	p.ab.PutThinFenced(p.aBuf, p.bBuf, 256, 8, p.bKey, nil)
+	p.eng.Run()
+	if p.a.Puts != 5 || p.a.PutBytes != 64+32+128+256+8 {
+		t.Fatalf("puts %d, bytes %d; want 5 and %d", p.a.Puts, p.a.PutBytes, 64+32+128+256+8)
+	}
+	if p.b.Puts != 0 {
+		t.Fatalf("the target counted %d puts", p.b.Puts)
+	}
+}
+
 func TestThinVsStandardMatchesPaperShape(t *testing.T) {
 	// Fig. 5: single-message latency of the two paths is within a couple
 	// of percent of each other. Fig. 6: the thin path's pipelined

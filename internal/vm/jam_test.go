@@ -42,11 +42,14 @@ func TestJamTable(t *testing.T) {
 	const va = 0x4000_0040
 	a, b := retBody(7, 0), retBody(9, 1)
 
+	// tier reads EnsureJam's counters as {slot hits, slot misses, decodes}.
+	tier := func() [3]uint64 { return [3]uint64{v.SlotHits, v.SlotMisses, v.Decodes} }
+
 	// First delivery: a miss that decodes and maps.
 	r := ensure(va, a)
 	call(r, 7)
-	if want := (TierStats{Misses: 1, Decodes: 1}); v.Tier != want {
-		t.Fatalf("after first delivery: %+v, want %+v", v.Tier, want)
+	if want := [3]uint64{0, 1, 1}; tier() != want {
+		t.Fatalf("after first delivery: %v, want %v", tier(), want)
 	}
 
 	// Hits keep the region.
@@ -56,8 +59,8 @@ func TestJamTable(t *testing.T) {
 		}
 		call(r, 7)
 	}
-	if want := (TierStats{Hits: 6, Misses: 1, Decodes: 1}); v.Tier != want {
-		t.Fatalf("after six hits: %+v, want %+v", v.Tier, want)
+	if want := [3]uint64{6, 1, 1}; tier() != want {
+		t.Fatalf("after six hits: %v, want %v", tier(), want)
 	}
 
 	// A content change at the same VA is a fresh region; the old one is
@@ -67,14 +70,14 @@ func TestJamTable(t *testing.T) {
 		t.Fatalf("content change: same region %v, mapped %v", rb == r, v.findRegion(va) == rb)
 	}
 	call(rb, 9)
-	if want := (TierStats{Hits: 6, Misses: 2, Decodes: 2}); v.Tier != want {
-		t.Fatalf("after content change: %+v, want %+v", v.Tier, want)
+	if want := [3]uint64{6, 2, 2}; tier() != want {
+		t.Fatalf("after content change: %v, want %v", tier(), want)
 	}
 
 	// The same body at a new VA shares the decoded instructions.
 	rc := ensure(va+0x1000, a)
-	if v.Tier.Decodes != 2 || &rc.instrs[0] != &r.instrs[0] {
-		t.Fatalf("body seen before was decoded again (decodes = %d)", v.Tier.Decodes)
+	if v.Decodes != 2 || &rc.instrs[0] != &r.instrs[0] {
+		t.Fatalf("body seen before was decoded again (decodes = %d)", v.Decodes)
 	}
 	call(rc, 7)
 
@@ -118,10 +121,10 @@ func TestJamTable(t *testing.T) {
 		t.Fatalf("after flood: %d bodies (bound %d), %d slots", len(v.bodies), jamBodyCap, len(v.jams))
 	}
 	// The oldest bodies are the ones gone: a decodes again, the newest hits.
-	d := v.Tier.Decodes
+	d := v.Decodes
 	ensure(va+0x4000, retBody(int32(100+3*jamBodyCap-1), (3*jamBodyCap-1)%5))
 	ensure(va+0x5000, a)
-	if v.Tier.Decodes != d+1 {
-		t.Fatalf("body table is not oldest-first: %d decodes, want %d", v.Tier.Decodes, d+1)
+	if v.Decodes != d+1 {
+		t.Fatalf("body table is not oldest-first: %d decodes, want %d", v.Decodes, d+1)
 	}
 }

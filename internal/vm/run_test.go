@@ -149,7 +149,7 @@ g:
 			}
 			entry, args := c.prep(t, h)
 			ret, cost, err := h.vm.Call(entry, args...)
-			got := outcome{ret: ret, cost: int64(cost), instrs: h.vm.TotalInstrs}
+			got := outcome{ret: ret, cost: int64(cost), instrs: h.vm.Instrs}
 			if err != nil {
 				var f *Fault
 				if !errors.As(err, &f) {

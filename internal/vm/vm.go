@@ -119,31 +119,21 @@ type VM struct {
 	env      Env
 	callCost sim.Duration
 
-	// TotalInstrs counts instructions across calls.
-	TotalInstrs uint64 //tclint:allow writeonly item 1(a) snapshot
 	// JITCompiles and JITDeopts are always 0: nothing is translated.
 	//
 	// Deprecated: inert since PR 21. Kept until benchmark/ stops naming
 	// them.
 	JITCompiles uint64 //tclint:allow neverset an item 7(a) shim: benchmark/ still reads it
 	JITDeopts   uint64 //tclint:allow neverset an item 7(a) shim: benchmark/ still reads it
-	// Tier counts what EnsureJam did.
-	Tier TierStats
-}
 
-// TierStats counts EnsureJam's outcomes. Every field is a function of the
-// delivered frames alone, so a fixed scenario reproduces them exactly.
-type TierStats struct {
-	Hits    uint64 // same bytes at the same VA
-	Misses  uint64 // a region was (re)mapped
-	Decodes uint64 // misses whose body was not in the body table
-}
-
-// Add accumulates o into t.
-func (t *TierStats) Add(o TierStats) {
-	t.Hits += o.Hits
-	t.Misses += o.Misses
-	t.Decodes += o.Decodes
+	// SlotHits, SlotMisses and Decodes count EnsureJam's outcomes: the
+	// same bytes at the same VA, a region (re)mapped, and a miss whose
+	// body was not in the body table. Instrs counts instructions across
+	// calls. Each depends only on what the VM was given to run.
+	SlotHits   uint64
+	SlotMisses uint64
+	Decodes    uint64
+	Instrs     uint64
 }
 
 // jamBodyCap bounds the body table. A node sees one body per element it is
@@ -272,7 +262,7 @@ func (vm *VM) EnsureJam(start uint64, code []byte) (*Region, error) {
 	if i > 0 {
 		s := vm.jams[i-1]
 		if s.region.Start == start && bytes.Equal(s.body.code, code) {
-			vm.Tier.Hits++
+			vm.SlotHits++
 			return &s.region, nil
 		}
 	}
@@ -280,7 +270,7 @@ func (vm *VM) EnsureJam(start uint64, code []byte) (*Region, error) {
 	if err != nil {
 		return nil, err
 	}
-	vm.Tier.Misses++
+	vm.SlotMisses++
 	// A different element has a different GOT table length, so its body
 	// lands at a shifted VA within the same frame slot: the new region
 	// replaces every cached one it overlaps (or shares a start with — an
@@ -338,7 +328,7 @@ func (vm *VM) bodyFor(start uint64, code []byte) (*jamBody, error) {
 	if err != nil {
 		return nil, err
 	}
-	vm.Tier.Decodes++
+	vm.Decodes++
 	b := &jamBody{hash: h, code: append([]byte(nil), code...), instrs: instrs}
 	if len(vm.bodies) < jamBodyCap {
 		vm.bodies = append(vm.bodies, b)
@@ -744,7 +734,7 @@ func (vm *VM) interpret(region *Region, pc uint64) (uint64, sim.Duration, error)
 // charge adds a call's instructions to the VM's total and returns the
 // call's whole cost.
 func (vm *VM) charge(instrs uint64, cost sim.Duration) sim.Duration {
-	vm.TotalInstrs += instrs
+	vm.Instrs += instrs
 	return cost + model.Cycles(float64(instrs)*model.VMCyclesPerInstr)
 }
 

@@ -484,7 +484,7 @@ td:
 	if cost1 <= 0 || cost2 <= cost1 {
 		t.Fatalf("costs: %v then %v", cost1, cost2)
 	}
-	if h.vm.TotalInstrs == 0 {
+	if h.vm.Instrs == 0 {
 		t.Fatal("cumulative instruction counter empty")
 	}
 }
@@ -739,7 +739,7 @@ td:
 			}
 			entry, args := c.prep(t, h)
 			ret, cost, err := h.vm.Call(entry, args...)
-			got := outcome{ret: ret, cost: int64(cost), instrs: h.vm.TotalInstrs}
+			got := outcome{ret: ret, cost: int64(cost), instrs: h.vm.Instrs}
 			if err != nil {
 				if _, ok := err.(*Fault); !ok {
 					t.Errorf("%s/%s: error is a %T, not a *Fault: %v", c.name, leg, err, err)

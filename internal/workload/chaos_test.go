@@ -31,11 +31,19 @@ func chaosScenario(seed uint64) Scenario {
 // TestChaosDeterminismSweep is the acceptance property of the chaos
 // suite: with fabric perturbation, MMPP arrivals, and a mid-run node
 // failure plus rejoin, equal seeds produce the pinned digests, simulated
-// times, injection counts, and loss ledgers.
+// times, injection counts, and loss ledgers, and a second run the same
+// stats snapshot.
 func TestChaosDeterminismSweep(t *testing.T) {
 	for _, p := range chaosPins {
-		if res := p.run(t); res != nil && res.Lost == 0 {
+		res := p.run(t)
+		if res == nil {
+			continue
+		}
+		if res.Lost == 0 {
 			t.Errorf("seed %#x: failure injected but nothing was lost", p.sc.Seed)
+		}
+		if again, err := Run(p.sc); err != nil || again.Mesh != res.Mesh {
+			t.Errorf("seed %#x: repeat run's stats diverged (%v):\n%+v\n%+v", p.sc.Seed, err, res.Mesh, again.Mesh)
 		}
 	}
 }

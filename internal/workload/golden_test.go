@@ -16,6 +16,9 @@ import (
 // and the lazily mapped address spaces change neither message order nor
 // simulated timing by a single tick.
 //
+// work pins the work counters of the run's stats snapshot; they were
+// captured at commit c8455af, before the snapshot carried them.
+//
 // If an intentional model change moves these numbers, re-capture them in
 // one dedicated commit — never alongside a performance change, or the
 // equivalence evidence is lost.
@@ -30,17 +33,31 @@ type goldenRun struct {
 	inj     int
 	swapped bool
 	hotNode int
+	work    goldenWork
+}
+
+// goldenWork is the work a golden run did, by layer: engine events, VM
+// instructions and body decodes, jam-cache binds, fabric puts and
+// cache-model accesses.
+type goldenWork struct {
+	events, instrs, decodes, jamBinds, puts, cacheAccesses uint64
 }
 
 // Two seed/shape points per pattern: the benchmark shape (8 nodes, burst
 // 8, default seed) and a smaller off-default shape on a different seed.
 var goldenRuns = []goldenRun{
-	{Fanout, 8, 8, 0x7c2c2021, 0xdc88806bb77ecbe0, 63237690, 112, false, -1},
-	{AllToAll, 8, 8, 0x7c2c2021, 0x269bfefd7c3223c0, 64640105, 896, false, -1},
-	{Hotspot, 8, 8, 0x7c2c2021, 0xfc58e0defda2e9b0, 70037311, 784, true, 0},
-	{Fanout, 6, 4, 0x51edba5e, 0xf0015dbce33297d0, 22211178, 40, false, -1},
-	{AllToAll, 6, 4, 0x51edba5e, 0x37a43f99ad3f3b80, 22825178, 240, false, -1},
-	{Hotspot, 6, 4, 0x51edba5e, 0x441fa5f0335082e0, 22588284, 200, true, -2},
+	{Fanout, 8, 8, 0x7c2c2021, 0xdc88806bb77ecbe0, 63237690, 112, false, -1,
+		goldenWork{281, 12272, 10, 2, 28, 3616}},
+	{AllToAll, 8, 8, 0x7c2c2021, 0x269bfefd7c3223c0, 64640105, 896, false, -1,
+		goldenWork{2248, 98176, 16, 15, 224, 28912}},
+	{Hotspot, 8, 8, 0x7c2c2021, 0xfc58e0defda2e9b0, 70037311, 784, true, 0,
+		goldenWork{1967, 80921, 12, 27, 196, 23969}},
+	{Fanout, 6, 4, 0x51edba5e, 0xf0015dbce33297d0, 22211178, 40, false, -1,
+		goldenWork{111, 3432, 5, 2, 15, 1024}},
+	{AllToAll, 6, 4, 0x51edba5e, 0x37a43f99ad3f3b80, 22825178, 240, false, -1,
+		goldenWork{666, 22256, 11, 12, 90, 6656}},
+	{Hotspot, 6, 4, 0x51edba5e, 0x441fa5f0335082e0, 22588284, 200, true, -2,
+		goldenWork{543, 20488, 9, 17, 69, 6064}},
 }
 
 // TestGoldenDigests pins bit-identical digests and simulated times for
@@ -87,6 +104,10 @@ func (g goldenRun) check(t *testing.T) {
 	if g.hotNode != -2 && res.HotNode != g.hotNode {
 		t.Errorf("hot node = %d, want %d", res.HotNode, g.hotNode)
 	}
+	st := res.Mesh
+	if w := (goldenWork{st.Events, st.Instrs, st.Decodes, st.JamBinds, st.Puts, st.Cache.Accesses}); w != g.work {
+		t.Errorf("work = %+v, want %+v", w, g.work)
+	}
 	var errs int
 	for _, nr := range res.PerNode {
 		errs += nr.Errors
@@ -113,6 +134,9 @@ func TestGoldenRepeatable(t *testing.T) {
 	if a.Digest != b.Digest || a.SimTime != b.SimTime || a.Injections != b.Injections {
 		t.Fatalf("back-to-back runs diverged: %#x/%d/%d vs %#x/%d/%d",
 			a.Digest, a.SimTime, a.Injections, b.Digest, b.SimTime, b.Injections)
+	}
+	if a.Mesh != b.Mesh {
+		t.Fatalf("back-to-back runs' stats diverged:\n%+v\n%+v", a.Mesh, b.Mesh)
 	}
 }
 

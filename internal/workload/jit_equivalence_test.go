@@ -99,8 +99,8 @@ func TestJITEquivalenceSweep(t *testing.T) {
 						backend = "simnet"
 					}
 					res := runPinned(t, fmt.Sprintf("%s/%s/%x/%s", app, elem.Elem, d.seed, backend), sc)
-					if tier := res.Mesh.Tier; tier.Hits == 0 || tier.Misses == 0 {
-						t.Errorf("%s: %d slot hits, %d misses; want both", elem.Elem, tier.Hits, tier.Misses)
+					if st := res.Mesh; st.SlotHits == 0 || st.SlotMisses == 0 {
+						t.Errorf("%s: %d slot hits, %d misses; want both", elem.Elem, st.SlotHits, st.SlotMisses)
 					}
 				}
 			})

@@ -221,8 +221,8 @@ func tenantResults(lanes []*lane) ([]TenantResult, sim.Duration) {
 			Name: l.view, Weight: l.ten.Weight,
 			Planned:     l.cum[len(l.cum)-1],
 			Serviced:    len(l.svc),
-			Dropped:     l.dropped,
-			Deferred:    l.deferred,
+			Dropped:     int(l.ten.Dropped),
+			Deferred:    int(l.ten.Deferred),
 			Lost:        l.lost,
 			Errors:      l.errs,
 			LastService: sim.Duration(lasts[i]),

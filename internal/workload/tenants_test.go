@@ -298,6 +298,9 @@ func TestTenantFailRejoinLedger(t *testing.T) {
 	if a.Digest != b.Digest || a.SimTime != b.SimTime || !reflect.DeepEqual(a.Tenants, b.Tenants) {
 		t.Fatalf("repeat run diverged:\n%+v\nvs\n%+v", a.Tenants, b.Tenants)
 	}
+	if a.Mesh != b.Mesh {
+		t.Fatalf("repeat run's stats diverged:\n%+v\nvs\n%+v", a.Mesh, b.Mesh)
+	}
 	for i := range lanes {
 		if !reflect.DeepEqual(lanes[i].phases, blanes[i].phases) {
 			t.Fatalf("repeat run's tenant %d phases diverged:\n%+v\nvs\n%+v", i, lanes[i].phases, blanes[i].phases)
@@ -320,5 +323,8 @@ func TestTenantRunRepeatable(t *testing.T) {
 	}
 	if a.Digest != b.Digest || a.SimTime != b.SimTime || !reflect.DeepEqual(a.Tenants, b.Tenants) {
 		t.Fatalf("back-to-back tenant runs diverged:\n%+v\nvs\n%+v", a.Tenants, b.Tenants)
+	}
+	if a.Mesh != b.Mesh {
+		t.Fatalf("back-to-back tenant runs' stats diverged:\n%+v\nvs\n%+v", a.Mesh, b.Mesh)
 	}
 }

@@ -35,12 +35,12 @@ const (
 )
 
 // Validate checks the scenario without building anything: field
-// ranges, registry membership of traffic shapes and packages, phase
-// composition. It returns nil or a *ScenarioError. Element existence
-// within a package is only checkable after the package compiles, so it
-// is verified by Run (still as a typed *ScenarioError), not here. Run
-// validates implicitly; Validate exists so scenario-composing code can
-// fail fast.
+// ranges, membership of traffic shapes and packages in their fixed
+// tables, phase composition. It returns nil or a *ScenarioError. Element
+// existence within a package is only checkable after the package
+// compiles, so it is verified by Run (still as a typed *ScenarioError),
+// not here. Run validates implicitly; Validate exists so
+// scenario-composing code can fail fast.
 func (sc *Scenario) Validate() error {
 	if err := sc.validateScalars(); err != nil {
 		return err
@@ -181,7 +181,7 @@ func (sc *Scenario) resolvePhases() ([]phaseSpec, error) {
 			if m.Pkg == "" {
 				m.Pkg = DefaultPkg
 			}
-			// Fail fast on unregistered packages; element existence is
+			// Fail fast on unknown packages; element existence is
 			// only checkable after the package builds (frameSizeFor).
 			if _, ok := tcapp.Lookup(m.Pkg); !ok {
 				return nil, &ScenarioError{Field: at(fmt.Sprintf("Mix[%d].Pkg", j)),

@@ -23,7 +23,7 @@
 // legacy surface, unchanged.
 //
 // Mix entries name a package and an element (Pkg + Elem), resolved
-// through the tcapp registry: a phase can mix tcbench Indirect Puts
+// through tcapp's fixed table of apps: a phase can mix tcbench Indirect Puts
 // with kvstore puts and histo reduces, and the driver installs every
 // referenced package and sizes mailbox frames for the largest message.
 //
@@ -337,10 +337,11 @@ type phasePlan struct {
 	total  int
 	// hotNode is the phase's skew target (-1 none).
 	hotNode int
-	// swapNode/swapApp plan the SwapAtHalf trigger (-1 none); the
-	// executed-count threshold is armed when the phase opens, and
-	// swapFired keeps the trigger one-shot independent of any open-time
-	// Swap entry the same phase performed.
+	// swapNode/swapApp plan the hotspot shape's built-in mid-phase swap
+	// (-1 none; planner.swapAtHalf): the executed-count threshold is
+	// armed when the phase opens, and swapFired keeps the trigger
+	// one-shot independent of any open-time Swap entry the same phase
+	// performed.
 	swapNode    int
 	swapApp     string
 	swapTrigger int
@@ -401,11 +402,9 @@ type lane struct {
 	// settled counts resolved plan: messages ticked at a receiver, dropped
 	// by admission, or lost to a node failure. A phase barrier trips, and
 	// the run completes, when it reaches the cumulative planned count.
-	settled  int
-	dropped  int
-	deferred int
-	lost     int
-	phases   []PhaseResult
+	settled int
+	lost    int
+	phases  []PhaseResult
 
 	fns []map[[2]string]*tc.Func // per sender: (pkg, elem) -> handle
 
@@ -510,7 +509,7 @@ func (l *lane) fn(src int, pkg, elem string) (*tc.Func, error) {
 // when its service completes on the lane's own channel, because that is
 // where it can be attributed to the tenant. (The base lane ticks at
 // execution instead — Run's node hook — which is what its digests,
-// simulated times and SwapAtHalf trigger were pinned against; the
+// simulated times and built-in mid-phase swap were pinned against; the
 // instant decides when the next phase opens on the simulated clock, so
 // the two sites are not interchangeable.)
 func (l *lane) hookChannel(dst int, ch *core.Channel) {
@@ -534,10 +533,9 @@ func (l *lane) tick(dst, n int) {
 	l.settle(n, true)
 }
 
-// drop accounts an admission-dropped burst: the messages will never
-// reach a receiver, so they settle here.
+// drop accounts an admission-dropped burst (the tenant counts it): the
+// messages will never reach a receiver, so they settle here.
 func (l *lane) drop(n int) {
-	l.dropped += n
 	l.settle(n, true)
 }
 
@@ -606,7 +604,7 @@ func (r *runner) performSwap(l *lane, node int, app string) {
 }
 
 // open performs the open phase's rejoins and planned swap, arms its
-// SwapAtHalf trigger against the swap node's current executed count,
+// built-in mid-phase swap against the swap node's current executed count,
 // schedules its failures, and starts its senders.
 func (l *lane) open() {
 	r, pp := l.r, l.plans[l.phase]
@@ -724,7 +722,6 @@ func (s *sender) issue(b *burst, again func()) (fu *tc.Future, done bool) {
 	case errors.As(err, &nd):
 		l.lose(len(b.args))
 	case errors.As(err, &ae) && ae.Deferred:
-		l.deferred++
 		s.eng.After(ae.RetryAfter, again)
 		return nil, false
 	case ae != nil:
