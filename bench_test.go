@@ -205,14 +205,21 @@ func BenchmarkSSSumConvergence(b *testing.B) {
 
 // --- mesh workload benchmarks (sharded many-node fabric) ---
 
-// runMesh executes one workload scenario per b.N batch and reports the
-// simulated injection rate. The scenario is seeded, so the reported
-// metrics are identical across runs.
-func runMesh(b *testing.B, p workload.Pattern, nodes int) {
-	b.Helper()
-	b.ReportAllocs()
+// meshScenario is the mesh benchmarks' shape: two rounds of pattern p
+// over nodes nodes on shards fabric shards (0 = the default).
+func meshScenario(p workload.Pattern, nodes, shards int) workload.Scenario {
 	sc := workload.DefaultScenario(p, nodes)
 	sc.Rounds = 2
+	sc.Shards = shards
+	return sc
+}
+
+// runScenario executes one scenario per b.N batch and reports the
+// simulated injection rate. The scenario is seeded, so the reported
+// metrics are identical across runs.
+func runScenario(b *testing.B, sc workload.Scenario) *workload.Result {
+	b.Helper()
+	b.ReportAllocs()
 	var res *workload.Result
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -224,53 +231,33 @@ func runMesh(b *testing.B, p workload.Pattern, nodes int) {
 	b.ReportMetric(res.RatePerSec, "sim_inj_per_sec")
 	b.ReportMetric(float64(res.Injections), "msgs")
 	b.ReportMetric(res.SimTime.Microseconds(), "sim_us")
+	return res
 }
 
 // BenchmarkMeshFanout: node 0 broadcasts batched bursts to 7 peers.
-func BenchmarkMeshFanout(b *testing.B) { runMesh(b, workload.Fanout, 8) }
+func BenchmarkMeshFanout(b *testing.B) { runScenario(b, meshScenario(workload.Fanout, 8, 0)) }
 
 // BenchmarkMeshAllToAll: dense exchange over the full 8-node channel mesh.
-func BenchmarkMeshAllToAll(b *testing.B) { runMesh(b, workload.AllToAll, 8) }
+func BenchmarkMeshAllToAll(b *testing.B) { runScenario(b, meshScenario(workload.AllToAll, 8, 0)) }
 
 // BenchmarkMeshHotspot: skewed traffic with a mid-run ried hot-swap on
 // the hot node.
-func BenchmarkMeshHotspot(b *testing.B) { runMesh(b, workload.Hotspot, 8) }
-
-// runMeshScale executes one large-mesh scenario per b.N batch and
-// reports the simulated injection rate.
-func runMeshScale(b *testing.B, p workload.Pattern, nodes, rounds, shards int) {
-	b.Helper()
-	b.ReportAllocs()
-	sc := workload.DefaultScenario(p, nodes)
-	sc.Rounds = rounds
-	sc.Shards = shards
-	var res *workload.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = workload.Run(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.RatePerSec, "sim_inj_per_sec")
-	b.ReportMetric(float64(res.Injections), "msgs")
-	b.ReportMetric(res.SimTime.Microseconds(), "sim_us")
-}
+func BenchmarkMeshHotspot(b *testing.B) { runScenario(b, meshScenario(workload.Hotspot, 8, 0)) }
 
 // BenchmarkMeshAllToAll64: dense exchange over a 64-node, 8-shard mesh.
 func BenchmarkMeshAllToAll64(b *testing.B) {
-	runMeshScale(b, workload.AllToAll, 64, 2, 8)
+	runScenario(b, meshScenario(workload.AllToAll, 64, 8))
 }
 
 // BenchmarkMeshFanout64: 64-node broadcast (single sender).
 func BenchmarkMeshFanout64(b *testing.B) {
-	runMeshScale(b, workload.Fanout, 64, 2, 8)
+	runScenario(b, meshScenario(workload.Fanout, 64, 8))
 }
 
 // BenchmarkMeshHotspot64: 64-node skewed traffic with the mid-run RIED
 // hot-swap.
 func BenchmarkMeshHotspot64(b *testing.B) {
-	runMeshScale(b, workload.Hotspot, 64, 2, 8)
+	runScenario(b, meshScenario(workload.Hotspot, 64, 8))
 }
 
 // BenchmarkMeshChaos64: the 64-node exchange under chaos fabric
@@ -279,56 +266,24 @@ func BenchmarkMeshHotspot64(b *testing.B) {
 // rejoin. Records what the robustness machinery costs; sim_lost rides
 // the history so the loss ledger is visible in the trajectory.
 func BenchmarkMeshChaos64(b *testing.B) {
-	b.ReportAllocs()
-	sc := workload.DefaultScenario(workload.AllToAll, 64)
-	sc.Rounds = 2
-	sc.Shards = 8
+	sc := meshScenario(workload.AllToAll, 64, 8)
 	sc.Chaos = &workload.ChaosSpec{MinDelay: 20 * sim.Nanosecond, MaxDelay: 120 * sim.Nanosecond}
 	sc.Phases = []workload.Phase{
 		{Name: "steady"},
 		{Name: "failing", Fail: []workload.Fail{{Node: 5, At: sim.Microsecond}}},
 		{Name: "drain", Rejoin: []workload.Rejoin{{Node: 5}}},
 	}
-	var res *workload.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = workload.Run(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.RatePerSec, "sim_inj_per_sec")
-	b.ReportMetric(float64(res.Injections), "msgs")
+	res := runScenario(b, sc)
 	b.ReportMetric(float64(res.Lost), "sim_lost")
-	b.ReportMetric(res.SimTime.Microseconds(), "sim_us")
 }
 
 // BenchmarkMeshAllToAll128: the 128-node, 16-shard exchange — the
-// largest recorded point. Skipped under -short (bench-smoke) to keep
-// the CI gate fast; bench-json records it.
+// largest recorded point. Skipped under -short; bench-json records it.
 func BenchmarkMeshAllToAll128(b *testing.B) {
 	if testing.Short() {
 		b.Skip("128-node mesh skipped in short mode")
 	}
-	runMeshScale(b, workload.AllToAll, 128, 2, 16)
-}
-
-// runScenario executes one composed scenario per b.N batch (same
-// shape as runMesh, over an arbitrary Scenario).
-func runScenario(b *testing.B, sc workload.Scenario) {
-	b.Helper()
-	b.ReportAllocs()
-	var res *workload.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = workload.Run(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.RatePerSec, "sim_inj_per_sec")
-	b.ReportMetric(float64(res.Injections), "msgs")
-	b.ReportMetric(res.SimTime.Microseconds(), "sim_us")
+	runScenario(b, meshScenario(workload.AllToAll, 128, 16))
 }
 
 // BenchmarkKVStoreOpenLoop: the open-loop Poisson kvstore scenario —
@@ -344,20 +299,9 @@ func BenchmarkMultiPhaseMix(b *testing.B) { runScenario(b, workload.MultiPhaseSc
 // receivers, overlap-window goodput. Reports each tenant's goodput so
 // the fair-share split rides the benchmark history alongside the rate.
 func BenchmarkMultiTenantOverload(b *testing.B) {
-	b.ReportAllocs()
-	sc := workload.OverloadScenario(4, 4)
-	var res *workload.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = workload.Run(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.RatePerSec, "sim_inj_per_sec")
+	res := runScenario(b, workload.OverloadScenario(4, 4))
 	b.ReportMetric(res.Tenants[0].GoodputPerSec, "gold_goodput_per_sec")
 	b.ReportMetric(res.Tenants[1].GoodputPerSec, "bronze_goodput_per_sec")
-	b.ReportMetric(res.SimTime.Microseconds(), "sim_us")
 }
 
 // --- framework micro-benchmarks (host-time, not simulated time) ---
@@ -421,55 +365,66 @@ func BenchmarkInstrDecode(b *testing.B) {
 	}
 }
 
-// benchInvokePath measures the host-side cost of issuing and fully
-// simulating one inject through either per-call string resolution
-// (Channel.Handle looks the Bound up by (pkg, elem) strings every call)
-// or the pre-resolved tc.Func handle. The pair exists to pin the API
-// redesign's performance claim: the bind-once handle path must not be
-// slower than per-call string resolution.
-func benchInvokePath(b *testing.B, handle bool) {
-	b.Helper()
+// invokePath builds a two-node system and returns one step of the
+// invoke-path pair: issue one inject and simulate it fully, through
+// either per-call string resolution (Channel.Handle looks the Bound up by
+// (pkg, elem) strings every call) or the pre-resolved tc.Func handle.
+// The system closes when tb ends.
+func invokePath(tb testing.TB, handle bool) func(i int) {
+	tb.Helper()
 	sys, err := tc.NewSystem(2,
 		tc.WithTiming(false),
 		tc.WithGeometry(mailbox.Geometry{Banks: 1, Slots: 8, FrameSize: 2048}),
 		tc.WithCredits(false))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer sys.Close()
+	tb.Cleanup(sys.Close)
 	pkg, err := core.BuildBenchPackage()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := sys.InstallPackage(pkg); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	fn, err := sys.Func(0, "tcbench", "jam_iput")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ch, err := sys.Channel(0, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	payload := make([]byte, 64)
 	// Steady-state call options are part of the bind-once setup: hoisting
 	// the Payload option out of the loop is the documented idiom.
 	payloadOpt := tc.Payload(payload)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		args := [2]uint64{uint64(i%30000) + 1, 0}
 		if handle {
 			if res, ok := fn.Call(1, args, payloadOpt).Result(); ok && res.Err != nil {
-				b.Fatal(res.Err)
+				tb.Fatal(res.Err)
 			}
 		} else {
 			if err := ch.Handle("tcbench", "jam_iput").Inject(args, payload, nil); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		sys.Run()
+	}
+}
+
+// benchInvokePath measures the host-side cost of one invokePath step.
+// The pair exists to pin the API redesign's performance claim: the
+// bind-once handle path must not be slower than per-call string
+// resolution. TestWorkBudgets holds both at 0 allocations.
+func benchInvokePath(b *testing.B, handle bool) {
+	b.Helper()
+	call := invokePath(b, handle)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call(i)
 	}
 }
 

@@ -12,7 +12,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
@@ -27,8 +26,8 @@ func main() {
 		list    = flag.Bool("list", false, "list available experiments")
 	)
 	flag.Parse()
-	if !(*scale > 0) || math.IsInf(*scale, 1) {
-		fmt.Fprintf(os.Stderr, "tcperf: -scale %v: the iteration multiplier must be positive and finite\n", *scale)
+	if err := perf.CheckScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "tcperf: -scale %v: %v\n", *scale, err)
 		os.Exit(2)
 	}
 

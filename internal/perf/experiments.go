@@ -2,17 +2,34 @@ package perf
 
 import (
 	"fmt"
+	"math"
 
 	"twochains/internal/cpusim"
 )
 
 // Options tune experiment execution.
 type Options struct {
-	// Scale multiplies iteration counts: positive and finite; 1.0 is the
-	// tcperf default, tests use smaller values.
+	// Scale multiplies iteration counts: one CheckScale accepts; 1.0 is
+	// the tcperf default, tests use smaller values.
 	Scale float64
 }
 
+// maxBaseIters is the largest base count iters and meshIters scale.
+const maxBaseIters = 3000
+
+// CheckScale refuses a Scale whose iteration counts do not fit an int:
+// one that is not positive, NaN, or so large that maxBaseIters times it
+// passes math.MaxInt (+Inf included). Go leaves an out-of-range
+// float-to-int conversion to the implementation, so iters would run
+// whatever it happened to yield.
+func CheckScale(scale float64) error {
+	if scale > 0 && scale*maxBaseIters < math.MaxInt {
+		return nil
+	}
+	return fmt.Errorf("the iteration multiplier must be positive and below %g", math.MaxInt/float64(maxBaseIters))
+}
+
+// iters scales base, at most maxBaseIters, by o.Scale.
 func (o Options) iters(base int) int {
 	n := int(float64(base) * o.Scale)
 	if n < 20 {

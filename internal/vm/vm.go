@@ -21,7 +21,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"io"
 
 	"twochains/internal/isa"
@@ -145,15 +144,9 @@ const jamBodyCap = 64
 // code bytes or their VA range.
 var ErrBadCode = errors.New("invalid code")
 
-// bodySeed keys the body table's hash. It differs from process to
-// process, which no result can see: the hash only narrows the search and
-// bytes.Equal decides, so any seed finds exactly the same bodies.
-var bodySeed = maphash.MakeSeed()
-
 // jamBody is one distinct jam text and its decode. Both slices are
 // immutable once built: every slot mapping the same bytes shares them.
 type jamBody struct {
-	hash   uint64
 	code   []byte
 	instrs []isa.Instr
 }
@@ -251,8 +244,8 @@ func (vm *VM) AddRegion(start uint64, code []byte, gotVA uint64) (*Region, error
 // rebinding, truncation). Every cached region overlapping the new range
 // is unmapped and a fresh region is mapped over the body's decode, taken
 // from the content-keyed body table when this VM has seen the same text
-// before, at any VA, and validated and decoded otherwise. The byte
-// compare, not the hash, decides both.
+// before, at any VA, and validated and decoded otherwise. A byte compare
+// decides both.
 //
 // Mappings are replaced, never leaked: jams are keyed by VA, disjoint,
 // and a mailbox region has finitely many slots; the body table is bounded
@@ -316,11 +309,12 @@ func (vm *VM) jamAfter(va uint64) int {
 }
 
 // bodyFor returns the decoded body for code, from the body table when
-// this VM has decoded the same bytes before.
+// this VM has decoded the same bytes before. bytes.Equal compares lengths
+// first, and the shipped element bodies all differ in length, so a miss
+// costs one length compare per body.
 func (vm *VM) bodyFor(start uint64, code []byte) (*jamBody, error) {
-	h := maphash.Bytes(bodySeed, code)
 	for _, b := range vm.bodies {
-		if b.hash == h && bytes.Equal(b.code, code) {
+		if bytes.Equal(b.code, code) {
 			return b, nil
 		}
 	}
@@ -329,7 +323,7 @@ func (vm *VM) bodyFor(start uint64, code []byte) (*jamBody, error) {
 		return nil, err
 	}
 	vm.Decodes++
-	b := &jamBody{hash: h, code: append([]byte(nil), code...), instrs: instrs}
+	b := &jamBody{code: append([]byte(nil), code...), instrs: instrs}
 	if len(vm.bodies) < jamBodyCap {
 		vm.bodies = append(vm.bodies, b)
 	} else {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"twochains/internal/mem"
+	"twochains/internal/sim"
 )
 
 // goldenRun pins one scenario's observable outcome: the fabric-wide
@@ -181,7 +182,9 @@ func (p pin) run(t *testing.T) *Result {
 }
 
 // runPins runs each pin in a subtest named after it; consecutive pins of
-// one name share the subtest.
+// one name share the subtest. A 64-node pin is skipped under the race
+// detector, which would take it from about a second to minutes; the
+// plain tier-1 run checks it.
 func runPins(t *testing.T, pins []pin) {
 	for len(pins) > 0 {
 		n := 1
@@ -192,6 +195,9 @@ func runPins(t *testing.T, pins []pin) {
 		pins = pins[n:]
 		t.Run(group[0].name, func(t *testing.T) {
 			for _, p := range group {
+				if raceEnabled && p.sc.Nodes >= 64 {
+					t.Skip("64-node pin skipped under -race")
+				}
 				p.run(t)
 			}
 		})
@@ -228,6 +234,29 @@ func onShards(sc Scenario, shards int) Scenario {
 	return sc
 }
 
+// mesh64 is the 64-node, 8-shard shape of the root package's
+// BenchmarkMesh*64 benchmarks.
+func mesh64(p Pattern) Scenario {
+	sc := DefaultScenario(p, 64)
+	sc.Rounds = 2
+	sc.Shards = 8
+	return sc
+}
+
+// meshChaos64 is BenchmarkMeshChaos64's shape: the 64-node exchange on a
+// perturbed fabric, with node 5 failing in the second phase and
+// rejoining in the third.
+func meshChaos64() Scenario {
+	sc := mesh64(AllToAll)
+	sc.Chaos = &ChaosSpec{MinDelay: 20 * sim.Nanosecond, MaxDelay: 120 * sim.Nanosecond}
+	sc.Phases = []Phase{
+		{Name: "steady"},
+		{Name: "failing", Fail: []Fail{{Node: 5, At: sim.Microsecond}}},
+		{Name: "drain", Rejoin: []Rejoin{{Node: 5}}},
+	}
+	return sc
+}
+
 // The pins below were captured at commit 2d40b5f. The same re-capture
 // rule as goldenRuns applies.
 
@@ -258,12 +287,24 @@ var shardedPins = []pin{
 	{"test-silent", shardedScenario("test-silent", 0x7c2c2021), 0, 0, 0, 0, ""},
 	{"test-silent", shardedScenario("test-silent", 0x51edba5e), 0, 0, 0, 0, ""},
 	{"seed4003", meshScaleSeed4003(), 0xcde4a6b1f968acb0, 1009721738, 30720, 0, ""},
+	// The root package's 64-node benchmark shapes, captured at commit
+	// ba66a50.
+	{"alltoall64", mesh64(AllToAll), 0x5efb8e7dfba38000, 552597244, 64512, 0, ""},
+	{"fanout64", mesh64(Fanout), 0xa567b7cb095450e0, 536012447, 1008, 0, ""},
+	{"hotspot64", mesh64(Hotspot), 0xf9805854a37cc1d0, 1049103581, 63504, 0, ""},
 }
 
-// composedPins: the open-loop and multi-phase compositions on four shards.
+// composedPins: the open-loop and multi-phase compositions on four shards
+// and unsharded (the root package's BenchmarkKVStoreOpenLoop and
+// BenchmarkMultiPhaseMix shapes), and BenchmarkMeshChaos64's shape with
+// its loss ledger. The unsharded and 64-node rows were captured at commit
+// ba66a50.
 var composedPins = []pin{
 	{"kvstore", onShards(KVStoreScenario(8), 4), 0x58152e6ff9ed7a4d, 106349032, 448, 0, ""},
+	{"kvstore", KVStoreScenario(8), 0xc5ee4c9cd654ea29, 105656032, 448, 0, ""},
 	{"multiphase", onShards(MultiPhaseScenario(8), 4), 0x73cedd7b7208942, 389109247, 1008, 0, ""},
+	{"multiphase", MultiPhaseScenario(8), 0xe03f34ad91fde904, 385982247, 1008, 0, ""},
+	{"chaos64", meshChaos64(), 0xd2869015c76cbe60, 1675786073, 191528, 2008, ""},
 }
 
 // chaosPins: perturbed fabric, MMPP arrivals, a node failure and its

@@ -7,8 +7,9 @@ import "testing"
 // now check the same scenarios against pinned outcomes (golden_test.go).
 
 // TestWorkersSweepDeterminism pins every traffic shape in the table (the
-// test fixtures included) on four fabric shards at two seeds, and the
-// benchmark's mesh_scale shape at seed 4003.
+// test fixtures included) on four fabric shards at two seeds, the
+// benchmark's mesh_scale shape at seed 4003, and the root package's
+// 64-node mesh shapes.
 func TestWorkersSweepDeterminism(t *testing.T) {
 	pinned := map[string]bool{}
 	for _, p := range shardedPins {
@@ -32,8 +33,9 @@ func TestParallelGoldenScenarios(t *testing.T) {
 	}
 }
 
-// TestParallelComposedScenarios pins the phase-barrier machinery on four
-// fabric shards: the open-loop and multi-phase compositions.
+// TestParallelComposedScenarios pins the phase-barrier machinery: the
+// open-loop and multi-phase compositions on four fabric shards and on
+// one, and the 64-node chaos composition.
 func TestParallelComposedScenarios(t *testing.T) {
 	runPins(t, composedPins)
 }

@@ -3,7 +3,9 @@ package workload
 // Composed scenarios over the tcapp application packages. These are the
 // stock demonstrations of the Traffic/Phase surface — plain data, built
 // by ordinary functions — and double as the perf-trajectory points for
-// the widened workload surface (cmd/tcperf -e scenarios, BENCH_PR4).
+// the widened workload surface (cmd/tcperf -e scenarios and the root
+// package's BenchmarkKVStoreOpenLoop, BenchmarkMultiPhaseMix and
+// BenchmarkMultiTenantOverload).
 
 // KVStoreMix is the standard kvstore traffic: mostly puts, some gets,
 // an occasional scan.
