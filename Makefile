@@ -1,8 +1,8 @@
 # Two-Chains build/test entry points. `make check` is the tier-1 gate CI
 # runs: formatting, vet, lint, build, the tests twice (plainly, then
-# under -race), the chaos drain under -race and a few seconds of each
-# fuzz target. The plain run is the one that checks TestWorkBudgets and
-# the 64-node workload pins: both skip themselves under -race.
+# under -race) and a few seconds of each fuzz target. The plain run is
+# the one that checks TestWorkBudgets and the 64-node workload pins:
+# both skip themselves under -race.
 #
 # Work per injection is gated exactly inside `go test ./...`: the root
 # package's TestWorkBudgets (budget_test.go) pins the allocations of one
@@ -80,7 +80,6 @@
 # its loss ledger, and the layer benchmarks of internal/sim,
 # internal/memsim and internal/vm. Nothing compares it against a
 # recording.
-# chaos-smoke race-runs the fail/rejoin drain.
 # `make simdiff BASE=<rev>` is the "nothing simulated moved" check for a
 # change that must not touch the model: it builds cmd/tcperf from BASE
 # (extracted with `git archive` into a temporary directory) and from the
@@ -115,9 +114,9 @@ GO ?= go
 GOFMT ?= gofmt
 BENCH_OUT ?= bench_trajectory.json
 
-.PHONY: check fmt-check vet lint build cross test fuzz-smoke chaos-smoke bench-json profile perf examples simdiff reach
+.PHONY: check fmt-check vet lint build cross test fuzz-smoke bench-json profile perf examples simdiff reach
 
-check: fmt-check vet build lint test chaos-smoke fuzz-smoke
+check: fmt-check vet build lint test fuzz-smoke
 
 fmt-check:
 	@unformatted=$$($(GOFMT) -l .); \
@@ -165,9 +164,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseFrame -fuzztime 5s ./internal/mailbox
 	$(GO) test -run xxx -fuzz FuzzCompile -fuzztime 5s ./internal/amcc
 	$(GO) test -run xxx -fuzz FuzzAssemble -fuzztime 5s ./internal/asm
-
-chaos-smoke:
-	$(GO) test -race -run 'TestFailRejoinDrain' ./internal/workload
 
 bench-json:
 	@{ $(GO) test -run xxx -bench 'BenchmarkMeshFanout$$|BenchmarkMeshAllToAll$$|BenchmarkMeshHotspot$$|BenchmarkKVStore|BenchmarkMultiPhase|BenchmarkMultiTenantOverload' -benchmem -benchtime 10x . && \

@@ -3,6 +3,7 @@ package twochains_test
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"twochains/internal/workload"
 )
@@ -20,21 +21,19 @@ var runBudgets = []struct {
 	allocs float64
 	bytes  uint64
 }{
-	{"MeshAllToAll", meshScenario(workload.AllToAll, 8, 0), 4627, 830504},
-	{"KVStoreOpenLoop", workload.KVStoreScenario(8), 4330, 684288},
-	{"MultiTenantOverload", workload.OverloadScenario(4, 4), 5218, 765480},
+	{"MeshAllToAll", meshScenario(workload.AllToAll, 8, 0), 4624, 830504},
+	{"KVStoreOpenLoop", workload.KVStoreScenario(8), 4322, 684288},
+	{"MultiTenantOverload", workload.OverloadScenario(4, 4), 5198, 765480},
 }
 
 // TestWorkBudgets is the exact, host-independent gate on the work an
 // injection costs the simulator. One warm workload.Run of each
 // runBudgets shape must make exactly its pinned number of allocations
-// and allocate at most its pinned bytes plus 1 %; after 1,000 warm
-// calls, 1,000 more calls of either invokePath loop must make none.
-// Each shape runs once untimed, to fill the address-space and cache-tag
-// shelves later runs draw from, before testing.AllocsPerRun adds its own
-// untimed call (the mesh's second run still makes 5 allocations more
-// than its third). A count that falls is re-pinned in the change that
-// made it fall.
+// and allocate at most its pinned bytes plus 1 %, and so must one run
+// right after a garbage collection, which empties every sync.Pool (fmt's
+// printer cache among them); after 1,000 warm calls, 1,000 more calls of
+// either invokePath loop must make none. A count that falls is re-pinned
+// in the change that made it fall.
 //
 // The regressions this gate exists for, each once seen on the mesh
 // all-to-all:
@@ -59,9 +58,11 @@ func TestWorkBudgets(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			run()
 			if got := testing.AllocsPerRun(1, run); got != b.allocs {
 				t.Errorf("%.0f allocations per run, budget %.0f%s", got, b.allocs, repin)
+			}
+			if got := allocsAfterGC(run); got != b.allocs {
+				t.Errorf("%.0f allocations in a run right after a GC, budget %.0f%s", got, b.allocs, repin)
 			}
 			if got, limit := bytesPerRun(run), b.bytes+b.bytes/100; got > limit {
 				t.Errorf("%d bytes per run, budget %d (%d + 1 %%)%s", got, limit, b.bytes, repin)
@@ -96,4 +97,20 @@ func bytesPerRun(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// allocsAfterGC returns the allocations f makes when it runs right after
+// a garbage collection, on one P. The millisecond's sleep lets the
+// runtime's own work after a collection (its scavenger resetting a
+// timer, an M started for the collection), which allocates on the
+// runtime's account, land before the count starts rather than in it.
+func allocsAfterGC(f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	time.Sleep(time.Millisecond)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs)
 }

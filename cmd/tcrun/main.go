@@ -31,6 +31,7 @@ import (
 
 	"twochains/internal/core"
 	"twochains/internal/mailbox"
+	"twochains/internal/mem"
 	"twochains/internal/sim"
 	"twochains/internal/tc"
 	"twochains/internal/tcapp"
@@ -56,6 +57,13 @@ func main() {
 	}
 	if *payload < 0 {
 		fmt.Fprintf(os.Stderr, "tcrun: -payload %d: the payload size must not be negative\n", *payload)
+		os.Exit(2)
+	}
+	// The receiving mailbox holds two frames, each longer than the
+	// payload, in the node's address space; refuse before allocating one.
+	if memBytes := core.DefaultNodeConfig().MemBytes; *payload > memBytes/2 {
+		fmt.Fprintf(os.Stderr, "tcrun: -payload %d: two frames this large cannot fit the node's mailbox in its %d-byte address space\n",
+			*payload, memBytes)
 		os.Exit(2)
 	}
 	var pkg *core.Package
@@ -97,8 +105,9 @@ func main() {
 		}
 	}
 
+	geo := mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: frame}
 	sys, err := tc.NewSystem(2,
-		tc.WithGeometry(mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: frame}),
+		tc.WithGeometry(geo),
 		tc.WithCredits(false),
 		tc.WithBackend(*backend))
 	if err != nil {
@@ -116,6 +125,18 @@ func main() {
 		fatal(err)
 	}
 	server := sys.Node(1)
+	// The exact bound: the mailbox, one page-aligned region, must fit what
+	// the server's other regions left of its address space.
+	top := mem.Base
+	for _, r := range server.AS.Regions() {
+		top = max(top, r.Addr+uint64(r.Size))
+	}
+	va := (top + mem.PageSize - 1) / mem.PageSize * mem.PageSize
+	if need := uint64(geo.RegionSize()+mem.PageSize-1) / mem.PageSize * mem.PageSize; va+need > mem.Base+uint64(server.Cfg.MemBytes) {
+		fmt.Fprintf(os.Stderr, "tcrun: -payload %d: two %d-byte frames cannot fit the node's mailbox: %d bytes of its address space are free\n",
+			*payload, frame, mem.Base+uint64(server.Cfg.MemBytes)-va)
+		os.Exit(2)
+	}
 	server.OnExecuted = func(ret uint64, cost sim.Duration, err error) {
 		if err != nil {
 			fmt.Printf("execution FAULTED: %v\n", err)

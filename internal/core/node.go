@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"twochains/internal/cpusim"
 	"twochains/internal/linker"
@@ -120,7 +121,14 @@ func (e *MemBytesError) Error() string {
 // cfg.Seed ^ i.
 func (m *Mesh) addNode(cfg NodeConfig, shard int) error {
 	i := uint64(len(m.nodes))
-	name := fmt.Sprintf("n%02d", i)
+	// "n%02d", built without fmt: fmt's printer pool empties on every GC,
+	// so a Sprintf per node would make a run's allocations depend on GC
+	// timing.
+	prefix := "n"
+	if i < 10 {
+		prefix = "n0"
+	}
+	name := prefix + strconv.FormatUint(i, 10)
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 64 << 20
 	}

@@ -113,7 +113,7 @@ func (f *Fault) Error() string {
 type Region struct {
 	Name string //tclint:allow writeonly the tc tests read a node's region layout through AS.Regions
 	Addr uint64
-	Size int  //tclint:allow writeonly the tc tests read a node's region layout through AS.Regions
+	Size int
 	Perm Perm //tclint:allow writeonly the tc tests read a node's region layout through AS.Regions
 }
 
@@ -365,8 +365,6 @@ func (as *AddressSpace) PermAt(va uint64) (Perm, bool) {
 }
 
 // Regions returns the named allocations.
-//
-//tclint:allow deadexport the tc tests read a node's region layout through it
 func (as *AddressSpace) Regions() []Region {
 	out := make([]Region, len(as.regions))
 	copy(out, as.regions)

@@ -38,12 +38,16 @@ func (s *System) newFunc(t *tenant.Tenant, src int, pkg, elem string) (*Func, er
 	if src < 0 || src >= s.mesh.Nodes() {
 		return nil, fmt.Errorf("tc: func: source node %d out of range (%d nodes)", src, s.mesh.Nodes())
 	}
-	q, owner := pkg, ""
+	q := pkg
 	if t != nil {
-		q, owner = tenant.Qualified(t.Name, pkg), fmt.Sprintf(" for tenant %q", t.Name)
+		q = tenant.Qualified(t.Name, pkg)
 	}
 	inst, ok := s.mesh.Node(src).Package(q)
 	if !ok {
+		owner := ""
+		if t != nil {
+			owner = fmt.Sprintf(" for tenant %q", t.Name)
+		}
 		return nil, fmt.Errorf("tc: func: package %q not installed%s on node %d", pkg, owner, src)
 	}
 	e, ok := inst.Pkg.Element(elem)

@@ -12,16 +12,17 @@ import (
 
 var sinkRet uint64
 
-// sum8Src is jam_sssum's word loop. Library text starts line-aligned, so
-// its six instructions (offsets 16–56) and the backward jump stay inside
-// one 64-byte line: after the first pass every instruction is dispatched
-// inside a run.
-const sum8Src = `
+// sum8Src is jam_sssum's word loop after the given prologue, which must
+// set the accumulator r3 and the cursor r4; r1 is the end address.
+// Library text starts line-aligned and every instruction is 8 bytes, so
+// the prologue's length decides whether the loop's six instructions
+// share one 64-byte line.
+func sum8Src(prologue string) string {
+	return `
 .text
 .global sum8
 sum8:
-    movi r3, 0
-    mov  r4, r0
+` + prologue + `
 w8:
     addi r6, r4, 8
     bltu r1, r6, done
@@ -33,35 +34,52 @@ done:
     mov  r0, r3
     ret
 `
+}
 
 // BenchmarkInterpretSum is the warm receive side of jam_sssum: the NIC lands
 // a 1 KB payload in the LLC and the handler sums its 128 words — one fetch
 // per code line, one data access per load, both through the hierarchy.
+// It runs the loop in two layouts. In one-line (the injected frame's
+// layout), a two-instruction prologue puts the loop at offsets 16–56,
+// inside one line, so after the first pass every instruction is
+// dispatched inside a run. In crossing (jam_sssum called as a Local
+// Function from library text), its three-instruction prologue puts the
+// jmp at offset 64, so every word leaves the loop's line and re-enters
+// it.
 func BenchmarkInterpretSum(b *testing.B) {
-	h := newHarness(b, true)
-	entry := h.loadLib(b, "sum8", sum8Src).Exports["sum8"]
-	payload, err := h.as.Alloc("payload", 1024, 64, mem.PermRW)
-	if err != nil {
-		b.Fatal(err)
+	const twoInstrs = "    movi r3, 0\n    mov  r4, r0"
+	for _, layout := range []struct{ name, prologue string }{
+		{"one-line", twoInstrs},
+		{"crossing", twoInstrs + "\n    add  r5, r0, r1"},
+	} {
+		layout := layout
+		b.Run(layout.name, func(b *testing.B) {
+			h := newHarness(b, true)
+			entry := h.loadLib(b, "sum8", sum8Src(layout.prologue)).Exports["sum8"]
+			payload, err := h.as.Alloc("payload", 1024, 64, mem.PermRW)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var cost sim.Duration
+			call := func() {
+				h.vm.Hier.NetworkWrite(payload, 1024)
+				var err error
+				sinkRet, cost, err = h.vm.Call(entry, payload, payload+1024)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			if n := testing.AllocsPerRun(100, call); n != 0 {
+				b.Fatalf("%v allocs per call, want 0", n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				call()
+			}
+			b.ReportMetric(float64(cost), "simps/call")
+		})
 	}
-	var cost sim.Duration
-	call := func() {
-		h.vm.Hier.NetworkWrite(payload, 1024)
-		var err error
-		sinkRet, cost, err = h.vm.Call(entry, payload, payload+1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if n := testing.AllocsPerRun(100, call); n != 0 {
-		b.Fatalf("%v allocs per call, want 0", n)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		call()
-	}
-	b.ReportMetric(float64(cost), "simps/call")
 }
 
 // kvScanSrc is shaped like jam_kv_scan: the table bases come through the

@@ -35,7 +35,7 @@ func chaosScenario(seed uint64) Scenario {
 // stats snapshot.
 func TestChaosDeterminismSweep(t *testing.T) {
 	for _, p := range chaosPins {
-		res := p.run(t)
+		res := p.check(t)
 		if res == nil {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"twochains/internal/sim"
 	"twochains/internal/tenant"
@@ -136,7 +137,7 @@ func (sc *Scenario) resolveTenants(base []phaseSpec) ([]laneSpec, error) {
 				return nil, err
 			}
 			for j := range specs {
-				specs[j].fieldPrefix = fmt.Sprintf("Tenants[%d].", i) + specs[j].fieldPrefix
+				specs[j].fieldPrefix = "Tenants[" + strconv.Itoa(i) + "]." + specs[j].fieldPrefix
 			}
 		} else {
 			// The tenant rides the scenario-level phases; copy so Load

@@ -218,15 +218,6 @@ func TestTenantAdmissionPolicies(t *testing.T) {
 	}
 }
 
-// TestTenantWorkersSweepDeterminism pins tenant scenarios on a four-shard
-// fabric — a per-lane phase barrier, and a node failure under two
-// tenants — per seed: digests, simulated times, and per-tenant results.
-func TestTenantWorkersSweepDeterminism(t *testing.T) {
-	for _, g := range shardedTenantPins {
-		g.run(t)
-	}
-}
-
 // tenantFailScenario composes node failure with tenants: gold's phases
 // carry the failure plan (a closed-loop warmup, an open-loop phase that
 // fails node 1 mid-flight, a closed-loop drain that rejoins it) while

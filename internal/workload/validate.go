@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"twochains/internal/core"
 	"twochains/internal/fabric"
@@ -137,11 +138,11 @@ func (sc *Scenario) resolvePhases() ([]phaseSpec, error) {
 			rejoin:     ph.Rejoin,
 		}
 		if len(sc.Phases) > 0 {
-			spec.fieldPrefix = fmt.Sprintf("Phases[%d].", i)
+			spec.fieldPrefix = "Phases[" + strconv.Itoa(i) + "]."
 		}
 		at := spec.at
 		if spec.name == "" {
-			spec.name = fmt.Sprintf("phase%d", i)
+			spec.name = "phase" + strconv.Itoa(i)
 		}
 		trafficInherited := spec.traffic == ""
 		if trafficInherited {
@@ -268,27 +269,29 @@ func (sc *Scenario) resolvePhases() ([]phaseSpec, error) {
 // reference, keyed by name.
 func packagesFor(specs []phaseSpec) (map[string]*core.Package, error) {
 	pkgs := map[string]*core.Package{}
-	addApp := func(field, name string) error {
+	addApp := func(name string) error {
 		if _, ok := pkgs[name]; ok {
 			return nil
 		}
 		pkg, err := tcapp.Build(name)
 		if err != nil {
-			return &ScenarioError{Field: field, Reason: err.Error()}
+			return err
 		}
 		pkgs[name] = pkg
 		return nil
 	}
+	// Field names are built on the error path only: a valid scenario's
+	// run allocates none (TestWorkBudgets counts every allocation).
 	for i := range specs {
 		spec := &specs[i]
 		for j, m := range spec.mix {
-			if err := addApp(spec.at(fmt.Sprintf("Mix[%d].Pkg", j)), m.Pkg); err != nil {
-				return nil, err
+			if err := addApp(m.Pkg); err != nil {
+				return nil, &ScenarioError{Field: spec.at(fmt.Sprintf("Mix[%d].Pkg", j)), Reason: err.Error()}
 			}
 		}
 		if spec.swap != nil {
-			if err := addApp(spec.at("Swap.App"), spec.swap.App); err != nil {
-				return nil, err
+			if err := addApp(spec.swap.App); err != nil {
+				return nil, &ScenarioError{Field: spec.at("Swap.App"), Reason: err.Error()}
 			}
 		}
 	}
