@@ -165,7 +165,7 @@ func TestJamElementPins(t *testing.T) {
 // hotSwapPin is the hotspot pattern with its mid-phase RIED hot-swap,
 // which replaces code while traffic is in flight: a stale decode would
 // execute dead code or fault. Captured at commit 9dbd9d9.
-var hotSwapPin = meshPin{sc: hotSwapScenario(), digest: 0xfc9a20306c800da4, simTime: 60651130, inj: 450,
+var hotSwapPin = meshPin{name: "hotspot", sc: hotSwapScenario(), digest: 0xfc9a20306c800da4, simTime: 60651130, inj: 450,
 	nodes: []NodeResult{{30, 30, 0, 0x76ff756305700e2c}, {42, 42, 0, 0x39d4cf55e8ecd484}, {342, 342, 0, 0xd85b231f9f9cdd4c}, {6, 6, 0, 0x73579d3593570a7c}, {12, 12, 0, 0x9f3edfd21b8f8ab8}, {18, 18, 0, 0x60d43b502f9fb874}}}
 
 func hotSwapScenario() Scenario {
@@ -177,9 +177,11 @@ func hotSwapScenario() Scenario {
 
 // TestHotSwapPin pins jam-slot invalidation under load.
 func TestHotSwapPin(t *testing.T) {
-	if res := hotSwapPin.check(t); res != nil && !res.Swapped {
-		t.Fatal("hotspot swap did not fire — the test exercised nothing")
-	}
+	t.Run(hotSwapPin.name, func(t *testing.T) {
+		if res := hotSwapPin.check(t); res != nil && !res.Swapped {
+			t.Fatal("hotspot swap did not fire — the test exercised nothing")
+		}
+	})
 }
 
 // The two small shapes TestInterpreterOptionWithTenants runs, captured at
