@@ -9,12 +9,11 @@
 # warm run of three benchmark shapes, bounds their bytes, and holds the
 # BenchmarkFuncCall/BenchmarkStringInject loops at 0 allocations; the
 # internal/workload goldens and pin tables pin every benchmark shape's
-# simulated outcome. The host-clock performance ruler is not in this
-# file: it is `go run ./benchmark` (BENCHMARK.json's four workloads, host
-# injections/sec with per-layer probes) and `go run ./benchmark -compare
-# old.json new.json` for parent-vs-change verdicts; see
-# benchmark/README.md. Nothing below measures host speed against a
-# threshold.
+# simulated outcome. The host-clock performance ruler is `go run
+# ./benchmark` (BENCHMARK.json's four workloads, host injections/sec with
+# per-layer probes; see benchmark/README.md), and `make ab` below runs it
+# in alternating pairs against a base revision. Nothing below measures
+# host speed against a threshold.
 #
 # `make lint` runs cmd/tclint — the six static checkers for the ROADMAP's
 # ownership, determinism and deletion contracts (scratchescape,
@@ -87,6 +86,17 @@
 # outputs byte for byte. On a mismatch it prints the first differing
 # lines and exits 1. It is not part of `make check`, because it needs a
 # base revision.
+# `make ab BASE=<rev> W=<workload> [N=10] [S=20]` is the paired host-clock
+# comparison (the logic is in ab.sh): it extracts BASE with `git archive`
+# as simdiff does and runs `benchmark/run.sh -workload W -seconds S` at
+# BASE and in the working tree, N times each, alternating which side goes
+# first. For each end-to-end metric of BENCHMARK.json it prints both
+# medians, their ratio, each side's quartile distance over its median and
+# the pairs the change won; then each side's failed operations. A
+# performance claim is judged by that table: the change wins nine tenths
+# of the pairs, by more than the base's quartile distance. It needs jq,
+# takes about 2·N·S seconds plus two builds, and is not part of `make
+# check`, because it reads the host clock.
 # `make reach` asks which code under internal/ a real run executes. It
 # builds every command but benchjson, every example and benchmark/ with
 # `go build -cover -coverpkg=./...`, runs each as its docs say (the
@@ -113,8 +123,10 @@
 GO ?= go
 GOFMT ?= gofmt
 BENCH_OUT ?= bench_trajectory.json
+N ?= 10
+S ?= 20
 
-.PHONY: check fmt-check vet lint build cross test fuzz-smoke bench-json profile perf examples simdiff reach
+.PHONY: check fmt-check vet lint build cross test fuzz-smoke bench-json profile perf examples simdiff reach ab
 
 check: fmt-check vet build lint test fuzz-smoke
 
@@ -193,6 +205,10 @@ simdiff:
 
 reach:
 	GO=$(GO) bash reach.sh
+
+ab:
+	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make ab BASE=<rev> W=<workload> [N=10] [S=20]"; exit 2; }
+	@bash ab.sh "$(BASE)" "$(W)" "$(N)" "$(S)"
 
 profile:
 	$(GO) test -run xxx -bench '^BenchmarkMeshAllToAll$$' -benchtime 20x \

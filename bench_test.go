@@ -374,8 +374,10 @@ func invokePath(tb testing.TB, handle bool) func(i int) {
 	tb.Helper()
 	sys, err := tc.NewSystem(2,
 		tc.WithTiming(false),
-		tc.WithGeometry(mailbox.Geometry{Banks: 1, Slots: 8, FrameSize: 2048}),
-		tc.WithCredits(false))
+		tc.WithConfig(func(c *core.MeshConfig) {
+			c.Geometry = mailbox.Geometry{Banks: 1, Slots: 8, FrameSize: 2048}
+			c.Credits = false
+		}))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -107,8 +107,7 @@ func main() {
 
 	geo := mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: frame}
 	sys, err := tc.NewSystem(2,
-		tc.WithGeometry(geo),
-		tc.WithCredits(false),
+		tc.WithConfig(func(c *core.MeshConfig) { c.Geometry, c.Credits = geo, false }),
 		tc.WithBackend(*backend))
 	if err != nil {
 		fatal(err)

@@ -139,8 +139,10 @@ func main() {
 	// node i+1. Channels and mailbox regions arm lazily on first call.
 	const client = 0
 	sys, err := tc.NewSystem(3,
-		tc.WithGeometry(mailbox.Geometry{Banks: 4, Slots: 8, FrameSize: 1024}),
-		tc.WithCredits(true),
+		tc.WithConfig(func(c *core.MeshConfig) {
+			c.Geometry = mailbox.Geometry{Banks: 4, Slots: 8, FrameSize: 1024}
+			c.Credits = true
+		}),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -86,8 +86,10 @@ func main() {
 
 	const client, validator = 0, 1
 	sys, err := tc.NewSystem(2,
-		tc.WithGeometry(mailbox.Geometry{Banks: 1, Slots: 4, FrameSize: 512}),
-		tc.WithCredits(false),
+		tc.WithConfig(func(c *core.MeshConfig) {
+			c.Geometry = mailbox.Geometry{Banks: 1, Slots: 4, FrameSize: 512}
+			c.Credits = false
+		}),
 	)
 	if err != nil {
 		log.Fatal(err)

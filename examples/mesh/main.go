@@ -35,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("mesh: %d nodes over %d fabric shards (node 0 in shard %d, node %d in shard %d)\n",
-		nodes, sys.Mesh().Cfg.Shards, sys.ShardOf(0), nodes-1, sys.ShardOf(nodes-1))
+		nodes, sys.Cfg.Shards, sys.ShardOf(0), nodes-1, sys.ShardOf(nodes-1))
 
 	args := make([][2]uint64, 16)
 	for i := range args {

@@ -89,8 +89,10 @@ func main() {
 	// pool. Per-node installs give each process its own tc_transform.
 	const client, cpuNode, accNode = 0, 1, 2
 	sys, err := tc.NewSystem(3,
-		tc.WithGeometry(mailbox.Geometry{Banks: 1, Slots: 4, FrameSize: 1024}),
-		tc.WithCredits(false),
+		tc.WithConfig(func(c *core.MeshConfig) {
+			c.Geometry = mailbox.Geometry{Banks: 1, Slots: 4, FrameSize: 1024}
+			c.Credits = false
+		}),
 	)
 	if err != nil {
 		log.Fatal(err)

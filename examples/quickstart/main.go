@@ -30,8 +30,10 @@ func main() {
 	// 2. A two-node system on one simulated RDMA fabric, as in the
 	//    paper's testbed — a "cluster" is simply a 2-node tc.System.
 	sys, err := tc.NewSystem(2,
-		tc.WithGeometry(mailbox.Geometry{Banks: 2, Slots: 4, FrameSize: 2048}),
-		tc.WithCredits(true),
+		tc.WithConfig(func(c *core.MeshConfig) {
+			c.Geometry = mailbox.Geometry{Banks: 2, Slots: 4, FrameSize: 2048}
+			c.Credits = true
+		}),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -212,7 +212,7 @@ func newTransport(eng *sim.Engine, backend string, chaos *fabric.ChaosConfig, cf
 // Nodes returns the node count.
 func (m *Mesh) Nodes() int { return len(m.nodes) }
 
-// Node returns node i.
+// Node returns node i: address space, namespace, OnExecuted hook, stdout.
 func (m *Mesh) Node(i int) *Node { return m.nodes[i] }
 
 // ShardOf reports the fabric shard node i lives in.
@@ -225,8 +225,8 @@ func (m *Mesh) RNG() *sim.RNG { return m.rng }
 
 // InstallPackage installs pkg on every node and invalidates the memoized
 // namespace exchanges (the install defines new symbols everywhere).
-// Channels connected before the install keep their old snapshot until
-// RefreshNames.
+// Installing the same package twice is an error. Channels connected
+// before the install keep their old snapshot until RefreshNames.
 func (m *Mesh) InstallPackage(pkg *Package) error {
 	for _, n := range m.nodes {
 		if _, err := n.InstallPackage(pkg); err != nil {
@@ -263,8 +263,8 @@ func (m *Mesh) InstallPackageView(view, alias string, pkg *Package) error {
 	return nil
 }
 
-// Channel returns the src->dst base channel, creating it (and its
-// dedicated mailbox region on dst) on first use.
+// Channel returns the src->dst base channel (for delivery-only frames
+// and custom hooks), creating it and its dst mailbox region on first use.
 func (m *Mesh) Channel(src, dst int) (*Channel, error) {
 	return m.ChannelView(src, dst, "", nil)
 }
@@ -394,7 +394,8 @@ func (m *Mesh) EachChannelView(fn func(src, dst int, view string, ch *Channel)) 
 // RefreshNames re-runs the namespace exchange on every channel into dst
 // (after a ried install on dst changed its bindings). The snapshot and
 // fingerprint are computed once and shared read-only by all inbound
-// channels, instead of once per channel.
+// channels, instead of once per channel. Handles bound through those
+// channels (core.Bound, tc.Func) re-bind on their next call.
 func (m *Mesh) RefreshNames(dst int) {
 	if dst < 0 || dst >= len(m.nodes) {
 		return
@@ -430,9 +431,11 @@ func (m *Mesh) Now() sim.Time { return m.Eng.Now() }
 
 // Close releases every node's address-space backing and cache-model tag
 // arrays for reuse by the next system (mem.AddressSpace.Release,
-// memsim.Hierarchy.Release). Call it once the mesh will not run again:
-// afterwards every memory access on its nodes faults. Closing twice is
-// harmless.
+// memsim.Hierarchy.Release). Call it when the last Run has returned and
+// nothing will read node memory again: afterwards a mem.View, a pending
+// future or a call faults instead of touching memory another system may
+// now own. Closing twice is harmless. A process that builds meshes in
+// sequence should Close each; one never closed is collected unreused.
 func (m *Mesh) Close() {
 	for _, n := range m.nodes {
 		n.AS.Release()

@@ -162,17 +162,12 @@ func BuildPackage(name string, sources map[string]string) (*Package, error) {
 // InjectedFrameLen reports the mailbox frame size (64-byte granular) an
 // Injected Function send of the jam with a usrLen-byte payload
 // occupies — what deployments use to size mailbox geometry for an
-// element.
+// element. It builds no message.
 func InjectedFrameLen(e *Element, usrLen int) (int, error) {
 	if e.Kind != ElemJam {
 		return 0, fmt.Errorf("core: %s is a %s, not a jam", e.Name, e.Kind)
 	}
-	m := &mailbox.Message{
-		Kind:     mailbox.KindInjected,
-		JamImage: make([]byte, e.Jam.ShippedSize()),
-		Usr:      make([]byte, usrLen),
-	}
-	return m.WireLen(), nil
+	return mailbox.FrameLen(mailbox.KindInjected, e.Jam.ShippedSize(), usrLen), nil
 }
 
 // PackageMagic identifies a serialized package ("TCPK").

@@ -2,6 +2,7 @@ package fabric_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/bits"
 	"reflect"
@@ -226,6 +227,28 @@ func TestPortContract(t *testing.T) {
 				t.Fatalf("post-fence put delivered at %v, before the pre-fence put at %v", after.Delivered, before.Delivered)
 			}
 		})
+	}
+}
+
+// TestRegisterUnmapped: a registration whose first or last byte lies
+// outside the address space is refused with an error wrapping the
+// *mem.Fault of that byte (fabric.Host, which every backend embeds).
+func TestRegisterUnmapped(t *testing.T) {
+	e := newPortEnv(t, idealBackend)
+	for _, r := range []struct {
+		name string
+		base uint64
+		size int
+		at   uint64
+	}{
+		{"base unmapped", mem.Base - 4096, 8192, mem.Base - 4096},
+		{"end unmapped", e.buf, int(mem.Base + spaceSize - e.buf + 1), mem.Base + spaceSize},
+	} {
+		_, err := e.b.RegisterMemory(r.base, r.size, fabric.RemoteWrite)
+		var f *mem.Fault
+		if !errors.As(err, &f) || !f.OOB || f.Addr != r.at || !strings.Contains(err.Error(), r.name) {
+			t.Errorf("%s: err %v, want one naming %q that wraps an unmapped fault at 0x%x", r.name, err, r.name, r.at)
+		}
 	}
 }
 

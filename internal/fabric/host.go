@@ -58,11 +58,15 @@ func (h *Host) RegisterMemory(base uint64, size int, access Access) (RKey, error
 	if end < base {
 		return 0, fmt.Errorf("fabric: register: [0x%x,+%d) wraps past the top of the address space", base, size)
 	}
-	if _, err := h.as.ReadBytesDMA(base, 1); err != nil {
-		return 0, fmt.Errorf("fabric: register: base unmapped: %w", err)
+	// Probe the mapping without touching memory: registration allocates
+	// and commits nothing.
+	if _, ok := h.as.PermAt(base); !ok {
+		return 0, fmt.Errorf("fabric: register: base unmapped: %w",
+			&mem.Fault{Addr: base, Size: 1, Kind: mem.AccessRead, OOB: true})
 	}
-	if _, err := h.as.ReadBytesDMA(end-1, 1); err != nil {
-		return 0, fmt.Errorf("fabric: register: end unmapped: %w", err)
+	if _, ok := h.as.PermAt(end - 1); !ok {
+		return 0, fmt.Errorf("fabric: register: end unmapped: %w",
+			&mem.Fault{Addr: end - 1, Size: 1, Kind: mem.AccessRead, OOB: true})
 	}
 	var key RKey
 	for {

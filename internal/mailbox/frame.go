@@ -93,19 +93,27 @@ func (m *Message) release() {
 	}
 }
 
-// overhead returns the non-payload bytes of the message's frame.
-func (m *Message) overhead() int {
+// overhead returns the non-payload bytes of a frame of the kind;
+// jamLen counts only for injected frames.
+func overhead(kind uint8, jamLen int) int {
 	n := HeaderSize + ArgsSize + SigSize
-	if m.Kind == KindInjected {
-		n += PreSize + len(m.JamImage)
+	if kind == KindInjected {
+		n += PreSize + jamLen
 	}
 	return n
 }
 
-// WireLen returns the frame bytes needed for the message, rounded up to
-// the 64-byte granularity the paper uses for message sizing.
+// FrameLen returns the frame bytes a message of the kind needs with a
+// jamLen-byte jam image and a usrLen-byte payload, rounded up to the
+// 64-byte granularity the paper uses for message sizing. It sizes a
+// frame without building the message.
+func FrameLen(kind uint8, jamLen, usrLen int) int {
+	return (overhead(kind, jamLen) + usrLen + 63) / 64 * 64
+}
+
+// WireLen returns the frame bytes needed for the message (FrameLen).
 func (m *Message) WireLen() int {
-	return (m.overhead() + len(m.Usr) + 63) / 64 * 64
+	return FrameLen(m.Kind, len(m.JamImage), len(m.Usr))
 }
 
 // Pack serializes the message into buf, which must be at least frameSize
@@ -123,9 +131,8 @@ func (m *Message) Pack(buf []byte, frameSize int, seq uint32, dstFrameVA uint64)
 // from the slot's previous occupant. Pack(…) == packInto(…, frameSize,
 // false): clear everything, copy everything.
 func (m *Message) packInto(buf []byte, frameSize int, seq uint32, dstFrameVA uint64, clearTo int, haveJam bool) error {
-	if m.overhead()+len(m.Usr) > frameSize {
-		return fmt.Errorf("mailbox: message needs %d bytes, frame is %d",
-			m.overhead()+len(m.Usr), frameSize)
+	if n := overhead(m.Kind, len(m.JamImage)) + len(m.Usr); n > frameSize {
+		return fmt.Errorf("mailbox: message needs %d bytes, frame is %d", n, frameSize)
 	}
 	if len(buf) < frameSize {
 		return fmt.Errorf("mailbox: pack buffer %d < frame size %d", len(buf), frameSize)

@@ -133,7 +133,7 @@ type Region struct {
 // pages start stale and are zeroed one at a time on first touch; no
 // accessor can observe a byte that was not zeroed or written through this
 // space. The owner of a space calls Release exactly when nothing will
-// access it again (tc.System.Close); Views must not outlive it.
+// access it again (core.Mesh.Close); Views must not outlive it.
 type AddressSpace struct {
 	data     []byte // mapped prefix of the space, grows on demand
 	capacity int    // virtual size in bytes
@@ -353,9 +353,8 @@ func (as *AddressSpace) Protect(va uint64, size int, perm Perm) error {
 	return nil
 }
 
-// PermAt returns the permissions of the page containing va.
-//
-//tclint:allow deadexport the linker tests read the page permissions a load sets through it
+// PermAt returns the permissions of the page containing va, and whether
+// it is mapped.
 func (as *AddressSpace) PermAt(va uint64) (Perm, bool) {
 	i, ok := as.index(va)
 	if !ok {

@@ -82,25 +82,21 @@ type rig struct {
 	payload    []byte
 }
 
-// message builds the benchmark message template to size frames.
-func benchMessage(cfg RunConfig, pkg *core.Package, payload []byte) (*mailbox.Message, error) {
+// frameLen sizes the frame of the benchmark message (mailbox.FrameLen).
+func frameLen(cfg RunConfig, pkg *core.Package) (int, error) {
 	switch cfg.Kind {
 	case WkData:
-		return mailbox.PackData(payload), nil
+		return mailbox.FrameLen(mailbox.KindData, 0, cfg.PayloadBytes), nil
 	case WkLocal:
-		return mailbox.PackLocal(1, 1, [2]uint64{}, payload), nil
+		return mailbox.FrameLen(mailbox.KindLocal, 0, cfg.PayloadBytes), nil
 	case WkInjected:
 		elem, ok := pkg.Element(cfg.Elem)
 		if !ok || elem.Kind != core.ElemJam {
-			return nil, fmt.Errorf("perf: no jam %q", cfg.Elem)
+			return 0, fmt.Errorf("perf: no jam %q", cfg.Elem)
 		}
-		return &mailbox.Message{
-			Kind:     mailbox.KindInjected,
-			JamImage: make([]byte, elem.Jam.ShippedSize()),
-			Usr:      payload,
-		}, nil
+		return core.InjectedFrameLen(elem, cfg.PayloadBytes)
 	}
-	return nil, fmt.Errorf("perf: unknown workload kind %d", cfg.Kind)
+	return 0, fmt.Errorf("perf: unknown workload kind %d", cfg.Kind)
 }
 
 // buildRig provisions the cluster, packages, mailboxes and channels for a
@@ -114,30 +110,30 @@ func buildRig(cfg RunConfig, geom mailbox.Geometry, credits bool) (*rig, error) 
 	for i := range payload {
 		payload[i] = byte(i*31 + 7)
 	}
-	tmpl, err := benchMessage(cfg, pkg, payload)
+	frame, err := frameLen(cfg, pkg)
 	if err != nil {
 		return nil, err
 	}
 	if geom.FrameSize == 0 {
-		geom.FrameSize = tmpl.WireLen()
+		geom.FrameSize = frame
 	}
 	if err := geom.Validate(); err != nil {
 		return nil, err
 	}
 
 	sys, err := tc.NewSystem(2,
-		tc.WithNodeConfig(cfg.NodeCfg),
-		tc.WithPerNode(func(i int, nc core.NodeConfig) core.NodeConfig {
-			if i == 1 {
-				nc.Seed ^= 0x5a5a
-			}
-			return nc
-		}),
-		tc.WithOrdered(cfg.Ordered),
-		tc.WithGeometry(geom),
-		tc.WithCredits(credits),
-		tc.WithWaitMode(cfg.WaitMode),
 		tc.WithConfig(func(c *core.MeshConfig) {
+			c.Node = cfg.NodeCfg
+			c.PerNode = func(i int, nc core.NodeConfig) core.NodeConfig {
+				if i == 1 {
+					nc.Seed ^= 0x5a5a
+				}
+				return nc
+			}
+			c.Ordered = cfg.Ordered
+			c.Geometry = geom
+			c.Credits = credits
+			c.WaitMode = cfg.WaitMode
 			c.Seed = cfg.NodeCfg.Seed
 			c.VariableFrames = cfg.VariableFrames
 			c.AutoSwitchAfter = cfg.AutoSwitchAfter
@@ -305,9 +301,11 @@ type ucxPair struct {
 
 func buildUcxPair(cfg RunConfig, size int) (*ucxPair, error) {
 	sys, err := tc.NewSystem(2,
-		tc.WithNodeConfig(cfg.NodeCfg),
-		tc.WithOrdered(cfg.Ordered),
-		tc.WithConfig(func(c *core.MeshConfig) { c.Seed = cfg.NodeCfg.Seed }),
+		tc.WithConfig(func(c *core.MeshConfig) {
+			c.Node = cfg.NodeCfg
+			c.Ordered = cfg.Ordered
+			c.Seed = cfg.NodeCfg.Seed
+		}),
 	)
 	if err != nil {
 		return nil, err

@@ -1,15 +1,18 @@
-// Package tc is the public façade of the Two-Chains runtime: a unified,
-// handle-based invocation API over core.Mesh, the one node container.
+// Package tc is the call layer of the Two-Chains runtime: a unified,
+// handle-based invocation API on core.Mesh, the one node container.
 //
 // # System
 //
 // A System is N simulated processes on one fabric backend — the two-node
 // cluster of the paper's testbed is simply a 2-node System, and the
-// sharded many-node mesh is the same type with more nodes:
+// sharded many-node mesh is the same type with more nodes. It embeds the
+// core.Mesh, so nodes, channels, the clock and failure injection are the
+// mesh's own methods; any MeshConfig field is set through WithConfig:
 //
 //	sys, err := tc.NewSystem(2)                       // the paper's testbed
 //	sys, err := tc.NewSystem(16, tc.WithShards(4))    // a sharded mesh
 //	sys, err := tc.NewSystem(8, tc.WithBackend("ideal"))
+//	sys, err := tc.NewSystem(2, tc.WithConfig(func(c *core.MeshConfig) { c.Credits = true }))
 //
 // Channels, mailbox regions, and namespace exchanges are provisioned
 // lazily per destination, so full and partial meshes emerge from the

@@ -35,14 +35,14 @@ func (s *System) Func(src int, pkg, elem string) (*Func, error) {
 // newFunc resolves a handle for elem of pkg as installed on src: the
 // base install, or tenant t's when t is not nil.
 func (s *System) newFunc(t *tenant.Tenant, src int, pkg, elem string) (*Func, error) {
-	if src < 0 || src >= s.mesh.Nodes() {
-		return nil, fmt.Errorf("tc: func: source node %d out of range (%d nodes)", src, s.mesh.Nodes())
+	if src < 0 || src >= s.Nodes() {
+		return nil, fmt.Errorf("tc: func: source node %d out of range (%d nodes)", src, s.Nodes())
 	}
 	q := pkg
 	if t != nil {
 		q = tenant.Qualified(t.Name, pkg)
 	}
-	inst, ok := s.mesh.Node(src).Package(q)
+	inst, ok := s.Node(src).Package(q)
 	if !ok {
 		owner := ""
 		if t != nil {
@@ -58,7 +58,7 @@ func (s *System) newFunc(t *tenant.Tenant, src int, pkg, elem string) (*Func, er
 		return nil, fmt.Errorf("tc: func: element %q in package %q is a %s, not a jam", elem, pkg, e.Kind)
 	}
 	return &Func{sys: s, src: src, pkg: q, elem: elem, ten: t,
-		bounds: make([]*core.Bound, s.mesh.Nodes())}, nil
+		bounds: make([]*core.Bound, s.Nodes())}, nil
 }
 
 // bound returns the per-destination handle, creating the channel (and its
@@ -78,7 +78,7 @@ func (f *Func) bound(dst int) (*core.Bound, error) {
 	if f.ten != nil {
 		ch, err = f.sys.viewChannel(f.src, dst, f.ten)
 	} else {
-		ch, err = f.sys.mesh.Channel(f.src, dst)
+		ch, err = f.sys.Channel(f.src, dst)
 	}
 	if err != nil {
 		return nil, err

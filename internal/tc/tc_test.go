@@ -128,8 +128,10 @@ func TestBurstSpanningCreditStall(t *testing.T) {
 	// stall on the bank credit at least once; the receiver's drain
 	// returns the flag and the stalled remainder goes out one by one.
 	sys := quickSystem(t, 2,
-		WithGeometry(mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 2048}),
-		WithCredits(true))
+		WithConfig(func(c *core.MeshConfig) {
+			c.Geometry = mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 2048}
+			c.Credits = true
+		}))
 	execd := 0
 	sys.Node(1).OnExecuted = func(ret uint64, _ sim.Duration, err error) {
 		if err != nil {
@@ -253,13 +255,16 @@ func TestIdealBackend(t *testing.T) {
 // NewSystem, never a panic — also when it is the chaos wrapper's inner —
 // and so is every malformed chaos configuration.
 func TestUnknownBackend(t *testing.T) {
+	withChaos := func(cc fabric.ChaosConfig) SystemOpt {
+		return WithConfig(func(c *core.MeshConfig) { c.Chaos = &cc })
+	}
 	for name, opt := range map[string]SystemOpt{
 		"backend":            WithBackend("warp-drive"),
-		"chaos inner":        WithChaos(fabric.ChaosConfig{Inner: "warp-drive"}),
+		"chaos inner":        withChaos(fabric.ChaosConfig{Inner: "warp-drive"}),
 		"bare chaos":         WithBackend("chaos"),
-		"chaos wraps chaos":  WithChaos(fabric.ChaosConfig{Inner: "chaos"}),
-		"chaos min over max": WithChaos(fabric.ChaosConfig{MinDelay: 2 * sim.Nanosecond, MaxDelay: sim.Nanosecond}),
-		"chaos over cap":     WithChaos(fabric.ChaosConfig{MaxDelay: fabric.MaxChaosDelay + 1}),
+		"chaos wraps chaos":  withChaos(fabric.ChaosConfig{Inner: "chaos"}),
+		"chaos min over max": withChaos(fabric.ChaosConfig{MinDelay: 2 * sim.Nanosecond, MaxDelay: sim.Nanosecond}),
+		"chaos over cap":     withChaos(fabric.ChaosConfig{MaxDelay: fabric.MaxChaosDelay + 1}),
 	} {
 		if _, err := NewSystem(2, opt); err == nil {
 			t.Errorf("%s: NewSystem did not fail", name)

@@ -16,8 +16,8 @@ import (
 // InstallPackageFor or Call.
 func (s *System) AddTenant(cfg tenant.Config) (*tenant.Tenant, error) {
 	if s.tenants == nil {
-		s.tenants = tenant.NewRegistry(s.mesh.Nodes())
-		s.arbs = make([]*mailbox.FairArbiter, s.mesh.Nodes())
+		s.tenants = tenant.NewRegistry(s.Nodes())
+		s.arbs = make([]*mailbox.FairArbiter, s.Nodes())
 		for i := range s.arbs {
 			s.arbs[i] = mailbox.NewFairArbiter()
 		}
@@ -56,7 +56,7 @@ func (s *System) InstallPackageFor(tenantName string, pkg *core.Package) error {
 	if !ok {
 		return fmt.Errorf("tc: install: unknown tenant %q", tenantName)
 	}
-	return s.mesh.InstallPackageView(t.Name, tenant.Qualified(t.Name, pkg.Name), pkg)
+	return s.InstallPackageView(t.Name, tenant.Qualified(t.Name, pkg.Name), pkg)
 }
 
 // FuncFor returns a handle for an element of a tenant's install of pkg,
@@ -77,7 +77,7 @@ func (s *System) FuncFor(tenantName string, src int, pkg, elem string) (*Func, e
 // ID) and pricing the isolation boundary for untrusted tenants on
 // creation.
 func (s *System) viewChannel(src, dst int, t *tenant.Tenant) (*core.Channel, error) {
-	return s.mesh.ChannelView(src, dst, t.Name, func(rc mailbox.ReceiverConfig) mailbox.ReceiverConfig {
+	return s.ChannelView(src, dst, t.Name, func(rc mailbox.ReceiverConfig) mailbox.ReceiverConfig {
 		rc.Arbiter, rc.ArbClass = s.arbs[dst], t.ID
 		if t.Untrusted {
 			rc.IsolationCost = model.TenantIsolationCost

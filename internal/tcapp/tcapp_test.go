@@ -130,7 +130,7 @@ func newAppRig(t *testing.T, app string, onExec func(ret uint64, err error)) *ap
 	}
 	sys, err := tc.NewSystem(2,
 		tc.WithTiming(false),
-		tc.WithGeometry(mailbox.Geometry{Banks: 1, Slots: 4, FrameSize: frame}))
+		tc.WithConfig(func(c *core.MeshConfig) { c.Geometry = mailbox.Geometry{Banks: 1, Slots: 4, FrameSize: frame} }))
 	if err != nil {
 		t.Fatal(err)
 	}

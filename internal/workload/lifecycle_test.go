@@ -9,7 +9,7 @@ import (
 )
 
 // Run owns the system it builds: whichever way it returns, every node's
-// address-space backing must have gone onto the shelf (tc.System.Close).
+// address-space backing must have gone onto the shelf (core.Mesh.Close).
 // The observable is mem's shelf counter: one release per node per Run.
 func TestRunReleasesOnEveryReturn(t *testing.T) {
 	for _, tc := range []struct {

@@ -325,7 +325,7 @@ func frameSizeFor(pkgs map[string]*core.Package, specs []phaseSpec, payload int)
 			}
 			var n int
 			if m.Local {
-				n = mailbox.PackLocal(1, 1, [2]uint64{}, make([]byte, payload)).WireLen()
+				n = mailbox.FrameLen(mailbox.KindLocal, 0, payload)
 			} else {
 				var err error
 				if n, err = core.InjectedFrameLen(elem, payload); err != nil {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"twochains/internal/core"
+	"twochains/internal/mailbox"
+	"twochains/internal/tcapp"
 )
 
 // wantScenarioError runs the scenario and requires a *ScenarioError on
@@ -157,6 +159,44 @@ func frameSpecs(t *testing.T, mix []ElementMix) ([]phaseSpec, map[string]*core.P
 		t.Fatal(err)
 	}
 	return specs, pkgs
+}
+
+// TestFrameLenMatchesWireLen: the frame size a scenario derives without
+// building a message equals WireLen of the message a send builds, for
+// every jam of every tcapp app, injected and Local, at the payload edges;
+// and deriving it (frameSizeFor, core.InjectedFrameLen) allocates nothing.
+func TestFrameLenMatchesWireLen(t *testing.T) {
+	for _, app := range tcapp.Names() {
+		pkg, err := tcapp.Build(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range pkg.Elements {
+			if e.Kind != core.ElemJam {
+				continue
+			}
+			image := make([]byte, e.Jam.ShippedSize())
+			for _, local := range []bool{false, true} {
+				specs, pkgs := frameSpecs(t, []ElementMix{{Pkg: app, Elem: e.Name, Weight: 1, Local: local}})
+				for _, p := range []int{0, 1, 63, 64, 1024, MaxPayloadBytes} {
+					usr := make([]byte, p)
+					want := (&mailbox.Message{Kind: mailbox.KindInjected, JamImage: image, Usr: usr}).WireLen()
+					if local {
+						want = mailbox.PackLocal(1, e.ID, [2]uint64{}, usr).WireLen()
+					}
+					var got int
+					allocs := testing.AllocsPerRun(10, func() { got, err = frameSizeFor(pkgs, specs, p) })
+					if err != nil || got != want || allocs != 0 {
+						t.Errorf("%s.%s local=%v payload %d: frame %d (%v), %v allocs; want %d, 0 allocs",
+							app, e.Name, local, p, got, err, allocs, want)
+					}
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, func() { _, err = core.InjectedFrameLen(e, 64) }); err != nil || allocs != 0 {
+				t.Errorf("%s.%s: InjectedFrameLen: %v, %v allocs, want 0", app, e.Name, err, allocs)
+			}
+		}
+	}
 }
 
 // TestFrameSizeForEdgeCases covers the satellite-task edge cases: empty

@@ -808,16 +808,15 @@ func (sc *Scenario) systemOpts(frame int) []tc.SystemOpt {
 		tc.WithSeed(sc.Seed),
 		tc.WithTiming(sc.Timing),
 		tc.WithBackend(sc.Backend),
-		tc.WithConfig(func(c *core.MeshConfig) { c.Geometry.FrameSize = frame }),
+		tc.WithConfig(func(c *core.MeshConfig) {
+			c.Geometry.FrameSize = frame
+			if sc.Chaos != nil {
+				c.Chaos = &fabric.ChaosConfig{MinDelay: sc.Chaos.MinDelay, MaxDelay: sc.Chaos.MaxDelay}
+			}
+		}),
 	}
 	if sc.Shards > 0 {
 		opts = append(opts, tc.WithShards(sc.Shards))
-	}
-	if sc.Chaos != nil {
-		opts = append(opts, tc.WithChaos(fabric.ChaosConfig{
-			MinDelay: sc.Chaos.MinDelay,
-			MaxDelay: sc.Chaos.MaxDelay,
-		}))
 	}
 	return opts
 }
@@ -865,7 +864,7 @@ func run(sc Scenario) (*Result, []*lane, error) {
 	defer sys.Close()
 
 	res := &Result{
-		Shards:  sys.Mesh().Cfg.Shards,
+		Shards:  sys.Cfg.Shards,
 		PerNode: make([]NodeResult, sc.Nodes),
 		HotNode: -1,
 	}
@@ -905,7 +904,7 @@ func run(sc Scenario) (*Result, []*lane, error) {
 			return nil, nil, err
 		}
 	}
-	sys.Mesh().OnChannelCreated = r.onChannel
+	sys.OnChannelCreated = r.onChannel
 
 	// Plans are generated lane by lane, phase by phase, from the one
 	// seeded RNG before the simulation starts — the whole schedule is a
@@ -970,7 +969,7 @@ func run(sc Scenario) (*Result, []*lane, error) {
 		l.advance()
 	}
 	sys.Run()
-	sys.Mesh().OnChannelCreated = nil
+	sys.OnChannelCreated = nil
 	if r.issueErr != nil {
 		return nil, nil, r.issueErr
 	}
