@@ -94,9 +94,12 @@
 # medians, their ratio, each side's quartile distance over its median and
 # the pairs the change won; then each side's failed operations. A
 # performance claim is judged by that table: the change wins nine tenths
-# of the pairs, by more than the base's quartile distance. It needs jq,
-# takes about 2·N·S seconds plus two builds, and is not part of `make
-# check`, because it reads the host clock.
+# of the pairs, by more than the base's quartile distance. W=all runs
+# every workload BENCHMARK.json names, N pairs each, from the one
+# extraction, and prints one such table per workload at the end: the
+# report a change that claims no gain owes for all of them. It needs jq,
+# takes about 2·N·S seconds per workload plus two builds, and is not part
+# of `make check`, because it reads the host clock.
 # `make reach` asks which code under internal/ a real run executes. It
 # builds every command but benchjson, every example and benchmark/ with
 # `go build -cover -coverpkg=./...`, runs each as its docs say (the
@@ -207,7 +210,7 @@ reach:
 	GO=$(GO) bash reach.sh
 
 ab:
-	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make ab BASE=<rev> W=<workload> [N=10] [S=20]"; exit 2; }
+	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make ab BASE=<rev> W=<workload|all> [N=10] [S=20]"; exit 2; }
 	@bash ab.sh "$(BASE)" "$(W)" "$(N)" "$(S)"
 
 profile:

@@ -365,12 +365,9 @@ func BenchmarkInstrDecode(b *testing.B) {
 	}
 }
 
-// invokePath builds a two-node system and returns one step of the
-// invoke-path pair: issue one inject and simulate it fully, through
-// either per-call string resolution (Channel.Handle looks the Bound up by
-// (pkg, elem) strings every call) or the pre-resolved tc.Func handle.
-// The system closes when tb ends.
-func invokePath(tb testing.TB, handle bool) func(i int) {
+// invokeSystem builds the two-node system with tcbench installed that
+// invokePath and dataPath send on. The system closes when tb ends.
+func invokeSystem(tb testing.TB) *tc.System {
 	tb.Helper()
 	sys, err := tc.NewSystem(2,
 		tc.WithTiming(false),
@@ -389,6 +386,17 @@ func invokePath(tb testing.TB, handle bool) func(i int) {
 	if err := sys.InstallPackage(pkg); err != nil {
 		tb.Fatal(err)
 	}
+	return sys
+}
+
+// invokePath builds a two-node system and returns one step of the
+// invoke-path pair: issue one inject and simulate it fully, through
+// either per-call string resolution (Channel.Handle looks the Bound up by
+// (pkg, elem) strings every call) or the pre-resolved tc.Func handle.
+// The system closes when tb ends.
+func invokePath(tb testing.TB, handle bool) func(i int) {
+	tb.Helper()
+	sys := invokeSystem(tb)
 	fn, err := sys.Func(0, "tcbench", "jam_iput")
 	if err != nil {
 		tb.Fatal(err)
@@ -408,9 +416,24 @@ func invokePath(tb testing.TB, handle bool) func(i int) {
 				tb.Fatal(res.Err)
 			}
 		} else {
-			if err := ch.Handle("tcbench", "jam_iput").Inject(args, payload, nil); err != nil {
+			if err := ch.Handle("tcbench", "jam_iput").Send(false, payload, nil, args); err != nil {
 				tb.Fatal(err)
 			}
+		}
+		sys.Run()
+	}
+}
+
+// dataPath returns one step of the without-execution path on
+// invokeSystem's system: send one 64-byte data frame from node 0 to
+// node 1 and simulate it fully.
+func dataPath(tb testing.TB) func(i int) {
+	tb.Helper()
+	sys := invokeSystem(tb)
+	payload := make([]byte, 64)
+	return func(int) {
+		if res, ok := sys.SendData(0, 1, payload).Result(); ok && res.Err != nil {
+			tb.Fatal(res.Err)
 		}
 		sys.Run()
 	}

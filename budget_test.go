@@ -32,7 +32,8 @@ var runBudgets = []struct {
 // and allocate at most its pinned bytes plus 1 %, and so must one run
 // right after a garbage collection, which empties every sync.Pool (fmt's
 // printer cache among them); after 1,000 warm calls, 1,000 more calls of
-// either invokePath loop must make none. A count that falls is re-pinned
+// either invokePath loop, or 1,000 more dataPath sends (System.SendData,
+// each followed by Run), must make none. A count that falls is re-pinned
 // in the change that made it fall.
 //
 // The regressions this gate exists for, each once seen on the mesh
@@ -70,11 +71,15 @@ func TestWorkBudgets(t *testing.T) {
 		})
 	}
 	for _, path := range []struct {
-		name   string
-		handle bool
-	}{{"FuncCall", true}, {"StringInject", false}} {
+		name string
+		step func(testing.TB) func(i int)
+	}{
+		{"FuncCall", func(tb testing.TB) func(int) { return invokePath(tb, true) }},
+		{"StringInject", func(tb testing.TB) func(int) { return invokePath(tb, false) }},
+		{"SendData", dataPath},
+	} {
 		t.Run(path.name, func(t *testing.T) {
-			call := invokePath(t, path.handle)
+			call := path.step(t)
 			i := 0
 			calls := func() {
 				for end := i + 1000; i < end; i++ {

@@ -20,11 +20,11 @@ import (
 //
 // Bound is the channel-level invocation surface (resolved by string via
 // Channel.Handle) and the engine under the tc.Func public API (which
-// holds one handle per destination). Its four sends — Inject,
-// InjectBurst, CallLocal, CallLocalBurst — fill pooled frames and hand
-// them to the channel's mailbox sender; each reports completion through
-// the sender's own callback, one mailbox.SendInfo per message (nil when
-// nobody observes it), so a call allocates nothing of its own.
+// holds one handle per destination). Its one send, Send, fills pooled
+// frames — injected or Local Function, one per args entry — and hands
+// them to the channel's mailbox sender as one batch; completion arrives
+// through the sender's own callback, one mailbox.SendInfo per message
+// (nil when nobody observes it), so a call allocates nothing of its own.
 type Bound struct {
 	ch                *Channel
 	pkgName, elemName string
@@ -40,13 +40,13 @@ type Bound struct {
 	localPkg, localElem uint8
 	localOK             bool
 
-	// burstScratch is the reusable frame-pointer scratch for batched
-	// sends: SendBatch never retains the slice (stalled messages are
-	// queued individually), so one per-handle buffer serves every burst.
+	// burstScratch is the reusable frame-pointer scratch for sends:
+	// SendBatch never retains the slice (stalled messages are queued
+	// individually), so one per-handle buffer serves every Send.
 	burstScratch []*mailbox.Message
 
-	// injectCnt counts single injects through this handle for the
-	// auto-switch heuristic (MeshConfig.AutoSwitchAfter).
+	// injectCnt counts single-message injects through this handle for
+	// the auto-switch heuristic (MeshConfig.AutoSwitchAfter).
 	injectCnt int
 }
 
@@ -148,13 +148,14 @@ func (b *Bound) burstMsgs(n int) []*mailbox.Message {
 	return b.burstScratch[:n]
 }
 
-// takeAutoSwitch counts one single inject through the handle and reports
-// whether the auto-switch policy (MeshConfig.AutoSwitchAfter, the
-// paper's §VIII future-work optimization) downgrades it to a Local
+// takeAutoSwitch counts one single-message inject through the handle
+// and reports whether the auto-switch policy (MeshConfig.AutoSwitchAfter,
+// the paper's §VIII future-work optimization) downgrades it to a Local
 // Function call: the function has reoccurred often enough and the
 // receiver is known to hold the package, so shipping its code again is
-// waste. Bursts never auto-switch — they are an explicit bulk-injection
-// choice.
+// waste. The rule applies to a Send of exactly one injected message, a
+// one-message batch included; a Send of several messages never switches
+// and is not counted — it is an explicit bulk-injection choice.
 func (b *Bound) takeAutoSwitch() bool {
 	after := b.ch.autoSwitchAfter
 	if after <= 0 {
@@ -168,87 +169,43 @@ func (b *Bound) takeAutoSwitch() bool {
 	return ok
 }
 
-// Inject sends one Injected Function active message through the handle:
-// the pre-bound code travels in the frame and executes on arrival. An
-// auto-switched call goes out as a Local Function message instead; the
-// receiver's Delivery.Kind tells which arrived.
-func (b *Bound) Inject(args [2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
-	if err := b.checkUp(); err != nil {
-		return err
-	}
-	if b.takeAutoSwitch() {
-		return b.callLocalRaw(args, usr, done)
-	}
-	if err := b.ensureInject(); err != nil {
-		return err
-	}
-	m := b.ch.Sender.GetMessage()
-	b.fillInjected(m, args, usr)
-	b.ch.Sender.Send(m, done)
-	return nil
-}
-
-// InjectBurst sends one Injected Function message per args entry as a
-// single batched operation: the mailbox sender coalesces contiguous frame
-// slots into single puts. usr is the shared payload.
-func (b *Bound) InjectBurst(argsBatch [][2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
-	if len(argsBatch) == 0 {
+// Send sends one active message per args entry through the handle as a
+// single batched operation: the mailbox sender packs them into
+// consecutive slots and coalesces contiguous slots into single puts.
+// With local false the pre-bound code travels in each frame and executes
+// on arrival (Injected Function); with local true only the pre-resolved
+// IDs travel and the receiver calls its library copy (Local Function).
+// usr is every message's payload; done (when non-nil) fires once per
+// message. A send of one injected message may go out as a Local
+// Function message instead (takeAutoSwitch); the receiver's
+// Delivery.Kind tells which arrived. With no args Send sends nothing.
+func (b *Bound) Send(local bool, usr []byte, done func(mailbox.SendInfo), args ...[2]uint64) error {
+	if len(args) == 0 {
 		return nil
 	}
 	if err := b.checkUp(); err != nil {
 		return err
 	}
-	if err := b.ensureInject(); err != nil {
+	if !local && len(args) == 1 && b.takeAutoSwitch() {
+		local = true
+	}
+	var err error
+	if local {
+		err = b.ensureLocal()
+	} else {
+		err = b.ensureInject()
+	}
+	if err != nil {
 		return err
 	}
-	msgs := b.burstMsgs(len(argsBatch))
-	for i, args := range argsBatch {
+	msgs := b.burstMsgs(len(args))
+	for i, a := range args {
 		m := b.ch.Sender.GetMessage()
-		b.fillInjected(m, args, usr)
-		msgs[i] = m
-	}
-	b.ch.Sender.SendBatch(msgs, done)
-	return nil
-}
-
-// CallLocal sends a Local Function active message through the handle:
-// only the pre-resolved IDs and payload travel; the receiver calls its
-// library copy of the function.
-func (b *Bound) CallLocal(args [2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
-	if err := b.checkUp(); err != nil {
-		return err
-	}
-	return b.callLocalRaw(args, usr, done)
-}
-
-// callLocalRaw is the post-check local send shared with the auto-switch
-// downgrade path.
-func (b *Bound) callLocalRaw(args [2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
-	if err := b.ensureLocal(); err != nil {
-		return err
-	}
-	m := b.ch.Sender.GetMessage()
-	b.fillLocal(m, args, usr)
-	b.ch.Sender.Send(m, done)
-	return nil
-}
-
-// CallLocalBurst sends one Local Function message per args entry as a
-// batch, coalescing contiguous frames like InjectBurst.
-func (b *Bound) CallLocalBurst(argsBatch [][2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
-	if len(argsBatch) == 0 {
-		return nil
-	}
-	if err := b.checkUp(); err != nil {
-		return err
-	}
-	if err := b.ensureLocal(); err != nil {
-		return err
-	}
-	msgs := b.burstMsgs(len(argsBatch))
-	for i, args := range argsBatch {
-		m := b.ch.Sender.GetMessage()
-		b.fillLocal(m, args, usr)
+		if local {
+			b.fillLocal(m, a, usr)
+		} else {
+			b.fillInjected(m, a, usr)
+		}
 		msgs[i] = m
 	}
 	b.ch.Sender.SendBatch(msgs, done)

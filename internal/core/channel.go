@@ -89,5 +89,7 @@ func putU64(b []byte, v uint64) {
 // SendData sends a delivery-only frame (the without-execution mode used by
 // the Fig. 5/6 overhead experiments).
 func (ch *Channel) SendData(usr []byte, done func(mailbox.SendInfo)) {
-	ch.Sender.Send(mailbox.PackData(usr), done)
+	m := ch.Sender.GetMessage()
+	m.Kind, m.Usr = mailbox.KindData, usr
+	ch.Sender.Send(m, done)
 }

@@ -170,7 +170,7 @@ func TestInjectedSSSum(t *testing.T) {
 		}
 		ret = r
 	}
-	if err := bn.ab.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil); err != nil {
+	if err := bn.ab.Handle("tcbench", "jam_sssum").Send(false, payload, nil, [2]uint64{}); err != nil {
 		t.Fatal(err)
 	}
 	bn.m.Run()
@@ -210,9 +210,9 @@ func TestLocalMatchesInjected(t *testing.T) {
 			}
 			var err error
 			if local {
-				err = bn.ab.Handle("tcbench", "jam_sssum").CallLocal([2]uint64{}, payload, nil)
+				err = bn.ab.Handle("tcbench", "jam_sssum").Send(true, payload, nil, [2]uint64{})
 			} else {
-				err = bn.ab.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil)
+				err = bn.ab.Handle("tcbench", "jam_sssum").Send(false, payload, nil, [2]uint64{})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -239,7 +239,7 @@ func TestIndirectPut(t *testing.T) {
 	}
 	// Same key twice, then a different key.
 	for _, key := range []uint64{42, 42, 99} {
-		if err := bn.ab.Handle("tcbench", "jam_iput").Inject([2]uint64{key, 0}, payload, nil); err != nil {
+		if err := bn.ab.Handle("tcbench", "jam_iput").Send(false, payload, nil, [2]uint64{key, 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +272,7 @@ func TestIndirectPut(t *testing.T) {
 
 func TestJamHelloPrintfWithTravellingRodata(t *testing.T) {
 	bn := newBench(t, 1024, quickCfg(), 0)
-	if err := bn.ab.Handle("tcbench", "jam_hello").Inject([2]uint64{7, 0}, []byte("xyz"), nil); err != nil {
+	if err := bn.ab.Handle("tcbench", "jam_hello").Send(false, []byte("xyz"), nil, [2]uint64{7, 0}); err != nil {
 		t.Fatal(err)
 	}
 	bn.m.Run()
@@ -297,7 +297,7 @@ func TestInjectMissingSymbolFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = ch.Handle("tcbench", "jam_iput").Inject([2]uint64{1, 0}, nil, nil)
+	err = ch.Handle("tcbench", "jam_iput").Send(false, nil, nil, [2]uint64{1, 0})
 	if err == nil || !strings.Contains(err.Error(), "tc_") {
 		t.Fatalf("inject without ried: %v", err)
 	}
@@ -310,23 +310,33 @@ func TestAutoSwitchToLocal(t *testing.T) {
 	bn.ab.Recv.OnProcessed = func(d *mailbox.Delivery, _ sim.Time) {
 		kinds = append(kinds, d.Kind == mailbox.KindInjected)
 	}
+	usr := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	for i := 0; i < 5; i++ {
-		err := bn.ab.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, []byte{1, 2, 3, 4, 5, 6, 7, 8}, nil)
+		err := bn.ab.Handle("tcbench", "jam_sssum").Send(false, usr, nil, [2]uint64{})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	// Past the switch point the rule is per send: a batch of several
+	// messages stays injected, and a batch of one switches like a single
+	// send.
+	if err := bn.ab.Handle("tcbench", "jam_sssum").Send(false, usr, nil, make([][2]uint64, 3)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := bn.ab.Handle("tcbench", "jam_sssum").Send(false, usr, nil, make([][2]uint64, 1)...); err != nil {
+		t.Fatal(err)
+	}
 	bn.m.Run()
-	if len(kinds) != 5 {
+	want := []bool{true, true, false, false, false, true, true, true, false}
+	if len(kinds) != len(want) {
 		t.Fatalf("delivered %d", len(kinds))
 	}
-	want := []bool{true, true, false, false, false}
 	for i := range want {
 		if kinds[i] != want[i] {
 			t.Fatalf("auto-switch pattern %v, want %v", kinds, want)
 		}
 	}
-	if bn.ab.Recv.Processed != 5 {
+	if bn.ab.Recv.Processed != uint64(len(want)) {
 		t.Fatal("not all processed")
 	}
 }
@@ -343,7 +353,7 @@ func TestSecureExecMode(t *testing.T) {
 	var ret uint64
 	var execErr error
 	bn.b.OnExecuted = func(r uint64, _ sim.Duration, err error) { ret, execErr = r, err }
-	if err := bn.ab.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil); err != nil {
+	if err := bn.ab.Handle("tcbench", "jam_sssum").Send(false, payload, nil, [2]uint64{}); err != nil {
 		t.Fatal(err)
 	}
 	bn.m.Run()
@@ -425,10 +435,10 @@ jam_scaled:
 	}
 	// The same jam, injected to two processes, resolves tc_scale
 	// differently on each.
-	if err := chB.Handle("scaled", "jam_scaled").Inject([2]uint64{5, 0}, nil, nil); err != nil {
+	if err := chB.Handle("scaled", "jam_scaled").Send(false, nil, nil, [2]uint64{5, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := chC.Handle("scaled", "jam_scaled").Inject([2]uint64{5, 0}, nil, nil); err != nil {
+	if err := chC.Handle("scaled", "jam_scaled").Send(false, nil, nil, [2]uint64{5, 0}); err != nil {
 		t.Fatal(err)
 	}
 	m.Run()
@@ -486,7 +496,7 @@ tc_op:
 		}
 		results = append(results, r)
 	}
-	if err := ch.Handle("ops", "jam_op").Inject([2]uint64{10, 0}, nil, nil); err != nil {
+	if err := ch.Handle("ops", "jam_op").Send(false, nil, nil, [2]uint64{10, 0}); err != nil {
 		t.Fatal(err)
 	}
 	m.Run()
@@ -502,7 +512,7 @@ tc_op:
 	}
 	m.RefreshNames(1)
 
-	if err := ch.Handle("ops", "jam_op").Inject([2]uint64{10, 0}, nil, nil); err != nil {
+	if err := ch.Handle("ops", "jam_op").Send(false, nil, nil, [2]uint64{10, 0}); err != nil {
 		t.Fatal(err)
 	}
 	m.Run()
@@ -522,7 +532,7 @@ func TestTimingPathProducesCosts(t *testing.T) {
 		}
 		cost = c
 	}
-	if err := bn.ab.Handle("tcbench", "jam_iput").Inject([2]uint64{7, 0}, make([]byte, 256), nil); err != nil {
+	if err := bn.ab.Handle("tcbench", "jam_iput").Send(false, make([]byte, 256), nil, [2]uint64{7, 0}); err != nil {
 		t.Fatal(err)
 	}
 	bn.m.Run()

@@ -71,7 +71,7 @@ func TestCJamMatchesAsmSemantics(t *testing.T) {
 	}
 	payload := []byte("C-compiled indirect put payload")
 	for _, key := range []uint64{7, 7, 1234, 7} {
-		if err := ch.Handle("tcbench", "jam_ciput").Inject([2]uint64{key, 0}, payload, nil); err != nil {
+		if err := ch.Handle("tcbench", "jam_ciput").Send(false, payload, nil, [2]uint64{key, 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,9 +129,9 @@ func TestLocalInjectedEquivalenceProperty(t *testing.T) {
 			ret = r
 		}
 		if local {
-			err = ch.Handle("tcbench", "jam_sssum").CallLocal([2]uint64{}, payload, nil)
+			err = ch.Handle("tcbench", "jam_sssum").Send(true, payload, nil, [2]uint64{})
 		} else {
-			err = ch.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil)
+			err = ch.Handle("tcbench", "jam_sssum").Send(false, payload, nil, [2]uint64{})
 		}
 		if err != nil {
 			return 0, false
@@ -191,10 +191,10 @@ jam_fine:
 		}
 		rets = append(rets, r)
 	}
-	if err := ch.Handle("crashy", "jam_crash").Inject([2]uint64{}, nil, nil); err != nil {
+	if err := ch.Handle("crashy", "jam_crash").Send(false, nil, nil, [2]uint64{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ch.Handle("crashy", "jam_fine").Inject([2]uint64{}, nil, nil); err != nil {
+	if err := ch.Handle("crashy", "jam_fine").Send(false, nil, nil, [2]uint64{}); err != nil {
 		t.Fatal(err)
 	}
 	m.Run()
@@ -233,7 +233,7 @@ func TestRunawayJamIsBounded(t *testing.T) {
 	}
 	var execErr error
 	b.OnExecuted = func(_ uint64, _ sim.Duration, err error) { execErr = err }
-	if err := ch.Handle("spin", "jam_spin").Inject([2]uint64{}, nil, nil); err != nil {
+	if err := ch.Handle("spin", "jam_spin").Send(false, nil, nil, [2]uint64{}); err != nil {
 		t.Fatal(err)
 	}
 	m.Run()
@@ -294,7 +294,7 @@ func TestMeshFanoutNativeOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ch.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil); err != nil {
+			if err := ch.Handle("tcbench", "jam_sssum").Send(false, payload, nil, [2]uint64{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -335,10 +335,10 @@ func TestMeshAllToAllNativeOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ch.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil); err != nil {
+			if err := ch.Handle("tcbench", "jam_sssum").Send(false, payload, nil, [2]uint64{}); err != nil {
 				t.Fatal(err)
 			}
-			if err := ch.Handle("tcbench", "jam_sssum").CallLocal([2]uint64{}, payload, nil); err != nil {
+			if err := ch.Handle("tcbench", "jam_sssum").Send(true, payload, nil, [2]uint64{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -374,7 +374,7 @@ func TestMeshHotspotHotSwapOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range keys {
-			if err := ch.Handle("tcbench", "jam_iput").Inject([2]uint64{k, 0}, payload, nil); err != nil {
+			if err := ch.Handle("tcbench", "jam_iput").Send(false, payload, nil, [2]uint64{k, 0}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -387,7 +387,7 @@ func TestMeshHotspotHotSwapOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := bg.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil); err != nil {
+			if err := bg.Handle("tcbench", "jam_sssum").Send(false, payload, nil, [2]uint64{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -468,7 +468,7 @@ func TestDeterministicRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 30; i++ {
-			if err := ch.Handle("tcbench", "jam_iput").Inject([2]uint64{uint64(i + 1), 0}, make([]byte, 64), nil); err != nil {
+			if err := ch.Handle("tcbench", "jam_iput").Send(false, make([]byte, 64), nil, [2]uint64{uint64(i + 1), 0}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -53,8 +53,8 @@ type MeshConfig struct {
 	// optimization (§VIII) on every channel: after an element has been
 	// injected that many times through a handle, the handle detects the
 	// reoccurring function and switches to Local Function invocation,
-	// shrinking the message (single sends only; bursts are an explicit
-	// bulk-injection choice).
+	// shrinking the message (one-message sends only; a send of several
+	// messages is an explicit bulk-injection choice).
 	AutoSwitchAfter int
 }
 

@@ -151,7 +151,7 @@ func TestMeshJamCacheSharedAcrossChannels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ch.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil); err != nil {
+		if err := ch.Handle("tcbench", "jam_sssum").Send(false, payload, nil, [2]uint64{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +199,7 @@ func TestMeshManySendersOneReceiver(t *testing.T) {
 			t.Fatal(err)
 		}
 		args := make([][2]uint64, perSender)
-		if err := ch.Handle("tcbench", "jam_sssum").InjectBurst(args, payload, nil); err != nil {
+		if err := ch.Handle("tcbench", "jam_sssum").Send(false, payload, nil, args...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,9 +275,9 @@ func TestMeshCrossShardSlower(t *testing.T) {
 			t.Fatal(err)
 		}
 		var done sim.Time
-		err = ch.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, make([]byte, 64), func(r mailbox.SendInfo) {
+		err = ch.Handle("tcbench", "jam_sssum").Send(false, make([]byte, 64), func(r mailbox.SendInfo) {
 			done = r.Delivered
-		})
+		}, [2]uint64{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,12 +322,12 @@ func TestFailNodeCountsPerView(t *testing.T) {
 			key = "inbound"
 		}
 		for i := 0; i < sends; i++ {
-			err := ch.Handle(alias, "jam_sssum").Inject([2]uint64{}, make([]byte, 8), func(r mailbox.SendInfo) {
+			err := ch.Handle(alias, "jam_sssum").Send(false, make([]byte, 8), func(r mailbox.SendInfo) {
 				var nd *NodeDownError
 				if errors.As(r.Err, &nd) {
 					failed[key]++
 				}
-			})
+			}, [2]uint64{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -59,8 +59,8 @@ type GotPatch struct {
 // to the freelist once the frame bytes have been packed into the staging
 // region (or the send failed). After that hand-off the caller must not
 // touch the message again — it may already be serving another send.
-// Messages constructed directly (&Message{...}, PackLocal, PackData) are
-// never recycled and stay owned by the caller.
+// Messages constructed directly (&Message{...}, PackLocal) are never
+// recycled and stay owned by the caller.
 type Message struct {
 	Kind   uint8
 	PkgID  uint8

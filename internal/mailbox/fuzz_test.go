@@ -48,7 +48,7 @@ func FuzzParseFrame(f *testing.F) {
 				EntryOff: j.Entry, Args: args, Usr: usr})
 		}
 	}
-	pack(mailbox.PackData([]byte("data")))
+	pack(&mailbox.Message{Kind: mailbox.KindData, Usr: []byte("data")})
 
 	f.Fuzz(func(t *testing.T, slot []byte) {
 		if len(slot) > 1<<16 {

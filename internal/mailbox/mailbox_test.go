@@ -251,7 +251,7 @@ func TestWithoutExecutionSkipsHandler(t *testing.T) {
 		called = true
 		return 0, nil
 	})
-	r.sender.Send(PackData([]byte{9, 9, 9}), nil)
+	r.sender.Send(&Message{Kind: KindData, Usr: []byte{9, 9, 9}}, nil)
 	r.eng.Run()
 	if called {
 		t.Fatal("handler invoked for KindData frame")

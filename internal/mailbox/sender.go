@@ -422,8 +422,3 @@ func (s *Sender) FailPending(err error) int {
 func PackLocal(pkgID, elemID uint8, args [2]uint64, usr []byte) *Message {
 	return &Message{Kind: KindLocal, PkgID: pkgID, ElemID: elemID, Args: args, Usr: usr}
 }
-
-// PackData constructs a delivery-only message (without-execution mode).
-func PackData(usr []byte) *Message {
-	return &Message{Kind: KindData, Usr: usr}
-}

@@ -240,6 +240,33 @@ func TestStressAddsDelayAndTail(t *testing.T) {
 	}
 }
 
+// TestStressSpikeCap pins the summed stressDelay of a fixed-seed stream
+// of lead lines long enough that the spike cap (StressSpikeCapNs) clamps
+// several Pareto spikes: about 0.28 % of lead lines spike and about
+// 0.32 % of spikes pass the cap, so a million draws clamp some nine (this
+// stream clamps seven).
+func TestStressSpikeCap(t *testing.T) {
+	h := New(testConfig(false, false))
+	h.SetStress(true)
+	capped := sim.FromNanos(model.StressSpikeCapNs)
+	var sum sim.Duration
+	clamped := 0
+	for i := 0; i < 1000000; i++ {
+		d := h.stressDelay(true)
+		sum += d
+		if d >= capped {
+			clamped++
+		}
+	}
+	if clamped < 3 {
+		t.Fatalf("%d draws reached the spike cap, want several", clamped)
+	}
+	const wantSum = sim.Duration(178841294613)
+	if sum != wantSum {
+		t.Fatalf("summed stress delay %d, want %d (%d draws at the cap)", int64(sum), int64(wantSum), clamped)
+	}
+}
+
 func TestStressCanEvictStashedLines(t *testing.T) {
 	h := New(testConfig(true, false))
 	h.SetStress(true)

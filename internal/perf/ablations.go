@@ -4,9 +4,11 @@ import (
 	"fmt"
 )
 
-// Ablations cover the design choices DESIGN.md calls out: frame sizing,
-// ordering guarantees, GOT insertion policy, the injected-to-local
-// auto-switch, and mailbox bank geometry.
+// Ablations vary the design choices the paper names: the frame format and
+// the write-order guarantee its signal protocol leans on (Fig. 1), the GOT
+// insertion policy and the separation of code pages from writable mailbox
+// data (§V), the injected-to-local auto-switch it leaves as future work
+// (§VIII), and mailbox bank geometry.
 
 // latencyAblation fills t with jam_iput ping-pong latency for payloads
 // of each count of ints, with the option set switches off (second=false)

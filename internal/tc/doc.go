@@ -41,10 +41,11 @@
 //	fn.Call(dst, batch[0], tc.Burst(batch), tc.Payload(usr))   // batched injection
 //	fn.Call(dst, args, tc.Local(), tc.Payload(usr))            // Local Function
 //
-// (The string-based Channel.Inject/CallLocal quartet that predated this
-// API is gone; the channel-level surface is core.Bound, reached via
-// Channel.Handle, and equivalence tests pin identical digests and
-// simulated times between the two layers for fixed seeds.)
+// Each Call is one core.Bound.Send, the channel-level surface reached via
+// Channel.Handle: its local flag and args list carry tc.Local and
+// tc.Burst, so injected, Local Function, single and batched calls share
+// one send path. Equivalence tests pin identical digests and simulated
+// times between the two layers for fixed seeds.
 //
 // # Futures
 //

@@ -63,10 +63,10 @@ func runTraffic(t *testing.T, legacy bool) trafficResult {
 					if err != nil {
 						t.Fatal(err)
 					}
-					must(t, ch.Handle("tcbench", "jam_iput").Inject([2]uint64{5, 0}, payload, nil))
-					must(t, ch.Handle("tcbench", "jam_sssum").InjectBurst(batch, payload, nil))
-					must(t, ch.Handle("tcbench", "jam_sssum").CallLocal([2]uint64{1, 0}, payload, nil))
-					must(t, ch.Handle("tcbench", "jam_iput").CallLocalBurst(batch, payload, nil))
+					must(t, ch.Handle("tcbench", "jam_iput").Send(false, payload, nil, [2]uint64{5, 0}))
+					must(t, ch.Handle("tcbench", "jam_sssum").Send(false, payload, nil, batch...))
+					must(t, ch.Handle("tcbench", "jam_sssum").Send(true, payload, nil, [2]uint64{1, 0}))
+					must(t, ch.Handle("tcbench", "jam_iput").Send(true, payload, nil, batch...))
 				} else {
 					iput, err := sys.Func(src, "tcbench", "jam_iput")
 					if err != nil {
@@ -109,8 +109,8 @@ func runTraffic(t *testing.T, legacy bool) trafficResult {
 		if err != nil {
 			t.Fatal(err)
 		}
-		must(t, ch.Handle("tcbench", "jam_iput").Inject([2]uint64{7, 0}, payload, nil))
-		must(t, ch.Handle("tcbench", "jam_iput").InjectBurst(batch, payload, nil))
+		must(t, ch.Handle("tcbench", "jam_iput").Send(false, payload, nil, [2]uint64{7, 0}))
+		must(t, ch.Handle("tcbench", "jam_iput").Send(false, payload, nil, batch...))
 	} else {
 		iput, err := sys.Func(0, "tcbench", "jam_iput")
 		if err != nil {

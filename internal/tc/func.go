@@ -212,16 +212,10 @@ func (f *Func) issueOnce(fu *Future, dst int, args [2]uint64, cfg *callCfg) erro
 			return ten.Reject(dec)
 		}
 	}
-	switch {
-	case cfg.local && cfg.burst:
-		return b.CallLocalBurst(cfg.batch, cfg.usr, fu.infoCb)
-	case cfg.local:
-		return b.CallLocal(args, cfg.usr, fu.infoCb)
-	case cfg.burst:
-		return b.InjectBurst(cfg.batch, cfg.usr, fu.infoCb)
-	default:
-		return b.Inject(args, cfg.usr, fu.infoCb)
+	if cfg.burst {
+		return b.Send(cfg.local, cfg.usr, fu.infoCb, cfg.batch...)
 	}
+	return b.Send(cfg.local, cfg.usr, fu.infoCb, args)
 }
 
 // issueRetry drives the WithRetry attempt loop: each retryable failure
