@@ -70,15 +70,6 @@
 # A failing input lands in the package's testdata/fuzz/ — commit it with
 # the fix.
 #
-# `make bench-json` writes $(BENCH_OUT) (the gitignored
-# bench_trajectory.json by default; CI uploads it) — a machine-readable
-# perf trajectory point (ns/op, allocs/op, B/op, simulated
-# injections/sec, stamped with the host shape), including the
-# 64/128-node meshes, the multi-tenant overload benchmark with its
-# per-tenant goodput metrics, the chaos-perturbed fail/rejoin mesh with
-# its loss ledger, and the layer benchmarks of internal/sim,
-# internal/memsim and internal/vm. Nothing compares it against a
-# recording.
 # `make simdiff BASE=<rev>` is the "nothing simulated moved" check for a
 # change that must not touch the model: it builds cmd/tcperf from BASE
 # (extracted with `git archive` into a temporary directory) and from the
@@ -101,7 +92,7 @@
 # takes about 2·N·S seconds per workload plus two builds, and is not part
 # of `make check`, because it reads the host clock.
 # `make reach` asks which code under internal/ a real run executes. It
-# builds every command but benchjson, every example and benchmark/ with
+# builds every command, every example and benchmark/ with
 # `go build -cover -coverpkg=./...`, runs each as its docs say (the
 # invocations are listed in reach.sh; tcperf runs at -scale 0.05, which
 # enters the same functions as scale 1), each of which must exit 0, and
@@ -125,11 +116,10 @@
 
 GO ?= go
 GOFMT ?= gofmt
-BENCH_OUT ?= bench_trajectory.json
 N ?= 10
 S ?= 20
 
-.PHONY: check fmt-check vet lint build cross test fuzz-smoke bench-json profile perf examples simdiff reach ab
+.PHONY: check fmt-check vet lint build cross test fuzz-smoke profile perf examples simdiff reach ab
 
 check: fmt-check vet build lint test fuzz-smoke
 
@@ -179,17 +169,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseFrame -fuzztime 5s ./internal/mailbox
 	$(GO) test -run xxx -fuzz FuzzCompile -fuzztime 5s ./internal/amcc
 	$(GO) test -run xxx -fuzz FuzzAssemble -fuzztime 5s ./internal/asm
-
-bench-json:
-	@{ $(GO) test -run xxx -bench 'BenchmarkMeshFanout$$|BenchmarkMeshAllToAll$$|BenchmarkMeshHotspot$$|BenchmarkKVStore|BenchmarkMultiPhase|BenchmarkMultiTenantOverload' -benchmem -benchtime 10x . && \
-	   $(GO) test -run xxx -bench 'BenchmarkMesh(AllToAll|Fanout|Hotspot)(64|128)$$|BenchmarkMeshChaos64$$' -benchmem -benchtime 1x . && \
-	   $(GO) test -run xxx -bench 'BenchmarkFuncCall$$|BenchmarkStringInject|BenchmarkFramePack' -benchmem -benchtime 200000x . && \
-	   $(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem -benchtime 200000x ./internal/sim && \
-	   $(GO) test -run xxx -bench 'BenchmarkAccessSameLine|BenchmarkStashedRead1K|BenchmarkNetworkWriteFrame|BenchmarkConflictSet|BenchmarkReset' -benchmem -benchtime 200000x ./internal/memsim && \
-	   $(GO) test -run xxx -bench 'BenchmarkNew$$' -benchmem -benchtime 1000x ./internal/memsim && \
-	   $(GO) test -run xxx -bench 'BenchmarkInterpretSum|BenchmarkInterpretKVScan' -benchmem -benchtime 50000x ./internal/vm; } \
-	| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
-	@echo "wrote $(BENCH_OUT)"
 
 simdiff:
 	@test -n "$(BASE)" || { echo "usage: make simdiff BASE=<rev>"; exit 2; }

@@ -278,7 +278,7 @@ func BenchmarkMeshChaos64(b *testing.B) {
 }
 
 // BenchmarkMeshAllToAll128: the 128-node, 16-shard exchange — the
-// largest recorded point. Skipped under -short; bench-json records it.
+// largest point. Skipped under -short.
 func BenchmarkMeshAllToAll128(b *testing.B) {
 	if testing.Short() {
 		b.Skip("128-node mesh skipped in short mode")

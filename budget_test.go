@@ -21,9 +21,9 @@ var runBudgets = []struct {
 	allocs float64
 	bytes  uint64
 }{
-	{"MeshAllToAll", meshScenario(workload.AllToAll, 8, 0), 4395, 828000},
-	{"KVStoreOpenLoop", workload.KVStoreScenario(8), 4091, 681176},
-	{"MultiTenantOverload", workload.OverloadScenario(4, 4), 5098, 762048},
+	{"MeshAllToAll", meshScenario(workload.AllToAll, 8, 0), 4171, 828000},
+	{"KVStoreOpenLoop", workload.KVStoreScenario(8), 3811, 681176},
+	{"MultiTenantOverload", workload.OverloadScenario(4, 4), 4814, 762048},
 }
 
 // TestWorkBudgets is the exact, host-independent gate on the work an

@@ -38,7 +38,7 @@ func main() {
 	}
 	obj, err := elfobj.Decode(data)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("%s: %w", flag.Arg(0), err))
 	}
 	fmt.Printf("object %s\n.text (%d bytes):\n", obj.Name, len(obj.Text))
 	text, err := isa.Disassemble(obj.Text)
@@ -61,7 +61,7 @@ func disasmJam(pkgFile, jamName string) {
 	}
 	pkg, err := core.DecodePackage(data)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("%s: %w", pkgFile, err))
 	}
 	elem, ok := pkg.Element(jamName)
 	if !ok || elem.Kind != core.ElemJam {

@@ -191,7 +191,7 @@ func inspect(args []string) {
 	}
 	pkg, err := core.DecodePackage(data)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("%s: %w", arg, err))
 	}
 	fmt.Printf("package %s\n", pkg.Name)
 	describe(pkg)

@@ -69,13 +69,16 @@ type Receiver struct {
 	creditEp  *ucx.Endpoint
 	creditVA  uint64
 	creditKey fabric.RKey
+	// creditPuts holds each bank's credit-return put, built at the first
+	// return. A bank's next return follows the sender's next claim of it,
+	// so its record is never posted twice at once.
+	creditPuts []ucx.ThinPut
 
 	eng       *sim.Engine
 	nextSeq   uint32
 	busy      bool
 	started   bool
 	waitStart sim.Time
-	scratchVA uint64
 	// Processed counts the frames the loop consumed, Errors the ones whose
 	// parse or handler failed.
 	Processed uint64
@@ -299,10 +302,10 @@ func (r *Receiver) complete(d *Delivery, t sim.Time) {
 
 	if r.Cfg.Credits && slot == r.Cfg.Geometry.Slots-1 && r.creditEp != nil {
 		// Bank drained: return its credit to the sender.
-		flagVA := r.creditVA + uint64(bank*8)
+		p := r.creditPut(bank)
 		one := [8]byte{1}
-		if err := r.Worker.AS.WriteBytes(r.scratch(), one[:]); err == nil {
-			r.creditEp.PutThin(r.scratch(), flagVA, 8, r.creditKey, nil)
+		if err := r.Worker.AS.WriteBytes(p.SrcVA, one[:]); err == nil {
+			r.creditEp.PutThin(p)
 		}
 	}
 	if r.OnProcessed != nil && d != nil {
@@ -323,17 +326,19 @@ func (r *Receiver) complete(d *Delivery, t sim.Time) {
 	r.poke()
 }
 
-// scratch returns an 8-byte staging location for credit puts (the first
-// bytes of the mailbox region are never a frame signal, but to stay clean
-// we allocate a dedicated slot lazily).
-func (r *Receiver) scratch() uint64 {
-	if r.scratchVA == 0 {
+// creditPut returns bank's credit-return put. The first call builds the
+// records and allocates their 8-byte source word a slot of its own.
+func (r *Receiver) creditPut(bank int) *ucx.ThinPut {
+	if r.creditPuts == nil {
 		va, err := r.Worker.AS.Alloc("mailbox-credit-scratch", 8, 8, mem.PermRW)
 		if err != nil {
 			// Fall back to the region base; this is diagnostic-only state.
 			va = r.BaseVA
 		}
-		r.scratchVA = va
+		r.creditPuts = make([]ucx.ThinPut, r.Cfg.Geometry.Banks)
+		for b := range r.creditPuts {
+			r.creditPuts[b] = ucx.ThinPut{SrcVA: va, DstVA: r.creditVA + uint64(b*8), Size: 8, Key: r.creditKey}
+		}
 	}
-	return r.scratchVA
+	return &r.creditPuts[bank]
 }

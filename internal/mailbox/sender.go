@@ -57,7 +57,7 @@ type Sender struct {
 	slotJam     [][]byte
 	slotWritten []int
 	// Private freelists for the steady-state send path: a message is
-	// released at pack time, a completion when it fires.
+	// released at pack time, a completion when its put delivers.
 	msgFree  []*Message
 	compFree []*completion
 	stalled  []queuedSend
@@ -80,53 +80,42 @@ type queuedSend struct {
 	done func(SendInfo)
 }
 
-// completion is the counted completion record for one thin put carrying
-// the frames [seq0, seq0+n): when the put delivers, it fans the single
-// fabric callback out into one SendInfo per frame. Records are pooled and
-// carry a prebound callback, so neither single sends nor batched runs
-// allocate per message.
+// completion is the thin put of one run, carrying the frames
+// [seq0, seq0+n). Its prebound OnDelivered recycles it, then fans the
+// put's one callback out into one SendInfo per frame, so neither single
+// sends nor batched runs allocate per message.
 type completion struct {
+	ucx.ThinPut
 	owner *Sender
 	seq0  uint32
 	n     int
 	done  func(SendInfo)
-	cb    func(error, sim.Time) // prebound fire method, reused across recycles
 }
 
-// getCompletion returns nil when done is nil — the fabric accepts a nil
-// callback, and a no-observer put needs no completion record at all.
-// Records live on the sender's freelist.
+// getCompletion takes a record from the sender's freelist, or makes one.
 func (s *Sender) getCompletion(seq0 uint32, n int, done func(SendInfo)) *completion {
-	if done == nil {
-		return nil
-	}
 	var c *completion
 	if k := len(s.compFree); k > 0 {
 		c = s.compFree[k-1]
 		s.compFree = s.compFree[:k-1]
 	} else {
 		c = &completion{owner: s}
-		c.cb = c.fire
+		c.OnDelivered = c.delivered
 	}
 	c.seq0, c.n, c.done = seq0, n, done
 	return c
 }
 
-func (c *completion) fire(err error, t sim.Time) {
+func (c *completion) delivered(res fabric.PutResult) {
 	seq0, n, done := c.seq0, c.n, c.done
 	c.done = nil
 	c.owner.compFree = append(c.owner.compFree, c)
+	if done == nil {
+		return
+	}
 	for i := 0; i < n; i++ {
-		done(SendInfo{Seq: seq0 + uint32(i), Err: err, Delivered: t})
+		done(SendInfo{Seq: seq0 + uint32(i), Err: res.Err, Delivered: res.Delivered})
 	}
-}
-
-// putCB returns the fabric-level callback for a completion, nil included.
-func (c *completion) putCB() func(error, sim.Time) {
-	if c == nil {
-		return nil
-	}
-	return c.cb
 }
 
 // NewSender builds a sender on w targeting the remote mailbox region
@@ -330,18 +319,19 @@ func (s *Sender) flush(r *run, done func(SendInfo)) {
 		return
 	}
 	frames := r.bytes / s.Cfg.Geometry.FrameSize
-	src, dst, n := s.staging+r.start, s.RemoteBase+r.start, r.bytes
+	c := s.getCompletion(r.seq0, frames, done)
+	c.SrcVA, c.DstVA, c.Size, c.Key = s.staging+r.start, s.RemoteBase+r.start, r.bytes, s.RemoteKey
 	r.bytes = 0
-	cb := s.getCompletion(r.seq0, frames, done).putCB()
 	if s.Cfg.SeparateSignal {
-		s.Ep.PutThinFenced(src, dst, n-SigSize, SigSize, s.RemoteKey, cb)
+		c.Size -= SigSize
+		s.Ep.PutThinFenced(&c.ThinPut, SigSize)
 		return
 	}
 	if frames > 1 {
 		s.Batches++
 		s.BatchedFrames += uint64(frames)
 	}
-	s.Ep.PutThin(src, dst, n, s.RemoteKey, cb)
+	s.Ep.PutThin(&c.ThinPut)
 }
 
 // queue appends msgs to the stall queue in order.

@@ -8,7 +8,7 @@ import (
 )
 
 // The memory-timing layer's own benchmarks (ROADMAP aim 1: each stage of an
-// injection has one). `make bench-json` records them.
+// injection has one).
 
 var (
 	sinkCost sim.Duration

@@ -10,12 +10,14 @@
 //     control and detecting message completion").
 //   - PutThin is the lean path the reactive mailbox uses: the frame is
 //     preformatted, flow control belongs to the mailbox banks, and no
-//     completion queue is polled.
+//     completion queue is polled. It keeps no per-put state either: the
+//     put is a ThinPut record the caller owns, left untouched from the
+//     post until its OnDelivered fires.
 //
 // Both paths pay the protocol-tier overheads of the underlying library
 // (short/eager/bcopy/zcopy), which is what produces the threshold
-// irregularities of Fig. 7; only the standard path adds the rendezvous
-// handshake for large messages.
+// irregularities of Fig. 7, and the rendezvous handshake for large
+// messages.
 package ucx
 
 import (
@@ -78,8 +80,6 @@ type Endpoint struct {
 	window   int
 	inflight int
 	backlog  []func()
-	// thinFree recycles thinOp records (see thinOp).
-	thinFree []*thinOp
 }
 
 // Connect creates an endpoint to peer.
@@ -142,47 +142,28 @@ func (ep *Endpoint) release() {
 	}
 }
 
-// thinOp is the recycled issue record of one thin put between post and
-// NIC hand-off. Its prebound fire/complete methods replace the two
-// closures the path used to allocate per message. Records live on the
-// owning endpoint's freelist.
-type thinOp struct {
-	owner       *Endpoint
-	ep          *Endpoint
-	srcVA       uint64
-	dstVA       uint64
-	size        int
-	key         fabric.RKey
-	onDelivered func(error, sim.Time)
-	fire        func()                 // prebound: hand the put to the NIC
-	cb          func(fabric.PutResult) // prebound: recycle, then report delivery
+// ThinPut is one thin put, a record the caller owns: the thin path keeps
+// no per-put state of its own. The caller fills the exported fields,
+// posts it with PutThin or PutThinFenced, and must not change it until
+// OnDelivered fires (with a nil OnDelivered, until the put has landed).
+// A record may be re-posted from its own OnDelivered.
+type ThinPut struct {
+	SrcVA, DstVA uint64
+	Size         int
+	Key          fabric.RKey
+	// OnDelivered, when non-nil, fires at the receiver-side delivery
+	// time, or with the error of a put the target refused.
+	OnDelivered func(fabric.PutResult)
+
+	ep   *Endpoint
+	fire func() // prebound hand-off, bound at the record's first post
 }
 
-func (ep *Endpoint) getThinOp() *thinOp {
-	if n := len(ep.thinFree); n > 0 {
-		op := ep.thinFree[n-1]
-		ep.thinFree[n-1] = nil
-		ep.thinFree = ep.thinFree[:n-1]
-		return op
-	}
-	op := &thinOp{owner: ep}
-	op.fire = op.doFire
-	op.cb = op.complete
-	return op
-}
-
-func (op *thinOp) doFire() {
-	op.ep.Local.count(op.size)
-	op.ep.Local.NIC.Put(op.ep.Remote.NIC, op.srcVA, op.dstVA, op.size, op.key, op.cb)
-}
-
-func (op *thinOp) complete(res fabric.PutResult) {
-	onDelivered := op.onDelivered
-	op.ep, op.onDelivered = nil, nil
-	op.owner.thinFree = append(op.owner.thinFree, op)
-	if onDelivered != nil {
-		onDelivered(res.Err, res.Delivered)
-	}
+// handOff gives the put to the NIC.
+func (p *ThinPut) handOff() {
+	ep := p.ep
+	ep.Local.count(p.Size)
+	ep.Local.NIC.Put(ep.Remote.NIC, p.SrcVA, p.DstVA, p.Size, p.Key, p.OnDelivered)
 }
 
 // PutThin is the reactive-mailbox send path: the caller has already packed
@@ -191,32 +172,36 @@ func (op *thinOp) complete(res fabric.PutResult) {
 // protocol stack as any UCX message (the Fig. 7 threshold artifacts come
 // from exactly this), including the rendezvous handshake for very large
 // frames — but the handshakes of different mailbox slots overlap, so
-// pipelined streams remain wire-bound. onDelivered fires at the
-// receiver-side delivery time.
-func (ep *Endpoint) PutThin(srcVA, dstVA uint64, size int, key fabric.RKey, onDelivered func(error, sim.Time)) {
+// pipelined streams remain wire-bound. The put moves p.Size bytes from
+// p.SrcVA to p.DstVA; the caller owns p and gets it back when
+// p.OnDelivered fires (see ThinPut).
+func (ep *Endpoint) PutThin(p *ThinPut) {
 	eng := ep.engine()
-	tier := model.TierFor(size)
+	tier := model.TierFor(p.Size)
 	swCost := model.AmPackOverhead + model.AmPostOverhead + tier.Overhead + model.DoorbellLat
 	postDone := ep.Local.CPU.Claim(eng.Now(), swCost)
-	op := ep.getThinOp()
-	op.ep, op.srcVA, op.dstVA, op.size, op.key, op.onDelivered = ep, srcVA, dstVA, size, key, onDelivered
+	p.ep = ep
+	if p.fire == nil {
+		p.fire = p.handOff
+	}
 	if tier.Name == "rndv" {
 		// Handshake delay; not serialized through any resource, so
 		// concurrent mailbox slots overlap their handshakes.
-		eng.At(postDone.Add(2*model.PutBaseLat), op.fire)
-	} else {
-		eng.At(postDone, op.fire)
+		postDone = postDone.Add(2 * model.PutBaseLat)
 	}
+	eng.At(postDone, p.fire)
 }
 
 // PutThinFenced is the mailbox send path for fabrics without the
-// write-order guarantee (paper Fig. 1): the frame body goes in one put, a
-// fence follows, and the 8-byte signal goes in a separate put that cannot
-// be delivered ahead of the body. The three steps issue atomically with
-// respect to simulated time so the fence covers exactly the body put.
-func (ep *Endpoint) PutThinFenced(srcVA, dstVA uint64, bodyLen, sigLen int, key fabric.RKey, onDelivered func(error, sim.Time)) {
+// write-order guarantee (paper Fig. 1): the frame body (p.Size bytes)
+// goes in one put, a fence follows, and the signal (the next sigLen
+// bytes) goes in a separate put that cannot be delivered ahead of the
+// body. The three steps issue atomically with respect to simulated time
+// so the fence covers exactly the body put. p.OnDelivered fires once, at
+// the signal's delivery, with the body's error if the signal had none.
+func (ep *Endpoint) PutThinFenced(p *ThinPut, sigLen int) {
 	eng := ep.engine()
-	tier := model.TierFor(bodyLen)
+	tier := model.TierFor(p.Size)
 	swCost := model.AmPackOverhead + 2*model.AmPostOverhead + tier.Overhead +
 		2*model.DoorbellLat + model.FenceOverhead
 	postDone := ep.Local.CPU.Claim(eng.Now(), swCost)
@@ -226,20 +211,19 @@ func (ep *Endpoint) PutThinFenced(srcVA, dstVA uint64, bodyLen, sigLen int, key 
 	}
 	eng.At(postDone, func() {
 		var bodyErr error
-		ep.Local.count(bodyLen)
-		ep.Local.NIC.Put(ep.Remote.NIC, srcVA, dstVA, bodyLen, key, func(res fabric.PutResult) {
+		ep.Local.count(p.Size)
+		ep.Local.NIC.Put(ep.Remote.NIC, p.SrcVA, p.DstVA, p.Size, p.Key, func(res fabric.PutResult) {
 			bodyErr = res.Err
 		})
 		ep.Local.NIC.Fence(ep.Remote.NIC)
 		ep.Local.count(sigLen)
-		ep.Local.NIC.Put(ep.Remote.NIC, srcVA+uint64(bodyLen), dstVA+uint64(bodyLen), sigLen, key,
+		ep.Local.NIC.Put(ep.Remote.NIC, p.SrcVA+uint64(p.Size), p.DstVA+uint64(p.Size), sigLen, p.Key,
 			func(res fabric.PutResult) {
-				if onDelivered != nil {
-					err := res.Err
-					if err == nil {
-						err = bodyErr
+				if p.OnDelivered != nil {
+					if res.Err == nil {
+						res.Err = bodyErr
 					}
-					onDelivered(err, res.Delivered)
+					p.OnDelivered(res)
 				}
 			})
 	})

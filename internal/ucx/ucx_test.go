@@ -80,14 +80,98 @@ func TestPutCounters(t *testing.T) {
 	p := newPair(t)
 	p.ab.Put(p.aBuf, p.bBuf, 64, p.bKey, nil)
 	p.ab.Put(p.aBuf, p.bBuf, 32, p.bKey+1, nil) // refused
-	p.ab.PutThin(p.aBuf, p.bBuf, 128, p.bKey, nil)
-	p.ab.PutThinFenced(p.aBuf, p.bBuf, 256, 8, p.bKey, nil)
+	p.ab.PutThin(&ThinPut{SrcVA: p.aBuf, DstVA: p.bBuf, Size: 128, Key: p.bKey})
+	p.ab.PutThinFenced(&ThinPut{SrcVA: p.aBuf, DstVA: p.bBuf, Size: 256, Key: p.bKey}, 8)
 	p.eng.Run()
 	if p.a.Puts != 5 || p.a.PutBytes != 64+32+128+256+8 {
 		t.Fatalf("puts %d, bytes %d; want 5 and %d", p.a.Puts, p.a.PutBytes, 64+32+128+256+8)
 	}
 	if p.b.Puts != 0 {
 		t.Fatalf("the target counted %d puts", p.b.Puts)
+	}
+}
+
+// TestThinPutRecordReposted: one ThinPut, re-posted from its own
+// OnDelivered, carries a run of puts to consecutive destinations. Every
+// put's bytes land, and the worker counts each put once with its bytes,
+// at a short-tier and at an rndv-tier size.
+func TestThinPutRecordReposted(t *testing.T) {
+	for _, size := range []int{64, 16384} {
+		p := newPair(t)
+		const n = 12
+		src := make([]byte, n*size)
+		for i := range src {
+			src[i] = byte(i*7 + i/size)
+		}
+		if err := p.a.AS.WriteBytes(p.aBuf, src); err != nil {
+			t.Fatal(err)
+		}
+		posts := 1
+		rec := &ThinPut{SrcVA: p.aBuf, DstVA: p.bBuf, Size: size, Key: p.bKey}
+		rec.OnDelivered = func(r fabric.PutResult) {
+			if r.Err != nil {
+				t.Fatalf("%dB put %d: %v", size, posts, r.Err)
+			}
+			if posts == n {
+				return
+			}
+			posts++
+			rec.SrcVA += uint64(size)
+			rec.DstVA += uint64(size)
+			p.ab.PutThin(rec)
+		}
+		p.ab.PutThin(rec)
+		p.eng.Run()
+		if posts != n {
+			t.Fatalf("%dB: %d puts posted, want %d", size, posts, n)
+		}
+		got, err := p.b.AS.ReadBytes(p.bBuf, n*size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(src) {
+			t.Fatalf("%dB: landed bytes differ from the source", size)
+		}
+		if p.a.Puts != n || p.a.PutBytes != uint64(n*size) {
+			t.Fatalf("%dB: puts %d, bytes %d; want %d and %d", size, p.a.Puts, p.a.PutBytes, n, n*size)
+		}
+	}
+}
+
+// TestThinPutErrors: a thin put the target refuses reports the error
+// through OnDelivered, and a fenced thin put calls OnDelivered exactly
+// once, after both its body and its signal have landed.
+func TestThinPutErrors(t *testing.T) {
+	p := newPair(t)
+	var gotErr error
+	calls := 0
+	p.ab.PutThin(&ThinPut{SrcVA: p.aBuf, DstVA: p.bBuf, Size: 64, Key: p.bKey + 1,
+		OnDelivered: func(r fabric.PutResult) { gotErr, calls = r.Err, calls+1 }})
+	p.eng.Run()
+	if gotErr == nil || calls != 1 {
+		t.Fatalf("bad rkey: err %v after %d calls, want one call with an error", gotErr, calls)
+	}
+
+	p = newPair(t)
+	want := []byte("fenced body then signal.")
+	if err := p.a.AS.WriteBytes(p.aBuf, want); err != nil {
+		t.Fatal(err)
+	}
+	calls = 0
+	p.ab.PutThinFenced(&ThinPut{SrcVA: p.aBuf, DstVA: p.bBuf, Size: len(want) - 8, Key: p.bKey,
+		OnDelivered: func(r fabric.PutResult) {
+			if r.Err != nil {
+				t.Errorf("fenced put: %v", r.Err)
+			}
+			calls++
+		}}, 8)
+	p.eng.Run()
+	if calls != 1 {
+		t.Fatalf("fenced put: OnDelivered called %d times, want 1", calls)
+	}
+	got, _ := p.b.AS.ReadBytes(p.bBuf, len(want))
+	if string(got) != string(want) {
+		t.Fatalf("fenced put landed %q, want %q", got, want)
 	}
 }
 
@@ -100,7 +184,8 @@ func TestThinVsStandardMatchesPaperShape(t *testing.T) {
 		p := newPair(t)
 		var done sim.Time
 		if thin {
-			p.ab.PutThin(p.aBuf, p.bBuf, size, p.bKey, func(_ error, d sim.Time) { done = d })
+			p.ab.PutThin(&ThinPut{SrcVA: p.aBuf, DstVA: p.bBuf, Size: size, Key: p.bKey,
+				OnDelivered: func(r fabric.PutResult) { done = r.Delivered }})
 		} else {
 			p.ab.Put(p.aBuf, p.bBuf, size, p.bKey, func(_ error, d sim.Time) { done = d })
 		}
@@ -121,11 +206,12 @@ func TestThinVsStandardMatchesPaperShape(t *testing.T) {
 		p := newPair(t)
 		var last sim.Time
 		for i := 0; i < n; i++ {
-			p.ab.PutThin(p.aBuf, p.bBuf, size, p.bKey, func(_ error, d sim.Time) {
-				if d > last {
-					last = d
-				}
-			})
+			p.ab.PutThin(&ThinPut{SrcVA: p.aBuf, DstVA: p.bBuf, Size: size, Key: p.bKey,
+				OnDelivered: func(r fabric.PutResult) {
+					if r.Delivered > last {
+						last = r.Delivered
+					}
+				}})
 		}
 		p.eng.Run()
 		return sim.Duration(last)
@@ -227,11 +313,12 @@ func TestThinRndvHandshakeOverlaps(t *testing.T) {
 	p := newPair(t)
 	var last sim.Time
 	for i := 0; i < n; i++ {
-		p.ab.PutThin(p.aBuf, p.bBuf, size, p.bKey, func(_ error, d sim.Time) {
-			if d > last {
-				last = d
-			}
-		})
+		p.ab.PutThin(&ThinPut{SrcVA: p.aBuf, DstVA: p.bBuf, Size: size, Key: p.bKey,
+			OnDelivered: func(r fabric.PutResult) {
+				if r.Delivered > last {
+					last = r.Delivered
+				}
+			}})
 	}
 	p.eng.Run()
 	wireFloor := sim.Duration(n) * model.WireTime(size)
@@ -260,7 +347,7 @@ func TestSenderOverheadAccessors(t *testing.T) {
 	busy := func(thin bool, size int) sim.Duration {
 		p := newPair(t)
 		if thin {
-			p.ab.PutThin(p.aBuf, p.bBuf, size, p.bKey, nil)
+			p.ab.PutThin(&ThinPut{SrcVA: p.aBuf, DstVA: p.bBuf, Size: size, Key: p.bKey})
 		} else {
 			p.ab.Put(p.aBuf, p.bBuf, size, p.bKey, nil)
 		}

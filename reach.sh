@@ -5,8 +5,8 @@
 #
 #	bash reach.sh
 #
-# It builds every command but benchjson, every example and benchmark/
-# with `go build -cover -coverpkg=./...` into a temporary directory,
+# It builds every command, every example and benchmark/ with
+# `go build -cover -coverpkg=./...` into a temporary directory,
 # runs the invocations below with GOCOVERDIR set (each must exit 0),
 # merges the counters with `go tool covdata func` and lists the
 # functions under internal/ that never ran, keyed by file and name (no
