@@ -78,7 +78,7 @@ func main() {
 			fatal(err)
 		}
 		if pkg, err = core.DecodePackage(data); err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("%s: %w", *pkgFile, err))
 		}
 	}
 	if _, ok := pkg.Element(*jam); !ok {

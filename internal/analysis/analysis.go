@@ -8,8 +8,9 @@
 //   - scratchescape — a *mailbox.Delivery callback argument or a
 //     mem.View* slice must not outlive its callback/event (ROADMAP
 //     "Pooling ownership rules").
-//   - poolownership — no use of a *mailbox.Message after Send/SendBatch
-//     hands it to the Sender; no touching a tc.Future after Release.
+//   - poolownership — no touching a tc.Future, mem.AddressSpace or
+//     memsim.Hierarchy after Release, or a tc.System after Close, which
+//     hand it back to a pool or a shelf.
 //   - detsource — the simulation packages draw no nondeterminism:
 //     no wall clock, no global math/rand, no effectful map iteration,
 //     no goroutines.

@@ -6,24 +6,18 @@ import (
 )
 
 // PoolOwnership enforces the hand-off side of the ROADMAP pooling
-// rules: a *mailbox.Message's ownership transfers to the Sender at
-// Send/SendBatch (the sender releases the frame to its freelist after
-// packing, so a later touch is a use-after-reuse on whatever send the
-// freelist served next), and Release hands a tc.Future back to its
-// system's pool (touching it afterwards aliases the next Call that
-// recycles it). The same goes for address-space backings and cache-model
-// tag arrays: Close on a tc.System, or Release on a mem.AddressSpace or a
-// memsim.Hierarchy, puts node memory or tags on a process-wide shelf, and
-// the next system built may already own them. The check is a
-// straight-line reaching-uses pass over each block: any use of the
-// handed-off variable in the statements after the hand-off is flagged
-// until the variable is reassigned
-// (msg = s.GetMessage() starts a new ownership epoch). Uses of
-// the message captured by the send's own completion callback are
-// flagged too — the callback runs after the frame is released.
+// rules: Release hands a tc.Future back to its system's pool (touching
+// it afterwards aliases the next Call that recycles it), and the same
+// goes for address-space backings and cache-model tag arrays: Close on a
+// tc.System, or Release on a mem.AddressSpace or a memsim.Hierarchy,
+// puts node memory or tags on a process-wide shelf, and the next system
+// built may already own them. The check is a straight-line reaching-uses
+// pass over each block: any use of the handed-off variable in the
+// statements after the hand-off is flagged until the variable is
+// reassigned (fu = next starts a new ownership epoch).
 var PoolOwnership = &Analyzer{
 	Name: "poolownership",
-	Doc:  "no use of a mailbox.Message after Send/SendBatch, a tc.Future, mem.AddressSpace or memsim.Hierarchy after Release, or a tc.System after Close",
+	Doc:  "no use of a tc.Future, mem.AddressSpace or memsim.Hierarchy after Release, or of a tc.System after Close",
 	Run:  runPoolOwnership,
 }
 
@@ -43,8 +37,8 @@ func runPoolOwnership(pass *Pass) error {
 
 // handoff records one released object and the verb that released it.
 type handoff struct {
-	verb string // "Send", "SendBatch", "Release", or "Close"
-	what string // "*mailbox.Message", "message batch", "tc.Future", ...
+	verb string // "Release" or "Close"
+	what string // "tc.Future", "mem.AddressSpace", ...
 }
 
 func checkBlockHandoffs(pass *Pass, block *ast.BlockStmt) {
@@ -102,8 +96,7 @@ func reportKilledUses(pass *Pass, killed map[types.Object]handoff, n ast.Node) {
 }
 
 // handoffIn recognizes a hand-off statement and returns the object
-// whose ownership leaves the caller. It also checks the hand-off's own
-// callback arguments for captures of that object.
+// whose ownership leaves the caller.
 func handoffIn(pass *Pass, stmt ast.Stmt) (types.Object, handoff, bool) {
 	es, ok := stmt.(*ast.ExprStmt)
 	if !ok {
@@ -122,16 +115,6 @@ func handoffIn(pass *Pass, stmt ast.Stmt) (types.Object, handoff, bool) {
 		return nil, handoff{}, false
 	}
 	switch {
-	case sel.Sel.Name == "Send" && isPtrToNamed(recv, mailboxPath, "Sender") && len(call.Args) >= 1:
-		obj := useOf(pass.Info, call.Args[0])
-		h := handoff{verb: "Send", what: "*mailbox.Message"}
-		reportCallbackCapture(pass, call.Args[1:], obj, h)
-		return obj, h, true
-	case sel.Sel.Name == "SendBatch" && isPtrToNamed(recv, mailboxPath, "Sender") && len(call.Args) >= 1:
-		obj := useOf(pass.Info, call.Args[0])
-		h := handoff{verb: "SendBatch", what: "message batch"}
-		reportCallbackCapture(pass, call.Args[1:], obj, h)
-		return obj, h, true
 	case sel.Sel.Name == "Release" && isPtrToNamed(recv, tcPath, "Future"):
 		return useOf(pass.Info, sel.X), handoff{verb: "Release", what: "tc.Future"}, true
 	case sel.Sel.Name == "Release" && isPtrToNamed(recv, memPath, "AddressSpace"):
@@ -142,27 +125,4 @@ func handoffIn(pass *Pass, stmt ast.Stmt) (types.Object, handoff, bool) {
 		return useOf(pass.Info, sel.X), handoff{verb: "Close", what: "tc.System"}, true
 	}
 	return nil, handoff{}, false
-}
-
-// reportCallbackCapture flags the handed-off object appearing inside a
-// completion-callback literal passed to the same Send/SendBatch call:
-// the callback runs at completion time, after the sender released the
-// frame.
-func reportCallbackCapture(pass *Pass, args []ast.Expr, obj types.Object, h handoff) {
-	if obj == nil {
-		return
-	}
-	for _, arg := range args {
-		lit, ok := arg.(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if ok && pass.Info.Uses[id] == obj {
-				pass.Reportf(id.Pos(), "%s %s captured by the completion callback of its own %s; the frame is already released when it runs", h.what, id.Name, h.verb)
-			}
-			return true
-		})
-	}
 }

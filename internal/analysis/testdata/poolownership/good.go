@@ -3,25 +3,9 @@
 package fixture
 
 import (
-	"twochains/internal/mailbox"
 	"twochains/internal/mem"
 	"twochains/internal/tc"
 )
-
-func useBeforeSend(s *mailbox.Sender) {
-	msg := s.GetMessage()
-	msg.Args[0] = 7
-	msg.Kind = mailbox.KindData
-	s.Send(msg, nil)
-}
-
-func reassignStartsNewEpoch(s *mailbox.Sender) {
-	msg := s.GetMessage()
-	s.Send(msg, nil)
-	msg = s.GetMessage() // fresh frame: new ownership epoch
-	msg.Args[0] = 1
-	s.Send(msg, nil)
-}
 
 func releaseThenDone(fu *tc.Future, next *tc.Future) {
 	fu.Release()

@@ -20,30 +20,27 @@ import (
 //
 // Bound is the channel-level invocation surface (resolved by string via
 // Channel.Handle) and the engine under the tc.Func public API (which
-// holds one handle per destination). Its one send, Send, fills pooled
-// frames — injected or Local Function, one per args entry — and hands
-// them to the channel's mailbox sender as one batch; completion arrives
-// through the sender's own callback, one mailbox.SendInfo per message
-// (nil when nobody observes it), so a call allocates nothing of its own.
+// holds one handle per destination). Its one send, Send, copies a frame
+// template — the prepared jam or the Local Function IDs — once per args
+// entry into the channel's scratch and hands the batch to the channel's
+// mailbox sender; completion arrives through the sender's own callback,
+// one mailbox.SendInfo per message (nil when nobody observes it), so a
+// call allocates nothing of its own.
 type Bound struct {
 	ch                *Channel
 	pkgName, elemName string
 
-	// Injection state: the prepared image and the namespace fingerprint
-	// it was bound against. Re-prepared when the channel's fingerprint
-	// moves (hot-swap) — the cache makes that a lookup, not a re-bind,
-	// unless the namespace is genuinely new.
-	pj *preparedJam
-	fp uint64
+	// Injection state: the prepared jam — the injected frame template
+	// the jam cache built — and the namespace fingerprint it was bound
+	// against. Re-prepared when the channel's fingerprint moves
+	// (hot-swap) — the cache makes that a lookup, not a re-bind, unless
+	// the namespace is genuinely new.
+	jam *mailbox.Message
+	fp  uint64
 
-	// Local Function state: the receiver's package and element IDs.
-	localPkg, localElem uint8
-	localOK             bool
-
-	// burstScratch is the reusable frame-pointer scratch for sends:
-	// SendBatch never retains the slice (stalled messages are queued
-	// individually), so one per-handle buffer serves every Send.
-	burstScratch []*mailbox.Message
+	// local is the Local Function frame template: the receiver's package
+	// and element IDs, resolved on first use (Kind is 0 until then).
+	local mailbox.Message
 
 	// injectCnt counts single-message injects through this handle for
 	// the auto-switch heuristic (MeshConfig.AutoSwitchAfter).
@@ -66,23 +63,24 @@ func (ch *Channel) Handle(pkgName, elemName string) *Bound {
 // Channel returns the channel the handle sends on.
 func (b *Bound) Channel() *Channel { return b.ch }
 
-// ensureInject makes the prepared image current for the channel's
+// ensureInject makes the prepared jam current for the channel's
 // receiver namespace.
 func (b *Bound) ensureInject() error {
-	if b.pj != nil && b.fp == b.ch.remoteFP {
+	if b.jam != nil && b.fp == b.ch.remoteFP {
 		return nil
 	}
-	pj, err := b.ch.prepareJam(b.pkgName, b.elemName)
+	ch := b.ch
+	jam, err := ch.Src.jams.prepare(ch.Src, b.pkgName, b.elemName, ch.Dst.Name, ch.remoteNames, ch.remoteFP)
 	if err != nil {
 		return err
 	}
-	b.pj, b.fp = pj, b.ch.remoteFP
+	b.jam, b.fp = jam, ch.remoteFP
 	return nil
 }
 
 // ensureLocal resolves the receiver-side IDs once.
 func (b *Bound) ensureLocal() error {
-	if b.localOK {
+	if b.local.Kind != 0 {
 		return nil
 	}
 	ch := b.ch
@@ -96,8 +94,7 @@ func (b *Bound) ensureLocal() error {
 		return fmt.Errorf("core: %s->%s: no jam %q in package %s",
 			ch.Src.Name, ch.Dst.Name, b.elemName, b.pkgName)
 	}
-	b.localPkg, b.localElem = inst.ID, elem.ID
-	b.localOK = true
+	b.local = mailbox.Message{Kind: mailbox.KindLocal, PkgID: inst.ID, ElemID: elem.ID}
 	return nil
 }
 
@@ -113,39 +110,6 @@ func (b *Bound) checkUp() error {
 		return &NodeDownError{Src: b.ch.Src.Name, Dst: b.ch.Dst.Name, Node: b.ch.Src.Name}
 	}
 	return nil
-}
-
-// fillInjected writes the wire message for the current prepared image
-// into a pooled frame.
-func (b *Bound) fillInjected(m *mailbox.Message, args [2]uint64, usr []byte) {
-	pj := b.pj
-	m.Kind = mailbox.KindInjected
-	m.PkgID = pj.pkgID
-	m.ElemID = pj.elemID
-	m.JamImage = pj.image
-	m.GotTableLen = pj.gotLen
-	m.TextLen = pj.textLen
-	m.EntryOff = pj.entry
-	m.Patches = pj.patches
-	m.Args = args
-	m.Usr = usr
-}
-
-// fillLocal writes the Local Function wire message into a pooled frame.
-func (b *Bound) fillLocal(m *mailbox.Message, args [2]uint64, usr []byte) {
-	m.Kind = mailbox.KindLocal
-	m.PkgID = b.localPkg
-	m.ElemID = b.localElem
-	m.Args = args
-	m.Usr = usr
-}
-
-// burstMsgs returns the per-handle scratch sized for an n-message batch.
-func (b *Bound) burstMsgs(n int) []*mailbox.Message {
-	if cap(b.burstScratch) < n {
-		b.burstScratch = make([]*mailbox.Message, n)
-	}
-	return b.burstScratch[:n]
 }
 
 // takeAutoSwitch counts one single-message inject through the handle
@@ -189,24 +153,22 @@ func (b *Bound) Send(local bool, usr []byte, done func(mailbox.SendInfo), args .
 	if !local && len(args) == 1 && b.takeAutoSwitch() {
 		local = true
 	}
-	var err error
+	var tmpl *mailbox.Message
 	if local {
-		err = b.ensureLocal()
-	} else {
-		err = b.ensureInject()
-	}
-	if err != nil {
-		return err
-	}
-	msgs := b.burstMsgs(len(args))
-	for i, a := range args {
-		m := b.ch.Sender.GetMessage()
-		if local {
-			b.fillLocal(m, a, usr)
-		} else {
-			b.fillInjected(m, a, usr)
+		if err := b.ensureLocal(); err != nil {
+			return err
 		}
-		msgs[i] = m
+		tmpl = &b.local
+	} else {
+		if err := b.ensureInject(); err != nil {
+			return err
+		}
+		tmpl = b.jam
+	}
+	msgs := b.ch.burstMsgs(len(args))
+	for i, a := range args {
+		msgs[i] = *tmpl
+		msgs[i].Args, msgs[i].Usr = a, usr
 	}
 	b.ch.Sender.SendBatch(msgs, done)
 	return nil

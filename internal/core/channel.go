@@ -25,6 +25,10 @@ type Channel struct {
 	// (see Bound). Keys are (pkg, elem) pairs, not built strings, so a
 	// cache hit performs no allocation.
 	bounds map[[2]string]*Bound
+	// burst is the scratch every handle on the channel builds its batch
+	// in. SendBatch keeps nothing of the batch it is given, so one
+	// scratch per channel serves every Bound.Send on it.
+	burst []mailbox.Message
 
 	// dead marks a channel severed by Mesh.FailNode: unlike Dst.down it
 	// never clears — a rejoined node gets fresh channels (and fresh
@@ -36,17 +40,6 @@ type Channel struct {
 // channel stays dead across the node's rejoin; callers caching Bound
 // handles check it to know when to re-resolve through the mesh.
 func (ch *Channel) Dead() bool { return ch.dead }
-
-// preparedJam is a jam with its extern GOT entries bound to receiver VAs.
-type preparedJam struct {
-	image   []byte
-	gotLen  int
-	textLen int
-	entry   uint32
-	patches []mailbox.GotPatch
-	pkgID   uint8
-	elemID  uint8
-}
 
 // connectTo opens a channel from src into one mailbox region on dst. A
 // region admits one remote writer, so every channel gets its own
@@ -74,10 +67,12 @@ func connectTo(src, dst *Node, recv *mailbox.Receiver, scfg mailbox.SenderConfig
 	}, nil
 }
 
-// prepareJam returns the element's image bound against the remote
-// namespace, via the sender node's shared cache.
-func (ch *Channel) prepareJam(pkgName, elemName string) (*preparedJam, error) {
-	return ch.Src.jams.prepare(ch.Src, pkgName, elemName, ch.Dst.Name, ch.remoteNames, ch.remoteFP)
+// burstMsgs returns the channel's scratch sized for an n-message batch.
+func (ch *Channel) burstMsgs(n int) []mailbox.Message {
+	if cap(ch.burst) < n {
+		ch.burst = make([]mailbox.Message, n)
+	}
+	return ch.burst[:n]
 }
 
 func putU64(b []byte, v uint64) {
@@ -89,7 +84,5 @@ func putU64(b []byte, v uint64) {
 // SendData sends a delivery-only frame (the without-execution mode used by
 // the Fig. 5/6 overhead experiments).
 func (ch *Channel) SendData(usr []byte, done func(mailbox.SendInfo)) {
-	m := ch.Sender.GetMessage()
-	m.Kind, m.Usr = mailbox.KindData, usr
-	ch.Sender.Send(m, done)
+	ch.Sender.Send(&mailbox.Message{Kind: mailbox.KindData, Usr: usr}, done)
 }

@@ -40,8 +40,7 @@ func (e *NodeDownError) Error() string {
 //   - Every channel into or out of the node is severed: marked dead,
 //     removed from the mesh (a later ChannelView rebuilds from scratch),
 //     and its queued (credit-stalled) sends fail fast with a typed
-//     *NodeDownError so pooled frames return to the pool and observing
-//     futures resolve instead of stranding.
+//     *NodeDownError so observing futures resolve instead of stranding.
 //   - Peers' prepared-jam caches drop every image bound against the
 //     failed node's namespace fingerprints, and the mesh's memoized
 //     namespace exchanges for the node are invalidated — the

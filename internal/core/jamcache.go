@@ -33,7 +33,7 @@ const jamCacheGenerations = 8
 // load changes the namespace fingerprint, so stale images stop being
 // referenced and age out of the per-element generation ring.
 type jamCache struct {
-	entries map[jamCacheKey]*preparedJam
+	entries map[jamCacheKey]*mailbox.Message
 	// gens tracks insertion order of fingerprints per element, oldest
 	// first, for generation eviction.
 	gens map[[2]uint8][]jamCacheKey
@@ -44,7 +44,7 @@ type jamCache struct {
 
 func newJamCache() *jamCache {
 	return &jamCache{
-		entries: map[jamCacheKey]*preparedJam{},
+		entries: map[jamCacheKey]*mailbox.Message{},
 		gens:    map[[2]uint8][]jamCacheKey{},
 	}
 }
@@ -76,11 +76,11 @@ func nsFingerprint(names map[string]uint64) uint64 {
 	return h
 }
 
-// prepare returns the prepared image of the element bound against the
+// prepare returns the prepared jam of the element bound against the
 // given receiver namespace, binding and caching it on first use. The
 // element is resolved to its integer IDs first, so the cache lookup hashes
 // a small fixed-size key instead of building strings.
-func (c *jamCache) prepare(src *Node, pkgName, elemName, dstName string, names map[string]uint64, nsFP uint64) (*preparedJam, error) {
+func (c *jamCache) prepare(src *Node, pkgName, elemName, dstName string, names map[string]uint64, nsFP uint64) (*mailbox.Message, error) {
 	inst, ok := src.Package(pkgName)
 	if !ok {
 		return nil, fmt.Errorf("core: %s: package %s not installed on sender", src.Name, pkgName)
@@ -90,23 +90,23 @@ func (c *jamCache) prepare(src *Node, pkgName, elemName, dstName string, names m
 		return nil, fmt.Errorf("core: %s: no jam %q in package %s", src.Name, elemName, pkgName)
 	}
 	key := jamCacheKey{pkgID: inst.ID, elemID: elem.ID, nsFP: nsFP}
-	if pj, ok := c.entries[key]; ok {
+	if jam, ok := c.entries[key]; ok {
 		c.hits++
-		return pj, nil
+		return jam, nil
 	}
-	pj, err := bindJam(src, inst, elem, dstName, names)
+	jam, err := bindJam(src, inst, elem, dstName, names)
 	if err != nil {
 		return nil, err
 	}
 	c.binds++
-	c.entries[key] = pj
+	c.entries[key] = jam
 	id := [2]uint8{inst.ID, elem.ID}
 	c.gens[id] = append(c.gens[id], key)
 	if g := c.gens[id]; len(g) > jamCacheGenerations {
 		delete(c.entries, g[0])
 		c.gens[id] = g[1:]
 	}
-	return pj, nil
+	return jam, nil
 }
 
 // invalidate drops every prepared image bound against the given
@@ -136,32 +136,32 @@ func (c *jamCache) invalidate(nsFP uint64) int {
 }
 
 // bindJam binds a jam element's extern GOT entries against a receiver
-// namespace snapshot, producing the shippable image.
-func bindJam(src *Node, inst *InstalledPackage, elem *Element, dstName string, names map[string]uint64) (*preparedJam, error) {
-	elemName := elem.Name
+// namespace snapshot, producing the prepared jam: the injected frame
+// template every send of the element copies, Args and Usr aside.
+func bindJam(src *Node, inst *InstalledPackage, elem *Element, dstName string, names map[string]uint64) (*mailbox.Message, error) {
 	j := elem.Jam
-
-	pj := &preparedJam{
-		gotLen:  j.GotTableLen(),
-		textLen: j.TextLen,
-		entry:   j.Entry,
-		pkgID:   inst.ID,
-		elemID:  elem.ID,
+	jam := &mailbox.Message{
+		Kind:        mailbox.KindInjected,
+		PkgID:       inst.ID,
+		ElemID:      elem.ID,
+		EntryOff:    j.Entry,
+		GotTableLen: j.GotTableLen(),
+		TextLen:     j.TextLen,
 	}
 	// Image: [GOT table][gp slot placeholder][body].
-	pj.image = make([]byte, j.ShippedSize())
-	copy(pj.image[pj.gotLen+8:], j.Body)
+	jam.JamImage = make([]byte, j.ShippedSize())
+	copy(jam.JamImage[jam.GotTableLen+8:], j.Body)
 	for i, g := range j.Got {
 		if g.Local {
-			pj.patches = append(pj.patches, mailbox.GotPatch{Slot: i, BodyOff: g.Off})
+			jam.Patches = append(jam.Patches, mailbox.GotPatch{Slot: i, BodyOff: g.Off})
 			continue
 		}
 		va, ok := names[g.Name]
 		if !ok {
 			return nil, fmt.Errorf("core: %s->%s: jam %s needs symbol %q, absent from receiver namespace (load the ried first)",
-				src.Name, dstName, elemName, g.Name)
+				src.Name, dstName, elem.Name, g.Name)
 		}
-		putU64(pj.image[i*8:], va)
+		putU64(jam.JamImage[i*8:], va)
 	}
-	return pj, nil
+	return jam, nil
 }

@@ -1,6 +1,7 @@
 package mailbox
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -53,9 +54,9 @@ func TestDrainFIFOProperty(t *testing.T) {
 				continue
 			}
 			burst := int(n%5) + 1
-			msgs := make([]*Message, burst)
+			msgs := make([]Message, burst)
 			for i := 0; i < burst; i++ {
-				msgs[i] = PackLocal(1, 1, [2]uint64{next, 0}, nil)
+				msgs[i] = *PackLocal(1, 1, [2]uint64{next, 0}, nil)
 				next++
 				submitted++
 			}
@@ -93,9 +94,9 @@ func TestDrainRestallKeepsOrder(t *testing.T) {
 	g := Geometry{Banks: 1, Slots: 1, FrameSize: 128}
 	r := newRig(t, g, true, nil)
 	const n = 6
-	msgs := make([]*Message, n)
+	msgs := make([]Message, n)
 	for i := range msgs {
-		msgs[i] = PackLocal(1, 1, [2]uint64{uint64(i + 1), 0}, nil)
+		msgs[i] = *PackLocal(1, 1, [2]uint64{uint64(i + 1), 0}, nil)
 	}
 	r.sender.SendBatch(msgs, nil)
 	// A straggler single send queues behind the stalled burst.
@@ -112,5 +113,73 @@ func TestDrainRestallKeepsOrder(t *testing.T) {
 	}
 	if r.sender.CreditStalls == 0 {
 		t.Fatal("scenario never stalled — not exercising drain")
+	}
+}
+
+// TestStalledBatchRetainsNothing: SendBatch keeps nothing of the batch it
+// is given. Seven messages into a 2×2 region stall on bank 0's credit
+// with three still queued when SendBatch returns; the caller then
+// overwrites every element and reuses the same slice for a second batch.
+// The receiver must see the first batch's arguments in order, then the
+// second's. Once warm, one more stall-and-drain cycle makes no
+// allocation: the stall copies come from and go back to the sender's
+// own freelist.
+func TestStalledBatchRetainsNothing(t *testing.T) {
+	g := Geometry{Banks: 2, Slots: 2, FrameSize: 128}
+	r := newRig(t, g, true, nil)
+	var got []uint64
+	r.receiver.Handler = func(d *Delivery) (sim.Duration, error) {
+		raw, err := r.b.AS.ViewDMA(d.ArgsVA, 8)
+		if err != nil {
+			return 0, err
+		}
+		got = append(got, binary.LittleEndian.Uint64(raw))
+		return sim.Microsecond, nil
+	}
+	msgs := make([]Message, 7)
+	poison := []byte("overwritten")
+	next := uint64(0)
+	batch := func() {
+		for i := range msgs {
+			msgs[i] = Message{Kind: KindLocal, PkgID: 1, ElemID: 1, Args: [2]uint64{next, 0}}
+			next++
+		}
+		r.sender.SendBatch(msgs, nil)
+		for i := range msgs {
+			msgs[i] = Message{Kind: KindData, Args: [2]uint64{1 << 63, 1 << 63}, Usr: poison}
+		}
+	}
+	cycle := func() {
+		stalls := r.sender.CreditStalls
+		batch()
+		if len(r.sender.stalled) == 0 {
+			t.Fatal("the first batch never stalled")
+		}
+		batch()
+		r.eng.Run()
+		if r.sender.CreditStalls == stalls {
+			t.Fatal("the cycle never stalled")
+		}
+	}
+
+	cycle()
+	if len(got) != 2*len(msgs) {
+		t.Fatalf("delivered %d of %d", len(got), 2*len(msgs))
+	}
+	for i, a := range got {
+		if a != uint64(i) {
+			t.Fatalf("position %d carries %d (delivered %v)", i, a, got)
+		}
+	}
+	if r.receiver.Errors != 0 {
+		t.Fatalf("receiver errors: %d", r.receiver.Errors)
+	}
+
+	for i := 0; i < 3; i++ {
+		got = got[:0]
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1, func() { got = got[:0]; cycle() }); allocs != 0 {
+		t.Fatalf("%.0f allocations in a warm stall-and-drain cycle, want 0", allocs)
 	}
 }

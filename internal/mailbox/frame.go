@@ -52,23 +52,19 @@ type GotPatch struct {
 	BodyOff uint32
 }
 
-// Message is one active message to be packed into a frame.
-//
-// Hot senders take messages from their Sender's freelist with
-// Sender.GetMessage and hand them to Send/SendBatch, which return them
-// to the freelist once the frame bytes have been packed into the staging
-// region (or the send failed). After that hand-off the caller must not
-// touch the message again — it may already be serving another send.
-// Messages constructed directly (&Message{...}, PackLocal) are never
-// recycled and stay owned by the caller.
+// Message is one active message to be packed into a frame: a plain
+// value. Send and SendBatch read it and keep none of it — not the
+// message, not the slice of a batch — so the caller may overwrite or
+// reuse either as soon as the call returns. The header fields are read
+// during the call; the JamImage, Patches and Usr slices are read at pack
+// time, which for a message that stalls on a bank's credit is when the
+// credit returns (the sender queues its own copy of the message, which
+// shares those slices), so their bytes must not change before then.
 type Message struct {
-	Kind   uint8
-	PkgID  uint8
-	ElemID uint8
-	// owner, when set, is the Sender whose private freelist minted this
-	// message (Sender.GetMessage): release recycles it there, so
-	// caller-constructed messages keep value semantics.
-	owner *Sender
+	Kind     uint8
+	PkgID    uint8
+	ElemID   uint8
+	EntryOff uint32
 	// JamImage is the prebuilt [GOT table][gp slot][body] image for
 	// injected messages; nil otherwise. Extern GOT entries already carry
 	// receiver VAs; local entries and the gp slot are patched at pack time
@@ -76,21 +72,9 @@ type Message struct {
 	JamImage    []byte
 	GotTableLen int // bytes of GOT table at the front of JamImage
 	TextLen     int // executable prefix of the body (rest is rodata)
-	EntryOff    uint32
 	Patches     []GotPatch
 	Args        [2]uint64
 	Usr         []byte
-}
-
-// release returns a freelist message to its sender, dropping every
-// payload reference (JamImage, Patches, and Usr are caller-owned and
-// merely unreferenced, never recycled here). Caller-constructed messages
-// are left alone.
-func (m *Message) release() {
-	if o := m.owner; o != nil {
-		*m = Message{owner: o}
-		o.msgFree = append(o.msgFree, m)
-	}
 }
 
 // overhead returns the non-payload bytes of a frame of the kind;

@@ -56,14 +56,15 @@ type Sender struct {
 	// the same bound jam then skip the image copy and the tail clear.
 	slotJam     [][]byte
 	slotWritten []int
-	// Private freelists for the steady-state send path: a message is
-	// released at pack time, a completion when its put delivers.
-	msgFree  []*Message
-	compFree []*completion
-	stalled  []queuedSend
+	// Private freelists for the steady-state send path: a completion
+	// goes back when its put delivers, a stall record when its message
+	// drains or fails.
+	compFree  []*completion
+	stallFree []*stalledSend
+	stalled   []*stalledSend
 	// drainBuf is the spare stall queue drain ping-pongs with, so retrying
 	// stalled sends reuses two stable buffers instead of reallocating.
-	drainBuf []queuedSend
+	drainBuf []*stalledSend
 	stallAt  sim.Time
 
 	// Sent counts packed frames and CreditStalls the sends that waited
@@ -75,8 +76,11 @@ type Sender struct {
 	BatchedFrames uint64
 }
 
-type queuedSend struct {
-	msg  *Message
+// stalledSend is a message waiting for a bank's credit: the sender's
+// own copy, so the caller's message and batch slice are free the moment
+// Send or SendBatch returns.
+type stalledSend struct {
+	msg  Message
 	done func(SendInfo)
 }
 
@@ -166,20 +170,6 @@ func NewSender(w *ucx.Worker, ep *ucx.Endpoint, cfg SenderConfig, remoteBase uin
 	return s, nil
 }
 
-// GetMessage returns a zeroed Message from the sender's private
-// freelist, falling back to a fresh allocation. Ownership transfers
-// back at Send/SendBatch, which releases the message after packing; the
-// caller must not retain it past that call.
-func (s *Sender) GetMessage() *Message {
-	if n := len(s.msgFree); n > 0 {
-		m := s.msgFree[n-1]
-		s.msgFree[n-1] = nil
-		s.msgFree = s.msgFree[:n-1]
-		return m
-	}
-	return &Message{owner: s}
-}
-
 // packStaging packs msg into the staging slot buf (slot index idx),
 // skipping work the slot's previous occupant already did: an identical
 // jam image is already in place, and bytes past the previous pack's
@@ -208,98 +198,111 @@ func (s *Sender) packStaging(msg *Message, buf []byte, idx int, seq uint32, dstV
 // Send packs and transmits msg to the next mailbox slot: a one-frame
 // SendBatch. If the target bank's credit is not available the send queues
 // until the receiver returns the bank flag. done fires when the frame
-// (and its signal) has been delivered remotely.
+// (and its signal) has been delivered remotely. msg is read as SendBatch
+// reads its messages and is not retained.
 func (s *Sender) Send(msg *Message, done func(SendInfo)) {
-	one := [1]*Message{msg}
-	s.SendBatch(one[:], done)
+	var r run
+	if len(s.stalled) > 0 || !s.pack(&r, msg, done) {
+		s.stall(msg, done)
+	}
+	s.flush(&r, done)
 }
 
-// SendBatch transmits a run of messages — every send goes through it,
-// Send as a run of one. Frames are packed into consecutive mailbox slots
-// and every contiguous run of slots ships as one put, so a burst pays the
-// per-put software cost (post, doorbell, protocol tier) once per run
-// instead of once per frame. Runs break at the mailbox region wrap and at
-// credit stalls; messages past a stall, or submitted while earlier ones
-// are still stalled, queue in order and go out one frame per put when the
-// receiver returns the bank flag. On fabrics without the write-order
-// guarantee every frame is its own run: the separate-signal protocol
-// fences between a body and its signal, which one coalesced put cannot
-// express. done (when non-nil) fires once per message. msgs is not
-// retained.
-func (s *Sender) SendBatch(msgs []*Message, done func(SendInfo)) {
-	if len(s.stalled) > 0 {
-		s.queue(msgs, done)
-		return
-	}
-	g := s.Cfg.Geometry
-	// The contiguous run's frames occupy consecutive slots, so their
-	// sequence numbers are consecutive too and one counted completion
-	// record fans the run's single fabric callback out per message.
+// SendBatch transmits a run of messages — every send goes through it or
+// through Send, its one-message form. Frames are packed into consecutive
+// mailbox slots and every contiguous run of slots ships as one put, so a
+// burst pays the per-put software cost (post, doorbell, protocol tier)
+// once per run instead of once per frame. Runs break at the mailbox
+// region wrap and at credit stalls; messages past a stall, or submitted
+// while earlier ones are still stalled, are copied into the sender's
+// stall queue in order and go out one frame per put when the receiver
+// returns the bank flag. On fabrics without the write-order guarantee
+// every frame is its own run: the separate-signal protocol fences
+// between a body and its signal, which one coalesced put cannot express.
+// done (when non-nil) fires once per message.
+//
+// SendBatch keeps neither msgs nor any element of it: the caller may
+// overwrite and reuse the slice once the call returns. Each message's
+// JamImage, Patches and Usr bytes are read when it is packed — during
+// the call, or when its credit returns for a stalled one.
+func (s *Sender) SendBatch(msgs []Message, done func(SendInfo)) {
 	var r run
-	for i, msg := range msgs {
-		seq := s.seq
-		bank, slot, off := g.SlotFor(seq)
-
-		if s.Cfg.Credits && slot == 0 {
-			flagVA := s.CreditVA + uint64(bank*8)
-			flag, err := s.Worker.AS.ReadU64(flagVA)
-			if err != nil {
-				s.finish(msg, done, SendInfo{Seq: seq, Err: err})
-				continue
-			}
-			if flag == 0 {
-				// Bank still owned by the receiver: ship what we have and
-				// stall until the credit returns. Waiting costs cycles like
-				// any signal wait. Queued messages stay out of the pool
-				// until they are finally packed or fail.
-				s.flush(&r, done)
-				s.stallAt = s.eng.Now()
-				s.CreditStalls++
-				s.queue(msgs[i:], done)
-				return
-			}
-			// Claim the bank.
-			if err := s.Worker.AS.WriteU64(flagVA, 0); err != nil {
-				s.finish(msg, done, SendInfo{Seq: seq, Err: err})
-				continue
-			}
-		}
-		if r.bytes > 0 && off != r.start+uint64(r.bytes) {
-			// Region wrapped: the next slot is not contiguous in memory.
-			s.flush(&r, done)
-		}
-		if r.bytes == 0 {
-			r.start, r.seq0 = off, seq
-		}
-		s.seq++
-
-		buf, err := s.Worker.AS.View(s.staging+off, g.FrameSize)
-		if err != nil {
-			s.finish(msg, done, SendInfo{Seq: seq, Err: err})
-			continue
-		}
-		if err := s.packStaging(msg, buf, bank*g.Slots+slot, seq, s.RemoteBase+off); err != nil {
-			s.finish(msg, done, SendInfo{Seq: seq, Err: err})
-			continue
-		}
-		s.Sent++
-		// GOT patching cost: one entry per travelling slot plus the pointer.
-		if msg.Kind == KindInjected {
-			entries := msg.GotTableLen/8 + 1
-			patch := sim.Duration(entries) * model.GOTPatchPerEntry
-			s.Worker.CPU.Claim(s.eng.Now(), patch)
-			if s.Counter != nil {
-				s.Counter.Work(patch)
-			}
-		}
-		// The frame bytes now live in staging: a pooled message is done.
-		msg.release()
-		r.bytes += g.FrameSize
-		if s.Cfg.SeparateSignal {
-			s.flush(&r, done)
+	for i := range msgs {
+		if len(s.stalled) > 0 || !s.pack(&r, &msgs[i], done) {
+			s.stall(&msgs[i], done)
 		}
 	}
 	s.flush(&r, done)
+}
+
+// pack packs msg into the next staging slot and adds it to the run r,
+// flushing r first where the region wraps. A failed send reports its
+// error through done and counts as taken. It reports false, with r
+// flushed and nothing packed, when the slot's bank has no credit: the
+// caller stalls msg.
+func (s *Sender) pack(r *run, msg *Message, done func(SendInfo)) bool {
+	g := s.Cfg.Geometry
+	seq := s.seq
+	bank, slot, off := g.SlotFor(seq)
+
+	if s.Cfg.Credits && slot == 0 {
+		flagVA := s.CreditVA + uint64(bank*8)
+		flag, err := s.Worker.AS.ReadU64(flagVA)
+		if err != nil {
+			s.fail(done, SendInfo{Seq: seq, Err: err})
+			return true
+		}
+		if flag == 0 {
+			// Bank still owned by the receiver: ship what we have and
+			// stall until the credit returns. Waiting costs cycles like
+			// any signal wait.
+			s.flush(r, done)
+			s.stallAt = s.eng.Now()
+			s.CreditStalls++
+			return false
+		}
+		// Claim the bank.
+		if err := s.Worker.AS.WriteU64(flagVA, 0); err != nil {
+			s.fail(done, SendInfo{Seq: seq, Err: err})
+			return true
+		}
+	}
+	if r.bytes > 0 && off != r.start+uint64(r.bytes) {
+		// Region wrapped: the next slot is not contiguous in memory.
+		s.flush(r, done)
+	}
+	if r.bytes == 0 {
+		// The run's frames occupy consecutive slots, so their sequence
+		// numbers are consecutive too and one counted completion record
+		// fans the run's single fabric callback out per message.
+		r.start, r.seq0 = off, seq
+	}
+	s.seq++
+
+	buf, err := s.Worker.AS.View(s.staging+off, g.FrameSize)
+	if err != nil {
+		s.fail(done, SendInfo{Seq: seq, Err: err})
+		return true
+	}
+	if err := s.packStaging(msg, buf, bank*g.Slots+slot, seq, s.RemoteBase+off); err != nil {
+		s.fail(done, SendInfo{Seq: seq, Err: err})
+		return true
+	}
+	s.Sent++
+	// GOT patching cost: one entry per travelling slot plus the pointer.
+	if msg.Kind == KindInjected {
+		entries := msg.GotTableLen/8 + 1
+		patch := sim.Duration(entries) * model.GOTPatchPerEntry
+		s.Worker.CPU.Claim(s.eng.Now(), patch)
+		if s.Counter != nil {
+			s.Counter.Work(patch)
+		}
+	}
+	r.bytes += g.FrameSize
+	if s.Cfg.SeparateSignal {
+		s.flush(r, done)
+	}
+	return true
 }
 
 // run is the contiguous stretch of packed staging slots SendBatch has
@@ -334,19 +337,34 @@ func (s *Sender) flush(r *run, done func(SendInfo)) {
 	s.Ep.PutThin(&c.ThinPut)
 }
 
-// queue appends msgs to the stall queue in order.
-func (s *Sender) queue(msgs []*Message, done func(SendInfo)) {
-	for _, m := range msgs {
-		s.stalled = append(s.stalled, queuedSend{m, done})
+// stall copies msg into a stall record from the sender's freelist and
+// queues it behind any earlier stalled sends.
+func (s *Sender) stall(msg *Message, done func(SendInfo)) {
+	var q *stalledSend
+	if k := len(s.stallFree); k > 0 {
+		q = s.stallFree[k-1]
+		s.stallFree = s.stallFree[:k-1]
+	} else {
+		q = new(stalledSend)
 	}
+	q.msg, q.done = *msg, done
+	s.stalled = append(s.stalled, q)
 }
 
-// finish reports a failed (never-packed) send and releases a pooled
-// message back to the pool.
-func (s *Sender) finish(msg *Message, done func(SendInfo), info SendInfo) {
-	if msg != nil {
-		msg.release()
+// unstall returns the stall records of pending to the freelist, each
+// cleared so it pins no payload, and keeps pending's buffer as the next
+// drain's queue.
+func (s *Sender) unstall(pending []*stalledSend) {
+	for i, q := range pending {
+		*q = stalledSend{}
+		s.stallFree = append(s.stallFree, q)
+		pending[i] = nil
 	}
+	s.drainBuf = pending[:0]
+}
+
+// fail reports a send that was never packed.
+func (s *Sender) fail(done func(SendInfo), info SendInfo) {
 	if done != nil {
 		done(info)
 	}
@@ -370,26 +388,25 @@ func (s *Sender) drain() {
 	s.drainBuf = nil
 	for i, q := range pending {
 		// One frame per put: each queued message carries its own done.
-		s.Send(q.msg, q.done)
-		if len(s.stalled) > 0 {
-			// The send re-stalled on the next bank boundary; keep the
-			// remainder queued in order behind it.
-			s.stalled = append(s.stalled, pending[i+1:]...)
+		var r run
+		if !s.pack(&r, &q.msg, q.done) {
+			// The send re-stalled on the next bank boundary; it and the
+			// remainder stay queued in order.
+			s.stalled = append(s.stalled, pending[i:]...)
+			pending = pending[:i]
 			break
 		}
+		s.flush(&r, q.done)
 	}
-	for i := range pending {
-		pending[i] = queuedSend{}
-	}
-	s.drainBuf = pending[:0]
+	s.unstall(pending)
 }
 
-// FailPending fails every stalled (queued) send with err: each pooled
-// frame returns to the pool and each done callback fires synchronously
-// with the error. It is the teardown path for a channel whose receiver
-// will never return the credits that would drain the queue — without it
-// the queued messages (and any futures observing them) stay stranded
-// and the pooled frames leak. Returns the number of sends failed.
+// FailPending fails every stalled (queued) send with err: each done
+// callback fires synchronously with the error and each stall record
+// returns to the sender's freelist. It is the teardown path for a
+// channel whose receiver will never return the credits that would drain
+// the queue — without it the queued messages (and any futures observing
+// them) stay stranded. Returns the number of sends failed.
 func (s *Sender) FailPending(err error) int {
 	n := len(s.stalled)
 	if n == 0 {
@@ -399,12 +416,9 @@ func (s *Sender) FailPending(err error) int {
 	s.stalled = s.drainBuf[:0]
 	s.drainBuf = nil
 	for _, q := range pending {
-		s.finish(q.msg, q.done, SendInfo{Err: err})
+		s.fail(q.done, SendInfo{Err: err})
 	}
-	for i := range pending {
-		pending[i] = queuedSend{}
-	}
-	s.drainBuf = pending[:0]
+	s.unstall(pending)
 	return n
 }
 

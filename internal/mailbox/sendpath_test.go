@@ -51,14 +51,12 @@ func newSendPathRig(t *testing.T, credits, sep bool) *sendPathRig {
 	return &sendPathRig{eng: eng, a: a, sender: snd}
 }
 
-// msg returns a pooled message: odd submissions are injected (they pay
+// msg returns the next message: odd submissions are injected (they pay
 // the GOT-patch charge), even ones are Local Function calls.
-func (r *sendPathRig) msg() *Message {
-	m := r.sender.GetMessage()
+func (r *sendPathRig) msg() Message {
 	k := r.next
 	r.next++
-	m.Args = [2]uint64{k, 0}
-	m.Usr = []byte{byte(k)}
+	m := Message{Args: [2]uint64{k, 0}, Usr: []byte{byte(k)}}
 	if k%2 == 0 {
 		m.Kind, m.PkgID, m.ElemID = KindLocal, 1, 1
 		return m
@@ -71,8 +69,8 @@ func (r *sendPathRig) msg() *Message {
 	return m
 }
 
-func (r *sendPathRig) batch(n int) []*Message {
-	msgs := make([]*Message, n)
+func (r *sendPathRig) batch(n int) []Message {
+	msgs := make([]Message, n)
 	for i := range msgs {
 		msgs[i] = r.msg()
 	}
@@ -112,7 +110,8 @@ func TestSendPathPins(t *testing.T) {
 	}{
 		{"send", func(r *sendPathRig) {
 			for i := 0; i < 3; i++ {
-				r.sender.Send(r.msg(), r.done)
+				m := r.msg()
+				r.sender.Send(&m, r.done)
 			}
 		}},
 		{"batch1", func(r *sendPathRig) { r.sender.SendBatch(r.batch(1), r.done) }},
@@ -131,7 +130,8 @@ func TestSendPathPins(t *testing.T) {
 		}},
 		{"send-stall", func(r *sendPathRig) {
 			for i := 0; i < 6; i++ {
-				r.sender.Send(r.msg(), r.done)
+				m := r.msg()
+				r.sender.Send(&m, r.done)
 			}
 		}},
 	}

@@ -268,7 +268,7 @@ func TestGoldenOnRecycledArrays(t *testing.T) {
 }
 
 // TestGoldenRepeatable re-runs one scenario twice in the same process:
-// pooled frames, futures, and engine queues must leave no state behind
+// completion records, futures, and engine queues must leave no state behind
 // that could couple two runs.
 func TestGoldenRepeatable(t *testing.T) {
 	sc := DefaultScenario(Hotspot, 8)
